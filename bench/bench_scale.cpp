@@ -1,55 +1,50 @@
 // Scale benchmark: the perf trajectory of the replication hot path.
 //
-// Three measurements, emitted as machine-readable BENCH_scale.json:
+// Sections, emitted as machine-readable BENCH_scale.json. Each reports
+// absolute numbers for the one production path; the seed behaviour is
+// pinned by golden digests in tests/, not re-run here.
 //
 //  1. micro_writelog — the delta computation itself: a long write
-//     history served to near-tip requesters, naive O(history) scan vs
-//     the indexed WriteLog (before/after).
-//  2. e2e_pull / e2e_anti_entropy — full simulated deployments with a
-//     long history, run twice: once with the naive scan forced
-//     (TestbedOptions::naive_log_scan, the seed behaviour) and once
-//     with the indexes. Wall-clock before/after for the whole run.
+//     history served to near-tip requesters, the reference O(history)
+//     scan (WriteLog::records_since_naive) vs the indexed WriteLog.
+//  2. e2e_pull_long_history / e2e_anti_entropy — full simulated
+//     deployments with a long history (pull and anti-entropy), one
+//     wall-clock run each.
 //  3. scale_trajectory — wide deployments (hundreds of stores/clients,
-//     thousands of ops) across every coherence model, indexed path
-//     only: the numbers the ROADMAP tracks across PRs.
-//
-//  4. fanout — propagation fan-out (1 primary, 64–256 subscribers,
-//     immediate vs lazy vs pull): per-subscriber record copies + per-
-//     subscriber encodes (the seed behaviour, TestbedOptions::
-//     shared_fanout=false) vs shared pre-encoded RecordBatches. Both
-//     runs must deliver byte-identical records to every store.
+//     thousands of ops) across every coherence model: the numbers the
+//     ROADMAP tracks across PRs.
+//  4. fanout — propagation fan-out (1 primary, 16–128 subscribers,
+//     immediate vs lazy vs pull) through shared RecordBatches.
 //  5. fanout_loopback — the same fan-out over the threaded
-//     LoopbackRouter runtime (ROADMAP: the non-simulated path had no
-//     benchmark).
-//  6. micro_snapshot — WebDocument snapshot encoding, uncached oracle
-//     vs the shared snapshot cache (cutover-storm cost model).
-//
-//  7. loopback_multicast — shared wire datagrams on the threaded
-//     runtime: per-destination header+body encodes (the PR-2 behaviour)
-//     vs ONE encode whose buffer every destination holds by reference.
-//
-//  8. churn — the membership + fault-scenario gate: a trajectory-scale
+//     LoopbackRouter runtime.
+//  6. multicast_window — the windowed credit-based multicast on the
+//     threaded runtime: a 128-subscriber fan-out run unwindowed and
+//     windowed (sliding windows + coalescing + cross-peer frame
+//     sharing), delivering byte-identical state, plus a slow-subscriber
+//     fault where the victim's channel must pause inside its bound and
+//     catch up after the heal.
+//  7. churn — the membership + fault-scenario gate: a trajectory-scale
 //     deployment (125 stores / 240 clients / 2000 ops) suffers three
 //     partition/heal cycles, ~10% rolling store churn, and a
 //     flash-crowd join, under EVERY coherence model; the run must
 //     converge and the indexed checkers must return clean verdicts.
-//
-// 10. multicast_window — the windowed credit-based multicast on the
-//     threaded runtime: a 128-subscriber fan-out run unwindowed (the
-//     seed path) and windowed (sliding windows + coalescing + cross-
-//     peer frame sharing), delivering byte-identical state, plus a
-//     slow-subscriber fault where the victim's channel must pause
-//     inside its bound and catch up after the heal.
-//
+//  8. soak — streaming verification + stability-horizon GC at 10x the
+//     trajectory ops under churn: bounded retained memory, verdicts
+//     equal to the post-hoc checkers, a 10% check budget.
 //  9. snapshot_delta — page-granular state transfer: a trajectory-scale
 //     deployment with a large document suffers repeated sparse-update
-//     rejoins (caches crash and recover between small writes), run once
-//     with full-snapshot transfers (the seed behaviour,
-//     delta_snapshots=false) and once page-granularly. The restored
-//     documents must be byte-identical between the runs, and the
-//     delta run must ship at least 5x fewer state-transfer bytes.
-//
-// 11. observability — the write-lifecycle tracer: a deployment run
+//     rejoins (caches crash and recover between small writes). Every
+//     transfer must go through the delta path, and the shipped state
+//     must be at least 5x smaller than the whole documents it replaced.
+// 10. micro_snapshot — WebDocument snapshot encoding, uncached oracle
+//     vs the shared snapshot cache (cutover-storm cost model).
+// 11. history — history recording + checker verification: the
+//     reference checkers (coherence::naive) vs the swept ones on the
+//     same recorded history; verdicts must be identical.
+// 12. multi_object — many-object sharding: scaling with the shard
+//     count, hot-shard churn isolation, and digest equivalence of a
+//     single-object deployment against the legacy path.
+// 13. observability — the write-lifecycle tracer: a deployment run
 //     with tracing off must put byte-identical traffic on the wire
 //     run-to-run (FNV digest over every delivered datagram), tracing
 //     every write must cost <= 2% wall clock, the sampled write's
@@ -165,112 +160,82 @@ MicroResult micro_writelog(int records, int queries, int writers, int pages) {
 }
 
 // ---------------------------------------------------------------------
-// 2. End-to-end long-history scenarios (naive vs indexed)
+// 2. End-to-end long-history scenarios
 // ---------------------------------------------------------------------
 
 struct E2eResult {
   int writes = 0;
   int stores = 0;
-  double naive_s = 0;
   double indexed_s = 0;
-  std::uint64_t events = 0;  // simulator events in the indexed run
+  std::uint64_t events = 0;  // simulator events
   bool converged = false;
 };
 
-/// Long-history pull: a primary accumulates `writes` records while
-/// `stores` replicas poll it. Every poll used to rescan the whole log.
-double run_pull_scenario(int writes, int stores, bool naive,
-                         std::uint64_t* events_out, bool* converged_out) {
+/// A primary accumulates `writes` records (no compaction: the full
+/// history is the worst case for delta computation) while `stores`
+/// replicas of `store_class` pull from it under `policy`.
+E2eResult run_long_history(const core::ReplicationPolicy& policy,
+                           naming::StoreClass store_class,
+                           std::uint64_t seed, std::uint64_t write_seed,
+                           int writes, int stores) {
   TestbedOptions opts;
-  opts.seed = 11;
+  opts.seed = seed;
   opts.record_history = false;
   // Poll period must exceed the fetch round-trip, or a request is always
   // in flight and the run can never quiesce; short metro links model
   // replicas near their upstream.
   opts.wan.base_latency = sim::SimDuration::millis(1);
-  opts.log_compact_threshold = 0;  // keep the full history: worst case
-  opts.naive_log_scan = naive;
+  opts.log_compact_threshold = 0;
   const auto start = Clock::now();
   Testbed bed(opts);
   constexpr ObjectId kObj = 1;
 
-  core::ReplicationPolicy policy;
-  policy.model = coherence::ObjectModel::kPram;
-  policy.initiative = core::TransferInitiative::kPull;
-  policy.coherence_transfer = core::CoherenceTransfer::kPartial;
-  policy.lazy_period = sim::SimDuration::millis(10);  // poll period
-
   auto& primary = bed.add_primary(kObj, policy);
-  for (int s = 0; s < stores; ++s) {
-    bed.add_store(kObj, naming::StoreClass::kClientInitiated, policy);
-  }
+  for (int s = 0; s < stores; ++s) bed.add_store(kObj, store_class, policy);
   bed.settle();
 
-  util::Rng rng(3);
+  util::Rng rng(write_seed);
   for (int i = 0; i < writes; ++i) {
     primary.seed("page" + std::to_string(rng.below(32)) + ".html",
                  "v" + std::to_string(i));
     bed.run_for(sim::SimDuration::millis(4));
   }
   bed.settle();
-  if (events_out != nullptr) *events_out = bed.sim().events_run();
-  if (converged_out != nullptr) *converged_out = bed.converged(kObj);
-  return seconds_since(start);
+  E2eResult res;
+  res.writes = writes;
+  res.stores = stores;
+  res.events = bed.sim().events_run();
+  res.converged = bed.converged(kObj);
+  res.indexed_s = seconds_since(start);
+  return res;
+}
+
+/// Long-history pull: PRAM replicas poll the primary every 10 ms.
+E2eResult run_pull_scenario(int writes, int stores) {
+  core::ReplicationPolicy policy;
+  policy.model = coherence::ObjectModel::kPram;
+  policy.initiative = core::TransferInitiative::kPull;
+  policy.coherence_transfer = core::CoherenceTransfer::kPartial;
+  policy.lazy_period = sim::SimDuration::millis(10);  // poll period
+  return run_long_history(policy, naming::StoreClass::kClientInitiated,
+                          /*seed=*/11, /*write_seed=*/3, writes, stores);
 }
 
 /// Long-history anti-entropy: eventual coherence, every store gossips
-/// with the primary; both reply and push-back used to rescan the log.
-double run_anti_entropy_scenario(int writes, int stores, bool naive,
-                                 std::uint64_t* events_out,
-                                 bool* converged_out) {
-  TestbedOptions opts;
-  opts.seed = 13;
-  opts.record_history = false;
-  opts.wan.base_latency = sim::SimDuration::millis(1);
-  opts.log_compact_threshold = 0;
-  opts.naive_log_scan = naive;
-  const auto start = Clock::now();
-  Testbed bed(opts);
-  constexpr ObjectId kObj = 1;
-
+/// with the primary (reply and push-back are both log deltas).
+E2eResult run_anti_entropy_scenario(int writes, int stores) {
   core::ReplicationPolicy policy;
   policy.model = coherence::ObjectModel::kEventual;
   policy.write_set = core::WriteSet::kMultiple;
   policy.initiative = core::TransferInitiative::kPull;  // anti-entropy
   policy.coherence_transfer = core::CoherenceTransfer::kPartial;
   policy.lazy_period = sim::SimDuration::millis(10);
-
-  auto& primary = bed.add_primary(kObj, policy);
-  for (int s = 0; s < stores; ++s) {
-    bed.add_store(kObj, naming::StoreClass::kObjectInitiated, policy);
-  }
-  bed.settle();
-
-  util::Rng rng(5);
-  for (int i = 0; i < writes; ++i) {
-    primary.seed("page" + std::to_string(rng.below(32)) + ".html",
-                 "v" + std::to_string(i));
-    bed.run_for(sim::SimDuration::millis(4));
-  }
-  bed.settle();
-  if (events_out != nullptr) *events_out = bed.sim().events_run();
-  if (converged_out != nullptr) *converged_out = bed.converged(kObj);
-  return seconds_since(start);
-}
-
-template <typename Runner>
-E2eResult run_e2e(Runner runner, int writes, int stores) {
-  E2eResult res;
-  res.writes = writes;
-  res.stores = stores;
-  res.naive_s = runner(writes, stores, /*naive=*/true, nullptr, nullptr);
-  res.indexed_s = runner(writes, stores, /*naive=*/false, &res.events,
-                         &res.converged);
-  return res;
+  return run_long_history(policy, naming::StoreClass::kObjectInitiated,
+                          /*seed=*/13, /*write_seed=*/5, writes, stores);
 }
 
 // ---------------------------------------------------------------------
-// 3. Scale trajectory across coherence models (indexed only)
+// 3. Scale trajectory across coherence models
 // ---------------------------------------------------------------------
 
 struct TrajectoryRow {
@@ -320,16 +285,14 @@ TrajectoryRow run_trajectory(coherence::ObjectModel model, int mirrors,
 }
 
 // ---------------------------------------------------------------------
-// 4. Propagation fan-out: shared batches vs per-subscriber copies
+// 4. Propagation fan-out through shared record batches
 // ---------------------------------------------------------------------
 
 struct FanoutRow {
-  std::string mode;  // immediate | lazy | pull
+  std::string mode;  // immediate | lazy | pull | loopback
   int subscribers = 0;
   int writes = 0;
-  double copy_s = 0;    // per-subscriber copy + encode (seed behaviour)
-  double shared_s = 0;  // shared RecordBatch fan-out
-  bool identical = false;  // delivered records byte-identical
+  double shared_s = 0;
   bool converged = false;
 };
 
@@ -339,13 +302,11 @@ struct FanoutRun {
   std::vector<util::Buffer> digests;  // per-store delivered state
 };
 
-FanoutRun run_fanout(const std::string& mode, int subscribers, int writes,
-                     bool shared) {
+FanoutRow run_fanout(const std::string& mode, int subscribers, int writes) {
   TestbedOptions opts;
   opts.seed = 29;
   opts.record_history = false;
   opts.wan.base_latency = sim::SimDuration::millis(1);
-  opts.shared_fanout = shared;
   const auto start = Clock::now();
   Testbed bed(opts);
   constexpr ObjectId kObj = 1;
@@ -374,32 +335,12 @@ FanoutRun run_fanout(const std::string& mode, int subscribers, int writes,
   }
   bed.settle();
 
-  FanoutRun out;
-  out.wall_s = seconds_since(start);
-  out.converged = bed.converged(kObj);
-  for (const auto& s : bed.stores()) out.digests.push_back(replication::store_state_digest(*s));
-  return out;
-}
-
-FanoutRow run_fanout_pair(const std::string& mode, int subscribers,
-                          int writes) {
   FanoutRow row;
   row.mode = mode;
   row.subscribers = subscribers;
   row.writes = writes;
-  const FanoutRun copy = run_fanout(mode, subscribers, writes, false);
-  const FanoutRun shared = run_fanout(mode, subscribers, writes, true);
-  row.copy_s = copy.wall_s;
-  row.shared_s = shared.wall_s;
-  row.converged = copy.converged && shared.converged;
-  row.identical = copy.digests == shared.digests;
-  if (!row.identical) {
-    std::fprintf(stderr,
-                 "FATAL: %s fan-out delivered different records with "
-                 "shared batches vs per-subscriber copies\n",
-                 mode.c_str());
-    std::exit(1);
-  }
+  row.shared_s = seconds_since(start);
+  row.converged = bed.converged(kObj);
   return row;
 }
 
@@ -407,17 +348,7 @@ FanoutRow run_fanout_pair(const std::string& mode, int subscribers,
 // 5. Fan-out over the threaded loopback runtime
 // ---------------------------------------------------------------------
 
-struct LoopbackRow {
-  int subscribers = 0;
-  int writes = 0;
-  double copy_s = 0;
-  double shared_s = 0;
-  bool identical = false;
-  bool converged = false;
-};
-
-FanoutRun run_loopback_fanout(int subscribers, int writes, bool shared,
-                              bool shared_wire = true,
+FanoutRun run_loopback_fanout(int subscribers, int writes,
                               net::WindowedMulticast* window = nullptr) {
   net::LoopbackRouter router;
   sim::Simulator sim;  // clock source only; delivery is thread-driven
@@ -443,8 +374,6 @@ FanoutRun run_loopback_fanout(int subscribers, int writes, bool shared,
   pcfg.object = 1;
   pcfg.store_id = 0;
   pcfg.is_primary = true;
-  pcfg.shared_fanout = shared;
-  pcfg.shared_wire = shared_wire;
   pcfg.flow = window;
   stores.push_back(
       std::make_unique<StoreEngine>(make_factory(), sim, pcfg));
@@ -455,8 +384,6 @@ FanoutRun run_loopback_fanout(int subscribers, int writes, bool shared,
     cfg.store_id = static_cast<StoreId>(s + 1);
     cfg.store_class = naming::StoreClass::kObjectInitiated;
     cfg.upstream = primary_addr;
-    cfg.shared_fanout = shared;
-    cfg.shared_wire = shared_wire;
     cfg.flow = window;
     stores.push_back(
         std::make_unique<StoreEngine>(make_factory(), sim, cfg));
@@ -498,57 +425,8 @@ FanoutRun run_loopback_fanout(int subscribers, int writes, bool shared,
   return out;
 }
 
-LoopbackRow run_loopback_pair(int subscribers, int writes) {
-  LoopbackRow row;
-  row.subscribers = subscribers;
-  row.writes = writes;
-  const FanoutRun copy = run_loopback_fanout(subscribers, writes, false);
-  const FanoutRun shared = run_loopback_fanout(subscribers, writes, true);
-  row.copy_s = copy.wall_s;
-  row.shared_s = shared.wall_s;
-  row.converged = copy.converged && shared.converged;
-  row.identical = copy.digests == shared.digests;
-  if (!row.identical) {
-    std::fprintf(stderr, "FATAL: loopback fan-out digests diverged\n");
-    std::exit(1);
-  }
-  return row;
-}
-
-/// Shared-wire multicast on the loopback runtime: per-destination wire
-/// encodes (shared record batches, but one header+body serialization
-/// and one owned datagram per subscriber — the PR-2 behaviour) vs one
-/// encode shared by reference across the router queue.
-struct MulticastRow {
-  int subscribers = 0;
-  int writes = 0;
-  double per_target_s = 0;
-  double shared_wire_s = 0;
-  bool identical = false;
-  bool converged = false;
-};
-
-MulticastRow run_loopback_multicast(int subscribers, int writes) {
-  MulticastRow row;
-  row.subscribers = subscribers;
-  row.writes = writes;
-  const FanoutRun per_target =
-      run_loopback_fanout(subscribers, writes, true, /*shared_wire=*/false);
-  const FanoutRun shared_wire =
-      run_loopback_fanout(subscribers, writes, true, /*shared_wire=*/true);
-  row.per_target_s = per_target.wall_s;
-  row.shared_wire_s = shared_wire.wall_s;
-  row.converged = per_target.converged && shared_wire.converged;
-  row.identical = per_target.digests == shared_wire.digests;
-  if (!row.identical) {
-    std::fprintf(stderr, "FATAL: shared-wire multicast digests diverged\n");
-    std::exit(1);
-  }
-  return row;
-}
-
 // ---------------------------------------------------------------------
-// 10. Windowed credit-based multicast on the threaded runtime
+// 6. Windowed credit-based multicast on the threaded runtime
 // ---------------------------------------------------------------------
 
 struct WindowRow {
@@ -644,7 +522,6 @@ void run_window_fault(int subscribers, int writes, WindowRow& row) {
   pcfg.object = 1;
   pcfg.store_id = 0;
   pcfg.is_primary = true;
-  pcfg.shared_fanout = true;
   pcfg.flow = &window;
   // This leg measures pause -> park -> resume recovery, so the victim's
   // parked batches must outlive the burst: disable the hopeless-peer
@@ -658,7 +535,6 @@ void run_window_fault(int subscribers, int writes, WindowRow& row) {
     cfg.store_id = static_cast<StoreId>(s + 1);
     cfg.store_class = naming::StoreClass::kObjectInitiated;
     cfg.upstream = primary_addr;
-    cfg.shared_fanout = true;
     cfg.flow = &window;
     stores.push_back(std::make_unique<StoreEngine>(make_factory(), sim, cfg));
   }
@@ -713,11 +589,9 @@ WindowRow run_multicast_window(int subscribers, int writes) {
   row.subscribers = subscribers;
   row.writes = writes;
 
-  const FanoutRun plain =
-      run_loopback_fanout(subscribers, writes, true, true, nullptr);
+  const FanoutRun plain = run_loopback_fanout(subscribers, writes);
   net::WindowedMulticast window;  // default options
-  const FanoutRun windowed =
-      run_loopback_fanout(subscribers, writes, true, true, &window);
+  const FanoutRun windowed = run_loopback_fanout(subscribers, writes, &window);
 
   row.unwindowed_s = plain.wall_s;
   row.windowed_s = windowed.wall_s;
@@ -782,7 +656,7 @@ WindowRow run_multicast_window(int subscribers, int writes) {
 }
 
 // ---------------------------------------------------------------------
-// 8. Churn: membership + fault scenarios at trajectory scale
+// 7. Churn: membership + fault scenarios at trajectory scale
 // ---------------------------------------------------------------------
 
 struct ChurnRow {
@@ -981,7 +855,7 @@ ChurnRow run_churn(coherence::ObjectModel model, int mirrors, int caches,
 }
 
 // ---------------------------------------------------------------------
-// 8b. Soak: bounded-memory verification + stability-horizon GC, 10x ops
+// 8. Soak: bounded-memory verification + stability-horizon GC, 10x ops
 // ---------------------------------------------------------------------
 //
 // The long-run configuration the streaming checker and the horizon
@@ -1222,37 +1096,36 @@ SoakRow run_soak(int mirrors, int caches, int clients, int ops, bool smoke) {
 // 9. Delta snapshots: sparse-update rejoins on a large document
 // ---------------------------------------------------------------------
 
-struct SnapshotDeltaRun {
-  double wall_s = 0;
-  std::uint64_t state_bytes = 0;  // subscribe/snapshot/delta wire traffic
-  std::uint64_t delta_transfers = 0;
-  std::uint64_t full_transfers = 0;
-  std::uint64_t pages_shipped = 0;
-  std::uint64_t bytes_saved = 0;
-  bool converged = false;
-  std::vector<util::Buffer> docs;  // per-store document encodes
-};
-
 struct SnapshotDeltaResult {
   int stores = 0;
   int pages = 0;
   int page_bytes = 0;
   int rounds = 0;
   int rejoins = 0;
-  SnapshotDeltaRun full;
-  SnapshotDeltaRun delta;
-  double reduction = 0;  // full.state_bytes / delta.state_bytes
-  bool identical = false;
+  double wall_s = 0;
+  std::uint64_t state_bytes = 0;  // subscribe/snapshot/delta wire traffic
+  std::uint64_t delta_transfers = 0;
+  std::uint64_t full_transfers = 0;
+  std::uint64_t pages_shipped = 0;
+  std::uint64_t bytes_saved = 0;
+  /// (state_bytes + bytes_saved) / state_bytes: how much smaller the
+  /// shipped state was than the whole documents it replaced.
+  double reduction = 0;
+  bool converged = false;
 };
 
-SnapshotDeltaRun run_snapshot_rejoin(bool delta_mode, int mirrors, int caches,
-                                     int pages, int page_bytes, int rounds,
-                                     int rejoins_per_round) {
+SnapshotDeltaResult run_snapshot_delta(bool smoke) {
+  const int mirrors = smoke ? 2 : 4;
+  const int caches = smoke ? 6 : 120;
+  const int pages = smoke ? 32 : 160;
+  const int page_bytes = smoke ? 512 : 3072;
+  const int rounds = smoke ? 4 : 12;
+  const int rejoins_per_round = smoke ? 2 : 5;
+
   TestbedOptions opts;
   opts.seed = 61;
   opts.record_history = false;
   opts.wan.base_latency = sim::SimDuration::millis(1);
-  opts.delta_snapshots = delta_mode;
   Testbed bed(opts);
   constexpr ObjectId kObj = 1;
 
@@ -1274,7 +1147,7 @@ SnapshotDeltaRun run_snapshot_rejoin(bool delta_mode, int mirrors, int caches,
   bed.settle();
 
   // The document grows to production size AFTER the topology exists, so
-  // the (identical-cost) bootstrap snapshots stay out of the measurement.
+  // the bootstrap snapshots stay out of the measurement.
   const std::string payload(static_cast<std::size_t>(page_bytes), 'd');
   for (int p = 0; p < pages; ++p) {
     primary.seed("page" + std::to_string(p) + ".html",
@@ -1289,8 +1162,8 @@ SnapshotDeltaRun run_snapshot_rejoin(bool delta_mode, int mirrors, int caches,
   for (int r = 0; r < rounds; ++r) {
     // Rejoin storm with a sparse update in the middle: the caches go
     // down, a couple of pages change while they are away, and their
-    // recovery re-bootstraps through the state-transfer path — a full
-    // snapshot of the whole (mostly unchanged) document vs a page delta.
+    // recovery re-bootstraps through the state-transfer path: a page
+    // delta against the whole (mostly unchanged) document.
     std::vector<std::size_t> down;
     for (int k = 0; k < rejoins_per_round; ++k) {
       down.push_back(1 + static_cast<std::size_t>(mirrors) +
@@ -1312,7 +1185,12 @@ SnapshotDeltaRun run_snapshot_rejoin(bool delta_mode, int mirrors, int caches,
   }
   bed.settle();
 
-  SnapshotDeltaRun out;
+  SnapshotDeltaResult out;
+  out.stores = 1 + mirrors + caches;
+  out.pages = pages;
+  out.page_bytes = page_bytes;
+  out.rounds = rounds;
+  out.rejoins = rounds * rejoins_per_round;
   out.wall_s = seconds_since(start);
   out.converged = bed.converged(kObj);
   const auto& traffic = bed.metrics().traffic_by_type();
@@ -1327,47 +1205,15 @@ SnapshotDeltaRun run_snapshot_rejoin(bool delta_mode, int mirrors, int caches,
   out.full_transfers = bed.metrics().full_snapshots();
   out.pages_shipped = bed.metrics().snapshot_pages_shipped();
   out.bytes_saved = bed.metrics().snapshot_bytes_saved();
-  for (const auto& s : bed.stores()) {
-    out.docs.push_back(s->document().encode_snapshot());
-  }
+  out.reduction = out.state_bytes > 0
+                      ? static_cast<double>(out.state_bytes + out.bytes_saved) /
+                            static_cast<double>(out.state_bytes)
+                      : 0.0;
   return out;
 }
 
-SnapshotDeltaResult run_snapshot_delta(bool smoke) {
-  const int mirrors = smoke ? 2 : 4;
-  const int caches = smoke ? 6 : 120;
-  const int pages = smoke ? 32 : 160;
-  const int page_bytes = smoke ? 512 : 3072;
-  const int rounds = smoke ? 4 : 12;
-  const int per_round = smoke ? 2 : 5;
-
-  SnapshotDeltaResult res;
-  res.stores = 1 + mirrors + caches;
-  res.pages = pages;
-  res.page_bytes = page_bytes;
-  res.rounds = rounds;
-  res.rejoins = rounds * per_round;
-  res.full = run_snapshot_rejoin(false, mirrors, caches, pages, page_bytes,
-                                 rounds, per_round);
-  res.delta = run_snapshot_rejoin(true, mirrors, caches, pages, page_bytes,
-                                  rounds, per_round);
-  res.reduction = res.delta.state_bytes > 0
-                      ? static_cast<double>(res.full.state_bytes) /
-                            static_cast<double>(res.delta.state_bytes)
-                      : 0.0;
-  res.identical = res.full.converged && res.delta.converged &&
-                  res.full.docs == res.delta.docs;
-  if (!res.identical) {
-    std::fprintf(stderr,
-                 "FATAL: delta-snapshot rejoin restored different state "
-                 "than the full-snapshot baseline\n");
-    std::exit(1);
-  }
-  return res;
-}
-
 // ---------------------------------------------------------------------
-// 6. Snapshot-cache microbenchmark
+// 10. Snapshot-cache microbenchmark
 // ---------------------------------------------------------------------
 
 struct SnapshotMicroResult {
@@ -1417,17 +1263,18 @@ SnapshotMicroResult micro_snapshot(int pages, int requests) {
 }
 
 // ---------------------------------------------------------------------
-// 7. History recording + checker verification (naive vs indexed)
+// 11. History recording + checker verification (reference vs swept)
 // ---------------------------------------------------------------------
 //
 // The trajectory-scale scenario (1 primary + 4 mirrors + caches,
 // hundreds of clients) is run once with history recording on; the
-// recorded events are then replayed into a naive-mode History (seed
-// recorder: plain appends, full-scan views) and an indexed one (interned
-// pages, per-client/per-store indexes), and the full verification pass
-// (object model + every client's session guarantees) is timed through
-// the seed checkers vs the swept ones. Verdicts must be identical — the
-// run aborts on divergence, which is the CI equivalence gate.
+// recorded events are then replayed into a fresh History (interned
+// pages, per-client/per-store indexes) to time recording in isolation,
+// and the full verification pass (object model + every client's session
+// guarantees) is timed through the reference checkers (coherence::naive,
+// full scans over the *_naive views) vs the swept ones. Verdicts must
+// be identical — the run aborts on divergence, which is the CI
+// equivalence gate.
 
 struct HistoryBenchResult {
   int stores = 0;
@@ -1435,7 +1282,6 @@ struct HistoryBenchResult {
   int ops = 0;
   std::size_t events = 0;
   std::size_t pages_interned = 0;
-  double record_naive_s = 0;
   double record_indexed_s = 0;
   double check_naive_s = 0;
   double check_indexed_s = 0;
@@ -1546,35 +1392,31 @@ HistoryBenchResult run_history_bench(int mirrors, int caches, int clients,
   res.events = bed.history().size();
   res.pages_interned = bed.history().pages_interned();
 
-  // Recording cost: seed appends vs indexed appends, same event stream.
-  coherence::History naive_hist(/*indexed=*/false);
-  coherence::History indexed_hist(/*indexed=*/true);
-  res.record_naive_s = replay_history(bed.history(), naive_hist);
-  res.record_indexed_s = replay_history(bed.history(), indexed_hist);
+  coherence::History hist;
+  res.record_indexed_s = replay_history(bed.history(), hist);
 
   std::vector<coherence::SessionSpec> specs;
   for (replication::ClientBinding* u : users) {
     specs.push_back({u->id(), session});
   }
 
-  // Seed verification: object model + per-client session checks, every
-  // one re-scanning the full event log.
+  // Reference verification: object model + per-client session checks,
+  // every one re-scanning the full event log.
   auto start = Clock::now();
   const auto naive_object =
-      coherence::naive::check_object_model(naive_hist, policy.model);
+      coherence::naive::check_object_model(hist, policy.model);
   std::vector<coherence::CheckResult> naive_sessions;
   naive_sessions.reserve(specs.size());
   for (const auto& spec : specs) {
-    naive_sessions.push_back(coherence::naive::check_client_models(
-        naive_hist, spec.client, spec.models));
+    naive_sessions.push_back(
+        coherence::naive::check_client_models(hist, spec.client, spec.models));
   }
   res.check_naive_s = seconds_since(start);
 
   // Indexed verification: same verdicts from one sweep.
   start = Clock::now();
-  const auto indexed_object =
-      coherence::check_object_model(indexed_hist, policy.model);
-  const auto indexed_sessions = coherence::check_sessions(indexed_hist, specs);
+  const auto indexed_object = coherence::check_object_model(hist, policy.model);
+  const auto indexed_sessions = coherence::check_sessions(hist, specs);
   res.check_indexed_s = seconds_since(start);
 
   res.verdicts_equal = indexed_object == naive_object &&
@@ -1602,7 +1444,7 @@ HistoryBenchResult run_history_bench(int mirrors, int caches, int clients,
 }
 
 // ---------------------------------------------------------------------
-// 11. multi_object — many-object sharding (placement + per-shard
+// 12. multi_object — many-object sharding (placement + per-shard
 // subgroups + the multi-object engine). Three gates: aggregate scaling
 // with the shard count, hot-shard churn isolation, and digest
 // equivalence of a single-object deployment against the legacy path.
@@ -1852,7 +1694,7 @@ MultiObjectResult run_multi_object(bool smoke) {
 }
 
 // ---------------------------------------------------------------------
-// 11. observability — the write-lifecycle tracer's two contracts:
+// 13. observability — the write-lifecycle tracer's two contracts:
 //     tracing disabled leaves the simulated wire byte-identical
 //     run-to-run (digest gate), and tracing every write costs <= 2%
 //     wall clock on a full deployment. The traced run must also yield
@@ -2145,8 +1987,8 @@ ObservabilityResult run_observability(bool smoke,
 void emit_json(std::FILE* f, bool smoke, const MicroResult& micro,
                const SnapshotMicroResult& snap, const E2eResult& pull,
                const E2eResult& ae, const std::vector<FanoutRow>& fanout,
-               const LoopbackRow& loopback, const MulticastRow& multicast,
-               const WindowRow& win, const HistoryBenchResult& hist,
+               const FanoutRow& loopback, const WindowRow& win,
+               const HistoryBenchResult& hist,
                const std::vector<ChurnRow>& churn, const SoakRow& soak,
                const SnapshotDeltaResult& sd,
                const MultiObjectResult& mo,
@@ -2171,53 +2013,31 @@ void emit_json(std::FILE* f, bool smoke, const MicroResult& micro,
                "%.2f},\n",
                snap.pages, snap.requests, snap.uncached_s, snap.cached_s,
                speedup(snap.uncached_s, snap.cached_s));
-  std::fprintf(f,
-               "  \"e2e_pull_long_history\": {\"writes\": %d, \"stores\": %d, "
-               "\"naive_s\": %.4f, \"indexed_s\": %.4f, \"speedup\": %.2f, "
-               "\"sim_events\": %llu, \"converged\": %s},\n",
-               pull.writes, pull.stores, pull.naive_s, pull.indexed_s,
-               speedup(pull.naive_s, pull.indexed_s),
-               static_cast<unsigned long long>(pull.events),
-               pull.converged ? "true" : "false");
-  std::fprintf(f,
-               "  \"e2e_anti_entropy\": {\"writes\": %d, \"stores\": %d, "
-               "\"naive_s\": %.4f, \"indexed_s\": %.4f, \"speedup\": %.2f, "
-               "\"sim_events\": %llu, \"converged\": %s},\n",
-               ae.writes, ae.stores, ae.naive_s, ae.indexed_s,
-               speedup(ae.naive_s, ae.indexed_s),
-               static_cast<unsigned long long>(ae.events),
-               ae.converged ? "true" : "false");
+  for (const auto& [name, r] : {std::pair{"e2e_pull_long_history", &pull},
+                                 std::pair{"e2e_anti_entropy", &ae}}) {
+    std::fprintf(f,
+                 "  \"%s\": {\"writes\": %d, \"stores\": %d, \"indexed_s\": "
+                 "%.4f, \"sim_events\": %llu, \"converged\": %s},\n",
+                 name, r->writes, r->stores, r->indexed_s,
+                 static_cast<unsigned long long>(r->events),
+                 r->converged ? "true" : "false");
+  }
   std::fprintf(f, "  \"fanout\": [\n");
   for (std::size_t i = 0; i < fanout.size(); ++i) {
     const FanoutRow& r = fanout[i];
     std::fprintf(f,
                  "    {\"mode\": \"%s\", \"subscribers\": %d, \"writes\": "
-                 "%d, \"copy_s\": %.4f, \"shared_s\": %.4f, \"speedup\": "
-                 "%.2f, \"identical\": %s, \"converged\": %s}%s\n",
-                 r.mode.c_str(), r.subscribers, r.writes, r.copy_s,
-                 r.shared_s, speedup(r.copy_s, r.shared_s),
-                 r.identical ? "true" : "false",
+                 "%d, \"shared_s\": %.4f, \"converged\": %s}%s\n",
+                 r.mode.c_str(), r.subscribers, r.writes, r.shared_s,
                  r.converged ? "true" : "false",
                  i + 1 < fanout.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
                "  \"fanout_loopback\": {\"subscribers\": %d, \"writes\": "
-               "%d, \"copy_s\": %.4f, \"shared_s\": %.4f, \"speedup\": "
-               "%.2f, \"identical\": %s, \"converged\": %s},\n",
-               loopback.subscribers, loopback.writes, loopback.copy_s,
-               loopback.shared_s, speedup(loopback.copy_s, loopback.shared_s),
-               loopback.identical ? "true" : "false",
+               "%d, \"shared_s\": %.4f, \"converged\": %s},\n",
+               loopback.subscribers, loopback.writes, loopback.shared_s,
                loopback.converged ? "true" : "false");
-  std::fprintf(f,
-               "  \"loopback_multicast\": {\"subscribers\": %d, \"writes\": "
-               "%d, \"per_target_s\": %.4f, \"shared_wire_s\": %.4f, "
-               "\"speedup\": %.2f, \"identical\": %s, \"converged\": %s},\n",
-               multicast.subscribers, multicast.writes, multicast.per_target_s,
-               multicast.shared_wire_s,
-               speedup(multicast.per_target_s, multicast.shared_wire_s),
-               multicast.identical ? "true" : "false",
-               multicast.converged ? "true" : "false");
   std::fprintf(
       f,
       "  \"multicast_window\": {\"subscribers\": %d, \"writes\": %d, "
@@ -2244,15 +2064,13 @@ void emit_json(std::FILE* f, bool smoke, const MicroResult& micro,
   std::fprintf(
       f,
       "  \"history\": {\"stores\": %d, \"clients\": %d, \"ops\": %d, "
-      "\"events\": %zu, \"pages_interned\": %zu, \"record_naive_s\": %.6f, "
+      "\"events\": %zu, \"pages_interned\": %zu, "
       "\"record_indexed_s\": %.6f, \"check_naive_s\": %.6f, "
       "\"check_indexed_s\": %.6f, \"speedup\": %.2f, \"verdicts_equal\": "
       "%s, \"clean_ok\": %s},\n",
       hist.stores, hist.clients, hist.ops, hist.events, hist.pages_interned,
-      hist.record_naive_s, hist.record_indexed_s, hist.check_naive_s,
-      hist.check_indexed_s,
-      speedup(hist.record_naive_s + hist.check_naive_s,
-              hist.record_indexed_s + hist.check_indexed_s),
+      hist.record_indexed_s, hist.check_naive_s, hist.check_indexed_s,
+      speedup(hist.check_naive_s, hist.check_indexed_s),
       hist.verdicts_equal ? "true" : "false",
       hist.clean_ok ? "true" : "false");
   bool churn_all_converged = true;
@@ -2329,20 +2147,17 @@ void emit_json(std::FILE* f, bool smoke, const MicroResult& micro,
       f,
       "  \"snapshot_delta\": {\"stores\": %d, \"pages\": %d, "
       "\"page_bytes\": %d, \"rounds\": %d, \"rejoins\": %d, "
-      "\"full_s\": %.4f, \"delta_s\": %.4f, \"speedup\": %.2f, "
-      "\"full_transfer_bytes\": %llu, \"delta_transfer_bytes\": %llu, "
+      "\"delta_s\": %.4f, \"delta_transfer_bytes\": %llu, "
       "\"reduction\": %.2f, \"delta_transfers\": %llu, "
       "\"full_fallbacks\": %llu, \"pages_shipped\": %llu, "
-      "\"bytes_saved\": %llu, \"identical\": %s},\n",
-      sd.stores, sd.pages, sd.page_bytes, sd.rounds, sd.rejoins,
-      sd.full.wall_s, sd.delta.wall_s, speedup(sd.full.wall_s, sd.delta.wall_s),
-      static_cast<unsigned long long>(sd.full.state_bytes),
-      static_cast<unsigned long long>(sd.delta.state_bytes), sd.reduction,
-      static_cast<unsigned long long>(sd.delta.delta_transfers),
-      static_cast<unsigned long long>(sd.delta.full_transfers),
-      static_cast<unsigned long long>(sd.delta.pages_shipped),
-      static_cast<unsigned long long>(sd.delta.bytes_saved),
-      sd.identical ? "true" : "false");
+      "\"bytes_saved\": %llu, \"converged\": %s},\n",
+      sd.stores, sd.pages, sd.page_bytes, sd.rounds, sd.rejoins, sd.wall_s,
+      static_cast<unsigned long long>(sd.state_bytes), sd.reduction,
+      static_cast<unsigned long long>(sd.delta_transfers),
+      static_cast<unsigned long long>(sd.full_transfers),
+      static_cast<unsigned long long>(sd.pages_shipped),
+      static_cast<unsigned long long>(sd.bytes_saved),
+      sd.converged ? "true" : "false");
   std::fprintf(f, "  \"multi_object\": {\n    \"scaling\": [\n");
   for (std::size_t i = 0; i < mo.scaling.size(); ++i) {
     const MultiObjectRow& r = mo.scaling[i];
@@ -2434,50 +2249,31 @@ int run(bool smoke, const std::string& out_path) {
               snap.cached_s, snap.uncached_s / snap.cached_s);
 
   std::printf("bench_scale: e2e long-history pull...\n");
-  const E2eResult pull = run_e2e(run_pull_scenario, e2e_writes, e2e_stores);
-  std::printf("  naive %.3fs, indexed %.3fs (%.1fx), converged=%d\n",
-              pull.naive_s, pull.indexed_s, pull.naive_s / pull.indexed_s,
-              pull.converged);
+  const E2eResult pull = run_pull_scenario(e2e_writes, e2e_stores);
+  std::printf("  %.3fs, %llu sim events, converged=%d\n", pull.indexed_s,
+              static_cast<unsigned long long>(pull.events), pull.converged);
 
   std::printf("bench_scale: e2e anti-entropy...\n");
-  const E2eResult ae =
-      run_e2e(run_anti_entropy_scenario, e2e_writes, e2e_stores);
-  std::printf("  naive %.3fs, indexed %.3fs (%.1fx), converged=%d\n",
-              ae.naive_s, ae.indexed_s, ae.naive_s / ae.indexed_s,
-              ae.converged);
+  const E2eResult ae = run_anti_entropy_scenario(e2e_writes, e2e_stores);
+  std::printf("  %.3fs, %llu sim events, converged=%d\n", ae.indexed_s,
+              static_cast<unsigned long long>(ae.events), ae.converged);
 
   std::printf("bench_scale: propagation fan-out (%d subscribers)...\n",
               fanout_subs);
   std::vector<FanoutRow> fanout;
   for (const char* mode : {"immediate", "lazy", "pull"}) {
-    fanout.push_back(run_fanout_pair(mode, fanout_subs, fanout_writes));
-    std::printf("  %-9s copy %.3fs, shared %.3fs (%.1fx), identical=%d, "
-                "converged=%d\n",
-                fanout.back().mode.c_str(), fanout.back().copy_s,
-                fanout.back().shared_s,
-                fanout.back().copy_s / fanout.back().shared_s,
-                fanout.back().identical, fanout.back().converged);
+    fanout.push_back(run_fanout(mode, fanout_subs, fanout_writes));
+    std::printf("  %-9s %.3fs, converged=%d\n", fanout.back().mode.c_str(),
+                fanout.back().shared_s, fanout.back().converged);
   }
 
   std::printf("bench_scale: loopback-runtime fan-out (%d subscribers)...\n",
               loop_subs);
-  const LoopbackRow loopback = run_loopback_pair(loop_subs, loop_writes);
-  std::printf("  copy %.3fs, shared %.3fs (%.1fx), identical=%d, "
-              "converged=%d\n",
-              loopback.copy_s, loopback.shared_s,
-              loopback.copy_s / loopback.shared_s, loopback.identical,
+  const FanoutRun loop = run_loopback_fanout(loop_subs, loop_writes);
+  const FanoutRow loopback{"loopback", loop_subs, loop_writes, loop.wall_s,
+                           loop.converged};
+  std::printf("  %.3fs, converged=%d\n", loopback.shared_s,
               loopback.converged);
-
-  std::printf("bench_scale: loopback shared-wire multicast (%d subscribers)"
-              "...\n",
-              loop_subs);
-  const MulticastRow multicast = run_loopback_multicast(loop_subs,
-                                                        loop_writes);
-  std::printf("  per-target %.3fs, shared wire %.3fs (%.1fx), identical=%d, "
-              "converged=%d\n",
-              multicast.per_target_s, multicast.shared_wire_s,
-              multicast.per_target_s / multicast.shared_wire_s,
-              multicast.identical, multicast.converged);
 
   const int win_subs = smoke ? 16 : 128;
   const int win_writes = smoke ? 40 : 300;
@@ -2499,14 +2295,12 @@ int run(bool smoke, const std::string& out_path) {
   const HistoryBenchResult hist =
       run_history_bench(/*mirrors=*/4, traj_caches, traj_clients, traj_ops);
   std::printf(
-      "  %zu events, %d stores, %d clients: record naive %.4fs / indexed "
-      "%.4fs, check naive %.4fs / indexed %.4fs (%.1fx), verdicts_equal=%d "
-      "clean=%d\n",
-      hist.events, hist.stores, hist.clients, hist.record_naive_s,
-      hist.record_indexed_s, hist.check_naive_s, hist.check_indexed_s,
-      (hist.record_naive_s + hist.check_naive_s) /
-          (hist.record_indexed_s + hist.check_indexed_s),
-      hist.verdicts_equal, hist.clean_ok);
+      "  %zu events, %d stores, %d clients: record %.4fs, check naive "
+      "%.4fs / indexed %.4fs (%.1fx), verdicts_equal=%d clean=%d\n",
+      hist.events, hist.stores, hist.clients, hist.record_indexed_s,
+      hist.check_naive_s, hist.check_indexed_s,
+      hist.check_naive_s / hist.check_indexed_s, hist.verdicts_equal,
+      hist.clean_ok);
 
   std::printf("bench_scale: churn/partition scenarios across models...\n");
   std::vector<ChurnRow> churn;
@@ -2558,15 +2352,12 @@ int run(bool smoke, const std::string& out_path) {
   std::printf("bench_scale: delta-snapshot sparse-update rejoins...\n");
   const SnapshotDeltaResult sd = run_snapshot_delta(smoke);
   std::printf(
-      "  %d stores, %d pages x %dB, %d rejoins: full %.3fs / %.1fKB, "
-      "delta %.3fs / %.1fKB (%.1fx fewer bytes), deltas=%llu "
-      "fallbacks=%llu identical=%d\n",
-      sd.stores, sd.pages, sd.page_bytes, sd.rejoins, sd.full.wall_s,
-      sd.full.state_bytes / 1024.0, sd.delta.wall_s,
-      sd.delta.state_bytes / 1024.0, sd.reduction,
-      static_cast<unsigned long long>(sd.delta.delta_transfers),
-      static_cast<unsigned long long>(sd.delta.full_transfers),
-      sd.identical);
+      "  %d stores, %d pages x %dB, %d rejoins: %.3fs / %.1fKB (%.1fx fewer "
+      "bytes than whole documents), deltas=%llu fallbacks=%llu conv=%d\n",
+      sd.stores, sd.pages, sd.page_bytes, sd.rejoins, sd.wall_s,
+      sd.state_bytes / 1024.0, sd.reduction,
+      static_cast<unsigned long long>(sd.delta_transfers),
+      static_cast<unsigned long long>(sd.full_transfers), sd.converged);
 
   std::printf("bench_scale: many-object sharding...\n");
   const MultiObjectResult mo = run_multi_object(smoke);
@@ -2628,8 +2419,8 @@ int run(bool smoke, const std::string& out_path) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
     return 1;
   }
-  emit_json(f, smoke, micro, snap, pull, ae, fanout, loopback, multicast,
-            win, hist, churn, soak, sd, mo, ob, rows);
+  emit_json(f, smoke, micro, snap, pull, ae, fanout, loopback, win, hist,
+            churn, soak, sd, mo, ob, rows);
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
 
@@ -2639,18 +2430,14 @@ int run(bool smoke, const std::string& out_path) {
     return 1;
   }
   for (const FanoutRow& r : fanout) {
-    if (!r.converged || !r.identical) {
-      std::fprintf(stderr, "FAIL: fan-out scenario %s broke equivalence\n",
+    if (!r.converged) {
+      std::fprintf(stderr, "FAIL: fan-out scenario %s did not converge\n",
                    r.mode.c_str());
       return 1;
     }
   }
-  if (!loopback.converged || !loopback.identical) {
-    std::fprintf(stderr, "FAIL: loopback fan-out broke equivalence\n");
-    return 1;
-  }
-  if (!multicast.converged || !multicast.identical) {
-    std::fprintf(stderr, "FAIL: shared-wire multicast broke equivalence\n");
+  if (!loopback.converged) {
+    std::fprintf(stderr, "FAIL: loopback fan-out did not converge\n");
     return 1;
   }
   if (!win.converged || !win.identical || !win.queue_bounded ||
@@ -2687,13 +2474,17 @@ int run(bool smoke, const std::string& out_path) {
     std::fprintf(stderr, "FAIL: history checker pipeline regressed\n");
     return 1;
   }
-  // run_snapshot_delta already aborts on restored-state divergence; the
-  // byte win is the section's reason to exist, so gate it too.
-  if (!sd.identical || sd.reduction < 5.0) {
+  // Every rejoin must take the delta path, and the byte win is the
+  // section's reason to exist.
+  if (!sd.converged || sd.delta_transfers == 0 || sd.full_transfers != 0 ||
+      sd.reduction < 5.0) {
     std::fprintf(stderr,
-                 "FAIL: delta snapshots identical=%d reduction=%.2f "
-                 "(want identical and >= 5x)\n",
-                 sd.identical, sd.reduction);
+                 "FAIL: delta snapshots conv=%d deltas=%llu full=%llu "
+                 "reduction=%.2f (want deltas > 0, full = 0, >= 5x)\n",
+                 sd.converged,
+                 static_cast<unsigned long long>(sd.delta_transfers),
+                 static_cast<unsigned long long>(sd.full_transfers),
+                 sd.reduction);
     return 1;
   }
   for (const MultiObjectRow& r : mo.scaling) {

@@ -120,7 +120,6 @@ int run_subscriber(int base, int node, int subscribers, int writes,
   cfg.store_id = static_cast<StoreId>(node);
   cfg.store_class = naming::StoreClass::kObjectInitiated;
   cfg.upstream = net::Address{0, 1};
-  cfg.shared_fanout = true;
   cfg.flow = &w.window;
   w.engine = std::make_unique<StoreEngine>(w.factory(node), w.sim, cfg);
 
@@ -152,7 +151,6 @@ int run_primary(int base, int subscribers, int writes,
   pcfg.object = kObj;
   pcfg.store_id = 0;
   pcfg.is_primary = true;
-  pcfg.shared_fanout = true;
   pcfg.flow = &w.window;
   w.engine = std::make_unique<StoreEngine>(w.factory(0), w.sim, pcfg);
   const net::Address self = w.engine->address();

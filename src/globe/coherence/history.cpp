@@ -58,9 +58,7 @@ void History::record_write(WriteEvent e) {
   if (streaming_ != nullptr) streaming_->record_write(e);
   if (!retain_events_) return;
   const auto pos = static_cast<std::uint32_t>(writes_.size());
-  if (indexed_) {
-    note_client_op(e.client, e.client_op_index, OpRef{pos, true});
-  }
+  note_client_op(e.client, e.client_op_index, OpRef{pos, true});
   writes_.push_back(std::move(e));
 }
 
@@ -68,18 +66,14 @@ void History::record_read(ReadEvent e) {
   if (streaming_ != nullptr) streaming_->record_read(e);
   if (!retain_events_) return;
   const auto pos = static_cast<std::uint32_t>(reads_.size());
-  if (indexed_) {
-    note_client_op(e.client, e.client_op_index, OpRef{pos, false});
-  }
+  note_client_op(e.client, e.client_op_index, OpRef{pos, false});
   reads_.push_back(std::move(e));
 }
 
 void History::record_apply(ApplyEvent e) {
   if (streaming_ != nullptr) streaming_->record_apply(e);
   if (!retain_events_) return;
-  if (indexed_) {
-    by_store_[e.store].push_back(static_cast<std::uint32_t>(applies_.size()));
-  }
+  by_store_[e.store].push_back(static_cast<std::uint32_t>(applies_.size()));
   applies_.push_back(std::move(e));
 }
 
@@ -109,7 +103,6 @@ void History::sort_ops(std::vector<ClientOp>& ops) {
 }
 
 std::vector<History::ClientOp> History::client_ops(ClientId client) const {
-  if (!indexed_) return client_ops_naive(client);
   std::vector<ClientOp> ops;
   auto it = by_client_.find(client);
   if (it == by_client_.end()) return ops;
@@ -126,7 +119,6 @@ std::vector<History::ClientOp> History::client_ops(ClientId client) const {
 }
 
 std::vector<const ApplyEvent*> History::store_applies(StoreId store) const {
-  if (!indexed_) return store_applies_naive(store);
   std::vector<const ApplyEvent*> out;
   auto it = by_store_.find(store);
   if (it == by_store_.end()) return out;
@@ -138,7 +130,6 @@ std::vector<const ApplyEvent*> History::store_applies(StoreId store) const {
 }
 
 std::vector<StoreId> History::stores() const {
-  if (!indexed_) return stores_naive();
   std::vector<StoreId> ids;
   ids.reserve(by_store_.size());
   for (const auto& [id, _] : by_store_) ids.push_back(id);
@@ -147,7 +138,6 @@ std::vector<StoreId> History::stores() const {
 }
 
 std::vector<ClientId> History::clients() const {
-  if (!indexed_) return clients_naive();
   std::vector<ClientId> ids;
   ids.reserve(by_client_.size());
   for (const auto& [id, _] : by_client_) ids.push_back(id);

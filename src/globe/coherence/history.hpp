@@ -13,8 +13,7 @@
 // vectors are maintained incrementally at record time. `client_ops()`
 // and `store_applies()` assemble their results from those indexes in
 // O(result) instead of rescanning the whole event log. The seed's
-// full-scan implementations are retained as `*_naive()` (and as the
-// behaviour of a History constructed with indexed=false) so that
+// full-scan implementations are retained as `*_naive()` so that
 // checker-equivalence tests and benchmarks can prove the indexed path
 // returns identical views.
 #pragma once
@@ -84,11 +83,6 @@ struct ApplyEvent {
 
 class History {
  public:
-  History() = default;
-  /// indexed=false reproduces the seed recorder: plain event appends,
-  /// all queries answered by full scans. Used as the benchmark baseline.
-  explicit History(bool indexed) : indexed_(indexed) {}
-
   /// Interns `name`, returning its stable PageId. The empty name is
   /// always `kNoPage`.
   PageId intern(std::string_view name);
@@ -138,8 +132,6 @@ class History {
   [[nodiscard]] std::size_t size() const {
     return writes_.size() + reads_.size() + applies_.size();
   }
-
-  [[nodiscard]] bool indexed() const { return indexed_; }
 
   void clear();
 
@@ -192,7 +184,6 @@ class History {
   void note_client_op(ClientId client, std::uint64_t op_index, OpRef ref);
   static void sort_ops(std::vector<ClientOp>& ops);
 
-  bool indexed_ = true;
   bool retain_events_ = true;
   StreamingChecker* streaming_ = nullptr;
   std::vector<WriteEvent> writes_;

@@ -229,8 +229,8 @@ void MembershipService::broadcast(ObjectId scope, ShardId shard,
   // i.e. something was broadcast before and exactly one epoch elapsed
   // since (admit() bumps the epoch without broadcasting only for the
   // join path, which broadcasts immediately after).
-  const bool can_delta = options_.view_deltas && group.broadcast_epoch != 0 &&
-                         v.epoch == group.broadcast_epoch + 1;
+  const bool can_delta =
+      group.broadcast_epoch != 0 && v.epoch == group.broadcast_epoch + 1;
   if (can_delta) {
     ViewDelta d;
     d.object = scope;

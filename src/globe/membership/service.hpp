@@ -57,10 +57,6 @@ struct MembershipOptions {
   bool evict_primary = false;
   /// When set, joins/leaves/evictions keep the location tables in sync.
   naming::NamingServer* naming = nullptr;
-  /// Broadcast view changes as ViewDelta diffs (epoch + joined/left)
-  /// instead of full member lists; receivers with an epoch gap fetch
-  /// the full view. False restores the full-view broadcast baseline.
-  bool view_deltas = true;
   /// When set, per-shard view changes feed the shard rollups.
   metrics::MetricsSink* metrics = nullptr;
 };

@@ -551,34 +551,7 @@ void ClientBinding::remove(ObjectId object, const std::string& page,
 void ClientBinding::get_document(ObjectId object, DocumentHandler cb) {
   Session& s = session(object);
   resolve(s, [this, &s, cb = std::move(cb)]() mutable {
-    if (options_.delta_snapshots) {
-      get_document_delta(s, std::move(cb));
-      return;
-    }
-    ClientRequest req = base_request(s, msg::Invocation::get_document());
-    comm_.request_with(s.read_store, msg::MsgType::kInvokeRequest, s.object,
-                       [&](util::Writer& w) { req.encode(w); },
-                       [this, &s, cb = std::move(cb)](
-                           bool ok, const Address&,
-                           const msg::EnvelopeView& env) {
-                         DocumentResult res;
-                         if (!ok) {
-                           res.error = "request timed out";
-                           cb(std::move(res));
-                           return;
-                         }
-                         InvokeReply::View rep =
-                             InvokeReply::decode_view(env.body);
-                         res.ok = rep.ok;
-                         res.error = std::move(rep.error);
-                         res.store = rep.store;
-                         if (rep.ok) {
-                           res.document.restore(rep.value);
-                         }
-                         s.read_set.merge(rep.store_clock);
-                         cb(std::move(res));
-                       },
-                       options_.timeout, options_.retries);
+    get_document_delta(s, std::move(cb));
   });
 }
 

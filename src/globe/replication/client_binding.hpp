@@ -70,12 +70,6 @@ struct BindOptions {
   net::Address placement;
   /// Store layer preferred when re-resolving reads after a view change.
   naming::StoreClass preferred_layer = naming::StoreClass::kClientInitiated;
-  /// Page-granular document fetches: get_document() keeps a client-side
-  /// document cache and asks the store for a delta against it (the
-  /// binding's page summary, or a bare version floor while the cache
-  /// mirrors the store's lineage) instead of re-fetching the whole
-  /// document every time. False restores the seed full-fetch behaviour.
-  bool delta_snapshots = true;
 };
 
 struct ReadResult {
@@ -154,7 +148,10 @@ class ClientBinding {
     remove(options_.object, page, std::move(cb));
   }
 
-  /// Fetches the entire document.
+  /// Fetches the entire document. The binding keeps a client-side
+  /// document cache and asks the store for a delta against it (the
+  /// cache's page summary, or a bare version floor while the cache
+  /// mirrors the store's lineage), so only changed pages travel.
   void get_document(ObjectId object, DocumentHandler cb);
   void get_document(DocumentHandler cb) {
     get_document(options_.object, std::move(cb));
@@ -198,7 +195,7 @@ class ClientBinding {
     return placement_ == nullptr ? nullptr : placement_.get();
   }
 
-  /// Client-side document cache maintained by delta-mode get_document()
+  /// Client-side document cache maintained by get_document()
   /// (tests / examples). Default-object session.
   [[nodiscard]] const web::WebDocument& document_cache() const;
 

@@ -482,7 +482,8 @@ struct FetchRequest {
   /// The requester can take a page-granular delta snapshot instead of a
   /// full restore: on a cutover the responder replies `need_snapshot`
   /// (no payload) and the requester follows up with a
-  /// kSnapshotDeltaRequest carrying its page summary.
+  /// kSnapshotDeltaRequest carrying its page summary. Stores always set
+  /// it; a peer that does not gets the full document inline.
   bool accepts_delta = false;
 
   void encode(Writer& w) const {

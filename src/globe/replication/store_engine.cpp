@@ -957,18 +957,15 @@ void StoreEngine::propagate(ObjectState& o,
               o.cfg.policy.coherence_transfer == CoherenceTransfer::kPartial,
       .pages = o.cfg.policy.propagation == Propagation::kInvalidate};
   std::vector<web::RecordBatchPtr> batches;
-  if (config_.shared_fanout) {
-    for (std::size_t i = 0; i < recs.size();) {
-      std::size_t j = i + 1;
-      while (j < recs.size() &&
-             recs[j].transient_origin == recs[i].transient_origin) {
-        ++j;
-      }
-      batches.push_back(std::make_shared<const web::RecordBatch>(
-          std::span(recs).subspan(i, j - i), recs[i].transient_origin,
-          needs));
-      i = j;
+  for (std::size_t i = 0; i < recs.size();) {
+    std::size_t j = i + 1;
+    while (j < recs.size() &&
+           recs[j].transient_origin == recs[i].transient_origin) {
+      ++j;
     }
+    batches.push_back(std::make_shared<const web::RecordBatch>(
+        std::span(recs).subspan(i, j - i), recs[i].transient_origin, needs));
+    i = j;
   }
   // Immediate pushes group destinations whose batch set is identical
   // (the common case: everyone but the record's origin receives
@@ -979,23 +976,9 @@ void StoreEngine::propagate(ObjectState& o,
   for (const Address& t : targets) {
     const std::uint64_t tkey = addr_key(t);
     std::vector<web::RecordBatchPtr> out;
-    if (config_.shared_fanout) {
-      out.reserve(batches.size());
-      for (const web::RecordBatchPtr& b : batches) {
-        if (b->origin() != tkey) out.push_back(b);
-      }
-    } else {
-      // Benchmark baseline (the seed behaviour): every target gets its
-      // own record copy and its own encode.
-      std::vector<web::WriteRecord> copy;
-      copy.reserve(recs.size());
-      for (const auto& rec : recs) {
-        if (rec.transient_origin != tkey) copy.push_back(rec);
-      }
-      if (!copy.empty()) {
-        out.push_back(std::make_shared<const web::RecordBatch>(
-            std::span<const web::WriteRecord>(copy), 0, needs));
-      }
+    out.reserve(batches.size());
+    for (const web::RecordBatchPtr& b : batches) {
+      if (b->origin() != tkey) out.push_back(b);
     }
     if (out.empty()) continue;
     const FlowDisposition fd =
@@ -1027,9 +1010,8 @@ void StoreEngine::send_coherence_multi(
     ObjectState& o, const std::vector<Address>& to,
     std::span<const web::RecordBatchPtr> batches) {
   if (to.empty()) return;
-  if (!config_.shared_wire || to.size() == 1) {
-    // Baseline (and trivial) path: one header+body encode per target.
-    for (const Address& t : to) send_coherence(o, t, batches);
+  if (to.size() == 1) {
+    send_coherence(o, to.front(), batches);
     return;
   }
   const auto& p = o.cfg.policy;
@@ -1253,8 +1235,8 @@ void StoreEngine::pull_from_upstream(ObjectState& o) {
           // direction there).
           std::vector<web::WriteRecord> for_peer =
               o.log.can_serve(rep.responder_clock, rep.responder_gseq)
-                  ? records_since(o, rep.responder_clock, rep.responder_gseq,
-                                  {})
+                  ? o.log.records_since(rep.responder_clock,
+                                        rep.responder_gseq)
                   : state_as_records(o);
           if (!for_peer.empty()) {
             comm_.send_with(from, msg::MsgType::kUpdate, o.cfg.object,
@@ -1278,7 +1260,7 @@ void StoreEngine::pull_from_upstream(ObjectState& o) {
       o.cfg.policy.model == ObjectModel::kSequential, fetch.have_gseq));
   fetch.want_full =
       o.cfg.policy.coherence_transfer == CoherenceTransfer::kFull;
-  fetch.accepts_delta = config_.delta_snapshots;
+  fetch.accepts_delta = true;
   comm_.request_with(o.cfg.upstream, msg::MsgType::kFetchRequest,
                      o.cfg.object,
                      [&](util::Writer& w) { fetch.encode(w); },
@@ -1305,7 +1287,7 @@ void StoreEngine::demand_fetch(ObjectState& o,
       (fetch.pages.empty() &&
        o.cfg.policy.access_transfer == AccessTransfer::kFull &&
        o.cfg.policy.propagation == Propagation::kInvalidate);
-  fetch.accepts_delta = config_.delta_snapshots;
+  fetch.accepts_delta = true;
   // Demand-updates must survive lossy links (Section 4.2: they are the
   // retransmission mechanism), so the request itself carries a timeout
   // and retries.
@@ -1376,9 +1358,9 @@ void StoreEngine::subscribe_to_upstream(ObjectState& o) {
   const bool resubscribe = o.ready;
   if (resubscribe) ++resubscribes_;
   // A re-subscriber already holds state (view re-parenting, rejoin after
-  // eviction, crash recovery): with delta snapshots it ships what it has
-  // and receives only the difference, instead of the whole document.
-  if (resubscribe && config_.delta_snapshots) {
+  // eviction, crash recovery): it ships what it has and receives only the
+  // difference, instead of the whole document.
+  if (resubscribe) {
     sub.want_delta = true;
     sub.delta_req = make_delta_request(o, o.cfg.upstream);
   }
@@ -1898,15 +1880,8 @@ void StoreEngine::handle_invalidate(ObjectState& o, const Address& from,
     for (const Subscriber& s : o.subscribers) {
       if (s.address != from) forward.push_back(s.address);
     }
-    if (config_.shared_wire) {
-      comm_.multicast_with(forward, msg::MsgType::kInvalidate, o.cfg.object,
-                           [&](util::Writer& w) { w.raw(env.body); });
-    } else {
-      for (const Address& t : forward) {
-        comm_.send_with(t, msg::MsgType::kInvalidate, o.cfg.object,
-                        [&](util::Writer& w) { w.raw(env.body); });
-      }
-    }
+    comm_.multicast_with(forward, msg::MsgType::kInvalidate, o.cfg.object,
+                         [&](util::Writer& w) { w.raw(env.body); });
   }
   if (o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand) {
     std::vector<std::string> pages = m.pages;
@@ -1936,15 +1911,8 @@ void StoreEngine::handle_notify(ObjectState& o, const Address& from,
     for (const Subscriber& s : o.subscribers) {
       if (s.address != from) forward.push_back(s.address);
     }
-    if (config_.shared_wire) {
-      comm_.multicast_with(forward, msg::MsgType::kNotify, o.cfg.object,
-                           [&](util::Writer& w) { w.raw(env.body); });
-    } else {
-      for (const Address& t : forward) {
-        comm_.send_with(t, msg::MsgType::kNotify, o.cfg.object,
-                        [&](util::Writer& w) { w.raw(env.body); });
-      }
-    }
+    comm_.multicast_with(forward, msg::MsgType::kNotify, o.cfg.object,
+                         [&](util::Writer& w) { w.raw(env.body); });
   }
   if (o.outdated &&
       o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand) {
@@ -1957,20 +1925,12 @@ void StoreEngine::advertise_clock(ObjectState& o) {
   NotifyMsg m;
   m.known_clock = o.applied_clock;
   m.known_gseq = o.applied_gseq;
-  if (config_.shared_wire) {
-    std::vector<Address> targets;
-    targets.reserve(o.subscribers.size());
-    for (const Subscriber& s : o.subscribers) targets.push_back(s.address);
-    comm_.multicast_with(targets, msg::MsgType::kNotify, o.cfg.object,
-                         [&](util::Writer& w) { m.encode(w); },
-                         /*background=*/true);
-    return;
-  }
-  for (const Subscriber& s : o.subscribers) {
-    comm_.send_with_background(s.address, msg::MsgType::kNotify,
-                               o.cfg.object,
-                               [&](util::Writer& w) { m.encode(w); });
-  }
+  std::vector<Address> targets;
+  targets.reserve(o.subscribers.size());
+  for (const Subscriber& s : o.subscribers) targets.push_back(s.address);
+  comm_.multicast_with(targets, msg::MsgType::kNotify, o.cfg.object,
+                       [&](util::Writer& w) { m.encode(w); },
+                       /*background=*/true);
 }
 
 std::vector<web::WriteRecord> StoreEngine::state_as_records(
@@ -2021,14 +1981,6 @@ web::WriteRecord StoreEngine::record_for_page(const ObjectState& o,
   return rec;
 }
 
-std::vector<web::WriteRecord> StoreEngine::records_since(
-    const ObjectState& o, const coherence::VectorClock& have,
-    std::uint64_t have_gseq, const std::vector<std::string>& pages) const {
-  return config_.naive_log_scan
-             ? o.log.records_since_naive(have, have_gseq, pages)
-             : o.log.records_since(have, have_gseq, pages);
-}
-
 void StoreEngine::handle_fetch_request(ObjectState& o, const Address& from,
                                        const msg::EnvelopeView& env) {
   FetchRequest m = FetchRequest::decode(env.body);
@@ -2072,7 +2024,7 @@ void StoreEngine::handle_fetch_request(ObjectState& o, const Address& from,
       }
     }
   } else {
-    rep.records = records_since(o, m.have_clock, m.have_gseq, m.pages);
+    rep.records = o.log.records_since(m.have_clock, m.have_gseq, m.pages);
   }
   comm_.reply_with(from, msg::MsgType::kFetchReply, o.cfg.object,
                    env.request_id, [&](util::Writer& w) { rep.encode(w); });
@@ -2251,7 +2203,7 @@ void StoreEngine::handle_anti_entropy(ObjectState& o, const Address& from,
   } else {
     // Indexed delta honoring the peer's total-order floor — gossip no
     // longer resends totally-ordered records the peer already holds.
-    rep.records = records_since(o, m.have_clock, m.have_gseq, {});
+    rep.records = o.log.records_since(m.have_clock, m.have_gseq);
   }
   comm_.reply_with(from, msg::MsgType::kAntiEntropyReply, o.cfg.object,
                    env.request_id, [&](util::Writer& w) { rep.encode(w); });

@@ -108,33 +108,11 @@ struct StoreConfig {
   /// requesters behind the horizon get a snapshot cutover instead of a
   /// delta. 0 disables compaction.
   std::size_t log_compact_threshold = 4096;
-  /// Benchmark baseline: compute deltas with the naive O(history) log
-  /// scan instead of the indexes (bench_scale's before/after knob).
-  bool naive_log_scan = false;
-  /// Fan-out discipline. True (default): records are encoded once into
-  /// shared RecordBatches referenced by every subscriber. False
-  /// (benchmark baseline, the seed behaviour): every subscriber gets its
-  /// own record copy and its own encode. The delivered bytes are
-  /// identical either way.
-  bool shared_fanout = true;
-  /// Wire discipline for identical fan-out messages. True (default):
-  /// one encoded wire datagram is shared by reference across every
-  /// destination (Transport::send_shared). False (benchmark baseline):
-  /// each destination gets its own header+body encode. Delivered bytes
-  /// are identical either way.
-  bool shared_wire = true;
   /// Byte-budget compaction: when the retained log's payload bytes
   /// exceed this, the oldest records are folded into the base clock
   /// until half the budget remains. 0 disables. Complements the
   /// record-count threshold above; either trigger compacts.
   std::size_t log_compact_bytes = 0;
-  /// Page-granular delta snapshots. True (default): when this store
-  /// needs a state transfer (compaction cutover, re-subscribe after a
-  /// view change, crash-recovery bootstrap) it ships a page-stamp
-  /// summary (or a version floor) and receives only the pages it is
-  /// missing. False (the seed baseline): every state transfer is the
-  /// whole document. The restored state is byte-identical either way.
-  bool delta_snapshots = true;
   /// Membership service endpoint; invalid = membership disabled. When
   /// set, the store joins its replica view at construction, heartbeats
   /// periodically, and reacts to epoch-numbered view changes (drops
@@ -451,9 +429,9 @@ class StoreEngine {
   void propagate(ObjectState& o, const std::vector<web::WriteRecord>& recs);
   void send_coherence(ObjectState& o, const Address& to,
                       std::span<const web::RecordBatchPtr> batches);
-  /// Fan-out of ONE coherence message to many destinations: with
-  /// shared_wire the body is encoded once and the datagram shared by
-  /// reference; otherwise falls back to per-destination send_coherence.
+  /// Fan-out of ONE coherence message to many destinations: the body is
+  /// encoded once and the datagram shared by reference (a single
+  /// destination goes through send_coherence).
   void send_coherence_multi(ObjectState& o, const std::vector<Address>& to,
                             std::span<const web::RecordBatchPtr> batches);
   void flush_lazy(ObjectState& o);
@@ -543,10 +521,6 @@ class StoreEngine {
                                             const ClientRequest& req);
   void reply_invoke(ObjectState& o, const Address& to,
                     std::uint64_t request_id, const InvokeReply& rep);
-  [[nodiscard]] std::vector<web::WriteRecord> records_since(
-      const ObjectState& o, const coherence::VectorClock& have,
-      std::uint64_t have_gseq, const std::vector<std::string>& pages = {})
-      const;
   [[nodiscard]] static web::WriteRecord record_for_page(
       const ObjectState& o, const std::string& page);
   [[nodiscard]] static std::vector<web::WriteRecord> state_as_records(

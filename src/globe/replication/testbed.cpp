@@ -187,10 +187,6 @@ core::TransportFactory Testbed::factory(NodeId node) {
 StoreEngine& Testbed::add_store_impl(StoreConfig cfg, std::string node_name) {
   cfg.log_compact_threshold = options_.log_compact_threshold;
   cfg.log_compact_bytes = options_.log_compact_bytes;
-  cfg.naive_log_scan = options_.naive_log_scan;
-  cfg.shared_fanout = options_.shared_fanout;
-  cfg.shared_wire = options_.shared_wire;
-  cfg.delta_snapshots = options_.delta_snapshots;
   if (membership_ != nullptr) {
     cfg.membership = membership_->address();
     cfg.membership_heartbeat = options_.membership_heartbeat;
@@ -286,7 +282,6 @@ ClientBinding& Testbed::add_client_at(NodeId node, ObjectId object,
   opts.read_store = read_store;
   opts.timeout = options_.client_timeout;
   opts.retries = options_.client_retries;
-  opts.delta_snapshots = options_.delta_snapshots;
   if (membership_ != nullptr) {
     opts.membership = membership_->address();
     if (opts.timeout.count_micros() == 0) {
@@ -407,7 +402,6 @@ ClientBinding& Testbed::add_placed_client(coherence::ClientModel session,
   opts.placement = placement_->address();
   opts.timeout = options_.client_timeout;
   opts.retries = options_.client_retries;
-  opts.delta_snapshots = options_.delta_snapshots;
   if (opts.timeout.count_micros() == 0) {
     // Placed clients exist to be churned: an untimed request into a
     // crashed store would wedge the session's serialized queues.

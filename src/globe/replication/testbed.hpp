@@ -40,22 +40,9 @@ struct TestbedOptions {
   bool record_history = true;
   /// Per-store write-log compaction threshold (0 = disabled).
   std::size_t log_compact_threshold = 4096;
-  /// Benchmark baseline: force the naive O(history) delta scan.
-  bool naive_log_scan = false;
-  /// Benchmark baseline: false forces the per-subscriber copy+encode
-  /// fan-out instead of shared record batches.
-  bool shared_fanout = true;
-  /// Benchmark baseline: false forces a per-destination wire encode
-  /// instead of shared multicast datagrams.
-  bool shared_wire = true;
   /// Per-store byte-budget compaction (0 = disabled; complements
   /// log_compact_threshold).
   std::size_t log_compact_bytes = 0;
-  /// Page-granular delta snapshots on every state-transfer path
-  /// (compaction cutover, view-change resync, crash-recovery bootstrap,
-  /// client document fetches). False forces the seed full-snapshot
-  /// baseline; restored state is byte-identical either way.
-  bool delta_snapshots = true;
   /// Dynamic replica membership: stores join an epoch-numbered
   /// per-object view, heartbeat, and react to view changes; clients
   /// watch the view and re-bind when their store leaves it.

@@ -1,13 +1,16 @@
 // Delta snapshots end to end: every state-transfer path (compaction
-// cutover, crash-recovery rejoin, client document fetch) run under
-// delta_snapshots=true must restore byte-identical state to the seed
-// full-snapshot baseline — on clean histories, churned ones, and
-// randomized workloads — and the horizon/lineage fallbacks must serve
-// full snapshots. Also the tombstone regression: a page deleted and
-// compacted away before a heal must NOT be resurrected by the peer's
-// stale copy (the long-open LWW caveat from docs/perf.md).
+// cutover, crash-recovery rejoin, client document fetch) goes through the
+// page-granular delta path and must restore exactly the state the seed's
+// full-snapshot transfers produced — pinned as golden document digests
+// generated while both transfer modes still existed and agreed — and the
+// horizon/lineage fallbacks, plus a requester that does not accept
+// deltas, must be served full snapshots. Also the tombstone regression:
+// a page deleted and compacted away before a heal must NOT be resurrected
+// by the peer's stale copy (the long-open LWW caveat from docs/perf.md).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,27 +34,23 @@ core::ReplicationPolicy pull_policy(coherence::ObjectModel model) {
   return policy;
 }
 
-/// Per-store document encodes after a run (the restored-state digest the
-/// delta/full equivalence compares).
-std::vector<util::Buffer> doc_digests(const Testbed& bed) {
-  std::vector<util::Buffer> out;
-  for (const auto& s : bed.stores()) {
-    out.push_back(s->document().encode_snapshot());
+std::uint64_t fnv1a(util::BytesView bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const auto byte : bytes) {
+    h ^= static_cast<std::uint8_t>(byte);
+    h *= 1099511628211ull;
   }
-  return out;
+  return h;
 }
 
-/// A crash/recover + sparse-write scenario against a compacting primary,
-/// parameterized on the transfer mode. Both modes must converge to the
-/// same bytes.
-std::vector<util::Buffer> run_rejoin_scenario(bool delta_snapshots,
-                                              std::uint64_t seed) {
+/// A crash/recover + sparse-write scenario against a compacting primary;
+/// returns the FNV digest of every store's document encode.
+std::vector<std::uint64_t> run_rejoin_scenario(std::uint64_t seed) {
   TestbedOptions opts;
   opts.seed = seed;
   opts.record_history = false;
   opts.log_compact_threshold = 24;  // aggressive: cutovers happen
   opts.wan.base_latency = sim::SimDuration::millis(1);
-  opts.delta_snapshots = delta_snapshots;
   Testbed bed(opts);
 
   core::ReplicationPolicy policy;  // PRAM push immediate partial
@@ -79,15 +78,26 @@ std::vector<util::Buffer> run_rejoin_scenario(bool delta_snapshots,
     bed.settle();
   }
   bed.settle();
-  EXPECT_TRUE(bed.converged(kObj)) << "delta=" << delta_snapshots;
-  return doc_digests(bed);
+  EXPECT_TRUE(bed.converged(kObj)) << "seed " << seed;
+  std::vector<std::uint64_t> out;
+  for (const auto& s : bed.stores()) {
+    out.push_back(fnv1a(util::BytesView(s->document().encode_snapshot())));
+  }
+  return out;
 }
 
 TEST(DeltaSnapshotEquivalence, RejoinRestoresByteIdenticalState) {
-  for (const std::uint64_t seed : {3u, 17u, 91u}) {
-    const auto full = run_rejoin_scenario(false, seed);
-    const auto delta = run_rejoin_scenario(true, seed);
-    EXPECT_EQ(full, delta) << "seed " << seed;
+  // Primary + 3 mirrors, all converged on the same document.
+  const struct {
+    std::uint64_t seed;
+    std::uint64_t doc;
+  } goldens[] = {{3, 0x23b0437eec319c1cull},
+                 {17, 0x84ef685939a2075aull},
+                 {91, 0xc88039849f585973ull}};
+  for (const auto& g : goldens) {
+    EXPECT_EQ(run_rejoin_scenario(g.seed),
+              std::vector<std::uint64_t>(4, g.doc))
+        << "seed " << g.seed;
   }
 }
 
@@ -187,6 +197,58 @@ TEST(DeltaSnapshotEquivalence, FloorFallsBackToFullAcrossLineages) {
   ask(summary);
   EXPECT_TRUE(res.got);
   EXPECT_FALSE(res.full);
+}
+
+TEST(DeltaSnapshotEquivalence, NonDeltaRequesterGetsFullFetchReply) {
+  // Every store in this repo sets FetchRequest::accepts_delta, but the
+  // responder still serves peers that do not: behind the compaction
+  // horizon they get the whole document in the FetchReply itself, not a
+  // deferred need_snapshot cutover. Drive the responder with a crafted
+  // request from a raw-protocol probe.
+  TestbedOptions opts;
+  opts.record_history = false;
+  opts.log_compact_threshold = 24;
+  Testbed bed(opts);
+  core::ReplicationPolicy policy;
+  auto& primary = bed.add_primary(kObj, policy);
+  for (int i = 0; i < 100; ++i) {
+    primary.seed("p" + std::to_string(i % 8) + ".html",
+                 "v" + std::to_string(i));
+  }
+  bed.settle();
+  ASSERT_FALSE(primary.write_log().can_serve(coherence::VectorClock{}, 0));
+
+  core::CommunicationObject probe(bed.factory(bed.add_node("probe")),
+                                  &bed.sim());
+  const auto fetch = [&](bool accepts_delta) {
+    FetchRequest req;  // empty clock: behind the horizon
+    req.accepts_delta = accepts_delta;
+    std::optional<FetchReply> got;
+    probe.request_with(
+        primary.address(), msg::MsgType::kFetchRequest, kObj,
+        [&](util::Writer& w) { req.encode(w); },
+        [&](bool ok, const net::Address&, const msg::EnvelopeView& env) {
+          if (ok) got = FetchReply::decode(env.body);
+        });
+    bed.sim().run();
+    return got;
+  };
+
+  const std::uint64_t full_before = bed.metrics().full_snapshots();
+  const auto full = fetch(/*accepts_delta=*/false);
+  ASSERT_TRUE(full.has_value());
+  EXPECT_TRUE(full->full);
+  EXPECT_FALSE(full->need_snapshot);
+  EXPECT_EQ(bed.metrics().full_snapshots(), full_before + 1);
+  web::WebDocument restored;
+  restored.restore(util::view_of(full->snapshot));
+  EXPECT_EQ(restored, primary.document());
+
+  // The same request from a delta-capable peer is deferred instead.
+  const auto deferred = fetch(/*accepts_delta=*/true);
+  ASSERT_TRUE(deferred.has_value());
+  EXPECT_FALSE(deferred->full);
+  EXPECT_TRUE(deferred->need_snapshot);
 }
 
 TEST(DeltaSnapshotEquivalence, ClientDocumentFetchUsesDeltas) {
