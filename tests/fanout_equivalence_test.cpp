@@ -106,6 +106,44 @@ TEST(FanoutGolden, InvalidatePropagation) {
   }, {0x47a79b425da1daa7ull, 0x4aec3c84e21c9176ull});
 }
 
+TEST(FanoutGolden, FullPushImmediate) {
+  // Full coherence transfer pushed immediately: every write ships the
+  // whole document. The leaf under the first mirror receives it as the
+  // mirror's single-destination forward of an adopted state.
+  expect_golden([](Testbed& bed) {
+    ReplicationPolicy p;
+    p.coherence_transfer = core::CoherenceTransfer::kFull;
+    auto& primary = bed.add_primary(kObj, p);
+    auto& mirror =
+        bed.add_store(kObj, naming::StoreClass::kObjectInitiated, p);
+    for (int s = 0; s < 2; ++s) {
+      bed.add_store(kObj, naming::StoreClass::kObjectInitiated, p);
+    }
+    bed.settle();
+    bed.add_store(kObj, naming::StoreClass::kClientInitiated, p,
+                  mirror.address());
+    bed.settle();
+    seed_writes(primary, bed, 20);
+  }, {0x20dffb03fe5f1b24ull, 0x2ce35f22262090c0ull});
+}
+
+TEST(FanoutGolden, FullPullPoll) {
+  // Full coherence transfer pulled: every poll is a want_full fetch
+  // answered with the whole document.
+  expect_golden([](Testbed& bed) {
+    ReplicationPolicy p;
+    p.initiative = core::TransferInitiative::kPull;
+    p.coherence_transfer = core::CoherenceTransfer::kFull;
+    p.lazy_period = sim::SimDuration::millis(20);
+    auto& primary = bed.add_primary(kObj, p);
+    for (int s = 0; s < 4; ++s) {
+      bed.add_store(kObj, naming::StoreClass::kObjectInitiated, p);
+    }
+    bed.settle();
+    seed_writes(primary, bed, 20);
+  }, {0x9abe40f0c64a3447ull, 0x27049206176e306aull});
+}
+
 TEST(FanoutGolden, MultiMasterReflectionExclusion) {
   // Multi-master chain: client writes enter at different stores, so
   // records propagate both downstream and upstream and the per-record
