@@ -62,15 +62,6 @@ void CommunicationObject::reply(const Address& to, MsgType type,
              [&](util::Writer& w) { w.raw(util::BytesView(body)); });
 }
 
-void CommunicationObject::multicast(const std::vector<Address>& to,
-                                    MsgType type, ObjectId object,
-                                    const Buffer& body) {
-  for (const Address& addr : to) {
-    send_with(addr, type, object,
-              [&](util::Writer& w) { w.raw(util::BytesView(body)); });
-  }
-}
-
 void CommunicationObject::transmit(const Address& to, MsgType type,
                                    Buffer wire) {
   if (observer_ != nullptr) observer_->on_send(type, wire.size());

@@ -11,7 +11,7 @@
 //   * send / send_with       — one-way point-to-point,
 //   * request / request_with — point-to-point with reply correlation,
 //   * reply / reply_with     — answer a correlated request,
-//   * multicast              — one-way to a set of addresses.
+//   * multicast_with         — one-way to a set of addresses.
 // It never inspects message bodies; it sees only envelopes.
 //
 // Copy discipline: the *_with variants take an encoder functor and
@@ -136,10 +136,6 @@ class CommunicationObject {
     transmit(to, type, make_wire(type, object, request_id,
                                  std::forward<F>(encode_body)));
   }
-
-  /// Multicast facility: one-way send to each address.
-  void multicast(const std::vector<Address>& to, MsgType type, ObjectId object,
-                 const Buffer& body);
 
   /// Shared-datagram multicast: the body is encoded ONCE into one wire
   /// buffer, which every destination receives by reference (the

@@ -7,7 +7,6 @@ const char* to_string(MsgType t) {
     case MsgType::kInvokeRequest: return "InvokeRequest";
     case MsgType::kInvokeReply: return "InvokeReply";
     case MsgType::kWriteForward: return "WriteForward";
-    case MsgType::kWriteAck: return "WriteAck";
     case MsgType::kUpdate: return "Update";
     case MsgType::kSnapshot: return "Snapshot";
     case MsgType::kInvalidate: return "Invalidate";

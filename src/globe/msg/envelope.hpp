@@ -42,7 +42,6 @@ enum class MsgType : std::uint8_t {
   kInvokeReply = 2,
   // Inter-store replication protocol.
   kWriteForward = 3,   // record forwarded towards the primary
-  kWriteAck = 4,       // primary/store acknowledges a write
   kUpdate = 5,         // push propagation of write records
   kSnapshot = 6,       // full-state transfer
   kInvalidate = 7,     // page invalidations
@@ -95,7 +94,6 @@ enum class MsgType : std::uint8_t {
 [[nodiscard]] constexpr bool is_reply(MsgType t) {
   switch (t) {
     case MsgType::kInvokeReply:
-    case MsgType::kWriteAck:
     case MsgType::kFetchReply:
     case MsgType::kSubscribeAck:
     case MsgType::kAntiEntropyReply:

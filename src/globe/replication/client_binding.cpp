@@ -582,12 +582,8 @@ void ClientBinding::get_document_delta(Session& s, DocumentHandler cb) {
           cb(std::move(res));
           return;
         }
-        StateTransfer::View st = StateTransfer::decode_view(env.body);
-        if (st.full) {
-          s.doc_cache.restore(st.snapshot);
-        } else {
-          s.doc_cache.apply_delta(st.delta);
-        }
+        const StateTransfer::View st = StateTransfer::decode_view(env.body);
+        st.adopt_into(s.doc_cache);
         s.doc_source = st.source;
         s.doc_source_addr = s.read_store;
         s.doc_source_version = st.version;

@@ -395,6 +395,16 @@ struct StateTransfer {
     std::uint64_t gseq = 0;
     StoreId source = kInvalidStore;
     std::uint64_t version = 0;
+
+    /// Brings `doc` to the sender's document: a full transfer restores
+    /// it, a page delta overwrites the shipped pages and drops the rest.
+    void adopt_into(web::WebDocument& doc) const {
+      if (full) {
+        doc.restore(snapshot);
+      } else {
+        doc.apply_delta(delta);
+      }
+    }
   };
 
   static View decode_view(BytesView wire) {

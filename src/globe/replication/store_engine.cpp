@@ -642,14 +642,7 @@ void StoreEngine::apply_ready(ObjectState& o,
     // Deletes must propagate even when the page was already absent.
     changed = changed || rec.op == web::WriteOp::kDelete;
     o.applied_clock.observe(rec.wid);
-    if (rec.global_seq > o.applied_gseq &&
-        (o.cfg.policy.model != ObjectModel::kSequential ||
-         rec.global_seq == o.applied_gseq + 1)) {
-      o.applied_gseq = rec.global_seq;
-      GLOBE_CHECK_HOOK(on_gseq_apply(
-          &o, config_.store_id, o.cfg.object,
-          o.cfg.policy.model == ObjectModel::kSequential, o.applied_gseq));
-    }
+    advance_gseq(o, rec.global_seq);
     if (rec.ordered) {
       GLOBE_CHECK_HOOK(on_writer_apply(&o, config_.store_id, o.cfg.object,
                                        rec.wid.client, rec.wid.seq));
@@ -679,6 +672,16 @@ void StoreEngine::apply_ready(ObjectState& o,
   note_gaps(o);
   unpark_ready(o);
   if (!applied.empty()) propagate(o, applied);
+}
+
+void StoreEngine::advance_gseq(ObjectState& o, std::uint64_t gseq) {
+  const bool sequential = o.cfg.policy.model == ObjectModel::kSequential;
+  if (gseq <= o.applied_gseq || (sequential && gseq != o.applied_gseq + 1)) {
+    return;
+  }
+  o.applied_gseq = gseq;
+  GLOBE_CHECK_HOOK(on_gseq_apply(&o, config_.store_id, o.cfg.object,
+                                 sequential, o.applied_gseq));
 }
 
 void StoreEngine::maybe_compact(ObjectState& o) {
@@ -854,26 +857,8 @@ void StoreEngine::serve_read_check_on_read(ObjectState& o, const Address& from,
       [this, &o, from, request_id, req = std::move(req)](
           bool ok, const Address&, const msg::EnvelopeView& env) mutable {
         if (ok) {
-          FetchReply::View rep = FetchReply::decode_view(env.body);
-          if (!rep.not_modified) {
-            for (auto& rec : rep.records) {
-              o.semantics.apply(rec);
-              o.applied_clock.observe(rec.wid);
-              // Same contiguity guard as apply_ready: a sequential-model
-              // store must never advertise a gseq floor with holes
-              // behind it (WriteLog::can_serve trusts that floor).
-              if (rec.global_seq > o.applied_gseq &&
-                  (o.cfg.policy.model != ObjectModel::kSequential ||
-                   rec.global_seq == o.applied_gseq + 1)) {
-                o.applied_gseq = rec.global_seq;
-                GLOBE_CHECK_HOOK(on_gseq_apply(
-                    &o, config_.store_id, o.cfg.object,
-                    o.cfg.policy.model == ObjectModel::kSequential,
-                    o.applied_gseq));
-              }
-              o.fetched_at[rec.page] = sim_.now();
-            }
-          }
+          const FetchReply::View rep = FetchReply::decode_view(env.body);
+          if (!rep.not_modified) apply_fetched_records(o, rep.records);
         }
         reply_invoke(o, from, request_id, make_read_reply(o, req));
       });
@@ -906,24 +891,21 @@ void StoreEngine::serve_read_ttl(ObjectState& o, const Address& from,
        req = std::move(req)](bool ok, const Address&,
                              const msg::EnvelopeView& env) mutable {
         if (ok) {
-          FetchReply::View rep = FetchReply::decode_view(env.body);
-          for (auto& rec : rep.records) {
-            o.semantics.apply(rec);
-            o.applied_clock.observe(rec.wid);
-            if (rec.global_seq > o.applied_gseq &&
-                (o.cfg.policy.model != ObjectModel::kSequential ||
-                 rec.global_seq == o.applied_gseq + 1)) {
-              o.applied_gseq = rec.global_seq;
-              GLOBE_CHECK_HOOK(on_gseq_apply(
-                  &o, config_.store_id, o.cfg.object,
-                  o.cfg.policy.model == ObjectModel::kSequential,
-                  o.applied_gseq));
-            }
-          }
-          o.fetched_at[page] = sim_.now();
+          apply_fetched_records(o, FetchReply::decode_view(env.body).records);
+          o.fetched_at[page] = sim_.now();  // also stamps a missing page
         }
         reply_invoke(o, from, request_id, make_read_reply(o, req));
       });
+}
+
+void StoreEngine::apply_fetched_records(
+    ObjectState& o, const std::vector<web::WriteRecord>& recs) {
+  for (const web::WriteRecord& rec : recs) {
+    o.semantics.apply(rec);
+    o.applied_clock.observe(rec.wid);
+    advance_gseq(o, rec.global_seq);
+    o.fetched_at[rec.page] = sim_.now();
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -1003,17 +985,13 @@ void StoreEngine::propagate(ObjectState& o,
       if (!grouped) groups.emplace_back(std::move(out), std::vector{t});
     }
   }
-  for (auto& g : groups) send_coherence_multi(o, g.second, g.first);
+  for (auto& g : groups) send_coherence(o, g.second, g.first);
 }
 
-void StoreEngine::send_coherence_multi(
-    ObjectState& o, const std::vector<Address>& to,
-    std::span<const web::RecordBatchPtr> batches) {
+void StoreEngine::send_coherence(ObjectState& o,
+                                 const std::vector<Address>& to,
+                                 std::span<const web::RecordBatchPtr> batches) {
   if (to.empty()) return;
-  if (to.size() == 1) {
-    send_coherence(o, to.front(), batches);
-    return;
-  }
   const auto& p = o.cfg.policy;
   if (p.propagation == Propagation::kInvalidate) {
     InvalidateMsg m;
@@ -1038,6 +1016,9 @@ void StoreEngine::send_coherence_multi(
       return;
     }
     case CoherenceTransfer::kPartial: {
+      // Splice the pre-encoded shared batches straight into the wire
+      // buffer: the record payloads were serialized once, no matter how
+      // many subscribers this update reaches.
       comm_.multicast_with(to, msg::MsgType::kUpdate, o.cfg.object,
                            [&](util::Writer& w) {
                              UpdateMsg::encode_batches(w, batches,
@@ -1053,55 +1034,6 @@ void StoreEngine::send_coherence_multi(
       m.gseq = o.applied_gseq;
       comm_.multicast_with(to, msg::MsgType::kSnapshot, o.cfg.object,
                            [&](util::Writer& w) { m.encode(w); });
-      return;
-    }
-  }
-}
-
-void StoreEngine::send_coherence(
-    ObjectState& o, const Address& to,
-    std::span<const web::RecordBatchPtr> batches) {
-  const auto& p = o.cfg.policy;
-  if (p.propagation == Propagation::kInvalidate) {
-    InvalidateMsg m;
-    std::set<std::string> pages;
-    for (const web::RecordBatchPtr& b : batches) {
-      pages.insert(b->pages().begin(), b->pages().end());
-    }
-    m.pages.assign(pages.begin(), pages.end());
-    m.known_clock = o.applied_clock;
-    m.known_gseq = o.applied_gseq;
-    comm_.send_with(to, msg::MsgType::kInvalidate, o.cfg.object,
-                    [&](util::Writer& w) { m.encode(w); });
-    return;
-  }
-  switch (p.coherence_transfer) {
-    case CoherenceTransfer::kNotification: {
-      NotifyMsg m;
-      m.known_clock = o.applied_clock;
-      m.known_gseq = o.applied_gseq;
-      comm_.send_with(to, msg::MsgType::kNotify, o.cfg.object,
-                      [&](util::Writer& w) { m.encode(w); });
-      return;
-    }
-    case CoherenceTransfer::kPartial: {
-      // Splice the pre-encoded shared batches straight into the wire
-      // buffer: the record payloads were serialized once, no matter how
-      // many subscribers this update reaches.
-      comm_.send_with(to, msg::MsgType::kUpdate, o.cfg.object,
-                      [&](util::Writer& w) {
-                        UpdateMsg::encode_batches(w, batches, o.applied_clock,
-                                                  o.applied_gseq);
-                      });
-      return;
-    }
-    case CoherenceTransfer::kFull: {
-      SnapshotMsg m;
-      m.document = o.semantics.snapshot();
-      m.clock = o.applied_clock;
-      m.gseq = o.applied_gseq;
-      comm_.send_with(to, msg::MsgType::kSnapshot, o.cfg.object,
-                      [&](util::Writer& w) { m.encode(w); });
       return;
     }
   }
@@ -1133,7 +1065,7 @@ void StoreEngine::flush_lazy(ObjectState& o) {
       continue;
     }
     if (batches.empty() && !data_free) continue;
-    send_coherence(o, key_addr(key), batches);
+    send_coherence(o, {key_addr(key)}, batches);
   }
 }
 
@@ -1162,7 +1094,7 @@ bool StoreEngine::service_flow_events() {
           if (it != o.lazy_queues.end() && !it->second.empty()) {
             auto batches = std::move(it->second);
             o.lazy_queues.erase(it);
-            send_coherence(o, ev.peer, batches);
+            send_coherence(o, {ev.peer}, batches);
           }
         }
         break;
@@ -1320,9 +1252,11 @@ void StoreEngine::apply_fetch_reply(ObjectState& o, FetchReply::View reply) {
     return;
   }
   if (reply.full) {
-    // Snapshot cutover: restore straight from the borrowed view — the
-    // document bytes are never copied into an intermediate message.
-    apply_snapshot(o, reply.snapshot, reply.clock, reply.gseq);
+    StateTransfer::View st;
+    st.snapshot = reply.snapshot;
+    st.clock = std::move(reply.clock);
+    st.gseq = reply.gseq;
+    apply_state_transfer(o, st);
     return;
   }
   std::vector<web::WriteRecord> ready;
@@ -1379,39 +1313,13 @@ void StoreEngine::subscribe_to_upstream(ObjectState& o) {
           return;
         }
         o.subscribe_retry_budget = 50;
-        StateTransfer::View snap = StateTransfer::decode_view(env.body);
-        if (resubscribe) {
-          // Re-subscription of a store that already holds state: the
-          // transfer (full or page-granular) merges forward-only, and a
-          // resync round closes whatever it could not prove (e.g.
-          // multi-master divergence where neither clock dominates).
-          apply_state_transfer(o, snap);
-          resync(o);
-          return;
-        }
-        o.semantics.restore(snap.snapshot);
-        o.applied_clock.merge(snap.clock);
-        o.applied_gseq = std::max(o.applied_gseq, snap.gseq);
-        GLOBE_CHECK_HOOK(on_state_adoption(&o, config_.store_id, o.cfg.object,
-                                           o.applied_gseq));
-        o.log.note_snapshot(snap.clock, snap.gseq,
-                            o.cfg.policy.model == ObjectModel::kSequential);
-        note_transfer_lineage(o, snap.source, snap.version);
-        record_snapshot_event(o);
-        std::vector<web::WriteRecord> ready;
-        o.orderer->reset_to(o.applied_clock, o.applied_gseq, ready);
-        if (o.mw_filter != nullptr) {
-          std::vector<web::WriteRecord> gated;
-          o.mw_filter->reset_to(o.applied_clock, o.applied_gseq, gated);
-          for (auto& g : gated) o.orderer->admit(std::move(g), ready);
-        }
-        for (auto& rec : ready) {
-          rec.transient_origin = addr_key(o.cfg.upstream);
-        }
-        o.ready = true;
-        apply_ready(o, std::move(ready));
-        note_gaps(o);
-        unpark_ready(o);
+        // A re-subscriber already holds state: the transfer (full or
+        // page-granular) merges forward-only, and a resync round closes
+        // whatever it could not prove (e.g. multi-master divergence where
+        // neither clock dominates).
+        apply_state_transfer(o, StateTransfer::decode_view(env.body),
+                             /*bootstrap=*/!resubscribe);
+        if (resubscribe) resync(o);
       },
       timed ? sim::SimDuration::millis(250) : sim::SimDuration(0),
       timed ? 4 : 0);
@@ -1766,74 +1674,56 @@ void StoreEngine::handle_update(ObjectState& o, const Address& from,
 
 void StoreEngine::handle_snapshot(ObjectState& o,
                                   const msg::EnvelopeView& env) {
-  SnapshotMsg::View m = SnapshotMsg::decode_view(env.body);
-  apply_snapshot(o, m.document, m.clock, m.gseq);
-}
-
-void StoreEngine::apply_snapshot(ObjectState& o, util::BytesView document,
-                                 const coherence::VectorClock& clock,
-                                 std::uint64_t gseq) {
-  // Only move forward: ignore snapshots older than our state.
-  const bool newer = clock.dominates(o.applied_clock) &&
-                     (clock != o.applied_clock || gseq > o.applied_gseq);
-  if (!newer && !(gseq > o.applied_gseq)) return;
-  o.semantics.restore(document);
-  finish_state_adoption(o, clock, gseq);
+  const SnapshotMsg::View m = SnapshotMsg::decode_view(env.body);
+  StateTransfer::View st;
+  st.snapshot = m.document;
+  st.clock = m.clock;
+  st.gseq = m.gseq;
+  apply_state_transfer(o, st);
 }
 
 void StoreEngine::apply_state_transfer(ObjectState& o,
-                                       const StateTransfer::View& st) {
-  // Only move forward, exactly like apply_snapshot: a transfer that
-  // proves nothing new is skipped (the resync round closes the rest).
+                                       const StateTransfer::View& st,
+                                       bool bootstrap) {
+  // Only move forward: a transfer that proves nothing new is skipped
+  // (the resync round closes the rest).
   const bool newer = st.clock.dominates(o.applied_clock) &&
                      (st.clock != o.applied_clock || st.gseq > o.applied_gseq);
-  if (!newer && !(st.gseq > o.applied_gseq)) return;
-  if (st.full) {
-    o.semantics.restore(st.snapshot);
-  } else {
-    // Page-granular adoption: shipped pages overwrite, drops erase and
-    // leave tombstones. The result is byte-identical to restoring the
-    // sender's full snapshot.
-    o.semantics.document().apply_delta(st.delta);
-  }
-  // Lineage must snapshot the document version BEFORE the adoption tail
-  // runs: finish_state_adoption can flush gated/buffered records into
-  // the document, after which we no longer byte-mirror the sender and a
-  // later floor request would wrongly claim we do.
+  if (!bootstrap && !newer && !(st.gseq > o.applied_gseq)) return;
+  // A page delta yields the same document as restoring the sender's
+  // full snapshot.
+  st.adopt_into(o.semantics.document());
+  // Lineage must snapshot the document version BEFORE the released
+  // records below flush into the document: after that we no longer
+  // byte-mirror the sender and a later floor request would wrongly claim
+  // we do.
   note_transfer_lineage(o, st.source, st.version);
-  finish_state_adoption(o, st.clock, st.gseq);
-}
-
-void StoreEngine::note_transfer_lineage(ObjectState& o, StoreId source,
-                                        std::uint64_t version) {
-  o.snap_source = source;
-  o.snap_source_addr = o.cfg.upstream;
-  o.snap_source_version = version;
-  o.snap_doc_version = o.semantics.document().version();
-}
-
-void StoreEngine::finish_state_adoption(ObjectState& o,
-                                        const coherence::VectorClock& clock,
-                                        std::uint64_t gseq) {
-  o.applied_clock.merge(clock);
-  o.applied_gseq = std::max(o.applied_gseq, gseq);
+  o.applied_clock.merge(st.clock);
+  o.applied_gseq = std::max(o.applied_gseq, st.gseq);
   GLOBE_CHECK_HOOK(
       on_state_adoption(&o, config_.store_id, o.cfg.object, o.applied_gseq));
-  o.known_clock.merge(clock);
-  o.known_gseq = std::max(o.known_gseq, gseq);
-  // The records the snapshot covered were never appended to our log:
+  if (!bootstrap) {
+    // A bootstrap keeps its heard-of frontier, so the first Notify
+    // carrying it is still news and reaches stores that subscribed below
+    // this one while it had no state; and it keeps invalidations that
+    // overtook the subscribe ack.
+    o.known_clock.merge(st.clock);
+    o.known_gseq = std::max(o.known_gseq, st.gseq);
+    o.invalid_pages.clear();
+  }
+  // The records the transfer covered were never appended to our log:
   // requesters below this horizon must get a snapshot cutover from us,
   // never a delta with a hole in it.
-  o.log.note_snapshot(clock, gseq,
+  o.log.note_snapshot(st.clock, st.gseq,
                       o.cfg.policy.model == ObjectModel::kSequential);
   record_snapshot_event(o);
-  o.invalid_pages.clear();
+  if (bootstrap) o.ready = true;
   std::vector<web::WriteRecord> ready;
   o.orderer->reset_to(o.applied_clock, o.applied_gseq, ready);
   if (o.mw_filter != nullptr) {
-    // The monotonic-writes cursor moves with the snapshot too, or
-    // records above the snapshot horizon would wait forever for
-    // records the snapshot already covers.
+    // The monotonic-writes cursor moves with the transfer too, or
+    // records above its horizon would wait forever for records it
+    // already covers.
     std::vector<web::WriteRecord> gated;
     o.mw_filter->reset_to(o.applied_clock, o.applied_gseq, gated);
     for (auto& g : gated) o.orderer->admit(std::move(g), ready);
@@ -1853,11 +1743,19 @@ void StoreEngine::finish_state_adoption(ObjectState& o,
       std::vector<Address> targets;
       targets.reserve(o.subscribers.size());
       for (const Subscriber& s : o.subscribers) targets.push_back(s.address);
-      send_coherence_multi(o, targets, {});
+      send_coherence(o, targets, {});
     }
   }
   note_gaps(o);
   unpark_ready(o);
+}
+
+void StoreEngine::note_transfer_lineage(ObjectState& o, StoreId source,
+                                        std::uint64_t version) {
+  o.snap_source = source;
+  o.snap_source_addr = o.cfg.upstream;
+  o.snap_source_version = version;
+  o.snap_doc_version = o.semantics.document().version();
 }
 
 void StoreEngine::handle_invalidate(ObjectState& o, const Address& from,

@@ -405,6 +405,10 @@ class StoreEngine {
                : 0;
   }
   void apply_ready(ObjectState& o, std::vector<web::WriteRecord> ready);
+  /// Raises the applied gseq to `gseq`, except that a sequential-model
+  /// store never advertises a floor with holes behind it
+  /// (WriteLog::can_serve trusts that floor).
+  void advance_gseq(ObjectState& o, std::uint64_t gseq);
   void note_gaps(ObjectState& o);
   void maybe_compact(ObjectState& o);
 
@@ -424,16 +428,22 @@ class StoreEngine {
                                 std::uint64_t request_id, ClientRequest req);
   void serve_read_ttl(ObjectState& o, const Address& from,
                       std::uint64_t request_id, ClientRequest req);
+  /// Applies the records of a baseline cache's upstream fetch straight
+  /// to the document (the cache keeps no log and no orderer) and stamps
+  /// each page's fetch time.
+  void apply_fetched_records(ObjectState& o,
+                             const std::vector<web::WriteRecord>& recs);
 
   // ---- propagation ----
   void propagate(ObjectState& o, const std::vector<web::WriteRecord>& recs);
-  void send_coherence(ObjectState& o, const Address& to,
+  /// Sends ONE coherence message (invalidation, notification, update
+  /// records or full state, as the policy's propagation and coherence
+  /// transfer decide) to every destination in `to`. The body is encoded
+  /// once and the datagram shared by reference. A single destination
+  /// takes the same shared lane, so a windowed transport flow-controls
+  /// all coherence data.
+  void send_coherence(ObjectState& o, const std::vector<Address>& to,
                       std::span<const web::RecordBatchPtr> batches);
-  /// Fan-out of ONE coherence message to many destinations: the body is
-  /// encoded once and the datagram shared by reference (a single
-  /// destination goes through send_coherence).
-  void send_coherence_multi(ObjectState& o, const std::vector<Address>& to,
-                            std::span<const web::RecordBatchPtr> batches);
   void flush_lazy(ObjectState& o);
   void flush_lazy_all();
   /// Drains config_.flow's pause/resume/evict events (no-op when flow is
@@ -454,8 +464,6 @@ class StoreEngine {
   void configure_timers();
   void demand_fetch(ObjectState& o, std::vector<std::string> pages = {});
   void apply_fetch_reply(ObjectState& o, FetchReply::View reply);
-  void apply_snapshot(ObjectState& o, util::BytesView document,
-                      const coherence::VectorClock& clock, std::uint64_t gseq);
   void subscribe_to_upstream(ObjectState& o);
   bool update_policy(ObjectState& o, const core::ReplicationPolicy& policy);
 
@@ -475,12 +483,14 @@ class StoreEngine {
   /// Follow-up to a FetchReply::need_snapshot cutover: request the delta
   /// from the upstream and apply it.
   void request_snapshot_delta(ObjectState& o);
-  void apply_state_transfer(ObjectState& o, const StateTransfer::View& st);
-  /// Shared tail of every state adoption (full restore or page delta):
-  /// clocks, log horizon, orderer resets, downstream forwarding.
-  void finish_state_adoption(ObjectState& o,
-                             const coherence::VectorClock& clock,
-                             std::uint64_t gseq);
+  /// The one adoption path for document state, whichever message carried
+  /// it: the document, clocks, log horizon, orderer resets and
+  /// downstream forwarding. Forward-only: a transfer that proves nothing
+  /// newer is skipped. A `bootstrap` (a fresh store's first subscribe
+  /// ack) has nothing to protect: it always adopts, leaves the heard-of
+  /// frontier and page invalidations alone, and makes the object ready.
+  void apply_state_transfer(ObjectState& o, const StateTransfer::View& st,
+                            bool bootstrap = false);
   /// Remembers the lineage of the transfer just applied, enabling the
   /// floor mode until the document mutates again.
   void note_transfer_lineage(ObjectState& o, StoreId source,

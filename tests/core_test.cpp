@@ -169,8 +169,8 @@ TEST_F(CommTest, MulticastReachesAllTargets) {
     targets.push_back(r->local_address());
     receivers.push_back(std::move(r));
   }
-  sender.multicast(targets, msg::MsgType::kUpdate, 1,
-                   util::to_buffer("fanout"));
+  sender.multicast_with(targets, msg::MsgType::kUpdate, 1,
+                        [](util::Writer& w) { w.str("fanout"); });
   sim.run();
   EXPECT_EQ(received, 4);
 }

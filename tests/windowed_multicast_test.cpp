@@ -339,6 +339,28 @@ std::vector<util::Buffer> run_replication(bool windowed) {
   return digests;
 }
 
+TEST(WindowedMulticast, SingleSubscriberUpdateGoesThroughTheWindow) {
+  // An update for exactly one subscriber takes the same windowed lane as
+  // a wider fan-out, so the flow control that paused-peer parking relies
+  // on covers every coherence message.
+  replication::TestbedOptions opts;
+  opts.windowed_multicast = true;
+  replication::Testbed bed(opts);
+  core::ReplicationPolicy policy;  // defaults: push, immediate, partial
+  auto& primary = bed.add_primary(1, policy);
+  auto& mirror =
+      bed.add_store(1, naming::StoreClass::kObjectInitiated, policy);
+  bed.settle();
+  ASSERT_EQ(primary.subscriber_count(), 1u);
+
+  const std::uint64_t frames_before = bed.window()->stats().data_frames_sent;
+  primary.seed("/page", "v1");
+  bed.settle();
+  EXPECT_GT(bed.window()->stats().data_frames_sent, frames_before);
+  ASSERT_TRUE(mirror.document().get("/page").has_value());
+  EXPECT_EQ(mirror.document().get("/page")->content, "v1");
+}
+
 TEST(WindowedMulticast, ReplicationStateIsByteIdenticalToSeedPath) {
   const auto baseline = run_replication(false);
   const auto windowed = run_replication(true);
