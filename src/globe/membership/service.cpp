@@ -223,41 +223,32 @@ void MembershipService::broadcast(ObjectId scope, ShardId shard,
     targets.insert(targets.end(), wit->second.begin(), wit->second.end());
   }
 
-  ShardGroup& group = scopes_[scope].shards[shard];
   // Diff broadcast: epoch + joined/left instead of the full member list.
-  // Only sound when the receivers can have seen the previous epoch —
-  // i.e. something was broadcast before and exactly one epoch elapsed
-  // since (admit() bumps the epoch without broadcasting only for the
-  // join path, which broadcasts immediately after).
-  const bool can_delta =
-      group.broadcast_epoch != 0 && v.epoch == group.broadcast_epoch + 1;
-  if (can_delta) {
-    ViewDelta d;
-    d.object = scope;
-    d.shard = shard;
-    d.epoch = v.epoch;
-    for (const auto& m : v.members) {
-      bool had = false;
-      for (const auto& prev : group.broadcast_members) {
-        if (prev.address == m.address) {
-          had = true;
-          break;
-        }
-      }
-      if (!had) d.joined.push_back(m);
-    }
+  // Every epoch bump is followed by exactly one broadcast, so this is
+  // the diff from the previous epoch's; a group's first broadcast diffs
+  // against the empty epoch-0 view.
+  ShardGroup& group = scopes_[scope].shards[shard];
+  ViewDelta d;
+  d.object = scope;
+  d.shard = shard;
+  d.epoch = v.epoch;
+  for (const auto& m : v.members) {
+    bool had = false;
     for (const auto& prev : group.broadcast_members) {
-      if (!v.contains(prev.address)) d.left.push_back(prev.address);
+      if (prev.address == m.address) {
+        had = true;
+        break;
+      }
     }
-    ++stats_.delta_broadcasts;
-    comm_.multicast_with(targets, msg::MsgType::kViewDelta, scope,
-                         [&](util::Writer& w) { d.encode(w); });
-  } else {
-    comm_.multicast_with(targets, msg::MsgType::kViewChange, scope,
-                         [&](util::Writer& w) { v.encode(w); });
+    if (!had) d.joined.push_back(m);
   }
+  for (const auto& prev : group.broadcast_members) {
+    if (!v.contains(prev.address)) d.left.push_back(prev.address);
+  }
+  ++stats_.delta_broadcasts;
+  comm_.multicast_with(targets, msg::MsgType::kViewDelta, scope,
+                       [&](util::Writer& w) { d.encode(w); });
   group.broadcast_members = v.members;
-  group.broadcast_epoch = v.epoch;
 }
 
 void MembershipService::on_message(const Address& from,

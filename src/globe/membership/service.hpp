@@ -11,8 +11,9 @@
 //   * a heartbeat from an evicted member re-admits it — this is what
 //     heals membership automatically after a partition, with no
 //     operator action;
-//   * every change bumps the epoch and broadcasts a kViewChange to the
-//     surviving members and to watching clients.
+//   * every change bumps the epoch and broadcasts a kViewDelta (the diff
+//     from the previous epoch) to the surviving members and to watching
+//     clients; a receiver with an epoch gap fetches the full view.
 //
 // The service keeps the naming/location service consistent: joins
 // register the store's contact point, leaves and evictions unregister it
@@ -130,11 +131,9 @@ class MembershipService {
   /// the independently-advancing subgroup projections of it.
   struct ShardGroup {
     std::uint64_t epoch = 0;
-    // Members as of the last broadcast, for computing ViewDelta diffs.
-    // Empty epoch-0 state means nothing was broadcast yet (the first
-    // change always goes out as a full view).
+    // Members as of the last broadcast, for computing ViewDelta diffs;
+    // empty (the epoch-0 view) until the first broadcast.
     std::vector<naming::ContactPoint> broadcast_members;
-    std::uint64_t broadcast_epoch = 0;
   };
   struct ScopeState {
     std::vector<MemberState> members;
@@ -152,8 +151,7 @@ class MembershipService {
   /// broadcasts kStabilityHorizon to them when the floor advanced.
   void update_horizon(ObjectId scope, ScopeState& state);
   /// `exclude` suppresses the broadcast to one member — a fresh joiner
-  /// whose join ack already carries the full view (a delta would only
-  /// trigger a redundant full-view fetch at its 0-epoch base).
+  /// whose join ack already carries the full view.
   void broadcast(ObjectId scope, ShardId shard,
                  const Address* exclude = nullptr);
   [[nodiscard]] View snapshot_view(ObjectId scope, ShardId shard) const;

@@ -116,16 +116,17 @@ struct ViewDelta {
   std::vector<naming::ContactPoint> joined;
   std::vector<net::Address> left;
 
-  /// The shared receiver rule: this diff is applicable iff the receiver
-  /// has a base (epoch != 0), the base is current (`base.epoch ==
-  /// current_epoch`), and this diff is the next epoch. On success `out`
-  /// is the new view; on failure the receiver must re-anchor with a
-  /// full-view fetch (kViewFetchRequest). Both stores and watching
-  /// clients route through this, so the contiguity policy lives once.
+  /// The shared receiver rule: this diff is applicable iff the base is
+  /// current (`base.epoch == current_epoch`) and this diff is the next
+  /// epoch. A receiver with no view yet holds the empty epoch-0 base,
+  /// which is exactly what a group's first broadcast (epoch 1) diffs
+  /// against. On success `out` is the new view; on failure the receiver
+  /// must re-anchor with a full-view fetch (kViewFetchRequest). Both
+  /// stores and watching clients route through this, so the contiguity
+  /// policy lives once.
   [[nodiscard]] bool try_apply(const View& base, std::uint64_t current_epoch,
                                View* out) const {
-    if (current_epoch == 0 || epoch != current_epoch + 1 ||
-        base.epoch != current_epoch) {
+    if (epoch != current_epoch + 1 || base.epoch != current_epoch) {
       return false;
     }
     *out = base;
@@ -187,7 +188,8 @@ struct ViewDelta {
 };
 
 // ---------------------------------------------------------------------
-// Wire bodies of the membership protocol (envelope types 24..29).
+// Wire bodies of the membership protocol (envelope types 24..28, 33,
+// 34 and 41).
 // ---------------------------------------------------------------------
 
 /// kMembershipJoin / kMembershipHeartbeat body: the sender's contact
@@ -320,7 +322,7 @@ struct ViewFetchMsg {
   }
 };
 
-/// kViewChange / kMembershipJoinAck body: the view itself.
+/// kMembershipJoinAck / kViewFetchReply body: the view itself.
 struct ViewMsg {
   View view;
 

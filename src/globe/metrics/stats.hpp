@@ -85,9 +85,9 @@ class MetricsSink {
     }
   }
   /// A *requested* state transfer shipped the whole document (fresh
-  /// bootstrap, forced cutover for a non-delta requester, or a delta
-  /// request that fell back past the horizon). Push-mode kSnapshot
-  /// propagation is the policy's normal traffic and is not counted.
+  /// bootstrap, or a delta request that fell back past the horizon or
+  /// across lineages). Full coherence transfers — kSnapshot pushes and
+  /// want_full polls — are the policy's normal traffic and not counted.
   void record_full_snapshot() { ++full_snapshots_; }
 
   // Stability-horizon GC (streaming verification, tombstone collection,

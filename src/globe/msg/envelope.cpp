@@ -27,7 +27,6 @@ const char* to_string(MsgType t) {
     case MsgType::kMembershipLeave: return "MembershipLeave";
     case MsgType::kMembershipHeartbeat: return "MembershipHeartbeat";
     case MsgType::kMembershipWatch: return "MembershipWatch";
-    case MsgType::kViewChange: return "ViewChange";
     case MsgType::kSnapshotDeltaRequest: return "SnapshotDeltaRequest";
     case MsgType::kSnapshotDeltaReply: return "SnapshotDeltaReply";
     case MsgType::kViewDelta: return "ViewDelta";

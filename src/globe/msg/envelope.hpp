@@ -64,7 +64,6 @@ enum class MsgType : std::uint8_t {
   kMembershipLeave = 26,      // graceful departure
   kMembershipHeartbeat = 27,  // liveness beacon (also re-admits after heal)
   kMembershipWatch = 28,      // client asks for view-change pushes
-  kViewChange = 29,           // new epoch broadcast to members + watchers
   // Page-granular delta snapshots (state transfer for receivers that
   // already hold most of the document).
   kSnapshotDeltaRequest = 30,  // receiver's page-stamp summary or floor

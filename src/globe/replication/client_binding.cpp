@@ -34,15 +34,13 @@ ClientBinding::ClientBinding(const TransportFactory& factory,
     placement_->start();
   }
   if (options_.membership.valid()) {
-    // Watch the object's replica view: the membership service pushes a
-    // view change on every epoch — as a full view, or as a ViewDelta
-    // diff applied onto the cached previous view — and the binding
-    // re-resolves its stores when one of them leaves the view.
+    // Watch the object's replica view: the membership service pushes
+    // every epoch as a ViewDelta diff, applied onto the cached previous
+    // view, and the binding re-resolves its stores when one of them
+    // leaves the view.
     comm_.set_delivery_handler(
         [this](const Address&, const msg::EnvelopeView& env) {
-          if (env.type == msg::MsgType::kViewChange) {
-            on_view_change(membership::ViewMsg::decode(env.body).view);
-          } else if (env.type == msg::MsgType::kViewDelta) {
+          if (env.type == msg::MsgType::kViewDelta) {
             on_view_delta(membership::ViewDelta::decode(env.body));
           }
         });
@@ -145,8 +143,8 @@ void ClientBinding::on_view_delta(const membership::ViewDelta& delta) {
     on_view_change(next);
     return;
   }
-  // Epoch gap or no base yet (a watcher's first push is always a delta
-  // it cannot apply): re-anchor on the full view.
+  // Epoch gap, or no base yet (the watcher registered after the group's
+  // first broadcast): re-anchor on the full view.
   fetch_full_view();
 }
 

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -251,55 +252,6 @@ struct UpdateMsg {
   }
 };
 
-/// kSnapshot body (push-mode full coherence transfer): the document is
-/// the sender's cached snapshot, shared across every concurrent receiver
-/// (one encode per document version, not per message). Requested state
-/// transfers (kSubscribeAck, kSnapshotDeltaReply) use StateTransfer
-/// below instead, which can be page-granular.
-struct SnapshotMsg {
-  SharedBuffer document;  // WebDocument::snapshot()
-  VectorClock clock;
-  std::uint64_t gseq = 0;
-
-  void encode(Writer& w) const {
-    w.bytes(util::view_of(document));
-    clock.encode(w);
-    w.varint(gseq);
-  }
-
-  [[nodiscard]] Buffer encode() const {
-    Writer w;
-    encode(w);
-    return w.take();
-  }
-
-  /// Borrowed decode: `document` views the receive buffer. A snapshot is
-  /// the largest message in the protocol; the receive path restores the
-  /// document straight from the view without an intermediate copy.
-  struct View {
-    BytesView document;
-    VectorClock clock;
-    std::uint64_t gseq = 0;
-  };
-
-  static View decode_view(BytesView wire) {
-    Reader r(wire);
-    View m;
-    m.document = r.bytes();
-    m.clock = VectorClock::decode(r);
-    m.gseq = r.varint();
-    r.expect_end();
-    return m;
-  }
-
-  static SnapshotMsg decode(BytesView wire) {
-    View v = decode_view(wire);
-    return SnapshotMsg{
-        std::make_shared<const Buffer>(util::to_buffer(v.document)),
-        std::move(v.clock), v.gseq};
-  }
-};
-
 /// kSnapshotDeltaRequest body: "bring me to your exact state, shipping
 /// only what I am missing". Two modes:
 ///
@@ -356,10 +308,13 @@ struct SnapshotDeltaRequest {
   }
 };
 
-/// kSnapshotDeltaReply / kSubscribeAck body: one state transfer, either
-/// page-granular (`delta`, produced by WebDocument::encode_delta*) or a
-/// full snapshot fallback. Carries the sender's store id and document
-/// version so the receiver can use the cheap floor mode next time.
+/// The one shape document state travels in: the kSnapshot push (the
+/// policy's full coherence transfer), the kSubscribeAck and
+/// kSnapshotDeltaReply bodies, and the state of a want_full FetchReply.
+/// Either page-granular (`delta`, produced by WebDocument::encode_delta*)
+/// or the sender's cached full snapshot, shared across every concurrent
+/// receiver. Carries the sender's store id and document version so the
+/// receiver can use the cheap floor mode next time.
 struct StateTransfer {
   bool full = true;
   SharedBuffer snapshot;  // when full: the sender's cached snapshot
@@ -407,8 +362,7 @@ struct StateTransfer {
     }
   };
 
-  static View decode_view(BytesView wire) {
-    Reader r(wire);
+  static View decode_view(Reader& r) {
     View m;
     m.full = r.boolean();
     m.snapshot = r.bytes();
@@ -417,6 +371,12 @@ struct StateTransfer {
     m.gseq = r.varint();
     m.source = r.u32();
     m.version = r.varint();
+    return m;
+  }
+
+  static View decode_view(BytesView wire) {
+    Reader r(wire);
+    View m = decode_view(r);
     r.expect_end();
     return m;
   }
@@ -485,16 +445,10 @@ struct NotifyMsg {
 struct FetchRequest {
   VectorClock have_clock;
   std::uint64_t have_gseq = 0;
-  bool want_full = false;            // request a snapshot
+  bool want_full = false;            // full state (coherence transfer full)
   std::vector<std::string> pages;    // restrict to these pages (empty = all)
   bool validate_only = false;        // baseline: If-Modified-Since check
   std::uint64_t have_lamport = 0;    // version held, for validate_only
-  /// The requester can take a page-granular delta snapshot instead of a
-  /// full restore: on a cutover the responder replies `need_snapshot`
-  /// (no payload) and the requester follows up with a
-  /// kSnapshotDeltaRequest carrying its page summary. Stores always set
-  /// it; a peer that does not gets the full document inline.
-  bool accepts_delta = false;
 
   void encode(Writer& w) const {
     have_clock.encode(w);
@@ -504,7 +458,6 @@ struct FetchRequest {
     for (const auto& p : pages) w.str(p);
     w.boolean(validate_only);
     w.varint(have_lamport);
-    w.boolean(accepts_delta);
   }
 
   [[nodiscard]] Buffer encode() const {
@@ -524,34 +477,34 @@ struct FetchRequest {
     for (std::uint64_t i = 0; i < n; ++i) m.pages.push_back(r.str());
     m.validate_only = r.boolean();
     m.have_lamport = r.varint();
-    m.accepts_delta = r.boolean();
     r.expect_end();
     return m;
   }
 };
 
-/// kFetchReply body.
+/// kFetchReply body: the records the requester is missing, or one of
+/// the record-less answers below.
 struct FetchReply {
-  bool full = false;          // snapshot transfer
-  SharedBuffer snapshot;      // when full: the store's cached snapshot
-  std::vector<web::WriteRecord> records;  // when !full
+  std::vector<web::WriteRecord> records;
   VectorClock clock;
   std::uint64_t gseq = 0;
   bool not_modified = false;  // validate_only result
-  /// Cutover deferred: the requester is behind the horizon, asked for
-  /// delta snapshots (FetchRequest::accepts_delta), and should follow up
-  /// with a kSnapshotDeltaRequest instead of receiving the full
-  /// document here.
+  /// Cutover deferred: the requester is behind the compaction horizon
+  /// and follows up with a kSnapshotDeltaRequest carrying its page
+  /// summary, receiving only the pages it is missing.
   bool need_snapshot = false;
+  /// want_full: the responder's whole state. Encoded last, so the View
+  /// borrows the snapshot straight from the receive buffer.
+  std::optional<StateTransfer> state;
 
   void encode(Writer& w) const {
-    w.boolean(full);
-    w.bytes(util::view_of(snapshot));
     web::encode_records(w, records);
     clock.encode(w);
     w.varint(gseq);
     w.boolean(not_modified);
     w.boolean(need_snapshot);
+    w.boolean(state.has_value());
+    if (state.has_value()) state->encode(w);
   }
 
   [[nodiscard]] Buffer encode() const {
@@ -560,42 +513,27 @@ struct FetchReply {
     return w.take();
   }
 
-  /// Borrowed decode: `snapshot` views the receive buffer; records are
-  /// materialized (they outlive the buffer inside the orderer).
+  /// Borrowed decode: the state's snapshot views the receive buffer;
+  /// records are materialized (they outlive the buffer in the orderer).
   struct View {
-    bool full = false;
-    BytesView snapshot;
     std::vector<web::WriteRecord> records;
     VectorClock clock;
     std::uint64_t gseq = 0;
     bool not_modified = false;
     bool need_snapshot = false;
+    std::optional<StateTransfer::View> state;
   };
 
   static View decode_view(BytesView wire) {
     Reader r(wire);
     View m;
-    m.full = r.boolean();
-    m.snapshot = r.bytes();
     m.records = web::decode_records(r);
     m.clock = VectorClock::decode(r);
     m.gseq = r.varint();
     m.not_modified = r.boolean();
     m.need_snapshot = r.boolean();
+    if (r.boolean()) m.state = StateTransfer::decode_view(r);
     r.expect_end();
-    return m;
-  }
-
-  static FetchReply decode(BytesView wire) {
-    View v = decode_view(wire);
-    FetchReply m;
-    m.full = v.full;
-    m.snapshot = std::make_shared<const Buffer>(util::to_buffer(v.snapshot));
-    m.records = std::move(v.records);
-    m.clock = std::move(v.clock);
-    m.gseq = v.gseq;
-    m.not_modified = v.not_modified;
-    m.need_snapshot = v.need_snapshot;
     return m;
   }
 };

@@ -380,9 +380,6 @@ void StoreEngine::on_message(const Address& from,
   // Membership traffic names the scope, not a hosted object: one view
   // message fans out to the whole object table.
   switch (env.type) {
-    case msg::MsgType::kViewChange:
-      apply_view(membership::ViewMsg::decode(env.body).view);
-      return;
     case msg::MsgType::kViewDelta:
       handle_view_delta(env);
       return;
@@ -422,7 +419,7 @@ void StoreEngine::on_message(const Address& from,
       handle_update(*o, from, env);
       return;
     case msg::MsgType::kSnapshot:
-      handle_snapshot(*o, env);
+      apply_state_transfer(*o, StateTransfer::decode_view(env.body));
       return;
     case msg::MsgType::kInvalidate:
       handle_invalidate(*o, from, env);
@@ -1028,12 +1025,9 @@ void StoreEngine::send_coherence(ObjectState& o,
       return;
     }
     case CoherenceTransfer::kFull: {
-      SnapshotMsg m;
-      m.document = o.semantics.snapshot();
-      m.clock = o.applied_clock;
-      m.gseq = o.applied_gseq;
+      const StateTransfer st = full_state(o);
       comm_.multicast_with(to, msg::MsgType::kSnapshot, o.cfg.object,
-                           [&](util::Writer& w) { m.encode(w); });
+                           [&](util::Writer& w) { st.encode(w); });
       return;
     }
   }
@@ -1192,7 +1186,6 @@ void StoreEngine::pull_from_upstream(ObjectState& o) {
       o.cfg.policy.model == ObjectModel::kSequential, fetch.have_gseq));
   fetch.want_full =
       o.cfg.policy.coherence_transfer == CoherenceTransfer::kFull;
-  fetch.accepts_delta = true;
   comm_.request_with(o.cfg.upstream, msg::MsgType::kFetchRequest,
                      o.cfg.object,
                      [&](util::Writer& w) { fetch.encode(w); },
@@ -1219,7 +1212,6 @@ void StoreEngine::demand_fetch(ObjectState& o,
       (fetch.pages.empty() &&
        o.cfg.policy.access_transfer == AccessTransfer::kFull &&
        o.cfg.policy.propagation == Propagation::kInvalidate);
-  fetch.accepts_delta = true;
   // Demand-updates must survive lossy links (Section 4.2: they are the
   // retransmission mechanism), so the request itself carries a timeout
   // and retries.
@@ -1246,17 +1238,13 @@ void StoreEngine::demand_fetch(ObjectState& o,
 void StoreEngine::apply_fetch_reply(ObjectState& o, FetchReply::View reply) {
   if (reply.not_modified) return;
   if (reply.need_snapshot) {
-    // Cutover deferred for a delta-snapshot requester: ship our page
-    // summary (or floor) and receive only what we are missing.
+    // Cutover deferred: ship our page summary (or floor) and receive
+    // only what we are missing.
     request_snapshot_delta(o);
     return;
   }
-  if (reply.full) {
-    StateTransfer::View st;
-    st.snapshot = reply.snapshot;
-    st.clock = std::move(reply.clock);
-    st.gseq = reply.gseq;
-    apply_state_transfer(o, st);
+  if (reply.state.has_value()) {
+    apply_state_transfer(o, *reply.state);
     return;
   }
   std::vector<web::WriteRecord> ready;
@@ -1506,8 +1494,8 @@ void StoreEngine::handle_view_delta(const msg::EnvelopeView& env) {
     return;
   }
   // Epoch gap (we missed deltas — evicted during a partition, or the
-  // datagram was lost) or no base yet: re-anchor on the full view.
-  // apply_view then sees the jump and resyncs as before.
+  // datagram was lost): re-anchor on the full view. apply_view then sees
+  // the jump and resyncs.
   fetch_full_view();
 }
 
@@ -1670,16 +1658,6 @@ void StoreEngine::handle_update(ObjectState& o, const Address& from,
       !o.cfg.is_primary) {
     demand_fetch(o);
   }
-}
-
-void StoreEngine::handle_snapshot(ObjectState& o,
-                                  const msg::EnvelopeView& env) {
-  const SnapshotMsg::View m = SnapshotMsg::decode_view(env.body);
-  StateTransfer::View st;
-  st.snapshot = m.document;
-  st.clock = m.clock;
-  st.gseq = m.gseq;
-  apply_state_transfer(o, st);
 }
 
 void StoreEngine::apply_state_transfer(ObjectState& o,
@@ -1895,32 +1873,18 @@ void StoreEngine::handle_fetch_request(ObjectState& o, const Address& from,
       rep.records.push_back(record_for_page(o, m.pages.front()));
     }
     // Page absent: empty records; the cache serves not-found.
-  } else if (m.want_full ||
-             !o.log.can_serve(m.have_clock, m.have_gseq,
+  } else if (m.want_full) {
+    // The policy's full coherence transfer: routine traffic, counted
+    // neither as a cutover nor as a full snapshot.
+    rep.state = full_state(o);
+  } else if (!o.log.can_serve(m.have_clock, m.have_gseq,
                               o.cfg.policy.model ==
                                   ObjectModel::kSequential)) {
-    // Snapshot cutover: either the requester asked for full state, or it
-    // is behind the log's compaction horizon and a delta can no longer
-    // be computed for it. Only the forced case counts as a cutover in
-    // the metrics (it is the compaction policy's cost signal).
-    if (!m.want_full && metrics_ != nullptr) {
-      metrics_->record_snapshot_cutover();
-    }
-    if (m.accepts_delta && !m.want_full) {
-      // Deferred cutover: the requester takes page-granular snapshots —
-      // it follows up with its page summary (kSnapshotDeltaRequest) and
-      // receives only the pages it is missing.
-      rep.need_snapshot = true;
-    } else {
-      rep.full = true;
-      rep.snapshot = o.semantics.snapshot();
-      // Routine want_full polls are the policy's normal transfer
-      // traffic; only the forced cutover counts as a full state
-      // transfer (same split as record_snapshot_cutover above).
-      if (!m.want_full && metrics_ != nullptr) {
-        metrics_->record_full_snapshot();
-      }
-    }
+    // Behind the log's compaction horizon, a delta can no longer be
+    // computed: defer the cutover to the page-granular round trip. The
+    // cutover counter is the compaction policy's cost signal.
+    if (metrics_ != nullptr) metrics_->record_snapshot_cutover();
+    rep.need_snapshot = true;
   } else {
     rep.records = o.log.records_since(m.have_clock, m.have_gseq, m.pages);
   }
@@ -2007,15 +1971,19 @@ SnapshotDeltaRequest StoreEngine::make_delta_request(const ObjectState& o,
   return req;
 }
 
-StateTransfer StoreEngine::make_state_transfer(
-    ObjectState& o, const SnapshotDeltaRequest* req) {
+StateTransfer StoreEngine::full_state(const ObjectState& o) const {
   StateTransfer st;
+  st.snapshot = o.semantics.snapshot();
   st.clock = o.applied_clock;
   st.gseq = o.applied_gseq;
   st.source = config_.store_id;
-  const web::WebDocument& doc = o.semantics.document();
-  st.version = doc.version();
+  st.version = o.semantics.document().version();
+  return st;
+}
 
+StateTransfer StoreEngine::make_state_transfer(
+    ObjectState& o, const SnapshotDeltaRequest* req) {
+  const web::WebDocument& doc = o.semantics.document();
   bool serve_delta = req != nullptr;
   if (serve_delta && req->mode == SnapshotDeltaRequest::Mode::kFloor &&
       (req->floor_source != config_.store_id ||
@@ -2032,23 +2000,25 @@ StateTransfer StoreEngine::make_state_transfer(
                                     doc.tombstone_horizon(), doc.version(),
                                     /*refused=*/!serve_delta));
   }
-  if (serve_delta) {
-    web::DeltaStats stats;
-    st.full = false;
-    st.delta = req->mode == SnapshotDeltaRequest::Mode::kFloor
-                   ? doc.encode_delta_since(req->floor_version, &stats)
-                   : doc.encode_delta(req->have, &stats);
-    if (metrics_ != nullptr) {
-      // content_bytes approximates what the full transfer would have
-      // cost, without forcing a full encode just for accounting.
-      metrics_->record_delta_snapshot(
-          stats.pages_shipped + stats.drops_shipped, st.delta.size(),
-          doc.content_bytes());
-    }
-  } else {
-    st.full = true;
-    st.snapshot = o.semantics.snapshot();
+  if (!serve_delta) {
     if (metrics_ != nullptr) metrics_->record_full_snapshot();
+    return full_state(o);
+  }
+  StateTransfer st;
+  st.full = false;
+  st.clock = o.applied_clock;
+  st.gseq = o.applied_gseq;
+  st.source = config_.store_id;
+  st.version = doc.version();
+  web::DeltaStats stats;
+  st.delta = req->mode == SnapshotDeltaRequest::Mode::kFloor
+                 ? doc.encode_delta_since(req->floor_version, &stats)
+                 : doc.encode_delta(req->have, &stats);
+  if (metrics_ != nullptr) {
+    // content_bytes approximates what the full transfer would have
+    // cost, without forcing a full encode just for accounting.
+    metrics_->record_delta_snapshot(stats.pages_shipped + stats.drops_shipped,
+                                    st.delta.size(), doc.content_bytes());
   }
   return st;
 }

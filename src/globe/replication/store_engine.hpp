@@ -359,7 +359,6 @@ class StoreEngine {
                             const msg::EnvelopeView& env);
   void handle_update(ObjectState& o, const Address& from,
                      const msg::EnvelopeView& env);
-  void handle_snapshot(ObjectState& o, const msg::EnvelopeView& env);
   void handle_invalidate(ObjectState& o, const Address& from,
                          const msg::EnvelopeView& env);
   void handle_notify(ObjectState& o, const Address& from,
@@ -480,6 +479,10 @@ class StoreEngine {
   /// otherwise. Counts delta_snapshots / full_snapshots.
   [[nodiscard]] StateTransfer make_state_transfer(
       ObjectState& o, const SnapshotDeltaRequest* req);
+  /// The whole cached snapshot as a StateTransfer, counted nowhere: the
+  /// kSnapshot push, a want_full poll, and make_state_transfer's
+  /// fallback all ship this.
+  [[nodiscard]] StateTransfer full_state(const ObjectState& o) const;
   /// Follow-up to a FetchReply::need_snapshot cutover: request the delta
   /// from the upstream and apply it.
   void request_snapshot_delta(ObjectState& o);

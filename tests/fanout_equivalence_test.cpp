@@ -7,7 +7,11 @@
 // (Network::wire_digest, enabled right after Testbed construction) and
 // an FNV over every store's state digest (retained log + document +
 // applied clock). Any change to what travels or what replicas end up
-// holding trips these.
+// holding trips these. The two full-transfer scenarios were frozen on the
+// last tree with separate full-state bodies (the kSnapshot push and the
+// full FetchReply). When those became StateTransfer, their wire constants
+// and the invalidate scenario's (FetchRequest/FetchReply) were re-frozen;
+// every state constant held.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -103,7 +107,7 @@ TEST(FanoutGolden, InvalidatePropagation) {
     }
     bed.settle();
     seed_writes(primary, bed, 20);
-  }, {0x47a79b425da1daa7ull, 0x4aec3c84e21c9176ull});
+  }, {0xe432160317687e1bull, 0x4aec3c84e21c9176ull});
 }
 
 TEST(FanoutGolden, FullPushImmediate) {
@@ -124,7 +128,7 @@ TEST(FanoutGolden, FullPushImmediate) {
                   mirror.address());
     bed.settle();
     seed_writes(primary, bed, 20);
-  }, {0x20dffb03fe5f1b24ull, 0x2ce35f22262090c0ull});
+  }, {0x290fb517db6a0f8eull, 0x2ce35f22262090c0ull});
 }
 
 TEST(FanoutGolden, FullPullPoll) {
@@ -141,7 +145,7 @@ TEST(FanoutGolden, FullPullPoll) {
     }
     bed.settle();
     seed_writes(primary, bed, 20);
-  }, {0x9abe40f0c64a3447ull, 0x27049206176e306aull});
+  }, {0xd8bb923a6e6f3e8full, 0x27049206176e306aull});
 }
 
 TEST(FanoutGolden, MultiMasterReflectionExclusion) {

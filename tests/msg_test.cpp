@@ -142,10 +142,28 @@ TEST(Protocol, FetchRoundTrip) {
   replication::FetchReply r;
   r.not_modified = true;
   r.gseq = 8;
+  const util::Buffer rwire = r.encode();
   const auto rback =
-      replication::FetchReply::decode(util::BytesView(r.encode()));
+      replication::FetchReply::decode_view(util::BytesView(rwire));
   EXPECT_TRUE(rback.not_modified);
   EXPECT_EQ(rback.gseq, 8u);
+  EXPECT_FALSE(rback.state.has_value());
+
+  // A want_full answer embeds the full state.
+  replication::FetchReply full;
+  full.state.emplace();
+  full.state->snapshot =
+      std::make_shared<const util::Buffer>(util::to_buffer("whole-doc"));
+  full.state->gseq = 5;
+  full.state->source = 3;
+  const util::Buffer fwire = full.encode();
+  const auto fback =
+      replication::FetchReply::decode_view(util::BytesView(fwire));
+  ASSERT_TRUE(fback.state.has_value());
+  EXPECT_TRUE(fback.state->full);
+  EXPECT_EQ(util::to_string(fback.state->snapshot), "whole-doc");
+  EXPECT_EQ(fback.state->gseq, 5u);
+  EXPECT_EQ(fback.state->source, 3u);
 }
 
 TEST(Protocol, WriteForwardRoundTrip) {
@@ -161,7 +179,7 @@ TEST(Protocol, WriteForwardRoundTrip) {
   EXPECT_EQ(back.request.client, 5u);
 }
 
-TEST(Protocol, SubscribeAndSnapshotRoundTrip) {
+TEST(Protocol, SubscribeRoundTrip) {
   replication::SubscribeMsg s;
   s.subscriber = {7, 2};
   s.store_id = 4;
@@ -171,16 +189,6 @@ TEST(Protocol, SubscribeAndSnapshotRoundTrip) {
   EXPECT_EQ(sback.subscriber, (net::Address{7, 2}));
   EXPECT_EQ(sback.store_id, 4u);
   EXPECT_EQ(sback.store_class, 2u);
-
-  replication::SnapshotMsg snap;
-  snap.document =
-      std::make_shared<const util::Buffer>(util::to_buffer("state"));
-  snap.clock.set(1, 2);
-  snap.gseq = 6;
-  const auto nback =
-      replication::SnapshotMsg::decode(util::BytesView(snap.encode()));
-  EXPECT_EQ(util::to_string(util::view_of(nback.document)), "state");
-  EXPECT_EQ(nback.gseq, 6u);
 }
 
 TEST(Protocol, SnapshotDeltaRequestRoundTrip) {

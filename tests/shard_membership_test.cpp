@@ -30,10 +30,7 @@ class FakeMember {
     contact_.is_primary = primary;
     comm_.set_delivery_handler(
         [this](const Address&, const msg::EnvelopeView& env) {
-          if (env.type == msg::MsgType::kViewChange) {
-            util::Reader r{env.body};
-            views_.push_back(View::decode(r));
-          } else if (env.type == msg::MsgType::kViewDelta) {
+          if (env.type == msg::MsgType::kViewDelta) {
             deltas_.push_back(ViewDelta::decode(env.body));
           }
         });
@@ -60,7 +57,6 @@ class FakeMember {
 
   [[nodiscard]] Address address() const { return contact_.address; }
   std::optional<View> join_view_;
-  std::vector<View> views_;
   std::vector<ViewDelta> deltas_;
 
  private:
@@ -162,8 +158,7 @@ TEST_F(ShardMembershipTest, HotShardChurnLeavesColdShardUntouched) {
 
   // hot_b goes silent; everybody else keeps heartbeating. The failure
   // detector evicts it from shard 0 only.
-  const std::size_t cold_pushes_before =
-      cold_a.views_.size() + cold_a.deltas_.size();
+  const std::size_t cold_pushes_before = cold_a.deltas_.size();
   run_heartbeats(sim::SimDuration::millis(600), {&hot_a, &cold_a, &cold_b});
 
   EXPECT_GT(service->shard_epoch(kScope, 0), hot_epoch);
@@ -171,8 +166,7 @@ TEST_F(ShardMembershipTest, HotShardChurnLeavesColdShardUntouched) {
   // Cold shard: same epoch, same members, and no view traffic at all.
   EXPECT_EQ(service->shard_epoch(kScope, 1), cold_epoch);
   EXPECT_EQ(service->shard_view(kScope, 1).members.size(), 2u);
-  EXPECT_EQ(cold_a.views_.size() + cold_a.deltas_.size(),
-            cold_pushes_before);
+  EXPECT_EQ(cold_a.deltas_.size(), cold_pushes_before);
   // The eviction showed up in the per-shard rollup for shard 0 only.
   ASSERT_TRUE(metrics.shard_stats().contains(0));
   EXPECT_GT(metrics.shard_stats().at(0).view_changes, 0u);
@@ -202,10 +196,7 @@ TEST_F(ShardMembershipTest, WatchersAreShardScoped) {
   std::vector<ShardId> pushed_shards;
   watcher.set_delivery_handler(
       [&](const Address&, const msg::EnvelopeView& env) {
-        if (env.type == msg::MsgType::kViewChange) {
-          util::Reader r{env.body};
-          pushed_shards.push_back(View::decode(r).shard);
-        } else if (env.type == msg::MsgType::kViewDelta) {
+        if (env.type == msg::MsgType::kViewDelta) {
           pushed_shards.push_back(ViewDelta::decode(env.body).shard);
         }
       });

@@ -3,8 +3,9 @@
 // page-granular delta path and must restore exactly the state the seed's
 // full-snapshot transfers produced — pinned as golden document digests
 // generated while both transfer modes still existed and agreed — and the
-// horizon/lineage fallbacks, plus a requester that does not accept
-// deltas, must be served full snapshots. Also the tombstone regression:
+// horizon/lineage fallbacks must be served full snapshots, while a fetch
+// behind the horizon is always deferred to the delta round trip. Also
+// the tombstone regression:
 // a page deleted and compacted away before a heal must NOT be resurrected
 // by the peer's stale copy (the long-open LWW caveat from docs/perf.md).
 #include <gtest/gtest.h>
@@ -199,12 +200,12 @@ TEST(DeltaSnapshotEquivalence, FloorFallsBackToFullAcrossLineages) {
   EXPECT_FALSE(res.full);
 }
 
-TEST(DeltaSnapshotEquivalence, NonDeltaRequesterGetsFullFetchReply) {
-  // Every store in this repo sets FetchRequest::accepts_delta, but the
-  // responder still serves peers that do not: behind the compaction
-  // horizon they get the whole document in the FetchReply itself, not a
-  // deferred need_snapshot cutover. Drive the responder with a crafted
-  // request from a raw-protocol probe.
+TEST(DeltaSnapshotEquivalence, FetchDefersCutoverAndWantFullCarriesState) {
+  // A fetch from behind the compaction horizon is always deferred to the
+  // delta round trip (need_snapshot, no payload). A want_full fetch, the
+  // policy's full coherence transfer, carries the whole state as a full
+  // StateTransfer and is not counted as a full snapshot. Drive the
+  // responder with crafted requests from a raw-protocol probe.
   TestbedOptions opts;
   opts.record_history = false;
   opts.log_compact_threshold = 24;
@@ -220,35 +221,46 @@ TEST(DeltaSnapshotEquivalence, NonDeltaRequesterGetsFullFetchReply) {
 
   core::CommunicationObject probe(bed.factory(bed.add_node("probe")),
                                   &bed.sim());
-  const auto fetch = [&](bool accepts_delta) {
+  struct Answer {
+    bool need_snapshot = false;
+    bool full_state = false;
+    web::WebDocument restored;
+  };
+  const auto fetch = [&](bool want_full) {
     FetchRequest req;  // empty clock: behind the horizon
-    req.accepts_delta = accepts_delta;
-    std::optional<FetchReply> got;
+    req.want_full = want_full;
+    std::optional<Answer> got;
     probe.request_with(
         primary.address(), msg::MsgType::kFetchRequest, kObj,
         [&](util::Writer& w) { req.encode(w); },
         [&](bool ok, const net::Address&, const msg::EnvelopeView& env) {
-          if (ok) got = FetchReply::decode(env.body);
+          if (!ok) return;
+          const FetchReply::View rep = FetchReply::decode_view(env.body);
+          got.emplace();
+          got->need_snapshot = rep.need_snapshot;
+          if (rep.state.has_value()) {
+            got->full_state = rep.state->full;
+            rep.state->adopt_into(got->restored);
+          }
         });
     bed.sim().run();
     return got;
   };
 
   const std::uint64_t full_before = bed.metrics().full_snapshots();
-  const auto full = fetch(/*accepts_delta=*/false);
-  ASSERT_TRUE(full.has_value());
-  EXPECT_TRUE(full->full);
-  EXPECT_FALSE(full->need_snapshot);
-  EXPECT_EQ(bed.metrics().full_snapshots(), full_before + 1);
-  web::WebDocument restored;
-  restored.restore(util::view_of(full->snapshot));
-  EXPECT_EQ(restored, primary.document());
-
-  // The same request from a delta-capable peer is deferred instead.
-  const auto deferred = fetch(/*accepts_delta=*/true);
+  const std::uint64_t cutovers_before = bed.metrics().snapshot_cutovers();
+  const auto deferred = fetch(/*want_full=*/false);
   ASSERT_TRUE(deferred.has_value());
-  EXPECT_FALSE(deferred->full);
   EXPECT_TRUE(deferred->need_snapshot);
+  EXPECT_FALSE(deferred->full_state);
+  EXPECT_EQ(bed.metrics().snapshot_cutovers(), cutovers_before + 1);
+
+  const auto full = fetch(/*want_full=*/true);
+  ASSERT_TRUE(full.has_value());
+  EXPECT_FALSE(full->need_snapshot);
+  EXPECT_TRUE(full->full_state);
+  EXPECT_EQ(full->restored, primary.document());
+  EXPECT_EQ(bed.metrics().full_snapshots(), full_before);
 }
 
 TEST(DeltaSnapshotEquivalence, ClientDocumentFetchUsesDeltas) {

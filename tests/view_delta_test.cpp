@@ -78,9 +78,11 @@ TEST(ViewDelta, SteadyChurnIsBroadcastAsDiffs) {
     bed.add_store(kObj, naming::StoreClass::kObjectInitiated, policy);
     bed.settle();
   }
-  // After the first full broadcast, every subsequent join went out as a
-  // delta, and every store still tracks the service's epoch.
+  // Every view change went out as a delta, and every store still tracks
+  // the service's epoch.
   EXPECT_GT(bed.membership().stats().delta_broadcasts, 0u);
+  EXPECT_EQ(bed.membership().stats().delta_broadcasts,
+            bed.membership().stats().view_changes);
   const std::uint64_t epoch = bed.membership().epoch(kObj);
   for (const auto& s : bed.stores()) {
     EXPECT_EQ(s->view_epoch(), epoch) << "store " << s->id();
@@ -127,6 +129,28 @@ TEST(ViewDelta, EpochGapTriggersFullViewFetch) {
   EXPECT_TRUE(bed.converged(kObj));
 }
 
+TEST(ViewDelta, EarlyWatcherAdoptsTheFirstEpochFromTheDiff) {
+  // A group's first broadcast is a diff against the empty epoch-0 view,
+  // so a watcher that registered before any store joined adopts epoch 1
+  // from it, with no full-view fetch.
+  Testbed bed(membership_options());
+  const net::Address placeholder{bed.add_node("placeholder"), 1};
+  ClientBinding& watcher =
+      bed.add_client(kObj, coherence::ClientModel::kNone, placeholder);
+  bed.settle();
+  ASSERT_EQ(bed.membership().watcher_count(kObj), 1u);
+
+  core::ReplicationPolicy policy;
+  StoreEngine& primary = bed.add_primary(kObj, policy);
+  bed.settle();
+  ASSERT_EQ(bed.membership().epoch(kObj), 1u);
+  EXPECT_EQ(bed.membership().stats().delta_broadcasts, 1u);
+  EXPECT_EQ(watcher.view_epoch(), 1u);
+  EXPECT_EQ(bed.membership().stats().view_fetches, 0u);
+  // The adopted view moved the watcher off its placeholder store.
+  EXPECT_EQ(watcher.read_store(), primary.address());
+}
+
 TEST(ViewDelta, WatchingClientsFollowDiffBroadcasts) {
   Testbed bed(membership_options());
   core::ReplicationPolicy policy;
@@ -139,8 +163,9 @@ TEST(ViewDelta, WatchingClientsFollowDiffBroadcasts) {
       bed.add_client(kObj, coherence::ClientModel::kNone, cache.address());
   bed.settle();
 
-  // The client's first push is a delta it has no base for: it must have
-  // re-anchored via a fetch (or a full broadcast) and then track diffs.
+  // The client registered after the first broadcast, so its first push
+  // is a delta it has no base for: it must have re-anchored via a fetch
+  // and then track diffs.
   bed.add_store(kObj, naming::StoreClass::kObjectInitiated, policy);
   bed.settle();
   EXPECT_EQ(client.view_epoch(), bed.membership().epoch(kObj));
