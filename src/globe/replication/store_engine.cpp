@@ -1301,8 +1301,9 @@ void StoreEngine::subscribe_to_upstream(ObjectState& o) {
           return;
         }
         o.subscribe_retry_budget = 50;
-        // A re-subscriber already holds state: the transfer (full or
-        // page-granular) merges forward-only, and a resync round closes
+        // A fresh store bootstraps from the ack. A re-subscriber already
+        // holds state: the transfer (full or page-granular) merges
+        // forward-only, and a resync round closes
         // whatever it could not prove (e.g. multi-master divergence where
         // neither clock dominates).
         apply_state_transfer(o, StateTransfer::decode_view(env.body),
