@@ -73,11 +73,12 @@ void MembershipService::admit(ObjectId scope, const MemberAnnounce& announce,
     *added = false;
     return;
   }
-  MemberState m{contact, announce.shard, now()};
-  m.has_applied = announce.has_applied;
-  m.applied = announce.applied;
-  m.applied_gseq = announce.applied_gseq;
-  state.members.push_back(std::move(m));
+  state.members.push_back(MemberState{.contact = contact,
+                                      .shard = announce.shard,
+                                      .last_heard = now(),
+                                      .has_applied = announce.has_applied,
+                                      .applied = announce.applied,
+                                      .applied_gseq = announce.applied_gseq});
   ++state.shards[announce.shard].epoch;
   if (options_.naming != nullptr) {
     options_.naming->register_contact(scope, contact);

@@ -40,6 +40,10 @@ using util::Reader;
 using util::SharedBuffer;
 using util::Writer;
 
+/// Envelope object key of store-scope traffic (kNotify): the message
+/// concerns the sending store's object table, not one hosted object.
+inline constexpr ObjectId kStoreScope = 0;
+
 inline void encode_address(Writer& w, const net::Address& a) {
   w.u32(a.node);
   w.u16(a.port);
@@ -414,15 +418,57 @@ struct InvalidateMsg {
   }
 };
 
-/// kNotify body: "a change occurred", with no data (Table 1:
-/// coherence transfer type = notification).
+/// kNotify body: "these objects changed", with no data. It travels in a
+/// store-scope envelope (kStoreScope); each entry names its object.
+///
+///   * Clock beacon (tick != 0): once per heartbeat tick from a store to
+///     each subscriber peer, listing the objects whose applied frontier
+///     moved since the previous tick. Sent even when the list is empty,
+///     so a receiver that sees a tick number missing knows it lost one.
+///   * Full list (`full`): every object the receiver subscribes to at
+///     the sender, stamped with the sender's current tick; the answer to
+///     `want_full`, which a receiver without an anchor on the sender's
+///     tick sequence sends.
+///   * Unsequenced (tick 0): forwarded news and Table 1's notification
+///     coherence transfer, listing just the objects concerned.
 struct NotifyMsg {
-  VectorClock known_clock;
-  std::uint64_t known_gseq = 0;
+  struct Entry {
+    ObjectId object = 0;
+    VectorClock clock;
+    std::uint64_t gseq = 0;
+  };
+  std::uint64_t tick = 0;  // 0 = unsequenced
+  bool full = false;
+  bool want_full = false;
+  std::vector<Entry> entries;
+
+  static constexpr std::uint8_t kFull = 1;
+  static constexpr std::uint8_t kWantFull = 2;
+  // object, clock size and gseq: one varint byte each at least.
+  static constexpr std::size_t kMinEntryBytes = 3;
+
+  /// Single source of truth for the wire layout: the header, then
+  /// `count` entries written with encode_entry. Senders that hold the
+  /// clocks encode straight to the wire without building entries.
+  static void encode_head(Writer& w, std::uint64_t tick, std::uint8_t flags,
+                          std::size_t count) {
+    w.varint(tick);
+    w.u8(flags);
+    w.varint(count);
+  }
+  static void encode_entry(Writer& w, ObjectId object,
+                           const VectorClock& clock, std::uint64_t gseq) {
+    w.varint(object);
+    clock.encode(w);
+    w.varint(gseq);
+  }
 
   void encode(Writer& w) const {
-    known_clock.encode(w);
-    w.varint(known_gseq);
+    encode_head(w, tick,
+                static_cast<std::uint8_t>((full ? kFull : 0) |
+                                          (want_full ? kWantFull : 0)),
+                entries.size());
+    for (const Entry& e : entries) encode_entry(w, e.object, e.clock, e.gseq);
   }
 
   [[nodiscard]] Buffer encode() const {
@@ -434,8 +480,24 @@ struct NotifyMsg {
   static NotifyMsg decode(BytesView wire) {
     Reader r(wire);
     NotifyMsg m;
-    m.known_clock = VectorClock::decode(r);
-    m.known_gseq = r.varint();
+    m.tick = r.varint();
+    const std::uint8_t flags = r.u8();
+    if ((flags & ~(kFull | kWantFull)) != 0) {
+      throw util::CodecError("invalid notify flags");
+    }
+    m.full = (flags & kFull) != 0;
+    m.want_full = (flags & kWantFull) != 0;
+    const std::uint64_t n = r.varint();
+    // A forged count must not size an allocation.
+    if (n > r.remaining() / kMinEntryBytes) {
+      throw util::CodecError("notify entry count exceeds body");
+    }
+    m.entries.resize(static_cast<std::size_t>(n));
+    for (Entry& e : m.entries) {
+      e.object = r.varint();
+      e.clock = VectorClock::decode(r);
+      e.gseq = r.varint();
+    }
     r.expect_end();
     return m;
   }

@@ -114,10 +114,7 @@ StoreEngine::ObjectState& StoreEngine::create_object(const ObjectConfig& cfg) {
 }
 
 void StoreEngine::add_object(const ObjectConfig& cfg) {
-  create_object(cfg);
-  // The new object may need a timer the current set lacks (or a shorter
-  // period than the current ticks).
-  configure_timers();
+  arm_timers(timer_needs(create_object(cfg)));
 }
 
 std::vector<ObjectId> StoreEngine::object_ids() const {
@@ -189,79 +186,63 @@ std::uint64_t StoreEngine::writes_applied() const {
   return n;
 }
 
+StoreEngine::TimerNeeds StoreEngine::timer_needs(const ObjectState& o) {
+  TimerNeeds need;
+  const auto& p = o.cfg.policy;
+  if (o.cfg.cache_mode != CacheMode::kGlobe) return need;
+  // Lazy push flush timer: any store that may propagate data.
+  if (p.initiative == TransferInitiative::kPush &&
+      p.instant == TransferInstant::kLazy) {
+    need.lazy = p.lazy_period;
+  }
+  // Pull poll timer: non-primary Globe stores poll their upstream.
+  if (p.initiative == TransferInitiative::kPull && !o.cfg.is_primary) {
+    need.pull = p.lazy_period;
+  }
+  if (advertises_clock(o)) {
+    need.beat = p.instant == TransferInstant::kLazy
+                    ? p.lazy_period
+                    : sim::SimDuration::millis(500);
+  }
+  return need;
+}
+
 void StoreEngine::configure_timers() {
   lazy_timer_.reset();
   pull_timer_.reset();
   heartbeat_timer_.reset();
-
-  // One timer set serves the whole object table: each timer runs at the
-  // minimum period any hosted object asks for, and its tick visits every
-  // object that qualifies (the per-object guards make extra visits
-  // no-ops). With one object this degenerates to the classic behaviour.
-  std::optional<sim::SimDuration> lazy_period;
-  std::optional<sim::SimDuration> pull_period;
-  std::optional<sim::SimDuration> beat_period;
+  TimerNeeds all;
   const auto take_min = [](std::optional<sim::SimDuration>& slot,
-                           sim::SimDuration d) {
-    if (!slot.has_value() || d < *slot) slot = d;
+                           std::optional<sim::SimDuration> d) {
+    if (d.has_value() && (!slot.has_value() || *d < *slot)) slot = d;
   };
   for (const auto& [id, op] : objects_) {
-    const ObjectState& o = *op;
-    const auto& p = o.cfg.policy;
-    const bool is_globe_cache = o.cfg.cache_mode == CacheMode::kGlobe;
-    // Lazy push flush timer: any store that may propagate data.
-    if (p.initiative == TransferInitiative::kPush &&
-        p.instant == TransferInstant::kLazy && is_globe_cache) {
-      take_min(lazy_period, p.lazy_period);
+    const TimerNeeds need = timer_needs(*op);
+    take_min(all.lazy, need.lazy);
+    take_min(all.pull, need.pull);
+    take_min(all.beat, need.beat);
+  }
+  arm_timers(all);
+}
+
+void StoreEngine::arm_timers(const TimerNeeds& need) {
+  const auto arm = [this](std::optional<sim::PeriodicTimer>& timer,
+                          std::optional<sim::SimDuration> period,
+                          std::function<void()> tick) {
+    if (!period.has_value() ||
+        (timer.has_value() && timer->period() <= *period)) {
+      return;
     }
-    // Pull poll timer: non-primary Globe stores poll their upstream.
-    if (p.initiative == TransferInitiative::kPull && !o.cfg.is_primary &&
-        is_globe_cache) {
-      take_min(pull_period, p.lazy_period);
+    timer.emplace(sim_, *period, std::move(tick));
+    timer->start();
+  };
+  arm(lazy_timer_, need.lazy, [this] { flush_lazy_all(); });
+  arm(pull_timer_, need.pull, [this] {
+    for (auto& [id, op] : objects_) {
+      if (timer_needs(*op).pull.has_value()) pull_from_upstream(*op);
     }
-    // Heartbeat clock advertisement: with push + demand reaction, a
-    // subscriber that lost the *last* pushes of a burst would never
-    // learn it is behind (gap detection needs a later message). A
-    // periodic Notify carrying the sender's clock closes that window —
-    // this is what makes reliability a genuine side effect of the
-    // coherence model over lossy transports (Section 4.2).
-    if (p.initiative == TransferInitiative::kPush &&
-        p.object_outdate_reaction == OutdateReaction::kDemand &&
-        is_globe_cache) {
-      take_min(beat_period, p.instant == TransferInstant::kLazy
-                                ? p.lazy_period
-                                : sim::SimDuration::millis(500));
-    }
-  }
-  if (lazy_period.has_value()) {
-    lazy_timer_.emplace(sim_, *lazy_period, [this] { flush_lazy_all(); });
-    lazy_timer_->start();
-  }
-  if (pull_period.has_value()) {
-    pull_timer_.emplace(sim_, *pull_period, [this] {
-      for (auto& [id, op] : objects_) {
-        ObjectState& o = *op;
-        if (o.cfg.policy.initiative == TransferInitiative::kPull &&
-            !o.cfg.is_primary && o.cfg.cache_mode == CacheMode::kGlobe) {
-          pull_from_upstream(o);
-        }
-      }
-    });
-    pull_timer_->start();
-  }
-  if (beat_period.has_value()) {
-    heartbeat_timer_.emplace(sim_, *beat_period, [this] {
-      for (auto& [id, op] : objects_) {
-        ObjectState& o = *op;
-        if (o.cfg.policy.initiative == TransferInitiative::kPush &&
-            o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand &&
-            o.cfg.cache_mode == CacheMode::kGlobe) {
-          advertise_clock(o);
-        }
-      }
-    });
-    heartbeat_timer_->start();
-  }
+  });
+  arm(heartbeat_timer_, need.beat, [this] { send_clock_beacons(); });
 }
 
 bool StoreEngine::update_policy(const core::ReplicationPolicy& policy) {
@@ -279,6 +260,7 @@ bool StoreEngine::update_policy(ObjectState& o,
   o.cfg.policy = policy;
   if (&o == def_) config_.policy = policy;  // keep the legacy view in step
   configure_timers();
+  update_beacon_lanes(o);
 
   // Propagate the strategy change through the object (downstream).
   for (const Subscriber& s : o.subscribers) {
@@ -323,11 +305,7 @@ void StoreEngine::finalize_propagation() {
   // background events and never block quiescence on their own).
   if (!alive_ || departed_) return;
   for (auto& [id, op] : objects_) {
-    ObjectState& o = *op;
-    if (o.cfg.policy.initiative == TransferInitiative::kPull &&
-        !o.cfg.is_primary && o.cfg.cache_mode == CacheMode::kGlobe) {
-      pull_from_upstream(o);
-    }
+    if (timer_needs(*op).pull.has_value()) pull_from_upstream(*op);
   }
   flush_lazy_all();
 }
@@ -378,13 +356,17 @@ void StoreEngine::on_message(const Address& from,
   if (!alive_ || departed_) return;
 
   // Membership traffic names the scope, not a hosted object: one view
-  // message fans out to the whole object table.
+  // message fans out to the whole object table. So does a Notify, whose
+  // entries name their objects.
   switch (env.type) {
     case msg::MsgType::kViewDelta:
       handle_view_delta(env);
       return;
     case msg::MsgType::kStabilityHorizon:
       handle_stability_horizon(env);
+      return;
+    case msg::MsgType::kNotify:
+      handle_notify(from, env);
       return;
     default:
       break;
@@ -423,9 +405,6 @@ void StoreEngine::on_message(const Address& from,
       return;
     case msg::MsgType::kInvalidate:
       handle_invalidate(*o, from, env);
-      return;
-    case msg::MsgType::kNotify:
-      handle_notify(*o, from, env);
       return;
     case msg::MsgType::kFetchRequest:
       handle_fetch_request(*o, from, env);
@@ -665,6 +644,7 @@ void StoreEngine::apply_ready(ObjectState& o,
     }
   }
   o.demand_retry_budget = 100;  // progress: re-arm the retry budget
+  mark_frontier_moved(o);
   maybe_compact(o);
   note_gaps(o);
   unpark_ready(o);
@@ -706,6 +686,11 @@ void StoreEngine::note_gaps(ObjectState& o) {
   o.outdated = o.orderer->has_gaps() ||
                !o.applied_clock.dominates(o.known_clock) ||
                o.applied_gseq < o.known_gseq;
+  if (o.outdated) {
+    outdated_.insert(o.cfg.object);
+  } else {
+    outdated_.erase(o.cfg.object);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -1004,14 +989,12 @@ void StoreEngine::send_coherence(ObjectState& o,
     return;
   }
   switch (p.coherence_transfer) {
-    case CoherenceTransfer::kNotification: {
-      NotifyMsg m;
-      m.known_clock = o.applied_clock;
-      m.known_gseq = o.applied_gseq;
-      comm_.multicast_with(to, msg::MsgType::kNotify, o.cfg.object,
-                           [&](util::Writer& w) { m.encode(w); });
+    case CoherenceTransfer::kNotification:
+      comm_.multicast_with(to, msg::MsgType::kNotify, kStoreScope,
+                           [&](util::Writer& w) {
+                             encode_clock_list(w, 0, 0, {o.cfg.object});
+                           });
       return;
-    }
     case CoherenceTransfer::kPartial: {
       // Splice the pre-encoded shared batches straight into the wire
       // buffer: the record payloads were serialized once, no matter how
@@ -1132,6 +1115,7 @@ void StoreEngine::drop_flow_peer(std::uint64_t key) {
                   [&](const Subscriber& s) { return s.address == peer; });
     op->lazy_queues.erase(key);
   }
+  beacon_lanes_.erase(key);
   paused_peers_.erase(key);
   paused_rounds_.erase(key);
   if (config_.flow != nullptr) config_.flow->reset_peer(address(), peer);
@@ -1419,7 +1403,8 @@ void StoreEngine::apply_view(const membership::View& view) {
   view_epoch_ = view.epoch;
   GLOBE_CHECK_HOOK(on_view_adopt(this, "store", config_.store_id, view.epoch));
   GLOBE_CHECK_HOOK(note_owner_context(this, config_.store_id, view.epoch));
-  for (auto& [id, op] : objects_) {
+  // The bindings are unused when the hook compiles out (unchecked builds).
+  for ([[maybe_unused]] auto& [id, op] : objects_) {
     GLOBE_CHECK_HOOK(note_owner_context(op.get(), config_.store_id,
                                         view.epoch));
   }
@@ -1447,6 +1432,9 @@ void StoreEngine::apply_view(const membership::View& view) {
       it = left(key_addr(it->first)) ? o.lazy_queues.erase(it)
                                      : std::next(it);
     }
+  }
+  for (auto it = beacon_lanes_.begin(); it != beacon_lanes_.end();) {
+    it = left(key_addr(it->first)) ? beacon_lanes_.erase(it) : std::next(it);
   }
   for (auto it = paused_peers_.begin(); it != paused_peers_.end();) {
     it = left(key_addr(*it)) ? paused_peers_.erase(it) : std::next(it);
@@ -1550,6 +1538,7 @@ void StoreEngine::crash() {
     o.unparking = false;
   }
   view_fetch_in_flight_ = false;
+  beacon_expect_.clear();  // re-anchor on every sender after recovery
 }
 
 void StoreEngine::recover() {
@@ -1679,6 +1668,7 @@ void StoreEngine::apply_state_transfer(ObjectState& o,
   note_transfer_lineage(o, st.source, st.version);
   o.applied_clock.merge(st.clock);
   o.applied_gseq = std::max(o.applied_gseq, st.gseq);
+  mark_frontier_moved(o);
   GLOBE_CHECK_HOOK(
       on_state_adoption(&o, config_.store_id, o.cfg.object, o.applied_gseq));
   if (!bootstrap) {
@@ -1744,12 +1734,9 @@ void StoreEngine::handle_invalidate(ObjectState& o, const Address& from,
   // stops a two-store cycle, but a longer propagation cycle still loops
   // unless no-news invalidations are dropped. Anything here is news if
   // it invalidates a page that was still valid or advances the frontier.
-  bool news = m.known_gseq > o.known_gseq ||
-              !o.known_clock.dominates(m.known_clock);
+  bool news = false;
   for (const auto& p : m.pages) news |= o.invalid_pages.insert(p).second;
-  o.known_clock.merge(m.known_clock);
-  o.known_gseq = std::max(o.known_gseq, m.known_gseq);
-  note_gaps(o);
+  news |= note_frontier(o, m.known_clock, m.known_gseq);
   if (news) {
     // Forward invalidations downstream (re-serialized from the borrowed
     // body; one shared datagram for the whole fan-out).
@@ -1767,47 +1754,183 @@ void StoreEngine::handle_invalidate(ObjectState& o, const Address& from,
   }
 }
 
-void StoreEngine::handle_notify(ObjectState& o, const Address& from,
+bool StoreEngine::note_frontier(ObjectState& o,
+                                const coherence::VectorClock& clock,
+                                std::uint64_t gseq) {
+  const bool news =
+      gseq > o.known_gseq || !o.known_clock.dominates(clock);
+  o.known_clock.merge(clock);
+  o.known_gseq = std::max(o.known_gseq, gseq);
+  note_gaps(o);
+  return news;
+}
+
+void StoreEngine::handle_notify(const Address& from,
                                 const msg::EnvelopeView& env) {
-  NotifyMsg m = NotifyMsg::decode(env.body);
-  // Forward only notifications that advance our known frontier, and
+  if (metrics_ != nullptr) {
+    metrics_->record_shard_bytes(config_.shard, env.body.size());
+  }
+  const NotifyMsg m = NotifyMsg::decode(env.body);
+  if (m.want_full) {
+    send_full_clock_list(from);
+    return;
+  }
+  const std::uint64_t key = addr_key(from);
+  const bool beacon = m.tick != 0 && !m.full;
+  if (m.full) {
+    // Anchor on the sender's tick sequence. The list covers every tick
+    // up to its stamp; a late reply never moves the anchor back.
+    std::uint64_t& next = beacon_expect_[key];
+    next = std::max(next, m.tick + 1);
+  } else if (beacon) {
+    auto it = beacon_expect_.find(key);
+    if (it != beacon_expect_.end() && it->second == m.tick) {
+      ++it->second;
+    } else {
+      // No anchor, or a tick went missing (a lost beacon, a partition,
+      // our own crash): the entries below still count, but only a full
+      // list proves nothing else was missed.
+      if (it != beacon_expect_.end()) beacon_expect_.erase(it);
+      ++full_list_requests_;
+      NotifyMsg ask;
+      ask.want_full = true;
+      comm_.send_with_background(from, msg::MsgType::kNotify, kStoreScope,
+                                 [&](util::Writer& w) { ask.encode(w); });
+    }
+  }
+
+  // Forward only news (entries that advance our known frontier), and
   // never back to the sender. View-driven re-parenting can transiently
   // wire two mirrors as each other's subscriber; an unconditional
   // re-broadcast then circulates the same frontier around that cycle
-  // forever, each hop re-amplifying it into its whole fan-out. A notify
+  // forever, each hop re-amplifying it into its whole fan-out. An entry
   // that taught us nothing was already propagated when we first learned
   // its frontier, so dropping the duplicate loses no information.
-  const bool news = m.known_gseq > o.known_gseq ||
-                    !o.known_clock.dominates(m.known_clock);
-  o.known_clock.merge(m.known_clock);
-  o.known_gseq = std::max(o.known_gseq, m.known_gseq);
-  note_gaps(o);
-  if (news) {
-    std::vector<Address> forward;
-    forward.reserve(o.subscribers.size());
-    for (const Subscriber& s : o.subscribers) {
-      if (s.address != from) forward.push_back(s.address);
+  std::vector<ObjectState*> hosted;
+  std::map<std::uint64_t, std::vector<std::size_t>> news_for;  // entry indexes
+  for (std::size_t i = 0; i < m.entries.size(); ++i) {
+    const NotifyMsg::Entry& e = m.entries[i];
+    ObjectState* o = find_object(e.object);
+    if (o == nullptr) continue;  // not hosted (anymore)
+    hosted.push_back(o);
+    if (!note_frontier(*o, e.clock, e.gseq)) continue;
+    for (const Subscriber& s : o->subscribers) {
+      if (s.address != from) news_for[addr_key(s.address)].push_back(i);
     }
-    comm_.multicast_with(forward, msg::MsgType::kNotify, o.cfg.object,
-                         [&](util::Writer& w) { w.raw(env.body); });
   }
-  if (o.outdated &&
-      o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand) {
-    demand_fetch(o);
+  // Peers owed the same news share one unsequenced Notify, sent at once.
+  std::map<std::vector<std::size_t>, std::vector<Address>> groups;
+  for (auto& [peer, entries] : news_for) {
+    groups[std::move(entries)].push_back(key_addr(peer));
+  }
+  for (const auto& [entries, to] : groups) {
+    comm_.multicast_with(to, msg::MsgType::kNotify, kStoreScope,
+                         [&](util::Writer& w) {
+                           NotifyMsg::encode_head(w, 0, 0, entries.size());
+                           for (const std::size_t i : entries) {
+                             const NotifyMsg::Entry& e = m.entries[i];
+                             NotifyMsg::encode_entry(w, e.object, e.clock,
+                                                     e.gseq);
+                           }
+                         });
+  }
+
+  for (ObjectState* o : hosted) {
+    if (o->outdated &&
+        o->cfg.policy.object_outdate_reaction == OutdateReaction::kDemand) {
+      demand_fetch(*o);
+    }
+  }
+  if (!beacon) return;
+  // The per-tick retry: every object fed by this sender that is still
+  // behind demands again (a no-op while its fetch is in flight).
+  std::vector<ObjectState*> behind;
+  for (const ObjectId id : outdated_) {
+    ObjectState& o = obj(id);
+    if (o.cfg.upstream == from &&
+        o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand) {
+      behind.push_back(&o);
+    }
+  }
+  for (ObjectState* o : behind) demand_fetch(*o);
+}
+
+bool StoreEngine::advertises_clock(const ObjectState& o) {
+  return o.cfg.policy.initiative == TransferInitiative::kPush &&
+         o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand &&
+         o.cfg.cache_mode == CacheMode::kGlobe;
+}
+
+void StoreEngine::mark_frontier_moved(ObjectState& o) {
+  if (!o.subscribers.empty() && advertises_clock(o)) {
+    beacon_dirty_.insert(o.cfg.object);
   }
 }
 
-void StoreEngine::advertise_clock(ObjectState& o) {
-  if (o.subscribers.empty()) return;
-  NotifyMsg m;
-  m.known_clock = o.applied_clock;
-  m.known_gseq = o.applied_gseq;
-  std::vector<Address> targets;
-  targets.reserve(o.subscribers.size());
-  for (const Subscriber& s : o.subscribers) targets.push_back(s.address);
-  comm_.multicast_with(targets, msg::MsgType::kNotify, o.cfg.object,
-                       [&](util::Writer& w) { m.encode(w); },
-                       /*background=*/true);
+void StoreEngine::update_beacon_lanes(const ObjectState& o) {
+  const bool on = advertises_clock(o);
+  for (const Subscriber& s : o.subscribers) {
+    const std::uint64_t key = addr_key(s.address);
+    if (on) {
+      beacon_lanes_[key].insert(o.cfg.object);
+      continue;
+    }
+    auto lane = beacon_lanes_.find(key);
+    if (lane == beacon_lanes_.end()) continue;
+    lane->second.erase(o.cfg.object);
+    if (lane->second.empty()) beacon_lanes_.erase(lane);
+  }
+}
+
+void StoreEngine::encode_clock_list(util::Writer& w, std::uint64_t tick,
+                                    std::uint8_t flags,
+                                    const std::vector<ObjectId>& objects) const {
+  NotifyMsg::encode_head(w, tick, flags, objects.size());
+  for (const ObjectId id : objects) {
+    const ObjectState& o = obj(id);
+    NotifyMsg::encode_entry(w, id, o.applied_clock, o.applied_gseq);
+  }
+}
+
+void StoreEngine::send_clock_beacons() {
+  ++beacon_tick_;
+  // Each lane lists the moved objects it subscribes to; lanes with the
+  // same list share one encode (a mirror's caches usually do).
+  std::map<std::vector<ObjectId>, std::vector<Address>> groups;
+  for (const auto& [peer, objects] : beacon_lanes_) {
+    std::vector<ObjectId> moved;
+    if (objects.size() < beacon_dirty_.size()) {
+      for (const ObjectId id : objects) {
+        if (beacon_dirty_.count(id) != 0) moved.push_back(id);
+      }
+    } else {
+      for (const ObjectId id : beacon_dirty_) {
+        if (objects.count(id) != 0) moved.push_back(id);
+      }
+    }
+    groups[std::move(moved)].push_back(key_addr(peer));
+  }
+  beacon_dirty_.clear();
+  for (const auto& [moved, to] : groups) {
+    comm_.multicast_with(to, msg::MsgType::kNotify, kStoreScope,
+                         [&](util::Writer& w) {
+                           encode_clock_list(w, beacon_tick_, 0, moved);
+                         },
+                         /*background=*/true);
+  }
+}
+
+void StoreEngine::send_full_clock_list(const Address& to) {
+  std::vector<ObjectId> objects;
+  const auto lane = beacon_lanes_.find(addr_key(to));
+  if (lane != beacon_lanes_.end()) {
+    objects.assign(lane->second.begin(), lane->second.end());
+  }
+  comm_.send_with_background(to, msg::MsgType::kNotify, kStoreScope,
+                             [&](util::Writer& w) {
+                               encode_clock_list(w, beacon_tick_,
+                                                 NotifyMsg::kFull, objects);
+                             });
 }
 
 std::vector<web::WriteRecord> StoreEngine::state_as_records(
@@ -1900,6 +2023,9 @@ void StoreEngine::handle_subscribe(ObjectState& o, const Address& from,
                          [&](const Subscriber& s) {
                            return s.address == m.subscriber;
                          });
+  if (advertises_clock(o)) {
+    beacon_lanes_[addr_key(m.subscriber)].insert(o.cfg.object);
+  }
   if (it == o.subscribers.end()) {
     o.subscribers.push_back(Subscriber{m.subscriber, m.store_id});
     if (config_.flow != nullptr) {

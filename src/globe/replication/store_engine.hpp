@@ -18,12 +18,13 @@
 //
 // A store hosts MANY distributed objects: the engine keeps a table of
 // per-object replication states (document, write log, orderer, clocks,
-// subscriber set, upstream) keyed by ObjectId, and every wire message
-// carries the object key in its envelope, so one communication endpoint,
-// one timer set and one membership heartbeat stream serve the whole
-// table. The single-object constructor seeds the table with one object
-// from StoreConfig (the legacy deployment shape); sharded deployments
-// call add_object() for every object placement assigns to this store's
+// subscriber set, upstream) keyed by ObjectId, and every per-object wire
+// message carries the object key in its envelope, so one communication
+// endpoint, one timer set, one clock-beacon lane per subscriber peer and
+// one membership heartbeat stream serve the whole table. The
+// single-object constructor seeds the table with one object from
+// StoreConfig (the legacy deployment shape); sharded deployments call
+// add_object() for every object placement assigns to this store's
 // shard, and join membership under one cluster-wide scope
 // (StoreConfig::membership_scope) with their shard tag.
 #pragma once
@@ -220,6 +221,11 @@ class StoreEngine {
   /// bootstrap (view-driven re-parenting, post-eviction re-admission,
   /// crash recovery), summed over every hosted object.
   [[nodiscard]] std::uint64_t resubscribes() const { return resubscribes_; }
+  /// Times this store asked an upstream for its full clock list: it had
+  /// no anchor on that sender's beacon sequence, or a tick went missing.
+  [[nodiscard]] std::uint64_t full_list_requests() const {
+    return full_list_requests_;
+  }
 
   /// Seeds initial content directly (primary only; used to set up the
   /// document before clients bind, like uploading files to a Web server).
@@ -361,8 +367,10 @@ class StoreEngine {
                      const msg::EnvelopeView& env);
   void handle_invalidate(ObjectState& o, const Address& from,
                          const msg::EnvelopeView& env);
-  void handle_notify(ObjectState& o, const Address& from,
-                     const msg::EnvelopeView& env);
+  /// kNotify (store scope): sequences a clock beacon on the sender's
+  /// lane, answers a full-list request, and runs every entry through
+  /// note_frontier; news goes on downstream, outdated objects demand.
+  void handle_notify(const Address& from, const msg::EnvelopeView& env);
   void handle_fetch_request(ObjectState& o, const Address& from,
                             const msg::EnvelopeView& env);
   void handle_subscribe(ObjectState& o, const Address& from,
@@ -459,8 +467,51 @@ class StoreEngine {
   /// resets its channel so a future re-subscribe starts clean.
   void drop_flow_peer(std::uint64_t key);
   void pull_from_upstream(ObjectState& o);
-  void advertise_clock(ObjectState& o);
+
+  // ---- clock beacon lane ----
+  // With push + demand reaction, a subscriber that lost the *last*
+  // pushes of a burst would never learn it is behind (gap detection
+  // needs a later message). A periodic beacon carrying the sender's
+  // frontier closes that window: this is what makes reliability a side
+  // effect of the coherence model over lossy transports (Section 4.2).
+  // The beacon is engine-level: one Notify per subscriber peer per
+  // tick, listing only the objects whose frontier moved since the last
+  // one, so its cost follows writes, not hosted objects.
+  [[nodiscard]] static bool advertises_clock(const ObjectState& o);
+  /// The applied frontier of `o` moved: the next beacon lists it.
+  void mark_frontier_moved(ObjectState& o);
+  /// The heartbeat tick: one sequenced beacon per lane.
+  void send_clock_beacons();
+  /// Answers a want_full request: every object `to` subscribes to here,
+  /// stamped with the current tick.
+  void send_full_clock_list(const Address& to);
+  /// Encodes a kNotify body listing the current frontier of `objects`.
+  void encode_clock_list(util::Writer& w, std::uint64_t tick,
+                         std::uint8_t flags,
+                         const std::vector<ObjectId>& objects) const;
+  /// Merges one notified frontier of `o` into its known frontier and
+  /// notes gaps; returns whether it was news.
+  bool note_frontier(ObjectState& o, const coherence::VectorClock& clock,
+                     std::uint64_t gseq);
+  /// Adds or removes `o` on the beacon lane of every current subscriber.
+  void update_beacon_lanes(const ObjectState& o);
+
+  /// The timers one object needs, at its own periods (unset = none).
+  struct TimerNeeds {
+    std::optional<sim::SimDuration> lazy;
+    std::optional<sim::SimDuration> pull;
+    std::optional<sim::SimDuration> beat;
+  };
+  [[nodiscard]] static TimerNeeds timer_needs(const ObjectState& o);
+  /// Rebuilds the timer set from the whole object table (construction,
+  /// policy change, recovery): each timer runs at the minimum period any
+  /// hosted object asks for, and its tick visits every object that
+  /// qualifies.
   void configure_timers();
+  /// Starts the timers `need` lacks, and restarts at the shorter period
+  /// any that ticks slower than `need` asks; leaves the rest running.
+  /// add_object's path, so placing N objects costs O(N).
+  void arm_timers(const TimerNeeds& need);
   void demand_fetch(ObjectState& o, std::vector<std::string> pages = {});
   void apply_fetch_reply(ObjectState& o, FetchReply::View reply);
   void subscribe_to_upstream(ObjectState& o);
@@ -572,6 +623,23 @@ class StoreEngine {
   std::optional<sim::PeriodicTimer> pull_timer_;
   std::optional<sim::PeriodicTimer> heartbeat_timer_;
   std::optional<sim::PeriodicTimer> membership_timer_;
+
+  // Clock beacon lane, sender side: per subscriber peer (address key),
+  // the hosted objects it subscribes to that advertise their clock; the
+  // objects whose frontier moved since the last tick; the tick number.
+  // The dirty set and the tick survive a crash (a change made before it
+  // is still advertised after recovery).
+  std::map<std::uint64_t, std::set<ObjectId>> beacon_lanes_;
+  std::set<ObjectId> beacon_dirty_;
+  std::uint64_t beacon_tick_ = 0;
+  // Receiver side: per upstream (address key), the next tick expected.
+  // No entry = no anchor: the next beacon asks for the full list, and so
+  // does every later one until a full list arrives.
+  std::map<std::uint64_t, std::uint64_t> beacon_expect_;
+  std::uint64_t full_list_requests_ = 0;
+  // Objects whose applied frontier trails the known one (note_gaps):
+  // each beacon re-demands its sender's, without a table scan.
+  std::set<ObjectId> outdated_;
 
   bool alive_ = true;      // false while crash-stopped
   bool departed_ = false;  // true after a graceful leave

@@ -269,12 +269,68 @@ TEST(Protocol, InvalidateAndNotifyRoundTrip) {
   EXPECT_EQ(iback.known_gseq, 9u);
 
   replication::NotifyMsg n;
-  n.known_clock.set(2, 2);
-  n.known_gseq = 4;
+  n.tick = 300;  // a multi-byte varint
+  n.full = true;
+  n.entries.resize(2);
+  n.entries[0].object = 7;
+  n.entries[0].clock.set(2, 2);
+  n.entries[0].gseq = 4;
+  n.entries[1].object = 1u << 20;
+  n.entries[1].clock.set(1, 9);
+  n.entries[1].clock.set(5, 1);
   const auto nback =
       replication::NotifyMsg::decode(util::BytesView(n.encode()));
-  EXPECT_EQ(nback.known_clock.get(2), 2u);
-  EXPECT_EQ(nback.known_gseq, 4u);
+  EXPECT_EQ(nback.tick, 300u);
+  EXPECT_TRUE(nback.full);
+  EXPECT_FALSE(nback.want_full);
+  ASSERT_EQ(nback.entries.size(), 2u);
+  EXPECT_EQ(nback.entries[0].object, 7u);
+  EXPECT_EQ(nback.entries[0].clock.get(2), 2u);
+  EXPECT_EQ(nback.entries[0].gseq, 4u);
+  EXPECT_EQ(nback.entries[1].object, 1u << 20);
+  EXPECT_EQ(nback.entries[1].clock, n.entries[1].clock);
+  EXPECT_EQ(nback.entries[1].gseq, 0u);
+
+  // The full-list request: an unsequenced body with no entries.
+  replication::NotifyMsg ask;
+  ask.want_full = true;
+  const auto aback =
+      replication::NotifyMsg::decode(util::BytesView(ask.encode()));
+  EXPECT_EQ(aback.tick, 0u);
+  EXPECT_FALSE(aback.full);
+  EXPECT_TRUE(aback.want_full);
+  EXPECT_TRUE(aback.entries.empty());
+}
+
+TEST(Protocol, NotifyDecodeRejectsHostileBytes) {
+  replication::NotifyMsg n;
+  n.tick = 5;
+  n.entries.resize(3);
+  for (std::size_t i = 0; i < n.entries.size(); ++i) {
+    n.entries[i].object = i + 1;
+    n.entries[i].clock.set(1, i + 1);
+  }
+  const util::Buffer wire = n.encode();
+  // Every proper prefix is truncated somewhere: header, count or entry.
+  for (std::size_t len = 0; len < wire.size(); ++len) {
+    util::Buffer cut(wire.begin(), wire.begin() + static_cast<long>(len));
+    EXPECT_THROW(replication::NotifyMsg::decode(util::BytesView(cut)),
+                 util::CodecError)
+        << "prefix of " << len << " bytes";
+  }
+  // A forged entry count far beyond the body throws before anything is
+  // sized by it (an allocation of 2^62 entries would abort instead).
+  util::Writer forged;
+  replication::NotifyMsg::encode_head(forged, 5, 0, std::size_t{1} << 62);
+  replication::NotifyMsg::encode_entry(forged, 1, coherence::VectorClock{}, 0);
+  EXPECT_THROW(
+      replication::NotifyMsg::decode(util::BytesView(forged.take())),
+      util::CodecError);
+  // Unknown flag bits are rejected, not ignored.
+  util::Buffer flags = n.encode();
+  flags[1] = std::byte{0x80};  // tick 5 is one varint byte
+  EXPECT_THROW(replication::NotifyMsg::decode(util::BytesView(flags)),
+               util::CodecError);
 }
 
 TEST(Protocol, AntiEntropyRoundTrip) {

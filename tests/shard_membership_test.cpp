@@ -37,7 +37,9 @@ class FakeMember {
   }
 
   void join() {
-    MemberAnnounce m{contact_, shard_};
+    MemberAnnounce m;
+    m.contact = contact_;
+    m.shard = shard_;
     comm_.request_with(
         service_, msg::MsgType::kMembershipJoin, kScope,
         [&](util::Writer& w) { m.encode(w); },
@@ -49,7 +51,9 @@ class FakeMember {
   }
 
   void heartbeat() {
-    MemberAnnounce m{contact_, shard_};
+    MemberAnnounce m;
+    m.contact = contact_;
+    m.shard = shard_;
     comm_.send_with_background(service_, msg::MsgType::kMembershipHeartbeat,
                                kScope,
                                [&](util::Writer& w) { m.encode(w); });
