@@ -1786,10 +1786,12 @@ void StoreEngine::handle_notify(const Address& from,
     auto it = beacon_expect_.find(key);
     if (it != beacon_expect_.end() && it->second == m.tick) {
       ++it->second;
-    } else {
+    } else if (it == beacon_expect_.end() || m.tick > it->second) {
       // No anchor, or a tick went missing (a lost beacon, a partition,
       // our own crash): the entries below still count, but only a full
-      // list proves nothing else was missed.
+      // list proves nothing else was missed. A tick below the anchor is
+      // a late datagram (the full list overtook it on an unordered
+      // link): the anchor already covers it.
       if (it != beacon_expect_.end()) beacon_expect_.erase(it);
       ++full_list_requests_;
       NotifyMsg ask;
@@ -1867,8 +1869,11 @@ void StoreEngine::mark_frontier_moved(ObjectState& o) {
   }
 }
 
-void StoreEngine::update_beacon_lanes(const ObjectState& o) {
+void StoreEngine::update_beacon_lanes(ObjectState& o) {
   const bool on = advertises_clock(o);
+  // A subscriber already anchored on this lane learns the object's
+  // current frontier from the next beacon, not when it next moves.
+  if (on) mark_frontier_moved(o);
   for (const Subscriber& s : o.subscribers) {
     const std::uint64_t key = addr_key(s.address);
     if (on) {
@@ -1899,14 +1904,8 @@ void StoreEngine::send_clock_beacons() {
   std::map<std::vector<ObjectId>, std::vector<Address>> groups;
   for (const auto& [peer, objects] : beacon_lanes_) {
     std::vector<ObjectId> moved;
-    if (objects.size() < beacon_dirty_.size()) {
-      for (const ObjectId id : objects) {
-        if (beacon_dirty_.count(id) != 0) moved.push_back(id);
-      }
-    } else {
-      for (const ObjectId id : beacon_dirty_) {
-        if (objects.count(id) != 0) moved.push_back(id);
-      }
+    for (const ObjectId id : beacon_dirty_) {
+      if (objects.count(id) != 0) moved.push_back(id);
     }
     groups[std::move(moved)].push_back(key_addr(peer));
   }

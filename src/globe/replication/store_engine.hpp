@@ -493,8 +493,9 @@ class StoreEngine {
   /// notes gaps; returns whether it was news.
   bool note_frontier(ObjectState& o, const coherence::VectorClock& clock,
                      std::uint64_t gseq);
-  /// Adds or removes `o` on the beacon lane of every current subscriber.
-  void update_beacon_lanes(const ObjectState& o);
+  /// Adds `o` to the beacon lane of every current subscriber (and lists
+  /// it in the next beacon), or removes it.
+  void update_beacon_lanes(ObjectState& o);
 
   /// The timers one object needs, at its own periods (unset = none).
   struct TimerNeeds {

@@ -9,6 +9,7 @@
 // paths (loss, partition heal, crash/recover) on multi-object stores.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "globe/core/comm.hpp"
@@ -32,7 +33,8 @@ std::vector<ObjectId> object_range(ObjectId n) {
 /// One shard: a primary and one secondary hosting `objects`, each seeded
 /// with one page and settled. Stores 0 and 1 of the testbed.
 struct Pair {
-  explicit Pair(ObjectId objects, std::uint64_t seed = 1)
+  explicit Pair(ObjectId objects, std::uint64_t seed = 1,
+                const core::ReplicationPolicy& policy = push_demand())
       : bed([&] {
           TestbedOptions opts;
           opts.seed = seed;
@@ -41,9 +43,9 @@ struct Pair {
           return opts;
         }()),
         primary(bed.add_shard_store(0, naming::StoreClass::kPermanent,
-                                    push_demand(), /*primary=*/true)),
+                                    policy, /*primary=*/true)),
         secondary(bed.add_shard_store(
-            0, naming::StoreClass::kObjectInitiated, push_demand())),
+            0, naming::StoreClass::kObjectInitiated, policy)),
         ids(object_range(objects)) {
     bed.place_objects(ids);
     for (const ObjectId id : ids) primary.seed(id, "p", "v0");
@@ -60,12 +62,18 @@ struct Pair {
     return it == by_type.end() ? 0 : it->second.messages;
   }
 
-  /// Runs until just past the primary's next heartbeat tick (its timer
-  /// started with the testbed, at time 0) and the beacon's delivery.
-  void run_past_next_tick() {
+  /// Runs until `past` after the primary's next heartbeat tick (its
+  /// timer started with the testbed, at time 0). The default is past the
+  /// beacon's delivery.
+  void run_past_next_tick(
+      sim::SimDuration past = sim::SimDuration::millis(50)) {
     const std::int64_t period = 500'000;
     const std::int64_t now = bed.sim().now().count_micros();
-    bed.run_for(sim::SimDuration::micros(period - now % period + 50'000));
+    bed.run_for(sim::SimDuration::micros(period - now % period) + past);
+  }
+
+  [[nodiscard]] std::string content(ObjectId id) const {
+    return secondary.document(id).get("p")->content;
   }
 
   [[nodiscard]] bool all_converged() const {
@@ -81,8 +89,9 @@ struct Pair {
   std::vector<ObjectId> ids;
 };
 
-/// A bare endpoint that subscribes to objects at a store and records
-/// every Notify it receives; it never asks for the full list.
+/// A bare endpoint that subscribes to objects at a store, sends it
+/// crafted messages, and records every Notify it receives; it never asks
+/// for the full list.
 class BeaconProbe {
  public:
   explicit BeaconProbe(Testbed& bed)
@@ -103,6 +112,23 @@ class BeaconProbe {
         store.address(), msg::MsgType::kSubscribe, object,
         [&](util::Writer& w) { sub.encode(w); },
         [](bool, const Address&, const msg::EnvelopeView&) {});
+  }
+
+  void send(const StoreEngine& store, const NotifyMsg& m) {
+    comm_.send_with(store.address(), msg::MsgType::kNotify, kStoreScope,
+                    [&](util::Writer& w) { m.encode(w); });
+  }
+
+  void send_policy(const StoreEngine& store, ObjectId object,
+                   const core::ReplicationPolicy& policy) {
+    comm_.send_with(store.address(), msg::MsgType::kPolicyUpdate, object,
+                    [&](util::Writer& w) { policy.encode(w); });
+  }
+
+  [[nodiscard]] std::size_t full_list_asks() const {
+    return static_cast<std::size_t>(
+        std::count_if(notifies.begin(), notifies.end(),
+                      [](const NotifyMsg& n) { return n.want_full; }));
   }
 
   std::vector<NotifyMsg> notifies;
@@ -246,6 +272,107 @@ TEST(ClockBeacon, FullListReanchorsAfterHealAndCrash) {
   pair.bed.settle();
   EXPECT_EQ(pair.secondary.full_list_requests(), 3u);
   EXPECT_TRUE(pair.all_converged());
+}
+
+TEST(ClockBeacon, LateBeaconKeepsTheAnchor) {
+  // On an unordered link the full-list reply can overtake the beacon
+  // stamped before it. That beacon is late, not a gap: it must cost no
+  // full list. A crafted upstream drives the secondary's receiver.
+  Pair pair(3);
+  pair.bed.run_for(sim::SimDuration::seconds(1));
+  BeaconProbe upstream(pair.bed);
+  const auto deliver = [&](std::uint64_t tick, bool full) {
+    NotifyMsg m;
+    m.tick = tick;
+    m.full = full;
+    upstream.send(pair.secondary, m);
+    pair.bed.run_for(sim::SimDuration::millis(50));
+  };
+  const std::uint64_t base = pair.secondary.full_list_requests();
+
+  deliver(5, false);  // no anchor yet
+  EXPECT_EQ(pair.secondary.full_list_requests(), base + 1);
+  deliver(7, true);  // the full list, stamped at tick 7: expect 8 next
+  deliver(7, false);  // the beacon it overtook
+  deliver(6, false);  // an older one still
+  deliver(8, false);  // in sequence
+  EXPECT_EQ(pair.secondary.full_list_requests(), base + 1);
+  EXPECT_EQ(upstream.full_list_asks(), 1u);
+
+  deliver(10, false);  // tick 9 went missing
+  EXPECT_EQ(pair.secondary.full_list_requests(), base + 2);
+  EXPECT_EQ(upstream.full_list_asks(), 2u);
+}
+
+TEST(ClockBeacon, NotifiedDemandConvergesBeforeTheNextTick) {
+  // Table 1's notification transfer under the demand reaction: the
+  // unsequenced Notify itself starts the fetch, so a write does not wait
+  // for the next beacon.
+  core::ReplicationPolicy policy = push_demand();
+  policy.coherence_transfer = core::CoherenceTransfer::kNotification;
+  Pair pair(3, /*seed=*/1, policy);
+  pair.bed.run_for(sim::SimDuration::seconds(1));
+  pair.run_past_next_tick();  // the next beacon is 450 ms away
+  pair.write(2, "v1");
+  pair.bed.run_for(sim::SimDuration::millis(100));
+  EXPECT_EQ(pair.content(2), "v1");
+}
+
+TEST(ClockBeacon, EmptyBeaconRedemandsAnObjectThatStoppedMoving) {
+  // The secondary hears of a write only from the beacon listing it, and
+  // the primary crashes before the demand fetch reaches it. The fetch's
+  // own retries run out during the outage and the object never moves
+  // again, so the first beacon after recovery is empty and in sequence:
+  // only its re-demand of the still-outdated object fetches it.
+  Pair pair(3);
+  pair.bed.run_for(sim::SimDuration::seconds(1));
+  pair.run_past_next_tick();
+  const NodeId p = pair.primary.address().node;
+  const NodeId s = pair.secondary.address().node;
+  pair.bed.net().partition(p, s);
+  pair.write(2, "lost");  // the push is dropped
+  pair.bed.net().heal(p, s);
+  // The beacon listing object 2 is on the wire; the demand it triggers
+  // finds the primary down.
+  pair.run_past_next_tick(sim::SimDuration::millis(1));
+  pair.bed.crash_store(0);
+  // Long enough for every retry of every re-issued fetch to fail.
+  pair.bed.run_for(sim::SimDuration::seconds(200));
+  ASSERT_EQ(pair.content(2), "v0");
+  const std::uint64_t asked = pair.secondary.full_list_requests();
+
+  pair.bed.recover_store(0);
+  pair.bed.run_for(sim::SimDuration::millis(600));
+  pair.bed.settle();
+  EXPECT_EQ(pair.content(2), "lost");
+  EXPECT_EQ(pair.secondary.full_list_requests(), asked);  // no gap
+}
+
+TEST(ClockBeacon, PolicySwitchOntoTheBeaconListsTheObject) {
+  // Object 3 leaves the beacon (wait reaction), loses a push there, then
+  // switches back to the demand reaction. The secondary stays anchored
+  // on the lane the whole time, so only the next beacon listing object 3
+  // can tell it that it is behind.
+  Pair pair(3);
+  pair.bed.run_for(sim::SimDuration::seconds(1));
+  BeaconProbe admin(pair.bed);
+  admin.send_policy(pair.primary, 3, core::ReplicationPolicy{});
+  pair.bed.run_for(sim::SimDuration::millis(100));
+  const NodeId p = pair.primary.address().node;
+  const NodeId s = pair.secondary.address().node;
+  pair.bed.net().partition(p, s);
+  pair.write(3, "lost");  // the push is dropped; no beacon is
+  pair.bed.net().heal(p, s);
+  pair.bed.run_for(sim::SimDuration::seconds(1));
+  ASSERT_EQ(pair.content(3), "v0");
+
+  const std::uint64_t asked = pair.secondary.full_list_requests();
+  admin.send_policy(pair.primary, 3, push_demand());
+  // A policy change restarts the heartbeat timer: one period from now.
+  pair.bed.run_for(sim::SimDuration::millis(600));
+  pair.bed.settle();
+  EXPECT_EQ(pair.content(3), "lost");
+  EXPECT_EQ(pair.secondary.full_list_requests(), asked);
 }
 
 TEST(ClockBeacon, NotificationTransferStaysUnsequenced) {
