@@ -1,11 +1,8 @@
 #include "globe/coherence/checkers.hpp"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "globe/coherence/models.hpp"
+#include "globe/coherence/streaming.hpp"
 
 namespace globe::coherence {
 
@@ -26,406 +23,103 @@ std::string CheckResult::summary(std::size_t max_lines) const {
 
 namespace {
 
-/// Shared core of the PRAM/FIFO checks: per store, per writer, applied
-/// sequence numbers must be strictly increasing; when `contiguous`, every
-/// write must be applied (no gaps).
-CheckResult check_per_writer_order(const History& h, bool contiguous) {
-  CheckResult res;
-  for (StoreId store : h.stores()) {
-    std::unordered_map<ClientId, std::uint64_t> last_seq;
-    for (const ApplyEvent* a : h.store_applies(store)) {
-      ++res.events_checked;
-      if (a->from_snapshot) {
-        for (const auto& [c, v] : a->deps.entries()) {
-          auto& cur = last_seq[c];
-          cur = std::max(cur, v);
-        }
-        continue;
-      }
-      auto [it, inserted] = last_seq.try_emplace(a->wid.client, 0);
-      const std::uint64_t prev = it->second;
-      if (a->wid.seq <= prev) {
-        res.fail("store " + std::to_string(store) + " applied " +
-                 a->wid.str() + " after seq " + std::to_string(prev) +
-                 " of the same writer (out of order)");
-      } else if (contiguous && a->wid.seq != prev + 1) {
-        res.fail("store " + std::to_string(store) + " applied " +
-                 a->wid.str() + " with a gap (expected seq " +
-                 std::to_string(prev + 1) + ")");
-      }
-      if (a->wid.seq > prev) it->second = a->wid.seq;
-      (void)inserted;
+/// Feeds the retained events of `h` to `sc`: each client's writes and
+/// reads in program order, then every apply in record order. Every
+/// client therefore reaches the checker in order, so its eager verdicts
+/// are the final ones; writes precede applies, so no writes-follow-reads
+/// apply has to wait for its write event.
+void replay(const History& h, StreamingChecker& sc) {
+  for (PageId id = 1; id < h.pages_interned(); ++id) {
+    sc.note_page(id, h.page_name(id));
+  }
+  struct Op {
+    ClientId client;
+    std::uint64_t index;
+    const WriteEvent* write;
+    const ReadEvent* read;
+  };
+  std::vector<Op> ops;
+  ops.reserve(h.writes().size() + h.reads().size());
+  for (const WriteEvent& w : h.writes()) {
+    ops.push_back({w.client, w.client_op_index, &w, nullptr});
+  }
+  for (const ReadEvent& r : h.reads()) {
+    ops.push_back({r.client, r.client_op_index, nullptr, &r});
+  }
+  // Program order: by op index, writes before reads on a tie, record
+  // order within a kind (stable sort over the record-order vectors).
+  std::stable_sort(ops.begin(), ops.end(), [](const Op& a, const Op& b) {
+    if (a.client != b.client) return a.client < b.client;
+    if (a.index != b.index) return a.index < b.index;
+    return a.write != nullptr && b.write == nullptr;
+  });
+  for (const Op& op : ops) {
+    if (op.write != nullptr) {
+      sc.record_write(*op.write);
+    } else {
+      sc.record_read(*op.read);
     }
   }
-  return res;
-}
-
-/// Verifies that apply order respects every write's dependency clock
-/// (causal coherence; the writes-follow-reads restriction lives in the
-/// check_sessions sweep).
-CheckResult check_dependencies_respected(const History& h,
-                                         const char* label) {
-  CheckResult res;
-  for (StoreId store : h.stores()) {
-    VectorClock applied;
-    for (const ApplyEvent* a : h.store_applies(store)) {
-      ++res.events_checked;
-      if (a->from_snapshot) {
-        applied.merge(a->deps);
-        continue;
-      }
-      if (!applied.dominates(a->deps)) {
-        res.fail(std::string(label) + ": store " + std::to_string(store) +
-                 " applied " + a->wid.str() + " with deps " + a->deps.str() +
-                 " before those dependencies were applied (applied=" +
-                 applied.str() + ")");
-      }
-      applied.observe(a->wid);
-    }
-  }
-  return res;
+  for (const ApplyEvent& a : h.applies()) sc.record_apply(a);
 }
 
 }  // namespace
-
-CheckResult check_pram(const History& h) {
-  return check_per_writer_order(h, /*contiguous=*/true);
-}
-
-CheckResult check_fifo_pram(const History& h) {
-  return check_per_writer_order(h, /*contiguous=*/false);
-}
-
-CheckResult check_causal(const History& h) {
-  return check_dependencies_respected(h, "causal");
-}
-
-CheckResult check_sequential(const History& h) {
-  CheckResult res;
-
-  // 1. Every applied write must carry a primary-assigned global sequence
-  //    number, and each store must apply in strictly increasing global
-  //    order with no gaps relative to what it applied: the sequences at
-  //    all stores must then be prefixes of one another (one total order).
-  std::map<std::uint64_t, WriteId> order;  // global_seq -> wid
-  for (StoreId store : h.stores()) {
-    std::uint64_t prev = 0;
-    for (const ApplyEvent* a : h.store_applies(store)) {
-      ++res.events_checked;
-      if (a->from_snapshot) {
-        prev = std::max(prev, a->global_seq);
-        continue;
-      }
-      if (a->global_seq == 0) {
-        res.fail("sequential: store " + std::to_string(store) + " applied " +
-                 a->wid.str() + " without a global sequence number");
-        continue;
-      }
-      if (a->global_seq != prev + 1) {
-        res.fail("sequential: store " + std::to_string(store) +
-                 " applied global seq " + std::to_string(a->global_seq) +
-                 " after " + std::to_string(prev) +
-                 " (total order broken)");
-      }
-      prev = a->global_seq;
-      auto [it, inserted] = order.try_emplace(a->global_seq, a->wid);
-      if (!inserted && it->second != a->wid) {
-        res.fail("sequential: global seq " + std::to_string(a->global_seq) +
-                 " maps to both " + it->second.str() + " and " +
-                 a->wid.str());
-      }
-    }
-  }
-
-  // 2. The total order must respect each client's program order of writes.
-  {
-    std::unordered_map<ClientId, std::uint64_t> last_gseq;
-    std::vector<const WriteEvent*> writes;
-    for (const auto& w : h.writes()) writes.push_back(&w);
-    std::sort(writes.begin(), writes.end(),
-              [](const WriteEvent* a, const WriteEvent* b) {
-                if (a->client != b->client) return a->client < b->client;
-                return a->client_op_index < b->client_op_index;
-              });
-    for (const WriteEvent* w : writes) {
-      ++res.events_checked;
-      if (w->global_seq == 0) continue;  // flagged above via applies
-      auto& prev = last_gseq[w->client];
-      if (w->global_seq <= prev) {
-        res.fail("sequential: client " + std::to_string(w->client) +
-                 " write " + w->wid.str() +
-                 " ordered before its earlier write in the total order");
-      }
-      prev = w->global_seq;
-    }
-  }
-
-  // 3. Reads: per client, the observed global sequence number must be
-  //    monotonically nondecreasing and at least the client's own last
-  //    write. Together with the unique total write order this yields a
-  //    single interleaving consistent with every client's program order.
-  for (ClientId c : h.clients()) {
-    std::uint64_t floor = 0;
-    for (const History::ClientOp& op : h.client_ops(c)) {
-      ++res.events_checked;
-      if (op.is_write) {
-        if (op.write->global_seq > floor) floor = op.write->global_seq;
-      } else {
-        if (op.read->store_global_seq < floor) {
-          res.fail("sequential: client " + std::to_string(c) +
-                   " read at store " + std::to_string(op.read->store) +
-                   " observed global seq " +
-                   std::to_string(op.read->store_global_seq) +
-                   " older than its floor " + std::to_string(floor));
-        } else {
-          floor = op.read->store_global_seq;
-        }
-      }
-    }
-  }
-  return res;
-}
-
-CheckResult check_eventual_delivery(const History& h) {
-  CheckResult res;
-  const auto stores = h.stores();
-  if (stores.empty()) return res;
-
-  // Under eventual coherence (last-writer-wins), a record that loses the
-  // conflict at one replica is legitimately never applied downstream of
-  // it; what must agree after quiescence is each page's *final* applied
-  // write. Apply events are recorded only for state-changing
-  // applications, so "the last apply per (store, page)" is that store's
-  // final content for the page. Stores that received the page only via
-  // snapshot transfer record no applies and are vacuously consistent
-  // here (Testbed::converged() compares full states).
-  std::map<StoreId, std::map<PageId, WriteId>> final_write;
-  for (StoreId store : stores) {
-    auto& per_page = final_write[store];
-    for (const ApplyEvent* a : h.store_applies(store)) {
-      ++res.events_checked;
-      if (a->from_snapshot) {
-        per_page.clear();  // full-state transfer replaced everything
-        continue;
-      }
-      per_page[a->page] = a->wid;  // later applies overwrite
-    }
-  }
-  std::map<PageId, std::map<WriteId, std::vector<StoreId>>> by_page;
-  for (const auto& [store, per_page] : final_write) {
-    for (const auto& [page, wid] : per_page) {
-      by_page[page][wid].push_back(store);
-    }
-  }
-  for (const auto& [page, winners] : by_page) {
-    if (winners.size() <= 1) continue;
-    std::string what = "eventual: page '" + h.page_name(page) +
-                       "' settled on different final writes:";
-    for (const auto& [wid, who] : winners) {
-      what += " " + wid.str() + "@stores{";
-      for (std::size_t i = 0; i < who.size(); ++i) {
-        what += (i != 0 ? "," : "") + std::to_string(who[i]);
-      }
-      what += "}";
-    }
-    res.fail(std::move(what));
-  }
-  return res;
-}
 
 CheckResult check_object_model(const History& h, ObjectModel model) {
-  switch (model) {
-    case ObjectModel::kSequential: return check_sequential(h);
-    case ObjectModel::kPram: return check_pram(h);
-    case ObjectModel::kFifoPram: return check_fifo_pram(h);
-    case ObjectModel::kCausal: return check_causal(h);
-    case ObjectModel::kEventual: return check_eventual_delivery(h);
-  }
-  CheckResult res;
-  res.fail("unknown object model");
-  return res;
-}
-
-namespace {
-
-// Read-path guarantees over one client's operation sequence. These were
-// already per-client in the seed; with the operation index they cost
-// O(ops of the client) instead of a full history scan per client.
-
-CheckResult check_ryw_ops(const std::vector<History::ClientOp>& ops,
-                          ClientId client) {
-  CheckResult res;
-  std::uint64_t own_writes = 0;  // highest seq this client has written
-  for (const History::ClientOp& op : ops) {
-    ++res.events_checked;
-    if (op.is_write) {
-      own_writes = std::max(own_writes, op.write->wid.seq);
-    } else if (op.read->store_clock.get(client) < own_writes) {
-      res.fail("RYW: client " + std::to_string(client) + " read at store " +
-               std::to_string(op.read->store) + " saw clock " +
-               op.read->store_clock.str() + " missing its own write seq " +
-               std::to_string(own_writes));
-    }
-  }
-  return res;
-}
-
-CheckResult check_mr_ops(const std::vector<History::ClientOp>& ops,
-                         ClientId client) {
-  CheckResult res;
-  VectorClock seen;
-  for (const History::ClientOp& op : ops) {
-    if (op.is_write) continue;
-    ++res.events_checked;
-    if (!op.read->store_clock.dominates(seen)) {
-      res.fail("MR: client " + std::to_string(client) + " read at store " +
-               std::to_string(op.read->store) + " saw clock " +
-               op.read->store_clock.str() +
-               " which does not dominate earlier read clock " + seen.str());
-    }
-    seen.merge(op.read->store_clock);
-  }
-  return res;
-}
-
-}  // namespace
-
-// The per-guarantee entry points are one-spec sweeps: a single
-// implementation (check_sessions) serves both the per-client API and
-// the all-clients pass, so they cannot diverge.
-
-CheckResult check_monotonic_writes(const History& h, ClientId client) {
-  return check_sessions(h, {SessionSpec{client, ClientModel::kMonotonicWrites}})
-      .front();
-}
-
-CheckResult check_read_your_writes(const History& h, ClientId client) {
-  return check_ryw_ops(h.client_ops(client), client);
-}
-
-CheckResult check_monotonic_reads(const History& h, ClientId client) {
-  return check_mr_ops(h.client_ops(client), client);
-}
-
-CheckResult check_writes_follow_reads(const History& h, ClientId client) {
-  return check_sessions(h,
-                        {SessionSpec{client, ClientModel::kWritesFollowReads}})
-      .front();
+  StreamingChecker sc(model);
+  replay(h, sc);
+  return sc.model_result();
 }
 
 std::vector<CheckResult> check_sessions(
     const History& h, const std::vector<SessionSpec>& specs) {
-  // Per-guarantee partial results, merged per spec at the end in the
-  // same MW, RYW, MR, WFR order the per-client checker used — the
-  // verdicts (including violation order and events_checked) are
-  // identical to running each client separately.
-  std::vector<CheckResult> mw(specs.size()), ryw(specs.size()),
-      mr(specs.size()), wfr(specs.size());
+  // The model verdict is discarded. Any non-sequential model will do:
+  // a sequential one would track every client's operations.
+  StreamingChecker sc(ObjectModel::kEventual);
+  for (const SessionSpec& spec : specs) sc.add_session(spec);
+  replay(h, sc);
+  return sc.session_results();
+}
 
-  std::unordered_map<ClientId, std::size_t> mw_slot;   // client -> spec
-  std::unordered_map<ClientId, std::size_t> wfr_slot;  // client -> spec
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (has(specs[i].models, ClientModel::kMonotonicWrites)) {
-      mw_slot.emplace(specs[i].client, i);
-    }
-    if (has(specs[i].models, ClientModel::kWritesFollowReads)) {
-      wfr_slot.emplace(specs[i].client, i);
-    }
-  }
+CheckResult check_pram(const History& h) {
+  return check_object_model(h, ObjectModel::kPram);
+}
 
-  // Monotonic writes: one walk per store's apply log covering every
-  // flagged client (the seed walked it once per client).
-  if (!mw_slot.empty()) {
-    for (StoreId store : h.stores()) {
-      std::unordered_map<ClientId, std::uint64_t> prev;
-      for (const ApplyEvent* a : h.store_applies(store)) {
-        if (a->from_snapshot) {
-          for (const auto& [c, v] : a->deps.entries()) {
-            if (mw_slot.find(c) == mw_slot.end()) continue;
-            auto& cur = prev[c];
-            cur = std::max(cur, v);
-          }
-          continue;
-        }
-        auto slot = mw_slot.find(a->wid.client);
-        if (slot == mw_slot.end()) continue;
-        CheckResult& res = mw[slot->second];
-        ++res.events_checked;
-        auto& cur = prev[a->wid.client];
-        if (a->wid.seq <= cur) {
-          res.fail("MW: store " + std::to_string(store) + " applied " +
-                   a->wid.str() + " after seq " + std::to_string(cur));
-        } else {
-          cur = a->wid.seq;
-        }
-      }
-    }
-  }
+CheckResult check_fifo_pram(const History& h) {
+  return check_object_model(h, ObjectModel::kFifoPram);
+}
 
-  // Writes-follow-reads: the recorded-write map is built ONCE for all
-  // clients, and each store's apply log is walked once with a single
-  // running applied-clock (the seed rebuilt both per client).
-  if (!wfr_slot.empty()) {
-    std::unordered_map<WriteId, std::size_t> recorded;  // wid -> spec
-    std::unordered_set<std::size_t> active;  // specs with >= 1 write
-    for (const auto& w : h.writes()) {
-      auto slot = wfr_slot.find(w.client);
-      if (slot == wfr_slot.end()) continue;
-      recorded.emplace(w.wid, slot->second);
-      active.insert(slot->second);
-    }
-    if (!recorded.empty()) {
-      std::size_t total_applies = 0;
-      for (StoreId store : h.stores()) {
-        VectorClock applied;
-        const auto applies = h.store_applies(store);
-        total_applies += applies.size();
-        for (const ApplyEvent* a : applies) {
-          if (a->from_snapshot) {
-            applied.merge(a->deps);
-            continue;
-          }
-          auto sel = recorded.find(a->wid);
-          if (sel != recorded.end() && !applied.dominates(a->deps)) {
-            wfr[sel->second].fail(
-                "WFR: store " + std::to_string(store) + " applied " +
-                a->wid.str() + " with deps " + a->deps.str() +
-                " before those dependencies were applied (applied=" +
-                applied.str() + ")");
-          }
-          applied.observe(a->wid);
-        }
-      }
-      // The per-client checker counted every apply event it walked;
-      // clients with no recorded writes short-circuited to zero.
-      for (std::size_t i : active) wfr[i].events_checked = total_applies;
-    }
-  }
+CheckResult check_causal(const History& h) {
+  return check_object_model(h, ObjectModel::kCausal);
+}
 
-  // Read-path guarantees: O(ops of the client) each via the index; one
-  // fetch serves both checks.
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const bool want_ryw = has(specs[i].models, ClientModel::kReadYourWrites);
-    const bool want_mr = has(specs[i].models, ClientModel::kMonotonicReads);
-    if (!want_ryw && !want_mr) continue;
-    const auto ops = h.client_ops(specs[i].client);
-    if (want_ryw) ryw[i] = check_ryw_ops(ops, specs[i].client);
-    if (want_mr) mr[i] = check_mr_ops(ops, specs[i].client);
-  }
+CheckResult check_sequential(const History& h) {
+  return check_object_model(h, ObjectModel::kSequential);
+}
 
-  std::vector<CheckResult> out(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    out[i].merge(mw[i]);
-    out[i].merge(ryw[i]);
-    out[i].merge(mr[i]);
-    out[i].merge(wfr[i]);
-  }
-  return out;
+CheckResult check_eventual_delivery(const History& h) {
+  return check_object_model(h, ObjectModel::kEventual);
 }
 
 CheckResult check_client_models(const History& h, ClientId client,
                                 ClientModel models) {
   return check_sessions(h, {SessionSpec{client, models}}).front();
+}
+
+CheckResult check_monotonic_writes(const History& h, ClientId client) {
+  return check_client_models(h, client, ClientModel::kMonotonicWrites);
+}
+
+CheckResult check_read_your_writes(const History& h, ClientId client) {
+  return check_client_models(h, client, ClientModel::kReadYourWrites);
+}
+
+CheckResult check_monotonic_reads(const History& h, ClientId client) {
+  return check_client_models(h, client, ClientModel::kMonotonicReads);
+}
+
+CheckResult check_writes_follow_reads(const History& h, ClientId client) {
+  return check_client_models(h, client, ClientModel::kWritesFollowReads);
 }
 
 }  // namespace globe::coherence

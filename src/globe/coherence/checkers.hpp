@@ -18,14 +18,16 @@
 //   check_monotonic_writes, check_read_your_writes,
 //   check_monotonic_reads, check_writes_follow_reads
 //
-// Scale: `check_sessions` verifies every client's guarantees in ONE
-// sweep over the history — O(applies + client ops) total instead of the
-// seed's O(clients × events) (each per-client checker rescanned every
-// store's full apply log). `check_client_models` is a thin wrapper over
-// it. The seed implementations are retained verbatim under
-// `coherence::naive` (driven by the History's full-scan views) so tests
-// and `bench_scale` can prove the swept checkers return identical
-// verdicts on clean and corrupted histories.
+// One implementation: check_object_model and check_sessions replay the
+// retained History through a fresh StreamingChecker (streaming.hpp), the
+// same code that checks a bounded-memory soak while it records. Every
+// other entry point forwards to those two. The replay feeds each
+// client's operations in program order (by client_op_index, writes
+// before reads on a tie, record order within a kind), then every apply
+// in record order, and never advances a horizon, so nothing is retired
+// and every verdict is exact. The seed implementation lives on as a
+// test-only oracle (tests/oracle/) that the equivalence suites compare
+// both the replay and the live checker against.
 #pragma once
 
 #include <string>
@@ -68,7 +70,7 @@ CheckResult check_causal(const History& h);
 CheckResult check_sequential(const History& h);
 CheckResult check_eventual_delivery(const History& h);
 
-/// Dispatches to the checker for `model`.
+/// Verifies the object-based `model` over the whole history.
 CheckResult check_object_model(const History& h, ObjectModel model);
 
 // -- Client-based models ----------------------------------------------
@@ -84,41 +86,15 @@ struct SessionSpec {
   ClientModel models = ClientModel::kNone;
 };
 
-/// Verifies every spec'd client's session guarantees in one sweep over
-/// the history: the store-order guarantees (monotonic writes,
-/// writes-follow-reads) walk each store's apply log once for ALL
-/// clients, and the read-path guarantees use the per-client operation
-/// index. Returns one CheckResult per spec, in spec order, identical to
-/// running the per-client checkers separately. Expects at most one spec
-/// per client.
+/// Verifies every spec'd client's session guarantees in one replay of
+/// the history. Returns one CheckResult per spec, in spec order,
+/// identical to running the per-client checkers separately. Expects at
+/// most one spec per client.
 std::vector<CheckResult> check_sessions(const History& h,
                                         const std::vector<SessionSpec>& specs);
 
 /// Checks every client-based guarantee in `models` for `client`.
 CheckResult check_client_models(const History& h, ClientId client,
                                 ClientModel models);
-
-// -- Seed baseline ------------------------------------------------------
-// The pre-index checker implementations, operating on the History's
-// full-scan views (O(clients × events) for the session guarantees).
-// Retained so equivalence tests and bench_scale can gate the swept
-// checkers against the original verdicts.
-namespace naive {
-
-CheckResult check_pram(const History& h);
-CheckResult check_fifo_pram(const History& h);
-CheckResult check_causal(const History& h);
-CheckResult check_sequential(const History& h);
-CheckResult check_eventual_delivery(const History& h);
-CheckResult check_object_model(const History& h, ObjectModel model);
-
-CheckResult check_monotonic_writes(const History& h, ClientId client);
-CheckResult check_read_your_writes(const History& h, ClientId client);
-CheckResult check_monotonic_reads(const History& h, ClientId client);
-CheckResult check_writes_follow_reads(const History& h, ClientId client);
-CheckResult check_client_models(const History& h, ClientId client,
-                                ClientModel models);
-
-}  // namespace naive
 
 }  // namespace globe::coherence

@@ -7,15 +7,12 @@
 // test suite demonstrates — rather than assumes — that each replication
 // strategy implements its advertised model.
 //
-// Scale: recording is on the hot path of every simulated operation, so
-// events carry an interned PageId (one shared string table per History)
-// instead of a std::string per event, and per-client / per-store index
-// vectors are maintained incrementally at record time. `client_ops()`
-// and `store_applies()` assemble their results from those indexes in
-// O(result) instead of rescanning the whole event log. The seed's
-// full-scan implementations are retained as `*_naive()` so that
-// checker-equivalence tests and benchmarks can prove the indexed path
-// returns identical views.
+// A History only records: three event vectors in record order, plus one
+// shared page-name table. Recording is on the hot path of every
+// simulated operation, so events carry an interned PageId instead of a
+// std::string per event. The checkers replay these vectors through a
+// StreamingChecker (streaming.hpp), which keeps whatever per-client and
+// per-store state a verdict needs.
 #pragma once
 
 #include <cstdint>
@@ -110,7 +107,7 @@ class History {
 
   /// With retention off, events are teed to the attached streaming
   /// checker but NOT stored: recording becomes O(1) memory and the
-  /// post-hoc views (writes()/client_ops()/...) stay empty. This is the
+  /// event vectors (writes()/reads()/applies()) stay empty. This is the
   /// bounded-memory soak mode; leave retention on when a post-hoc
   /// checker or convergence comparison still needs the full log.
   void set_retain_events(bool retain) { retain_events_ = retain; }
@@ -135,63 +132,12 @@ class History {
 
   void clear();
 
-  /// All client operations (reads and writes) of `client`, in program
-  /// order (by client_op_index). Ordering is deterministic: operations
-  /// sharing an index are ordered writes first, then record order
-  /// (stable sort) — the indexed and naive paths agree exactly.
-  struct ClientOp {
-    bool is_write = false;
-    const WriteEvent* write = nullptr;
-    const ReadEvent* read = nullptr;
-    [[nodiscard]] std::uint64_t index() const {
-      return is_write ? write->client_op_index : read->client_op_index;
-    }
-  };
-  [[nodiscard]] std::vector<ClientOp> client_ops(ClientId client) const;
-
-  /// Apply events of a given store, in application order.
-  [[nodiscard]] std::vector<const ApplyEvent*> store_applies(
-      StoreId store) const;
-
-  /// The set of store ids that applied at least one write.
-  [[nodiscard]] std::vector<StoreId> stores() const;
-
-  /// The set of clients that performed at least one operation.
-  [[nodiscard]] std::vector<ClientId> clients() const;
-
-  // -- Seed behaviour (full scans), kept as the equivalence baseline --
-
-  [[nodiscard]] std::vector<ClientOp> client_ops_naive(ClientId client) const;
-  [[nodiscard]] std::vector<const ApplyEvent*> store_applies_naive(
-      StoreId store) const;
-  [[nodiscard]] std::vector<StoreId> stores_naive() const;
-  [[nodiscard]] std::vector<ClientId> clients_naive() const;
-
  private:
-  // Index entry: position within writes_ (is_write) or reads_.
-  struct OpRef {
-    std::uint32_t pos = 0;
-    bool is_write = false;
-  };
-  struct ClientIndex {
-    std::vector<OpRef> ops;  // record order
-    // True while client_op_index arrives strictly increasing — then
-    // record order is program order and client_ops() skips its sort.
-    bool in_order = true;
-    std::uint64_t last_index = 0;
-  };
-
-  void note_client_op(ClientId client, std::uint64_t op_index, OpRef ref);
-  static void sort_ops(std::vector<ClientOp>& ops);
-
   bool retain_events_ = true;
   StreamingChecker* streaming_ = nullptr;
   std::vector<WriteEvent> writes_;
   std::vector<ReadEvent> reads_;
   std::vector<ApplyEvent> applies_;
-
-  std::unordered_map<ClientId, ClientIndex> by_client_;
-  std::unordered_map<StoreId, std::vector<std::uint32_t>> by_store_;
 
   // Transparent hashing: intern() is on the record hot path and must
   // not allocate a temporary std::string per lookup.

@@ -49,9 +49,9 @@ bool StreamingChecker::wants_client_ops(ClientId client) const {
 
 void StreamingChecker::note_op_order(ClientState& c, ClientId client,
                                      std::uint64_t op_index) {
-  // Mirror of History::note_client_op: strictly increasing indexes mean
-  // record order is program order; an equal or regressing index drops
-  // the client to the sorted re-check path at assembly.
+  // Strictly increasing indexes mean record order is program order; an
+  // equal or regressing index drops the client to the sorted re-check
+  // path at assembly.
   if (!c.has_ops || op_index > c.last_index) {
     c.last_index = op_index;
   } else if (c.in_order) {
@@ -461,10 +461,10 @@ StreamingChecker::ClientVerdicts StreamingChecker::client_verdicts(
   }
 
   // Out-of-order client: re-run the per-client sweeps over the buffered
-  // suffix in program order (History::sort_ops' comparator: by op index,
-  // writes before reads on ties, record order within a kind), seeded
-  // with the state sealed at the last horizon (defaults if never
-  // sealed). exact() reports whether this path had everything it needed.
+  // suffix in program order (by op index, writes before reads on ties,
+  // record order within a kind), seeded with the state sealed at the
+  // last horizon (defaults if never sealed). exact() reports whether
+  // this path had everything it needed.
   std::vector<const OpSum*> ops;
   ops.reserve(c.buffer.size());
   for (const OpSum& o : c.buffer) ops.push_back(&o);
@@ -602,7 +602,7 @@ CheckResult StreamingChecker::model_result() const {
         }
         for (KeyedViolation& kv : merged) res.fail(std::move(kv.what));
       }
-      // Parts 2 and 3, per client ascending like History::clients().
+      // Parts 2 and 3, per client ascending.
       std::vector<ClientId> cids;
       cids.reserve(clients_.size());
       for (const auto& [cid, cs] : clients_) {
@@ -624,6 +624,15 @@ CheckResult StreamingChecker::model_result() const {
       break;
     }
     case ObjectModel::kEventual: {
+      // Under eventual coherence (last-writer-wins), a record that loses
+      // the conflict at one replica is legitimately never applied
+      // downstream of it; what must agree after quiescence is each
+      // page's *final* applied write. Apply events are recorded only for
+      // state-changing applications, so the last apply per (store, page)
+      // is that store's final content for the page. Stores that received
+      // the page only via snapshot transfer record no applies and are
+      // vacuously consistent here (Testbed::converged() compares full
+      // states).
       if (stores_.empty()) break;
       res.events_checked = model_checked_;
       std::map<PageId, std::map<WriteId, std::vector<StoreId>>> by_page;

@@ -1,9 +1,9 @@
 // Streaming (check-as-you-record) coherence verification.
 //
-// The post-hoc checkers (checkers.hpp) walk a fully retained History at
-// the end of a run, which makes verification memory O(run length) and
-// caps how long a scenario can be. A StreamingChecker verifies the same
-// properties incrementally as events are recorded: every check that only
+// This class is the one implementation of the verdict rules. Attached
+// to a History it checks a run while it records, so a soak need not
+// retain its events; the post-hoc checkers (checkers.hpp) replay a
+// retained History through a fresh instance. Every check that only
 // needs running state (per-writer sequence floors, per-store applied
 // clocks, session read floors) is evaluated at the violating event, and
 // the few facts that genuinely need cross-event context are retained in
@@ -14,10 +14,10 @@
 //
 // Verdict equivalence: model_result() / session_results() assemble
 // CheckResults that are byte-identical — violation strings, order, and
-// events_checked — to check_object_model() / check_sessions() over the
-// same event stream, which the equivalence suite and the bench soak
-// section gate against the retained post-hoc checkers. The indexed and
-// naive post-hoc checkers themselves are untouched.
+// events_checked — to the seed checkers over the same events. The
+// equivalence suites compare both the live path and the replay with
+// that seed code, kept as a test-only oracle (tests/oracle/); the bench
+// soak section compares the live verdicts with the replay.
 //
 // What must be retained, and why:
 //   * sequential, total-order agreement: which WriteId each global seq
@@ -34,8 +34,10 @@
 //   * per-client op summaries: program order is normally record order
 //     (strictly increasing op indexes — the ClientBinding recorder
 //     guarantees it); compact summaries are buffered so that a client
-//     that falls out of order can be re-checked in sorted order at
-//     assembly, exactly like History::client_ops(). The horizon retires
+//     that falls out of order can be re-checked in program order at
+//     assembly (by op index, writes before reads on a tie, record order
+//     within a kind). The post-hoc replay feeds every client already in
+//     that order, so its eager verdicts are final. The horizon retires
 //     the processed in-order prefix. Re-checks that need read clocks
 //     (RYW/MR) are only exact with Options::buffer_clocks; without it an
 //     out-of-order RYW/MR client marks the checker inexact (exact()).
@@ -145,7 +147,7 @@ class StreamingChecker {
   static void sort_keyed(std::vector<KeyedViolation>& v);
 
   // Per-store running model state (created on the store's first apply,
-  // so the key set equals History::stores()).
+  // so the key set is every store that applied an event).
   struct StoreState {
     std::uint64_t apply_count = 0;  // per-store apply index
     // PRAM / FIFO-PRAM: per-writer applied floors.
@@ -194,7 +196,8 @@ class StreamingChecker {
   };
 
   struct ClientState {
-    // Program-order bookkeeping, mirroring History::ClientIndex.
+    // Program-order bookkeeping: in order while op indexes strictly
+    // increase.
     bool in_order = true;
     bool has_ops = false;
     std::uint64_t last_index = 0;

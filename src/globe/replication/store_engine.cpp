@@ -104,8 +104,7 @@ StoreEngine::ObjectState& StoreEngine::create_object(const ObjectConfig& cfg) {
                   ? make_orderer(ObjectModel::kEventual)
                   : std::make_unique<FifoOrderer>();
 
-  if (o.cfg.is_primary || o.cfg.cache_mode != CacheMode::kGlobe ||
-      !o.cfg.auto_subscribe) {
+  if (o.cfg.is_primary || o.cfg.cache_mode != CacheMode::kGlobe) {
     o.ready = true;
   } else {
     subscribe_to_upstream(o);
@@ -1447,8 +1446,7 @@ void StoreEngine::apply_view(const membership::View& view) {
 
   for (auto& [id, op] : objects_) {
     ObjectState& o = *op;
-    if (o.cfg.is_primary || o.cfg.cache_mode != CacheMode::kGlobe ||
-        !o.cfg.auto_subscribe) {
+    if (o.cfg.is_primary || o.cfg.cache_mode != CacheMode::kGlobe) {
       continue;
     }
     bool need_resubscribe = jumped;
@@ -1552,8 +1550,7 @@ void StoreEngine::recover() {
   start_membership();
   for (auto& [id, op] : objects_) {
     ObjectState& o = *op;
-    if (!o.cfg.is_primary && o.cfg.cache_mode == CacheMode::kGlobe &&
-        o.cfg.auto_subscribe) {
+    if (!o.cfg.is_primary && o.cfg.cache_mode == CacheMode::kGlobe) {
       // Bootstrap through the cached-snapshot path; the ready flag is
       // still set from before the crash, so this runs as a re-subscribe
       // (forward-only snapshot merge + resync round).

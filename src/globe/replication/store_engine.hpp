@@ -89,8 +89,6 @@ struct ObjectConfig {
   ReplicationPolicy policy;
   CacheMode cache_mode = CacheMode::kGlobe;
   sim::SimDuration ttl = sim::SimDuration::seconds(60);
-  /// Subscribe to upstream at creation (Globe mode, non-primary).
-  bool auto_subscribe = true;
 };
 
 struct StoreConfig {
@@ -102,8 +100,6 @@ struct StoreConfig {
   ReplicationPolicy policy;
   CacheMode cache_mode = CacheMode::kGlobe;
   sim::SimDuration ttl = sim::SimDuration::seconds(60);
-  /// Subscribe to upstream at construction (Globe mode, non-primary).
-  bool auto_subscribe = true;
   /// Write-log compaction: when the retained log exceeds this many
   /// records, the oldest half is folded into the log's base clock and
   /// requesters behind the horizon get a snapshot cutover instead of a
@@ -157,7 +153,6 @@ struct StoreConfig {
     c.policy = policy;
     c.cache_mode = cache_mode;
     c.ttl = ttl;
-    c.auto_subscribe = auto_subscribe;
     return c;
   }
 };

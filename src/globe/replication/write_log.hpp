@@ -17,8 +17,7 @@
 //     total-order floor and compaction bookkeeping.
 //
 // Output is always in append order — byte-identical to the naive scan,
-// which is kept as records_since_naive() for equivalence tests and the
-// before/after benchmark.
+// which is kept as records_since_naive() for the equivalence test.
 //
 // Compaction: old records can be folded into a base clock so the log
 // stays bounded. A requester behind the compaction horizon cannot be
@@ -66,7 +65,7 @@ class WriteLog {
       const std::vector<std::string>& pages = {}) const;
 
   /// Reference implementation: full linear scan over the retained
-  /// records. Kept for the equivalence test and the scale benchmark.
+  /// records. Kept for the equivalence test (write_log_test).
   [[nodiscard]] std::vector<web::WriteRecord> records_since_naive(
       const VectorClock& have, std::uint64_t have_gseq,
       const std::vector<std::string>& pages = {}) const;

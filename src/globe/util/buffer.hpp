@@ -45,7 +45,9 @@ using SharedBuffer = std::shared_ptr<const Buffer>;
 
 inline Buffer to_buffer(std::string_view s) {
   Buffer b(s.size());
-  std::memcpy(b.data(), s.data(), s.size());
+  // An empty vector's data() (and an empty view's) may be null, which
+  // memcpy must not receive even for zero bytes.
+  if (!s.empty()) std::memcpy(b.data(), s.data(), s.size());
   return b;
 }
 

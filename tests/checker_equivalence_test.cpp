@@ -1,13 +1,13 @@
-// Equivalence of the indexed/swept verification pipeline with the seed.
+// Equivalence of the post-hoc checkers with the seed oracle.
 //
-// The History index vectors, the swept session checkers
-// (check_sessions), and the per-client wrappers must return verdicts
-// identical to the retained naive implementations — same ok flag, same
-// violations in the same order, same events_checked — on clean
-// histories, on deliberately corrupted ones (out-of-order apply, gap,
-// broken total order, RYW miss, MR regression, WFR violation, eventual
-// divergence), and on randomized event soups. This is the proof the
-// index rewrite changed the cost, not the semantics.
+// check_object_model and check_sessions replay the retained History
+// through a StreamingChecker; every per-model and per-guarantee entry
+// point forwards to them. They must return verdicts identical to the
+// test-only oracle (tests/oracle/) — same ok flag, same violations in
+// the same order, same events_checked — on clean recorded runs, on
+// deliberately corrupted histories (out-of-order apply, gap, broken
+// total order, RYW miss, MR regression, WFR violation, eventual
+// divergence), and on randomized event soups.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -15,6 +15,8 @@
 #include "globe/coherence/checkers.hpp"
 #include "globe/replication/testbed.hpp"
 #include "globe/util/rng.hpp"
+#include "globe/workload/zipf.hpp"
+#include "oracle/checkers_naive.hpp"
 
 namespace globe::coherence {
 namespace {
@@ -27,45 +29,25 @@ constexpr ObjectModel kAllObjectModels[] = {
     ObjectModel::kSequential, ObjectModel::kPram, ObjectModel::kFifoPram,
     ObjectModel::kCausal, ObjectModel::kEventual};
 
-void expect_view_equivalence(const History& h) {
-  EXPECT_EQ(h.stores(), h.stores_naive());
-  EXPECT_EQ(h.clients(), h.clients_naive());
-  for (StoreId s : h.stores()) {
-    EXPECT_EQ(h.store_applies(s), h.store_applies_naive(s))
-        << "store " << s;
-  }
-  for (ClientId c : h.clients()) {
-    const auto a = h.client_ops(c);
-    const auto b = h.client_ops_naive(c);
-    ASSERT_EQ(a.size(), b.size()) << "client " << c;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].is_write, b[i].is_write) << "client " << c << " op " << i;
-      EXPECT_EQ(a[i].write, b[i].write) << "client " << c << " op " << i;
-      EXPECT_EQ(a[i].read, b[i].read) << "client " << c << " op " << i;
-    }
-  }
-}
-
 void expect_checker_equivalence(const History& h) {
-  expect_view_equivalence(h);
   for (ObjectModel m : kAllObjectModels) {
-    const CheckResult indexed = check_object_model(h, m);
+    const CheckResult replayed = check_object_model(h, m);
     const CheckResult baseline = naive::check_object_model(h, m);
-    EXPECT_EQ(indexed, baseline)
-        << to_string(m) << "\nindexed:  " << indexed.summary()
+    EXPECT_EQ(replayed, baseline)
+        << to_string(m) << "\nreplayed: " << replayed.summary()
         << "\nbaseline: " << baseline.summary();
   }
   std::vector<SessionSpec> specs;
-  for (ClientId c : h.clients()) specs.push_back({c, kAllSessions});
-  const auto swept = check_sessions(h, specs);
-  ASSERT_EQ(swept.size(), specs.size());
+  for (ClientId c : naive::clients(h)) specs.push_back({c, kAllSessions});
+  const auto replayed = check_sessions(h, specs);
+  ASSERT_EQ(replayed.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const CheckResult baseline =
         naive::check_client_models(h, specs[i].client, kAllSessions);
-    EXPECT_EQ(swept[i], baseline)
-        << "client " << specs[i].client << "\nswept:    "
-        << swept[i].summary() << "\nbaseline: " << baseline.summary();
-    // The per-client wrapper routes through the sweep; it must agree too.
+    EXPECT_EQ(replayed[i], baseline)
+        << "client " << specs[i].client << "\nreplayed: "
+        << replayed[i].summary() << "\nbaseline: " << baseline.summary();
+    // The per-client entry point is a one-spec replay; it must agree too.
     EXPECT_EQ(check_client_models(h, specs[i].client, kAllSessions),
               baseline);
   }
@@ -257,7 +239,66 @@ TEST(CheckerEquivalence, RandomizedHistories) {
   }
 }
 
-// -- A real recorded execution -----------------------------------------
+// -- Real recorded executions ------------------------------------------
+
+/// bench_scale's `history` scenario at its smoke size: 1 primary, 4
+/// mirrors, 6 caches and 12 clients with all four session guarantees
+/// run 60 causal ops (10% writes) over 24 Zipf-popular pages. Returns
+/// the recorded history.
+History record_history_scenario() {
+  using namespace replication;
+  TestbedOptions opts;
+  opts.seed = 23;
+  opts.wan.base_latency = sim::SimDuration::millis(5);
+  Testbed bed(opts);
+  constexpr ObjectId kObj = 1;
+
+  core::ReplicationPolicy policy;
+  policy.model = ObjectModel::kCausal;
+  policy.write_set = core::WriteSet::kMultiple;
+  policy.initiative = core::TransferInitiative::kPush;
+
+  auto& primary = bed.add_primary(kObj, policy);
+  constexpr int kPages = 24;
+  for (int i = 0; i < kPages; ++i) {
+    primary.seed("page" + std::to_string(i) + ".html", "v0");
+  }
+  std::vector<net::Address> mirrors;
+  for (int i = 0; i < 4; ++i) {
+    mirrors.push_back(
+        bed.add_store(kObj, naming::StoreClass::kObjectInitiated, policy)
+            .address());
+  }
+  bed.settle();
+  std::vector<net::Address> caches;
+  for (int i = 0; i < 6; ++i) {
+    caches.push_back(bed.add_store(kObj, naming::StoreClass::kClientInitiated,
+                                   policy, mirrors[i % mirrors.size()])
+                         .address());
+  }
+  bed.settle();
+  std::vector<ClientBinding*> users;
+  for (int i = 0; i < 12; ++i) {
+    users.push_back(
+        &bed.add_client(kObj, kAllSessions, caches[i % caches.size()]));
+  }
+  util::Rng rng(31);
+  workload::ZipfGenerator zipf(kPages, 0.9);
+  for (int op = 0; op < 60; ++op) {
+    auto& c = *users[rng.below(users.size())];
+    const std::string page =
+        "page" + std::to_string(zipf.sample(rng)) + ".html";
+    if (rng.chance(0.10)) {
+      c.write(page, "v" + std::to_string(op), [](WriteResult) {});
+    } else {
+      c.read(page, [](ReadResult) {});
+    }
+    bed.run_for(sim::SimDuration::millis(10));
+  }
+  bed.settle();
+  EXPECT_GT(bed.history().size(), 100u);
+  return bed.history();
+}
 
 TEST(CheckerEquivalence, RecordedTestbedHistory) {
   using namespace replication;
@@ -302,6 +343,8 @@ TEST(CheckerEquivalence, RecordedTestbedHistory) {
   for (ClientBinding* c : clients) {
     EXPECT_TRUE(check_client_models(bed.history(), c->id(), kAllSessions).ok);
   }
+
+  expect_checker_equivalence(record_history_scenario());
 }
 
 }  // namespace

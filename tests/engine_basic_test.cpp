@@ -9,6 +9,7 @@
 
 #include "globe/coherence/checkers.hpp"
 #include "globe/replication/testbed.hpp"
+#include "oracle/checkers_naive.hpp"
 
 namespace globe::replication {
 namespace {
@@ -222,7 +223,7 @@ TEST(EngineBasic, HistoryRecordsClientOps) {
   EXPECT_EQ(bed.history().writes().size(), 1u);
   EXPECT_EQ(bed.history().reads().size(), 1u);
   EXPECT_GE(bed.history().applies().size(), 1u);
-  const auto ops = bed.history().client_ops(client.id());
+  const auto ops = coherence::naive::client_ops(bed.history(), client.id());
   ASSERT_EQ(ops.size(), 2u);
   EXPECT_TRUE(ops[0].is_write);
   EXPECT_FALSE(ops[1].is_write);

@@ -1,18 +1,64 @@
-// Seed checker implementations, retained verbatim as the equivalence
-// and cost baseline for the swept/indexed checkers (checkers.cpp).
-// They answer every query through the History's full-scan views
-// (`*_naive`), so a per-client check rescans the whole event log —
-// O(clients × events) across a session sweep — exactly the seed cost
-// that `bench_scale`'s `history` section measures against.
+// Seed checker implementations: the test-only oracle that the
+// StreamingChecker, both live and as the post-hoc replay (checkers.cpp),
+// is compared against. They answer every query through full scans of
+// the History's event vectors, so a per-client check rescans the whole
+// event log — O(clients × events) across a session sweep. Kept verbatim
+// from the seed apart from those scans moving out of History.
 #include <algorithm>
 #include <map>
 #include <set>
 #include <unordered_map>
 
-#include "globe/coherence/checkers.hpp"
 #include "globe/coherence/models.hpp"
+#include "oracle/checkers_naive.hpp"
 
 namespace globe::coherence::naive {
+
+// -- Full-scan views ------------------------------------------------------
+
+// Deterministic program order: by client_op_index; operations sharing an
+// index put writes before reads, ties within a kind keep record order
+// (stable sort).
+std::vector<ClientOp> client_ops(const History& h, ClientId client) {
+  std::vector<ClientOp> ops;
+  for (const auto& w : h.writes()) {
+    if (w.client == client) ops.push_back(ClientOp{true, &w, nullptr});
+  }
+  for (const auto& r : h.reads()) {
+    if (r.client == client) ops.push_back(ClientOp{false, nullptr, &r});
+  }
+  std::stable_sort(ops.begin(), ops.end(),
+                   [](const ClientOp& a, const ClientOp& b) {
+                     if (a.index() != b.index()) return a.index() < b.index();
+                     return a.is_write && !b.is_write;
+                   });
+  return ops;
+}
+
+std::vector<const ApplyEvent*> store_applies(const History& h,
+                                             StoreId store) {
+  std::vector<const ApplyEvent*> out;
+  for (const auto& a : h.applies()) {
+    if (a.store == store) out.push_back(&a);
+  }
+  // applies() is already in application (recording) order.
+  return out;
+}
+
+std::vector<StoreId> stores(const History& h) {
+  std::set<StoreId> ids;
+  for (const auto& a : h.applies()) ids.insert(a.store);
+  return {ids.begin(), ids.end()};
+}
+
+std::vector<ClientId> clients(const History& h) {
+  std::set<ClientId> ids;
+  for (const auto& w : h.writes()) ids.insert(w.client);
+  for (const auto& r : h.reads()) ids.insert(r.client);
+  return {ids.begin(), ids.end()};
+}
+
+// -- Checkers -------------------------------------------------------------
 
 namespace {
 
@@ -21,9 +67,9 @@ namespace {
 /// write must be applied (no gaps).
 CheckResult check_per_writer_order(const History& h, bool contiguous) {
   CheckResult res;
-  for (StoreId store : h.stores_naive()) {
+  for (StoreId store : stores(h)) {
     std::unordered_map<ClientId, std::uint64_t> last_seq;
-    for (const ApplyEvent* a : h.store_applies_naive(store)) {
+    for (const ApplyEvent* a : store_applies(h, store)) {
       ++res.events_checked;
       if (a->from_snapshot) {
         for (const auto& [c, v] : a->deps.entries()) {
@@ -52,7 +98,7 @@ CheckResult check_per_writer_order(const History& h, bool contiguous) {
 
 /// Verifies that apply order respects each write's dependency clock.
 /// The seed rebuilt the write-event lookup on every call (and never
-/// consulted it); kept as-is — this is the cost baseline.
+/// consulted it); kept as-is.
 CheckResult check_dependencies_respected(
     const History& h, const std::set<WriteId>& only_these_writes,
     const char* label) {
@@ -60,9 +106,9 @@ CheckResult check_dependencies_respected(
   std::unordered_map<WriteId, const WriteEvent*> by_wid;
   for (const auto& w : h.writes()) by_wid[w.wid] = &w;
 
-  for (StoreId store : h.stores_naive()) {
+  for (StoreId store : stores(h)) {
     VectorClock applied;
-    for (const ApplyEvent* a : h.store_applies_naive(store)) {
+    for (const ApplyEvent* a : store_applies(h, store)) {
       ++res.events_checked;
       if (a->from_snapshot) {
         applied.merge(a->deps);
@@ -102,9 +148,9 @@ CheckResult check_sequential(const History& h) {
   // 1. One total order: each store applies strictly increasing,
   //    gap-free global sequence numbers mapping to unique writes.
   std::map<std::uint64_t, WriteId> order;  // global_seq -> wid
-  for (StoreId store : h.stores_naive()) {
+  for (StoreId store : stores(h)) {
     std::uint64_t prev = 0;
-    for (const ApplyEvent* a : h.store_applies_naive(store)) {
+    for (const ApplyEvent* a : store_applies(h, store)) {
       ++res.events_checked;
       if (a->from_snapshot) {
         prev = std::max(prev, a->global_seq);
@@ -156,9 +202,9 @@ CheckResult check_sequential(const History& h) {
 
   // 3. Reads: per client, observed global seq is nondecreasing and at
   //    least the client's own last write.
-  for (ClientId c : h.clients_naive()) {
+  for (ClientId c : clients(h)) {
     std::uint64_t floor = 0;
-    for (const History::ClientOp& op : h.client_ops_naive(c)) {
+    for (const ClientOp& op : client_ops(h, c)) {
       ++res.events_checked;
       if (op.is_write) {
         if (op.write->global_seq > floor) floor = op.write->global_seq;
@@ -180,15 +226,15 @@ CheckResult check_sequential(const History& h) {
 
 CheckResult check_eventual_delivery(const History& h) {
   CheckResult res;
-  const auto stores = h.stores_naive();
-  if (stores.empty()) return res;
+  const auto all_stores = stores(h);
+  if (all_stores.empty()) return res;
 
   // After quiescence, every store's final applied write per page must
-  // agree (full rationale in the indexed twin, checkers.cpp).
+  // agree (full rationale in StreamingChecker::model_result).
   std::map<StoreId, std::map<PageId, WriteId>> final_write;
-  for (StoreId store : stores) {
+  for (StoreId store : all_stores) {
     auto& per_page = final_write[store];
-    for (const ApplyEvent* a : h.store_applies_naive(store)) {
+    for (const ApplyEvent* a : store_applies(h, store)) {
       ++res.events_checked;
       if (a->from_snapshot) {
         per_page.clear();  // full-state transfer replaced everything
@@ -234,9 +280,9 @@ CheckResult check_object_model(const History& h, ObjectModel model) {
 
 CheckResult check_monotonic_writes(const History& h, ClientId client) {
   CheckResult res;
-  for (StoreId store : h.stores_naive()) {
+  for (StoreId store : stores(h)) {
     std::uint64_t prev = 0;
-    for (const ApplyEvent* a : h.store_applies_naive(store)) {
+    for (const ApplyEvent* a : store_applies(h, store)) {
       if (a->from_snapshot) {
         prev = std::max(prev, a->deps.get(client));
         continue;
@@ -257,7 +303,7 @@ CheckResult check_monotonic_writes(const History& h, ClientId client) {
 CheckResult check_read_your_writes(const History& h, ClientId client) {
   CheckResult res;
   std::uint64_t own_writes = 0;  // highest seq this client has written
-  for (const History::ClientOp& op : h.client_ops_naive(client)) {
+  for (const ClientOp& op : client_ops(h, client)) {
     ++res.events_checked;
     if (op.is_write) {
       own_writes = std::max(own_writes, op.write->wid.seq);
@@ -274,7 +320,7 @@ CheckResult check_read_your_writes(const History& h, ClientId client) {
 CheckResult check_monotonic_reads(const History& h, ClientId client) {
   CheckResult res;
   VectorClock seen;
-  for (const History::ClientOp& op : h.client_ops_naive(client)) {
+  for (const ClientOp& op : client_ops(h, client)) {
     if (op.is_write) continue;
     ++res.events_checked;
     if (!op.read->store_clock.dominates(seen)) {

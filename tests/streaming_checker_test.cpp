@@ -1,12 +1,15 @@
 // Equivalence of the streaming (check-as-you-record) verifier with the
-// post-hoc checkers.
+// post-hoc replay and the test-only oracle.
 //
 // A StreamingChecker fed the same event stream as a History must
 // assemble verdicts identical to check_object_model / check_sessions —
 // same ok flag, same violation strings in the same order, same
 // events_checked — on clean recorded runs, on every corrupted shape the
-// post-hoc equivalence suite uses, and on randomized event soups. On top
-// of that it must catch eager violations AT the violating event
+// post-hoc equivalence suite uses, and on randomized event soups. The
+// post-hoc checkers are themselves a replay through StreamingChecker, so
+// both are also compared with the seed oracle (tests/oracle/): the live
+// path and the replay cannot agree on a shared bug. On top of that the
+// checker must catch eager violations AT the violating event
 // (violations_so_far), retire buffered state as the stability horizon
 // advances (bounded retained memory), and survive History::clear() as if
 // freshly constructed.
@@ -20,6 +23,7 @@
 #include "globe/coherence/streaming.hpp"
 #include "globe/replication/testbed.hpp"
 #include "globe/util/rng.hpp"
+#include "oracle/checkers_naive.hpp"
 
 namespace globe::coherence {
 namespace {
@@ -68,22 +72,34 @@ ReadEvent client_read(ClientId client, std::uint64_t op_index, PageId page,
   return e;
 }
 
-/// Compares the streaming verdicts against the post-hoc checkers over
-/// the history the checker was attached to.
+/// Compares the streaming verdicts against the post-hoc replay, and
+/// both against the oracle, over the history the checker was attached
+/// to.
 void expect_verdicts_equal(const StreamingChecker& sc, const History& h) {
   const CheckResult posthoc = check_object_model(h, sc.model());
+  const CheckResult oracle = naive::check_object_model(h, sc.model());
   const CheckResult streamed = sc.model_result();
   EXPECT_EQ(streamed, posthoc)
       << to_string(sc.model()) << "\nstreamed: " << streamed.summary()
       << "\nposthoc:  " << posthoc.summary();
-  const auto swept = check_sessions(h, sc.sessions());
+  EXPECT_EQ(posthoc, oracle)
+      << to_string(sc.model()) << "\nposthoc:  " << posthoc.summary()
+      << "\noracle:   " << oracle.summary();
+  const auto replayed = check_sessions(h, sc.sessions());
   const auto live = sc.session_results();
-  ASSERT_EQ(live.size(), swept.size());
-  for (std::size_t i = 0; i < swept.size(); ++i) {
-    EXPECT_EQ(live[i], swept[i])
-        << to_string(sc.model()) << " client " << sc.sessions()[i].client
+  ASSERT_EQ(live.size(), replayed.size());
+  for (std::size_t i = 0; i < replayed.size(); ++i) {
+    const SessionSpec& spec = sc.sessions()[i];
+    const CheckResult baseline =
+        naive::check_client_models(h, spec.client, spec.models);
+    EXPECT_EQ(live[i], replayed[i])
+        << to_string(sc.model()) << " client " << spec.client
         << "\nstreamed: " << live[i].summary()
-        << "\nposthoc:  " << swept[i].summary();
+        << "\nposthoc:  " << replayed[i].summary();
+    EXPECT_EQ(replayed[i], baseline)
+        << to_string(sc.model()) << " client " << spec.client
+        << "\nposthoc:  " << replayed[i].summary()
+        << "\noracle:   " << baseline.summary();
   }
 }
 
@@ -404,6 +420,9 @@ TEST(StreamingChecker, HorizonIsMonotonic) {
 
 // -- Out-of-order clients ----------------------------------------------
 
+// The live checker needs buffered clocks to re-check this client in
+// program order. The post-hoc replay does not: it feeds the ops already
+// sorted, duplicate index included, and must still match the oracle.
 TEST(StreamingChecker, OutOfOrderClientWithBufferedClocks) {
   StreamingChecker::Options opts;
   opts.buffer_clocks = true;
@@ -414,7 +433,7 @@ TEST(StreamingChecker, OutOfOrderClientWithBufferedClocks) {
         c1.set(1, 1);
         VectorClock c2;
         c2.set(1, 2);
-        // Recorded out of program order; sort_ops re-orders by index
+        // Recorded out of program order; program order sorts by index
         // with the write-before-read tie rule.
         h.record_read(client_read(9, 3, p, c1));
         h.record_write(client_write(9, 1, {9, 1}, p));

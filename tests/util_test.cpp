@@ -73,6 +73,14 @@ TEST(Buffer, StringAndBytesRoundTrip) {
   EXPECT_TRUE(r.at_end());
 }
 
+TEST(Buffer, EmptyStringToBuffer) {
+  // Both the empty buffer's data() and an empty view's may be null;
+  // the conversion must not hand either to memcpy (UBSan aborts on a
+  // null memcpy argument even for zero bytes).
+  EXPECT_TRUE(to_buffer("").empty());
+  EXPECT_TRUE(to_buffer(std::string_view{}).empty());
+}
+
 TEST(Buffer, ReadPastEndThrows) {
   Writer w;
   w.u32(7);
