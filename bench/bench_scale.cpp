@@ -87,6 +87,7 @@
 namespace globe::bench {
 namespace {
 
+using replication::ObjectConfig;
 using replication::StoreConfig;
 using replication::StoreEngine;
 using replication::Testbed;
@@ -361,23 +362,22 @@ FanoutRun run_loopback_fanout(int subscribers, int writes,
         });
   };
 
-  StoreConfig pcfg;  // PRAM push immediate partial: no timers, no sim run
-  pcfg.object = 1;
+  StoreConfig pcfg;
   pcfg.store_id = 0;
   pcfg.is_primary = true;
   pcfg.flow = window;
-  stores.push_back(
-      std::make_unique<StoreEngine>(make_factory(), sim, pcfg));
-  const net::Address primary_addr = stores.front()->address();
+  ObjectConfig oc;  // PRAM push immediate partial: no timers, no sim run
+  oc.object = 1;
+  stores.push_back(std::make_unique<StoreEngine>(
+      make_factory(), sim, pcfg, std::vector<ObjectConfig>{oc}));
+  oc.upstream = stores.front()->address();
   for (int s = 0; s < subscribers; ++s) {
     StoreConfig cfg;
-    cfg.object = 1;
     cfg.store_id = static_cast<StoreId>(s + 1);
     cfg.store_class = naming::StoreClass::kObjectInitiated;
-    cfg.upstream = primary_addr;
     cfg.flow = window;
-    stores.push_back(
-        std::make_unique<StoreEngine>(make_factory(), sim, cfg));
+    stores.push_back(std::make_unique<StoreEngine>(
+        make_factory(), sim, cfg, std::vector<ObjectConfig>{oc}));
   }
   router.drain();  // all subscriptions acknowledged
 
@@ -510,7 +510,6 @@ void run_window_fault(int subscribers, int writes, WindowRow& row) {
   };
 
   StoreConfig pcfg;
-  pcfg.object = 1;
   pcfg.store_id = 0;
   pcfg.is_primary = true;
   pcfg.flow = &window;
@@ -518,16 +517,19 @@ void run_window_fault(int subscribers, int writes, WindowRow& row) {
   // parked batches must outlive the burst: disable the hopeless-peer
   // disposition that would otherwise discard them after 64 paused rounds.
   pcfg.flow_paused_rounds_limit = 0;
-  stores.push_back(std::make_unique<StoreEngine>(make_factory(), sim, pcfg));
+  ObjectConfig oc;
+  oc.object = 1;
+  stores.push_back(std::make_unique<StoreEngine>(
+      make_factory(), sim, pcfg, std::vector<ObjectConfig>{oc}));
   const net::Address primary_addr = stores.front()->address();
+  oc.upstream = primary_addr;
   for (int s = 0; s < subscribers; ++s) {
     StoreConfig cfg;
-    cfg.object = 1;
     cfg.store_id = static_cast<StoreId>(s + 1);
     cfg.store_class = naming::StoreClass::kObjectInitiated;
-    cfg.upstream = primary_addr;
     cfg.flow = &window;
-    stores.push_back(std::make_unique<StoreEngine>(make_factory(), sim, cfg));
+    stores.push_back(std::make_unique<StoreEngine>(
+        make_factory(), sim, cfg, std::vector<ObjectConfig>{oc}));
   }
   router.drain();  // subscriptions + bootstrap before the fault
 
@@ -1427,7 +1429,7 @@ struct MultiObjectResult {
   bool cold_untouched = false;
   bool isolation_converged = false;
   // One object, one shard, placed through the placement service vs the
-  // legacy single-object testbed: per-store state digests must match.
+  // single-object testbed builders: per-store state digests must match.
   bool baseline_identical = false;
 };
 
@@ -1590,9 +1592,9 @@ void run_multi_object_isolation(int objects, std::uint64_t seed,
   }
 }
 
-/// The same single-object write stream through the legacy testbed path
-/// and through a one-shard placed deployment: the refactor must not
-/// change what the stores end up holding.
+/// The same single-object write stream through the single-object
+/// testbed builders and through a one-shard placed deployment: placement
+/// must not change what the stores end up holding.
 bool run_multi_object_baseline(int writes, std::uint64_t seed) {
   constexpr ObjectId kObj = 1;
   const auto policy = multi_object_policy();

@@ -35,6 +35,7 @@
 namespace {
 
 using namespace globe;
+using replication::ObjectConfig;
 using replication::StoreConfig;
 using replication::StoreEngine;
 
@@ -116,12 +117,14 @@ int run_subscriber(int base, int node, int subscribers, int writes,
   if (!w.host.ok()) return 1;
 
   StoreConfig cfg;
-  cfg.object = kObj;
   cfg.store_id = static_cast<StoreId>(node);
   cfg.store_class = naming::StoreClass::kObjectInitiated;
-  cfg.upstream = net::Address{0, 1};
   cfg.flow = &w.window;
-  w.engine = std::make_unique<StoreEngine>(w.factory(node), w.sim, cfg);
+  ObjectConfig oc;
+  oc.object = kObj;
+  oc.upstream = net::Address{0, 1};
+  w.engine = std::make_unique<StoreEngine>(w.factory(node), w.sim, cfg,
+                                           std::vector<ObjectConfig>{oc});
 
   // Converged when the fence page (written last, FIFO-ordered behind
   // the burst) has arrived.
@@ -148,11 +151,13 @@ int run_primary(int base, int subscribers, int writes,
   if (!w.host.ok()) return 1;
 
   StoreConfig pcfg;
-  pcfg.object = kObj;
   pcfg.store_id = 0;
   pcfg.is_primary = true;
   pcfg.flow = &w.window;
-  w.engine = std::make_unique<StoreEngine>(w.factory(0), w.sim, pcfg);
+  ObjectConfig oc;
+  oc.object = kObj;
+  w.engine = std::make_unique<StoreEngine>(w.factory(0), w.sim, pcfg,
+                                           std::vector<ObjectConfig>{oc});
   const net::Address self = w.engine->address();
 
   // The subscribe messages double as the readiness fence: every child

@@ -111,7 +111,6 @@ class History {
   /// bounded-memory soak mode; leave retention on when a post-hoc
   /// checker or convergence comparison still needs the full log.
   void set_retain_events(bool retain) { retain_events_ = retain; }
-  [[nodiscard]] bool retain_events() const { return retain_events_; }
 
   /// Forwards a cluster stability horizon to the attached streaming
   /// checker (no-op without one); returns how many retained entries the

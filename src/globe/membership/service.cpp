@@ -181,7 +181,7 @@ void MembershipService::sweep() {
     // shards get neither — hot-shard churn cannot stall cold shards.
     std::map<ShardId, std::vector<Address>> dead;
     for (const MemberState& m : state.members) {
-      if (m.contact.is_primary && !options_.evict_primary) continue;
+      if (m.contact.is_primary) continue;  // exempt from eviction
       if (now() - m.last_heard > options_.failure_timeout) {
         dead[m.shard].push_back(m.contact.address);
       }

@@ -50,12 +50,10 @@ struct MembershipOptions {
   /// Failure-detector sweep period (also the expected member heartbeat
   /// cadence).
   sim::SimDuration heartbeat_period = sim::SimDuration::millis(100);
-  /// A member silent for longer than this is evicted.
+  /// A member silent for longer than this is evicted, except the
+  /// permanent primary: it is the paper's persistence root, and evicting
+  /// it would leave the object headless for single-master models.
   sim::SimDuration failure_timeout = sim::SimDuration::millis(350);
-  /// The permanent primary is normally exempt from eviction (it is the
-  /// paper's persistence root; evicting it would leave the object
-  /// headless for single-master models).
-  bool evict_primary = false;
   /// When set, joins/leaves/evictions keep the location tables in sync.
   naming::NamingServer* naming = nullptr;
   /// When set, per-shard view changes feed the shard rollups.
@@ -111,9 +109,6 @@ class MembershipService {
   /// including the eviction-exempt primary — so one crashed store cannot
   /// freeze GC cluster-wide. Monotonic: only ever advances.
   [[nodiscard]] HorizonMsg stability_horizon(ObjectId scope) const;
-
-  /// Runs one failure-detector sweep immediately (tests).
-  void sweep_now() { sweep(); }
 
  private:
   struct MemberState {

@@ -44,7 +44,6 @@ class StalenessOracle {
       w.seq_sorted = false;  // duplicate/out-of-order commit report
     }
     w.commits.push_back(SeqCommit{wid.seq, at});
-    ++total_commits_;
   }
 
   struct Score {
@@ -120,8 +119,6 @@ class StalenessOracle {
     return s;
   }
 
-  [[nodiscard]] std::size_t total_commits() const { return total_commits_; }
-
  private:
   struct SeqCommit {
     std::uint64_t seq = 0;
@@ -135,7 +132,6 @@ class StalenessOracle {
     std::unordered_map<ClientId, PerWriter> writers;
   };
   std::unordered_map<std::string, PerPage> pages_;
-  std::size_t total_commits_ = 0;
 };
 
 }  // namespace globe::metrics

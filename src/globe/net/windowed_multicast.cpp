@@ -14,6 +14,14 @@ namespace {
 /// byte. Part of the frame-sharing key in flush_channels.
 using PayloadRun = std::vector<const void*>;
 
+/// Coalescing budget: a data frame packs queued payloads until their
+/// bytes would exceed this (a single larger payload still travels alone).
+constexpr std::size_t kMtuBudget = 16 * 1024;
+
+/// Receiver-side reorder stash bound, in windows: a channel stashes at
+/// most this many times window_size out-of-order frames.
+constexpr std::size_t kStashWindows = 2;
+
 #if defined(GLOBE_CHECKED) && GLOBE_CHECKED
 [[nodiscard]] std::uint64_t addr_key(const Address& a) {
   return (static_cast<std::uint64_t>(a.node) << 16) | a.port;
@@ -25,10 +33,8 @@ using PayloadRun = std::vector<const void*>;
 WindowedMulticast::WindowedMulticast(WindowOptions options)
     : options_(options) {
   if (options_.window_size == 0) options_.window_size = 1;
-  if (options_.mtu_budget == 0) options_.mtu_budget = 1;
   if (options_.max_queue < 4) options_.max_queue = 4;
   if (options_.ack_every == 0) options_.ack_every = 1;
-  if (options_.stash_limit == 0) options_.stash_limit = 2 * options_.window_size;
 }
 
 WindowedMulticast::~WindowedMulticast() { check::release(this); }
@@ -122,15 +128,6 @@ std::size_t WindowedMulticast::peer_queue_depth(const Address& local,
   if (it == endpoints_.end()) return 0;
   auto ch = it->second.tx.find(peer);
   return ch == it->second.tx.end() ? 0 : ch->second.pending.size();
-}
-
-std::size_t WindowedMulticast::peer_window_depth(const Address& local,
-                                                 const Address& peer) const {
-  std::lock_guard lock(mu_);
-  auto it = endpoints_.find(local);
-  if (it == endpoints_.end()) return 0;
-  auto ch = it->second.tx.find(peer);
-  return ch == it->second.tx.end() ? 0 : ch->second.inflight.size();
 }
 
 // ---------------------------------------------------------------------
@@ -235,7 +232,7 @@ void WindowedMulticast::flush_channels(Endpoint& ep,
       std::size_t bytes = 0;
       while (!tx.pending.empty() &&
              (bodies.empty() ||
-              bytes + tx.pending.front()->size() <= options_.mtu_budget)) {
+              bytes + tx.pending.front()->size() <= kMtuBudget)) {
         util::SharedBuffer p = std::move(tx.pending.front());
         tx.pending.pop_front();
         bytes += p->size();
@@ -367,7 +364,7 @@ void WindowedMulticast::handle_data(Endpoint& ep, const Address& from,
     want_ack = true;  // re-ack so a retransmitting sender advances
   } else if (f.seq > rx.expected) {
     ++stats_.reordered_frames;
-    if (rx.stash.size() >= options_.stash_limit) {
+    if (rx.stash.size() >= kStashWindows * options_.window_size) {
       ++stats_.stash_drops;  // retransmission recovers it later
     } else if (!rx.stash.contains(f.seq)) {
       rx.stash.emplace(f.seq, Buffer(wire.begin(), wire.end()));

@@ -38,11 +38,9 @@
 namespace globe::net {
 
 struct WindowOptions {
-  /// Max unacked data frames in flight per peer channel.
+  /// Max unacked data frames in flight per peer channel. The receiver's
+  /// reorder stash holds at most twice this many frames.
   std::size_t window_size = 32;
-  /// Coalescing budget: a data frame packs queued payloads until their
-  /// bytes exceed this (a single larger payload still travels alone).
-  std::size_t mtu_budget = 16 * 1024;
   /// Bounded per-peer pending queue (payloads waiting for window
   /// slots). The pause event fires at half this depth, resume at a
   /// quarter; payloads beyond the full depth are dropped and counted.
@@ -50,8 +48,6 @@ struct WindowOptions {
   /// Receiver acks every N in-order frames (plus immediately on gaps
   /// and on frames flagged ack_now).
   std::size_t ack_every = 8;
-  /// Receiver-side reorder stash bound (frames); 0 = 2 * window_size.
-  std::size_t stash_limit = 0;
   /// Self-eviction: a channel whose queue overflowed this many times
   /// with no ack progress in between is dropped. 0 = never (the
   /// replication layer applies its own pause deadline instead).
@@ -102,9 +98,6 @@ class WindowedMulticast final : public FlowControl {
   /// Pending payloads queued for one peer (tests / bench occupancy gate).
   [[nodiscard]] std::size_t peer_queue_depth(const Address& local,
                                              const Address& peer) const;
-  /// Unacked frames in flight to one peer.
-  [[nodiscard]] std::size_t peer_window_depth(const Address& local,
-                                              const Address& peer) const;
 
   /// Opportunistic loss recovery for runtimes without timers: resends
   /// the oldest unacked frame of every stalled channel of `local` (rate:

@@ -55,7 +55,7 @@ class AdaptiveController {
 
   [[nodiscard]] std::uint64_t switches() const { return switches_; }
   [[nodiscard]] core::TransferInstant current_instant() const {
-    return primary_.config().policy.instant;
+    return primary_.object_config().policy.instant;
   }
 
   /// Invoked after every decision; for tests and instrumentation.
@@ -76,7 +76,7 @@ class AdaptiveController {
     const double write_rate = static_cast<double>(delta) / interval_s;
     last_writes_ = writes;
 
-    auto policy = primary_.config().policy;
+    auto policy = primary_.object_config().policy;
     const auto before = policy.instant;
     if (write_rate >= options_.lazy_above_writes_per_s) {
       policy.instant = core::TransferInstant::kLazy;

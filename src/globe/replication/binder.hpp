@@ -31,8 +31,6 @@ struct BindRequest {
   /// are routed to the primary. (A full system would advertise this via
   /// the location service; the caller supplies it here.)
   coherence::ObjectModel object_model = coherence::ObjectModel::kPram;
-  /// Preferred store layer for reads.
-  naming::StoreClass preferred_layer = naming::StoreClass::kClientInitiated;
   sim::SimDuration timeout{};
   int retries = 0;
 };
@@ -94,7 +92,7 @@ class Binder {
       ObjectId object, const BindRequest& request,
       const std::vector<naming::ContactPoint>& contacts) {
     const auto* read =
-        naming::choose_read_contact(contacts, request.preferred_layer,
+        naming::choose_read_contact(contacts, kPreferredReadLayer,
                                     naming::contact_spread(object,
                                                            request.client));
     const auto* write =

@@ -20,14 +20,13 @@ ClientBinding::ClientBinding(const TransportFactory& factory,
       metrics_(metrics) {
   GLOBE_ASSERT_MSG(options_.read_store.valid() || options_.placement.valid(),
                    "bind requires a read store or a placement server");
-  if (!options_.write_store.valid()) {
-    options_.write_store = options_.read_store;
-  }
-  // Seed the default session from the static addresses (possibly
-  // invalid; placement resolution then fills them on first use).
+  // The default session holds the static addresses from here on
+  // (possibly invalid; placement resolution then fills them on first
+  // use).
   Session& def = session(options_.object);
   def.read_store = options_.read_store;
-  def.write_store = options_.write_store;
+  def.write_store = options_.write_store.valid() ? options_.write_store
+                                                 : options_.read_store;
   if (options_.placement.valid()) {
     placement_ = std::make_unique<placement::PlacementCache>(
         factory, &sim, options_.placement);
@@ -58,44 +57,6 @@ ClientBinding::Session& ClientBinding::session(ObjectId object) {
   return *it->second;
 }
 
-Address ClientBinding::session_or_options_read() const {
-  auto it = sessions_.find(options_.object);
-  return it == sessions_.end() ? options_.read_store
-                               : it->second->read_store;
-}
-
-Address ClientBinding::session_or_options_write() const {
-  auto it = sessions_.find(options_.object);
-  return it == sessions_.end() ? options_.write_store
-                               : it->second->write_store;
-}
-
-const coherence::VectorClock& ClientBinding::read_set() const {
-  static const coherence::VectorClock kEmpty;
-  auto it = sessions_.find(options_.object);
-  return it == sessions_.end() ? kEmpty : it->second->read_set;
-}
-
-std::uint64_t ClientBinding::writes_issued() const {
-  auto it = sessions_.find(options_.object);
-  return it == sessions_.end() ? 0 : it->second->write_seq;
-}
-
-const web::WebDocument& ClientBinding::document_cache() const {
-  static const web::WebDocument kEmpty;
-  auto it = sessions_.find(options_.object);
-  return it == sessions_.end() ? kEmpty : it->second->doc_cache;
-}
-
-void ClientBinding::bind_object(ObjectId object, const Address& read_store,
-                                const Address& write_store) {
-  Session& s = session(object);
-  s.read_store = read_store;
-  s.write_store = write_store.valid() ? write_store : read_store;
-  // A static binding wins over placement resolution until invalidated.
-  s.resolved_version = placement_ != nullptr ? placement_->version() : 0;
-}
-
 void ClientBinding::resolve(Session& s, std::function<void()> then) {
   if (placement_ == nullptr) {
     then();
@@ -117,7 +78,7 @@ void ClientBinding::apply_resolution(Session& s) {
   if (!res.has_value() || res->contacts.empty()) return;
   s.resolved_version = res->version;
   const naming::ContactPoint* read = naming::choose_read_contact(
-      res->contacts, options_.preferred_layer,
+      res->contacts, kPreferredReadLayer,
       naming::contact_spread(s.object, options_.client));
   const naming::ContactPoint* write =
       naming::choose_write_contact(res->contacts, multi_master(), read);
@@ -204,11 +165,10 @@ void ClientBinding::on_view_change(const membership::View& view) {
     // its state, so monotonic-reads / read-your-writes requirements
     // travel to the new store and park there until it catches up.
     const naming::ContactPoint* read = naming::choose_read_contact(
-        view.members, options_.preferred_layer,
+        view.members, kPreferredReadLayer,
         naming::contact_spread(options_.object, options_.client));
     if (read != nullptr) {
       s.read_store = read->address;
-      options_.read_store = read->address;
       ++rebinds_;
     }
   }
@@ -217,11 +177,9 @@ void ClientBinding::on_view_change(const membership::View& view) {
         view.members, multi_master(), view.find(s.read_store));
     if (write != nullptr) {
       s.write_store = write->address;
-      options_.write_store = write->address;
       ++rebinds_;
     } else if (multi_master()) {
       s.write_store = s.read_store;
-      options_.write_store = s.read_store;
       ++rebinds_;
     }
   }

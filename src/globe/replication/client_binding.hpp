@@ -43,16 +43,23 @@ using coherence::ClientModel;
 using core::TransportFactory;
 using net::Address;
 
+/// Store layer a binding prefers for reads, at bind time and when a view
+/// or placement change re-resolves them: the client-initiated cache,
+/// falling back upward (naming::choose_read_contact).
+inline constexpr naming::StoreClass kPreferredReadLayer =
+    naming::StoreClass::kClientInitiated;
+
 struct BindOptions {
   ObjectId object = 1;
   ClientId client = 1;
   /// Client-based coherence models to enforce (Section 3.2.2).
   ClientModel session = ClientModel::kNone;
-  /// Store serving this client's reads (its cache, typically). May be
-  /// left invalid when `placement` is set: stores then resolve lazily.
+  /// Store serving this client's reads of `object` (its cache,
+  /// typically). May be left invalid when `placement` is set: stores then
+  /// resolve lazily.
   Address read_store;
-  /// Store accepting this client's writes (the primary for the
-  /// single-writer example of Section 4; may equal read_store).
+  /// Store accepting this client's writes of `object` (the primary for
+  /// the single-writer example of Section 4); invalid = read_store.
   Address write_store;
   /// Object-based model of the bound object; used to skip session
   /// requirements the object already subsumes.
@@ -68,8 +75,6 @@ struct BindOptions {
   /// object's stores through the cached shard layout, and re-resolves
   /// sessions whose resolution predates the current placement version.
   net::Address placement;
-  /// Store layer preferred when re-resolving reads after a view change.
-  naming::StoreClass preferred_layer = naming::StoreClass::kClientInitiated;
 };
 
 struct ReadResult {
@@ -157,47 +162,34 @@ class ClientBinding {
     get_document(options_.object, std::move(cb));
   }
 
-  /// Statically binds one object's stores (tests; deployments without a
-  /// placement server address non-default objects this way).
-  void bind_object(ObjectId object, const Address& read_store,
-                   const Address& write_store);
-
   /// Rebinds reads to a different store (mobile client; exercises the
   /// monotonic-reads guarantee). Default-object session.
   void switch_read_store(const Address& store) {
     default_session().read_store = store;
-    options_.read_store = store;
   }
   void switch_write_store(const Address& store) {
     default_session().write_store = store;
-    options_.write_store = store;
   }
 
+  /// The default-object session's stores and floors.
   [[nodiscard]] Address read_store() const {
-    return session_or_options_read();
+    return default_session().read_store;
   }
   [[nodiscard]] Address write_store() const {
-    return session_or_options_write();
+    return default_session().write_store;
   }
-
-  [[nodiscard]] const coherence::VectorClock& read_set() const;
-  [[nodiscard]] std::uint64_t writes_issued() const;
+  [[nodiscard]] const coherence::VectorClock& read_set() const {
+    return default_session().read_set;
+  }
+  [[nodiscard]] std::uint64_t writes_issued() const {
+    return default_session().write_seq;
+  }
 
   /// Replica-view epoch last applied (0 = none; membership disabled or
   /// no change seen yet) and how often a view or placement change forced
   /// a session onto different stores.
   [[nodiscard]] std::uint64_t view_epoch() const { return view_epoch_; }
   [[nodiscard]] std::uint64_t rebinds() const { return rebinds_; }
-
-  /// Placement cache (null without a placement server). Tests poke it to
-  /// force refreshes.
-  [[nodiscard]] placement::PlacementCache* placement_cache() {
-    return placement_ == nullptr ? nullptr : placement_.get();
-  }
-
-  /// Client-side document cache maintained by get_document()
-  /// (tests / examples). Default-object session.
-  [[nodiscard]] const web::WebDocument& document_cache() const;
 
  private:
   /// Per-object session: the client-based coherence state plus the
@@ -240,9 +232,11 @@ class ClientBinding {
   };
 
   Session& session(ObjectId object);
-  Session& default_session() { return session(options_.object); }
-  [[nodiscard]] Address session_or_options_read() const;
-  [[nodiscard]] Address session_or_options_write() const;
+  /// The default object's session, which the constructor creates.
+  Session& default_session() { return *sessions_.at(options_.object); }
+  [[nodiscard]] const Session& default_session() const {
+    return *sessions_.at(options_.object);
+  }
   /// Ensures `s` has fresh store addresses (placement resolution when
   /// configured), then runs `then`.
   void resolve(Session& s, std::function<void()> then);

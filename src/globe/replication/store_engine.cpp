@@ -57,7 +57,9 @@ void trace_write_span(obs::SpanKind kind, StoreId store, ObjectId object,
 }  // namespace
 
 StoreEngine::StoreEngine(const TransportFactory& factory, sim::Simulator& sim,
-                         StoreConfig config, coherence::History* history,
+                         StoreConfig config,
+                         const std::vector<ObjectConfig>& objects,
+                         coherence::History* history,
                          metrics::MetricsSink* metrics)
     : sim_(sim),
       config_(std::move(config)),
@@ -65,13 +67,17 @@ StoreEngine::StoreEngine(const TransportFactory& factory, sim::Simulator& sim,
       comm_(factory, &sim, &traffic_),
       history_(history),
       metrics_(metrics) {
+  GLOBE_ASSERT_MSG(
+      !config_.membership.valid() || config_.membership_scope != 0,
+      "a store with membership needs a membership scope");
   comm_.set_delivery_handler(
       [this](const Address& from, const msg::EnvelopeView& env) {
         on_message(from, env);
       });
-  // Seed the object table with the legacy single-object slice of the
-  // store config; sharded deployments add_object() the rest.
-  def_ = &create_object(config_.object_config());
+  // The objects hosted from birth subscribe before the store joins
+  // membership: the simulated network draws each send's jitter from one
+  // shared RNG, so this order is part of every deterministic run.
+  for (const ObjectConfig& cfg : objects) create_object(cfg);
   GLOBE_CHECK_HOOK(note_owner_context(this, config_.store_id, 0));
   configure_timers();
   start_membership();
@@ -87,8 +93,8 @@ StoreEngine::~StoreEngine() {
 StoreEngine::ObjectState& StoreEngine::create_object(const ObjectConfig& cfg) {
   GLOBE_ASSERT_MSG(cfg.policy.validate().empty(),
                    "invalid replication policy");
-  GLOBE_ASSERT_MSG(cfg.is_primary || cfg.upstream.valid(),
-                   "non-primary store needs an upstream");
+  GLOBE_ASSERT_MSG(config_.is_primary != cfg.upstream.valid(),
+                   "an object has an upstream exactly off the primary store");
   GLOBE_ASSERT_MSG(objects_.count(cfg.object) == 0,
                    "duplicate object id on one store");
   auto state = std::make_unique<ObjectState>();
@@ -104,7 +110,7 @@ StoreEngine::ObjectState& StoreEngine::create_object(const ObjectConfig& cfg) {
                   ? make_orderer(ObjectModel::kEventual)
                   : std::make_unique<FifoOrderer>();
 
-  if (o.cfg.is_primary || o.cfg.cache_mode != CacheMode::kGlobe) {
+  if (config_.is_primary || o.cfg.cache_mode != CacheMode::kGlobe) {
     o.ready = true;
   } else {
     subscribe_to_upstream(o);
@@ -143,6 +149,18 @@ const StoreEngine::ObjectState& StoreEngine::obj(ObjectId id) const {
   const ObjectState* o = find_object(id);
   GLOBE_ASSERT_MSG(o != nullptr, "unknown object id");
   return *o;
+}
+
+StoreEngine::ObjectState& StoreEngine::only() {
+  GLOBE_ASSERT_MSG(objects_.size() == 1,
+                   "one-object accessor on a store not hosting one object");
+  return *objects_.begin()->second;
+}
+
+const StoreEngine::ObjectState& StoreEngine::only() const {
+  GLOBE_ASSERT_MSG(objects_.size() == 1,
+                   "one-object accessor on a store not hosting one object");
+  return *objects_.begin()->second;
 }
 
 const web::WebDocument& StoreEngine::document(ObjectId id) const {
@@ -185,7 +203,7 @@ std::uint64_t StoreEngine::writes_applied() const {
   return n;
 }
 
-StoreEngine::TimerNeeds StoreEngine::timer_needs(const ObjectState& o) {
+StoreEngine::TimerNeeds StoreEngine::timer_needs(const ObjectState& o) const {
   TimerNeeds need;
   const auto& p = o.cfg.policy;
   if (o.cfg.cache_mode != CacheMode::kGlobe) return need;
@@ -195,7 +213,7 @@ StoreEngine::TimerNeeds StoreEngine::timer_needs(const ObjectState& o) {
     need.lazy = p.lazy_period;
   }
   // Pull poll timer: non-primary Globe stores poll their upstream.
-  if (p.initiative == TransferInitiative::kPull && !o.cfg.is_primary) {
+  if (p.initiative == TransferInitiative::kPull && !config_.is_primary) {
     need.pull = p.lazy_period;
   }
   if (advertises_clock(o)) {
@@ -245,7 +263,7 @@ void StoreEngine::arm_timers(const TimerNeeds& need) {
 }
 
 bool StoreEngine::update_policy(const core::ReplicationPolicy& policy) {
-  return update_policy(*def_, policy);
+  return update_policy(only(), policy);
 }
 
 bool StoreEngine::update_policy(ObjectState& o,
@@ -257,7 +275,6 @@ bool StoreEngine::update_policy(ObjectState& o,
   // Drain anything queued under the old parameters, then switch.
   flush_lazy(o);
   o.cfg.policy = policy;
-  if (&o == def_) config_.policy = policy;  // keep the legacy view in step
   configure_timers();
   update_beacon_lanes(o);
 
@@ -295,7 +312,7 @@ bool StoreEngine::multi_master(const ObjectState& o) {
 
 bool StoreEngine::accepts_writes(const ObjectState& o) const {
   if (multi_master(o)) return true;
-  return o.cfg.is_primary;
+  return config_.is_primary;
 }
 
 void StoreEngine::finalize_propagation() {
@@ -320,13 +337,13 @@ naming::ContactPoint StoreEngine::contact() const {
 
 void StoreEngine::seed(const std::string& page, const std::string& content,
                        const std::string& mime) {
-  seed(def_->cfg.object, page, content, mime);
+  seed(only().cfg.object, page, content, mime);
 }
 
 void StoreEngine::seed(ObjectId id, const std::string& page,
                        const std::string& content, const std::string& mime) {
   ObjectState& o = obj(id);
-  GLOBE_ASSERT_MSG(o.cfg.is_primary, "seed() is a primary-store operation");
+  GLOBE_ASSERT_MSG(config_.is_primary, "seed() is a primary-store operation");
   web::WriteRecord rec;
   rec.wid = coherence::WriteId{0, o.applied_clock.get(0) + 1};
   rec.op = web::WriteOp::kPut;
@@ -486,7 +503,7 @@ void StoreEngine::accept_write(ObjectState& o, const Address& reply_to,
   o.lamport = std::max(o.lamport, o.applied_clock.total()) + 1;
   rec.lamport = o.lamport;
   if (o.cfg.policy.model == ObjectModel::kSequential) {
-    GLOBE_ASSERT_MSG(o.cfg.is_primary,
+    GLOBE_ASSERT_MSG(config_.is_primary,
                      "sequential writes are accepted only at the primary");
     rec.global_seq = o.next_gseq + 1;
   }
@@ -526,7 +543,7 @@ void StoreEngine::accept_write(ObjectState& o, const Address& reply_to,
       // Ack once the record is finally applied.
       o.pending_write_acks[req.wid] = {reply_to, request_id};
       note_gaps(o);
-      if (!o.cfg.is_primary &&
+      if (!config_.is_primary &&
           o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand) {
         demand_fetch(o);
       }
@@ -591,12 +608,12 @@ void StoreEngine::apply_ready(ObjectState& o,
   for (web::WriteRecord& rec : ready) {
     // The primary stamps the total-order position at apply time for the
     // primary-ordered models (sequential records were stamped earlier).
-    if (o.cfg.is_primary && rec.global_seq == 0 && !multi_master(o)) {
+    if (config_.is_primary && rec.global_seq == 0 && !multi_master(o)) {
       rec.global_seq = o.next_gseq + 1;
     }
     if (rec.global_seq > o.next_gseq) o.next_gseq = rec.global_seq;
     // The ordering authority releases the record into the total order.
-    if (o.cfg.is_primary) {
+    if (config_.is_primary) {
       trace_write_span(obs::SpanKind::kOrder, config_.store_id, o.cfg.object,
                        rec.wid, rec.global_seq);
     }
@@ -805,7 +822,7 @@ void StoreEngine::unpark_ready(ObjectState& o) {
   // the loop when the awaited write never arrives.
   if (!o.parked.empty() && !o.fetch_in_flight &&
       o.cfg.policy.client_outdate_reaction == OutdateReaction::kDemand &&
-      !o.cfg.is_primary && o.demand_retry_budget > 0) {
+      !config_.is_primary && o.demand_retry_budget > 0) {
     --o.demand_retry_budget;
     sim_.schedule_after(sim::SimDuration::millis(25), [this, &o] {
       if (!o.parked.empty()) demand_fetch(o);
@@ -901,7 +918,7 @@ void StoreEngine::propagate(ObjectState& o,
   service_flow_events();
   std::vector<Address> targets;
   for (const Subscriber& s : o.subscribers) targets.push_back(s.address);
-  if (multi_master(o) && !o.cfg.is_primary && o.cfg.upstream.valid()) {
+  if (multi_master(o) && !config_.is_primary) {
     targets.push_back(o.cfg.upstream);
   }
   if (targets.empty()) return;
@@ -1093,12 +1110,10 @@ StoreEngine::FlowDisposition StoreEngine::flow_disposition(
   const std::size_t depth =
       queued == o.lazy_queues.end() ? 0 : queued->second.size();
   GLOBE_CHECK_HOOK(on_parked_batches(&o, config_.store_id, key, depth,
-                                     config_.flow_paused_batches_limit));
-  const bool hopeless =
-      (config_.flow_paused_rounds_limit != 0 &&
-       rounds > config_.flow_paused_rounds_limit) ||
-      (config_.flow_paused_batches_limit != 0 &&
-       depth >= config_.flow_paused_batches_limit);
+                                     kFlowPausedBatchesLimit));
+  const bool hopeless = (config_.flow_paused_rounds_limit != 0 &&
+                         rounds > config_.flow_paused_rounds_limit) ||
+                        depth >= kFlowPausedBatchesLimit;
   if (hopeless) {
     drop_flow_peer(key);
     if (metrics_ != nullptr) metrics_->record_flow_eviction();
@@ -1181,7 +1196,7 @@ void StoreEngine::pull_from_upstream(ObjectState& o) {
 
 void StoreEngine::demand_fetch(ObjectState& o,
                                std::vector<std::string> pages) {
-  if (o.fetch_in_flight || o.cfg.is_primary) return;
+  if (o.fetch_in_flight || config_.is_primary) return;
   o.fetch_in_flight = true;
   FetchRequest fetch;
   fetch.have_clock = o.applied_clock;
@@ -1369,7 +1384,8 @@ void StoreEngine::join_membership() {
   ann.shard = config_.shard;
   fill_applied(ann);
   comm_.request_with(
-      config_.membership, msg::MsgType::kMembershipJoin, membership_scope(),
+      config_.membership, msg::MsgType::kMembershipJoin,
+      config_.membership_scope,
       [&](util::Writer& w) { ann.encode(w); },
       [this](bool ok, const Address&, const msg::EnvelopeView& env) {
         if (!ok) return;  // heartbeats re-admit us once reachable
@@ -1385,13 +1401,13 @@ void StoreEngine::send_membership_heartbeat() {
   fill_applied(ann);
   comm_.send_with_background(config_.membership,
                              msg::MsgType::kMembershipHeartbeat,
-                             membership_scope(),
+                             config_.membership_scope,
                              [&](util::Writer& w) { ann.encode(w); });
 }
 
 void StoreEngine::apply_view(const membership::View& view) {
-  if (view.object != membership_scope() || view.shard != config_.shard ||
-      view.epoch <= view_epoch_) {
+  if (view.object != config_.membership_scope ||
+      view.shard != config_.shard || view.epoch <= view_epoch_) {
     return;
   }
   // A member that stayed in the view sees every epoch in sequence
@@ -1446,7 +1462,7 @@ void StoreEngine::apply_view(const membership::View& view) {
 
   for (auto& [id, op] : objects_) {
     ObjectState& o = *op;
-    if (o.cfg.is_primary || o.cfg.cache_mode != CacheMode::kGlobe) {
+    if (config_.is_primary || o.cfg.cache_mode != CacheMode::kGlobe) {
       continue;
     }
     bool need_resubscribe = jumped;
@@ -1457,7 +1473,6 @@ void StoreEngine::apply_view(const membership::View& view) {
           membership::choose_upstream(view, address());
       if (next != nullptr) {
         o.cfg.upstream = next->address;
-        if (&o == def_) config_.upstream = next->address;
         need_resubscribe = true;
       }
     }
@@ -1471,7 +1486,7 @@ void StoreEngine::apply_view(const membership::View& view) {
 
 void StoreEngine::handle_view_delta(const msg::EnvelopeView& env) {
   const membership::ViewDelta d = membership::ViewDelta::decode(env.body);
-  if (d.object != membership_scope() || d.shard != config_.shard ||
+  if (d.object != config_.membership_scope || d.shard != config_.shard ||
       d.epoch <= view_epoch_) {
     return;
   }
@@ -1495,7 +1510,8 @@ void StoreEngine::fetch_full_view() {
   membership::ViewFetchMsg req;
   req.shard = config_.shard;
   comm_.request_with(
-      config_.membership, msg::MsgType::kViewFetchRequest, membership_scope(),
+      config_.membership, msg::MsgType::kViewFetchRequest,
+      config_.membership_scope,
       [&](util::Writer& w) { req.encode(w); },
       [this](bool ok, const Address&, const msg::EnvelopeView& env) {
         view_fetch_in_flight_ = false;
@@ -1506,7 +1522,7 @@ void StoreEngine::fetch_full_view() {
 }
 
 void StoreEngine::resync(ObjectState& o) {
-  if (o.cfg.is_primary || !o.ready || !alive_ || departed_) return;
+  if (config_.is_primary || !o.ready || !alive_ || departed_) return;
   o.demand_retry_budget = 100;  // re-arm: a view event is fresh progress
   if (multi_master(o)) {
     // One anti-entropy exchange heals both directions with the upstream;
@@ -1550,7 +1566,7 @@ void StoreEngine::recover() {
   start_membership();
   for (auto& [id, op] : objects_) {
     ObjectState& o = *op;
-    if (!o.cfg.is_primary && o.cfg.cache_mode == CacheMode::kGlobe) {
+    if (!config_.is_primary && o.cfg.cache_mode == CacheMode::kGlobe) {
       // Bootstrap through the cached-snapshot path; the ready flag is
       // still set from before the crash, so this runs as a re-subscribe
       // (forward-only snapshot merge + resync round).
@@ -1566,7 +1582,7 @@ void StoreEngine::leave() {
     membership::LeaveMsg m;
     m.address = address();
     comm_.send_with(config_.membership, msg::MsgType::kMembershipLeave,
-                    membership_scope(),
+                    config_.membership_scope,
                     [&](util::Writer& w) { m.encode(w); });
   }
   departed_ = true;
@@ -1642,7 +1658,7 @@ void StoreEngine::handle_update(ObjectState& o, const Address& from,
   note_gaps(o);
   if (o.outdated &&
       o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand &&
-      !o.cfg.is_primary) {
+      !config_.is_primary) {
     demand_fetch(o);
   }
 }
@@ -2147,7 +2163,7 @@ StateTransfer StoreEngine::make_state_transfer(
 }
 
 void StoreEngine::request_snapshot_delta(ObjectState& o) {
-  if (o.fetch_in_flight || o.cfg.is_primary) return;
+  if (o.fetch_in_flight || config_.is_primary) return;
   o.fetch_in_flight = true;
   const SnapshotDeltaRequest req = make_delta_request(o, o.cfg.upstream);
   comm_.request_with(

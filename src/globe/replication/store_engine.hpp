@@ -21,12 +21,14 @@
 // subscriber set, upstream) keyed by ObjectId, and every per-object wire
 // message carries the object key in its envelope, so one communication
 // endpoint, one timer set, one clock-beacon lane per subscriber peer and
-// one membership heartbeat stream serve the whole table. The
-// single-object constructor seeds the table with one object from
-// StoreConfig (the legacy deployment shape); sharded deployments call
-// add_object() for every object placement assigns to this store's
-// shard, and join membership under one cluster-wide scope
-// (StoreConfig::membership_scope) with their shard tag.
+// one membership heartbeat stream serve the whole table. The table holds
+// exactly the objects the store is given: the constructor creates the
+// ones it hosts from birth (one, in a single-object deployment), and
+// add_object() places the rest. A sharded store starts empty, gets every
+// object placement assigns to its shard, and joins membership under one
+// cluster-wide scope (StoreConfig::membership_scope) with its shard tag.
+// StoreConfig holds only store-wide settings; ObjectConfig holds the
+// per-object ones.
 #pragma once
 
 #include <deque>
@@ -79,27 +81,28 @@ enum class CacheMode : std::uint8_t {
 }
 
 /// Per-object replication parameters: everything that may differ between
-/// two objects hosted by the same store. Store-wide knobs (transport
-/// sharing, compaction budgets, membership, flow control) live in
-/// StoreConfig.
+/// two objects hosted by the same store. Store-wide settings (role,
+/// compaction budgets, membership, flow control) live in StoreConfig.
+/// An object on the primary store is the object's primary replica and
+/// has no upstream; on any other store it has one.
 struct ObjectConfig {
   ObjectId object = 1;
-  bool is_primary = false;
-  Address upstream;  // propagation parent; invalid for the primary
+  Address upstream;  // propagation parent; invalid on the primary store
   ReplicationPolicy policy;
   CacheMode cache_mode = CacheMode::kGlobe;
   sim::SimDuration ttl = sim::SimDuration::seconds(60);
 };
 
+/// Store-wide settings. The objects a store hosts come with their own
+/// ObjectConfig, through the constructor or add_object().
 struct StoreConfig {
-  ObjectId object = 1;
   StoreId store_id = 0;
   naming::StoreClass store_class = naming::StoreClass::kPermanent;
+  /// The store's role. A primary store hosts the primary replica of
+  /// every object it is given, and its contact point says so from birth,
+  /// before it hosts anything: membership exempts it from eviction and
+  /// clients send single-master writes to it.
   bool is_primary = false;
-  Address upstream;  // propagation parent; invalid for the primary
-  ReplicationPolicy policy;
-  CacheMode cache_mode = CacheMode::kGlobe;
-  sim::SimDuration ttl = sim::SimDuration::seconds(60);
   /// Write-log compaction: when the retained log exceeds this many
   /// records, the oldest half is folded into the log's base clock and
   /// requesters behind the horizon get a snapshot cutover instead of a
@@ -116,15 +119,15 @@ struct StoreConfig {
   /// evicted subscribers, re-resolves upstreams, resyncs).
   Address membership;
   sim::SimDuration membership_heartbeat = sim::SimDuration::millis(100);
-  /// Membership scope this store joins. 0 (legacy) = the seed object's
-  /// id: per-object replica groups, one join per engine per object.
-  /// Sharded deployments set one cluster-wide scope for every store and
-  /// tag the join with `shard`; the membership service projects
-  /// per-shard subgroup views out of the single scope-wide member list,
-  /// and this engine applies the view of its own shard to every hosted
-  /// object. A multi-object engine with membership enabled must use a
-  /// cluster scope (per-object scopes would need one join per object,
-  /// defeating the single heartbeat stream).
+  /// Membership scope this store joins; must be set when `membership`
+  /// is. A single-object store joins its object's replica group (the
+  /// scope is the object id). Sharded deployments set one cluster-wide
+  /// scope for every store and tag the join with `shard`; the membership
+  /// service projects per-shard subgroup views out of the single
+  /// scope-wide member list, and this engine applies the view of its own
+  /// shard to every hosted object. A multi-object engine with membership
+  /// enabled must use a cluster scope (per-object scopes would need one
+  /// join per object, defeating the single heartbeat stream).
   std::uint64_t membership_scope = 0;
   /// The shard this store serves; every hosted object belongs to it.
   /// Shard 0 is the legacy single-shard deployment.
@@ -134,33 +137,27 @@ struct StoreConfig {
   /// the engine polls it before every propagation round: updates for
   /// paused subscribers park in the lazy queues instead of flooding the
   /// transport, resume flushes them, and a subscriber that stays paused
-  /// past the deadlines below is dropped (a live peer re-subscribes and
+  /// past either deadline (flow_paused_rounds_limit below,
+  /// kFlowPausedBatchesLimit) is dropped (a live peer re-subscribes and
   /// resyncs via the normal state-transfer path).
   net::FlowControl* flow = nullptr;
   /// Consecutive propagation rounds a subscriber may stay paused before
   /// it is dropped. 0 = never drop.
   std::size_t flow_paused_rounds_limit = 64;
-  /// Batches parked for one paused subscriber before it is dropped.
-  /// 0 = unbounded.
-  std::size_t flow_paused_batches_limit = 4096;
-
-  /// The per-object slice of this config (the seed object's parameters).
-  [[nodiscard]] ObjectConfig object_config() const {
-    ObjectConfig c;
-    c.object = object;
-    c.is_primary = is_primary;
-    c.upstream = upstream;
-    c.policy = policy;
-    c.cache_mode = cache_mode;
-    c.ttl = ttl;
-    return c;
-  }
 };
+
+/// Batches parked for one paused subscriber before it is dropped. This
+/// bounds a paused peer's queue even when
+/// StoreConfig::flow_paused_rounds_limit is 0.
+inline constexpr std::size_t kFlowPausedBatchesLimit = 4096;
 
 class StoreEngine {
  public:
+  /// `objects` are the objects the store hosts from birth (possibly
+  /// none); add_object() places more later.
   StoreEngine(const TransportFactory& factory, sim::Simulator& sim,
-              StoreConfig config, coherence::History* history = nullptr,
+              StoreConfig config, const std::vector<ObjectConfig>& objects,
+              coherence::History* history = nullptr,
               metrics::MetricsSink* metrics = nullptr);
   ~StoreEngine();
 
@@ -182,30 +179,37 @@ class StoreEngine {
   [[nodiscard]] bool has_object(ObjectId id) const {
     return objects_.count(id) != 0;
   }
-  [[nodiscard]] std::size_t object_count() const { return objects_.size(); }
   [[nodiscard]] std::vector<ObjectId> object_ids() const;
 
   /// Local state inspection (tests / examples). The parameterless forms
-  /// read the seed object (the legacy single-object deployments).
+  /// read the store's only object and assert that it hosts exactly one.
+  /// object_config() is the live configuration: policy switches and
+  /// view-driven re-parenting update it.
+  [[nodiscard]] const ObjectConfig& object_config() const {
+    return only().cfg;
+  }
+  [[nodiscard]] const ObjectConfig& object_config(ObjectId id) const {
+    return obj(id).cfg;
+  }
   [[nodiscard]] const web::WebDocument& document() const {
-    return def_->semantics.document();
+    return only().semantics.document();
   }
   [[nodiscard]] const web::WebDocument& document(ObjectId id) const;
   [[nodiscard]] const coherence::VectorClock& applied_clock() const {
-    return def_->applied_clock;
+    return only().applied_clock;
   }
   [[nodiscard]] const coherence::VectorClock& applied_clock(ObjectId id) const;
   [[nodiscard]] std::uint64_t applied_gseq() const {
-    return def_->applied_gseq;
+    return only().applied_gseq;
   }
   [[nodiscard]] std::uint64_t applied_gseq(ObjectId id) const;
-  [[nodiscard]] bool outdated() const { return def_->outdated; }
+  [[nodiscard]] bool outdated() const { return only().outdated; }
   [[nodiscard]] std::size_t parked_requests() const;
   [[nodiscard]] std::size_t subscriber_count() const {
-    return def_->subscribers.size();
+    return only().subscribers.size();
   }
   [[nodiscard]] std::size_t subscriber_count(ObjectId id) const;
-  [[nodiscard]] bool ready() const { return def_->ready; }
+  [[nodiscard]] bool ready() const { return only().ready; }
   [[nodiscard]] bool ready(ObjectId id) const;
   /// Lifecycle state (fault injection / membership).
   [[nodiscard]] bool alive() const { return alive_; }
@@ -224,6 +228,7 @@ class StoreEngine {
 
   /// Seeds initial content directly (primary only; used to set up the
   /// document before clients bind, like uploading files to a Web server).
+  /// The page-only form seeds the store's only object.
   void seed(const std::string& page, const std::string& content,
             const std::string& mime = "text/html");
   void seed(ObjectId id, const std::string& page, const std::string& content,
@@ -258,7 +263,7 @@ class StoreEngine {
   /// re-parent when the view change reaches them.
   void leave();
 
-  /// Replaces the implementation parameters of the seed object's
+  /// Replaces the implementation parameters of the only object's
   /// strategy at runtime and propagates the change to every downstream
   /// store (Section 3.2.2: standardized interfaces make strategies
   /// dynamically replaceable; Section 5 names self-adaptive policies as
@@ -273,7 +278,7 @@ class StoreEngine {
   [[nodiscard]] std::uint64_t writes_applied() const;
 
   /// The applied-record log with its delta indexes (tests / benches).
-  [[nodiscard]] const WriteLog& write_log() const { return def_->log; }
+  [[nodiscard]] const WriteLog& write_log() const { return only().log; }
   [[nodiscard]] const WriteLog& write_log(ObjectId id) const;
 
  private:
@@ -345,12 +350,11 @@ class StoreEngine {
   [[nodiscard]] const ObjectState* find_object(ObjectId id) const;
   [[nodiscard]] ObjectState& obj(ObjectId id);
   [[nodiscard]] const ObjectState& obj(ObjectId id) const;
+  /// The store's only object (the one-object accessors); asserts that
+  /// the table holds exactly one.
+  [[nodiscard]] ObjectState& only();
+  [[nodiscard]] const ObjectState& only() const;
   ObjectState& create_object(const ObjectConfig& cfg);
-  /// The scope this engine's membership join/heartbeat names.
-  [[nodiscard]] std::uint64_t membership_scope() const {
-    return config_.membership_scope != 0 ? config_.membership_scope
-                                         : def_->cfg.object;
-  }
 
   // ---- message dispatch ----
   void on_message(const Address& from, const msg::EnvelopeView& env);
@@ -498,7 +502,7 @@ class StoreEngine {
     std::optional<sim::SimDuration> pull;
     std::optional<sim::SimDuration> beat;
   };
-  [[nodiscard]] static TimerNeeds timer_needs(const ObjectState& o);
+  [[nodiscard]] TimerNeeds timer_needs(const ObjectState& o) const;
   /// Rebuilds the timer set from the whole object table (construction,
   /// policy change, recovery): each timer runs at the minimum period any
   /// hosted object asks for, and its tick visits every object that
@@ -604,11 +608,8 @@ class StoreEngine {
   TrafficAdapter traffic_;
   CommunicationObject comm_;
 
-  // The object table. `def_` is the seed object (StoreConfig::object);
-  // the parameterless accessors and the legacy single-object API read
-  // it. Entries are never removed.
+  // The object table. Entries are never removed.
   std::map<ObjectId, std::unique_ptr<ObjectState>> objects_;
-  ObjectState* def_ = nullptr;
 
   // Transport backpressure (config_.flow): subscribers whose windowed
   // channel is paused, and how many propagation rounds each has parked.
@@ -662,8 +663,8 @@ class StoreEngine {
 /// bypassing the snapshot cache), and the applied gseq/clock. The
 /// fan-out equivalence test and the bench_scale gate compare these
 /// digests to prove two propagation configurations delivered
-/// byte-identical records. The two-argument form digests the seed
-/// object.
+/// byte-identical records. The two-argument form digests the store's
+/// only object.
 ///
 /// `mask_wall_clock` zeroes the issue/update timestamps embedded in
 /// records and pages. Two runs that differ only in how the transport

@@ -61,7 +61,7 @@ void Testbed::enable_observability(ObservabilityOptions opts) {
   to.sample_every = obs_opts_.sample_every;
   tracer.enable(to);
 
-  recorder_ = std::make_unique<obs::FlightRecorder>(obs_opts_.gauge_ring);
+  recorder_ = std::make_unique<obs::FlightRecorder>(kGaugeRing);
   register_observability_gauges();
   gauge_timer_ = std::make_unique<sim::PeriodicTimer>(
       sim_, obs_opts_.gauge_period,
@@ -138,7 +138,7 @@ void Testbed::on_monitor_trip(const std::string& monitor) {
   // report. Overwrite-on-trip: the last trip wins (each dump is a
   // complete, self-contained window).
   const std::int64_t since =
-      sim_.now().count_micros() - obs_opts_.trip_dump_window.count_micros();
+      sim_.now().count_micros() - kTripDumpWindow.count_micros();
   std::ofstream out(obs_opts_.trip_dump_path);
   if (!out) return;
   obs::write_dump(out, obs::Tracer::instance().snapshot(since),
@@ -184,7 +184,9 @@ core::TransportFactory Testbed::factory(NodeId node) {
   };
 }
 
-StoreEngine& Testbed::add_store_impl(StoreConfig cfg, std::string node_name) {
+StoreEngine& Testbed::add_store_impl(StoreConfig cfg,
+                                     const std::vector<ObjectConfig>& objects,
+                                     std::string node_name) {
   cfg.log_compact_threshold = options_.log_compact_threshold;
   cfg.log_compact_bytes = options_.log_compact_bytes;
   if (membership_ != nullptr) {
@@ -194,7 +196,7 @@ StoreEngine& Testbed::add_store_impl(StoreConfig cfg, std::string node_name) {
   cfg.flow = window_.get();  // null when not windowed
   const NodeId node = add_node(std::move(node_name));
   auto store = std::make_unique<StoreEngine>(
-      factory(node), sim_, std::move(cfg),
+      factory(node), sim_, std::move(cfg), objects,
       options_.record_history ? &history_ : nullptr, &metrics_);
   StoreEngine& ref = *store;
   stores_.push_back(std::move(store));
@@ -207,12 +209,15 @@ StoreEngine& Testbed::add_primary(ObjectId object,
   GLOBE_ASSERT_MSG(primaries_.find(object) == primaries_.end(),
                    "object already has a primary");
   StoreConfig cfg;
-  cfg.object = object;
   cfg.store_id = next_store_id_++;
   cfg.store_class = naming::StoreClass::kPermanent;
   cfg.is_primary = true;
-  cfg.policy = policy;
-  StoreEngine& ref = add_store_impl(std::move(cfg), std::move(node_name));
+  cfg.membership_scope = object;
+  ObjectConfig oc;
+  oc.object = object;
+  oc.policy = policy;
+  StoreEngine& ref =
+      add_store_impl(std::move(cfg), {oc}, std::move(node_name));
   primaries_[object] = &ref;
   return ref;
 }
@@ -223,17 +228,18 @@ StoreEngine& Testbed::add_store(ObjectId object,
                                 net::Address upstream,
                                 std::string node_name) {
   StoreConfig cfg;
-  cfg.object = object;
   cfg.store_id = next_store_id_++;
   cfg.store_class = store_class;
-  cfg.is_primary = false;
-  cfg.upstream = upstream.valid() ? upstream : primary(object).address();
-  cfg.policy = policy;
+  cfg.membership_scope = object;
+  ObjectConfig oc;
+  oc.object = object;
+  oc.upstream = upstream.valid() ? upstream : primary(object).address();
+  oc.policy = policy;
   if (node_name.empty()) {
     node_name = std::string(naming::to_string(store_class)) + "-" +
                 std::to_string(cfg.store_id);
   }
-  return add_store_impl(std::move(cfg), std::move(node_name));
+  return add_store_impl(std::move(cfg), {oc}, std::move(node_name));
 }
 
 StoreEngine& Testbed::add_baseline_cache(ObjectId object, CacheMode mode,
@@ -243,19 +249,20 @@ StoreEngine& Testbed::add_baseline_cache(ObjectId object, CacheMode mode,
                                          std::string node_name) {
   GLOBE_ASSERT(mode != CacheMode::kGlobe);
   StoreConfig cfg;
-  cfg.object = object;
   cfg.store_id = next_store_id_++;
   cfg.store_class = naming::StoreClass::kClientInitiated;
-  cfg.is_primary = false;
-  cfg.upstream = upstream.valid() ? upstream : primary(object).address();
-  cfg.policy = policy;
-  cfg.cache_mode = mode;
-  cfg.ttl = ttl;
+  cfg.membership_scope = object;
+  ObjectConfig oc;
+  oc.object = object;
+  oc.upstream = upstream.valid() ? upstream : primary(object).address();
+  oc.policy = policy;
+  oc.cache_mode = mode;
+  oc.ttl = ttl;
   if (node_name.empty()) {
     node_name = std::string(to_string(mode)) + "-" +
                 std::to_string(cfg.store_id);
   }
-  return add_store_impl(std::move(cfg), std::move(node_name));
+  return add_store_impl(std::move(cfg), {oc}, std::move(node_name));
 }
 
 ClientBinding& Testbed::add_client(ObjectId object,
@@ -296,7 +303,7 @@ ClientBinding& Testbed::add_client_at(NodeId node, ObjectId object,
   }
   auto pit = primaries_.find(object);
   if (pit != primaries_.end()) {
-    opts.object_model = pit->second->config().policy.model;
+    opts.object_model = pit->second->object_config(object).policy.model;
     const bool single_master =
         opts.object_model != coherence::ObjectModel::kCausal &&
         opts.object_model != coherence::ObjectModel::kEventual;
@@ -326,34 +333,27 @@ StoreEngine& Testbed::add_shard_store(ShardId shard,
   GLOBE_ASSERT_MSG(placement_ != nullptr,
                    "add_shard_store needs TestbedOptions::shards");
   GLOBE_ASSERT(shard < options_.shards);
-  StoreConfig cfg;
-  cfg.object = kShardAnchorBase + shard;
-  cfg.store_id = next_store_id_++;
-  cfg.store_class = primary ? naming::StoreClass::kPermanent : store_class;
-  cfg.is_primary = primary;
-  cfg.policy = policy;
-  cfg.shard = shard;
-  cfg.membership_scope = kShardMembershipScope;
   if (primary) {
     GLOBE_ASSERT_MSG(shard_primaries_.find(shard) == shard_primaries_.end(),
                      "shard already has a primary");
   } else {
     GLOBE_ASSERT_MSG(shard_primaries_.find(shard) != shard_primaries_.end(),
                      "add the shard's primary first");
-    cfg.upstream = shard_primary(shard).address();
   }
-  const ObjectId anchor = cfg.object;
+  StoreConfig cfg;
+  cfg.store_id = next_store_id_++;
+  cfg.store_class = primary ? naming::StoreClass::kPermanent : store_class;
+  cfg.is_primary = primary;
+  cfg.shard = shard;
+  cfg.membership_scope = kShardMembershipScope;
   if (node_name.empty()) {
     node_name = "shard" + std::to_string(shard) + "-" +
                 (primary ? std::string("primary")
                          : std::to_string(cfg.store_id));
   }
-  StoreEngine& ref = add_store_impl(std::move(cfg), std::move(node_name));
-  shard_stores_[shard].push_back(&ref);
-  if (primary) {
-    shard_primaries_[shard] = &ref;
-    primaries_[anchor] = &ref;
-  }
+  StoreEngine& ref = add_store_impl(std::move(cfg), {}, std::move(node_name));
+  shard_stores_[shard].push_back({&ref, policy});
+  if (primary) shard_primaries_[shard] = &ref;
   placement_->register_contact(shard, ref.contact());
   return ref;
 }
@@ -367,21 +367,15 @@ void Testbed::place_objects(const std::vector<ObjectId>& objects) {
     GLOBE_ASSERT_MSG(sit != shard_stores_.end(),
                      "object placed on a shard with no stores");
     StoreEngine* primary = shard_primaries_.at(shard);
-    ObjectConfig oc;
-    oc.object = object;
-    oc.is_primary = true;
-    oc.policy = primary->config().policy;
-    primary->add_object(oc);
     primaries_[object] = primary;
-    for (StoreEngine* s : sit->second) {
-      if (s == primary) continue;
-      ObjectConfig sc;
-      sc.object = object;
-      sc.upstream = primary->address();
-      sc.policy = s->config().policy;
-      sc.cache_mode = s->config().cache_mode;
-      sc.ttl = s->config().ttl;
-      s->add_object(sc);
+    // The primary comes first, so its replica exists before any
+    // secondary subscribes to it.
+    for (const ShardStore& s : sit->second) {
+      ObjectConfig oc;
+      oc.object = object;
+      if (s.store != primary) oc.upstream = primary->address();
+      oc.policy = s.policy;
+      s.store->add_object(oc);
     }
   }
 }
@@ -438,7 +432,7 @@ bool Testbed::converged(ObjectId object) const {
   const StoreEngine* primary = pit->second;
   for (const auto& s : stores_) {
     if (!s->has_object(object)) continue;
-    if (s->config().cache_mode != CacheMode::kGlobe) continue;
+    if (s->object_config(object).cache_mode != CacheMode::kGlobe) continue;
     // Crashed and departed stores are out of the replica set; every
     // store still in it — including ones that joined or recovered mid-
     // run — must be bootstrapped and equal to the primary.
@@ -509,16 +503,10 @@ void Testbed::partition_stores(const std::vector<std::size_t>& side_a,
 
 void Testbed::join_stores(std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
-    if (spawner_) {
-      spawner_(*this);
-      continue;
-    }
-    // Default flash-crowd joiner: a Globe cache under the first
-    // object's primary, inheriting the primary's policy.
     GLOBE_ASSERT_MSG(!primaries_.empty(), "join_stores needs a primary");
     const auto& [object, primary] = *primaries_.begin();
     add_store(object, naming::StoreClass::kClientInitiated,
-              primary->config().policy);
+              primary->object_config(object).policy);
   }
 }
 

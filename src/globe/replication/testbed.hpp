@@ -9,7 +9,6 @@
 // deploy through this class.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -72,12 +71,6 @@ struct TestbedOptions {
 /// member list the membership service projects into per-shard subgroup
 /// views (StoreConfig::membership_scope).
 inline constexpr std::uint64_t kShardMembershipScope = 0xC1A5'7E21ull;
-
-/// Seed-object id of shard `s`'s stores (base + s). Every StoreEngine
-/// hosts its config object from birth; sharded stores anchor on a
-/// per-shard id far outside the workload's object range so placed
-/// objects never collide with it.
-inline constexpr ObjectId kShardAnchorBase = 0xA11C'0000ull;
 
 class Testbed {
  public:
@@ -165,10 +158,11 @@ class Testbed {
   [[nodiscard]] bool sharded() const { return placement_ != nullptr; }
 
   /// Adds a store serving `shard` on a fresh node, registered as a
-  /// placement contact. The first store of each shard must be its
-  /// primary (`primary = true`, permanent class); later stores subscribe
-  /// to it. Sharded stores join the cluster membership scope tagged with
-  /// their shard.
+  /// placement contact. The store starts empty: place_objects() gives it
+  /// its objects, under `policy`. The first store of each shard must be
+  /// its primary (`primary = true`, permanent class); later stores host
+  /// replicas subscribed to it. Sharded stores join the cluster
+  /// membership scope tagged with their shard.
   StoreEngine& add_shard_store(ShardId shard,
                                naming::StoreClass store_class,
                                const core::ReplicationPolicy& policy,
@@ -177,8 +171,9 @@ class Testbed {
 
   /// Places every object on its layout shard: a primary replica on the
   /// shard's primary store, secondary replicas on the shard's other
-  /// stores (subscribed to the primary). Policies are inherited from the
-  /// hosting store.
+  /// stores (subscribed to the primary). Each replica gets the policy its
+  /// store was added with; shard stores are Globe stores (no baseline
+  /// cache modes).
   void place_objects(const std::vector<ObjectId>& objects);
 
   /// Binds a client that resolves every object's stores through the
@@ -190,10 +185,6 @@ class Testbed {
 
   [[nodiscard]] StoreEngine& shard_primary(ShardId shard) {
     return *shard_primaries_.at(shard);
-  }
-  [[nodiscard]] const std::vector<StoreEngine*>& shard_stores(
-      ShardId shard) const {
-    return shard_stores_.at(shard);
   }
 
   [[nodiscard]] StoreEngine& primary(ObjectId object) {
@@ -251,12 +242,8 @@ class Testbed {
   /// Heals every scripted partition (crashed nodes stay down).
   void heal_partitions() { net_.heal_all(); }
 
-  /// Spawner used by flash-crowd join events. Defaults to cloning a
-  /// Globe cache under the first object's primary with its policy.
-  using StoreSpawner = std::function<StoreEngine&(Testbed&)>;
-  void set_store_spawner(StoreSpawner spawner) {
-    spawner_ = std::move(spawner);
-  }
+  /// Flash-crowd join: `count` Globe caches under the first object's
+  /// primary, with its policy.
   void join_stores(std::size_t count);
 
   // ---- observability (obs::Tracer + flight recorder) -----------------
@@ -264,13 +251,17 @@ class Testbed {
   struct ObservabilityOptions {
     std::size_t trace_capacity = 1 << 16;
     std::uint64_t sample_every = 1;  // trace 1-in-N writes
-    std::size_t gauge_ring = 512;    // points retained per gauge
     sim::SimDuration gauge_period = sim::SimDuration::millis(50);
     /// On a monitor trip, write an .obstrace dump (the spans and gauge
-    /// rings from the preceding window) to this path. Empty = no file.
+    /// rings from the preceding kTripDumpWindow) to this path. Empty = no
+    /// file.
     std::string trip_dump_path;
-    sim::SimDuration trip_dump_window = sim::SimDuration::seconds(5);
   };
+  /// Points retained per flight-recorder gauge.
+  static constexpr std::size_t kGaugeRing = 512;
+  /// Span of simulated time a monitor-trip dump covers.
+  static constexpr sim::SimDuration kTripDumpWindow =
+      sim::SimDuration::seconds(5);
 
   /// Puts the process tracer on the simulated clock, registers gauges
   /// over this testbed's components (lazy-park depths, write-log bytes,
@@ -292,7 +283,9 @@ class Testbed {
  private:
   void register_observability_gauges();
   void on_monitor_trip(const std::string& monitor);
-  StoreEngine& add_store_impl(StoreConfig cfg, std::string node_name);
+  StoreEngine& add_store_impl(StoreConfig cfg,
+                              const std::vector<ObjectConfig>& objects,
+                              std::string node_name);
   [[nodiscard]] std::vector<NodeId> side_nodes(
       const std::vector<std::size_t>& side) const;
 
@@ -311,10 +304,15 @@ class Testbed {
   std::vector<NodeId> service_nodes_;  // naming + membership + placement
   std::map<ObjectId, StoreEngine*> primaries_;
   std::map<ShardId, StoreEngine*> shard_primaries_;
-  std::map<ShardId, std::vector<StoreEngine*>> shard_stores_;
+  /// A shard's stores in the order they were added (its primary first),
+  /// each with the policy place_objects() gives its replicas.
+  struct ShardStore {
+    StoreEngine* store = nullptr;
+    core::ReplicationPolicy policy;
+  };
+  std::map<ShardId, std::vector<ShardStore>> shard_stores_;
   std::vector<std::unique_ptr<StoreEngine>> stores_;
   std::vector<std::unique_ptr<ClientBinding>> clients_;
-  StoreSpawner spawner_;
   StoreId next_store_id_ = 1;
   ClientId next_client_id_ = 1;
   std::unique_ptr<obs::FlightRecorder> recorder_;

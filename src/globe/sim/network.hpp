@@ -69,7 +69,6 @@ class Network {
     return static_cast<NodeId>(node_names_.size() - 1);
   }
 
-  [[nodiscard]] std::size_t node_count() const { return node_names_.size(); }
   [[nodiscard]] const std::string& node_name(NodeId n) const {
     return node_names_.at(n);
   }
@@ -112,9 +111,6 @@ class Network {
     } else {
       down_nodes_.erase(n);
     }
-  }
-  [[nodiscard]] bool node_down(NodeId n) const {
-    return down_nodes_.count(n) > 0;
   }
 
   /// Sends a payload. Delivery (or drop) is scheduled on the simulator.

@@ -246,8 +246,6 @@ class PeriodicTimer {
   [[nodiscard]] bool running() const { return running_; }
   [[nodiscard]] SimDuration period() const { return period_; }
 
-  void set_period(SimDuration p) { period_ = p; }
-
  private:
   void arm() {
     pending_ = sim_.schedule_background_after(period_, [this] {

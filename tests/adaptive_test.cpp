@@ -86,8 +86,10 @@ TEST(UpdatePolicy, ChangePropagatesDownstream) {
   lazy.instant = core::TransferInstant::kLazy;
   ASSERT_TRUE(primary.update_policy(lazy));
   bed.settle();
-  EXPECT_EQ(mirror.config().policy.instant, core::TransferInstant::kLazy);
-  EXPECT_EQ(cache.config().policy.instant, core::TransferInstant::kLazy);
+  EXPECT_EQ(mirror.object_config().policy.instant,
+            core::TransferInstant::kLazy);
+  EXPECT_EQ(cache.object_config().policy.instant,
+            core::TransferInstant::kLazy);
 }
 
 TEST(UpdatePolicy, SwitchFlushesPendingLazyUpdates) {

@@ -415,16 +415,16 @@ TEST(TimerSet, AddedObjectWithShorterLazyPeriodShortensTheTick) {
                                       /*primary=*/true);
   auto& secondary =
       bed.add_shard_store(0, naming::StoreClass::kObjectInitiated, slow);
+  // A slow object hosted from the start is what runs the 400 ms tick.
+  bed.place_objects({1});
   bed.settle();
   bed.run_for(sim::SimDuration::millis(130));  // running, mid-period
 
   constexpr ObjectId kFast = 7;
   ObjectConfig oc;
   oc.object = kFast;
-  oc.is_primary = true;
   oc.policy = fast;
   primary.add_object(oc);
-  oc.is_primary = false;
   oc.upstream = primary.address();
   secondary.add_object(oc);
   bed.settle();

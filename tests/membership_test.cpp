@@ -155,14 +155,14 @@ TEST(MembershipTest, UpstreamCrashReparentsDownstreamStore) {
                               policy, mirror.address());
   bed.settle();
   bed.run_for(sim::SimDuration::millis(100));
-  ASSERT_EQ(cache.config().upstream, mirror.address());
+  ASSERT_EQ(cache.object_config().upstream, mirror.address());
 
   bed.crash_store(1);  // the mirror
   bed.run_for(sim::SimDuration::millis(800));
 
   // The cache re-resolved its propagation parent onto the primary and
   // keeps receiving updates.
-  EXPECT_EQ(cache.config().upstream, primary.address());
+  EXPECT_EQ(cache.object_config().upstream, primary.address());
   primary.seed("a.html", "v2");
   bed.run_for(sim::SimDuration::millis(200));
   bed.settle();

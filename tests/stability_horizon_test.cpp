@@ -249,7 +249,7 @@ TEST(StabilityHorizon, CrashedUnevictedPrimaryDoesNotFreezeTheHorizon) {
   EXPECT_EQ(before.clock.get(c1.id()), 5u);
   const std::uint64_t retired_before = sc.events_retired();
 
-  bed.crash_store(0);  // the primary; evict_primary=false keeps it seated
+  bed.crash_store(0);  // the primary, exempt from eviction: stays seated
   bed.run_for(sim::SimDuration::millis(400));  // > failure_timeout
   ASSERT_TRUE(
       bed.membership().current_view(kObj).contains(primary.address()));
@@ -275,6 +275,52 @@ TEST(StabilityHorizon, CrashedUnevictedPrimaryDoesNotFreezeTheHorizon) {
   // GC kept running for the survivors: the streaming checker kept
   // retiring events behind the advancing floor.
   EXPECT_GT(sc.events_retired(), retired_before);
+}
+
+// A sharded store hosts exactly the objects placement gives it, so its
+// heartbeat floor is the floor of real replicas. A phantom object with an
+// empty clock would pin the cluster-wide floor at nothing, and horizon GC
+// would never run on sharded stores.
+TEST(StabilityHorizon, ShardedStoresAdvanceTheHorizonAndCompact) {
+  TestbedOptions opts = horizon_options();
+  opts.shards = 2;
+  opts.record_history = false;
+  Testbed bed(opts);
+  const core::ReplicationPolicy policy;
+  for (ShardId s = 0; s < 2; ++s) {
+    bed.add_shard_store(s, naming::StoreClass::kPermanent, policy,
+                        /*primary=*/true);
+    bed.add_shard_store(s, naming::StoreClass::kObjectInitiated, policy);
+  }
+  std::vector<ObjectId> ids;
+  for (ObjectId id = 1; id <= 8; ++id) ids.push_back(id);
+  bed.place_objects(ids);
+  for (const ObjectId id : ids) bed.primary(id).seed(id, "p", "seed");
+  bed.settle();
+
+  auto& client = bed.add_placed_client(coherence::ClientModel::kNone);
+  int acked = 0;
+  for (int round = 0; round < 40; ++round) {
+    for (const ObjectId id : ids) {
+      client.write(id, "p", "v" + std::to_string(round),
+                   [&](WriteResult r) { acked += r.ok ? 1 : 0; });
+    }
+    bed.run_for(sim::SimDuration::millis(50));
+  }
+  bed.run_for(sim::SimDuration::seconds(2));
+  EXPECT_EQ(acked, 40 * 8);
+
+  for (const auto& store : bed.stores()) {
+    std::vector<ObjectId> placed;
+    for (const ObjectId id : ids) {
+      if (bed.placement().layout().shard_of(id) == store->shard()) {
+        placed.push_back(id);
+      }
+    }
+    EXPECT_EQ(store->object_ids(), placed) << "store " << store->id();
+  }
+  EXPECT_GT(bed.membership().stats().horizon_advances, 0u);
+  EXPECT_FALSE(bed.primary(1).write_log(1).base_clock().empty());
 }
 
 }  // namespace
