@@ -104,10 +104,11 @@ class VectorClock {
 
   /// Component-wise minimum with `other` — the stability-horizon fold.
   /// An entry absent on either side is 0, so it drops out entirely,
-  /// keeping clocks canonical (no explicit zero entries).
+  /// keeping clocks canonical (no explicit zero entries). The result is a
+  /// subsequence of this clock's entries, so a write cursor folds it in
+  /// place without allocating.
   void floor_with(const VectorClock& other) {
-    std::vector<Entry> out;
-    out.reserve(std::min(entries_.size(), other.entries_.size()));
+    auto out = entries_.begin();
     auto a = entries_.begin();
     auto b = other.entries_.begin();
     while (a != entries_.end() && b != other.entries_.end()) {
@@ -116,12 +117,12 @@ class VectorClock {
       } else if (b->first < a->first) {
         ++b;
       } else {
-        out.emplace_back(a->first, std::min(a->second, b->second));
+        *out++ = Entry{a->first, std::min(a->second, b->second)};
         ++a;
         ++b;
       }
     }
-    entries_ = std::move(out);
+    entries_.erase(out, entries_.end());
   }
 
   /// True if every entry of `other` is <= the corresponding entry here.

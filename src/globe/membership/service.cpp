@@ -8,17 +8,17 @@
 namespace globe::membership {
 
 MembershipService::MembershipService(const TransportFactory& factory,
-                                     sim::Simulator* sim,
+                                     sim::Simulator& sim,
                                      MembershipOptions options)
-    : sim_(sim), options_(options), comm_(factory, sim) {
+    : sim_(sim),
+      options_(options),
+      comm_(factory, &sim),
+      sweep_timer_(sim, options_.heartbeat_period, [this] { sweep(); }) {
   comm_.set_delivery_handler(
       [this](const Address& from, const msg::EnvelopeView& env) {
         on_message(from, env);
       });
-  if (sim_ != nullptr) {
-    sweep_timer_.emplace(*sim_, options_.heartbeat_period, [this] { sweep(); });
-    sweep_timer_->start();
-  }
+  sweep_timer_.start();
 }
 
 MembershipService::~MembershipService() {
@@ -100,8 +100,7 @@ void MembershipService::update_horizon(ObjectId scope, ScopeState& state) {
   // the data-carrying members that are still live. A member silent past
   // the failure timeout is excluded even if not (yet) evicted — notably
   // the eviction-exempt primary — so one crashed store cannot freeze GC
-  // for the whole cluster. On the loopback runtime now() is constant and
-  // every member stays included.
+  // for the whole cluster.
   bool any = false;
   coherence::VectorClock candidate;
   std::uint64_t candidate_gseq = 0;
@@ -200,8 +199,9 @@ void MembershipService::sweep() {
       ++state.shards[shard].epoch;
       broadcast(scope, shard);
     }
-    // Evictions (and timeouts that have not evicted yet, e.g. a crashed
-    // primary) can unblock the GC floor; re-aggregate every sweep.
+    // The one aggregation of the floor per period, after the evictions
+    // (and timeouts that have not evicted yet, e.g. a crashed primary)
+    // that can unblock it. Heartbeats only fold into `members`.
     update_horizon(scope, state);
   }
 }
@@ -278,9 +278,8 @@ void MembershipService::on_message(const Address& from,
         ++stats_.rejoins;
         broadcast(env.object, m.shard);
       }
-      // Every heartbeat carries an applied-state piggyback; fold it into
-      // the scope's GC floor and push the floor out when it moved.
-      update_horizon(env.object, scopes_[env.object]);
+      // admit() recorded the applied-state piggyback; the next sweep
+      // folds it into the scope's GC floor.
       return;
     }
     case msg::MsgType::kMembershipLeave: {

@@ -13,7 +13,10 @@
 //     operator action;
 //   * every change bumps the epoch and broadcasts a kViewDelta (the diff
 //     from the previous epoch) to the surviving members and to watching
-//     clients; a receiver with an epoch gap fetches the full view.
+//     clients; a receiver with an epoch gap fetches the full view;
+//   * heartbeats piggyback each store's applied clock, and each sweep
+//     folds them into the scope's stability horizon (the GC floor),
+//     multicasting it when it moved.
 //
 // The service keeps the naming/location service consistent: joins
 // register the store's contact point, leaves and evictions unregister it
@@ -31,7 +34,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "globe/core/comm.hpp"
@@ -48,7 +50,7 @@ using net::Address;
 
 struct MembershipOptions {
   /// Failure-detector sweep period (also the expected member heartbeat
-  /// cadence).
+  /// cadence and the stability horizon's aggregation cadence).
   sim::SimDuration heartbeat_period = sim::SimDuration::millis(100);
   /// A member silent for longer than this is evicted, except the
   /// permanent primary: it is the paper's persistence root, and evicting
@@ -74,9 +76,9 @@ struct MembershipStats {
 
 class MembershipService {
  public:
-  /// `sim` may be null (loopback runtime); the failure detector then
-  /// stays off and only explicit join/leave traffic changes views.
-  MembershipService(const TransportFactory& factory, sim::Simulator* sim,
+  /// `sim` drives the failure-detector sweep, which is also the only
+  /// place the stability horizon is aggregated and sent.
+  MembershipService(const TransportFactory& factory, sim::Simulator& sim,
                     MembershipOptions options = {});
   ~MembershipService();
 
@@ -104,10 +106,13 @@ class MembershipService {
 
   /// The scope's current stability horizon: the element-wise minimum
   /// applied clock (and minimum applied global seq) over every live,
-  /// data-carrying member, folded from heartbeat piggybacks. Members
-  /// silent past `failure_timeout` are excluded even before eviction —
-  /// including the eviction-exempt primary — so one crashed store cannot
-  /// freeze GC cluster-wide. Monotonic: only ever advances.
+  /// data-carrying member, as of the last failure-detector sweep.
+  /// Heartbeats only record each member's applied state; the sweep
+  /// folds them, so the floor lags the freshest heartbeat by at most one
+  /// `heartbeat_period`, which delays GC but never makes it unsafe.
+  /// Members silent past `failure_timeout` are excluded even before
+  /// eviction — including the eviction-exempt primary — so one crashed
+  /// store cannot freeze GC cluster-wide. Monotonic: only ever advances.
   [[nodiscard]] HorizonMsg stability_horizon(ObjectId scope) const;
 
  private:
@@ -143,23 +148,23 @@ class MembershipService {
   void remove(ObjectId scope, const Address& addr, bool evicted);
   void sweep();
   /// Re-aggregates `scope`'s stability horizon from its live members and
-  /// broadcasts kStabilityHorizon to them when the floor advanced.
+  /// multicasts kStabilityHorizon to them when the floor advanced. Only
+  /// `sweep()` calls it: at most one aggregation and one kStabilityHorizon
+  /// per scope per heartbeat period, however many members heartbeat.
   void update_horizon(ObjectId scope, ScopeState& state);
   /// `exclude` suppresses the broadcast to one member — a fresh joiner
   /// whose join ack already carries the full view.
   void broadcast(ObjectId scope, ShardId shard,
                  const Address* exclude = nullptr);
   [[nodiscard]] View snapshot_view(ObjectId scope, ShardId shard) const;
-  [[nodiscard]] util::SimTime now() const {
-    return sim_ != nullptr ? sim_->now() : util::SimTime{};
-  }
+  [[nodiscard]] util::SimTime now() const { return sim_.now(); }
 
-  sim::Simulator* sim_;
+  sim::Simulator& sim_;
   MembershipOptions options_;
   CommunicationObject comm_;
   std::map<ObjectId, ScopeState> scopes_;
   std::map<std::pair<ObjectId, ShardId>, std::vector<Address>> watchers_;
-  std::optional<sim::PeriodicTimer> sweep_timer_;
+  sim::PeriodicTimer sweep_timer_;
   MembershipStats stats_;
 };
 

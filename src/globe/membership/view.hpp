@@ -202,8 +202,9 @@ struct MemberAnnounce {
 
   // Stability-horizon piggyback: the announcing store's minimum applied
   // state across the objects it hosts (element-wise min clock, min
-  // global seq). The membership service folds these into the
-  // cluster-wide GC floor it broadcasts as kStabilityHorizon.
+  // global seq). The membership service records it, and its next
+  // failure-detector sweep folds it into the cluster-wide GC floor it
+  // broadcasts as kStabilityHorizon.
   // `has_applied` is false for stores hosting no replicated object yet —
   // they carry no data and must not stall the floor. Legacy senders omit
   // the trailing fields entirely; the decoder tolerates their absence.

@@ -18,6 +18,10 @@ namespace {
 
 constexpr int kPollMillis = 100;  // stop-flag check cadence in recv loops
 
+/// The binding whose handler this thread is running, if any: lets
+/// unbind_endpoint tell a handler unbinding itself from another thread.
+thread_local const void* t_delivering = nullptr;
+
 bool make_sockaddr(const std::string& host, std::uint16_t port,
                    sockaddr_in& out) {
   std::memset(&out, 0, sizeof(out));
@@ -127,13 +131,20 @@ SocketHostStats SocketHost::stats() const {
 }
 
 void SocketHost::bind_endpoint(const Address& at, MessageHandler handler) {
+  auto binding = std::make_shared<Binding>();
+  binding->handler = std::move(handler);
   std::lock_guard lock(mu_);
-  handlers_[at] = std::move(handler);
+  handlers_[at] = std::move(binding);
 }
 
 void SocketHost::unbind_endpoint(const Address& at) {
-  std::lock_guard lock(mu_);
-  handlers_.erase(at);
+  std::unique_lock lock(mu_);
+  auto it = handlers_.find(at);
+  if (it == handlers_.end()) return;
+  const std::shared_ptr<Binding> binding = std::move(it->second);
+  handlers_.erase(it);
+  if (t_delivering == binding.get()) return;  // the handler unbinds itself
+  delivered_.wait(lock, [&] { return binding->in_flight == 0; });
 }
 
 // ---------------------------------------------------------------------
@@ -247,7 +258,7 @@ int SocketHost::tcp_connect_locked(TcpConn& conn, const SocketEndpoint& ep) {
 
 void SocketHost::deliver(const Address& from, const Address& to,
                          BytesView payload) {
-  MessageHandler handler;
+  std::shared_ptr<Binding> binding;  // keeps the handler alive if it unbinds
   {
     std::lock_guard lock(mu_);
     auto it = handlers_.find(to);
@@ -255,9 +266,23 @@ void SocketHost::deliver(const Address& from, const Address& to,
       ++stats_.unknown_endpoint;
       return;
     }
-    handler = it->second;  // copy: handler may unbind itself
+    binding = it->second;
+    ++binding->in_flight;
   }
-  handler(from, payload);
+  // Ends the delivery on every exit, a throwing handler included, so an
+  // unbind waiting on this endpoint is always released.
+  struct InFlight {
+    SocketHost& host;
+    Binding& binding;
+    const void* outer = t_delivering;
+    ~InFlight() {
+      t_delivering = outer;
+      std::lock_guard lock(host.mu_);
+      if (--binding.in_flight == 0) host.delivered_.notify_all();
+    }
+  } in_flight{*this, *binding};
+  t_delivering = binding.get();
+  binding->handler(from, payload);
 }
 
 void SocketHost::udp_recv_loop() {

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -87,7 +88,8 @@ class SocketHost {
 
   /// Creates a Transport bound to `local`; frames addressed to it are
   /// delivered on the host's receive threads. The transport unbinds
-  /// itself on destruction and must not outlive the host.
+  /// itself on destruction, which waits out deliveries to it already in
+  /// progress, and must not outlive the host.
   [[nodiscard]] std::unique_ptr<Transport> create_transport(
       const Address& local, MessageHandler handler);
 
@@ -96,7 +98,19 @@ class SocketHost {
  private:
   friend class SocketTransport;
 
+  /// One bound endpoint. Deliveries hold it by shared_ptr and count
+  /// themselves in `in_flight` (under mu_), so unbinding can wait them
+  /// out while the handler stays alive for a delivery that unbinds it.
+  struct Binding {
+    MessageHandler handler;
+    std::size_t in_flight = 0;
+  };
+
   void bind_endpoint(const Address& at, MessageHandler handler);
+  /// Removes the endpoint, then blocks until no receive thread is still
+  /// inside its handler, so the caller may destroy what the handler
+  /// uses. Called from inside that endpoint's own delivery it returns at
+  /// once: the delivery cannot finish while its own handler waits.
   void unbind_endpoint(const Address& at);
 
   /// Routes one frame: UDP when it fits, TCP otherwise.
@@ -131,9 +145,10 @@ class SocketHost {
   std::uint16_t udp_port_ = 0;
   std::uint16_t tcp_port_ = 0;
 
-  mutable std::mutex mu_;  // routes, handlers, stats
+  mutable std::mutex mu_;  // routes, handlers, in-flight counts, stats
+  std::condition_variable delivered_;  // an endpoint's in_flight hit 0
   std::unordered_map<NodeId, SocketEndpoint> routes_;
-  std::unordered_map<Address, MessageHandler> handlers_;
+  std::unordered_map<Address, std::shared_ptr<Binding>> handlers_;
   SocketHostStats stats_;
 
   std::mutex tcp_mu_;  // guards the connection map only, never held for I/O

@@ -275,9 +275,10 @@ using TransportFactoryFn =
     // Two-phase: the tap needs the WindowedTransport, the
     // WindowedTransport needs the endpoint address, and the address
     // comes from the inner transport. An atomic shared slot breaks the
-    // cycle; it is filled before any message can arrive in practice
-    // (traffic to a fresh endpoint starts only after it sends), and a
-    // datagram racing the handoff is dropped like any pre-bind send.
+    // cycle. It is published only once the decorator is fully attached,
+    // so a datagram racing the handoff (a threaded transport delivers as
+    // soon as it binds) is dropped like any pre-bind send instead of
+    // reaching an empty handler.
     auto slot = std::make_shared<std::atomic<WindowedTransport*>>(nullptr);
     auto inner = inner_factory([slot](const Address& from,
                                       BytesView payload) {
@@ -286,8 +287,8 @@ using TransportFactoryFn =
     });
     auto wt = std::make_unique<WindowedTransport>(host,
                                                   inner->local_address());
-    slot->store(wt.get(), std::memory_order_release);
     wt->attach(std::move(inner), std::move(handler));
+    slot->store(wt.get(), std::memory_order_release);
     return wt;
   };
 }

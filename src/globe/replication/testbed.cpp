@@ -26,7 +26,7 @@ Testbed::Testbed(TestbedOptions options)
     mo.naming = naming_.get();
     mo.metrics = &metrics_;
     membership_ = std::make_unique<membership::MembershipService>(
-        factory(membership_node), &sim_, mo);
+        factory(membership_node), sim_, mo);
     service_nodes_.push_back(membership_node);
   }
   if (options_.shards > 0) {

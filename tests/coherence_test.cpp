@@ -67,6 +67,30 @@ TEST(VectorClockTest, DominatesIsReflexiveAndEmptyIsBottom) {
   EXPECT_TRUE(empty.dominates(empty));
 }
 
+TEST(VectorClockTest, FloorWithKeepsSharedIdsAtTheirMinimum) {
+  VectorClock a, b;
+  a.set(1, 3);
+  a.set(2, 7);
+  a.set(4, 1);  // missing from b: drops out
+  b.set(0, 9);  // missing from a: stays out
+  b.set(1, 5);
+  b.set(2, 2);
+  b.set(3, 6);
+  a.floor_with(b);
+  EXPECT_EQ(a.entries(),
+            (std::vector<VectorClock::Entry>{{1, 3}, {2, 2}}));
+
+  VectorClock self = b;
+  self.floor_with(self);  // self-floor is the identity
+  EXPECT_EQ(self, b);
+
+  VectorClock empty;
+  b.floor_with(empty);  // floor with the bottom is the bottom
+  EXPECT_TRUE(b.empty());
+  empty.floor_with(a);
+  EXPECT_TRUE(empty.empty());
+}
+
 TEST(VectorClockTest, CoversWrites) {
   VectorClock vc;
   vc.set(1, 3);

@@ -78,7 +78,7 @@ class ShardMembershipTest : public ::testing::Test {
     opts.heartbeat_period = sim::SimDuration::millis(50);
     opts.failure_timeout = sim::SimDuration::millis(200);
     opts.metrics = &metrics;
-    service.emplace(factory(service_node), &sim, opts);
+    service.emplace(factory(service_node), sim, opts);
   }
 
   core::TransportFactory factory(NodeId node) {

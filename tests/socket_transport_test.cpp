@@ -194,5 +194,95 @@ TEST(SocketTransport, WindowedMulticastRunsOverUdp) {
   }
 }
 
+/// State a receive handler uses, freed right after its endpoint dies.
+struct Probe {
+  std::atomic<bool> inside{false};
+  std::uint64_t hits = 0;
+
+  MessageHandler handler() {
+    return [this](const Address&, BytesView) {
+      inside.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ++hits;
+      inside.store(false);
+    };
+  }
+};
+
+/// Floods {2, 1} from host_a while `make_rx` binds it on host_b, then
+/// destroys the endpoint mid-delivery and frees the handler's state.
+/// Destruction must wait the delivery out: before it did, the receive
+/// thread was still inside the handler, writing to the freed probe.
+template <typename MakeRx>
+void race_delivery_against_destruction(SocketHost& host_a, MakeRx make_rx) {
+  Sink unused;
+  auto tx = host_a.create_transport({1, 1}, unused.handler());
+  std::atomic<bool> stop{false};
+  std::thread flood([&] {
+    while (!stop.load()) {
+      tx->send({2, 1}, to_buffer("x"));
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  for (int round = 0; round < 20; ++round) {
+    auto probe = std::make_unique<Probe>();
+    std::unique_ptr<Transport> rx = make_rx(probe->handler());
+    if (!wait_for([&] { return probe->inside.load(); })) {
+      ADD_FAILURE() << "no delivery reached round " << round;
+      break;  // still join the flood thread below
+    }
+    rx.reset();
+    EXPECT_FALSE(probe->inside.load()) << "round " << round;
+    probe.reset();
+  }
+  stop.store(true);
+  flood.join();
+}
+
+TEST(SocketTransport, DestroyingAnEndpointWaitsOutItsDeliveries) {
+  SocketHost host_a, host_b;
+  SKIP_IF_NO_SOCKETS(host_a);
+  SKIP_IF_NO_SOCKETS(host_b);
+  link(host_a, 1, host_b, 2);
+  race_delivery_against_destruction(host_a, [&](MessageHandler h) {
+    return host_b.create_transport({2, 1}, std::move(h));
+  });
+
+  // The same race through windowed_factory's tap, the stack the
+  // multi-process example tears down: the tap must never reach a
+  // destroyed WindowedTransport.
+  WindowedMulticast window(WindowOptions{});
+  race_delivery_against_destruction(host_a, [&](MessageHandler h) {
+    TransportFactoryFn inner = [&](MessageHandler tap) {
+      return host_b.create_transport({2, 1}, std::move(tap));
+    };
+    return windowed_factory(window, std::move(inner))(std::move(h));
+  });
+}
+
+TEST(SocketTransport, HandlerMayDestroyItsOwnEndpoint) {
+  SocketHost host_a, host_b;
+  SKIP_IF_NO_SOCKETS(host_a);
+  SKIP_IF_NO_SOCKETS(host_b);
+  link(host_a, 1, host_b, 2);
+
+  std::mutex mu;
+  std::unique_ptr<Transport> rx;
+  {
+    std::lock_guard lock(mu);
+    rx = host_b.create_transport({2, 1}, [&](const Address&, BytesView) {
+      std::lock_guard inner(mu);
+      rx.reset();  // unbinds from inside its own delivery: must not wait
+    });
+  }
+  Sink unused;
+  auto tx = host_a.create_transport({1, 1}, unused.handler());
+  ASSERT_TRUE(wait_for([&] {
+    tx->send({2, 1}, to_buffer("bye"));
+    std::lock_guard lock(mu);
+    return rx == nullptr;
+  }));
+}
+
 }  // namespace
 }  // namespace globe::net

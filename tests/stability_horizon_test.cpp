@@ -1,8 +1,8 @@
 // Stability-horizon GC: write-log prefix compaction below the cluster
 // floor, tombstone collection with preserved delta-refusal semantics,
-// heartbeat-piggybacked horizon aggregation, and the failure-detector
-// exclusion that keeps a crashed-but-unevicted store from freezing GC
-// cluster-wide.
+// horizon aggregation of heartbeat piggybacks once per failure-detector
+// sweep, and the failure-detector exclusion that keeps a
+// crashed-but-unevicted store from freezing GC cluster-wide.
 #include <gtest/gtest.h>
 
 #include "globe/coherence/checkers.hpp"
@@ -217,6 +217,60 @@ TEST(StabilityHorizon, HeartbeatsAggregateTheClusterFloorAndDriveGc) {
   EXPECT_TRUE(model.ok) << model.violations.front();
   EXPECT_EQ(sc.session_results(),
             coherence::check_sessions(bed.history(), sc.sessions()));
+}
+
+// Heartbeats only record each member's applied state; the failure-detector
+// sweep folds them into the floor and sends it. Seven members that join
+// 7 ms apart heartbeat out of phase, so under a steady write stream the
+// slowest member changes with most heartbeats: aggregating per heartbeat
+// moved the floor about five times per period. The sweep moves it at
+// most once per scope per period, and the floor still catches up.
+TEST(StabilityHorizon, OneAggregationPerSweep) {
+  const TestbedOptions opts = horizon_options();
+  Testbed bed(opts);
+  const auto policy = causal_multi_master();
+  auto& primary = bed.add_primary(kObj, policy);
+  primary.seed("p0", "seed");
+  std::vector<StoreEngine*> caches;
+  for (int i = 0; i < 6; ++i) {
+    bed.run_for(sim::SimDuration::millis(7));
+    caches.push_back(&bed.add_store(
+        kObj, naming::StoreClass::kClientInitiated, policy));
+  }
+  bed.settle();
+
+  auto& client = bed.add_client(kObj, kAllSessions, caches[0]->address());
+  std::vector<WriteId> acked;
+  const auto period = sim::SimDuration::millis(5);
+  const auto write_for = sim::SimDuration::seconds(2);
+  int i = 0;
+  for (sim::SimDuration t{}; t < write_for; t = t + period) {
+    client.write("p" + std::to_string(i++ % 4), "v",
+                 [&](WriteResult r) {
+                   if (r.ok) acked.push_back(r.wid);
+                 });
+    bed.run_for(period);
+  }
+  const std::uint64_t sweeps_while_writing =
+      static_cast<std::uint64_t>(write_for.count_micros() /
+                                 opts.membership_heartbeat.count_micros());
+  bed.settle();
+  bed.run_for(sim::SimDuration::millis(400));  // heartbeats, then a sweep
+
+  const std::uint64_t elapsed_periods = static_cast<std::uint64_t>(
+      bed.sim().now().count_micros() /
+      opts.membership_heartbeat.count_micros());
+  const std::uint64_t advances = bed.membership().stats().horizon_advances;
+  EXPECT_LE(advances, elapsed_periods + 1);
+  // Not vacuous: the floor kept moving while the client wrote.
+  EXPECT_GE(advances, sweeps_while_writing / 2);
+
+  EXPECT_EQ(acked.size(), client.writes_issued());
+  const membership::HorizonMsg h = bed.membership().stability_horizon(kObj);
+  for (const WriteId& w : acked) {
+    EXPECT_TRUE(h.clock.covers(w)) << w.client << ":" << w.seq;
+  }
+  EXPECT_FALSE(primary.write_log().base_clock().empty());
 }
 
 // Satellite: a crashed store the failure detector has flagged must stop
