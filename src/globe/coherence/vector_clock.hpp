@@ -67,17 +67,29 @@ class VectorClock {
   void observe(const WriteId& w) { advance(w.client, w.seq); }
 
   /// Component-wise maximum with `other`: one linear merge over two
-  /// sorted entry vectors.
+  /// sorted entry vectors. When `other` names no client missing here
+  /// (a receiver catching up on writers it already knows) the maximum
+  /// folds in place without allocating.
   void merge(const VectorClock& other) {
     if (other.entries_.empty()) return;
     if (entries_.empty()) {
       entries_ = other.entries_;
       return;
     }
-    std::vector<Entry> merged;
-    merged.reserve(entries_.size() + other.entries_.size());
     auto a = entries_.begin();
     auto b = other.entries_.begin();
+    for (; b != other.entries_.end(); ++a, ++b) {
+      while (a != entries_.end() && a->first < b->first) ++a;
+      if (a == entries_.end() || a->first != b->first) break;
+      if (b->second > a->second) a->second = b->second;
+    }
+    if (b == other.entries_.end()) return;
+    // `other` adds a client. The entries folded so far already hold
+    // their maximum, so the full merge below yields the same result.
+    std::vector<Entry> merged;
+    merged.reserve(entries_.size() + other.entries_.size());
+    a = entries_.begin();
+    b = other.entries_.begin();
     while (a != entries_.end() && b != other.entries_.end()) {
       if (a->first < b->first) {
         merged.push_back(*a++);
@@ -172,6 +184,12 @@ class VectorClock {
     return out + "}";
   }
 
+  /// Upper bound on encode()'s output.
+  [[nodiscard]] std::size_t encoded_size_bound() const {
+    return util::kMaxVarintBytes +
+           entries_.size() * (sizeof(ClientId) + util::kMaxVarintBytes);
+  }
+
   void encode(util::Writer& w) const {
     w.varint(entries_.size());
     for (const auto& [c, v] : entries_) {
@@ -183,11 +201,20 @@ class VectorClock {
   static VectorClock decode(util::Reader& r) {
     VectorClock vc;
     const std::uint64_t n = r.varint();
-    vc.entries_.reserve(n);
+    // An entry takes at least a client id and a one-byte varint, so a
+    // forged count cannot reserve more than the message could hold.
+    vc.entries_.reserve(
+        std::min<std::uint64_t>(n, r.remaining() / (sizeof(ClientId) + 1)));
     for (std::uint64_t i = 0; i < n; ++i) {
       const ClientId c = r.u32();
       const std::uint64_t v = r.varint();
-      vc.set(c, v);  // tolerates unsorted/duplicate wire entries
+      // Encoders emit sorted, nonzero entries: append them. `set` keeps
+      // unsorted, duplicate and zero wire entries canonical.
+      if (v != 0 && (vc.entries_.empty() || vc.entries_.back().first < c)) {
+        vc.entries_.emplace_back(c, v);
+      } else {
+        vc.set(c, v);
+      }
     }
     return vc;
   }

@@ -29,6 +29,10 @@ struct WriteId {
     return "w(" + std::to_string(client) + "," + std::to_string(seq) + ")";
   }
 
+  /// Bytes encode() emits.
+  static constexpr std::size_t kEncodedBytes =
+      sizeof(std::uint32_t) + sizeof(std::uint64_t);
+
   void encode(util::Writer& w) const {
     w.u32(client);
     w.u64(seq);

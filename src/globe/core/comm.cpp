@@ -55,13 +55,6 @@ std::uint64_t CommunicationObject::start_request(
   return request_id;
 }
 
-void CommunicationObject::reply(const Address& to, MsgType type,
-                                ObjectId object, std::uint64_t request_id,
-                                Buffer body) {
-  reply_with(to, type, object, request_id,
-             [&](util::Writer& w) { w.raw(util::BytesView(body)); });
-}
-
 void CommunicationObject::transmit(const Address& to, MsgType type,
                                    Buffer wire) {
   if (observer_ != nullptr) observer_->on_send(type, wire.size());

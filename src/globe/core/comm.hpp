@@ -10,7 +10,7 @@
 // The communication object offers:
 //   * send / send_with       — one-way point-to-point,
 //   * request / request_with — point-to-point with reply correlation,
-//   * reply / reply_with     — answer a correlated request,
+//   * reply_with             — answer a correlated request,
 //   * multicast_with         — one-way to a set of addresses.
 // It never inspects message bodies; it sees only envelopes.
 //
@@ -124,17 +124,17 @@ class CommunicationObject {
                          std::move(handler), timeout, retries);
   }
 
-  /// Replies to a correlated request.
-  void reply(const Address& to, MsgType type, ObjectId object,
-             std::uint64_t request_id, Buffer body);
-
-  /// Reply with direct-to-wire body encoding.
+  /// Replies to a correlated request with direct-to-wire body encoding.
+  /// A sender that knows a bound on the body size passes it as
+  /// `body_bytes`, so a large body (a whole document) is written into a
+  /// buffer sized once.
   template <typename F>
   void reply_with(const Address& to, MsgType type, ObjectId object,
-                  std::uint64_t request_id, F&& encode_body) {
+                  std::uint64_t request_id, F&& encode_body,
+                  std::size_t body_bytes = 0) {
     GLOBE_ASSERT_MSG(request_id != 0, "reply requires a request id");
     transmit(to, type, make_wire(type, object, request_id,
-                                 std::forward<F>(encode_body)));
+                                 std::forward<F>(encode_body), body_bytes));
   }
 
   /// Shared-datagram multicast: the body is encoded ONCE into one wire
@@ -192,8 +192,10 @@ class CommunicationObject {
   // atomic load and the three-field header: byte-identical wire.
   template <typename F>
   [[nodiscard]] Buffer make_wire(MsgType type, ObjectId object,
-                                 std::uint64_t request_id, F&& encode_body) {
+                                 std::uint64_t request_id, F&& encode_body,
+                                 std::size_t body_bytes = 0) {
     util::Writer w;
+    w.reserve(Envelope::kMaxHeaderBytes + body_bytes);
     if (obs::tracing_enabled()) {
       Envelope::encode_header(w, type, object, request_id,
                               note_wire_send(type, object));

@@ -150,6 +150,9 @@ struct Envelope {
   obs::TraceContext trace;       // invalid unless the sender was traced
   Buffer body;
 
+  /// Largest header: type byte, object, request id and a trace context.
+  static constexpr std::size_t kMaxHeaderBytes = 1 + 8 + 8 + 16;
+
   /// Writes the fixed header; the body follows as raw bytes, so a sender
   /// can serialize header and body into one buffer with no intermediate
   /// copy (CommunicationObject::send_with).

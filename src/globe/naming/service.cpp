@@ -70,19 +70,19 @@ void NamingServer::on_message(const Address& from, const msg::EnvelopeView& env)
         const std::string name = r.str();
         const ObjectId object = r.u64();
         register_name(name, object);
-        util::Writer w;
-        w.boolean(true);
-        w.u64(object);
-        comm_.reply(from, msg::MsgType::kNameReply, env.object, env.request_id,
-                    w.take());
+        comm_.reply_with(from, msg::MsgType::kNameReply, env.object,
+                         env.request_id, [&](util::Writer& w) {
+                           w.boolean(true);
+                           w.u64(object);
+                         });
       } else {
         const std::string name = r.str();
         const ObjectId object = lookup(name);
-        util::Writer w;
-        w.boolean(object != 0);
-        w.u64(object);
-        comm_.reply(from, msg::MsgType::kNameReply, env.object, env.request_id,
-                    w.take());
+        comm_.reply_with(from, msg::MsgType::kNameReply, env.object,
+                         env.request_id, [&](util::Writer& w) {
+                           w.boolean(object != 0);
+                           w.u64(object);
+                         });
       }
       return;
     }
@@ -90,27 +90,25 @@ void NamingServer::on_message(const Address& from, const msg::EnvelopeView& env)
       const auto op = static_cast<LocateOp>(r.u8());
       if (op == LocateOp::kRegisterContact) {
         register_contact(env.object, ContactPoint::decode(r));
-        util::Writer w;
-        w.boolean(true);
-        comm_.reply(from, msg::MsgType::kLocateReply, env.object,
-                    env.request_id, w.take());
+        comm_.reply_with(from, msg::MsgType::kLocateReply, env.object,
+                         env.request_id,
+                         [](util::Writer& w) { w.boolean(true); });
       } else if (op == LocateOp::kUnregisterContact) {
         Address addr;
         addr.node = r.u32();
         addr.port = r.u16();
         unregister_contact(env.object, addr);
-        util::Writer w;
-        w.boolean(true);
-        comm_.reply(from, msg::MsgType::kLocateReply, env.object,
-                    env.request_id, w.take());
+        comm_.reply_with(from, msg::MsgType::kLocateReply, env.object,
+                         env.request_id,
+                         [](util::Writer& w) { w.boolean(true); });
       } else {
         const auto found = locate(env.object);
-        util::Writer w;
-        w.boolean(!found.empty());
-        w.varint(found.size());
-        for (const auto& c : found) c.encode(w);
-        comm_.reply(from, msg::MsgType::kLocateReply, env.object,
-                    env.request_id, w.take());
+        comm_.reply_with(from, msg::MsgType::kLocateReply, env.object,
+                         env.request_id, [&](util::Writer& w) {
+                           w.boolean(!found.empty());
+                           w.varint(found.size());
+                           for (const auto& c : found) c.encode(w);
+                         });
       }
       return;
     }

@@ -127,6 +127,15 @@ struct InvokeReply {
     w.u32(store);
   }
 
+  /// Upper bound on encode()'s output: a reply carrying the whole
+  /// document is written into a wire buffer sized once.
+  [[nodiscard]] std::size_t encoded_size_bound() const {
+    return 1 + error.size() + value.size() + util::view_of(document).size() +
+           3 * util::kMaxVarintBytes + WriteId::kEncodedBytes +
+           util::kMaxVarintBytes +
+           store_clock.encoded_size_bound() + 4;
+  }
+
   [[nodiscard]] Buffer encode() const {
     Writer w;
     encode(w);

@@ -397,8 +397,8 @@ void StoreEngine::on_message(const Address& from,
       rep.ok = false;
       rep.error = "unknown object";
       rep.store = config_.store_id;
-      comm_.reply(from, msg::MsgType::kInvokeReply, env.object, env.request_id,
-                  rep.encode());
+      comm_.reply_with(from, msg::MsgType::kInvokeReply, env.object,
+                       env.request_id, [&](util::Writer& w) { rep.encode(w); });
     }
     return;
   }
@@ -446,8 +446,9 @@ void StoreEngine::on_message(const Address& from,
 void StoreEngine::reply_invoke(ObjectState& o, const Address& to,
                                std::uint64_t request_id,
                                const InvokeReply& rep) {
-  comm_.reply(to, msg::MsgType::kInvokeReply, o.cfg.object, request_id,
-              rep.encode());
+  comm_.reply_with(
+      to, msg::MsgType::kInvokeReply, o.cfg.object, request_id,
+      [&](util::Writer& w) { rep.encode(w); }, rep.encoded_size_bound());
 }
 
 void StoreEngine::handle_client_request(ObjectState& o, const Address& from,
@@ -603,8 +604,10 @@ void StoreEngine::record_apply(ObjectState& o, const web::WriteRecord& rec,
 void StoreEngine::apply_ready(ObjectState& o,
                               std::vector<web::WriteRecord> ready) {
   if (ready.empty()) return;
-  std::vector<web::WriteRecord> applied;
-  applied.reserve(ready.size());
+  // The log owns each applied record; `forward` copies only the records
+  // some push target other than their origin will receive.
+  std::vector<web::WriteRecord> forward;
+  bool logged = false;
   for (web::WriteRecord& rec : ready) {
     // The primary stamps the total-order position at apply time for the
     // primary-ordered models (sequential records were stamped earlier).
@@ -646,13 +649,14 @@ void StoreEngine::apply_ready(ObjectState& o,
     // their content: other replicas need their WiDs for dependency
     // coverage. Eventual losers are dropped (the winner suffices).
     if (changed || !is_eventual) {
-      o.log.append(rec);
+      const web::WriteRecord& entry = o.log.append(std::move(rec));
       trace_write_span(obs::SpanKind::kApply, config_.store_id, o.cfg.object,
-                       rec.wid, rec.global_seq);
-      record_apply(o, rec, /*changed=*/true);
+                       entry.wid, entry.global_seq);
+      record_apply(o, entry, /*changed=*/true);
       ++o.writes_applied;
       if (metrics_ != nullptr) metrics_->record_shard_write(config_.shard);
-      applied.push_back(std::move(rec));
+      if (pushes_beyond(o, entry.transient_origin)) forward.push_back(entry);
+      logged = true;
     } else {
       // Last-writer-wins rejected the record: the state kept a newer
       // version. Ack the writer but record no application.
@@ -664,7 +668,7 @@ void StoreEngine::apply_ready(ObjectState& o,
   maybe_compact(o);
   note_gaps(o);
   unpark_ready(o);
-  if (!applied.empty()) propagate(o, applied);
+  if (logged) propagate(o, forward);
 }
 
 void StoreEngine::advance_gseq(ObjectState& o, std::uint64_t gseq) {
@@ -910,25 +914,34 @@ void StoreEngine::apply_fetched_records(
 // Propagation
 // ---------------------------------------------------------------------
 
+bool StoreEngine::pushes_upstream(const ObjectState& o) const {
+  return multi_master(o) && !config_.is_primary;
+}
+
+bool StoreEngine::pushes_beyond(const ObjectState& o,
+                                std::uint64_t origin) const {
+  if (o.cfg.policy.initiative == TransferInitiative::kPull) return false;
+  for (const Subscriber& s : o.subscribers) {
+    if (addr_key(s.address) != origin) return true;
+  }
+  return pushes_upstream(o) && addr_key(o.cfg.upstream) != origin;
+}
+
 void StoreEngine::propagate(ObjectState& o,
                             const std::vector<web::WriteRecord>& recs) {
   if (o.cfg.policy.initiative == TransferInitiative::kPull) {
     return;  // downstream stores poll; nothing is pushed
   }
   service_flow_events();
-  std::vector<Address> targets;
-  for (const Subscriber& s : o.subscribers) targets.push_back(s.address);
-  if (multi_master(o) && !config_.is_primary) {
-    targets.push_back(o.cfg.upstream);
-  }
-  if (targets.empty()) return;
 
   // Per-record exclusion: never reflect a record straight back to the
   // neighbour it arrived from (it may still need to travel to every
   // other neighbour, e.g. a buffered client write draining after an
   // upstream update must still flow upstream). Batches are consecutive
   // same-origin runs so dropping one preserves the apply order of the
-  // remaining records.
+  // remaining records, and a run is encoded only when some target
+  // receives it: a leaf cache whose one target is the upstream a record
+  // came from builds nothing.
   // Only materialize what this store's propagation mode consumes:
   // partial updates splice the encoded bytes, invalidations read the
   // page list, notification/full transfers use the batch as a marker.
@@ -943,10 +956,19 @@ void StoreEngine::propagate(ObjectState& o,
            recs[j].transient_origin == recs[i].transient_origin) {
       ++j;
     }
-    batches.push_back(std::make_shared<const web::RecordBatch>(
-        std::span(recs).subspan(i, j - i), recs[i].transient_origin, needs));
+    if (pushes_beyond(o, recs[i].transient_origin)) {
+      batches.push_back(std::make_shared<const web::RecordBatch>(
+          std::span(recs).subspan(i, j - i), recs[i].transient_origin,
+          needs));
+    }
     i = j;
   }
+  if (batches.empty()) return;
+  std::vector<Address> targets;
+  targets.reserve(o.subscribers.size() + 1);
+  for (const Subscriber& s : o.subscribers) targets.push_back(s.address);
+  if (pushes_upstream(o)) targets.push_back(o.cfg.upstream);
+
   // Immediate pushes group destinations whose batch set is identical
   // (the common case: everyone but the record's origin receives
   // everything) so each group can travel as ONE shared wire datagram.
@@ -2223,7 +2245,8 @@ util::Buffer digest_from(const WriteLog& log,
                          bool mask_wall_clock) {
   util::Writer w;
   if (mask_wall_clock) {
-    std::vector<web::WriteRecord> records = log.retained();
+    std::vector<web::WriteRecord> records(log.retained().begin(),
+                                          log.retained().end());
     for (web::WriteRecord& rec : records) rec.issued_at_us = 0;
     web::encode_records(w, records);
   } else {

@@ -441,7 +441,15 @@ class StoreEngine {
                              const std::vector<web::WriteRecord>& recs);
 
   // ---- propagation ----
+  /// Pushes `recs` to the push targets, each record to every target but
+  /// the neighbour it arrived from.
   void propagate(ObjectState& o, const std::vector<web::WriteRecord>& recs);
+  /// True when a non-primary multi-master store pushes to its upstream.
+  [[nodiscard]] bool pushes_upstream(const ObjectState& o) const;
+  /// True when a record that arrived from `origin` (0 = local) has a push
+  /// target to travel on to.
+  [[nodiscard]] bool pushes_beyond(const ObjectState& o,
+                                   std::uint64_t origin) const;
   /// Sends ONE coherence message (invalidation, notification, update
   /// records or full state, as the policy's propagation and coherence
   /// transfer decide) to every destination in `to`. The body is encoded

@@ -1,6 +1,7 @@
 #include "globe/replication/write_log.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "globe/util/assert.hpp"
 
@@ -15,16 +16,45 @@ template <typename Index>
       [](const auto& a, const auto& b) { return a.key < b.key; });
 }
 
+template <typename T>
+std::uint64_t pos_of(const T& entry) {
+  if constexpr (std::is_integral_v<T>) {
+    return entry;
+  } else {
+    return entry.pos;
+  }
+}
+
+/// Counts one more compacted entry in `key`'s postings, where every
+/// position below `horizon` is compacted. Erases the compacted entries
+/// once they outnumber the retained ones, and the whole list once none
+/// is retained.
+template <typename Map>
+void retire(Map& index, const typename Map::key_type& key,
+            std::uint64_t horizon) {
+  auto it = index.find(key);
+  GLOBE_DCHECK_MSG(it != index.end(), "compacted record was never indexed");
+  auto& postings = it->second;
+  if (++postings.stale * 2 <= postings.items.size()) return;
+  if (postings.stale == postings.items.size()) {
+    index.erase(it);
+    return;
+  }
+  std::erase_if(postings.items, [horizon](const auto& entry) {
+    return pos_of(entry) < horizon;
+  });
+  postings.stale = 0;
+}
+
 }  // namespace
 
-void WriteLog::append(const web::WriteRecord& rec) {
-  const std::uint64_t pos = first_pos_ + entries_.size();
-  entries_.push_back(rec);
+const web::WriteRecord& WriteLog::append(web::WriteRecord rec) {
+  const std::uint64_t pos = appended_total();
   retained_bytes_ += record_bytes(rec);
 
   // Per-client index, kept sorted by seq. Records of one client almost
   // always arrive in seq order, so the common case is a push_back.
-  auto& client_index = by_client_[rec.wid.client];
+  auto& client_index = by_client_[rec.wid.client].items;
   const Keyed keyed{rec.wid.seq, pos};
   if (client_index.empty() || client_index.back().key <= rec.wid.seq) {
     client_index.push_back(keyed);
@@ -36,28 +66,13 @@ void WriteLog::append(const web::WriteRecord& rec) {
                          }),
         keyed);
   }
-
-  by_page_[rec.page].push_back(pos);
-
-  if (rec.global_seq != 0) {
-    const Keyed gkeyed{rec.global_seq, pos};
-    if (by_gseq_.empty() || by_gseq_.back().key <= rec.global_seq) {
-      by_gseq_.push_back(gkeyed);
-    } else {
-      by_gseq_.insert(
-          std::upper_bound(by_gseq_.begin(), by_gseq_.end(), rec.global_seq,
-                           [](std::uint64_t s, const Keyed& k) {
-                             return s < k.key;
-                           }),
-          gkeyed);
-    }
-  }
   // Index coherence is load-bearing for every binary search below; the
-  // checks are O(index) so they live behind GLOBE_DCHECK.
+  // check is O(index) so it lives behind GLOBE_DCHECK.
   GLOBE_DCHECK_MSG(keyed_sorted(client_index),
                    "per-client index lost its seq order");
-  GLOBE_DCHECK_MSG(keyed_sorted(by_gseq_),
-                   "global-sequence index lost its order");
+
+  by_page_[rec.page].items.push_back(pos);
+  return entries_.emplace_back(std::move(rec));
 }
 
 void WriteLog::emit_sorted(std::vector<std::uint64_t>& positions,
@@ -78,7 +93,8 @@ std::vector<web::WriteRecord> WriteLog::records_since(
     for (const std::string& page : pages) {
       auto it = by_page_.find(page);
       if (it == by_page_.end()) continue;
-      for (const std::uint64_t pos : it->second) {
+      for (const std::uint64_t pos : it->second.items) {
+        if (pos < first_pos_) continue;  // compacted away
         const web::WriteRecord& rec = at(pos);
         if (have.covers(rec.wid)) continue;
         if (rec.global_seq != 0 && rec.global_seq <= have_gseq) continue;
@@ -96,13 +112,14 @@ std::vector<web::WriteRecord> WriteLog::records_since(
 
   // Delta by vector clock: for each writing client, the records above
   // the requester's entry form a suffix of the seq-sorted index.
-  for (const auto& [client, index] : by_client_) {
+  for (const auto& [client, postings] : by_client_) {
     const std::uint64_t floor = have.get(client);
-    auto it = std::upper_bound(index.begin(), index.end(), floor,
-                               [](std::uint64_t s, const Keyed& k) {
+    auto it = std::upper_bound(postings.items.begin(), postings.items.end(),
+                               floor, [](std::uint64_t s, const Keyed& k) {
                                  return s < k.key;
                                });
-    for (; it != index.end(); ++it) {
+    for (; it != postings.items.end(); ++it) {
+      if (it->pos < first_pos_) continue;  // compacted away
       const web::WriteRecord& rec = at(it->pos);
       if (rec.global_seq != 0 && rec.global_seq <= have_gseq) continue;
       positions.push_back(it->pos);
@@ -116,7 +133,7 @@ std::vector<web::WriteRecord> WriteLog::records_since_naive(
     const VectorClock& have, std::uint64_t have_gseq,
     const std::vector<std::string>& pages) const {
   std::vector<web::WriteRecord> out;
-  for (const auto& rec : entries_) {
+  for (const auto& rec : retained()) {
     if (have.covers(rec.wid)) continue;
     if (rec.global_seq != 0 && rec.global_seq <= have_gseq) continue;
     if (!pages.empty() &&
@@ -150,34 +167,34 @@ void WriteLog::compact_to_bytes(std::size_t budget) {
   if (retained_bytes_ <= budget) return;
   // Walk from the oldest record until the suffix fits the budget, then
   // reuse the count-based compaction for the fold itself.
+  const auto records = retained();
   std::size_t bytes = retained_bytes_;
   std::size_t drop = 0;
-  while (drop < entries_.size() && bytes > budget) {
-    bytes -= record_bytes(entries_[drop]);
+  while (drop < records.size() && bytes > budget) {
+    bytes -= record_bytes(records[drop]);
     ++drop;
   }
-  compact(entries_.size() - drop);
+  compact(records.size() - drop);
 }
 
 std::size_t WriteLog::compact_below(const VectorClock& horizon,
                                     std::uint64_t gseq_horizon) {
+  const auto records = retained();
   std::size_t drop = 0;
-  while (drop < entries_.size()) {
-    const web::WriteRecord& rec = entries_[drop];
+  while (drop < records.size()) {
+    const web::WriteRecord& rec = records[drop];
     if (!horizon.covers(rec.wid)) break;
     if (rec.global_seq != 0 && rec.global_seq > gseq_horizon) break;
     ++drop;
   }
   if (drop == 0) return 0;
-  compact(entries_.size() - drop);
+  compact(records.size() - drop);
   return drop;
 }
 
 void WriteLog::compact(std::size_t keep) {
-  if (entries_.size() <= keep) return;
-  const std::size_t drop = entries_.size() - keep;
-  for (std::size_t i = 0; i < drop; ++i) {
-    const web::WriteRecord& rec = entries_[i];
+  for (std::size_t n = size(); n > keep; --n) {
+    web::WriteRecord& rec = entries_[head_];
     base_clock_.observe(rec.wid);
     retained_bytes_ -= record_bytes(rec);
     if (rec.global_seq == 0) {
@@ -185,25 +202,19 @@ void WriteLog::compact(std::size_t keep) {
     } else if (rec.global_seq > base_gseq_) {
       base_gseq_ = rec.global_seq;
     }
+    ++first_pos_;
+    retire(by_client_, rec.wid.client, first_pos_);
+    retire(by_page_, rec.page, first_pos_);
+    rec = {};  // free the payload now; the slot goes with the prefix
+    ++head_;
   }
-  entries_.erase(entries_.begin(),
-                 entries_.begin() + static_cast<std::ptrdiff_t>(drop));
-  first_pos_ += drop;
-
-  const std::uint64_t horizon = first_pos_;
-  for (auto it = by_client_.begin(); it != by_client_.end();) {
-    auto& index = it->second;
-    std::erase_if(index, [horizon](const Keyed& k) { return k.pos < horizon; });
-    it = index.empty() ? by_client_.erase(it) : std::next(it);
+  // Erase the compacted prefix once it outweighs the retained records:
+  // each record is moved O(1) times, amortized.
+  if (head_ * 2 > entries_.size()) {
+    entries_.erase(entries_.begin(),
+                   entries_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
   }
-  for (auto it = by_page_.begin(); it != by_page_.end();) {
-    auto& index = it->second;
-    index.erase(index.begin(),
-                std::lower_bound(index.begin(), index.end(), horizon));
-    it = index.empty() ? by_page_.erase(it) : std::next(it);
-  }
-  std::erase_if(by_gseq_,
-                [horizon](const Keyed& k) { return k.pos < horizon; });
 }
 
 }  // namespace globe::replication

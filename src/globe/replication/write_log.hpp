@@ -12,9 +12,7 @@
 //     suffixes above have.get(client), found by binary search;
 //   * a per-page index in append order for page-filtered fetches
 //     (partial access transfer), replacing the O(pages) std::find per
-//     record;
-//   * a global-sequence index (binary search by global_seq) for the
-//     total-order floor and compaction bookkeeping.
+//     record.
 //
 // Output is always in append order — byte-identical to the naive scan,
 // which is kept as records_since_naive() for the equivalence test.
@@ -27,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -40,21 +39,22 @@ using coherence::VectorClock;
 
 class WriteLog {
  public:
-  /// Appends one applied record and indexes it.
-  void append(const web::WriteRecord& rec);
+  /// Takes ownership of one applied record and indexes it. Returns the
+  /// logged record, valid until the next append or compaction.
+  const web::WriteRecord& append(web::WriteRecord rec);
 
   /// Retained (non-compacted) records.
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
+  [[nodiscard]] std::size_t size() const { return entries_.size() - head_; }
+  [[nodiscard]] bool empty() const { return size() == 0; }
 
   /// Total records ever appended, including compacted ones.
   [[nodiscard]] std::uint64_t appended_total() const {
-    return first_pos_ + entries_.size();
+    return first_pos_ + size();
   }
 
   /// The retained records in append order (equivalence tests / benches).
-  [[nodiscard]] const std::vector<web::WriteRecord>& retained() const {
-    return entries_;
+  [[nodiscard]] std::span<const web::WriteRecord> retained() const {
+    return std::span(entries_).subspan(head_);
   }
 
   /// The delta a requester at (`have`, `have_gseq`) is missing, from the
@@ -82,7 +82,7 @@ class WriteLog {
                                bool contiguous_gseq_floor = false) const;
 
   /// Folds the oldest records into the base clock until at most `keep`
-  /// records are retained.
+  /// records are retained. Costs O(dropped records), amortized.
   void compact(std::size_t keep);
 
   /// Stability-horizon compaction: folds the append-order prefix of
@@ -135,22 +135,35 @@ class WriteLog {
     std::uint64_t pos = 0;
   };
 
+  /// One client's or page's index positions. Compaction retires
+  /// positions lazily: `stale` counts the entries below first_pos_, and
+  /// they are erased once they outnumber the retained ones, so a
+  /// compaction costs O(dropped) amortized instead of a rescan of every
+  /// index. Readers skip entries below first_pos_.
+  template <typename T>
+  struct Postings {
+    std::vector<T> items;
+    std::size_t stale = 0;
+  };
+
   [[nodiscard]] const web::WriteRecord& at(std::uint64_t pos) const {
-    return entries_[pos - first_pos_];
+    return entries_[head_ + (pos - first_pos_)];
   }
 
   void emit_sorted(std::vector<std::uint64_t>& positions,
                    std::vector<web::WriteRecord>& out) const;
 
-  std::vector<web::WriteRecord> entries_;  // append order, post-compaction
-  std::uint64_t first_pos_ = 0;            // append position of entries_[0]
+  // Append order; entries_[head_] is the oldest retained record. The
+  // compacted prefix is cleared at once and erased once it outnumbers
+  // the retained records.
+  std::vector<web::WriteRecord> entries_;
+  std::size_t head_ = 0;
+  std::uint64_t first_pos_ = 0;  // append position of entries_[head_]
 
   // Per-client positions sorted by that client's write seq.
-  std::unordered_map<ClientId, std::vector<Keyed>> by_client_;
+  std::unordered_map<ClientId, Postings<Keyed>> by_client_;
   // Per-page positions in append order.
-  std::unordered_map<std::string, std::vector<std::uint64_t>> by_page_;
-  // (global_seq, position) sorted by global_seq, records with gseq != 0.
-  std::vector<Keyed> by_gseq_;
+  std::unordered_map<std::string, Postings<std::uint64_t>> by_page_;
 
   std::size_t retained_bytes_ = 0;
 

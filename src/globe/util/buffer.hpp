@@ -59,6 +59,16 @@ inline std::string to_string(BytesView b) {
   return std::string(reinterpret_cast<const char*>(b.data()), b.size());
 }
 
+/// Longest encoding of a 64-bit varint.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Bytes Writer::varint emits for `v`.
+[[nodiscard]] constexpr std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
 /// Appends binary data to a Buffer.
 class Writer {
  public:

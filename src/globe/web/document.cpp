@@ -144,11 +144,24 @@ void WebDocument::encode_page(util::Writer& w, const std::string& name,
 }
 
 util::Buffer WebDocument::encode_snapshot(bool mask_wall_clock) const {
+  // Size the buffer once: the exact bytes encode_page emits per page.
+  std::size_t bytes = util::varint_size(pages_.size());
+  for (const auto& [name, p] : pages_) {
+    bytes += util::varint_size(name.size()) + name.size() +
+             util::varint_size(p.content.size()) + p.content.size() +
+             util::varint_size(p.mime.size()) + p.mime.size() +
+             coherence::WriteId::kEncodedBytes +
+             util::varint_size(p.global_seq) + util::varint_size(p.lamport) +
+             sizeof(p.updated_at_us);
+  }
   util::Writer w;
+  w.reserve(bytes);
   w.varint(pages_.size());
   for (const auto& [name, p] : pages_) {
     encode_page(w, name, p, mask_wall_clock);
   }
+  GLOBE_DCHECK_MSG(w.size() == bytes,
+                   "snapshot size drifted from encode_page's layout");
   return w.take();
 }
 

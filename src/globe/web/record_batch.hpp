@@ -47,6 +47,9 @@ class RecordBatch {
       : count_(recs.size()), origin_(origin) {
     if (needs.wire) {
       util::Writer w;
+      std::size_t bytes = 0;
+      for (const WriteRecord& rec : recs) bytes += rec.encoded_size_bound();
+      w.reserve(bytes);
       for (const WriteRecord& rec : recs) rec.encode(w);
       wire_ = w.take();
     }

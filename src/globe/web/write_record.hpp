@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,15 +72,17 @@ struct WriteRecord {
     return rec;
   }
 
-  /// Approximate wire size, used by traffic accounting and benches.
-  [[nodiscard]] std::size_t approx_size() const {
-    return 32 + page.size() + content.size() + mime.size() +
-           16 * deps.size();
+  /// Upper bound on encode()'s output, to size a buffer once.
+  [[nodiscard]] std::size_t encoded_size_bound() const {
+    return WriteId::kEncodedBytes + 1 + 3 * util::kMaxVarintBytes +
+           page.size() + content.size() + mime.size() +
+           deps.encoded_size_bound() + 2 * util::kMaxVarintBytes + 8 + 1;
   }
+
 };
 
 inline void encode_records(util::Writer& w,
-                           const std::vector<WriteRecord>& records) {
+                           std::span<const WriteRecord> records) {
   w.varint(records.size());
   for (const auto& rec : records) rec.encode(w);
 }

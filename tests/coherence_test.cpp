@@ -117,6 +117,87 @@ TEST(VectorClockTest, CodecRoundTrip) {
   EXPECT_EQ(VectorClock::decode(r), vc);
 }
 
+/// Encodes (client, seq) pairs exactly as given, as a peer or a hostile
+/// sender may put them on the wire.
+util::Buffer wire_clock(const std::vector<VectorClock::Entry>& entries) {
+  util::Writer w;
+  w.varint(entries.size());
+  for (const auto& [c, v] : entries) {
+    w.u32(c);
+    w.varint(v);
+  }
+  return w.take();
+}
+
+/// The clock `set` builds from the same entries, in the same order.
+VectorClock set_clock(const std::vector<VectorClock::Entry>& entries) {
+  VectorClock vc;
+  for (const auto& [c, v] : entries) vc.set(c, v);
+  return vc;
+}
+
+TEST(VectorClockTest, DecodeBuildsTheClockSetBuilds) {
+  const std::vector<std::vector<VectorClock::Entry>> shapes = {
+      {},
+      {{1, 3}, {4, 1}, {9, 7}},  // sorted: appended as they arrive
+      {{9, 7}, {1, 3}, {4, 1}},  // unsorted
+      {{1, 3}, {4, 1}, {1, 5}},  // duplicate: the later entry wins
+      {{4, 1}, {4, 2}},          // adjacent duplicate
+      {{1, 0}, {2, 5}},          // zero first
+      {{1, 3}, {2, 0}, {5, 1}},  // zero in sorted position
+      {{1, 3}, {1, 0}},          // zero removes an earlier entry
+  };
+  for (const auto& entries : shapes) {
+    const util::Buffer wire = wire_clock(entries);
+    util::Reader r{util::BytesView(wire)};
+    const VectorClock decoded = VectorClock::decode(r);
+    EXPECT_TRUE(r.at_end());
+    EXPECT_EQ(decoded, set_clock(entries)) << decoded.str();
+  }
+}
+
+TEST(VectorClockTest, DecodeRejectsAForgedCount) {
+  util::Writer w;
+  w.varint(std::uint64_t{1} << 60);  // no entries follow
+  const util::Buffer wire = w.take();
+  util::Reader r{util::BytesView(wire)};
+  EXPECT_THROW((void)VectorClock::decode(r), util::CodecError);
+}
+
+TEST(VectorClockTest, MergeIsTheEntryWiseMaximum) {
+  const VectorClock base = set_clock({{2, 5}, {4, 1}, {6, 3}});
+  const std::vector<VectorClock> others = {
+      set_clock({{2, 7}, {6, 1}}),          // adds no client
+      set_clock({{2, 1}, {4, 9}, {6, 3}}),  // the same clients
+      set_clock({{1, 2}, {4, 4}}),          // adds one at the front
+      set_clock({{2, 9}, {3, 2}}),          // in the middle, after a fold
+      set_clock({{6, 8}, {9, 1}}),          // at the end
+      VectorClock{},                        // empty
+  };
+  for (const VectorClock& other : others) {
+    VectorClock expected = base;
+    for (const auto& [c, v] : other.entries()) {
+      expected.set(c, std::max(base.get(c), v));
+    }
+    VectorClock merged = base;
+    merged.merge(other);
+    EXPECT_EQ(merged, expected) << other.str();
+  }
+
+  // A merge that adds no client folds into the existing entries.
+  VectorClock folded = base;
+  const auto* storage = folded.entries().data();
+  folded.merge(others.front());
+  EXPECT_EQ(folded.entries().data(), storage);
+
+  VectorClock empty;
+  empty.merge(base);
+  EXPECT_EQ(empty, base);
+  VectorClock self = base;
+  self.merge(self);
+  EXPECT_EQ(self, base);
+}
+
 TEST(ModelsTest, SubsumptionRelation) {
   EXPECT_TRUE(subsumes(ObjectModel::kSequential, ClientModel::kReadYourWrites));
   EXPECT_TRUE(subsumes(ObjectModel::kSequential, ClientModel::kMonotonicReads));

@@ -59,8 +59,8 @@ TEST_F(CommTest, RequestReplyCorrelation) {
   CommunicationObject a(factory(node_a), &sim);
   CommunicationObject b(factory(node_b), &sim);
   b.set_delivery_handler([&](const net::Address& from, const msg::EnvelopeView& env) {
-    b.reply(from, msg::MsgType::kFetchReply, env.object, env.request_id,
-            util::to_buffer("answer"));
+    b.reply_with(from, msg::MsgType::kFetchReply, env.object, env.request_id,
+                 [](util::Writer& w) { w.raw(util::to_buffer("answer")); });
   });
 
   std::optional<std::string> answer;
@@ -79,8 +79,8 @@ TEST_F(CommTest, ConcurrentRequestsKeepTheirHandlers) {
   CommunicationObject a(factory(node_a), &sim);
   CommunicationObject b(factory(node_b), &sim);
   b.set_delivery_handler([&](const net::Address& from, const msg::EnvelopeView& env) {
-    b.reply(from, msg::MsgType::kFetchReply, env.object, env.request_id,
-            util::to_buffer(env.body));  // echo
+    b.reply_with(from, msg::MsgType::kFetchReply, env.object, env.request_id,
+                 [&](util::Writer& w) { w.raw(env.body); });  // echo
   });
 
   std::vector<std::string> answers(3);
@@ -118,7 +118,8 @@ TEST_F(CommTest, RetriesSucceedAfterTransientPartition) {
   CommunicationObject a(factory(node_a), &sim);
   CommunicationObject b(factory(node_b), &sim);
   b.set_delivery_handler([&](const net::Address& from, const msg::EnvelopeView& env) {
-    b.reply(from, msg::MsgType::kFetchReply, env.object, env.request_id, {});
+    b.reply_with(from, msg::MsgType::kFetchReply, env.object, env.request_id,
+                 [](util::Writer&) {});
   });
 
   net.partition(node_a, node_b);
@@ -145,7 +146,8 @@ TEST_F(CommTest, LateReplyAfterTimeoutIsIgnored) {
     sim.schedule_after(
         sim::SimDuration::millis(500),
         [&b, from, object = env.object, request_id = env.request_id] {
-          b.reply(from, msg::MsgType::kFetchReply, object, request_id, {});
+          b.reply_with(from, msg::MsgType::kFetchReply, object, request_id,
+                       [](util::Writer&) {});
         });
   });
 

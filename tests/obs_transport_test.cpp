@@ -214,8 +214,9 @@ TEST_F(ObsSimCommTest, RequestRetryDoesNotDuplicateWireSendSpan) {
   CommunicationObject b(factory(node_b), &sim);
   b.set_delivery_handler(
       [&b](const net::Address& from, const msg::EnvelopeView& env) {
-        b.reply(from, msg::MsgType::kInvokeReply, env.object, env.request_id,
-                to_buffer("ok"));
+        b.reply_with(from, msg::MsgType::kInvokeReply, env.object,
+                     env.request_id,
+                     [](util::Writer& w) { w.raw(to_buffer("ok")); });
       });
 
   std::optional<bool> reply_ok;

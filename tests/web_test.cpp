@@ -169,10 +169,18 @@ TEST(WriteRecordTest, BatchCodecRoundTrip) {
   EXPECT_EQ(back[4].page, "p5");
 }
 
-TEST(WriteRecordTest, ApproxSizeTracksContent) {
+TEST(WriteRecordTest, EncodedSizeBoundCoversTheEncoding) {
   auto small = put("p", "x", {1, 1});
-  auto large = put("p", std::string(10000, 'x'), {1, 2});
-  EXPECT_GT(large.approx_size(), small.approx_size() + 9000);
+  auto large = put("p", std::string(10000, 'x'), {1, 2}, ~std::uint64_t{0});
+  large.deps.set(1, 1);
+  large.deps.set(~ClientId{0}, ~std::uint64_t{0});
+  large.global_seq = ~std::uint64_t{0};
+  for (const WriteRecord& rec : {small, large}) {
+    util::Writer w;
+    rec.encode(w);
+    EXPECT_GE(rec.encoded_size_bound(), w.size());
+  }
+  EXPECT_GT(large.encoded_size_bound(), small.encoded_size_bound() + 9000);
 }
 
 }  // namespace

@@ -227,5 +227,84 @@ TEST(WriteLog, IndexedDeltaMatchesNaiveAfterCompaction) {
   }
 }
 
+TEST(WriteLog, IndexedDeltaMatchesNaiveAcrossInterleavedCompaction) {
+  util::Rng rng(11);
+  for (int round = 0; round < 12; ++round) {
+    const int pages = static_cast<int>(rng.between(1, 10));
+    const auto history = random_history(rng, static_cast<int>(rng.between(1, 6)),
+                                        pages, 500, rng.uniform01());
+    WriteLog log;
+    // The retained records as a plain prefix-dropping list: every
+    // compaction must drop exactly the prefix this model predicts.
+    std::vector<WriteRecord> model;
+    std::size_t next = 0;
+    while (next < history.size()) {
+      const std::uint64_t burst = rng.between(1, 40);
+      for (std::uint64_t i = 0; i < burst && next < history.size(); ++i) {
+        log.append(history[next]);
+        model.push_back(history[next++]);
+      }
+      std::size_t drop = 0;
+      switch (rng.below(3)) {
+        case 0: {
+          const std::size_t keep = rng.below(model.size() + 1);
+          drop = model.size() - keep;
+          log.compact(keep);
+          break;
+        }
+        case 1: {
+          // A horizon covering every writer up to a random applied
+          // record; the fold stops at the first record it misses.
+          VectorClock horizon;
+          const std::uint64_t upto = rng.below(next + 1);
+          for (std::uint64_t i = 0; i < upto; ++i) {
+            horizon.observe(history[i].wid);
+          }
+          const std::uint64_t gseq_horizon = rng.below(next + 2);
+          while (drop < model.size() && horizon.covers(model[drop].wid) &&
+                 (model[drop].global_seq == 0 ||
+                  model[drop].global_seq <= gseq_horizon)) {
+            ++drop;
+          }
+          EXPECT_EQ(log.compact_below(horizon, gseq_horizon), drop);
+          break;
+        }
+        default: {
+          const std::size_t budget = rng.below(log.retained_bytes() + 1);
+          std::size_t bytes = log.retained_bytes();
+          while (drop < model.size() && bytes > budget) {
+            bytes -= WriteLog::record_bytes(model[drop++]);
+          }
+          log.compact_to_bytes(budget);
+          EXPECT_LE(log.retained_bytes(), budget);
+          break;
+        }
+      }
+      for (std::size_t i = 0; i < drop; ++i) {
+        EXPECT_TRUE(log.base_clock().covers(model[i].wid));
+      }
+      model.erase(model.begin(),
+                  model.begin() + static_cast<std::ptrdiff_t>(drop));
+
+      ASSERT_EQ(log.size(), model.size());
+      EXPECT_EQ(log.appended_total(), next);
+      EXPECT_EQ(encode_all({log.retained().begin(), log.retained().end()}),
+                encode_all(model));
+      std::size_t bytes = 0;
+      for (const auto& rec : model) bytes += WriteLog::record_bytes(rec);
+      EXPECT_EQ(log.retained_bytes(), bytes);
+      for (int query = 0; query < 3; ++query) {
+        std::vector<std::string> filter;
+        if (rng.chance(0.3)) {
+          filter.push_back("page" + std::to_string(rng.below(pages)) +
+                           ".html");
+        }
+        expect_identical(log, random_clock(rng, history),
+                         rng.below(next + 2), filter);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace globe::replication
