@@ -682,24 +682,14 @@ void StoreEngine::advance_gseq(ObjectState& o, std::uint64_t gseq) {
 }
 
 void StoreEngine::maybe_compact(ObjectState& o) {
-  bool compacted = false;
   const std::size_t threshold = config_.log_compact_threshold;
   if (threshold != 0 && o.log.size() > threshold) {
     // Fold the oldest half into the base clock; requesters behind the
     // horizon fall back to a snapshot cutover (handle_fetch_request /
     // handle_anti_entropy check can_serve()).
     o.log.compact(threshold / 2);
-    compacted = true;
+    if (metrics_ != nullptr) metrics_->record_log_compaction();
   }
-  const std::size_t budget = config_.log_compact_bytes;
-  if (budget != 0 && o.log.retained_bytes() > budget) {
-    // Byte-budget policy: bound the retained payload regardless of
-    // record count (a handful of huge pages can dwarf thousands of
-    // small ones). Compact down to half the budget to amortize.
-    o.log.compact_to_bytes(budget / 2);
-    compacted = true;
-  }
-  if (compacted && metrics_ != nullptr) metrics_->record_log_compaction();
 }
 
 void StoreEngine::note_gaps(ObjectState& o) {

@@ -108,11 +108,6 @@ struct StoreConfig {
   /// requesters behind the horizon get a snapshot cutover instead of a
   /// delta. 0 disables compaction.
   std::size_t log_compact_threshold = 4096;
-  /// Byte-budget compaction: when the retained log's payload bytes
-  /// exceed this, the oldest records are folded into the base clock
-  /// until half the budget remains. 0 disables. Complements the
-  /// record-count threshold above; either trigger compacts.
-  std::size_t log_compact_bytes = 0;
   /// Membership service endpoint; invalid = membership disabled. When
   /// set, the store joins its replica view at construction, heartbeats
   /// periodically, and reacts to epoch-numbered view changes (drops

@@ -188,7 +188,6 @@ StoreEngine& Testbed::add_store_impl(StoreConfig cfg,
                                      const std::vector<ObjectConfig>& objects,
                                      std::string node_name) {
   cfg.log_compact_threshold = options_.log_compact_threshold;
-  cfg.log_compact_bytes = options_.log_compact_bytes;
   if (membership_ != nullptr) {
     cfg.membership = membership_->address();
     cfg.membership_heartbeat = options_.membership_heartbeat;

@@ -39,9 +39,6 @@ struct TestbedOptions {
   bool record_history = true;
   /// Per-store write-log compaction threshold (0 = disabled).
   std::size_t log_compact_threshold = 4096;
-  /// Per-store byte-budget compaction (0 = disabled; complements
-  /// log_compact_threshold).
-  std::size_t log_compact_bytes = 0;
   /// Dynamic replica membership: stores join an epoch-numbered
   /// per-object view, heartbeat, and react to view changes; clients
   /// watch the view and re-bind when their store leaves it.

@@ -163,20 +163,6 @@ void WriteLog::note_snapshot(const VectorClock& clock, std::uint64_t gseq,
   if (!sequenced) base_all_sequenced_ = false;
 }
 
-void WriteLog::compact_to_bytes(std::size_t budget) {
-  if (retained_bytes_ <= budget) return;
-  // Walk from the oldest record until the suffix fits the budget, then
-  // reuse the count-based compaction for the fold itself.
-  const auto records = retained();
-  std::size_t bytes = retained_bytes_;
-  std::size_t drop = 0;
-  while (drop < records.size() && bytes > budget) {
-    bytes -= record_bytes(records[drop]);
-    ++drop;
-  }
-  compact(records.size() - drop);
-}
-
 std::size_t WriteLog::compact_below(const VectorClock& horizon,
                                     std::uint64_t gseq_horizon) {
   const auto records = retained();

@@ -95,13 +95,8 @@ class WriteLog {
                             std::uint64_t gseq_horizon);
 
   /// Approximate payload bytes of the retained records (page, content
-  /// and mime strings plus a fixed per-record overhead). Drives the
-  /// byte-budget compaction policy.
+  /// and mime strings plus a fixed per-record overhead), for gauges.
   [[nodiscard]] std::size_t retained_bytes() const { return retained_bytes_; }
-
-  /// Folds the oldest records into the base clock until the retained
-  /// payload fits in `budget` bytes.
-  void compact_to_bytes(std::size_t budget);
 
   /// Records that this store restored a full snapshot at (clock, gseq):
   /// the covered records were never appended here, so the log must not

@@ -59,6 +59,42 @@ TEST(CompactionCutover, LateJoinerCatchesUpViaFetchSnapshot) {
   EXPECT_TRUE(bed.converged(1));
 }
 
+TEST(CompactionCutover, EngineCompactsOnCountAndCountsCutovers) {
+  TestbedOptions opts;
+  opts.seed = 9;
+  opts.wan.base_latency = sim::SimDuration::millis(1);
+  opts.log_compact_threshold = 16;
+  Testbed bed(opts);
+
+  const auto policy = pull_policy(coherence::ObjectModel::kPram);
+  auto& primary = bed.add_primary(1, policy);
+  auto& replica =
+      bed.add_store(1, naming::StoreClass::kClientInitiated, policy);
+  bed.settle();
+
+  // Cut the replica off, then push the primary's log far past the
+  // threshold so the replica's horizon is compacted away.
+  bed.net().partition(primary.address().node, replica.address().node);
+  const std::string payload(2048, 'c');
+  for (int i = 0; i < 200; ++i) {
+    primary.seed("page" + std::to_string(i % 32) + ".html",
+                 payload + std::to_string(i));
+    bed.run_for(sim::SimDuration::millis(5));
+  }
+  EXPECT_LE(primary.write_log().size(), opts.log_compact_threshold);
+  EXPECT_GT(bed.metrics().log_compactions(), 0u);
+  ASSERT_EQ(bed.metrics().snapshot_cutovers(), 0u);
+
+  // Heal: the next pull cannot be served as a delta — the fetch cuts
+  // over to a snapshot, and the metrics report counts it.
+  bed.net().heal_all();
+  bed.run_for(sim::SimDuration::millis(100));
+  bed.settle();
+
+  EXPECT_GT(bed.metrics().snapshot_cutovers(), 0u);
+  EXPECT_TRUE(bed.converged(1));
+}
+
 TEST(CompactionCutover, AntiEntropyReplyCutsOverForBehindRequester) {
   Testbed bed(compacting_options());
   const auto policy = pull_policy(coherence::ObjectModel::kEventual);

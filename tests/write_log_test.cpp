@@ -245,40 +245,25 @@ TEST(WriteLog, IndexedDeltaMatchesNaiveAcrossInterleavedCompaction) {
         model.push_back(history[next++]);
       }
       std::size_t drop = 0;
-      switch (rng.below(3)) {
-        case 0: {
-          const std::size_t keep = rng.below(model.size() + 1);
-          drop = model.size() - keep;
-          log.compact(keep);
-          break;
+      if (rng.chance(0.5)) {
+        const std::size_t keep = rng.below(model.size() + 1);
+        drop = model.size() - keep;
+        log.compact(keep);
+      } else {
+        // A horizon covering every writer up to a random applied
+        // record; the fold stops at the first record it misses.
+        VectorClock horizon;
+        const std::uint64_t upto = rng.below(next + 1);
+        for (std::uint64_t i = 0; i < upto; ++i) {
+          horizon.observe(history[i].wid);
         }
-        case 1: {
-          // A horizon covering every writer up to a random applied
-          // record; the fold stops at the first record it misses.
-          VectorClock horizon;
-          const std::uint64_t upto = rng.below(next + 1);
-          for (std::uint64_t i = 0; i < upto; ++i) {
-            horizon.observe(history[i].wid);
-          }
-          const std::uint64_t gseq_horizon = rng.below(next + 2);
-          while (drop < model.size() && horizon.covers(model[drop].wid) &&
-                 (model[drop].global_seq == 0 ||
-                  model[drop].global_seq <= gseq_horizon)) {
-            ++drop;
-          }
-          EXPECT_EQ(log.compact_below(horizon, gseq_horizon), drop);
-          break;
+        const std::uint64_t gseq_horizon = rng.below(next + 2);
+        while (drop < model.size() && horizon.covers(model[drop].wid) &&
+               (model[drop].global_seq == 0 ||
+                model[drop].global_seq <= gseq_horizon)) {
+          ++drop;
         }
-        default: {
-          const std::size_t budget = rng.below(log.retained_bytes() + 1);
-          std::size_t bytes = log.retained_bytes();
-          while (drop < model.size() && bytes > budget) {
-            bytes -= WriteLog::record_bytes(model[drop++]);
-          }
-          log.compact_to_bytes(budget);
-          EXPECT_LE(log.retained_bytes(), budget);
-          break;
-        }
+        EXPECT_EQ(log.compact_below(horizon, gseq_horizon), drop);
       }
       for (std::size_t i = 0; i < drop; ++i) {
         EXPECT_TRUE(log.base_clock().covers(model[i].wid));
