@@ -56,6 +56,56 @@ void trace_write_span(obs::SpanKind kind, StoreId store, ObjectId object,
 
 }  // namespace
 
+// The engine side of one apply round. Per applied record: its spans, its
+// History event and pending ack, and a copy for every push target other
+// than the neighbour it came from. finish() then moves the frontier,
+// notes gaps, serves parked reads and propagates the copies.
+class StoreEngine::Applier final : public ApplySink {
+ public:
+  Applier(StoreEngine& engine, ObjectState& o) : e_(engine), o_(o) {}
+
+  void applied(const web::WriteRecord& rec, bool logged) override {
+    // The ordering authority releases the record into the total order.
+    if (e_.config_.is_primary) {
+      trace_write_span(obs::SpanKind::kOrder, e_.config_.store_id,
+                       o_.cfg.object, rec.wid, rec.global_seq);
+    }
+    if (!logged) {
+      // Last-writer-wins rejected the record: the state kept a newer
+      // version. Ack the writer but record no application.
+      e_.record_apply(o_, rec, /*changed=*/false);
+      return;
+    }
+    trace_write_span(obs::SpanKind::kApply, e_.config_.store_id,
+                     o_.cfg.object, rec.wid, rec.global_seq);
+    e_.record_apply(o_, rec, /*changed=*/true);
+    ++o_.writes_applied;
+    if (e_.metrics_ != nullptr) e_.metrics_->record_shard_write(e_.config_.shard);
+    if (e_.pushes_beyond(o_, rec.transient_origin)) forward_.push_back(rec);
+    logged_ = true;
+  }
+
+  void finish(const ApplyRound& round) {
+    if (round.applied == 0) return;
+    o_.demand_retry_budget = 100;  // progress: re-arm the retry budget
+    e_.mark_frontier_moved(o_);
+    if (round.compacted && e_.metrics_ != nullptr) {
+      e_.metrics_->record_log_compaction();
+    }
+    e_.note_gaps(o_);
+    e_.unpark_ready(o_);
+    if (logged_) e_.propagate(o_, forward_);
+  }
+
+ private:
+  StoreEngine& e_;
+  ObjectState& o_;
+  // Copies only of the records some push target other than their
+  // origin will receive; the log owns every applied record.
+  std::vector<web::WriteRecord> forward_;
+  bool logged_ = false;
+};
+
 StoreEngine::StoreEngine(const TransportFactory& factory, sim::Simulator& sim,
                          StoreConfig config,
                          const std::vector<ObjectConfig>& objects,
@@ -85,7 +135,8 @@ StoreEngine::StoreEngine(const TransportFactory& factory, sim::Simulator& sim,
 
 StoreEngine::~StoreEngine() {
   // Drop the invariant monitors keyed on this engine and its object
-  // states: a later allocation at the same address starts clean.
+  // states (each replica drops its own): a later allocation at the same
+  // address starts clean.
   for (auto& [id, o] : objects_) check::release(o.get());
   check::release(this);
 }
@@ -97,18 +148,22 @@ StoreEngine::ObjectState& StoreEngine::create_object(const ObjectConfig& cfg) {
                    "an object has an upstream exactly off the primary store");
   GLOBE_ASSERT_MSG(objects_.count(cfg.object) == 0,
                    "duplicate object id on one store");
-  auto state = std::make_unique<ObjectState>();
+  ReplicaConfig rc;
+  rc.store = config_.store_id;
+  rc.object = cfg.object;
+  rc.model = cfg.policy.model;
+  rc.primary = config_.is_primary;
+  rc.enforces_model = enforces_model(cfg);
+  rc.compact_threshold = config_.log_compact_threshold;
+  auto state = std::make_unique<ObjectState>(cfg, rc);
   ObjectState& o = *state;
-  o.cfg = cfg;
   objects_.emplace(cfg.object, std::move(state));
-  // Trip reports for monitors keyed on this object state carry the
-  // store id + view epoch stamp (refreshed on every view adoption).
+  // Trip reports for monitors keyed on this object state or its replica
+  // carry the store id + view epoch stamp (refreshed on every view
+  // adoption).
   GLOBE_CHECK_HOOK(note_owner_context(&o, config_.store_id, view_epoch_));
-
-  o.orderer = enforces_model(o) ? make_orderer(o.cfg.policy.model)
-              : o.cfg.policy.model == ObjectModel::kEventual
-                  ? make_orderer(ObjectModel::kEventual)
-                  : std::make_unique<FifoOrderer>();
+  GLOBE_CHECK_HOOK(
+      note_owner_context(&o.replica, config_.store_id, view_epoch_));
 
   if (config_.is_primary || o.cfg.cache_mode != CacheMode::kGlobe) {
     o.ready = true;
@@ -129,50 +184,33 @@ std::vector<ObjectId> StoreEngine::object_ids() const {
   return ids;
 }
 
-StoreEngine::ObjectState* StoreEngine::find_object(ObjectId id) {
+StoreEngine::ObjectState* StoreEngine::find_object(ObjectId id) const {
   auto it = objects_.find(id);
   return it == objects_.end() ? nullptr : it->second.get();
 }
 
-const StoreEngine::ObjectState* StoreEngine::find_object(ObjectId id) const {
-  auto it = objects_.find(id);
-  return it == objects_.end() ? nullptr : it->second.get();
-}
-
-StoreEngine::ObjectState& StoreEngine::obj(ObjectId id) {
+StoreEngine::ObjectState& StoreEngine::obj(ObjectId id) const {
   ObjectState* o = find_object(id);
   GLOBE_ASSERT_MSG(o != nullptr, "unknown object id");
   return *o;
 }
 
-const StoreEngine::ObjectState& StoreEngine::obj(ObjectId id) const {
-  const ObjectState* o = find_object(id);
-  GLOBE_ASSERT_MSG(o != nullptr, "unknown object id");
-  return *o;
-}
-
-StoreEngine::ObjectState& StoreEngine::only() {
-  GLOBE_ASSERT_MSG(objects_.size() == 1,
-                   "one-object accessor on a store not hosting one object");
-  return *objects_.begin()->second;
-}
-
-const StoreEngine::ObjectState& StoreEngine::only() const {
+StoreEngine::ObjectState& StoreEngine::only() const {
   GLOBE_ASSERT_MSG(objects_.size() == 1,
                    "one-object accessor on a store not hosting one object");
   return *objects_.begin()->second;
 }
 
 const web::WebDocument& StoreEngine::document(ObjectId id) const {
-  return obj(id).semantics.document();
+  return obj(id).replica.document();
 }
 
 const coherence::VectorClock& StoreEngine::applied_clock(ObjectId id) const {
-  return obj(id).applied_clock;
+  return obj(id).replica.applied_clock();
 }
 
 std::uint64_t StoreEngine::applied_gseq(ObjectId id) const {
-  return obj(id).applied_gseq;
+  return obj(id).replica.applied_gseq();
 }
 
 std::size_t StoreEngine::subscriber_count(ObjectId id) const {
@@ -182,25 +220,26 @@ std::size_t StoreEngine::subscriber_count(ObjectId id) const {
 bool StoreEngine::ready(ObjectId id) const { return obj(id).ready; }
 
 const WriteLog& StoreEngine::write_log(ObjectId id) const {
-  return obj(id).log;
+  return obj(id).replica.log();
+}
+
+template <typename F>
+std::uint64_t StoreEngine::sum_objects(F count) const {
+  std::uint64_t n = 0;
+  for (const auto& [id, o] : objects_) n += count(*o);
+  return n;
 }
 
 std::size_t StoreEngine::parked_requests() const {
-  std::size_t n = 0;
-  for (const auto& [id, o] : objects_) n += o->parked.size();
-  return n;
+  return sum_objects([](const ObjectState& o) { return o.parked.size(); });
 }
 
 std::uint64_t StoreEngine::reads_served() const {
-  std::uint64_t n = 0;
-  for (const auto& [id, o] : objects_) n += o->reads_served;
-  return n;
+  return sum_objects([](const ObjectState& o) { return o.reads_served; });
 }
 
 std::uint64_t StoreEngine::writes_applied() const {
-  std::uint64_t n = 0;
-  for (const auto& [id, o] : objects_) n += o->writes_applied;
-  return n;
+  return sum_objects([](const ObjectState& o) { return o.writes_applied; });
 }
 
 StoreEngine::TimerNeeds StoreEngine::timer_needs(const ObjectState& o) const {
@@ -254,11 +293,7 @@ void StoreEngine::arm_timers(const TimerNeeds& need) {
     timer->start();
   };
   arm(lazy_timer_, need.lazy, [this] { flush_lazy_all(); });
-  arm(pull_timer_, need.pull, [this] {
-    for (auto& [id, op] : objects_) {
-      if (timer_needs(*op).pull.has_value()) pull_from_upstream(*op);
-    }
-  });
+  arm(pull_timer_, need.pull, [this] { pull_all(); });
   arm(heartbeat_timer_, need.beat, [this] { send_clock_beacons(); });
 }
 
@@ -286,15 +321,8 @@ bool StoreEngine::update_policy(ObjectState& o,
   return true;
 }
 
-void StoreEngine::handle_policy_update(ObjectState& o, const Address& /*from*/,
-                                       const msg::EnvelopeView& env) {
-  util::Reader r{env.body};
-  const auto policy = core::ReplicationPolicy::decode(r);
-  update_policy(o, policy);
-}
-
-bool StoreEngine::enforces_model(const ObjectState& o) const {
-  switch (o.cfg.policy.store_scope) {
+bool StoreEngine::enforces_model(const ObjectConfig& cfg) const {
+  switch (cfg.policy.store_scope) {
     case StoreScope::kPermanent:
       return config_.store_class == naming::StoreClass::kPermanent;
     case StoreScope::kPermanentAndObject:
@@ -320,10 +348,14 @@ void StoreEngine::finalize_propagation() {
   // coherence state; the periodic timers keep running (they are
   // background events and never block quiescence on their own).
   if (!alive_ || departed_) return;
+  pull_all();
+  flush_lazy_all();
+}
+
+void StoreEngine::pull_all() {
   for (auto& [id, op] : objects_) {
     if (timer_needs(*op).pull.has_value()) pull_from_upstream(*op);
   }
-  flush_lazy_all();
 }
 
 naming::ContactPoint StoreEngine::contact() const {
@@ -343,21 +375,8 @@ void StoreEngine::seed(const std::string& page, const std::string& content,
 void StoreEngine::seed(ObjectId id, const std::string& page,
                        const std::string& content, const std::string& mime) {
   ObjectState& o = obj(id);
-  GLOBE_ASSERT_MSG(config_.is_primary, "seed() is a primary-store operation");
-  web::WriteRecord rec;
-  rec.wid = coherence::WriteId{0, o.applied_clock.get(0) + 1};
-  rec.op = web::WriteOp::kPut;
-  rec.page = page;
-  rec.content = content;
-  rec.mime = mime;
-  rec.issued_at_us = sim_.now().count_micros();
-  rec.lamport = ++o.lamport;
-  std::vector<web::WriteRecord> ready;
-  if (o.cfg.policy.model == ObjectModel::kSequential) {
-    rec.global_seq = o.next_gseq + 1;
-  }
-  o.orderer->admit(std::move(rec), ready);
-  apply_ready(o, std::move(ready));
+  Applier a(*this, o);
+  a.finish(o.replica.seed(page, content, mime, sim_.now().count_micros(), a));
 }
 
 // ---------------------------------------------------------------------
@@ -432,11 +451,15 @@ void StoreEngine::on_message(const Address& from,
       handle_anti_entropy(*o, from, env);
       return;
     case msg::MsgType::kSnapshotDeltaRequest:
-      handle_snapshot_delta_request(*o, from, env);
+      serve_snapshot_delta(*o, from, env.request_id,
+                           SnapshotDeltaRequest::decode(env.body),
+                           /*defer_budget=*/100);
       return;
-    case msg::MsgType::kPolicyUpdate:
-      handle_policy_update(*o, from, env);
+    case msg::MsgType::kPolicyUpdate: {
+      util::Reader r{env.body};
+      update_policy(*o, core::ReplicationPolicy::decode(r));
       return;
+    }
     default:
       GLOBE_LOG_ERROR("store", "store %u: unexpected message type %s",
                       config_.store_id, msg::to_string(env.type));
@@ -496,73 +519,41 @@ void StoreEngine::accept_write(ObjectState& o, const Address& reply_to,
                                std::uint64_t request_id, ClientRequest req) {
   trace_write_span(obs::SpanKind::kStoreAccept, config_.store_id,
                    o.cfg.object, req.wid, 0);
-  web::WriteRecord rec = o.semantics.to_record(req.inv);
+  web::WriteRecord rec = o.replica.semantics().to_record(req.inv);
   rec.wid = req.wid;
   rec.deps = req.deps;
   rec.ordered = req.ordered;
   rec.issued_at_us = req.issued_at_us;
-  o.lamport = std::max(o.lamport, o.applied_clock.total()) + 1;
-  rec.lamport = o.lamport;
-  if (o.cfg.policy.model == ObjectModel::kSequential) {
-    GLOBE_ASSERT_MSG(config_.is_primary,
-                     "sequential writes are accepted only at the primary");
-    rec.global_seq = o.next_gseq + 1;
+  Applier a(*this, o);
+  const Accepted acc = o.replica.accept(std::move(rec), a);
+  a.finish(acc.round);
+  if (acc.admission == Admission::kBuffered) {
+    // Ack once the record is finally applied (record_apply).
+    o.pending_write_acks[req.wid] = {reply_to, request_id};
+    note_gaps(o);
+    if (!config_.is_primary &&
+        o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand) {
+      demand_fetch(o);
+    }
+    return;
   }
+  // Idempotent/ignored writes still succeed from the client's view
+  // (FIFO model: "the request is simply ignored").
+  ack_write(o, reply_to, request_id, req.wid,
+            acc.admission == Admission::kApplied ? acc.global_seq : 0);
+}
 
-  std::vector<web::WriteRecord> ready;
-  Admission adm;
-  if (rec.ordered && o.cfg.policy.model == ObjectModel::kEventual) {
-    // Locally accepted ordered writes advance the SAME monotonic-writes
-    // cursor as remote ones (admit_remote): a client that rebinds to
-    // another store mid-session leaves a seq gap here, and the filter
-    // must know which of its writes this store already carries.
-    std::vector<web::WriteRecord> gated;
-    adm = mw_gate(o, gated).admit(std::move(rec), gated);
-    for (auto& g : gated) {
-      if (g.wid == req.wid) rec = g;  // keep the stamped copy for the ack
-      o.orderer->admit(std::move(g), ready);
-    }
-  } else {
-    adm = o.orderer->admit(rec, ready);
-  }
-  switch (adm) {
-    case Admission::kApplied:
-      apply_ready(o, std::move(ready));
-      // record_apply acked if it was registered; ack directly otherwise.
-      {
-        InvokeReply rep;
-        rep.ok = true;
-        rep.wid = req.wid;
-        rep.global_seq =
-            rec.global_seq != 0 ? rec.global_seq : o.applied_gseq;
-        rep.store_clock = o.applied_clock;
-        rep.store = config_.store_id;
-        reply_invoke(o, reply_to, request_id, rep);
-      }
-      return;
-    case Admission::kBuffered:
-      // Ack once the record is finally applied.
-      o.pending_write_acks[req.wid] = {reply_to, request_id};
-      note_gaps(o);
-      if (!config_.is_primary &&
-          o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand) {
-        demand_fetch(o);
-      }
-      return;
-    case Admission::kDuplicate:
-    case Admission::kSuperseded: {
-      // Idempotent/ignored writes still succeed from the client's view
-      // (FIFO model: "the request is simply ignored").
-      InvokeReply rep;
-      rep.ok = true;
-      rep.wid = req.wid;
-      rep.global_seq = o.applied_gseq;
-      rep.store_clock = o.applied_clock;
-      rep.store = config_.store_id;
-      reply_invoke(o, reply_to, request_id, rep);
-      return;
-    }
-  }
+void StoreEngine::ack_write(ObjectState& o, const Address& to,
+                            std::uint64_t request_id,
+                            const coherence::WriteId& wid,
+                            std::uint64_t global_seq) {
+  InvokeReply rep;
+  rep.ok = true;
+  rep.wid = wid;
+  rep.global_seq = global_seq != 0 ? global_seq : o.replica.applied_gseq();
+  rep.store_clock = o.replica.applied_clock();
+  rep.store = config_.store_id;
+  reply_invoke(o, to, request_id, rep);
 }
 
 void StoreEngine::record_snapshot_event(ObjectState& o) {
@@ -570,8 +561,8 @@ void StoreEngine::record_snapshot_event(ObjectState& o) {
   coherence::ApplyEvent e;
   e.at = sim_.now();
   e.store = config_.store_id;
-  e.deps = o.applied_clock;
-  e.global_seq = o.applied_gseq;
+  e.deps = o.replica.applied_clock();
+  e.global_seq = o.replica.applied_gseq();
   e.from_snapshot = true;
   history_->record_apply(std::move(e));
 }
@@ -590,112 +581,14 @@ void StoreEngine::record_apply(ObjectState& o, const web::WriteRecord& rec,
   }
   auto ack = o.pending_write_acks.find(rec.wid);
   if (ack != o.pending_write_acks.end()) {
-    InvokeReply rep;
-    rep.ok = true;
-    rep.wid = rec.wid;
-    rep.global_seq = rec.global_seq != 0 ? rec.global_seq : o.applied_gseq;
-    rep.store_clock = o.applied_clock;
-    rep.store = config_.store_id;
-    reply_invoke(o, ack->second.first, ack->second.second, rep);
+    ack_write(o, ack->second.first, ack->second.second, rec.wid,
+              rec.global_seq);
     o.pending_write_acks.erase(ack);
   }
 }
 
-void StoreEngine::apply_ready(ObjectState& o,
-                              std::vector<web::WriteRecord> ready) {
-  if (ready.empty()) return;
-  // The log owns each applied record; `forward` copies only the records
-  // some push target other than their origin will receive.
-  std::vector<web::WriteRecord> forward;
-  bool logged = false;
-  for (web::WriteRecord& rec : ready) {
-    // The primary stamps the total-order position at apply time for the
-    // primary-ordered models (sequential records were stamped earlier).
-    if (config_.is_primary && rec.global_seq == 0 && !multi_master(o)) {
-      rec.global_seq = o.next_gseq + 1;
-    }
-    if (rec.global_seq > o.next_gseq) o.next_gseq = rec.global_seq;
-    // The ordering authority releases the record into the total order.
-    if (config_.is_primary) {
-      trace_write_span(obs::SpanKind::kOrder, config_.store_id, o.cfg.object,
-                       rec.wid, rec.global_seq);
-    }
-
-    // State application. Multi-master models need convergent conflict
-    // resolution: last-writer-wins with a Lamport clock. For the causal
-    // model the Lamport order refines the causal order (the clock is
-    // advanced on every receive), so LWW picks a causally-consistent
-    // winner among concurrent writes and every replica converges.
-    const bool is_eventual = o.cfg.policy.model == ObjectModel::kEventual;
-    const bool is_causal = o.cfg.policy.model == ObjectModel::kCausal;
-    bool changed = true;
-    if (is_eventual || is_causal) {
-      changed = o.semantics.apply_lww(rec);
-    } else {
-      o.semantics.apply(rec);
-    }
-    // Deletes must propagate even when the page was already absent.
-    changed = changed || rec.op == web::WriteOp::kDelete;
-    o.applied_clock.observe(rec.wid);
-    advance_gseq(o, rec.global_seq);
-    if (rec.ordered) {
-      GLOBE_CHECK_HOOK(on_writer_apply(&o, config_.store_id, o.cfg.object,
-                                       rec.wid.client, rec.wid.seq));
-    }
-    o.lamport = std::max(o.lamport, rec.lamport);
-    o.invalid_pages.erase(rec.page);
-
-    // Causal records are logged and propagated even when LWW rejected
-    // their content: other replicas need their WiDs for dependency
-    // coverage. Eventual losers are dropped (the winner suffices).
-    if (changed || !is_eventual) {
-      const web::WriteRecord& entry = o.log.append(std::move(rec));
-      trace_write_span(obs::SpanKind::kApply, config_.store_id, o.cfg.object,
-                       entry.wid, entry.global_seq);
-      record_apply(o, entry, /*changed=*/true);
-      ++o.writes_applied;
-      if (metrics_ != nullptr) metrics_->record_shard_write(config_.shard);
-      if (pushes_beyond(o, entry.transient_origin)) forward.push_back(entry);
-      logged = true;
-    } else {
-      // Last-writer-wins rejected the record: the state kept a newer
-      // version. Ack the writer but record no application.
-      record_apply(o, rec, /*changed=*/false);
-    }
-  }
-  o.demand_retry_budget = 100;  // progress: re-arm the retry budget
-  mark_frontier_moved(o);
-  maybe_compact(o);
-  note_gaps(o);
-  unpark_ready(o);
-  if (logged) propagate(o, forward);
-}
-
-void StoreEngine::advance_gseq(ObjectState& o, std::uint64_t gseq) {
-  const bool sequential = o.cfg.policy.model == ObjectModel::kSequential;
-  if (gseq <= o.applied_gseq || (sequential && gseq != o.applied_gseq + 1)) {
-    return;
-  }
-  o.applied_gseq = gseq;
-  GLOBE_CHECK_HOOK(on_gseq_apply(&o, config_.store_id, o.cfg.object,
-                                 sequential, o.applied_gseq));
-}
-
-void StoreEngine::maybe_compact(ObjectState& o) {
-  const std::size_t threshold = config_.log_compact_threshold;
-  if (threshold != 0 && o.log.size() > threshold) {
-    // Fold the oldest half into the base clock; requesters behind the
-    // horizon fall back to a snapshot cutover (handle_fetch_request /
-    // handle_anti_entropy check can_serve()).
-    o.log.compact(threshold / 2);
-    if (metrics_ != nullptr) metrics_->record_log_compaction();
-  }
-}
-
 void StoreEngine::note_gaps(ObjectState& o) {
-  o.outdated = o.orderer->has_gaps() ||
-               !o.applied_clock.dominates(o.known_clock) ||
-               o.applied_gseq < o.known_gseq;
+  o.outdated = o.replica.outdated();
   if (o.outdated) {
     outdated_.insert(o.cfg.object);
   } else {
@@ -709,21 +602,20 @@ void StoreEngine::note_gaps(ObjectState& o) {
 
 bool StoreEngine::requirement_satisfied(const ObjectState& o,
                                         const ClientRequest& req) {
-  return o.applied_clock.dominates(req.min_clock) &&
-         o.applied_gseq >= req.min_global_seq;
+  return o.replica.applied_clock().dominates(req.min_clock) &&
+         o.replica.applied_gseq() >= req.min_global_seq;
 }
 
 bool StoreEngine::needs_page_fetch(const ObjectState& o,
                                    const ClientRequest& req) {
   if (req.inv.method != msg::Method::kGetPage) return false;
   util::Reader args{util::BytesView(req.inv.args)};
-  const std::string page = args.str();
-  return o.invalid_pages.count(page) > 0;
+  return o.replica.page_invalid(args.str());
 }
 
 InvokeReply StoreEngine::make_read_reply(ObjectState& o,
                                          const ClientRequest& req) {
-  core::InvokeResult res = o.semantics.execute_read(req.inv);
+  core::InvokeResult res = o.replica.semantics().execute_read(req.inv);
   InvokeReply rep;
   rep.ok = res.ok;
   rep.error = std::move(res.error);
@@ -732,10 +624,10 @@ InvokeReply StoreEngine::make_read_reply(ObjectState& o,
       req.inv.method == msg::Method::kGetPage) {
     // Access transfer type "full": the whole document travels with the
     // access (Table 1), regardless of how little the client asked for.
-    rep.document = o.semantics.snapshot();
+    rep.document = o.replica.semantics().snapshot();
   }
-  rep.global_seq = o.applied_gseq;
-  rep.store_clock = o.applied_clock;
+  rep.global_seq = o.replica.applied_gseq();
+  rep.store_clock = o.replica.applied_clock();
   rep.store = config_.store_id;
   ++o.reads_served;
   if (metrics_ != nullptr) {
@@ -837,7 +729,7 @@ void StoreEngine::serve_read_check_on_read(ObjectState& o, const Address& from,
   }
   util::Reader args{util::BytesView(req.inv.args)};
   const std::string page = args.str();
-  const auto current = o.semantics.document().get(page);
+  const auto current = o.replica.document().get(page);
 
   FetchRequest fetch;
   fetch.validate_only = true;
@@ -865,7 +757,7 @@ void StoreEngine::serve_read_ttl(ObjectState& o, const Address& from,
   util::Reader args{util::BytesView(req.inv.args)};
   const std::string page = args.str();
   const auto it = o.fetched_at.find(page);
-  const bool fresh = o.semantics.document().has(page) &&
+  const bool fresh = o.replica.document().has(page) &&
                      it != o.fetched_at.end() &&
                      sim_.now() - it->second < o.cfg.ttl;
   if (fresh) {
@@ -893,9 +785,7 @@ void StoreEngine::serve_read_ttl(ObjectState& o, const Address& from,
 void StoreEngine::apply_fetched_records(
     ObjectState& o, const std::vector<web::WriteRecord>& recs) {
   for (const web::WriteRecord& rec : recs) {
-    o.semantics.apply(rec);
-    o.applied_clock.observe(rec.wid);
-    advance_gseq(o, rec.global_seq);
+    o.replica.apply_fetched(rec);
     o.fetched_at[rec.page] = sim_.now();
   }
 }
@@ -1010,8 +900,8 @@ void StoreEngine::send_coherence(ObjectState& o,
       pages.insert(b->pages().begin(), b->pages().end());
     }
     m.pages.assign(pages.begin(), pages.end());
-    m.known_clock = o.applied_clock;
-    m.known_gseq = o.applied_gseq;
+    m.known_clock = o.replica.applied_clock();
+    m.known_gseq = o.replica.applied_gseq();
     comm_.multicast_with(to, msg::MsgType::kInvalidate, o.cfg.object,
                          [&](util::Writer& w) { m.encode(w); });
     return;
@@ -1029,14 +919,14 @@ void StoreEngine::send_coherence(ObjectState& o,
       // many subscribers this update reaches.
       comm_.multicast_with(to, msg::MsgType::kUpdate, o.cfg.object,
                            [&](util::Writer& w) {
-                             UpdateMsg::encode_batches(w, batches,
-                                                       o.applied_clock,
-                                                       o.applied_gseq);
+                             UpdateMsg::encode_batches(
+                                 w, batches, o.replica.applied_clock(),
+                                 o.replica.applied_gseq());
                            });
       return;
     }
     case CoherenceTransfer::kFull: {
-      const StateTransfer st = full_state(o);
+      const StateTransfer st = o.replica.state_transfer();
       comm_.multicast_with(to, msg::MsgType::kSnapshot, o.cfg.object,
                            [&](util::Writer& w) { st.encode(w); });
       return;
@@ -1152,8 +1042,8 @@ void StoreEngine::pull_from_upstream(ObjectState& o) {
     // Anti-entropy exchange: offer my clock; receive missing records and
     // learn what the upstream is missing so I can push it back.
     AntiEntropyRequest reqmsg;
-    reqmsg.have_clock = o.applied_clock;
-    reqmsg.have_gseq = o.applied_gseq;
+    reqmsg.have_clock = o.replica.applied_clock();
+    reqmsg.have_gseq = o.replica.applied_gseq();
     comm_.request_with(
         o.cfg.upstream, msg::MsgType::kAntiEntropyRequest, o.cfg.object,
         [&](util::Writer& w) { reqmsg.encode(w); },
@@ -1161,39 +1051,26 @@ void StoreEngine::pull_from_upstream(ObjectState& o) {
                    const msg::EnvelopeView& env) {
           if (!ok) return;
           AntiEntropyReply rep = AntiEntropyReply::decode(env.body);
-          // Push back records the responder is missing — an indexed
-          // delta, not a log scan. If the responder is behind *our*
-          // compaction horizon, a delta can no longer reach it (and it
-          // may never request from us): push the current state as
-          // records instead. State-records LWW-merge commutatively at
-          // the peer, which converges even when both sides compacted
-          // past each other (a restore-snapshot would apply in neither
-          // direction there).
-          std::vector<web::WriteRecord> for_peer =
-              o.log.can_serve(rep.responder_clock, rep.responder_gseq)
-                  ? o.log.records_since(rep.responder_clock,
-                                        rep.responder_gseq)
-                  : state_as_records(o);
-          if (!for_peer.empty()) {
+          // Push back what the responder is missing: it may never send
+          // a request of its own, so only this reaches it once it is
+          // behind our compaction horizon.
+          const PeerRecords back = o.replica.records_for_peer(
+              rep.responder_clock, rep.responder_gseq);
+          if (!back.records.empty()) {
             comm_.send_with(from, msg::MsgType::kUpdate, o.cfg.object,
                             [&](util::Writer& w) {
-                              UpdateMsg::encode_fields(w, for_peer,
-                                                       o.applied_clock,
-                                                       o.applied_gseq);
+                              UpdateMsg::encode_fields(
+                                  w, back.records, o.replica.applied_clock(),
+                                  o.replica.applied_gseq());
                             });
           }
-          std::vector<web::WriteRecord> ready;
-          admit_remote(o, std::move(rep.records), addr_key(from), ready);
-          apply_ready(o, std::move(ready));
+          Applier a(*this, o);
+          a.finish(
+              o.replica.receive(std::move(rep.records), addr_key(from), a));
         });
     return;
   }
-  FetchRequest fetch;
-  fetch.have_clock = o.applied_clock;
-  fetch.have_gseq = fetch_gseq_floor(o);
-  GLOBE_CHECK_HOOK(on_fetch_floor(
-      &o, config_.store_id, o.cfg.object,
-      o.cfg.policy.model == ObjectModel::kSequential, fetch.have_gseq));
+  FetchRequest fetch = o.replica.fetch_request();
   fetch.want_full =
       o.cfg.policy.coherence_transfer == CoherenceTransfer::kFull;
   comm_.request_with(o.cfg.upstream, msg::MsgType::kFetchRequest,
@@ -1210,12 +1087,7 @@ void StoreEngine::demand_fetch(ObjectState& o,
                                std::vector<std::string> pages) {
   if (o.fetch_in_flight || config_.is_primary) return;
   o.fetch_in_flight = true;
-  FetchRequest fetch;
-  fetch.have_clock = o.applied_clock;
-  fetch.have_gseq = fetch_gseq_floor(o);
-  GLOBE_CHECK_HOOK(on_fetch_floor(
-      &o, config_.store_id, o.cfg.object,
-      o.cfg.policy.model == ObjectModel::kSequential, fetch.have_gseq));
+  FetchRequest fetch = o.replica.fetch_request();
   fetch.pages = std::move(pages);
   fetch.want_full =
       o.cfg.policy.coherence_transfer == CoherenceTransfer::kFull ||
@@ -1232,17 +1104,21 @@ void StoreEngine::demand_fetch(ObjectState& o,
                                 const msg::EnvelopeView& env) {
                        o.fetch_in_flight = false;
                        if (!ok) {
-                         if (o.demand_retry_budget > 0 &&
-                             (o.outdated || !o.parked.empty())) {
-                           --o.demand_retry_budget;
-                           sim_.schedule_after(sim::SimDuration::millis(50),
-                                               [this, &o] { demand_fetch(o); });
-                         }
+                         retry_demand_later(o);
                          return;
                        }
                        apply_fetch_reply(o, FetchReply::decode_view(env.body));
                      },
                      sim::SimDuration::millis(250), /*retries=*/4);
+}
+
+void StoreEngine::retry_demand_later(ObjectState& o) {
+  if (o.demand_retry_budget <= 0 || (!o.outdated && o.parked.empty())) {
+    return;
+  }
+  --o.demand_retry_budget;
+  sim_.schedule_after(sim::SimDuration::millis(50),
+                      [this, &o] { demand_fetch(o); });
 }
 
 void StoreEngine::apply_fetch_reply(ObjectState& o, FetchReply::View reply) {
@@ -1257,11 +1133,10 @@ void StoreEngine::apply_fetch_reply(ObjectState& o, FetchReply::View reply) {
     apply_state_transfer(o, *reply.state);
     return;
   }
-  std::vector<web::WriteRecord> ready;
-  admit_remote(o, std::move(reply.records), addr_key(o.cfg.upstream), ready);
-  o.known_clock.merge(reply.clock);
-  o.known_gseq = std::max(o.known_gseq, reply.gseq);
-  apply_ready(o, std::move(ready));
+  o.replica.note_frontier(reply.clock, reply.gseq);
+  Applier a(*this, o);
+  a.finish(o.replica.receive(std::move(reply.records),
+                             addr_key(o.cfg.upstream), a));
   note_gaps(o);
   if (o.outdated &&
       o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand &&
@@ -1294,7 +1169,7 @@ void StoreEngine::subscribe_to_upstream(ObjectState& o) {
   // difference, instead of the whole document.
   if (resubscribe) {
     sub.want_delta = true;
-    sub.delta_req = make_delta_request(o, o.cfg.upstream);
+    sub.delta_req = o.replica.delta_request(addr_key(o.cfg.upstream));
   }
   comm_.request_with(
       o.cfg.upstream, msg::MsgType::kSubscribe, o.cfg.object,
@@ -1339,13 +1214,14 @@ void StoreEngine::start_membership() {
 void StoreEngine::fill_applied(membership::MemberAnnounce& ann) const {
   bool first = true;
   for (const auto& [id, op] : objects_) {
+    const ObjectReplica& r = op->replica;
     if (first) {
-      ann.applied = op->applied_clock;
-      ann.applied_gseq = op->applied_gseq;
+      ann.applied = r.applied_clock();
+      ann.applied_gseq = r.applied_gseq();
       first = false;
     } else {
-      ann.applied.floor_with(op->applied_clock);
-      ann.applied_gseq = std::min(ann.applied_gseq, op->applied_gseq);
+      ann.applied.floor_with(r.applied_clock());
+      ann.applied_gseq = std::min(ann.applied_gseq, r.applied_gseq());
     }
   }
   ann.has_applied = !first;
@@ -1370,13 +1246,12 @@ void StoreEngine::handle_stability_horizon(const msg::EnvelopeView& env) {
 
   std::uint64_t tombstones = 0;
   for (auto& [id, op] : objects_) {
-    ObjectState& o = *op;
-    if (o.log.compact_below(horizon_clock_, horizon_gseq_) > 0 &&
-        metrics_ != nullptr) {
+    const HorizonCollection c =
+        op->replica.collect_below(horizon_clock_, horizon_gseq_);
+    if (c.records > 0 && metrics_ != nullptr) {
       metrics_->record_log_compaction();
     }
-    tombstones +=
-        o.semantics.document().collect_tombstones(horizon_clock_);
+    tombstones += c.tombstones;
   }
   if (metrics_ != nullptr && tombstones > 0) {
     metrics_->record_tombstones_collected(tombstones);
@@ -1434,6 +1309,8 @@ void StoreEngine::apply_view(const membership::View& view) {
   for ([[maybe_unused]] auto& [id, op] : objects_) {
     GLOBE_CHECK_HOOK(note_owner_context(op.get(), config_.store_id,
                                         view.epoch));
+    GLOBE_CHECK_HOOK(note_owner_context(&op->replica, config_.store_id,
+                                        view.epoch));
   }
   view_ = view;  // the base the next ViewDelta diff applies onto
 
@@ -1451,24 +1328,18 @@ void StoreEngine::apply_view(const membership::View& view) {
     }
     return false;
   };
+  const auto left_peer = [&](const auto& kv) {
+    return left(key_addr(kv.first));
+  };
   for (auto& [id, op] : objects_) {
-    ObjectState& o = *op;
-    std::erase_if(o.subscribers,
+    std::erase_if(op->subscribers,
                   [&](const Subscriber& s) { return left(s.address); });
-    for (auto it = o.lazy_queues.begin(); it != o.lazy_queues.end();) {
-      it = left(key_addr(it->first)) ? o.lazy_queues.erase(it)
-                                     : std::next(it);
-    }
+    std::erase_if(op->lazy_queues, left_peer);
   }
-  for (auto it = beacon_lanes_.begin(); it != beacon_lanes_.end();) {
-    it = left(key_addr(it->first)) ? beacon_lanes_.erase(it) : std::next(it);
-  }
-  for (auto it = paused_peers_.begin(); it != paused_peers_.end();) {
-    it = left(key_addr(*it)) ? paused_peers_.erase(it) : std::next(it);
-  }
-  for (auto it = paused_rounds_.begin(); it != paused_rounds_.end();) {
-    it = left(key_addr(it->first)) ? paused_rounds_.erase(it) : std::next(it);
-  }
+  std::erase_if(beacon_lanes_, left_peer);
+  std::erase_if(paused_rounds_, left_peer);
+  std::erase_if(paused_peers_,
+                [&](std::uint64_t key) { return left(key_addr(key)); });
   last_view_members_.clear();
   for (const auto& m : view.members) last_view_members_.push_back(m.address);
 
@@ -1550,14 +1421,9 @@ void StoreEngine::crash() {
   alive_ = false;
   // Timers and volatile protocol state die with the process; document,
   // write log, clocks survive (a warm disk).
-  lazy_timer_.reset();
-  pull_timer_.reset();
-  heartbeat_timer_.reset();
-  membership_timer_.reset();
+  go_quiet();
   for (auto& [id, op] : objects_) {
     ObjectState& o = *op;
-    o.parked.clear();
-    o.pending_write_acks.clear();
     o.lazy_queues.clear();
     o.lazy_dirty = false;
     o.fetch_in_flight = false;
@@ -1598,6 +1464,10 @@ void StoreEngine::leave() {
                     [&](util::Writer& w) { m.encode(w); });
   }
   departed_ = true;
+  go_quiet();
+}
+
+void StoreEngine::go_quiet() {
   lazy_timer_.reset();
   pull_timer_.reset();
   heartbeat_timer_.reset();
@@ -1612,61 +1482,12 @@ void StoreEngine::leave() {
 // Inter-store message handlers
 // ---------------------------------------------------------------------
 
-Orderer& StoreEngine::mw_gate(ObjectState& o,
-                              std::vector<web::WriteRecord>& unwedged) {
-  if (o.mw_filter == nullptr) {
-    o.mw_filter = std::make_unique<PramOrderer>();
-    // Seed the per-writer cursors with what this store already carries
-    // (bootstrap snapshots included): a fresh filter starting at zero
-    // would buffer the first ordered record forever, waiting for
-    // predecessors a snapshot covered and nobody will resend.
-    std::vector<web::WriteRecord> none;
-    o.mw_filter->reset_to(o.applied_clock, o.applied_gseq, none);
-  }
-  // The cursors must never trail the applied clock afterwards either:
-  // an ordered writer's record can reach the document AROUND the gate —
-  // a snapshot-cutover state record carries no `ordered` bit, so it is
-  // admitted ungated — and peers never resend writes our clock already
-  // covers. A cursor stuck behind the clock would then buffer every
-  // later record of that writer forever (a permanent post-partition
-  // wedge: the gap it waits on is already applied). Records the sync
-  // unwedges surface through `unwedged` and must be admitted onward.
-  o.mw_filter->reset_to(o.applied_clock, o.applied_gseq, unwedged);
-  return *o.mw_filter;
-}
-
-void StoreEngine::admit_remote(ObjectState& o,
-                               std::vector<web::WriteRecord> recs,
-                               std::uint64_t origin_key,
-                               std::vector<web::WriteRecord>& ready) {
-  for (auto& rec : recs) {
-    rec.transient_origin = origin_key;
-    if (rec.ordered && o.cfg.policy.model == ObjectModel::kEventual) {
-      // Monotonic-writes clients need per-writer order even under
-      // eventual coherence; gate through a PRAM filter first. EVERY
-      // remote ingestion path (push update, anti-entropy reply, fetch
-      // reply) must share this gate: if one path bypassed it, the
-      // filter's per-writer cursor would never advance for records that
-      // arrived the other way, and later ordered records would buffer
-      // forever (a permanent post-partition wedge).
-      std::vector<web::WriteRecord> gated;
-      mw_gate(o, gated).admit(std::move(rec), gated);
-      for (auto& g : gated) o.orderer->admit(std::move(g), ready);
-    } else {
-      o.orderer->admit(std::move(rec), ready);
-    }
-  }
-}
-
 void StoreEngine::handle_update(ObjectState& o, const Address& from,
                                 const msg::EnvelopeView& env) {
   UpdateMsg m = UpdateMsg::decode(env.body);
-  o.known_clock.merge(m.sender_clock);
-  o.known_gseq = std::max(o.known_gseq, m.sender_gseq);
-
-  std::vector<web::WriteRecord> ready;
-  admit_remote(o, std::move(m.records), addr_key(from), ready);
-  apply_ready(o, std::move(ready));
+  o.replica.note_frontier(m.sender_clock, m.sender_gseq);
+  Applier a(*this, o);
+  a.finish(o.replica.receive(std::move(m.records), addr_key(from), a));
   note_gaps(o);
   if (o.outdated &&
       o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand &&
@@ -1678,52 +1499,13 @@ void StoreEngine::handle_update(ObjectState& o, const Address& from,
 void StoreEngine::apply_state_transfer(ObjectState& o,
                                        const StateTransfer::View& st,
                                        bool bootstrap) {
-  // Only move forward: a transfer that proves nothing new is skipped
-  // (the resync round closes the rest).
-  const bool newer = st.clock.dominates(o.applied_clock) &&
-                     (st.clock != o.applied_clock || st.gseq > o.applied_gseq);
-  if (!bootstrap && !newer && !(st.gseq > o.applied_gseq)) return;
-  // A page delta yields the same document as restoring the sender's
-  // full snapshot.
-  st.adopt_into(o.semantics.document());
-  // Lineage must snapshot the document version BEFORE the released
-  // records below flush into the document: after that we no longer
-  // byte-mirror the sender and a later floor request would wrongly claim
-  // we do.
-  note_transfer_lineage(o, st.source, st.version);
-  o.applied_clock.merge(st.clock);
-  o.applied_gseq = std::max(o.applied_gseq, st.gseq);
+  const std::uint64_t upstream = addr_key(o.cfg.upstream);
+  if (!o.replica.adopt(st, bootstrap, upstream)) return;
   mark_frontier_moved(o);
-  GLOBE_CHECK_HOOK(
-      on_state_adoption(&o, config_.store_id, o.cfg.object, o.applied_gseq));
-  if (!bootstrap) {
-    // A bootstrap keeps its heard-of frontier, so the first Notify
-    // carrying it is still news and reaches stores that subscribed below
-    // this one while it had no state; and it keeps invalidations that
-    // overtook the subscribe ack.
-    o.known_clock.merge(st.clock);
-    o.known_gseq = std::max(o.known_gseq, st.gseq);
-    o.invalid_pages.clear();
-  }
-  // The records the transfer covered were never appended to our log:
-  // requesters below this horizon must get a snapshot cutover from us,
-  // never a delta with a hole in it.
-  o.log.note_snapshot(st.clock, st.gseq,
-                      o.cfg.policy.model == ObjectModel::kSequential);
   record_snapshot_event(o);
   if (bootstrap) o.ready = true;
-  std::vector<web::WriteRecord> ready;
-  o.orderer->reset_to(o.applied_clock, o.applied_gseq, ready);
-  if (o.mw_filter != nullptr) {
-    // The monotonic-writes cursor moves with the transfer too, or
-    // records above its horizon would wait forever for records it
-    // already covers.
-    std::vector<web::WriteRecord> gated;
-    o.mw_filter->reset_to(o.applied_clock, o.applied_gseq, gated);
-    for (auto& g : gated) o.orderer->admit(std::move(g), ready);
-  }
-  for (auto& rec : ready) rec.transient_origin = addr_key(o.cfg.upstream);
-  apply_ready(o, std::move(ready));
+  Applier a(*this, o);
+  a.finish(o.replica.release(upstream, a));
   // Forward the (new) state downstream in full-transfer mode.
   if (o.cfg.policy.coherence_transfer == CoherenceTransfer::kFull &&
       o.cfg.policy.initiative == TransferInitiative::kPush &&
@@ -1744,14 +1526,6 @@ void StoreEngine::apply_state_transfer(ObjectState& o,
   unpark_ready(o);
 }
 
-void StoreEngine::note_transfer_lineage(ObjectState& o, StoreId source,
-                                        std::uint64_t version) {
-  o.snap_source = source;
-  o.snap_source_addr = o.cfg.upstream;
-  o.snap_source_version = version;
-  o.snap_doc_version = o.semantics.document().version();
-}
-
 void StoreEngine::handle_invalidate(ObjectState& o, const Address& from,
                                     const msg::EnvelopeView& env) {
   InvalidateMsg m = InvalidateMsg::decode(env.body);
@@ -1759,8 +1533,7 @@ void StoreEngine::handle_invalidate(ObjectState& o, const Address& from,
   // stops a two-store cycle, but a longer propagation cycle still loops
   // unless no-news invalidations are dropped. Anything here is news if
   // it invalidates a page that was still valid or advances the frontier.
-  bool news = false;
-  for (const auto& p : m.pages) news |= o.invalid_pages.insert(p).second;
+  bool news = o.replica.invalidate(m.pages);
   news |= note_frontier(o, m.known_clock, m.known_gseq);
   if (news) {
     // Forward invalidations downstream (re-serialized from the borrowed
@@ -1782,10 +1555,7 @@ void StoreEngine::handle_invalidate(ObjectState& o, const Address& from,
 bool StoreEngine::note_frontier(ObjectState& o,
                                 const coherence::VectorClock& clock,
                                 std::uint64_t gseq) {
-  const bool news =
-      gseq > o.known_gseq || !o.known_clock.dominates(clock);
-  o.known_clock.merge(clock);
-  o.known_gseq = std::max(o.known_gseq, gseq);
+  const bool news = o.replica.note_frontier(clock, gseq);
   note_gaps(o);
   return news;
 }
@@ -1917,8 +1687,8 @@ void StoreEngine::encode_clock_list(util::Writer& w, std::uint64_t tick,
                                     const std::vector<ObjectId>& objects) const {
   NotifyMsg::encode_head(w, tick, flags, objects.size());
   for (const ObjectId id : objects) {
-    const ObjectState& o = obj(id);
-    NotifyMsg::encode_entry(w, id, o.applied_clock, o.applied_gseq);
+    const ObjectReplica& r = obj(id).replica;
+    NotifyMsg::encode_entry(w, id, r.applied_clock(), r.applied_gseq());
   }
 }
 
@@ -1957,84 +1727,15 @@ void StoreEngine::send_full_clock_list(const Address& to) {
                              });
 }
 
-std::vector<web::WriteRecord> StoreEngine::state_as_records(
-    const ObjectState& o) {
-  // The whole document expressed as one LWW state record per page (the
-  // page's last writer, total-order position, and Lamport stamp travel
-  // with it). Used when a peer is behind the log's compaction horizon:
-  // unlike a restore-snapshot, these merge commutatively through the
-  // peer's orderer. Pages deleted before compaction travel as delete
-  // records reconstructed from the document's tombstones, so a peer
-  // still holding the stale page drops it instead of resurrecting it —
-  // this closes the tombstone-less LWW caveat (docs/perf.md).
-  const web::WebDocument& doc = o.semantics.document();
-  std::vector<web::WriteRecord> out;
-  const auto pages = doc.page_names();
-  out.reserve(pages.size() + doc.tombstones().size());
-  for (const auto& page : pages) out.push_back(record_for_page(o, page));
-  for (const auto& [page, t] : doc.tombstones()) {
-    if (!t.writer.valid()) continue;  // deletion of unknown identity
-    web::WriteRecord rec;
-    rec.op = web::WriteOp::kDelete;
-    rec.page = page;
-    rec.wid = t.writer;
-    rec.lamport = t.lamport;
-    rec.global_seq = t.global_seq;
-    rec.issued_at_us = t.deleted_at_us;
-    out.push_back(std::move(rec));
-  }
-  return out;
-}
-
-web::WriteRecord StoreEngine::record_for_page(const ObjectState& o,
-                                              const std::string& page) {
-  const auto p = o.semantics.document().get(page);
-  web::WriteRecord rec;
-  rec.page = page;
-  if (!p) {
-    rec.op = web::WriteOp::kDelete;
-    return rec;
-  }
-  rec.op = web::WriteOp::kPut;
-  rec.content = p->content;
-  rec.mime = p->mime;
-  rec.wid = p->last_writer;
-  rec.global_seq = p->global_seq;
-  rec.lamport = p->lamport;
-  rec.issued_at_us = p->updated_at_us;
-  return rec;
-}
-
 void StoreEngine::handle_fetch_request(ObjectState& o, const Address& from,
                                        const msg::EnvelopeView& env) {
-  FetchRequest m = FetchRequest::decode(env.body);
-  FetchReply rep;
-  rep.clock = o.applied_clock;
-  rep.gseq = o.applied_gseq;
-
-  if (m.validate_only) {
-    GLOBE_ASSERT_MSG(!m.pages.empty(), "validate requires a page");
-    const auto p = o.semantics.document().get(m.pages.front());
-    if (p && m.have_lamport != 0 && p->lamport == m.have_lamport) {
-      rep.not_modified = true;
-    } else if (p) {
-      rep.records.push_back(record_for_page(o, m.pages.front()));
-    }
-    // Page absent: empty records; the cache serves not-found.
-  } else if (m.want_full) {
-    // The policy's full coherence transfer: routine traffic, counted
-    // neither as a cutover nor as a full snapshot.
-    rep.state = full_state(o);
-  } else if (!o.log.can_serve(m.have_clock, m.have_gseq,
-                              o.cfg.policy.model ==
-                                  ObjectModel::kSequential)) {
-    // Behind the log's compaction horizon, a delta can no longer be
-    // computed: defer the cutover to the page-granular round trip. The
-    // cutover counter is the compaction policy's cost signal.
-    if (metrics_ != nullptr) metrics_->record_snapshot_cutover();
-    rep.need_snapshot = true;
-  } else {
-    rep.records = o.log.records_since(m.have_clock, m.have_gseq, m.pages);
+  const FetchReply rep =
+      o.replica.answer_fetch(FetchRequest::decode(env.body));
+  // A requester behind the log's compaction horizon cuts over to the
+  // page-granular round trip; the cutover counter is the compaction
+  // policy's cost signal.
+  if (rep.need_snapshot && metrics_ != nullptr) {
+    metrics_->record_snapshot_cutover();
   }
   comm_.reply_with(from, msg::MsgType::kFetchReply, o.cfg.object,
                    env.request_id, [&](util::Writer& w) { rep.encode(w); });
@@ -2063,17 +1764,9 @@ void StoreEngine::handle_subscribe(ObjectState& o, const Address& from,
     }
   }
   const StateTransfer st =
-      make_state_transfer(o, m.want_delta ? &m.delta_req : nullptr);
+      serve_state(o, m.want_delta ? &m.delta_req : nullptr);
   comm_.reply_with(from, msg::MsgType::kSubscribeAck, o.cfg.object,
                    env.request_id, [&](util::Writer& w) { st.encode(w); });
-}
-
-void StoreEngine::handle_snapshot_delta_request(ObjectState& o,
-                                                const Address& from,
-                                                const msg::EnvelopeView& env) {
-  serve_snapshot_delta(o, from, env.request_id,
-                       SnapshotDeltaRequest::decode(env.body),
-                       /*defer_budget=*/100);
 }
 
 void StoreEngine::serve_snapshot_delta(ObjectState& o, const Address& from,
@@ -2099,77 +1792,24 @@ void StoreEngine::serve_snapshot_delta(ObjectState& o, const Address& from,
   // vanish from the read/staleness accounting.
   ++o.reads_served;
   if (metrics_ != nullptr && o.outdated) metrics_->record_stale_serve();
-  const StateTransfer st = make_state_transfer(o, &req);
+  const StateTransfer st = serve_state(o, &req);
   comm_.reply_with(from, msg::MsgType::kSnapshotDeltaReply, o.cfg.object,
                    request_id, [&](util::Writer& w) { st.encode(w); });
 }
 
-SnapshotDeltaRequest StoreEngine::make_delta_request(const ObjectState& o,
-                                                     const Address& target) {
-  SnapshotDeltaRequest req;
-  const web::WebDocument& doc = o.semantics.document();
-  if (o.snap_source != kInvalidStore && target == o.snap_source_addr &&
-      doc.version() == o.snap_doc_version) {
-    // The document has not mutated since the last transfer from this
-    // lineage: a bare version floor replaces the page summary.
-    req.mode = SnapshotDeltaRequest::Mode::kFloor;
-    req.floor_source = o.snap_source;
-    req.floor_version = o.snap_source_version;
-  } else {
-    req.mode = SnapshotDeltaRequest::Mode::kSummary;
-    req.have = doc.summarize();
-  }
-  return req;
-}
-
-StateTransfer StoreEngine::full_state(const ObjectState& o) const {
-  StateTransfer st;
-  st.snapshot = o.semantics.snapshot();
-  st.clock = o.applied_clock;
-  st.gseq = o.applied_gseq;
-  st.source = config_.store_id;
-  st.version = o.semantics.document().version();
-  return st;
-}
-
-StateTransfer StoreEngine::make_state_transfer(
-    ObjectState& o, const SnapshotDeltaRequest* req) {
-  const web::WebDocument& doc = o.semantics.document();
-  bool serve_delta = req != nullptr;
-  if (serve_delta && req->mode == SnapshotDeltaRequest::Mode::kFloor &&
-      (req->floor_source != config_.store_id ||
-       !doc.can_delta_since(req->floor_version))) {
-    // The floor names another lineage or predates the tombstone
-    // horizon: which deletions the requester missed can no longer be
-    // proven — fall back to the full snapshot, mirroring the
-    // note_snapshot horizon rule.
-    serve_delta = false;
-  }
-  if (req != nullptr && req->mode == SnapshotDeltaRequest::Mode::kFloor) {
-    GLOBE_CHECK_HOOK(on_delta_serve(&o, config_.store_id, o.cfg.object,
-                                    req->floor_version,
-                                    doc.tombstone_horizon(), doc.version(),
-                                    /*refused=*/!serve_delta));
-  }
-  if (!serve_delta) {
-    if (metrics_ != nullptr) metrics_->record_full_snapshot();
-    return full_state(o);
-  }
-  StateTransfer st;
-  st.full = false;
-  st.clock = o.applied_clock;
-  st.gseq = o.applied_gseq;
-  st.source = config_.store_id;
-  st.version = doc.version();
+StateTransfer StoreEngine::serve_state(ObjectState& o,
+                                       const SnapshotDeltaRequest* req) {
   web::DeltaStats stats;
-  st.delta = req->mode == SnapshotDeltaRequest::Mode::kFloor
-                 ? doc.encode_delta_since(req->floor_version, &stats)
-                 : doc.encode_delta(req->have, &stats);
-  if (metrics_ != nullptr) {
+  StateTransfer st = o.replica.state_transfer(req, &stats);
+  if (metrics_ == nullptr) return st;
+  if (st.full) {
+    metrics_->record_full_snapshot();
+  } else {
     // content_bytes approximates what the full transfer would have
     // cost, without forcing a full encode just for accounting.
     metrics_->record_delta_snapshot(stats.pages_shipped + stats.drops_shipped,
-                                    st.delta.size(), doc.content_bytes());
+                                    st.delta.size(),
+                                    o.replica.document().content_bytes());
   }
   return st;
 }
@@ -2177,20 +1817,16 @@ StateTransfer StoreEngine::make_state_transfer(
 void StoreEngine::request_snapshot_delta(ObjectState& o) {
   if (o.fetch_in_flight || config_.is_primary) return;
   o.fetch_in_flight = true;
-  const SnapshotDeltaRequest req = make_delta_request(o, o.cfg.upstream);
+  const SnapshotDeltaRequest req =
+      o.replica.delta_request(addr_key(o.cfg.upstream));
   comm_.request_with(
       o.cfg.upstream, msg::MsgType::kSnapshotDeltaRequest, o.cfg.object,
       [&](util::Writer& w) { req.encode(w); },
       [this, &o](bool ok, const Address&, const msg::EnvelopeView& env) {
         o.fetch_in_flight = false;
         if (!ok) {
-          // Same retry discipline as demand_fetch: the cutover that got
-          // us here still needs to complete.
-          if (o.demand_retry_budget > 0 && (o.outdated || !o.parked.empty())) {
-            --o.demand_retry_budget;
-            sim_.schedule_after(sim::SimDuration::millis(50),
-                                [this, &o] { demand_fetch(o); });
-          }
+          // The cutover that got us here still needs to complete.
+          retry_demand_later(o);
           return;
         }
         apply_state_transfer(o, StateTransfer::decode_view(env.body));
@@ -2202,37 +1838,26 @@ void StoreEngine::request_snapshot_delta(ObjectState& o) {
 
 void StoreEngine::handle_anti_entropy(ObjectState& o, const Address& from,
                                       const msg::EnvelopeView& env) {
-  AntiEntropyRequest m = AntiEntropyRequest::decode(env.body);
+  const AntiEntropyRequest m = AntiEntropyRequest::decode(env.body);
   AntiEntropyReply rep;
-  rep.responder_clock = o.applied_clock;
-  rep.responder_gseq = o.applied_gseq;
-  // Anti-entropy runs under multi-master models, whose gseq floors are
-  // not contiguous — only clock domination proves the peer is past the
-  // compaction horizon (can_serve's gseq shortcut stays off). The
-  // records_since gseq filter below is safe because multi-master
-  // records are never sequenced (global_seq == 0); it only bites for
-  // totally-ordered records the peer genuinely holds.
-  if (!o.log.can_serve(m.have_clock, m.have_gseq)) {
-    // Peer is behind the compaction horizon: send the current state as
-    // records. They merge through the peer's normal orderer/LWW path,
-    // which converges even when both peers compacted past each other —
-    // a restore-snapshot would apply in neither direction there.
-    if (metrics_ != nullptr) metrics_->record_snapshot_cutover();
-    rep.records = state_as_records(o);
-  } else {
-    // Indexed delta honoring the peer's total-order floor — gossip no
-    // longer resends totally-ordered records the peer already holds.
-    rep.records = o.log.records_since(m.have_clock, m.have_gseq);
-  }
+  rep.responder_clock = o.replica.applied_clock();
+  rep.responder_gseq = o.replica.applied_gseq();
+  PeerRecords peer = o.replica.records_for_peer(m.have_clock, m.have_gseq);
+  if (peer.cutover && metrics_ != nullptr) metrics_->record_snapshot_cutover();
+  rep.records = std::move(peer.records);
   comm_.reply_with(from, msg::MsgType::kAntiEntropyReply, o.cfg.object,
                    env.request_id, [&](util::Writer& w) { rep.encode(w); });
 }
 
-namespace {
-util::Buffer digest_from(const WriteLog& log,
-                         const web::WebDocument& doc, std::uint64_t gseq,
-                         const coherence::VectorClock& clock,
-                         bool mask_wall_clock) {
+util::Buffer store_state_digest(const StoreEngine& s, bool mask_wall_clock) {
+  const std::vector<ObjectId> ids = s.object_ids();
+  GLOBE_ASSERT_MSG(ids.size() == 1, "digest of a store not hosting one object");
+  return store_state_digest(s, ids.front(), mask_wall_clock);
+}
+
+util::Buffer store_state_digest(const StoreEngine& s, ObjectId object,
+                                bool mask_wall_clock) {
+  const WriteLog& log = s.write_log(object);
   util::Writer w;
   if (mask_wall_clock) {
     std::vector<web::WriteRecord> records(log.retained().begin(),
@@ -2242,23 +1867,10 @@ util::Buffer digest_from(const WriteLog& log,
   } else {
     web::encode_records(w, log.retained());
   }
-  w.bytes(util::BytesView(doc.encode_snapshot(mask_wall_clock)));
-  w.varint(gseq);
-  clock.encode(w);
+  w.bytes(util::BytesView(s.document(object).encode_snapshot(mask_wall_clock)));
+  w.varint(s.applied_gseq(object));
+  s.applied_clock(object).encode(w);
   return w.take();
-}
-}  // namespace
-
-util::Buffer store_state_digest(const StoreEngine& s, bool mask_wall_clock) {
-  return digest_from(s.write_log(), s.document(), s.applied_gseq(),
-                     s.applied_clock(), mask_wall_clock);
-}
-
-util::Buffer store_state_digest(const StoreEngine& s, ObjectId object,
-                                bool mask_wall_clock) {
-  return digest_from(s.write_log(object), s.document(object),
-                     s.applied_gseq(object), s.applied_clock(object),
-                     mask_wall_clock);
 }
 
 }  // namespace globe::replication

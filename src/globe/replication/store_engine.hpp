@@ -11,14 +11,17 @@
 //     communication object.
 //
 // Every coherence model and every Table 1 parameter value runs through
-// this one engine; the model-specific part is the pluggable Orderer plus
-// a handful of policy branches. This mirrors the paper's observation
-// that "the replication objects all have the same interface ... however,
-// the internals differ".
+// this one engine. The model-specific part, the receive path, is the
+// per-object ObjectReplica (object_replica.hpp: document, write log,
+// orderers, clocks), which does no I/O; the engine turns its outputs
+// into sends, History events, spans and metrics, plus a handful of
+// policy branches. This mirrors the paper's observation that "the
+// replication objects all have the same interface ... however, the
+// internals differ".
 //
 // A store hosts MANY distributed objects: the engine keeps a table of
-// per-object replication states (document, write log, orderer, clocks,
-// subscriber set, upstream) keyed by ObjectId, and every per-object wire
+// per-object states (replica, subscriber set, upstream, lazy queues,
+// parked reads) keyed by ObjectId, and every per-object wire
 // message carries the object key in its envelope, so one communication
 // endpoint, one timer set, one clock-beacon lane per subscriber peer and
 // one membership heartbeat stream serve the whole table. The table holds
@@ -49,9 +52,8 @@
 #include "globe/metrics/stats.hpp"
 #include "globe/naming/contact.hpp"
 #include "globe/net/flow.hpp"
-#include "globe/replication/orderer.hpp"
+#include "globe/replication/object_replica.hpp"
 #include "globe/replication/protocol.hpp"
-#include "globe/replication/write_log.hpp"
 #include "globe/sim/simulator.hpp"
 #include "globe/web/record_batch.hpp"
 
@@ -187,15 +189,15 @@ class StoreEngine {
     return obj(id).cfg;
   }
   [[nodiscard]] const web::WebDocument& document() const {
-    return only().semantics.document();
+    return only().replica.document();
   }
   [[nodiscard]] const web::WebDocument& document(ObjectId id) const;
   [[nodiscard]] const coherence::VectorClock& applied_clock() const {
-    return only().applied_clock;
+    return only().replica.applied_clock();
   }
   [[nodiscard]] const coherence::VectorClock& applied_clock(ObjectId id) const;
   [[nodiscard]] std::uint64_t applied_gseq() const {
-    return only().applied_gseq;
+    return only().replica.applied_gseq();
   }
   [[nodiscard]] std::uint64_t applied_gseq(ObjectId id) const;
   [[nodiscard]] bool outdated() const { return only().outdated; }
@@ -273,7 +275,9 @@ class StoreEngine {
   [[nodiscard]] std::uint64_t writes_applied() const;
 
   /// The applied-record log with its delta indexes (tests / benches).
-  [[nodiscard]] const WriteLog& write_log() const { return only().log; }
+  [[nodiscard]] const WriteLog& write_log() const {
+    return only().replica.log();
+  }
   [[nodiscard]] const WriteLog& write_log(ObjectId id) const;
 
  private:
@@ -287,25 +291,16 @@ class StoreEngine {
     StoreId store_id;
   };
 
-  /// The replication state of ONE hosted object: everything the paper's
-  /// per-object replication object owns. Engine-wide state (endpoint,
-  /// timers, flow backpressure, membership view, lifecycle flags) lives
-  /// on the StoreEngine. Heap-allocated and never removed, so callbacks
-  /// may capture stable pointers.
+  /// ONE hosted object: its configuration, its replica (the I/O-free
+  /// receive path), and the I/O state around it. Engine-wide state
+  /// (endpoint, timers, flow backpressure, membership view, lifecycle
+  /// flags) lives on the StoreEngine. Heap-allocated and never removed,
+  /// so callbacks may capture stable pointers.
   struct ObjectState {
+    ObjectState(const ObjectConfig& c, const ReplicaConfig& r)
+        : cfg(c), replica(r) {}
     ObjectConfig cfg;
-    core::WebSemanticsObject semantics;
-    std::unique_ptr<Orderer> orderer;
-    std::unique_ptr<Orderer> mw_filter;  // per-writer order for MW clients
-
-    coherence::VectorClock applied_clock;
-    coherence::VectorClock known_clock;  // heard of via notify/invalidate
-    std::uint64_t applied_gseq = 0;
-    std::uint64_t known_gseq = 0;
-    std::uint64_t next_gseq = 0;  // primary only: total-order counter
-    std::uint64_t lamport = 0;
-
-    WriteLog log;  // applied records, in apply order, with delta indexes
+    ObjectReplica replica;
     std::vector<Subscriber> subscribers;
     // Per-target lazy segments: shared, immutable, pre-encoded batches.
     // N subscribers hold N pointers to one encode, not N record copies.
@@ -316,20 +311,11 @@ class StoreEngine {
     // Writes buffered by the orderer whose client still awaits an ack.
     std::map<coherence::WriteId, std::pair<Address, std::uint64_t>>
         pending_write_acks;
-    std::set<std::string> invalid_pages;
     std::map<std::string, sim::SimTime> fetched_at;  // TTL bookkeeping
-    bool outdated = false;
+    bool outdated = false;  // the replica's verdict at the last note_gaps
     bool fetch_in_flight = false;
     bool ready = false;
     bool unparking = false;  // reentrancy guard for unpark_ready()
-    // Lineage of the last applied state transfer: who sent it, at which
-    // document version, and what our own document version was right
-    // after applying. While our version is unchanged, the next delta
-    // request can be a bare floor instead of a page summary.
-    StoreId snap_source = kInvalidStore;
-    Address snap_source_addr;
-    std::uint64_t snap_source_version = 0;
-    std::uint64_t snap_doc_version = 0;
     // Bounds re-subscription attempts when the upstream is unreachable
     // (each attempt itself carries a timeout + retries).
     int subscribe_retry_budget = 50;
@@ -341,15 +327,19 @@ class StoreEngine {
     std::uint64_t writes_applied = 0;
   };
 
-  [[nodiscard]] ObjectState* find_object(ObjectId id);
-  [[nodiscard]] const ObjectState* find_object(ObjectId id) const;
-  [[nodiscard]] ObjectState& obj(ObjectId id);
-  [[nodiscard]] const ObjectState& obj(ObjectId id) const;
+  // The table owns the object states, so a const engine still hands out
+  // mutable ones; only its own members mutate through them.
+  [[nodiscard]] ObjectState* find_object(ObjectId id) const;
+  [[nodiscard]] ObjectState& obj(ObjectId id) const;
   /// The store's only object (the one-object accessors); asserts that
   /// the table holds exactly one.
-  [[nodiscard]] ObjectState& only();
-  [[nodiscard]] const ObjectState& only() const;
+  [[nodiscard]] ObjectState& only() const;
+  /// The sum of `count(object state)` over the table.
+  template <typename F>
+  [[nodiscard]] std::uint64_t sum_objects(F count) const;
   ObjectState& create_object(const ObjectConfig& cfg);
+  /// The engine side of one apply round: ObjectReplica's sink.
+  class Applier;
 
   // ---- message dispatch ----
   void on_message(const Address& from, const msg::EnvelopeView& env);
@@ -371,47 +361,23 @@ class StoreEngine {
                         const msg::EnvelopeView& env);
   void handle_anti_entropy(ObjectState& o, const Address& from,
                            const msg::EnvelopeView& env);
-  void handle_snapshot_delta_request(ObjectState& o, const Address& from,
-                                     const msg::EnvelopeView& env);
   /// Gated service of one delta request: parks (bounded re-schedule)
   /// while the store bootstraps, counts the read, replies StateTransfer.
   void serve_snapshot_delta(ObjectState& o, const Address& from,
                             std::uint64_t request_id, SnapshotDeltaRequest req,
                             int defer_budget);
   void handle_view_delta(const msg::EnvelopeView& env);
-  void handle_policy_update(ObjectState& o, const Address& from,
-                            const msg::EnvelopeView& env);
 
   // ---- write path ----
   [[nodiscard]] bool accepts_writes(const ObjectState& o) const;
   void accept_write(ObjectState& o, const Address& reply_to,
                     std::uint64_t request_id, ClientRequest req);
-  /// Shared ingestion gate for records received from other stores; all
-  /// remote paths (update push, anti-entropy, fetch reply) go through it
-  /// so the monotonic-writes filter sees one consistent stream.
-  void admit_remote(ObjectState& o, std::vector<web::WriteRecord> recs,
-                    std::uint64_t origin_key,
-                    std::vector<web::WriteRecord>& ready);
-  /// The monotonic-writes filter, created on first use with its cursors
-  /// seeded from the store's current coverage.
-  [[nodiscard]] Orderer& mw_gate(ObjectState& o,
-                                 std::vector<web::WriteRecord>& unwedged);
-  /// Total-order floor this store may claim when fetching: only the
-  /// sequential model applies records contiguously; PRAM-family stores
-  /// advance their gseq with max semantics and must not have earlier
-  /// missed records filtered away.
-  [[nodiscard]] static std::uint64_t fetch_gseq_floor(const ObjectState& o) {
-    return o.cfg.policy.model == coherence::ObjectModel::kSequential
-               ? o.applied_gseq
-               : 0;
-  }
-  void apply_ready(ObjectState& o, std::vector<web::WriteRecord> ready);
-  /// Raises the applied gseq to `gseq`, except that a sequential-model
-  /// store never advertises a floor with holes behind it
-  /// (WriteLog::can_serve trusts that floor).
-  void advance_gseq(ObjectState& o, std::uint64_t gseq);
+  /// Acknowledges a write to its client: at `global_seq`, or at the
+  /// applied gseq when that is 0.
+  void ack_write(ObjectState& o, const Address& to, std::uint64_t request_id,
+                 const coherence::WriteId& wid, std::uint64_t global_seq);
+  /// Records the replica's outdated verdict (o.outdated, outdated_).
   void note_gaps(ObjectState& o);
-  void maybe_compact(ObjectState& o);
 
   // ---- read path ----
   void serve_read(ObjectState& o, const Address& from,
@@ -469,6 +435,8 @@ class StoreEngine {
   /// resets its channel so a future re-subscribe starts clean.
   void drop_flow_peer(std::uint64_t key);
   void pull_from_upstream(ObjectState& o);
+  /// One pull round for every object that polls its upstream.
+  void pull_all();
 
   // ---- clock beacon lane ----
   // With push + demand reaction, a subscriber that lost the *last*
@@ -516,47 +484,36 @@ class StoreEngine {
   /// add_object's path, so placing N objects costs O(N).
   void arm_timers(const TimerNeeds& need);
   void demand_fetch(ObjectState& o, std::vector<std::string> pages = {});
+  /// After a failed fetch: demands again in 50 ms while the object is
+  /// behind or reads are parked, within the retry budget.
+  void retry_demand_later(ObjectState& o);
   void apply_fetch_reply(ObjectState& o, FetchReply::View reply);
   void subscribe_to_upstream(ObjectState& o);
   bool update_policy(ObjectState& o, const core::ReplicationPolicy& policy);
 
   // ---- delta snapshots ----
-  /// Builds the cheapest exact delta request this store can make: the
-  /// version floor of its last transfer when the document has not
-  /// mutated since (and the lineage matches `target`), the full
-  /// page-stamp summary otherwise.
-  [[nodiscard]] static SnapshotDeltaRequest make_delta_request(
-      const ObjectState& o, const Address& target);
-  /// Serves a state transfer: page-granular against the request when one
-  /// is given (falling back to full when a floor predates the tombstone
-  /// horizon or names another lineage), the whole cached snapshot
-  /// otherwise. Counts delta_snapshots / full_snapshots.
-  [[nodiscard]] StateTransfer make_state_transfer(
-      ObjectState& o, const SnapshotDeltaRequest* req);
-  /// The whole cached snapshot as a StateTransfer, counted nowhere: the
-  /// kSnapshot push, a want_full poll, and make_state_transfer's
-  /// fallback all ship this.
-  [[nodiscard]] StateTransfer full_state(const ObjectState& o) const;
+  /// ObjectReplica::state_transfer for a subscriber or a delta request,
+  /// counted as a delta or a full snapshot.
+  [[nodiscard]] StateTransfer serve_state(ObjectState& o,
+                                          const SnapshotDeltaRequest* req);
   /// Follow-up to a FetchReply::need_snapshot cutover: request the delta
   /// from the upstream and apply it.
   void request_snapshot_delta(ObjectState& o);
   /// The one adoption path for document state, whichever message carried
-  /// it: the document, clocks, log horizon, orderer resets and
-  /// downstream forwarding. Forward-only: a transfer that proves nothing
-  /// newer is skipped. A `bootstrap` (a fresh store's first subscribe
-  /// ack) has nothing to protect: it always adopts, leaves the heard-of
-  /// frontier and page invalidations alone, and makes the object ready.
+  /// it: the replica adopts (ObjectReplica::adopt), the History records
+  /// it, what it unblocks applies, and full-transfer mode forwards it
+  /// downstream. A `bootstrap` (a fresh store's first subscribe ack)
+  /// always adopts and makes the object ready.
   void apply_state_transfer(ObjectState& o, const StateTransfer::View& st,
                             bool bootstrap = false);
-  /// Remembers the lineage of the transfer just applied, enabling the
-  /// floor mode until the document mutates again.
-  void note_transfer_lineage(ObjectState& o, StoreId source,
-                             std::uint64_t version);
   /// Re-anchors on the full membership view (epoch gap in the delta
   /// broadcast stream).
   void fetch_full_view();
 
   // ---- membership ----
+  /// Stops every timer and drops parked reads and pending acks (crash,
+  /// leave).
+  void go_quiet();
   void start_membership();
   void join_membership();
   void send_membership_heartbeat();
@@ -580,7 +537,7 @@ class StoreEngine {
   void resync(ObjectState& o);
 
   // ---- helpers ----
-  [[nodiscard]] bool enforces_model(const ObjectState& o) const;
+  [[nodiscard]] bool enforces_model(const ObjectConfig& cfg) const;
   [[nodiscard]] static bool multi_master(const ObjectState& o);
   void record_apply(ObjectState& o, const web::WriteRecord& rec, bool changed);
   void record_snapshot_event(ObjectState& o);
@@ -588,10 +545,6 @@ class StoreEngine {
                                             const ClientRequest& req);
   void reply_invoke(ObjectState& o, const Address& to,
                     std::uint64_t request_id, const InvokeReply& rep);
-  [[nodiscard]] static web::WriteRecord record_for_page(
-      const ObjectState& o, const std::string& page);
-  [[nodiscard]] static std::vector<web::WriteRecord> state_as_records(
-      const ObjectState& o);
 
   class TrafficAdapter final : public core::TrafficObserver {
    public:
