@@ -389,6 +389,10 @@ std::vector<web::WriteRecord> ObjectReplica::state_as_records() const {
   // with it). Pages deleted before compaction travel as delete records
   // reconstructed from the document's tombstones, so a peer still
   // holding the stale page drops it instead of resurrecting it.
+  //
+  // State records carry no `ordered` bit and pass no monotonic-writes
+  // gate, so they go out in writer order (client, then seq): in page
+  // order a writer's later write could apply before its earlier one.
   const web::WebDocument& doc = document();
   std::vector<web::WriteRecord> out;
   const auto pages = doc.page_names();
@@ -405,6 +409,10 @@ std::vector<web::WriteRecord> ObjectReplica::state_as_records() const {
     rec.issued_at_us = t.deleted_at_us;
     out.push_back(std::move(rec));
   }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const web::WriteRecord& a, const web::WriteRecord& b) {
+                     return a.wid < b.wid;
+                   });
   return out;
 }
 

@@ -11,6 +11,7 @@
 
 #include <string>
 
+#include "globe/coherence/checkers.hpp"
 #include "globe/replication/testbed.hpp"
 
 namespace globe::replication {
@@ -196,6 +197,48 @@ TEST(CompactionCutover, MutualHorizonStalemateStillConverges) {
   bed.settle();
   EXPECT_TRUE(bed.converged(1));
   EXPECT_EQ(primary.document(), child.document());
+}
+
+TEST(CompactionCutover, StateRecordsKeepEachWritersOrder) {
+  // A monotonic-writes client writes b.html, then a.html, while the
+  // peer is cut off; the primary compacts both writes away. After the
+  // heal the peer's anti-entropy pull gets the state as records, one per
+  // page. Shipped in page-name order they would apply the client's
+  // second write before its first.
+  TestbedOptions opts = compacting_options();
+  opts.record_history = true;
+  opts.log_compact_threshold = 4;
+  Testbed bed(opts);
+  const auto policy = pull_policy(coherence::ObjectModel::kEventual);
+  auto& primary = bed.add_primary(1, policy);
+  auto& peer = bed.add_store(1, naming::StoreClass::kObjectInitiated, policy);
+  bed.settle();
+  bed.net().partition(primary.address().node, peer.address().node);
+
+  ClientBinding& writer =
+      bed.add_client(1, coherence::ClientModel::kMonotonicWrites,
+                     primary.address(), primary.address());
+  int acked = 0;
+  writer.write("b.html", "first", [&](WriteResult r) { acked += r.ok ? 1 : 0; });
+  bed.run_for(sim::SimDuration::millis(50));
+  writer.write("a.html", "second", [&](WriteResult r) { acked += r.ok ? 1 : 0; });
+  bed.run_for(sim::SimDuration::millis(50));
+  ASSERT_EQ(acked, 2);
+  for (int i = 0; i < 4; ++i) {
+    primary.seed("z" + std::to_string(i) + ".html", "filler");
+  }
+  ASSERT_FALSE(primary.write_log().can_serve(peer.applied_clock(), 0));
+
+  bed.net().heal_all();
+  bed.run_for(sim::SimDuration::seconds(1));
+  bed.settle();
+  ASSERT_TRUE(bed.converged(1));
+  EXPECT_GT(bed.metrics().snapshot_cutovers(), 0u);
+  for (const auto& result : coherence::check_sessions(
+           bed.history(),
+           {{writer.id(), coherence::ClientModel::kMonotonicWrites}})) {
+    EXPECT_TRUE(result.ok) << result.summary();
+  }
 }
 
 }  // namespace

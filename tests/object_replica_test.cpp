@@ -78,6 +78,52 @@ bool transfer_state(const ObjectReplica& from, ObjectReplica& to,
   return true;
 }
 
+// ROADMAP item 1 at its smallest: a monotonic-writes client writes
+// b.html, then a.html; the primary compacts both away; the peer's
+// anti-entropy reply is the state as records. In page-name order it
+// would apply the client's seq 2 before its seq 1.
+TEST(ObjectReplica, CutoverStateRecordsKeepEachWritersOrder) {
+  ObjectReplica primary(config(1, true, /*threshold=*/4));
+  ObjectReplica peer(config(2, false, /*threshold=*/4));
+  Logged at_primary;
+  primary.accept(put(kWriter, 1, "b.html", "first"), at_primary);
+  primary.accept(put(kWriter, 2, "a.html", "second"), at_primary);
+  for (int i = 0; i < 4; ++i) {
+    primary.seed("z" + std::to_string(i) + ".html", "filler", "text/html", 0,
+                 at_primary);
+  }
+
+  PeerRecords reply =
+      primary.records_for_peer(peer.applied_clock(), peer.applied_gseq());
+  ASSERT_TRUE(reply.cutover);
+  Logged at_peer;
+  peer.receive(std::move(reply.records), kFromPrimary, at_peer);
+  EXPECT_EQ(at_peer.seqs_of(kWriter), (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(peer.document(), primary.document());
+}
+
+// Deletes travel as state records too (from the tombstones), in the same
+// writer order as the puts.
+TEST(ObjectReplica, CutoverDeletesKeepEachWritersOrder) {
+  ObjectReplica primary(config(1, true, /*threshold=*/2));
+  ObjectReplica peer(config(2, false, /*threshold=*/2));
+  Logged sink;
+  peer.receive({put(kWriter, 1, "b.html", "old")}, kFromPrimary, sink);
+  primary.accept(put(kWriter, 1, "b.html", "old"), sink);
+  primary.accept(put(kWriter, 2, "c.html", "x"), sink);
+  primary.accept(del(kWriter, 3, "b.html"), sink);
+  primary.accept(put(kWriter, 4, "a.html", "y"), sink);
+
+  PeerRecords reply =
+      primary.records_for_peer(peer.applied_clock(), peer.applied_gseq());
+  ASSERT_TRUE(reply.cutover);
+  Logged at_peer;
+  peer.receive(std::move(reply.records), kFromPrimary, at_peer);
+  EXPECT_EQ(at_peer.seqs_of(kWriter), (std::vector<std::uint64_t>{2, 3, 4}));
+  EXPECT_FALSE(peer.document().has("b.html"));
+  EXPECT_EQ(peer.document(), primary.document());
+}
+
 // Two replies, one writer: the first carries the writer's seq 2 and a
 // later write by another client that replaced its seq-1 page; the
 // second, from a replica that never saw either, carries seq 1. Last
