@@ -200,11 +200,9 @@ class VectorClock {
 
   static VectorClock decode(util::Reader& r) {
     VectorClock vc;
-    const std::uint64_t n = r.varint();
-    // An entry takes at least a client id and a one-byte varint, so a
-    // forged count cannot reserve more than the message could hold.
-    vc.entries_.reserve(
-        std::min<std::uint64_t>(n, r.remaining() / (sizeof(ClientId) + 1)));
+    // An entry takes at least a client id and a one-byte varint.
+    const std::uint64_t n = r.count(sizeof(ClientId) + 1);
+    vc.entries_.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       const ClientId c = r.u32();
       const std::uint64_t v = r.varint();

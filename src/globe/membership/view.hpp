@@ -71,7 +71,7 @@ struct View {
     v.object = r.u64();
     v.shard = r.u32();
     v.epoch = r.varint();
-    const std::uint64_t n = r.varint();
+    const std::uint64_t n = r.count(naming::ContactPoint::kEncodedBytes);
     v.members.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       v.members.push_back(naming::ContactPoint::decode(r));
@@ -169,12 +169,12 @@ struct ViewDelta {
     d.object = r.u64();
     d.shard = r.u32();
     d.epoch = r.varint();
-    const std::uint64_t nj = r.varint();
+    const std::uint64_t nj = r.count(naming::ContactPoint::kEncodedBytes);
     d.joined.reserve(nj);
     for (std::uint64_t i = 0; i < nj; ++i) {
       d.joined.push_back(naming::ContactPoint::decode(r));
     }
-    const std::uint64_t nl = r.varint();
+    const std::uint64_t nl = r.count(sizeof(NodeId) + sizeof(PortId));
     d.left.reserve(nl);
     for (std::uint64_t i = 0; i < nl; ++i) {
       net::Address a;

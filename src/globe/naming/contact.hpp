@@ -48,6 +48,9 @@ struct ContactPoint {
     w.boolean(is_primary);
   }
 
+  /// Node, port, class, store id and primary flag.
+  static constexpr std::size_t kEncodedBytes = 4 + 2 + 1 + 4 + 1;
+
   static ContactPoint decode(util::Reader& r) {
     ContactPoint c;
     c.address.node = r.u32();

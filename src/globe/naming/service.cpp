@@ -183,7 +183,8 @@ void NamingClient::locate(ObjectId object, LocateHandler cb) {
                   }
                   util::Reader r{env.body};
                   const bool found = r.boolean();
-                  const std::uint64_t n = r.varint();
+                  const std::uint64_t n =
+                      r.count(ContactPoint::kEncodedBytes);
                   std::vector<ContactPoint> contacts;
                   contacts.reserve(n);
                   for (std::uint64_t i = 0; i < n; ++i) {

@@ -90,9 +90,8 @@ struct DataFrame {
     }
     f.ack_now = (flags & kFlagAckNow) != 0;
     f.reset = (flags & kFlagReset) != 0;
-    const std::uint64_t count = r.varint();
+    const std::uint64_t count = r.count(1);  // a payload's length varint
     if (count == 0) throw CodecError("empty data frame");
-    if (count > wire.size()) throw CodecError("data-frame count exceeds frame");
     f.payloads.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) f.payloads.push_back(r.bytes());
     r.expect_end();
@@ -123,12 +122,7 @@ struct AckFrame {
     if (r.u8() != kAckFrameKind) throw CodecError("not an ack frame");
     a.cumulative = r.u64();
     a.credit = r.u32();
-    const std::uint64_t count = r.varint();
-    // Division, not multiplication: `count * 8` wraps for attacker-chosen
-    // counts >= 2^61 and would reach reserve() as a std::length_error.
-    if (count > r.remaining() / 8) {
-      throw CodecError("ack missing-list exceeds frame");
-    }
+    const std::uint64_t count = r.count(sizeof(std::uint64_t));
     a.missing.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) a.missing.push_back(r.u64());
     r.expect_end();

@@ -199,10 +199,8 @@ void PlacementCache::fetch() {
             const std::uint64_t shards = r.varint();
             for (std::uint64_t i = 0; i < shards; ++i) {
               const ShardId shard = r.u32();
-              const std::uint64_t n = r.varint();
-              if (n > r.remaining()) {
-                throw util::CodecError("contact list exceeds reply");
-              }
+              const std::uint64_t n =
+                  r.count(ContactPoint::kEncodedBytes);
               auto& list = contacts[shard];
               list.reserve(n);
               for (std::uint64_t j = 0; j < n; ++j) {

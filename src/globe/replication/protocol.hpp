@@ -305,7 +305,7 @@ struct SnapshotDeltaRequest {
     m.mode = static_cast<Mode>(r.u8());
     m.floor_source = r.u32();
     m.floor_version = r.varint();
-    const std::uint64_t n = r.varint();
+    const std::uint64_t n = r.count(web::PageStamp::kMinEncodedBytes);
     m.have.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       m.have.push_back(web::PageStamp::decode(r));
@@ -417,7 +417,7 @@ struct InvalidateMsg {
   static InvalidateMsg decode(BytesView wire) {
     Reader r(wire);
     InvalidateMsg m;
-    const std::uint64_t n = r.varint();
+    const std::uint64_t n = r.count(1);  // a page name's length varint
     m.pages.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) m.pages.push_back(r.str());
     m.known_clock = VectorClock::decode(r);
@@ -496,11 +496,7 @@ struct NotifyMsg {
     }
     m.full = (flags & kFull) != 0;
     m.want_full = (flags & kWantFull) != 0;
-    const std::uint64_t n = r.varint();
-    // A forged count must not size an allocation.
-    if (n > r.remaining() / kMinEntryBytes) {
-      throw util::CodecError("notify entry count exceeds body");
-    }
+    const std::uint64_t n = r.count(kMinEntryBytes);
     m.entries.resize(static_cast<std::size_t>(n));
     for (Entry& e : m.entries) {
       e.object = r.varint();
@@ -543,7 +539,7 @@ struct FetchRequest {
     m.have_clock = VectorClock::decode(r);
     m.have_gseq = r.varint();
     m.want_full = r.boolean();
-    const std::uint64_t n = r.varint();
+    const std::uint64_t n = r.count(1);  // a page name's length varint
     m.pages.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) m.pages.push_back(r.str());
     m.validate_only = r.boolean();

@@ -170,6 +170,19 @@ class Reader {
     return result;
   }
 
+  /// Reads the element count of a container that follows, each element
+  /// at least `min_element_bytes` on the wire, and checks it against the
+  /// bytes left: a forged count throws CodecError before it can size an
+  /// allocation. Division, not multiplication: `n * min` wraps for
+  /// forged counts near 2^64.
+  std::uint64_t count(std::size_t min_element_bytes) {
+    const std::uint64_t n = varint();
+    if (n > remaining() / min_element_bytes) {
+      throw CodecError("element count exceeds message");
+    }
+    return n;
+  }
+
   BytesView bytes() {
     const std::uint64_t n = varint();
     need(n);

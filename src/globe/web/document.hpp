@@ -62,6 +62,10 @@ struct PageStamp {
     w.varint(global_seq);
   }
 
+  /// A one-byte name length, the writer, and two one-byte varints.
+  static constexpr std::size_t kMinEncodedBytes =
+      1 + coherence::WriteId::kEncodedBytes + 2;
+
   static PageStamp decode(util::Reader& r) {
     PageStamp s;
     s.page = r.str();

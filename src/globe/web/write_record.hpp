@@ -72,6 +72,11 @@ struct WriteRecord {
     return rec;
   }
 
+  /// Lower bound on encode()'s output: the fixed-width fields plus a
+  /// one-byte varint for each length, count and number.
+  static constexpr std::size_t kMinEncodedBytes =
+      WriteId::kEncodedBytes + 1 + 3 + 1 + 2 + 8 + 1;
+
   /// Upper bound on encode()'s output, to size a buffer once.
   [[nodiscard]] std::size_t encoded_size_bound() const {
     return WriteId::kEncodedBytes + 1 + 3 * util::kMaxVarintBytes +
@@ -88,7 +93,7 @@ inline void encode_records(util::Writer& w,
 }
 
 inline std::vector<WriteRecord> decode_records(util::Reader& r) {
-  const std::uint64_t n = r.varint();
+  const std::uint64_t n = r.count(WriteRecord::kMinEncodedBytes);
   std::vector<WriteRecord> records;
   records.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {

@@ -361,5 +361,54 @@ TEST(Protocol, DecodeRejectsTruncated) {
                util::CodecError);
 }
 
+// A count read from the wire is checked against the bytes left before
+// anything is sized: 2^60 elements cannot fit in a few bytes, and the
+// decode must throw CodecError (which receive loops catch), never
+// std::length_error from a reserve.
+constexpr std::uint64_t kForgedCount = std::uint64_t{1} << 60;
+
+TEST(Protocol, UpdateRejectsAForgedRecordCount) {
+  util::Writer w;
+  w.varint(kForgedCount);
+  coherence::VectorClock{}.encode(w);
+  w.varint(0);
+  EXPECT_THROW((void)replication::UpdateMsg::decode(util::BytesView(w.view())),
+               util::CodecError);
+}
+
+TEST(Protocol, SnapshotDeltaRequestRejectsAForgedStampCount) {
+  util::Writer w;
+  w.u8(0);   // summary mode
+  w.u32(0);  // floor source
+  w.varint(0);
+  w.varint(kForgedCount);
+  EXPECT_THROW((void)replication::SnapshotDeltaRequest::decode(
+                   util::BytesView(w.view())),
+               util::CodecError);
+}
+
+TEST(Protocol, InvalidateRejectsAForgedPageCount) {
+  util::Writer w;
+  w.varint(kForgedCount);
+  coherence::VectorClock{}.encode(w);
+  w.varint(0);
+  EXPECT_THROW(
+      (void)replication::InvalidateMsg::decode(util::BytesView(w.view())),
+      util::CodecError);
+}
+
+TEST(Protocol, FetchRequestRejectsAForgedPageCount) {
+  util::Writer w;
+  coherence::VectorClock{}.encode(w);
+  w.varint(0);
+  w.boolean(false);
+  w.varint(kForgedCount);
+  w.boolean(false);
+  w.varint(0);
+  EXPECT_THROW(
+      (void)replication::FetchRequest::decode(util::BytesView(w.view())),
+      util::CodecError);
+}
+
 }  // namespace
 }  // namespace globe

@@ -51,6 +51,41 @@ TEST(ViewDelta, AppliesJoinsAndLeavesOntoABase) {
   EXPECT_EQ(back.left.front(), (net::Address{2, 1}));
 }
 
+// Forged member counts: checked against the bytes left, so the decode
+// throws CodecError instead of reserving 2^60 entries.
+constexpr std::uint64_t kForgedCount = std::uint64_t{1} << 60;
+
+void write_view_head(util::Writer& w) {
+  w.u64(1);     // scope
+  w.u32(0);     // shard
+  w.varint(3);  // epoch
+}
+
+TEST(ViewDelta, ViewRejectsAForgedMemberCount) {
+  util::Writer w;
+  write_view_head(w);
+  w.varint(kForgedCount);
+  util::Reader r{util::BytesView(w.view())};
+  EXPECT_THROW((void)View::decode(r), util::CodecError);
+}
+
+TEST(ViewDelta, DeltaRejectsAForgedJoinCount) {
+  util::Writer w;
+  write_view_head(w);
+  w.varint(kForgedCount);
+  EXPECT_THROW((void)ViewDelta::decode(util::BytesView(w.view())),
+               util::CodecError);
+}
+
+TEST(ViewDelta, DeltaRejectsAForgedLeaveCount) {
+  util::Writer w;
+  write_view_head(w);
+  w.varint(0);  // no joins
+  w.varint(kForgedCount);
+  EXPECT_THROW((void)ViewDelta::decode(util::BytesView(w.view())),
+               util::CodecError);
+}
+
 }  // namespace
 }  // namespace globe::membership
 
