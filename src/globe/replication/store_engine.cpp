@@ -114,9 +114,9 @@ StoreEngine::StoreEngine(const TransportFactory& factory, sim::Simulator& sim,
     : sim_(sim),
       config_(std::move(config)),
       traffic_(metrics),
-      comm_(factory, &sim, &traffic_),
       history_(history),
-      metrics_(metrics) {
+      metrics_(metrics),
+      comm_(factory, &sim, &traffic_) {
   GLOBE_ASSERT_MSG(
       !config_.membership.valid() || config_.membership_scope != 0,
       "a store with membership needs a membership scope");

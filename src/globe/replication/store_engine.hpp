@@ -562,7 +562,6 @@ class StoreEngine {
   sim::Simulator& sim_;
   StoreConfig config_;
   TrafficAdapter traffic_;
-  CommunicationObject comm_;
 
   // The object table. Entries are never removed.
   std::map<ObjectId, std::unique_ptr<ObjectState>> objects_;
@@ -612,6 +611,11 @@ class StoreEngine {
 
   coherence::History* history_;
   metrics::MetricsSink* metrics_;
+
+  // Declared last, so it is destroyed first: releasing the endpoint waits
+  // out deliveries in flight on a threaded transport (a socket receive
+  // loop) before anything they use is freed.
+  CommunicationObject comm_;
 };
 
 /// Serialized delivered state of one hosted object of a store: the

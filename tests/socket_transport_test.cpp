@@ -10,8 +10,10 @@
 #include <thread>
 #include <vector>
 
+#include "globe/msg/envelope.hpp"
 #include "globe/net/socket_transport.hpp"
 #include "globe/net/windowed_multicast.hpp"
+#include "globe/replication/store_engine.hpp"
 
 namespace globe::net {
 namespace {
@@ -258,6 +260,81 @@ TEST(SocketTransport, DestroyingAnEndpointWaitsOutItsDeliveries) {
     };
     return windowed_factory(window, std::move(inner))(std::move(h));
   });
+}
+
+/// One kUpdate datagram for object 1, as an upstream store pushes it.
+Buffer update_datagram() {
+  web::WriteRecord rec;
+  rec.wid = coherence::WriteId{5, 1};
+  rec.page = "p.html";
+  rec.content = "flood";
+  util::Writer w;
+  msg::Envelope::encode_header(w, msg::MsgType::kUpdate, 1, 0);
+  replication::UpdateMsg::encode_fields(w, {rec}, coherence::VectorClock{}, 0);
+  return w.take();
+}
+
+TEST(SocketTransport, DestroyingAStoreWaitsOutItsDeliveries) {
+  // A StoreEngine on a socket endpoint handles each datagram on the
+  // receive thread. Destroying it mid-flood must release the endpoint,
+  // waiting out the delivery in flight, before it frees the object
+  // table that delivery reads. Each round binds a fresh port and the
+  // flood follows it only once the engine is built, so no delivery
+  // races the constructor.
+  SocketHost host_a, host_b;
+  SKIP_IF_NO_SOCKETS(host_a);
+  SKIP_IF_NO_SOCKETS(host_b);
+  link(host_a, 1, host_b, 2);
+  const Buffer update = update_datagram();
+  Sink unused;
+  auto tx = host_a.create_transport({1, 1}, unused.handler());
+  std::atomic<PortId> target{0};  // 0: hold fire
+  std::atomic<bool> stop{false};
+  std::thread flood([&] {
+    while (!stop.load()) {
+      const PortId port = target.load();
+      if (port != 0) tx->send({2, port}, update);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+
+  sim::Simulator sim;  // timers only: deliveries come from the socket
+  replication::StoreConfig cfg;
+  cfg.store_id = 1;
+  cfg.is_primary = true;
+  replication::ObjectConfig object;
+  object.object = 1;
+  for (int round = 0; round < 20; ++round) {
+    const auto port = static_cast<PortId>(round + 1);
+    std::atomic<bool> inside{false};
+    std::atomic<int> delivered{0};
+    core::TransportFactory factory = [&](MessageHandler deliver) {
+      return host_b.create_transport(
+          {2, port}, [&, deliver = std::move(deliver)](const Address& from,
+                                                       BytesView payload) {
+            inside.store(true);
+            // Hold the delivery open so destruction lands inside it.
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            deliver(from, payload);
+            delivered.fetch_add(1);
+            inside.store(false);
+          });
+    };
+    auto store = std::make_unique<replication::StoreEngine>(
+        factory, sim, cfg, std::vector<replication::ObjectConfig>{object});
+    (void)host_b.stats();  // publishes the built engine to the receive loop
+    target.store(port);
+    if (!wait_for([&] { return delivered.load() > 0 && inside.load(); })) {
+      ADD_FAILURE() << "no delivery reached round " << round;
+      target.store(0);
+      break;  // still join the flood thread below
+    }
+    store.reset();
+    target.store(0);
+    EXPECT_FALSE(inside.load()) << "round " << round;
+  }
+  stop.store(true);
+  flood.join();
 }
 
 TEST(SocketTransport, HandlerMayDestroyItsOwnEndpoint) {
