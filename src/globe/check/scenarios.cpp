@@ -73,6 +73,27 @@ void note(std::vector<std::string>& failures, bool ok, std::string what) {
   if (!ok) failures.push_back(std::move(what));
 }
 
+// Folds the checker verdicts and monitor trips of a finished run into
+// one verdict.
+ScenarioVerdict conclude(std::vector<std::string> failures,
+                         const ScopedTripCapture& trips,
+                         std::uint64_t ops_issued) {
+  for (const TripReport& report : trips.reports()) {
+    failures.push_back("monitor trip: " + report.str());
+  }
+  ScenarioVerdict verdict;
+  verdict.ops_issued = ops_issued;
+  if (!failures.empty()) {
+    verdict.ok = false;
+    verdict.failure = failures.front();
+    if (failures.size() > 1) {
+      verdict.failure +=
+          " (+" + std::to_string(failures.size() - 1) + " more)";
+    }
+  }
+  return verdict;
+}
+
 }  // namespace
 
 ScenarioVerdict run_partition_churn(std::uint64_t seed,
@@ -197,20 +218,97 @@ ScenarioVerdict run_partition_churn(std::uint64_t seed,
       note(failures, result.ok, "session checker: " + result.summary());
     }
   }
+  return conclude(std::move(failures), trips, verdict.ops_issued);
+}
 
-  for (const TripReport& report : trips.reports()) {
-    failures.push_back("monitor trip: " + report.str());
-  }
+ScenarioVerdict run_compaction_cutover(std::uint64_t seed,
+                                       std::uint64_t max_ops) {
+  namespace repl = globe::replication;
+  // Everything the seed decides, drawn before the run in a fixed order.
+  util::Rng rng(seed);
+  const std::uint64_t jitter_ms = rng.below(9);
+  const std::uint64_t cut_at_ms = 50 + rng.below(100);
+  const std::uint64_t heal_at_ms = cut_at_ms + 600 + rng.below(600);
+  const std::uint64_t pages = 3 + rng.below(6);
+  const bool cut_second = rng.chance(0.5);
 
-  if (!failures.empty()) {
-    verdict.ok = false;
-    verdict.failure = failures.front();
-    if (failures.size() > 1) {
-      verdict.failure +=
-          " (+" + std::to_string(failures.size() - 1) + " more)";
+  constexpr std::size_t kThreshold = 8;
+  std::vector<std::string> failures;
+  std::uint64_t issued = 0;
+  ScopedTripCapture trips;
+  {
+    repl::TestbedOptions opts;
+    opts.seed = seed;
+    opts.log_compact_threshold = kThreshold;
+    opts.wan.base_latency = sim::SimDuration::millis(5);
+    opts.wan.jitter = sim::SimDuration::millis(jitter_ms);
+    repl::Testbed bed(opts);
+
+    core::ReplicationPolicy policy;
+    policy.model = ObjectModel::kEventual;
+    policy.write_set = core::WriteSet::kMultiple;
+    policy.initiative = core::TransferInitiative::kPull;
+    policy.lazy_period = sim::SimDuration::millis(50);
+
+    auto& primary = bed.add_primary(kObj, policy);
+    auto& mirror_a =
+        bed.add_store(kObj, naming::StoreClass::kObjectInitiated, policy);
+    auto& mirror_b =
+        bed.add_store(kObj, naming::StoreClass::kObjectInitiated, policy);
+    bed.settle();
+    const auto& cut = cut_second ? mirror_b : mirror_a;
+
+    const auto session = ClientModel::kMonotonicWrites;
+    auto& client_a =
+        bed.add_client(kObj, session, primary.address(), primary.address());
+    auto& client_b =
+        bed.add_client(kObj, session, primary.address(), primary.address());
+    bed.run_for(sim::SimDuration::millis(cut_at_ms));
+    bed.net().partition(primary.address().node, cut.address().node);
+
+    // Each client walks the pages downwards, so its later writes land on
+    // pages whose names sort first.
+    const auto page = [&](std::uint64_t i) {
+      return "p" + std::to_string(pages - 1 - i % pages) + ".html";
+    };
+    for (std::uint64_t i = 0; i < max_ops / 2 + 1 && issued < max_ops; ++i) {
+      client_a.write(page(i), "a" + std::to_string(i),
+                     [](repl::WriteResult) {});
+      if (++issued < max_ops) {
+        client_b.write(page(i + 1), "b" + std::to_string(i),
+                       [](repl::WriteResult) {});
+        ++issued;
+      }
+      bed.run_for(sim::SimDuration::millis(20));
+    }
+    // Filler past the threshold: the log compacts past the cut mirror at
+    // any op budget.
+    for (std::size_t i = 0; i < 2 * kThreshold; ++i) {
+      primary.seed("z" + std::to_string(i) + ".html", "filler");
+    }
+    const sim::SimTime heal_at =
+        sim::SimTime{} + sim::SimDuration::millis(heal_at_ms);
+    if (bed.sim().now() < heal_at) bed.sim().run_until(heal_at);
+    bed.net().heal_all();
+    bed.run_for(sim::SimDuration::seconds(2));
+    bed.settle();
+
+    note(failures, bed.converged(kObj),
+         "diverged: replicas disagree with the primary");
+    note(failures, bed.metrics().snapshot_cutovers() > 0,
+         "no snapshot cutover: the scenario missed its target");
+    const auto object_verdict =
+        coherence::check_object_model(bed.history(), ObjectModel::kEventual);
+    note(failures, object_verdict.ok,
+         "object-model checker: " + object_verdict.summary());
+    const std::vector<coherence::SessionSpec> specs = {
+        {client_a.id(), session}, {client_b.id(), session}};
+    for (const auto& result :
+         coherence::check_sessions(bed.history(), specs)) {
+      note(failures, result.ok, "session checker: " + result.summary());
     }
   }
-  return verdict;
+  return conclude(std::move(failures), trips, issued);
 }
 
 ScenarioLookup find_scenario(std::string_view name) {
@@ -219,10 +317,17 @@ ScenarioLookup find_scenario(std::string_view name) {
     out.found = true;
     out.explorer = ScheduleExplorer("partition_churn", run_partition_churn,
                                     kPartitionChurnDefaultOps);
+  } else if (name == "compaction_cutover") {
+    out.found = true;
+    out.explorer = ScheduleExplorer("compaction_cutover",
+                                    run_compaction_cutover,
+                                    kCompactionCutoverDefaultOps);
   }
   return out;
 }
 
-std::vector<std::string> scenario_names() { return {"partition_churn"}; }
+std::vector<std::string> scenario_names() {
+  return {"partition_churn", "compaction_cutover"};
+}
 
 }  // namespace globe::check

@@ -32,6 +32,20 @@ namespace globe::check {
 /// Default op budget of run_partition_churn (the shrink upper bound).
 inline constexpr std::uint64_t kPartitionChurnDefaultOps = 120;
 
+/// Compaction cutover: a primary and two pulling mirrors under the
+/// eventual model, two monotonic-writes clients at the primary whose
+/// writes walk pages in descending name order. The seed cuts one mirror
+/// off, for long enough that the primary's log compacts past it (filler
+/// seeds guarantee that at any op budget), and picks the jitter and
+/// timings. After the heal the mirror's anti-entropy pull is answered
+/// with the state as records. Fails on any monitor trip, checker
+/// violation, failure to converge, or a run without a snapshot cutover.
+[[nodiscard]] ScenarioVerdict run_compaction_cutover(std::uint64_t seed,
+                                                     std::uint64_t max_ops);
+
+/// Default op budget of run_compaction_cutover.
+inline constexpr std::uint64_t kCompactionCutoverDefaultOps = 40;
+
 /// Explorer for a registered scenario name, or nullptr-equivalent
 /// (found=false) if unknown.
 struct ScenarioLookup {
