@@ -104,8 +104,6 @@ class ObjectReplica {
   ObjectReplica(const ObjectReplica&) = delete;
   ObjectReplica& operator=(const ObjectReplica&) = delete;
 
-  [[nodiscard]] const ReplicaConfig& config() const { return config_; }
-
   // ---- inputs ----
 
   /// A write a client sent to this store: stamps its Lamport clock (and

@@ -80,12 +80,6 @@ struct ClientRequest {
     w.i64(issued_at_us);
   }
 
-  [[nodiscard]] Buffer encode() const {
-    Writer w;
-    encode(w);
-    return w.take();
-  }
-
   static ClientRequest decode(BytesView wire) {
     Reader r(wire);
     ClientRequest req;
@@ -134,12 +128,6 @@ struct InvokeReply {
            3 * util::kMaxVarintBytes + WriteId::kEncodedBytes +
            util::kMaxVarintBytes +
            store_clock.encoded_size_bound() + 4;
-  }
-
-  [[nodiscard]] Buffer encode() const {
-    Writer w;
-    encode(w);
-    return w.take();
   }
 
   /// Borrowed decode: `value` and `document` view the receive buffer.
@@ -192,15 +180,9 @@ struct WriteForward {
   std::uint64_t origin_request_id = 0;
 
   void encode(Writer& w) const {
-    w.bytes(BytesView(request.encode()));
+    w.bytes(BytesView(util::encoded(request)));
     encode_address(w, origin);
     w.varint(origin_request_id);
-  }
-
-  [[nodiscard]] Buffer encode() const {
-    Writer w;
-    encode(w);
-    return w.take();
   }
 
   static WriteForward decode(BytesView wire) {
@@ -248,12 +230,6 @@ struct UpdateMsg {
     encode_fields(w, records, sender_clock, sender_gseq);
   }
 
-  [[nodiscard]] Buffer encode() const {
-    Writer w;
-    encode(w);
-    return w.take();
-  }
-
   static UpdateMsg decode(BytesView wire) {
     Reader r(wire);
     UpdateMsg m;
@@ -292,12 +268,6 @@ struct SnapshotDeltaRequest {
     w.varint(floor_version);
     w.varint(have.size());
     for (const auto& s : have) s.encode(w);
-  }
-
-  [[nodiscard]] Buffer encode() const {
-    Writer w;
-    encode(w);
-    return w.take();
   }
 
   static SnapshotDeltaRequest decode(Reader& r) {
@@ -345,12 +315,6 @@ struct StateTransfer {
     w.varint(gseq);
     w.u32(source);
     w.varint(version);
-  }
-
-  [[nodiscard]] Buffer encode() const {
-    Writer w;
-    encode(w);
-    return w.take();
   }
 
   /// Borrowed decode: `snapshot` and `delta` view the receive buffer —
@@ -406,12 +370,6 @@ struct InvalidateMsg {
     for (const auto& p : pages) w.str(p);
     known_clock.encode(w);
     w.varint(known_gseq);
-  }
-
-  [[nodiscard]] Buffer encode() const {
-    Writer w;
-    encode(w);
-    return w.take();
   }
 
   static InvalidateMsg decode(BytesView wire) {
@@ -480,12 +438,6 @@ struct NotifyMsg {
     for (const Entry& e : entries) encode_entry(w, e.object, e.clock, e.gseq);
   }
 
-  [[nodiscard]] Buffer encode() const {
-    Writer w;
-    encode(w);
-    return w.take();
-  }
-
   static NotifyMsg decode(BytesView wire) {
     Reader r(wire);
     NotifyMsg m;
@@ -527,12 +479,6 @@ struct FetchRequest {
     w.varint(have_lamport);
   }
 
-  [[nodiscard]] Buffer encode() const {
-    Writer w;
-    encode(w);
-    return w.take();
-  }
-
   static FetchRequest decode(BytesView wire) {
     Reader r(wire);
     FetchRequest m;
@@ -572,12 +518,6 @@ struct FetchReply {
     w.boolean(need_snapshot);
     w.boolean(state.has_value());
     if (state.has_value()) state->encode(w);
-  }
-
-  [[nodiscard]] Buffer encode() const {
-    Writer w;
-    encode(w);
-    return w.take();
   }
 
   /// Borrowed decode: the state's snapshot views the receive buffer;
@@ -625,12 +565,6 @@ struct SubscribeMsg {
     if (want_delta) delta_req.encode(w);
   }
 
-  [[nodiscard]] Buffer encode() const {
-    Writer w;
-    encode(w);
-    return w.take();
-  }
-
   static SubscribeMsg decode(BytesView wire) {
     Reader r(wire);
     SubscribeMsg m;
@@ -654,12 +588,6 @@ struct AntiEntropyRequest {
   void encode(Writer& w) const {
     have_clock.encode(w);
     w.varint(have_gseq);
-  }
-
-  [[nodiscard]] Buffer encode() const {
-    Writer w;
-    encode(w);
-    return w.take();
   }
 
   static AntiEntropyRequest decode(BytesView wire) {
@@ -689,12 +617,6 @@ struct AntiEntropyReply {
     web::encode_records(w, records);
     responder_clock.encode(w);
     w.varint(responder_gseq);
-  }
-
-  [[nodiscard]] Buffer encode() const {
-    Writer w;
-    encode(w);
-    return w.take();
   }
 
   static AntiEntropyReply decode(BytesView wire) {

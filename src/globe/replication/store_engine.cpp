@@ -56,10 +56,9 @@ void trace_write_span(obs::SpanKind kind, StoreId store, ObjectId object,
 
 }  // namespace
 
-// The engine side of one apply round. Per applied record: its spans, its
-// History event and pending ack, and a copy for every push target other
-// than the neighbour it came from. finish() then moves the frontier,
-// notes gaps, serves parked reads and propagates the copies.
+// The engine side of one apply round. Per applied record: spans, the
+// History event, a copy for each push target but its origin, and the ack
+// of a write that waited for it. finish() then propagates the copies.
 class StoreEngine::Applier final : public ApplySink {
  public:
   Applier(StoreEngine& engine, ObjectState& o) : e_(engine), o_(o) {}
@@ -70,19 +69,35 @@ class StoreEngine::Applier final : public ApplySink {
       trace_write_span(obs::SpanKind::kOrder, e_.config_.store_id,
                        o_.cfg.object, rec.wid, rec.global_seq);
     }
-    if (!logged) {
-      // Last-writer-wins rejected the record: the state kept a newer
-      // version. Ack the writer but record no application.
-      e_.record_apply(o_, rec, /*changed=*/false);
-      return;
+    // Last-writer-wins may have rejected the record (not logged): the
+    // state kept a newer version. Its writer is acked all the same, but
+    // no application is recorded.
+    if (logged) {
+      trace_write_span(obs::SpanKind::kApply, e_.config_.store_id,
+                       o_.cfg.object, rec.wid, rec.global_seq);
+      if (e_.history_ != nullptr) {
+        coherence::ApplyEvent ev;
+        ev.at = e_.sim_.now();
+        ev.store = e_.config_.store_id;
+        ev.wid = rec.wid;
+        ev.page = e_.history_->intern(rec.page);
+        ev.deps = rec.deps;
+        ev.global_seq = rec.global_seq;
+        e_.history_->record_apply(std::move(ev));
+      }
+      ++o_.writes_applied;
+      if (e_.metrics_ != nullptr) {
+        e_.metrics_->record_shard_write(e_.config_.shard);
+      }
+      if (e_.pushes_beyond(o_, rec.transient_origin)) forward_.push_back(rec);
+      logged_ = true;
     }
-    trace_write_span(obs::SpanKind::kApply, e_.config_.store_id,
-                     o_.cfg.object, rec.wid, rec.global_seq);
-    e_.record_apply(o_, rec, /*changed=*/true);
-    ++o_.writes_applied;
-    if (e_.metrics_ != nullptr) e_.metrics_->record_shard_write(e_.config_.shard);
-    if (e_.pushes_beyond(o_, rec.transient_origin)) forward_.push_back(rec);
-    logged_ = true;
+    const auto ack = o_.pending_write_acks.find(rec.wid);
+    if (ack != o_.pending_write_acks.end()) {
+      e_.ack_write(o_, ack->second.first, ack->second.second, rec.wid,
+                   rec.global_seq);
+      o_.pending_write_acks.erase(ack);
+    }
   }
 
   void finish(const ApplyRound& round) {
@@ -478,7 +493,7 @@ void StoreEngine::handle_client_request(ObjectState& o, const Address& from,
                                         std::uint64_t request_id,
                                         ClientRequest req) {
   if (!o.ready) {
-    park(o, from, request_id, std::move(req));
+    o.parked.push_back(Parked{from, request_id, std::move(req)});
     return;
   }
   if (req.inv.writes()) {
@@ -490,8 +505,8 @@ void StoreEngine::handle_client_request(ObjectState& o, const Address& from,
       fwd.origin = from;
       fwd.origin_request_id = request_id;
       fwd.request = std::move(req);
-      comm_.send(o.cfg.upstream, msg::MsgType::kWriteForward, o.cfg.object,
-                 fwd.encode());
+      comm_.send_with(o.cfg.upstream, msg::MsgType::kWriteForward,
+                      o.cfg.object, [&](util::Writer& w) { fwd.encode(w); });
     }
     return;
   }
@@ -528,7 +543,7 @@ void StoreEngine::accept_write(ObjectState& o, const Address& reply_to,
   const Accepted acc = o.replica.accept(std::move(rec), a);
   a.finish(acc.round);
   if (acc.admission == Admission::kBuffered) {
-    // Ack once the record is finally applied (record_apply).
+    // Ack once the record is finally applied (Applier::applied).
     o.pending_write_acks[req.wid] = {reply_to, request_id};
     note_gaps(o);
     if (!config_.is_primary &&
@@ -565,26 +580,6 @@ void StoreEngine::record_snapshot_event(ObjectState& o) {
   e.global_seq = o.replica.applied_gseq();
   e.from_snapshot = true;
   history_->record_apply(std::move(e));
-}
-
-void StoreEngine::record_apply(ObjectState& o, const web::WriteRecord& rec,
-                               bool changed) {
-  if (history_ != nullptr && changed) {
-    coherence::ApplyEvent e;
-    e.at = sim_.now();
-    e.store = config_.store_id;
-    e.wid = rec.wid;
-    e.page = history_->intern(rec.page);
-    e.deps = rec.deps;
-    e.global_seq = rec.global_seq;
-    history_->record_apply(std::move(e));
-  }
-  auto ack = o.pending_write_acks.find(rec.wid);
-  if (ack != o.pending_write_acks.end()) {
-    ack_write(o, ack->second.first, ack->second.second, rec.wid,
-              rec.global_seq);
-    o.pending_write_acks.erase(ack);
-  }
 }
 
 void StoreEngine::note_gaps(ObjectState& o) {
@@ -640,12 +635,8 @@ InvokeReply StoreEngine::make_read_reply(ObjectState& o,
 void StoreEngine::serve_read(ObjectState& o, const Address& from,
                              std::uint64_t request_id,
                              const ClientRequest& req) {
-  if (o.cfg.cache_mode == CacheMode::kCheckOnRead) {
-    serve_read_check_on_read(o, from, request_id, req);
-    return;
-  }
-  if (o.cfg.cache_mode == CacheMode::kTtl) {
-    serve_read_ttl(o, from, request_id, req);
+  if (o.cfg.cache_mode != CacheMode::kGlobe) {
+    serve_read_baseline(o, from, request_id, req);
     return;
   }
 
@@ -667,17 +658,12 @@ void StoreEngine::serve_read(ObjectState& o, const Address& from,
       util::Reader args{util::BytesView(req.inv.args)};
       pages.push_back(args.str());
     }
-    park(o, from, request_id, req);
+    o.parked.push_back(Parked{from, request_id, req});
     demand_fetch(o, std::move(pages));
   } else {
     if (metrics_ != nullptr) metrics_->record_session_wait();
-    park(o, from, request_id, req);
+    o.parked.push_back(Parked{from, request_id, req});
   }
-}
-
-void StoreEngine::park(ObjectState& o, const Address& from,
-                       std::uint64_t request_id, ClientRequest req) {
-  o.parked.push_back(Parked{from, request_id, std::move(req)});
 }
 
 void StoreEngine::unpark_ready(ObjectState& o) {
@@ -720,74 +706,51 @@ void StoreEngine::unpark_ready(ObjectState& o) {
 // Baseline Web cache protocols (Section 1)
 // ---------------------------------------------------------------------
 
-void StoreEngine::serve_read_check_on_read(ObjectState& o, const Address& from,
-                                           std::uint64_t request_id,
-                                           ClientRequest req) {
+void StoreEngine::serve_read_baseline(ObjectState& o, const Address& from,
+                                      std::uint64_t request_id,
+                                      ClientRequest req) {
   if (req.inv.method != msg::Method::kGetPage) {
     reply_invoke(o, from, request_id, make_read_reply(o, req));
     return;
   }
   util::Reader args{util::BytesView(req.inv.args)};
   const std::string page = args.str();
-  const auto current = o.replica.document().get(page);
-
+  const bool ttl = o.cfg.cache_mode == CacheMode::kTtl;
+  if (ttl) {
+    const auto it = o.fetched_at.find(page);
+    if (o.replica.document().has(page) && it != o.fetched_at.end() &&
+        sim_.now() - it->second < o.cfg.ttl) {
+      reply_invoke(o, from, request_id, make_read_reply(o, req));
+      return;
+    }
+  }
+  // Check-on-read validates the copy it holds (If-Modified-Since); an
+  // expired TTL copy asks for the latest one.
   FetchRequest fetch;
   fetch.validate_only = true;
   fetch.pages.push_back(page);
-  fetch.have_lamport = current ? current->lamport : 0;
+  if (!ttl) {
+    const auto current = o.replica.document().get(page);
+    fetch.have_lamport = current ? current->lamport : 0;
+  }
   comm_.request_with(
       o.cfg.upstream, msg::MsgType::kFetchRequest, o.cfg.object,
       [&](util::Writer& w) { fetch.encode(w); },
-      [this, &o, from, request_id, req = std::move(req)](
+      [this, &o, from, request_id, page, ttl, req = std::move(req)](
           bool ok, const Address&, const msg::EnvelopeView& env) mutable {
         if (ok) {
+          // The baselines keep no log and no orderer: records (none when
+          // not modified) go straight to the document, each page stamped
+          // with its fetch time.
           const FetchReply::View rep = FetchReply::decode_view(env.body);
-          if (!rep.not_modified) apply_fetched_records(o, rep.records);
+          for (const web::WriteRecord& rec : rep.records) {
+            o.replica.apply_fetched(rec);
+            o.fetched_at[rec.page] = sim_.now();
+          }
+          if (ttl) o.fetched_at[page] = sim_.now();  // a missing page too
         }
         reply_invoke(o, from, request_id, make_read_reply(o, req));
       });
-}
-
-void StoreEngine::serve_read_ttl(ObjectState& o, const Address& from,
-                                 std::uint64_t request_id, ClientRequest req) {
-  if (req.inv.method != msg::Method::kGetPage) {
-    reply_invoke(o, from, request_id, make_read_reply(o, req));
-    return;
-  }
-  util::Reader args{util::BytesView(req.inv.args)};
-  const std::string page = args.str();
-  const auto it = o.fetched_at.find(page);
-  const bool fresh = o.replica.document().has(page) &&
-                     it != o.fetched_at.end() &&
-                     sim_.now() - it->second < o.cfg.ttl;
-  if (fresh) {
-    reply_invoke(o, from, request_id, make_read_reply(o, req));
-    return;
-  }
-  FetchRequest fetch;
-  fetch.validate_only = true;  // "give me the latest copy of this page"
-  fetch.pages.push_back(page);
-  fetch.have_lamport = 0;
-  comm_.request_with(
-      o.cfg.upstream, msg::MsgType::kFetchRequest, o.cfg.object,
-      [&](util::Writer& w) { fetch.encode(w); },
-      [this, &o, from, request_id, page,
-       req = std::move(req)](bool ok, const Address&,
-                             const msg::EnvelopeView& env) mutable {
-        if (ok) {
-          apply_fetched_records(o, FetchReply::decode_view(env.body).records);
-          o.fetched_at[page] = sim_.now();  // also stamps a missing page
-        }
-        reply_invoke(o, from, request_id, make_read_reply(o, req));
-      });
-}
-
-void StoreEngine::apply_fetched_records(
-    ObjectState& o, const std::vector<web::WriteRecord>& recs) {
-  for (const web::WriteRecord& rec : recs) {
-    o.replica.apply_fetched(rec);
-    o.fetched_at[rec.page] = sim_.now();
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -1110,6 +1073,13 @@ void StoreEngine::demand_fetch(ObjectState& o,
                        apply_fetch_reply(o, FetchReply::decode_view(env.body));
                      },
                      sim::SimDuration::millis(250), /*retries=*/4);
+}
+
+void StoreEngine::demand_if_outdated(ObjectState& o) {
+  if (o.outdated &&
+      o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand) {
+    demand_fetch(o);
+  }
 }
 
 void StoreEngine::retry_demand_later(ObjectState& o) {
@@ -1489,11 +1459,7 @@ void StoreEngine::handle_update(ObjectState& o, const Address& from,
   Applier a(*this, o);
   a.finish(o.replica.receive(std::move(m.records), addr_key(from), a));
   note_gaps(o);
-  if (o.outdated &&
-      o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand &&
-      !config_.is_primary) {
-    demand_fetch(o);
-  }
+  demand_if_outdated(o);
 }
 
 void StoreEngine::apply_state_transfer(ObjectState& o,
@@ -1534,7 +1500,8 @@ void StoreEngine::handle_invalidate(ObjectState& o, const Address& from,
   // unless no-news invalidations are dropped. Anything here is news if
   // it invalidates a page that was still valid or advances the frontier.
   bool news = o.replica.invalidate(m.pages);
-  news |= note_frontier(o, m.known_clock, m.known_gseq);
+  news |= o.replica.note_frontier(m.known_clock, m.known_gseq);
+  note_gaps(o);
   if (news) {
     // Forward invalidations downstream (re-serialized from the borrowed
     // body; one shared datagram for the whole fan-out).
@@ -1550,14 +1517,6 @@ void StoreEngine::handle_invalidate(ObjectState& o, const Address& from,
     if (o.cfg.policy.access_transfer == AccessTransfer::kFull) pages.clear();
     demand_fetch(o, std::move(pages));
   }
-}
-
-bool StoreEngine::note_frontier(ObjectState& o,
-                                const coherence::VectorClock& clock,
-                                std::uint64_t gseq) {
-  const bool news = o.replica.note_frontier(clock, gseq);
-  note_gaps(o);
-  return news;
 }
 
 void StoreEngine::handle_notify(const Address& from,
@@ -1610,7 +1569,9 @@ void StoreEngine::handle_notify(const Address& from,
     ObjectState* o = find_object(e.object);
     if (o == nullptr) continue;  // not hosted (anymore)
     hosted.push_back(o);
-    if (!note_frontier(*o, e.clock, e.gseq)) continue;
+    const bool news = o->replica.note_frontier(e.clock, e.gseq);
+    note_gaps(*o);
+    if (!news) continue;
     for (const Subscriber& s : o->subscribers) {
       if (s.address != from) news_for[addr_key(s.address)].push_back(i);
     }
@@ -1633,10 +1594,7 @@ void StoreEngine::handle_notify(const Address& from,
   }
 
   for (ObjectState* o : hosted) {
-    if (o->outdated &&
-        o->cfg.policy.object_outdate_reaction == OutdateReaction::kDemand) {
-      demand_fetch(*o);
-    }
+    demand_if_outdated(*o);
   }
   if (!beacon) return;
   // The per-tick retry: every object fed by this sender that is still

@@ -327,8 +327,7 @@ class StoreEngine {
     std::uint64_t writes_applied = 0;
   };
 
-  // The table owns the object states, so a const engine still hands out
-  // mutable ones; only its own members mutate through them.
+  // Const lookups hand out mutable states: the table owns them by pointer.
   [[nodiscard]] ObjectState* find_object(ObjectId id) const;
   [[nodiscard]] ObjectState& obj(ObjectId id) const;
   /// The store's only object (the one-object accessors); asserts that
@@ -352,8 +351,9 @@ class StoreEngine {
   void handle_invalidate(ObjectState& o, const Address& from,
                          const msg::EnvelopeView& env);
   /// kNotify (store scope): sequences a clock beacon on the sender's
-  /// lane, answers a full-list request, and runs every entry through
-  /// note_frontier; news goes on downstream, outdated objects demand.
+  /// lane, answers a full-list request, and merges every entry into its
+  /// object's heard-of frontier; news goes on downstream, outdated
+  /// objects demand.
   void handle_notify(const Address& from, const msg::EnvelopeView& env);
   void handle_fetch_request(ObjectState& o, const Address& from,
                             const msg::EnvelopeView& env);
@@ -386,20 +386,11 @@ class StoreEngine {
                                                   const ClientRequest& req);
   [[nodiscard]] static bool needs_page_fetch(const ObjectState& o,
                                              const ClientRequest& req);
-  void park(ObjectState& o, const Address& from, std::uint64_t request_id,
-            ClientRequest req);
   void unpark_ready(ObjectState& o);
-
-  // ---- baselines ----
-  void serve_read_check_on_read(ObjectState& o, const Address& from,
-                                std::uint64_t request_id, ClientRequest req);
-  void serve_read_ttl(ObjectState& o, const Address& from,
-                      std::uint64_t request_id, ClientRequest req);
-  /// Applies the records of a baseline cache's upstream fetch straight
-  /// to the document (the cache keeps no log and no orderer) and stamps
-  /// each page's fetch time.
-  void apply_fetched_records(ObjectState& o,
-                             const std::vector<web::WriteRecord>& recs);
+  /// Check-on-read validates the cached page with the upstream on every
+  /// read; TTL serves it until it expires, then fetches the latest.
+  void serve_read_baseline(ObjectState& o, const Address& from,
+                           std::uint64_t request_id, ClientRequest req);
 
   // ---- propagation ----
   /// Pushes `recs` to the push targets, each record to every target but
@@ -459,10 +450,6 @@ class StoreEngine {
   void encode_clock_list(util::Writer& w, std::uint64_t tick,
                          std::uint8_t flags,
                          const std::vector<ObjectId>& objects) const;
-  /// Merges one notified frontier of `o` into its known frontier and
-  /// notes gaps; returns whether it was news.
-  bool note_frontier(ObjectState& o, const coherence::VectorClock& clock,
-                     std::uint64_t gseq);
   /// Adds `o` to the beacon lane of every current subscriber (and lists
   /// it in the next beacon), or removes it.
   void update_beacon_lanes(ObjectState& o);
@@ -484,6 +471,8 @@ class StoreEngine {
   /// add_object's path, so placing N objects costs O(N).
   void arm_timers(const TimerNeeds& need);
   void demand_fetch(ObjectState& o, std::vector<std::string> pages = {});
+  /// Demands an update for an outdated object whose policy says so.
+  void demand_if_outdated(ObjectState& o);
   /// After a failed fetch: demands again in 50 ms while the object is
   /// behind or reads are parked, within the retry budget.
   void retry_demand_later(ObjectState& o);
@@ -539,7 +528,6 @@ class StoreEngine {
   // ---- helpers ----
   [[nodiscard]] bool enforces_model(const ObjectConfig& cfg) const;
   [[nodiscard]] static bool multi_master(const ObjectState& o);
-  void record_apply(ObjectState& o, const web::WriteRecord& rec, bool changed);
   void record_snapshot_event(ObjectState& o);
   [[nodiscard]] InvokeReply make_read_reply(ObjectState& o,
                                             const ClientRequest& req);

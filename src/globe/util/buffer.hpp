@@ -131,6 +131,16 @@ class Writer {
 };
 
 /// Reads binary data from a byte view with bounds checking.
+/// `m` encoded into a fresh buffer, for any message with an
+/// `encode(Writer&) const` member. Senders encode straight into the wire
+/// instead (CommunicationObject::send_with).
+template <typename Message>
+[[nodiscard]] Buffer encoded(const Message& m) {
+  Writer w;
+  m.encode(w);
+  return w.take();
+}
+
 class Reader {
  public:
   explicit Reader(BytesView in) : in_(in) {}

@@ -219,9 +219,10 @@ TEST(CompactionCutover, StateRecordsKeepEachWritersOrder) {
       bed.add_client(1, coherence::ClientModel::kMonotonicWrites,
                      primary.address(), primary.address());
   int acked = 0;
-  writer.write("b.html", "first", [&](WriteResult r) { acked += r.ok ? 1 : 0; });
+  const auto count_ack = [&](WriteResult r) { acked += r.ok ? 1 : 0; };
+  writer.write("b.html", "first", count_ack);
   bed.run_for(sim::SimDuration::millis(50));
-  writer.write("a.html", "second", [&](WriteResult r) { acked += r.ok ? 1 : 0; });
+  writer.write("a.html", "second", count_ack);
   bed.run_for(sim::SimDuration::millis(50));
   ASSERT_EQ(acked, 2);
   for (int i = 0; i < 4; ++i) {

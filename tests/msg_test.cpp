@@ -76,7 +76,7 @@ TEST(Protocol, ClientRequestRoundTrip) {
   req.issued_at_us = 777;
 
   const auto back =
-      replication::ClientRequest::decode(util::BytesView(req.encode()));
+      replication::ClientRequest::decode(util::BytesView(util::encoded(req)));
   EXPECT_EQ(back.client, 9u);
   EXPECT_EQ(back.client_op_index, 4u);
   EXPECT_EQ(back.wid, (coherence::WriteId{9, 2}));
@@ -98,7 +98,7 @@ TEST(Protocol, InvokeReplyRoundTrip) {
   rep.store_clock.set(3, 4);
   rep.store = 2;
   const auto back =
-      replication::InvokeReply::decode(util::BytesView(rep.encode()));
+      replication::InvokeReply::decode(util::BytesView(util::encoded(rep)));
   EXPECT_TRUE(back.ok);
   EXPECT_EQ(util::to_string(util::BytesView(back.value)), "result");
   EXPECT_EQ(util::to_string(util::view_of(back.document)), "doc");
@@ -116,7 +116,7 @@ TEST(Protocol, UpdateMsgRoundTrip) {
   m.sender_clock.set(1, 1);
   m.sender_gseq = 3;
   const auto back =
-      replication::UpdateMsg::decode(util::BytesView(m.encode()));
+      replication::UpdateMsg::decode(util::BytesView(util::encoded(m)));
   ASSERT_EQ(back.records.size(), 1u);
   EXPECT_EQ(back.records[0].page, "p");
   EXPECT_EQ(back.sender_gseq, 3u);
@@ -131,7 +131,7 @@ TEST(Protocol, FetchRoundTrip) {
   f.validate_only = true;
   f.have_lamport = 99;
   const auto back =
-      replication::FetchRequest::decode(util::BytesView(f.encode()));
+      replication::FetchRequest::decode(util::BytesView(util::encoded(f)));
   EXPECT_EQ(back.have_clock.get(2), 7u);
   EXPECT_EQ(back.have_gseq, 5u);
   EXPECT_TRUE(back.want_full);
@@ -142,7 +142,7 @@ TEST(Protocol, FetchRoundTrip) {
   replication::FetchReply r;
   r.not_modified = true;
   r.gseq = 8;
-  const util::Buffer rwire = r.encode();
+  const util::Buffer rwire = util::encoded(r);
   const auto rback =
       replication::FetchReply::decode_view(util::BytesView(rwire));
   EXPECT_TRUE(rback.not_modified);
@@ -156,7 +156,7 @@ TEST(Protocol, FetchRoundTrip) {
       std::make_shared<const util::Buffer>(util::to_buffer("whole-doc"));
   full.state->gseq = 5;
   full.state->source = 3;
-  const util::Buffer fwire = full.encode();
+  const util::Buffer fwire = util::encoded(full);
   const auto fback =
       replication::FetchReply::decode_view(util::BytesView(fwire));
   ASSERT_TRUE(fback.state.has_value());
@@ -173,7 +173,7 @@ TEST(Protocol, WriteForwardRoundTrip) {
   f.origin = {3, 14};
   f.origin_request_id = 99;
   const auto back =
-      replication::WriteForward::decode(util::BytesView(f.encode()));
+      replication::WriteForward::decode(util::BytesView(util::encoded(f)));
   EXPECT_EQ(back.origin, (net::Address{3, 14}));
   EXPECT_EQ(back.origin_request_id, 99u);
   EXPECT_EQ(back.request.client, 5u);
@@ -185,7 +185,7 @@ TEST(Protocol, SubscribeRoundTrip) {
   s.store_id = 4;
   s.store_class = 2;
   const auto sback =
-      replication::SubscribeMsg::decode(util::BytesView(s.encode()));
+      replication::SubscribeMsg::decode(util::BytesView(util::encoded(s)));
   EXPECT_EQ(sback.subscriber, (net::Address{7, 2}));
   EXPECT_EQ(sback.store_id, 4u);
   EXPECT_EQ(sback.store_class, 2u);
@@ -197,7 +197,8 @@ TEST(Protocol, SnapshotDeltaRequestRoundTrip) {
   req.have.push_back(web::PageStamp{"a.html", {3, 7}, 11, 5});
   req.have.push_back(web::PageStamp{"b.html", {4, 1}, 2, 0});
   const auto back =
-      replication::SnapshotDeltaRequest::decode(util::BytesView(req.encode()));
+      replication::SnapshotDeltaRequest::decode(
+          util::BytesView(util::encoded(req)));
   EXPECT_EQ(back.mode, replication::SnapshotDeltaRequest::Mode::kSummary);
   ASSERT_EQ(back.have.size(), 2u);
   EXPECT_EQ(back.have[0].page, "a.html");
@@ -210,7 +211,7 @@ TEST(Protocol, SnapshotDeltaRequestRoundTrip) {
   floor.floor_source = 42;
   floor.floor_version = 1234;
   const auto fback = replication::SnapshotDeltaRequest::decode(
-      util::BytesView(floor.encode()));
+      util::BytesView(util::encoded(floor)));
   EXPECT_EQ(fback.mode, replication::SnapshotDeltaRequest::Mode::kFloor);
   EXPECT_EQ(fback.floor_source, 42u);
   EXPECT_EQ(fback.floor_version, 1234u);
@@ -222,7 +223,7 @@ TEST(Protocol, SnapshotDeltaRequestRoundTrip) {
   sub.want_delta = true;
   sub.delta_req = floor;
   const auto sback =
-      replication::SubscribeMsg::decode(util::BytesView(sub.encode()));
+      replication::SubscribeMsg::decode(util::BytesView(util::encoded(sub)));
   EXPECT_TRUE(sback.want_delta);
   EXPECT_EQ(sback.delta_req.floor_source, 42u);
 }
@@ -236,7 +237,7 @@ TEST(Protocol, StateTransferRoundTrip) {
   full.gseq = 3;
   full.source = 6;
   full.version = 77;
-  const util::Buffer fwire = full.encode();
+  const util::Buffer fwire = util::encoded(full);
   const auto fview =
       replication::StateTransfer::decode_view(util::BytesView(fwire));
   EXPECT_TRUE(fview.full);
@@ -250,7 +251,7 @@ TEST(Protocol, StateTransferRoundTrip) {
   delta.gseq = 4;
   delta.source = 2;
   delta.version = 15;
-  const util::Buffer dwire = delta.encode();
+  const util::Buffer dwire = util::encoded(delta);
   const auto dview =
       replication::StateTransfer::decode_view(util::BytesView(dwire));
   EXPECT_FALSE(dview.full);
@@ -264,7 +265,7 @@ TEST(Protocol, InvalidateAndNotifyRoundTrip) {
   inv.known_clock.set(1, 3);
   inv.known_gseq = 9;
   const auto iback =
-      replication::InvalidateMsg::decode(util::BytesView(inv.encode()));
+      replication::InvalidateMsg::decode(util::BytesView(util::encoded(inv)));
   EXPECT_EQ(iback.pages, (std::vector<std::string>{"x", "y"}));
   EXPECT_EQ(iback.known_gseq, 9u);
 
@@ -279,7 +280,7 @@ TEST(Protocol, InvalidateAndNotifyRoundTrip) {
   n.entries[1].clock.set(1, 9);
   n.entries[1].clock.set(5, 1);
   const auto nback =
-      replication::NotifyMsg::decode(util::BytesView(n.encode()));
+      replication::NotifyMsg::decode(util::BytesView(util::encoded(n)));
   EXPECT_EQ(nback.tick, 300u);
   EXPECT_TRUE(nback.full);
   EXPECT_FALSE(nback.want_full);
@@ -295,7 +296,7 @@ TEST(Protocol, InvalidateAndNotifyRoundTrip) {
   replication::NotifyMsg ask;
   ask.want_full = true;
   const auto aback =
-      replication::NotifyMsg::decode(util::BytesView(ask.encode()));
+      replication::NotifyMsg::decode(util::BytesView(util::encoded(ask)));
   EXPECT_EQ(aback.tick, 0u);
   EXPECT_FALSE(aback.full);
   EXPECT_TRUE(aback.want_full);
@@ -310,7 +311,7 @@ TEST(Protocol, NotifyDecodeRejectsHostileBytes) {
     n.entries[i].object = i + 1;
     n.entries[i].clock.set(1, i + 1);
   }
-  const util::Buffer wire = n.encode();
+  const util::Buffer wire = util::encoded(n);
   // Every proper prefix is truncated somewhere: header, count or entry.
   for (std::size_t len = 0; len < wire.size(); ++len) {
     util::Buffer cut(wire.begin(), wire.begin() + static_cast<long>(len));
@@ -327,7 +328,7 @@ TEST(Protocol, NotifyDecodeRejectsHostileBytes) {
       replication::NotifyMsg::decode(util::BytesView(forged.take())),
       util::CodecError);
   // Unknown flag bits are rejected, not ignored.
-  util::Buffer flags = n.encode();
+  util::Buffer flags = util::encoded(n);
   flags[1] = std::byte{0x80};  // tick 5 is one varint byte
   EXPECT_THROW(replication::NotifyMsg::decode(util::BytesView(flags)),
                util::CodecError);
@@ -337,7 +338,8 @@ TEST(Protocol, AntiEntropyRoundTrip) {
   replication::AntiEntropyRequest req;
   req.have_clock.set(1, 1);
   const auto rb =
-      replication::AntiEntropyRequest::decode(util::BytesView(req.encode()));
+      replication::AntiEntropyRequest::decode(
+          util::BytesView(util::encoded(req)));
   EXPECT_EQ(rb.have_clock.get(1), 1u);
 
   replication::AntiEntropyReply rep;
@@ -347,7 +349,8 @@ TEST(Protocol, AntiEntropyRoundTrip) {
   rep.records.push_back(rec);
   rep.responder_clock.set(2, 2);
   const auto pb =
-      replication::AntiEntropyReply::decode(util::BytesView(rep.encode()));
+      replication::AntiEntropyReply::decode(
+          util::BytesView(util::encoded(rep)));
   ASSERT_EQ(pb.records.size(), 1u);
   EXPECT_EQ(pb.responder_clock.get(2), 2u);
 }
@@ -355,7 +358,7 @@ TEST(Protocol, AntiEntropyRoundTrip) {
 TEST(Protocol, DecodeRejectsTruncated) {
   replication::ClientRequest req;
   req.inv = msg::Invocation::get_page("p");
-  auto wire = req.encode();
+  auto wire = util::encoded(req);
   wire.resize(wire.size() / 2);
   EXPECT_THROW(replication::ClientRequest::decode(util::BytesView(wire)),
                util::CodecError);

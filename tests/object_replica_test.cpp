@@ -70,7 +70,7 @@ struct Logged final : ApplySink {
 // then adopted from the borrowed view and released.
 bool transfer_state(const ObjectReplica& from, ObjectReplica& to,
                     ApplySink& sink) {
-  const util::Buffer wire = from.state_transfer().encode();
+  const util::Buffer wire = util::encoded(from.state_transfer());
   const StateTransfer::View st =
       StateTransfer::decode_view(util::BytesView(wire));
   if (!to.adopt(st, /*bootstrap=*/false, kFromPrimary)) return false;
@@ -229,7 +229,7 @@ TEST(ObjectReplica, AdoptionOnlyMovesForward) {
 
   // A transfer behind the peer is skipped; a bootstrap adopts anyway.
   ObjectReplica behind(config(3, true, /*threshold=*/0, ObjectModel::kPram));
-  const util::Buffer wire = behind.state_transfer().encode();
+  const util::Buffer wire = util::encoded(behind.state_transfer());
   const StateTransfer::View st =
       StateTransfer::decode_view(util::BytesView(wire));
   EXPECT_FALSE(peer.adopt(st, /*bootstrap=*/false, kFromPrimary));
