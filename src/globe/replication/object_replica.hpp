@@ -161,7 +161,8 @@ class ObjectReplica {
 
   /// What a peer at (`have`, `have_gseq`) lacks, for the anti-entropy
   /// reply and the push-back: a log delta, or, when the peer is behind
-  /// the compaction horizon, the whole document as state records.
+  /// the compaction horizon, the whole document as state records in
+  /// writer order (client, then seq), deletes included.
   [[nodiscard]] PeerRecords records_for_peer(
       const coherence::VectorClock& have, std::uint64_t have_gseq) const;
 

@@ -47,7 +47,6 @@
 #include "globe/coherence/history.hpp"
 #include "globe/core/comm.hpp"
 #include "globe/core/policy.hpp"
-#include "globe/core/semantics.hpp"
 #include "globe/membership/view.hpp"
 #include "globe/metrics/stats.hpp"
 #include "globe/naming/contact.hpp"
