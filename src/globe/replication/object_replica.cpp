@@ -238,9 +238,14 @@ ApplyRound ObjectReplica::release(std::uint64_t origin, ApplySink& sink) {
 bool ObjectReplica::note_frontier(const coherence::VectorClock& clock,
                                   std::uint64_t gseq) {
   const bool news = gseq > known_gseq_ || !known_clock_.dominates(clock);
+  hear_of(clock, gseq);
+  return news;
+}
+
+void ObjectReplica::hear_of(const coherence::VectorClock& clock,
+                            std::uint64_t gseq) {
   known_clock_.merge(clock);
   known_gseq_ = std::max(known_gseq_, gseq);
-  return news;
 }
 
 bool ObjectReplica::invalidate(const std::vector<std::string>& pages) {

@@ -136,8 +136,12 @@ class ObjectReplica {
   /// applied state and applies what they release, tagged with `origin`.
   ApplyRound release(std::uint64_t origin, ApplySink& sink);
 
-  /// Merges a notified frontier into the heard-of one; returns whether
-  /// it was news.
+  /// Merges a frontier a message carried (an update's sender clock, a
+  /// fetch reply's clock) into the heard-of one.
+  void hear_of(const coherence::VectorClock& clock, std::uint64_t gseq);
+
+  /// hear_of a notified frontier, returning whether it was news (a
+  /// notify or an invalidation forwards only news).
   bool note_frontier(const coherence::VectorClock& clock, std::uint64_t gseq);
 
   /// Marks `pages` invalid until a record for them is applied; returns

@@ -1103,7 +1103,7 @@ void StoreEngine::apply_fetch_reply(ObjectState& o, FetchReply::View reply) {
     apply_state_transfer(o, *reply.state);
     return;
   }
-  o.replica.note_frontier(reply.clock, reply.gseq);
+  o.replica.hear_of(reply.clock, reply.gseq);
   Applier a(*this, o);
   a.finish(o.replica.receive(std::move(reply.records),
                              addr_key(o.cfg.upstream), a));
@@ -1455,7 +1455,7 @@ void StoreEngine::go_quiet() {
 void StoreEngine::handle_update(ObjectState& o, const Address& from,
                                 const msg::EnvelopeView& env) {
   UpdateMsg m = UpdateMsg::decode(env.body);
-  o.replica.note_frontier(m.sender_clock, m.sender_gseq);
+  o.replica.hear_of(m.sender_clock, m.sender_gseq);
   Applier a(*this, o);
   a.finish(o.replica.receive(std::move(m.records), addr_key(from), a));
   note_gaps(o);
