@@ -1,4 +1,5 @@
-// Shared scenario runner for the benchmark harness.
+// Shared deployment builder and scenario runner for the benchmark
+// harness.
 //
 // Every bench binary regenerates one table or figure of the paper by
 // sweeping a parameter over this runner: a full deployment (primary,
@@ -8,7 +9,9 @@
 // qualitative claims are about.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,8 +25,12 @@ namespace globe::bench {
 
 using replication::CacheMode;
 using replication::ClientBinding;
+using replication::StoreEngine;
 using replication::Testbed;
 using replication::TestbedOptions;
+
+/// The object a single-object deployment replicates.
+inline constexpr ObjectId kObj = 1;
 
 struct ScenarioConfig {
   core::ReplicationPolicy policy;
@@ -65,69 +72,107 @@ struct ScenarioResult {
   std::size_t writes_done = 0;
 };
 
+/// The paper's layered deployment (Figure 2): a primary seeded with
+/// `pages`, mirrors under it, caches spread round robin over the mirrors
+/// (over the primary when there are none), and clients spread over the
+/// nearest layer that exists. Benches differ only in these inputs.
+struct TreeSpec {
+  core::ReplicationPolicy policy;
+  std::vector<std::string> pages;  // contents of page0.html, page1.html, ...
+  int mirrors = 0;
+  int caches = 0;
+  int clients = 0;
+  coherence::ClientModel session = coherence::ClientModel::kNone;
+  CacheMode cache_mode = CacheMode::kGlobe;
+  sim::SimDuration ttl = sim::SimDuration::seconds(60);
+  /// Link from a client to its store when that store is not the primary
+  /// (unset: the WAN).
+  std::optional<sim::LinkSpec> client_link;
+  // Settle points besides the one after the caches join.
+  bool settle_mirrors = true;
+  bool settle_clients = false;
+};
+
+struct Tree {
+  StoreEngine* primary = nullptr;
+  std::vector<std::string> pages;  // page names, in TreeSpec::pages order
+  std::vector<ClientBinding*> clients;
+};
+
+inline Tree build_tree(Testbed& bed, const TreeSpec& spec) {
+  Tree t;
+  t.primary = &bed.add_primary(kObj, spec.policy);
+  for (std::size_t i = 0; i < spec.pages.size(); ++i) {
+    t.pages.push_back("page" + std::to_string(i) + ".html");
+    t.primary->seed(t.pages.back(), spec.pages[i]);
+  }
+  std::vector<net::Address> mirrors, caches;
+  for (int i = 0; i < spec.mirrors; ++i) {
+    mirrors.push_back(bed.add_store(kObj, naming::StoreClass::kObjectInitiated,
+                                    spec.policy)
+                          .address());
+  }
+  if (spec.settle_mirrors) bed.settle();
+  for (int i = 0; i < spec.caches; ++i) {
+    const net::Address up = mirrors.empty() ? t.primary->address()
+                                            : mirrors[i % mirrors.size()];
+    caches.push_back(
+        (spec.cache_mode == CacheMode::kGlobe
+             ? bed.add_store(kObj, naming::StoreClass::kClientInitiated,
+                             spec.policy, up)
+             : bed.add_baseline_cache(kObj, spec.cache_mode, spec.ttl,
+                                      spec.policy, up))
+            .address());
+  }
+  bed.settle();
+  for (int i = 0; i < spec.clients; ++i) {
+    const net::Address store = !caches.empty()    ? caches[i % caches.size()]
+                               : !mirrors.empty() ? mirrors[i % mirrors.size()]
+                                                  : t.primary->address();
+    ClientBinding& c = bed.add_client(kObj, spec.session, store);
+    if (spec.client_link && store != t.primary->address()) {
+      bed.net().set_link(c.address().node, store.node, *spec.client_link);
+    }
+    t.clients.push_back(&c);
+  }
+  if (spec.settle_clients) bed.settle();
+  return t;
+}
+
+/// `n` pages of `bytes` random content, reproducible from `seed`.
+inline std::vector<std::string> random_pages(int n, std::size_t bytes,
+                                             std::uint64_t seed) {
+  util::Rng rng(seed * 7919 + 13);
+  std::vector<std::string> pages;
+  for (int i = 0; i < n; ++i) {
+    pages.push_back(workload::make_content(rng, bytes));
+  }
+  return pages;
+}
+
 inline ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   TestbedOptions opts;
   opts.seed = cfg.seed;
   opts.wan = cfg.wan;
   Testbed bed(opts);
-  constexpr ObjectId kObj = 1;
 
-  auto& primary = bed.add_primary(kObj, cfg.policy);
-  util::Rng seed_rng(cfg.seed * 7919 + 13);
-  std::vector<std::string> pages;
-  for (int i = 0; i < cfg.pages; ++i) {
-    pages.push_back("page" + std::to_string(i) + ".html");
-    primary.seed(pages.back(),
-                 workload::make_content(seed_rng, cfg.page_bytes));
-  }
-
-  std::vector<net::Address> mirror_addrs;
-  for (int i = 0; i < cfg.mirrors; ++i) {
-    mirror_addrs.push_back(
-        bed.add_store(kObj, naming::StoreClass::kObjectInitiated, cfg.policy)
-            .address());
-  }
-  bed.settle();
-
-  std::vector<net::Address> cache_addrs;
-  for (int i = 0; i < cfg.caches; ++i) {
-    const net::Address upstream =
-        mirror_addrs.empty() ? primary.address()
-                             : mirror_addrs[i % mirror_addrs.size()];
-    if (cfg.cache_mode == CacheMode::kGlobe) {
-      cache_addrs.push_back(bed.add_store(kObj,
-                                          naming::StoreClass::kClientInitiated,
-                                          cfg.policy, upstream)
-                                .address());
-    } else {
-      cache_addrs.push_back(
-          bed.add_baseline_cache(kObj, cfg.cache_mode, cfg.ttl, cfg.policy,
-                                 upstream)
-              .address());
-    }
-  }
-  bed.settle();
-
-  std::vector<ClientBinding*> clients;
-  for (int i = 0; i < cfg.clients; ++i) {
-    // Clients bind to the nearest layer that exists: cache, else mirror,
-    // else the permanent store (Figure 2's layering). A client is
-    // *near* its chosen store (metro link); only the store hierarchy
-    // crosses the WAN — that is the whole point of the layered model.
-    const net::Address read_store =
-        !cache_addrs.empty()  ? cache_addrs[i % cache_addrs.size()]
-        : !mirror_addrs.empty() ? mirror_addrs[i % mirror_addrs.size()]
-                                : primary.address();
-    ClientBinding& c = bed.add_client(kObj, cfg.session, read_store);
-    if (read_store != primary.address()) {
-      sim::LinkSpec metro = cfg.wan;
-      metro.base_latency = sim::SimDuration::millis(
-          std::max<std::int64_t>(1, cfg.wan.base_latency.count_micros() /
-                                        8000));
-      bed.net().set_link(c.address().node, read_store.node, metro);
-    }
-    clients.push_back(&c);
-  }
+  TreeSpec spec;
+  spec.policy = cfg.policy;
+  spec.pages = random_pages(cfg.pages, cfg.page_bytes, cfg.seed);
+  spec.mirrors = cfg.mirrors;
+  spec.caches = cfg.caches;
+  spec.clients = cfg.clients;
+  spec.session = cfg.session;
+  spec.cache_mode = cfg.cache_mode;
+  spec.ttl = cfg.ttl;
+  // A client is *near* its store (metro link); only the store hierarchy
+  // crosses the WAN — that is the whole point of the layered model.
+  spec.client_link = cfg.wan;
+  spec.client_link->base_latency = sim::SimDuration::millis(
+      std::max<std::int64_t>(1, cfg.wan.base_latency.count_micros() / 8000));
+  const Tree tree = build_tree(bed, spec);
+  const std::vector<std::string>& pages = tree.pages;
+  const std::vector<ClientBinding*>& clients = tree.clients;
 
   // Workload loop with staleness scoring against the oracle.
   bed.metrics().reset();

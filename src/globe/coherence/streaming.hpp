@@ -67,9 +67,13 @@ class StreamingChecker {
  public:
   struct Options {
     /// Buffer read store-clocks so RYW/MR stay exact even for clients
-    /// whose op indexes arrive out of program order (hand-built
-    /// histories). Recorded runs are always in order, so the default
-    /// keeps the hot path free of per-read clock copies.
+    /// whose ops complete out of program order. A recorded run is in
+    /// order only while no request is retried: with client timeouts and
+    /// retries (any deployment with faults) a retried op completes after
+    /// later ones, so such deployments set this (the bench_scale and
+    /// bench/e2e soaks do). Off, the hot path makes no per-read clock
+    /// copies, and an out-of-order RYW/MR client marks the checker
+    /// inexact instead.
     bool buffer_clocks = false;
   };
 

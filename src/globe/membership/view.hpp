@@ -206,8 +206,7 @@ struct MemberAnnounce {
   // failure-detector sweep folds it into the cluster-wide GC floor it
   // broadcasts as kStabilityHorizon.
   // `has_applied` is false for stores hosting no replicated object yet —
-  // they carry no data and must not stall the floor. Legacy senders omit
-  // the trailing fields entirely; the decoder tolerates their absence.
+  // they carry no data and must not stall the floor.
   bool has_applied = false;
   coherence::VectorClock applied;
   std::uint64_t applied_gseq = 0;
@@ -225,11 +224,9 @@ struct MemberAnnounce {
     MemberAnnounce m;
     m.contact = naming::ContactPoint::decode(r);
     m.shard = r.u32();
-    if (!r.at_end()) {
-      m.has_applied = r.boolean();
-      m.applied = coherence::VectorClock::decode(r);
-      m.applied_gseq = r.varint();
-    }
+    m.has_applied = r.boolean();
+    m.applied = coherence::VectorClock::decode(r);
+    m.applied_gseq = r.varint();
     r.expect_end();
     return m;
   }

@@ -20,7 +20,6 @@ class FlowControl {
   enum class PeerEvent : std::uint8_t {
     kPaused = 0,   // peer's send queue crossed the high watermark
     kResumed = 1,  // peer drained back below the low watermark
-    kEvicted = 2,  // peer made no progress while its queue was full
   };
 
   struct Event {
@@ -40,8 +39,9 @@ class FlowControl {
                                          const Address& peer) const = 0;
 
   /// Clears any stale backpressure verdict for a peer (fresh
-  /// subscription after an eviction): its queue empties, pause/evict
-  /// flags drop, and the next data frame restarts the stream.
+  /// subscription after the replication layer dropped it): its queue
+  /// empties, the pause flag drops, and the next data frame restarts the
+  /// stream.
   virtual void reset_peer(const Address& local, const Address& peer) = 0;
 };
 

@@ -22,6 +22,11 @@ constexpr std::size_t kMtuBudget = 16 * 1024;
 /// most this many times window_size out-of-order frames.
 constexpr std::size_t kStashWindows = 2;
 
+/// The receiver acks every this many in-order frames, and at once on a
+/// gap or on a frame flagged ack_now (the end of a burst, or a window
+/// about to fill).
+constexpr std::size_t kAckEvery = 8;
+
 #if defined(GLOBE_CHECKED) && GLOBE_CHECKED
 [[nodiscard]] std::uint64_t addr_key(const Address& a) {
   return (static_cast<std::uint64_t>(a.node) << 16) | a.port;
@@ -34,7 +39,6 @@ WindowedMulticast::WindowedMulticast(WindowOptions options)
     : options_(options) {
   if (options_.window_size == 0) options_.window_size = 1;
   if (options_.max_queue < 4) options_.max_queue = 4;
-  if (options_.ack_every == 0) options_.ack_every = 1;
 }
 
 WindowedMulticast::~WindowedMulticast() { check::release(this); }
@@ -44,7 +48,6 @@ WindowedMulticast::~WindowedMulticast() { check::release(this); }
 /// monitor. Called under mu_ after every channel mutation.
 void WindowedMulticast::report_channel(const Endpoint& ep,
                                        const TxChannel& tx) {
-  if (tx.evicted) return;
   check::WindowChannelState st;
   st.next_seq = tx.next_seq;
   st.ack_base = tx.ack_base;
@@ -93,8 +96,7 @@ bool WindowedMulticast::peer_paused(const Address& local,
   auto it = endpoints_.find(local);
   if (it == endpoints_.end()) return false;
   auto ch = it->second.tx.find(peer);
-  return ch != it->second.tx.end() &&
-         (ch->second.paused || ch->second.evicted);
+  return ch != it->second.tx.end() && ch->second.paused;
 }
 
 void WindowedMulticast::reset_peer(const Address& local, const Address& peer) {
@@ -111,8 +113,6 @@ void WindowedMulticast::reset_peer(const Address& local, const Address& peer) {
   tx.ack_base = tx.next_seq;
   tx.credit = static_cast<std::uint32_t>(options_.window_size);
   tx.paused = false;
-  tx.evicted = false;
-  tx.stalls = 0;
   tx.send_reset = true;
 }
 
@@ -150,7 +150,6 @@ void WindowedMulticast::raise(Endpoint& ep, const Address& peer,
   switch (what) {
     case PeerEvent::kPaused: ++stats_.pauses; break;
     case PeerEvent::kResumed: ++stats_.resumes; break;
-    case PeerEvent::kEvicted: ++stats_.evictions; break;
   }
 }
 
@@ -171,23 +170,10 @@ void WindowedMulticast::enqueue_multicast(const Address& local,
     Endpoint& ep = it->second;
     for (const Address& peer : peers) {
       TxChannel& tx = tx_channel(ep, peer);
-      if (tx.evicted) {
-        ++stats_.dropped_payloads;
-        continue;
-      }
       if (tx.pending.size() >= options_.max_queue) {
-        // Bounded queue: drop-newest, count, and escalate to eviction
-        // when configured. The coherence layer recovers via resync.
+        // Bounded queue: drop-newest and count. The coherence layer
+        // recovers via resync.
         ++stats_.dropped_payloads;
-        ++tx.stalls;
-        if (options_.evict_after_stalls != 0 &&
-            tx.stalls >= options_.evict_after_stalls) {
-          tx.pending.clear();
-          tx.inflight.clear();
-          tx.ack_base = tx.next_seq;
-          tx.evicted = true;
-          raise(ep, peer, PeerEvent::kEvicted);
-        }
         continue;
       }
       tx.pending.push_back(payload);
@@ -217,7 +203,6 @@ void WindowedMulticast::flush_channels(Endpoint& ep,
     auto ch = ep.tx.find(peer);
     if (ch == ep.tx.end()) continue;
     TxChannel& tx = ch->second;
-    if (tx.evicted) continue;
     const std::size_t window = std::min<std::size_t>(
         options_.window_size, std::max<std::uint32_t>(tx.credit, 1));
     if (!tx.pending.empty() && tx.inflight.size() >= window) {
@@ -281,7 +266,7 @@ void WindowedMulticast::tick(const Address& local) {
     peers.reserve(ep.tx.size());
     for (auto& [peer, tx] : ep.tx) {
       peers.push_back(peer);
-      if (tx.evicted || tx.inflight.empty()) continue;
+      if (tx.inflight.empty()) continue;
       // Resend the oldest unacked frame: recovers tail loss on lossy
       // transports where no later frame will ever trigger a nack.
       ++stats_.retransmits;
@@ -395,7 +380,7 @@ void WindowedMulticast::handle_data(Endpoint& ep, const Address& from,
         ++stats_.malformed_frames;  // validated at stash time; defensive
       }
     }
-    if (rx.since_ack >= options_.ack_every || !rx.stash.empty()) {
+    if (rx.since_ack >= kAckEvery || !rx.stash.empty()) {
       want_ack = true;
     }
   }
@@ -431,19 +416,12 @@ void WindowedMulticast::handle_ack(Endpoint& ep, const Address& from,
                                    std::vector<Action>& actions) {
   TxChannel& tx = tx_channel(ep, from);
   ++stats_.acks_received;
-  if (tx.evicted) return;
-  bool progress = false;
   while (!tx.inflight.empty() &&
          tx.inflight.begin()->first < ack.cumulative) {
     tx.inflight.erase(tx.inflight.begin());
-    progress = true;
   }
-  if (ack.cumulative > tx.ack_base) {
-    tx.ack_base = ack.cumulative;
-    progress = true;
-  }
+  tx.ack_base = std::max(tx.ack_base, ack.cumulative);
   tx.credit = std::max<std::uint32_t>(1, ack.credit);
-  if (progress) tx.stalls = 0;
   // Selective retransmit straight from the inflight copies; sent by the
   // caller after the lock is released.
   for (std::uint64_t seq : ack.missing) {

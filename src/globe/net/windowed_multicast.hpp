@@ -8,8 +8,9 @@
 // coalesce into MTU-budget frames, so a backed-up fan-out pipelines
 // instead of posting one router/socket operation per datagram. Send
 // queues are bounded per peer; a slow subscriber turns into pause /
-// resume / evict events the replication layer polls (net/flow.hpp)
-// instead of unbounded queue growth.
+// resume events the replication layer polls (net/flow.hpp) instead of
+// unbounded queue growth. Deciding that a paused peer is hopeless is the
+// replication layer's job (its pause deadline), not this layer's.
 //
 // Plain sends, request/reply traffic, and the background-beacon lane
 // pass through unwindowed: reliability for those is already the
@@ -45,13 +46,6 @@ struct WindowOptions {
   /// slots). The pause event fires at half this depth, resume at a
   /// quarter; payloads beyond the full depth are dropped and counted.
   std::size_t max_queue = 256;
-  /// Receiver acks every N in-order frames (plus immediately on gaps
-  /// and on frames flagged ack_now).
-  std::size_t ack_every = 8;
-  /// Self-eviction: a channel whose queue overflowed this many times
-  /// with no ack progress in between is dropped. 0 = never (the
-  /// replication layer applies its own pause deadline instead).
-  std::uint64_t evict_after_stalls = 0;
 };
 
 struct WindowStats {
@@ -71,7 +65,6 @@ struct WindowStats {
   std::uint64_t malformed_frames = 0;
   std::uint64_t pauses = 0;
   std::uint64_t resumes = 0;
-  std::uint64_t evictions = 0;
   std::size_t queue_high_watermark = 0;   // peak pending payloads, any peer
   std::size_t window_high_watermark = 0;  // peak in-flight frames, any peer
 };
@@ -122,8 +115,6 @@ class WindowedMulticast final : public FlowControl {
     std::uint32_t credit = 0;  // receiver's window grant
     bool send_reset = true;    // first frame (re)starts the stream
     bool paused = false;
-    bool evicted = false;
-    std::uint64_t stalls = 0;  // overflow drops since last ack progress
     std::deque<util::SharedBuffer> pending;
     std::map<std::uint64_t, util::SharedBuffer> inflight;  // seq -> frame
   };

@@ -927,9 +927,8 @@ void StoreEngine::flush_lazy(ObjectState& o) {
   }
 }
 
-bool StoreEngine::service_flow_events() {
-  if (config_.flow == nullptr) return false;
-  bool dropped = false;
+void StoreEngine::service_flow_events() {
+  if (config_.flow == nullptr) return;
   for (const net::FlowControl::Event& ev :
        config_.flow->poll_events(address())) {
     const std::uint64_t key = addr_key(ev.peer);
@@ -957,14 +956,8 @@ bool StoreEngine::service_flow_events() {
         }
         break;
       }
-      case net::FlowControl::PeerEvent::kEvicted:
-        drop_flow_peer(key);
-        if (metrics_ != nullptr) metrics_->record_flow_eviction();
-        dropped = true;
-        break;
     }
   }
-  return dropped;
 }
 
 StoreEngine::FlowDisposition StoreEngine::flow_disposition(

@@ -411,10 +411,10 @@ class StoreEngine {
                       std::span<const web::RecordBatchPtr> batches);
   void flush_lazy(ObjectState& o);
   void flush_lazy_all();
-  /// Drains config_.flow's pause/resume/evict events (no-op when flow is
+  /// Drains config_.flow's pause/resume events (no-op when flow is
   /// null). Called from the propagation paths, i.e. always on the thread
-  /// that owns this engine. Returns true if any subscriber was dropped.
-  bool service_flow_events();
+  /// that owns this engine.
+  void service_flow_events();
   /// What to do with an immediate update for `key` under transport
   /// backpressure. Enforces the paused-rounds/batches deadlines: a
   /// hopeless peer is dropped on the spot (kSkip).

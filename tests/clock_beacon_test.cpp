@@ -14,6 +14,7 @@
 
 #include "globe/core/comm.hpp"
 #include "globe/replication/testbed.hpp"
+#include "globe/workload/zipf.hpp"
 
 namespace globe::replication {
 namespace {
@@ -148,6 +149,62 @@ TEST(ClockBeacon, IdleStoreSendsOneNotifyPerPeerPerTick) {
   // hosted object per tick.
   EXPECT_EQ(pair.notifies(), 10u);
   EXPECT_EQ(pair.secondary.full_list_requests(), 1u);
+}
+
+TEST(ClockBeacon, ManyObjectWorkloadStaysUnderTwelveMessagesPerOp) {
+  // 200 placed objects, 4 placed clients, Zipf objects with a write every
+  // third op, over 1, 2 and 4 shards: background traffic follows the
+  // writes, not the hosted objects. One op every 40 ms spans about ten
+  // beacon ticks, so a beacon per hosted object per tick would add about
+  // 15 messages per op.
+  for (const ShardId shards : {1u, 2u, 4u}) {
+    TestbedOptions opts;
+    opts.seed = 29;
+    opts.shards = shards;
+    opts.record_history = false;
+    Testbed bed(opts);
+    for (ShardId s = 0; s < shards; ++s) {
+      bed.add_shard_store(s, naming::StoreClass::kPermanent, push_demand(),
+                          /*primary=*/true);
+      bed.add_shard_store(s, naming::StoreClass::kObjectInitiated,
+                          push_demand());
+    }
+    const std::vector<ObjectId> ids = object_range(200);
+    bed.place_objects(ids);
+    for (const ObjectId id : ids) {
+      bed.primary(id).seed(id, "page.html", "base-" + std::to_string(id));
+    }
+    bed.settle();
+    std::vector<ClientBinding*> clients;
+    for (int c = 0; c < 4; ++c) {
+      clients.push_back(
+          &bed.add_placed_client(coherence::ClientModel::kReadYourWrites));
+    }
+    bed.metrics().reset();
+
+    constexpr int kOps = 120;
+    workload::ZipfGenerator zipf(ids.size(), 0.9);
+    util::Rng rng(opts.seed * 77 + shards);
+    int failures = 0;
+    for (int op = 0; op < kOps; ++op) {
+      const ObjectId id = ids[zipf.sample(rng)];
+      ClientBinding& client = *clients[op % clients.size()];
+      if (op % 3 == 0) {
+        client.write(id, "page.html", "v" + std::to_string(op),
+                     [&](WriteResult r) { failures += !r.ok; });
+      } else {
+        client.read(id, "page.html",
+                    [&](ReadResult r) { failures += !r.ok; });
+      }
+      bed.run_for(sim::SimDuration::millis(40));
+    }
+    bed.settle();
+    EXPECT_EQ(failures, 0) << shards << " shard(s)";
+    const double per_op =
+        static_cast<double>(bed.metrics().total_traffic().messages) / kOps;
+    EXPECT_LT(per_op, 12.0) << shards << " shard(s)";
+    for (const ObjectId id : ids) EXPECT_TRUE(bed.converged(id)) << id;
+  }
 }
 
 TEST(ClockBeacon, BeaconListsExactlyTheObjectsThatMoved) {

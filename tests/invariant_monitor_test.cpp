@@ -308,7 +308,6 @@ TEST(MonitorEndToEnd, ForgedCumulativeAckTripsWindowMonitor) {
   ScopedTripCapture trips;
   net::WindowOptions opts;
   opts.window_size = 4;
-  opts.ack_every = 1;
   net::WindowedMulticast host(opts);
   net::LoopbackRouter router;
 

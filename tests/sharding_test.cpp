@@ -182,6 +182,43 @@ TEST(ShardingTest, HotShardChurnLeavesColdShardUntouched) {
   }
 }
 
+// Placement must not change what the stores end up holding: one
+// single-object write stream through the single-object builders and
+// through a one-shard placed deployment leaves every store with the same
+// state digest. Wall-clock stamps are masked, since the placement node
+// shifts event timing.
+TEST(ShardingTest, PlacedStateMatchesThePlainDeployment) {
+  const auto drive = [](Testbed& bed) {
+    for (int i = 0; i < 20; ++i) {
+      bed.primary(1).seed(1, "page.html", "w" + std::to_string(i));
+      bed.run_for(sim::SimDuration::millis(10));
+    }
+    bed.settle();
+  };
+  TestbedOptions opts;
+  opts.seed = 37;
+  opts.record_history = false;
+  Testbed plain(opts);
+  plain.add_primary(1, pram_push());
+  plain.add_store(1, naming::StoreClass::kObjectInitiated, pram_push());
+  drive(plain);
+  opts.shards = 1;
+  Testbed placed(opts);
+  placed.add_shard_store(0, naming::StoreClass::kPermanent, pram_push(),
+                         /*primary=*/true);
+  placed.add_shard_store(0, naming::StoreClass::kObjectInitiated,
+                         pram_push());
+  placed.place_objects({1});
+  drive(placed);
+
+  ASSERT_EQ(plain.stores().size(), placed.stores().size());
+  for (std::size_t i = 0; i < plain.stores().size(); ++i) {
+    EXPECT_TRUE(store_state_digest(*plain.stores()[i], 1, true) ==
+                store_state_digest(*placed.stores()[i], 1, true))
+        << "store " << i;
+  }
+}
+
 // Satellite: the (object, client) contact spread. Clients binding to the
 // same object fan out across the contacts of its preferred layer, and
 // one client binding to many objects does not pile onto one store.

@@ -102,6 +102,83 @@ TEST(DeltaSnapshotEquivalence, RejoinRestoresByteIdenticalState) {
   }
 }
 
+TEST(DeltaSnapshotEquivalence, RejoinStormShipsOnlyDeltas) {
+  // Primary, 2 mirrors, 6 caches; the caches crash two at a time, two
+  // pages of a 32-page document change while they are away, and they
+  // recover. Every rejoin takes the delta path, and the state shipped is
+  // at least 5x smaller than the whole documents it replaced.
+  TestbedOptions opts;
+  opts.seed = 61;
+  opts.record_history = false;
+  opts.wan.base_latency = sim::SimDuration::millis(1);
+  Testbed bed(opts);
+  core::ReplicationPolicy policy;  // PRAM push immediate partial
+  policy.object_outdate_reaction = core::OutdateReaction::kDemand;
+  auto& primary = bed.add_primary(kObj, policy);
+  std::vector<net::Address> mirrors;
+  for (int i = 0; i < 2; ++i) {
+    mirrors.push_back(
+        bed.add_store(kObj, naming::StoreClass::kObjectInitiated, policy)
+            .address());
+  }
+  bed.settle();
+  constexpr int kCaches = 6;
+  for (int i = 0; i < kCaches; ++i) {
+    bed.add_store(kObj, naming::StoreClass::kClientInitiated, policy,
+                  mirrors[i % mirrors.size()]);
+  }
+  bed.settle();
+  const std::string payload(512, 'd');
+  for (int p = 0; p < 32; ++p) {
+    primary.seed("page" + std::to_string(p) + ".html",
+                 payload + std::to_string(p));
+    if (p % 16 == 0) bed.run_for(sim::SimDuration::millis(2));
+  }
+  bed.settle();
+  bed.metrics().reset();
+
+  constexpr int kRounds = 4;
+  constexpr int kPerRound = 2;
+  util::Rng rng(opts.seed * 7 + 1);
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::size_t> down;
+    for (int k = 0; k < kPerRound; ++k) {
+      down.push_back(1 + mirrors.size() +
+                     static_cast<std::size_t>((round * kPerRound + k) %
+                                              kCaches));
+      bed.crash_store(down.back());
+    }
+    bed.run_for(sim::SimDuration::millis(2));
+    for (int w = 0; w < 2; ++w) {
+      primary.seed("page" + std::to_string(rng.below(32)) + ".html",
+                   payload + "r" + std::to_string(round * 2 + w));
+    }
+    bed.run_for(sim::SimDuration::millis(5));
+    for (const std::size_t idx : down) {
+      bed.recover_store(idx);
+      bed.run_for(sim::SimDuration::millis(5));
+    }
+    bed.settle();
+  }
+
+  EXPECT_TRUE(bed.converged(kObj));
+  EXPECT_EQ(bed.metrics().delta_snapshots(),
+            std::uint64_t{kRounds * kPerRound});
+  EXPECT_EQ(bed.metrics().full_snapshots(), 0u);
+  std::uint64_t state_bytes = 0;
+  for (const auto type :
+       {msg::MsgType::kSubscribe, msg::MsgType::kSubscribeAck,
+        msg::MsgType::kSnapshot, msg::MsgType::kSnapshotDeltaRequest,
+        msg::MsgType::kSnapshotDeltaReply}) {
+    const auto& by_type = bed.metrics().traffic_by_type();
+    const auto it = by_type.find(static_cast<std::uint8_t>(type));
+    if (it != by_type.end()) state_bytes += it->second.bytes;
+  }
+  ASSERT_GT(state_bytes, 0u);
+  EXPECT_GE(state_bytes + bed.metrics().snapshot_bytes_saved(),
+            5 * state_bytes);
+}
+
 TEST(DeltaSnapshotEquivalence, CompactionCutoverGoesThroughDeltaPath) {
   // A puller isolated across a burst that compacts the primary's log
   // must catch up via the deferred-cutover delta round trip.

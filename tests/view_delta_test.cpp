@@ -86,6 +86,23 @@ TEST(ViewDelta, DeltaRejectsAForgedLeaveCount) {
                util::CodecError);
 }
 
+// Every sender encodes the stability-horizon fields, so an announce
+// that stops after the shard is truncated, not an older shape.
+TEST(ViewDelta, AnnounceWithoutHorizonFieldsIsRejected) {
+  MemberAnnounce m;
+  m.contact = contact(4, 4);
+  m.shard = 2;
+  util::Writer full;
+  m.encode(full);
+  EXPECT_EQ(MemberAnnounce::decode(util::BytesView(full.view())).shard, 2u);
+
+  util::Writer truncated;
+  m.contact.encode(truncated);
+  truncated.u32(m.shard);
+  EXPECT_THROW((void)MemberAnnounce::decode(util::BytesView(truncated.view())),
+               util::CodecError);
+}
+
 }  // namespace
 }  // namespace globe::membership
 
