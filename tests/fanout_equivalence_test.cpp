@@ -12,6 +12,11 @@
 // full FetchReply). When those became StateTransfer, their wire constants
 // and the invalidate scenario's (FetchRequest/FetchReply) were re-frozen;
 // every state constant held.
+//
+// The state digest includes each store's retained log, which holds only
+// what some replica may still read from it. A third constant pins the
+// replicated state alone: every store's document, applied gseq and
+// applied clock, with no log.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -40,7 +45,17 @@ std::uint64_t fnv1a(std::uint64_t h, util::BytesView bytes) {
 struct Golden {
   std::uint64_t wire;
   std::uint64_t state;
+  std::uint64_t replicated;
 };
+
+// What a store replicates, without the log kept to serve other replicas.
+util::Buffer replicated_state(const StoreEngine& s) {
+  util::Writer w;
+  w.bytes(util::BytesView(s.document().encode_snapshot()));
+  w.varint(s.applied_gseq());
+  s.applied_clock().encode(w);
+  return w.take();
+}
 
 using Scenario = void (*)(Testbed& bed);
 
@@ -54,11 +69,14 @@ void expect_golden(Scenario scenario, Golden golden) {
   scenario(bed);
   EXPECT_TRUE(bed.converged(kObj));
   std::uint64_t state = 1469598103934665603ull;
+  std::uint64_t replicated = state;
   for (const auto& s : bed.stores()) {
     state = fnv1a(state, util::BytesView(store_state_digest(*s)));
+    replicated = fnv1a(replicated, util::BytesView(replicated_state(*s)));
   }
   EXPECT_EQ(bed.net().wire_digest(), golden.wire);
   EXPECT_EQ(state, golden.state);
+  EXPECT_EQ(replicated, golden.replicated);
 }
 
 void seed_writes(StoreEngine& primary, Testbed& bed, int count) {
@@ -79,7 +97,8 @@ TEST(FanoutGolden, ImmediatePushFanout) {
     }
     bed.settle();
     seed_writes(primary, bed, 40);
-  }, {0xb6832aa4a1963e5bull, 0x5a8b49012df95707ull});
+  }, {0xb6832aa4a1963e5bull, 0x5a8b49012df95707ull,
+     0x09d55c9ce181c536ull});
 }
 
 TEST(FanoutGolden, LazyPushSharesQueuedSegments) {
@@ -93,7 +112,8 @@ TEST(FanoutGolden, LazyPushSharesQueuedSegments) {
     }
     bed.settle();
     seed_writes(primary, bed, 40);
-  }, {0xf05c8ddf86d76a6bull, 0x5a8b49012df95707ull});
+  }, {0xf05c8ddf86d76a6bull, 0x5a8b49012df95707ull,
+     0x09d55c9ce181c536ull});
 }
 
 TEST(FanoutGolden, InvalidatePropagation) {
@@ -107,7 +127,8 @@ TEST(FanoutGolden, InvalidatePropagation) {
     }
     bed.settle();
     seed_writes(primary, bed, 20);
-  }, {0xe432160317687e1bull, 0x4aec3c84e21c9176ull});
+  }, {0xe432160317687e1bull, 0x4aec3c84e21c9176ull,
+     0x6368f3b9db052098ull});
 }
 
 TEST(FanoutGolden, FullPushImmediate) {
@@ -128,7 +149,8 @@ TEST(FanoutGolden, FullPushImmediate) {
                   mirror.address());
     bed.settle();
     seed_writes(primary, bed, 20);
-  }, {0x290fb517db6a0f8eull, 0x2ce35f22262090c0ull});
+  }, {0x290fb517db6a0f8eull, 0x2ce35f22262090c0ull,
+     0xeeb61a9552c5c1e1ull});
 }
 
 TEST(FanoutGolden, FullPullPoll) {
@@ -145,7 +167,8 @@ TEST(FanoutGolden, FullPullPoll) {
     }
     bed.settle();
     seed_writes(primary, bed, 20);
-  }, {0xd8bb923a6e6f3e8full, 0x27049206176e306aull});
+  }, {0xd8bb923a6e6f3e8full, 0x27049206176e306aull,
+     0x7a7b90df4a8f82eaull});
 }
 
 TEST(FanoutGolden, MultiMasterReflectionExclusion) {
@@ -177,7 +200,8 @@ TEST(FanoutGolden, MultiMasterReflectionExclusion) {
       bed.run_for(sim::SimDuration::millis(15));
     }
     bed.settle();
-  }, {0x9ec2768e6bc9f7a1ull, 0x349f9f722406bc14ull});
+  }, {0x9ec2768e6bc9f7a1ull, 0x349f9f722406bc14ull,
+     0xdee535f6f98ad5d5ull});
 }
 
 TEST(RecordBatch, EncodesSameBytesAsEncodeRecords) {
