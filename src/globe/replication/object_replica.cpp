@@ -268,6 +268,11 @@ HorizonCollection ObjectReplica::collect_below(
   return out;
 }
 
+std::size_t ObjectReplica::fold_below_upstream(
+    const coherence::VectorClock& clock, std::uint64_t gseq) {
+  return log_.compact_below(clock, gseq);
+}
+
 // ---------------------------------------------------------------------
 // Outputs
 // ---------------------------------------------------------------------

@@ -12,7 +12,8 @@
 //     a seed, a push, a fetch reply or an anti-entropy reply;
 //   * a state transfer (adopt, then release what its cursors unblock);
 //   * a notified frontier;
-//   * a stability horizon.
+//   * a stability horizon;
+//   * an upstream frontier, while no subscriber reads the log.
 //
 // It sends nothing, reads no clock and records nothing: every applied
 // record goes to an ApplySink, in apply order, and the StoreEngine turns
@@ -155,6 +156,16 @@ class ObjectReplica {
   /// Stability-horizon garbage collection: folds the log prefix every
   /// live replica has applied and drops tombstones the horizon covers.
   HorizonCollection collect_below(const coherence::VectorClock& clock,
+                                  std::uint64_t gseq);
+
+  /// A frontier the upstream showed it holds (an update's sender clock, a
+  /// fetch or anti-entropy reply's clock), heard while no subscriber
+  /// reads this log: folds the log prefix it covers. The upstream's
+  /// push-back is then the log's only reader, and a delta for it never
+  /// carries a record its frontier covers. A reader that appears later
+  /// bootstraps from a state transfer, or gets cutover state records.
+  /// Returns how many records were folded.
+  std::size_t fold_below_upstream(const coherence::VectorClock& clock,
                                   std::uint64_t gseq);
 
   // ---- outputs ----

@@ -1023,6 +1023,8 @@ void StoreEngine::pull_from_upstream(ObjectState& o) {
           Applier a(*this, o);
           a.finish(
               o.replica.receive(std::move(rep.records), addr_key(from), a));
+          fold_below_upstream(o, from, rep.responder_clock,
+                              rep.responder_gseq);
         });
     return;
   }
@@ -1032,10 +1034,11 @@ void StoreEngine::pull_from_upstream(ObjectState& o) {
   comm_.request_with(o.cfg.upstream, msg::MsgType::kFetchRequest,
                      o.cfg.object,
                      [&](util::Writer& w) { fetch.encode(w); },
-                     [this, &o](bool ok, const Address&,
+                     [this, &o](bool ok, const Address& from,
                                 const msg::EnvelopeView& env) {
                        if (!ok) return;
-                       apply_fetch_reply(o, FetchReply::decode_view(env.body));
+                       apply_fetch_reply(o, from,
+                                         FetchReply::decode_view(env.body));
                      });
 }
 
@@ -1056,14 +1059,15 @@ void StoreEngine::demand_fetch(ObjectState& o,
   comm_.request_with(o.cfg.upstream, msg::MsgType::kFetchRequest,
                      o.cfg.object,
                      [&](util::Writer& w) { fetch.encode(w); },
-                     [this, &o](bool ok, const Address&,
+                     [this, &o](bool ok, const Address& from,
                                 const msg::EnvelopeView& env) {
                        o.fetch_in_flight = false;
                        if (!ok) {
                          retry_demand_later(o);
                          return;
                        }
-                       apply_fetch_reply(o, FetchReply::decode_view(env.body));
+                       apply_fetch_reply(o, from,
+                                         FetchReply::decode_view(env.body));
                      },
                      sim::SimDuration::millis(250), /*retries=*/4);
 }
@@ -1084,7 +1088,8 @@ void StoreEngine::retry_demand_later(ObjectState& o) {
                       [this, &o] { demand_fetch(o); });
 }
 
-void StoreEngine::apply_fetch_reply(ObjectState& o, FetchReply::View reply) {
+void StoreEngine::apply_fetch_reply(ObjectState& o, const Address& from,
+                                    FetchReply::View reply) {
   if (reply.not_modified) return;
   if (reply.need_snapshot) {
     // Cutover deferred: ship our page summary (or floor) and receive
@@ -1100,6 +1105,7 @@ void StoreEngine::apply_fetch_reply(ObjectState& o, FetchReply::View reply) {
   Applier a(*this, o);
   a.finish(o.replica.receive(std::move(reply.records),
                              addr_key(o.cfg.upstream), a));
+  fold_below_upstream(o, from, reply.clock, reply.gseq);
   note_gaps(o);
   if (o.outdated &&
       o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand &&
@@ -1451,8 +1457,20 @@ void StoreEngine::handle_update(ObjectState& o, const Address& from,
   o.replica.hear_of(m.sender_clock, m.sender_gseq);
   Applier a(*this, o);
   a.finish(o.replica.receive(std::move(m.records), addr_key(from), a));
+  fold_below_upstream(o, from, m.sender_clock, m.sender_gseq);
   note_gaps(o);
   demand_if_outdated(o);
+}
+
+void StoreEngine::fold_below_upstream(ObjectState& o, const Address& from,
+                                      const coherence::VectorClock& clock,
+                                      std::uint64_t gseq) {
+  // The log's readers are the subscribers (fetch, anti-entropy) and the
+  // upstream (the push-back). With no subscriber, a record the upstream
+  // holds has no reader left here.
+  if (o.subscribers.empty() && from == o.cfg.upstream) {
+    o.replica.fold_below_upstream(clock, gseq);
+  }
 }
 
 void StoreEngine::apply_state_transfer(ObjectState& o,

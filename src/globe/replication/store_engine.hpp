@@ -475,7 +475,13 @@ class StoreEngine {
   /// After a failed fetch: demands again in 50 ms while the object is
   /// behind or reads are parked, within the retry budget.
   void retry_demand_later(ObjectState& o);
-  void apply_fetch_reply(ObjectState& o, FetchReply::View reply);
+  void apply_fetch_reply(ObjectState& o, const Address& from,
+                         FetchReply::View reply);
+  /// A frontier `from` sent: when it is the object's upstream and no
+  /// subscriber reads the object's log, the replica folds what it covers.
+  void fold_below_upstream(ObjectState& o, const Address& from,
+                           const coherence::VectorClock& clock,
+                           std::uint64_t gseq);
   void subscribe_to_upstream(ObjectState& o);
   bool update_policy(ObjectState& o, const core::ReplicationPolicy& policy);
 

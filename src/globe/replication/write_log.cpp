@@ -27,8 +27,9 @@ std::uint64_t pos_of(const T& entry) {
 
 /// Counts one more compacted entry in `key`'s postings, where every
 /// position below `horizon` is compacted. Erases the compacted entries
-/// once they outnumber the retained ones, and the whole list once none
-/// is retained.
+/// once they outnumber the retained ones. A list with none retained
+/// keeps its storage: a store that folds after every update appends to
+/// the same clients and pages again.
 template <typename Map>
 void retire(Map& index, const typename Map::key_type& key,
             std::uint64_t horizon) {
@@ -37,7 +38,8 @@ void retire(Map& index, const typename Map::key_type& key,
   auto& postings = it->second;
   if (++postings.stale * 2 <= postings.items.size()) return;
   if (postings.stale == postings.items.size()) {
-    index.erase(it);
+    postings.items.clear();
+    postings.stale = 0;
     return;
   }
   std::erase_if(postings.items, [horizon](const auto& entry) {

@@ -1,7 +1,13 @@
 // Indexed write log: the replication hot path's delta structure.
 //
-// Every store keeps the records it has applied, in apply (append) order.
-// Pull, demand-fetch, and anti-entropy all ask the same question: "given
+// A store keeps the records it has applied, in apply (append) order,
+// while another replica may still read them here: its subscribers
+// (fetch, anti-entropy) and its upstream (the push-back half of
+// anti-entropy). A store with no subscriber folds every record its
+// upstream has shown it holds, so a leaf cache keeps only its own
+// writes the upstream has not yet confirmed (ObjectReplica::
+// fold_held_upstream). Pull, demand-fetch, and anti-entropy all ask the
+// same question: "given
 // the requester's vector clock and total-order floor, which retained
 // records does it lack?" The original implementation answered it with a
 // full scan of the log — O(history) per request, O(history²) over a long
@@ -18,10 +24,11 @@
 // which is kept as records_since_naive() for the equivalence test.
 //
 // Compaction: old records can be folded into a base clock so the log
-// stays bounded. A requester behind the compaction horizon cannot be
-// served a delta anymore (can_serve() is false); the store then cuts
-// over to a full snapshot transfer, exactly like a Table 1 "full"
-// coherence transfer.
+// stays bounded. Three triggers fold: the count threshold, the stability
+// horizon, and, at a store with no subscriber, its upstream's frontier.
+// A requester behind the compaction horizon cannot be served a delta
+// anymore (can_serve() is false); the store then cuts over to a full
+// snapshot transfer, exactly like a Table 1 "full" coherence transfer.
 #pragma once
 
 #include <cstdint>
@@ -85,12 +92,14 @@ class WriteLog {
   /// records are retained. Costs O(dropped records), amortized.
   void compact(std::size_t keep);
 
-  /// Stability-horizon compaction: folds the append-order prefix of
-  /// records that every live replica has applied — the record's writer
-  /// entry is covered by `horizon` and, when it carries a global seq, it
-  /// is at or below `gseq_horizon`. Stops at the first uncovered record
-  /// (compaction must stay a prefix fold so the indexes keep their
-  /// position invariant). Returns how many records were dropped.
+  /// Frontier compaction: folds the append-order prefix of records that
+  /// `horizon` covers — the record's writer entry is covered and, when it
+  /// carries a global seq, it is at or below `gseq_horizon`. The
+  /// frontier is the stability horizon (every live replica has applied
+  /// the prefix) or, at a store with no subscriber, its upstream's.
+  /// Stops at the first uncovered record (compaction must stay a prefix
+  /// fold so the indexes keep their position invariant). Returns how many
+  /// records were dropped.
   std::size_t compact_below(const VectorClock& horizon,
                             std::uint64_t gseq_horizon);
 

@@ -68,9 +68,11 @@ constexpr int kLeaves = 6;
 /// Allocations per record applied at the leaf caches may not exceed
 /// this. A tree whose leaves encode a batch for the upstream their
 /// records came from, and copy each record into a list nobody reads,
-/// pays 40.4; one whose leaves only decode, apply and log pays 16.5
-/// (checked and unchecked builds alike).
-constexpr double kAllocsPerLeafRecord = 24.0;
+/// pays 40.4. One whose leaves only decode, apply and log pays 16.2;
+/// they also fold each record once their upstream's frontier covers it,
+/// and a fold that frees each emptied log index for the next record to
+/// re-create pays 20.1 (checked and unchecked builds alike).
+constexpr double kAllocsPerLeafRecord = 18.0;
 
 struct Tree {
   Testbed bed;

@@ -271,6 +271,117 @@ TEST(ObjectReplica, HorizonCollectsTheCoveredPrefixAndTombstones) {
   EXPECT_EQ(again.tombstones, 0u);
 }
 
+// A leaf cache with no subscriber: its log's one reader is the
+// push-back to its upstream, so it keeps only the records the upstream
+// has not yet shown it holds, from its oldest such accept on.
+TEST(ObjectReplica, LeafKeepsItsAcceptsUntilTheUpstreamHoldsThem) {
+  ObjectReplica upstream(config(1, true, 0, ObjectModel::kCausal));
+  ObjectReplica leaf(config(2, false, 0, ObjectModel::kCausal));
+  Logged at_upstream;
+  Logged at_leaf;
+  const auto fold = [&] {
+    return leaf.fold_below_upstream(upstream.applied_clock(),
+                                     upstream.applied_gseq());
+  };
+
+  // A record pushed down by the upstream folds as soon as it applies.
+  upstream.accept(put(kOther, 1, "a.html", "1"), at_upstream);
+  leaf.receive({at_upstream.records.back()}, kFromPrimary, at_leaf);
+  EXPECT_EQ(fold(), 1u);
+  EXPECT_TRUE(leaf.log().empty());
+
+  // The leaf's own accept stays, and so does everything logged after it.
+  leaf.accept(put(kWriter, 1, "b.html", "x"), at_leaf);
+  upstream.accept(put(kOther, 2, "a.html", "2"), at_upstream);
+  leaf.receive({at_upstream.records.back()}, kFromPrimary, at_leaf);
+  leaf.accept(put(kWriter, 2, "c.html", "y"), at_leaf);
+  EXPECT_EQ(fold(), 0u);
+  ASSERT_EQ(leaf.log().size(), 3u);
+
+  // The push-back is exactly the accepts the upstream lacks.
+  PeerRecords back =
+      leaf.records_for_peer(upstream.applied_clock(), upstream.applied_gseq());
+  EXPECT_FALSE(back.cutover);
+  ASSERT_EQ(back.records.size(), 2u);
+  EXPECT_EQ(back.records[0].wid, (coherence::WriteId{kWriter, 1}));
+  EXPECT_EQ(back.records[1].wid, (coherence::WriteId{kWriter, 2}));
+
+  // The upstream takes only the first: the prefix up to the second folds.
+  upstream.receive({back.records[0]}, kFromPeer, at_upstream);
+  EXPECT_EQ(fold(), 2u);
+  ASSERT_EQ(leaf.log().size(), 1u);
+  back =
+      leaf.records_for_peer(upstream.applied_clock(), upstream.applied_gseq());
+  EXPECT_FALSE(back.cutover);
+  ASSERT_EQ(back.records.size(), 1u);
+  EXPECT_EQ(back.records[0].wid, (coherence::WriteId{kWriter, 2}));
+
+  upstream.receive(std::move(back.records), kFromPeer, at_upstream);
+  EXPECT_EQ(fold(), 1u);
+  EXPECT_TRUE(leaf.log().empty());
+  EXPECT_EQ(leaf.document(), upstream.document());
+}
+
+// A peer that never saw what the leaf folded (an upstream it re-parented
+// onto) cannot get a delta: it gets the state as records, in writer
+// order.
+TEST(ObjectReplica, PeerMissingAFoldedRecordGetsStateRecordsInWriterOrder) {
+  ObjectReplica upstream(config(1, true, 0));
+  ObjectReplica leaf(config(2, false, 0));
+  ObjectReplica peer(config(3, false, 0));
+  Logged at_upstream;
+  upstream.accept(put(kWriter, 1, "b.html", "first"), at_upstream);
+  upstream.accept(put(kWriter, 2, "a.html", "second"), at_upstream);
+  Logged at_leaf;
+  leaf.receive(at_upstream.records, kFromPrimary, at_leaf);
+  ASSERT_EQ(leaf.fold_below_upstream(upstream.applied_clock(),
+                                     upstream.applied_gseq()),
+            2u);
+
+  PeerRecords reply =
+      leaf.records_for_peer(peer.applied_clock(), peer.applied_gseq());
+  ASSERT_TRUE(reply.cutover);
+  Logged at_peer;
+  peer.receive(std::move(reply.records), kFromPeer, at_peer);
+  EXPECT_EQ(at_peer.seqs_of(kWriter), (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(peer.document(), leaf.document());
+}
+
+// A subscriber that bootstraps from the leaf after a fold starts at the
+// leaf's applied clock, past everything folded: it is served deltas.
+TEST(ObjectReplica, SubscriberBootstrappedAfterAFoldIsServedDeltas) {
+  ObjectReplica upstream(config(1, true, 0, ObjectModel::kPram));
+  ObjectReplica leaf(config(2, false, 0, ObjectModel::kPram));
+  ObjectReplica subscriber(config(3, false, 0, ObjectModel::kPram));
+  Logged sink;
+  upstream.seed("a.html", "1", "text/html", 0, sink);
+  upstream.seed("b.html", "2", "text/html", 0, sink);
+  leaf.receive(sink.records, kFromPrimary, sink);
+  ASSERT_EQ(leaf.fold_below_upstream(upstream.applied_clock(),
+                                     upstream.applied_gseq()),
+            2u);
+  ASSERT_FALSE(leaf.log().base_clock().empty());
+
+  const util::Buffer wire = util::encoded(leaf.state_transfer());
+  ASSERT_TRUE(subscriber.adopt(StateTransfer::decode_view(util::BytesView(wire)),
+                               /*bootstrap=*/true, kFromPeer));
+  subscriber.release(kFromPeer, sink);
+
+  // The leaf now has a subscriber and folds no more.
+  upstream.seed("c.html", "3", "text/html", 0, sink);
+  leaf.receive({sink.records.back()}, kFromPrimary, sink);
+  const FetchReply fetched = leaf.answer_fetch(subscriber.fetch_request());
+  EXPECT_FALSE(fetched.need_snapshot);
+  ASSERT_EQ(fetched.records.size(), 1u);
+  EXPECT_EQ(fetched.records.front().page, "c.html");
+  const PeerRecords delta = leaf.records_for_peer(subscriber.applied_clock(),
+                                                  subscriber.applied_gseq());
+  EXPECT_FALSE(delta.cutover);
+  ASSERT_EQ(delta.records.size(), 1u);
+  subscriber.receive({fetched.records.front()}, kFromPeer, sink);
+  EXPECT_EQ(subscriber.document(), upstream.document());
+}
+
 TEST(ObjectReplica, NotifiedFrontierMarksItOutdatedUntilApplied) {
   ObjectReplica primary(config(1, true, /*threshold=*/0));
   ObjectReplica peer(config(2, false, /*threshold=*/0));

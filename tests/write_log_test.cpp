@@ -191,6 +191,64 @@ TEST(WriteLog, CompactionFoldsOldRecordsIntoBaseClock) {
   expect_identical(log, caught_up, 0, {"page1.html", "page3.html"});
 }
 
+// A store that folds after every update empties a client's and a
+// page's postings, then appends to the same client and page again. The
+// indexes must keep answering exactly as the naive scan does.
+TEST(WriteLog, PostingsFoldedToEmptyTakeAppendsAgain) {
+  WriteLog log;
+  const auto rec = [](ClientId client, std::uint64_t seq,
+                      const std::string& page) {
+    WriteRecord r;
+    r.wid = WriteId{client, seq};
+    r.page = page;
+    r.content = "v" + std::to_string(seq);
+    return r;
+  };
+  const auto check = [&log](const VectorClock& have) {
+    for (const std::vector<std::string>& pages :
+         {std::vector<std::string>{}, std::vector<std::string>{"a.html"},
+          std::vector<std::string>{"b.html", "a.html"}}) {
+      expect_identical(log, have, 0, pages);
+      expect_identical(log, VectorClock{}, 0, pages);
+    }
+  };
+
+  VectorClock upstream;
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    log.append(rec(1, seq, "a.html"));
+    check(upstream);
+  }
+  log.append(rec(2, 1, "b.html"));
+  check(upstream);
+
+  // Fold client 1 and page a.html to empty; client 2 keeps its record.
+  upstream.set(1, 3);
+  EXPECT_EQ(log.compact_below(upstream, 0), 3u);
+  ASSERT_EQ(log.size(), 1u);
+  check(upstream);
+
+  // Both emptied lists take appends again.
+  log.append(rec(1, 4, "a.html"));
+  check(upstream);
+  log.append(rec(1, 5, "b.html"));
+  check(upstream);
+  EXPECT_EQ(log.records_since(upstream, 0).size(), 3u);
+  EXPECT_EQ(log.records_since(upstream, 0, {"a.html"}).size(), 1u);
+
+  // Fold everything, then append once more.
+  upstream.set(1, 5);
+  upstream.set(2, 1);
+  EXPECT_EQ(log.compact_below(upstream, 0), 3u);
+  EXPECT_TRUE(log.empty());
+  check(upstream);
+  log.append(rec(1, 6, "a.html"));
+  check(upstream);
+  ASSERT_EQ(log.records_since(upstream, 0, {"a.html"}).size(), 1u);
+  EXPECT_EQ(log.records_since(upstream, 0).front().wid, (WriteId{1, 6}));
+  EXPECT_TRUE(log.can_serve(upstream, 0));
+  EXPECT_FALSE(log.can_serve(VectorClock{}, 0));
+}
+
 TEST(WriteLog, CompactionKeepsSequentialCatchupServable) {
   WriteLog log;
   for (std::uint64_t i = 1; i <= 50; ++i) {
