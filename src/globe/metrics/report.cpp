@@ -50,28 +50,4 @@ std::string TablePrinter::num(double v, int decimals) {
 
 std::string TablePrinter::num(std::uint64_t v) { return std::to_string(v); }
 
-std::string render_shard_stats(const std::map<ShardId, ShardStats>& shards) {
-  TablePrinter table({"shard", "ops", "reads", "writes", "bytes", "rebinds",
-                      "view_changes"});
-  ShardStats total;
-  for (const auto& [shard, s] : shards) {
-    table.add_row({std::to_string(shard), TablePrinter::num(s.ops()),
-                   TablePrinter::num(s.reads), TablePrinter::num(s.writes),
-                   TablePrinter::num(s.bytes), TablePrinter::num(s.rebinds),
-                   TablePrinter::num(s.view_changes)});
-    total.reads += s.reads;
-    total.writes += s.writes;
-    total.bytes += s.bytes;
-    total.rebinds += s.rebinds;
-    total.view_changes += s.view_changes;
-  }
-  table.add_row({"total", TablePrinter::num(total.ops()),
-                 TablePrinter::num(total.reads),
-                 TablePrinter::num(total.writes),
-                 TablePrinter::num(total.bytes),
-                 TablePrinter::num(total.rebinds),
-                 TablePrinter::num(total.view_changes)});
-  return table.render();
-}
-
 }  // namespace globe::metrics

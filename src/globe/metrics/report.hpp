@@ -4,11 +4,9 @@
 // printer produces the aligned rows they emit.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <string>
 #include <vector>
-
-#include "globe/metrics/stats.hpp"
 
 namespace globe::metrics {
 
@@ -32,12 +30,5 @@ class TablePrinter {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-/// Renders the per-shard rollup of a multi-object run (MetricsSink::
-/// shard_stats) as one table row per shard plus a total row: enough to
-/// see hot/cold skew, which shard's clients rebound, and which subgroup
-/// views churned.
-[[nodiscard]] std::string render_shard_stats(
-    const std::map<ShardId, ShardStats>& shards);
 
 }  // namespace globe::metrics
