@@ -482,13 +482,10 @@ class LoopbackRig {
       std::unique_ptr<net::Transport>)>;
 
   LoopbackRig(int subscribers, net::WindowedMulticast* window,
-              const Wrap& wrap_primary = {},
-              std::size_t primary_paused_rounds_limit =
-                  StoreConfig{}.flow_paused_rounds_limit) {
+              const Wrap& wrap_primary = {}) {
     StoreConfig cfg;
     cfg.is_primary = true;
     cfg.flow = window;
-    cfg.flow_paused_rounds_limit = primary_paused_rounds_limit;
     ObjectConfig oc;  // PRAM push immediate partial: no timers
     oc.object = kObj;
     add(cfg, oc, window, wrap_primary);
@@ -613,20 +610,22 @@ Json window_fault(int subscribers, int writes, Section& s) {
   net::WindowedMulticast window(wopts);
   auto dropping = std::make_shared<std::atomic<bool>>(false);
   const net::Address victim{1, 1};  // the first subscriber
-  // This leg measures pause -> park -> resume recovery, so the victim's
-  // parked batches must outlive the burst: the primary never gives up on
-  // a paused peer.
-  LoopbackRig rig(
-      subscribers, &window,
-      [victim, dropping](std::unique_ptr<net::Transport> t) {
-        return std::make_unique<DropToPeerTransport>(std::move(t), victim,
-                                                     dropping);
-      },
-      /*primary_paused_rounds_limit=*/0);
+  LoopbackRig rig(subscribers, &window,
+                  [victim, dropping](std::unique_ptr<net::Transport> t) {
+                    return std::make_unique<DropToPeerTransport>(
+                        std::move(t), victim, dropping);
+                  });
   dropping->store(true);
   // Healthy peers' acks return credit mid-burst; the victim's never do,
   // so it stays paused and its batches stay parked through the flush.
-  rig.burst(writes, 'f', 8);
+  // This leg measures pause -> park -> resume recovery, so the victim's
+  // parked batches must outlive the burst: one write is one propagation
+  // round, and the burst stays under the rounds after which the primary
+  // drops a paused peer.
+  const int burst =
+      std::min(writes,
+               static_cast<int>(replication::kFlowPausedRoundsLimit) * 3 / 4);
+  rig.burst(burst, 'f', 8);
   rig.flush(8);
   const net::Address primary = rig.primary().address();
   const bool paused =

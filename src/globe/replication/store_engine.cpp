@@ -969,9 +969,8 @@ StoreEngine::FlowDisposition StoreEngine::flow_disposition(
       queued == o.lazy_queues.end() ? 0 : queued->second.size();
   GLOBE_CHECK_HOOK(on_parked_batches(&o, config_.store_id, key, depth,
                                      kFlowPausedBatchesLimit));
-  const bool hopeless = (config_.flow_paused_rounds_limit != 0 &&
-                         rounds > config_.flow_paused_rounds_limit) ||
-                        depth >= kFlowPausedBatchesLimit;
+  const bool hopeless =
+      rounds > kFlowPausedRoundsLimit || depth >= kFlowPausedBatchesLimit;
   if (hopeless) {
     drop_flow_peer(key);
     if (metrics_ != nullptr) metrics_->record_flow_eviction();

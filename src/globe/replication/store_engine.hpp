@@ -133,18 +133,15 @@ struct StoreConfig {
   /// the engine polls it before every propagation round: updates for
   /// paused subscribers park in the lazy queues instead of flooding the
   /// transport, resume flushes them, and a subscriber that stays paused
-  /// past either deadline (flow_paused_rounds_limit below,
+  /// past either deadline (kFlowPausedRoundsLimit,
   /// kFlowPausedBatchesLimit) is dropped (a live peer re-subscribes and
   /// resyncs via the normal state-transfer path).
   net::FlowControl* flow = nullptr;
-  /// Consecutive propagation rounds a subscriber may stay paused before
-  /// it is dropped. 0 = never drop.
-  std::size_t flow_paused_rounds_limit = 64;
 };
 
-/// Batches parked for one paused subscriber before it is dropped. This
-/// bounds a paused peer's queue even when
-/// StoreConfig::flow_paused_rounds_limit is 0.
+/// Propagation rounds a subscriber may stay paused before it is dropped.
+inline constexpr std::size_t kFlowPausedRoundsLimit = 64;
+/// Batches parked for one paused subscriber before it is dropped.
 inline constexpr std::size_t kFlowPausedBatchesLimit = 4096;
 
 class StoreEngine {
