@@ -4,10 +4,11 @@
 // while another replica may still read them here: its subscribers
 // (fetch, anti-entropy) and its upstream (the push-back half of
 // anti-entropy). A store with no subscriber folds every record its
-// upstream has shown it holds, so a leaf cache keeps only its own
-// writes the upstream has not yet confirmed (ObjectReplica::
-// fold_held_upstream). Pull, demand-fetch, and anti-entropy all ask the
-// same question: "given
+// upstream has shown it holds, so a leaf cache keeps only the suffix
+// that starts at its oldest write the upstream has not yet confirmed
+// (ObjectReplica::fold_below_upstream).
+//
+// Pull, demand-fetch, and anti-entropy all ask the same question: "given
 // the requester's vector clock and total-order floor, which retained
 // records does it lack?" The original implementation answered it with a
 // full scan of the log — O(history) per request, O(history²) over a long
