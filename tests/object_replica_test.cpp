@@ -271,55 +271,75 @@ TEST(ObjectReplica, HorizonCollectsTheCoveredPrefixAndTombstones) {
   EXPECT_EQ(again.tombstones, 0u);
 }
 
-// A leaf cache with no subscriber: its log's one reader is the
-// push-back to its upstream, so it keeps only the records the upstream
-// has not yet shown it holds, from its oldest such accept on.
-TEST(ObjectReplica, LeafKeepsItsAcceptsUntilTheUpstreamHoldsThem) {
-  ObjectReplica upstream(config(1, true, 0, ObjectModel::kCausal));
-  ObjectReplica leaf(config(2, false, 0, ObjectModel::kCausal));
+// A leaf cache under its upstream, with no subscriber: its log's one
+// reader is the push-back to the upstream.
+struct LeafUnderUpstream {
+  ObjectReplica upstream{config(1, true, 0, ObjectModel::kCausal)};
+  ObjectReplica leaf{config(2, false, 0, ObjectModel::kCausal)};
   Logged at_upstream;
   Logged at_leaf;
-  const auto fold = [&] {
+
+  // The upstream accepts a write and pushes it down.
+  void push_down(const web::WriteRecord& rec) {
+    upstream.accept(rec, at_upstream);
+    leaf.receive({at_upstream.records.back()}, kFromPrimary, at_leaf);
+  }
+  std::size_t fold() {
     return leaf.fold_below_upstream(upstream.applied_clock(),
-                                     upstream.applied_gseq());
-  };
+                                    upstream.applied_gseq());
+  }
+  PeerRecords push_back() const {
+    return leaf.records_for_peer(upstream.applied_clock(),
+                                 upstream.applied_gseq());
+  }
+};
 
-  // A record pushed down by the upstream folds as soon as it applies.
-  upstream.accept(put(kOther, 1, "a.html", "1"), at_upstream);
-  leaf.receive({at_upstream.records.back()}, kFromPrimary, at_leaf);
-  EXPECT_EQ(fold(), 1u);
-  EXPECT_TRUE(leaf.log().empty());
+// The leaf keeps its own accept, and everything logged after it, until
+// an upstream frontier covers it; what the upstream pushed down folds as
+// soon as it applies.
+TEST(ObjectReplica, LeafKeepsItsAcceptUntilAnUpstreamFrontierCoversIt) {
+  LeafUnderUpstream t;
+  t.push_down(put(kOther, 1, "a.html", "1"));
+  EXPECT_EQ(t.fold(), 1u);
+  EXPECT_TRUE(t.leaf.log().empty());
 
-  // The leaf's own accept stays, and so does everything logged after it.
-  leaf.accept(put(kWriter, 1, "b.html", "x"), at_leaf);
-  upstream.accept(put(kOther, 2, "a.html", "2"), at_upstream);
-  leaf.receive({at_upstream.records.back()}, kFromPrimary, at_leaf);
-  leaf.accept(put(kWriter, 2, "c.html", "y"), at_leaf);
-  EXPECT_EQ(fold(), 0u);
-  ASSERT_EQ(leaf.log().size(), 3u);
+  t.leaf.accept(put(kWriter, 1, "b.html", "x"), t.at_leaf);
+  t.push_down(put(kOther, 2, "a.html", "2"));
+  EXPECT_EQ(t.fold(), 0u);
+  ASSERT_EQ(t.leaf.log().size(), 2u);
+  EXPECT_EQ(t.leaf.log().retained().front().wid,
+            (coherence::WriteId{kWriter, 1}));
 
-  // The push-back is exactly the accepts the upstream lacks.
-  PeerRecords back =
-      leaf.records_for_peer(upstream.applied_clock(), upstream.applied_gseq());
+  t.upstream.receive(t.push_back().records, kFromPeer, t.at_upstream);
+  EXPECT_EQ(t.fold(), 2u);
+  EXPECT_TRUE(t.leaf.log().empty());
+  EXPECT_EQ(t.leaf.document(), t.upstream.document());
+}
+
+// The push-back to the upstream is a delta of exactly the accepts its
+// frontier does not cover, however many the leaf has folded.
+TEST(ObjectReplica, LeafPushBackIsExactlyItsUnconfirmedAccepts) {
+  LeafUnderUpstream t;
+  t.push_down(put(kOther, 1, "a.html", "1"));
+  t.leaf.accept(put(kWriter, 1, "b.html", "x"), t.at_leaf);
+  t.push_down(put(kOther, 2, "a.html", "2"));
+  t.leaf.accept(put(kWriter, 2, "c.html", "y"), t.at_leaf);
+  EXPECT_EQ(t.fold(), 1u);
+
+  PeerRecords back = t.push_back();
   EXPECT_FALSE(back.cutover);
   ASSERT_EQ(back.records.size(), 2u);
   EXPECT_EQ(back.records[0].wid, (coherence::WriteId{kWriter, 1}));
   EXPECT_EQ(back.records[1].wid, (coherence::WriteId{kWriter, 2}));
 
-  // The upstream takes only the first: the prefix up to the second folds.
-  upstream.receive({back.records[0]}, kFromPeer, at_upstream);
-  EXPECT_EQ(fold(), 2u);
-  ASSERT_EQ(leaf.log().size(), 1u);
-  back =
-      leaf.records_for_peer(upstream.applied_clock(), upstream.applied_gseq());
+  // The upstream takes only the first: the prefix up to the second folds,
+  // and the next push-back is the second alone.
+  t.upstream.receive({back.records[0]}, kFromPeer, t.at_upstream);
+  EXPECT_EQ(t.fold(), 2u);
+  back = t.push_back();
   EXPECT_FALSE(back.cutover);
   ASSERT_EQ(back.records.size(), 1u);
   EXPECT_EQ(back.records[0].wid, (coherence::WriteId{kWriter, 2}));
-
-  upstream.receive(std::move(back.records), kFromPeer, at_upstream);
-  EXPECT_EQ(fold(), 1u);
-  EXPECT_TRUE(leaf.log().empty());
-  EXPECT_EQ(leaf.document(), upstream.document());
 }
 
 // A peer that never saw what the leaf folded (an upstream it re-parented
