@@ -68,10 +68,11 @@ constexpr int kLeaves = 6;
 /// Allocations per record applied at the leaf caches may not exceed
 /// this. A tree whose leaves encode a batch for the upstream their
 /// records came from, and copy each record into a list nobody reads,
-/// pays 40.4. One whose leaves only decode, apply and log pays 16.2;
-/// they also fold each record once their upstream's frontier covers it,
-/// and a fold that frees each emptied log index for the next record to
-/// re-create pays 20.1 (checked and unchecked builds alike).
+/// pays 40.4; one whose leaves only decode, apply and log pays 16.2.
+/// Leaves also fold each record once their upstream's frontier covers
+/// it: 16.1 when an emptied log index keeps its storage (checked and
+/// unchecked builds alike), 20.1 when the fold frees it and the next
+/// record re-creates it.
 constexpr double kAllocsPerLeafRecord = 18.0;
 
 struct Tree {
