@@ -13,7 +13,8 @@
 //   * a state transfer (adopt, then release what its cursors unblock);
 //   * a notified frontier;
 //   * a stability horizon;
-//   * an upstream frontier, while no subscriber reads the log.
+//   * an upstream frontier, while no subscriber reads the log and the
+//     upstream cannot change.
 //
 // It sends nothing, reads no clock and records nothing: every applied
 // record goes to an ApplySink, in apply order, and the StoreEngine turns
@@ -160,11 +161,11 @@ class ObjectReplica {
 
   /// A frontier the upstream showed it holds (an update's sender clock, a
   /// fetch or anti-entropy reply's clock), heard while no subscriber
-  /// reads this log: folds the log prefix it covers. The upstream's
-  /// push-back is then the log's only reader, and a delta for it never
-  /// carries a record its frontier covers. A reader that appears later
-  /// bootstraps from a state transfer, or gets cutover state records.
-  /// Returns how many records were folded.
+  /// reads this log and while the upstream cannot change: folds the log
+  /// prefix it covers. A delta for that upstream never carries a record
+  /// its frontier covers. A reader that appears later bootstraps from a
+  /// state transfer, or gets cutover state records. Returns how many
+  /// records were folded.
   std::size_t fold_below_upstream(const coherence::VectorClock& clock,
                                   std::uint64_t gseq);
 

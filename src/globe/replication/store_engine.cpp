@@ -1465,9 +1465,13 @@ void StoreEngine::fold_below_upstream(ObjectState& o, const Address& from,
                                       const coherence::VectorClock& clock,
                                       std::uint64_t gseq) {
   // The log's readers are the subscribers (fetch, anti-entropy) and the
-  // upstream (the push-back). With no subscriber, a record the upstream
-  // holds has no reader left here.
-  if (o.subscribers.empty() && from == o.cfg.upstream) {
+  // upstream (the push-back). With no subscriber at this moment, a record
+  // the upstream holds has no reader left here. Under membership the
+  // upstream can change (apply_view re-parents), and a new upstream may
+  // lack what the old one held without passing on: such a store folds
+  // on the stability horizon only.
+  if (!config_.membership.valid() && o.subscribers.empty() &&
+      from == o.cfg.upstream) {
     o.replica.fold_below_upstream(clock, gseq);
   }
 }

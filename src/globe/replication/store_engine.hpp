@@ -474,8 +474,10 @@ class StoreEngine {
   void retry_demand_later(ObjectState& o);
   void apply_fetch_reply(ObjectState& o, const Address& from,
                          FetchReply::View reply);
-  /// A frontier `from` sent: when it is the object's upstream and no
-  /// subscriber reads the object's log, the replica folds what it covers.
+  /// A frontier `from` sent: when it is the object's upstream, no
+  /// subscriber reads the object's log and the store runs without
+  /// membership (its upstream never changes), the replica folds what it
+  /// covers.
   void fold_below_upstream(ObjectState& o, const Address& from,
                            const coherence::VectorClock& clock,
                            std::uint64_t gseq);

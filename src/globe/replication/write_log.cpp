@@ -28,16 +28,22 @@ std::uint64_t pos_of(const T& entry) {
 /// Counts one more compacted entry in `key`'s postings, where every
 /// position below `horizon` is compacted. Erases the compacted entries
 /// once they outnumber the retained ones. A list with none retained
-/// keeps its storage: a store that folds after every update appends to
-/// the same clients and pages again.
+/// keeps its storage, since a store that folds after every update
+/// appends to the same clients and pages again, unless `gone` (its last
+/// record deleted the page). Kept lists stay bounded: one per writer,
+/// which the base clock names anyway, and one per page not deleted.
 template <typename Map>
 void retire(Map& index, const typename Map::key_type& key,
-            std::uint64_t horizon) {
+            std::uint64_t horizon, bool gone = false) {
   auto it = index.find(key);
   GLOBE_DCHECK_MSG(it != index.end(), "compacted record was never indexed");
   auto& postings = it->second;
   if (++postings.stale * 2 <= postings.items.size()) return;
   if (postings.stale == postings.items.size()) {
+    if (gone) {
+      index.erase(it);
+      return;
+    }
     postings.items.clear();
     postings.stale = 0;
     return;
@@ -192,7 +198,8 @@ void WriteLog::compact(std::size_t keep) {
     }
     ++first_pos_;
     retire(by_client_, rec.wid.client, first_pos_);
-    retire(by_page_, rec.page, first_pos_);
+    retire(by_page_, rec.page, first_pos_,
+           rec.op == web::WriteOp::kDelete);
     rec = {};  // free the payload now; the slot goes with the prefix
     ++head_;
   }

@@ -104,6 +104,9 @@ class WriteLog {
   std::size_t compact_below(const VectorClock& horizon,
                             std::uint64_t gseq_horizon);
 
+  /// Pages holding an index list, emptied ones included (tests).
+  [[nodiscard]] std::size_t indexed_pages() const { return by_page_.size(); }
+
   /// Approximate payload bytes of the retained records (page, content
   /// and mime strings plus a fixed per-record overhead), for gauges.
   [[nodiscard]] std::size_t retained_bytes() const { return retained_bytes_; }

@@ -148,5 +148,57 @@ TEST(LeafLog, ACacheBelowAFoldedLeafBootstrapsAndConverges) {
   EXPECT_EQ(t.bed.metrics().snapshot_cutovers(), 0u);
 }
 
+// Under membership a leaf re-parents when its upstream leaves the view,
+// and its push-back then goes to a store the old upstream may never have
+// passed the leaf's writes to. Here the mirror holds two writes to one
+// page but cannot reach the primary, and then leaves for good. The leaf
+// must still deliver both writes to the primary: state records would
+// carry only the page's last write, and the primary's clock would never
+// cover the one it overwrote.
+TEST(LeafLog, AReparentedLeafDeliversWritesItsOldUpstreamNeverPassedOn) {
+  TestbedOptions opts;
+  opts.enable_membership = true;
+  opts.membership_heartbeat = sim::SimDuration::millis(50);
+  opts.failure_timeout = sim::SimDuration::millis(200);
+  opts.wan.base_latency = sim::SimDuration::millis(5);
+  Testbed bed(opts);
+  StoreEngine& primary = bed.add_primary(kObj, causal_push());
+  StoreEngine& mirror = bed.add_store(
+      kObj, naming::StoreClass::kObjectInitiated, causal_push());
+  bed.settle();
+  StoreEngine& leaf = bed.add_store(
+      kObj, naming::StoreClass::kClientInitiated, causal_push(),
+      mirror.address());
+  bed.settle();
+  bed.run_for(sim::SimDuration::millis(100));
+  ClientBinding& first = bed.add_client(kObj, coherence::ClientModel::kNone,
+                                        leaf.address(), leaf.address());
+  ClientBinding& second = bed.add_client(
+      kObj, coherence::ClientModel::kNone, leaf.address(), leaf.address());
+  ClientBinding& at_mirror = bed.add_client(
+      kObj, coherence::ClientModel::kNone, mirror.address(), mirror.address());
+
+  bed.net().partition(mirror.address().node, primary.address().node);
+  first.write("page.html", "first", [](WriteResult) {});
+  bed.run_for(sim::SimDuration::millis(50));
+  second.write("page.html", "second", [](WriteResult) {});
+  bed.run_for(sim::SimDuration::millis(50));
+  // The mirror's update carries a frontier that covers both writes.
+  at_mirror.write("other.html", "mirror", [](WriteResult) {});
+  bed.run_for(sim::SimDuration::millis(50));
+  ASSERT_EQ(leaf.document(), mirror.document());
+  ASSERT_EQ(primary.applied_clock().get(first.id()), 0u);
+
+  bed.crash_store(1);  // the mirror, for good
+  bed.run_for(sim::SimDuration::millis(800));
+  ASSERT_EQ(leaf.object_config().upstream, primary.address());
+  bed.settle();
+
+  EXPECT_EQ(primary.document(), leaf.document());
+  EXPECT_EQ(primary.applied_clock().get(first.id()), 1u);
+  EXPECT_EQ(primary.applied_clock().get(second.id()), 1u);
+  EXPECT_FALSE(primary.outdated());
+}
+
 }  // namespace
 }  // namespace globe::replication

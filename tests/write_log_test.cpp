@@ -249,6 +249,57 @@ TEST(WriteLog, PostingsFoldedToEmptyTakeAppendsAgain) {
   EXPECT_FALSE(log.can_serve(VectorClock{}, 0));
 }
 
+// A folded-to-empty list stays for the next append, except a deleted
+// page's: the index then holds a list per page still in the document, not
+// one per page name ever written.
+TEST(WriteLog, FoldingAPagesDeleteFreesItsPostings) {
+  WriteLog log;
+  std::uint64_t seq = 0;
+  const auto append = [&](const std::string& page, web::WriteOp op) {
+    WriteRecord r;
+    r.wid = WriteId{1, ++seq};
+    r.page = page;
+    r.op = op;
+    if (op == web::WriteOp::kPut) r.content = "v" + std::to_string(seq);
+    log.append(std::move(r));
+  };
+  const auto fold_all = [&] {
+    VectorClock all;
+    all.set(1, seq);
+    log.compact_below(all, 0);
+  };
+
+  for (int i = 0; i < 50; ++i) {
+    append("p" + std::to_string(i) + ".html", web::WriteOp::kPut);
+  }
+  for (int i = 0; i < 50; ++i) {
+    append("p" + std::to_string(i) + ".html", web::WriteOp::kDelete);
+  }
+  append("kept.html", web::WriteOp::kPut);
+  EXPECT_EQ(log.indexed_pages(), 51u);
+  fold_all();
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(log.indexed_pages(), 1u);
+
+  // Deleted and re-created before the fold: the page is still there.
+  append("kept.html", web::WriteOp::kDelete);
+  append("kept.html", web::WriteOp::kPut);
+  fold_all();
+  EXPECT_EQ(log.indexed_pages(), 1u);
+
+  // A freed page's name takes appends again.
+  append("p0.html", web::WriteOp::kPut);
+  append("kept.html", web::WriteOp::kDelete);
+  EXPECT_EQ(log.indexed_pages(), 2u);
+  for (const std::vector<std::string>& pages :
+       {std::vector<std::string>{}, std::vector<std::string>{"p0.html"},
+        std::vector<std::string>{"kept.html", "p0.html"}}) {
+    expect_identical(log, VectorClock{}, 0, pages);
+  }
+  fold_all();
+  EXPECT_EQ(log.indexed_pages(), 1u);
+}
+
 TEST(WriteLog, CompactionKeepsSequentialCatchupServable) {
   WriteLog log;
   for (std::uint64_t i = 1; i <= 50; ++i) {
