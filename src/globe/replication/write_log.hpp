@@ -3,10 +3,11 @@
 // A store keeps the records it has applied, in apply (append) order,
 // while another replica may still read them here: its subscribers
 // (fetch, anti-entropy) and its upstream (the push-back half of
-// anti-entropy). A store with no subscriber folds every record its
-// upstream has shown it holds, so a leaf cache keeps only the suffix
-// that starts at its oldest write the upstream has not yet confirmed
-// (ObjectReplica::fold_below_upstream).
+// anti-entropy). A store that runs without membership, so that its
+// upstream never changes, folds every record its upstream has shown it
+// holds while no subscriber reads the log: a leaf cache keeps only the
+// suffix that starts at its oldest write the upstream has not yet
+// confirmed (ObjectReplica::fold_below_upstream).
 //
 // Pull, demand-fetch, and anti-entropy all ask the same question: "given
 // the requester's vector clock and total-order floor, which retained
@@ -26,7 +27,8 @@
 //
 // Compaction: old records can be folded into a base clock so the log
 // stays bounded. Three triggers fold: the count threshold, the stability
-// horizon, and, at a store with no subscriber, its upstream's frontier.
+// horizon, and, at a store without membership and with no subscriber,
+// its upstream's frontier.
 // A requester behind the compaction horizon cannot be served a delta
 // anymore (can_serve() is false); the store then cuts over to a full
 // snapshot transfer, exactly like a Table 1 "full" coherence transfer.
@@ -97,7 +99,8 @@ class WriteLog {
   /// `horizon` covers — the record's writer entry is covered and, when it
   /// carries a global seq, it is at or below `gseq_horizon`. The
   /// frontier is the stability horizon (every live replica has applied
-  /// the prefix) or, at a store with no subscriber, its upstream's.
+  /// the prefix) or, at a store without membership and with no
+  /// subscriber, its upstream's.
   /// Stops at the first uncovered record (compaction must stay a prefix
   /// fold so the indexes keep their position invariant). Returns how many
   /// records were dropped.

@@ -1,11 +1,11 @@
 // What a leaf cache keeps in its write log, end to end. A store's log
 // answers the replicas that read it: its subscribers (fetch and
 // anti-entropy) and its upstream (the push-back half of anti-entropy). A
-// leaf has no subscriber, so a record its upstream has shown it holds has
-// no reader left there, and the leaf folds it. The tree is the causal
-// push tree the fanout benchmark deploys, cut down to a primary, two
-// mirrors and six leaf caches, with writers at the leaves and at the
-// primary.
+// leaf has no subscriber, so without membership, where its upstream never
+// changes, a record the upstream has shown it holds has no reader left
+// there, and the leaf folds it. The tree is the causal push tree the
+// fanout benchmark deploys, cut down to a primary, two mirrors and six
+// leaf caches, with writers at the leaves and at the primary.
 #include <gtest/gtest.h>
 
 #include <string>
