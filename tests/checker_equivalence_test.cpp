@@ -190,6 +190,55 @@ TEST(CheckerEquivalence, SnapshotBaselines) {
   expect_checker_equivalence(h);
 }
 
+// -- One write, four ways into a store ----------------------------------
+
+/// A causal run with writes-follow-reads sessions. Client 5 reads w(1,1)
+/// and writes w(5,1) with deps {1:1}. That write reaches store 0 and
+/// store 1 by push (store 1 ahead of its dependency), store 2 as a
+/// cutover state record, which carries no deps, and store 3 after a
+/// snapshot that covers its dependency. Store 0 later adopts a second
+/// snapshot, with a different clock, and applies w(1,3) on top of it.
+/// Every apply must be judged with the clock it was recorded with.
+TEST(CheckerEquivalence, OneWriteFourWaysKeepsEachRecordedClock) {
+  History h;
+  const PageId p = h.intern("p");
+  VectorClock dep;
+  dep.set(1, 1);
+  VectorClock later = dep;
+  later.set(1, 2);
+  later.set(5, 1);
+  const auto snapshot = [](StoreId store, VectorClock clock) {
+    ApplyEvent s;
+    s.store = store;
+    s.deps = std::move(clock);
+    s.from_snapshot = true;
+    return s;
+  };
+  h.record_write(client_write(1, 1, {1, 1}, p));
+  h.record_read(client_read(5, 1, p, dep));
+  h.record_write(client_write(5, 2, {5, 1}, p, dep));
+  h.record_apply(apply(0, {1, 1}, p));
+  h.record_apply(apply(0, {5, 1}, p, 0, dep));
+  h.record_apply(apply(1, {5, 1}, p, 0, dep));  // ahead of w(1,1)
+  h.record_apply(apply(1, {1, 1}, p));
+  h.record_apply(apply(2, {5, 1}, p));  // state record: no deps
+  h.record_apply(snapshot(3, dep));
+  h.record_apply(apply(3, {5, 1}, p, 0, dep));
+  h.record_apply(snapshot(0, later));
+  h.record_apply(apply(0, {1, 3}, p, 0, later));
+
+  const std::string missed =
+      " store 1 applied w(5,1) with deps {1:1} before those dependencies "
+      "were applied (applied={})";
+  EXPECT_EQ(check_causal(h).violations,
+            std::vector<std::string>{"causal:" + missed});
+  EXPECT_EQ(check_causal(h).events_checked, 9u);
+  EXPECT_EQ(check_writes_follow_reads(h, 5).violations,
+            std::vector<std::string>{"WFR:" + missed});
+  EXPECT_TRUE(check_pram(h).ok) << check_pram(h).summary();
+  expect_checker_equivalence(h);
+}
+
 // -- Randomized event soup ---------------------------------------------
 
 TEST(CheckerEquivalence, RandomizedHistories) {

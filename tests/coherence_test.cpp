@@ -469,6 +469,53 @@ TEST(HistoryTest, InternedPageNamesRoundTrip) {
   EXPECT_EQ(h.page_name(999), "#999");  // unknown ids still render
 }
 
+TEST(HistoryTest, ClearedHistoryRecordsAndJudgesLikeAFreshOne) {
+  VectorClock a;
+  a.set(1, 1);
+  VectorClock b = a;
+  b.set(2, 1);
+  // Records w(2,1) with deps `a` at two stores, and at a third after a
+  // snapshot with clock `b`: clocks first seen in the opposite order to
+  // the dirtying below.
+  const auto script = [&](History& h) {
+    const PageId p = h.intern("p");
+    h.record_write(WriteEvent{{}, 1, 1, 0, WriteId{1, 1}, p, {}, 0});
+    h.record_write(WriteEvent{{}, 1, 2, 0, WriteId{2, 1}, p, a, 0});
+    for (StoreId s : {0u, 1u}) {
+      h.record_apply(ApplyEvent{{}, s, WriteId{2, 1}, p, a, 0});
+      h.record_apply(ApplyEvent{{}, s, WriteId{1, 1}, p, {}, 0});
+    }
+    h.record_apply(ApplyEvent{{}, 2, {}, kNoPage, b, 0, true});
+    h.record_apply(ApplyEvent{{}, 2, WriteId{2, 1}, p, a, 0});
+  };
+  History fresh;
+  script(fresh);
+
+  History reused;
+  const PageId junk = reused.intern("junk");
+  reused.record_write(WriteEvent{{}, 1, 3, 0, WriteId{3, 1}, junk, b, 0});
+  reused.record_apply(ApplyEvent{{}, 4, WriteId{3, 1}, junk, b, 0});
+  reused.record_apply(ApplyEvent{{}, 4, {}, kNoPage, a, 0, true});
+  reused.clear();
+  EXPECT_EQ(reused.size(), 0u);
+  EXPECT_EQ(reused.pages_interned(), 1u);
+  script(reused);
+
+  EXPECT_EQ(reused.size(), fresh.size());
+  EXPECT_EQ(reused.page_name(1), "p");
+  for (ObjectModel m :
+       {ObjectModel::kSequential, ObjectModel::kPram, ObjectModel::kFifoPram,
+        ObjectModel::kCausal, ObjectModel::kEventual}) {
+    EXPECT_EQ(check_object_model(reused, m), check_object_model(fresh, m))
+        << to_string(m);
+  }
+  const std::vector<SessionSpec> specs = {
+      {1, ClientModel::kWritesFollowReads | ClientModel::kMonotonicWrites},
+      {2, ClientModel::kWritesFollowReads | ClientModel::kMonotonicWrites}};
+  EXPECT_EQ(check_sessions(reused, specs), check_sessions(fresh, specs));
+  EXPECT_FALSE(check_causal(reused).ok);  // w(2,1) ahead of w(1,1)
+}
+
 TEST(HistoryTest, StoresAndClientsEnumerated) {
   History h;
   h.record_apply(ApplyEvent{{}, 3, WriteId{1, 1}, h.intern("p"), {}, 0});

@@ -250,6 +250,53 @@ TEST(StreamingChecker, SnapshotBaselines) {
       {});
 }
 
+// -- Retention off ---------------------------------------------------------
+
+// The bounded-memory mode tees each event to the checker and keeps
+// nothing. Its live verdicts must equal the replay of a History that
+// retained the same events: one write reaching stores by push with its
+// deps, as a deps-less state record, and after snapshots whose clocks
+// differ.
+TEST(StreamingChecker, RetentionOffJudgesLikeTheReplay) {
+  const auto script = [](History& h) {
+    const PageId p = h.intern("p");
+    VectorClock dep;
+    dep.set(1, 1);
+    VectorClock later = dep;
+    later.set(1, 2);
+    ApplyEvent snap;
+    snap.store = 2;
+    snap.deps = dep;
+    snap.from_snapshot = true;
+    h.record_write(client_write(1, 1, {1, 1}, p));
+    h.record_read(client_read(5, 1, p, dep));
+    h.record_write(client_write(5, 2, {5, 1}, p, dep));
+    h.record_apply(apply(0, {5, 1}, p, 0, dep));  // ahead of w(1,1)
+    h.record_apply(apply(0, {1, 1}, p));
+    h.record_apply(apply(1, {5, 1}, p));  // state record: no deps
+    h.record_apply(snap);
+    h.record_apply(apply(2, {5, 1}, p, 0, dep));
+    snap.store = 1;
+    snap.deps = later;
+    h.record_apply(snap);
+    h.record_apply(apply(1, {1, 3}, p, 0, later));
+  };
+  for (ObjectModel m : kAllObjectModels) {
+    History kept;
+    script(kept);
+    History live;
+    live.set_retain_events(false);
+    StreamingChecker sc(m);
+    sc.add_session({1, kAllSessions});
+    sc.add_session({5, kAllSessions});
+    live.attach_streaming(&sc);
+    script(live);
+    EXPECT_EQ(live.size(), 0u);
+    EXPECT_TRUE(sc.exact()) << to_string(m);
+    expect_verdicts_equal(sc, kept);
+  }
+}
+
 // -- Eager detection at the violating event ----------------------------
 
 TEST(StreamingChecker, CatchesRywAtTheViolatingRead) {
