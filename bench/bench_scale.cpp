@@ -706,8 +706,9 @@ Section multicast_window(bool smoke) {
 // ---- Wide trees: history, churn, soak, snapshot_delta ---------------
 
 /// Replays `src` into `dst` in chronological order (3-way merge on the
-/// event timestamps), re-interning page names — exactly the recording
-/// work the testbed run performed, isolated from the simulator.
+/// event timestamps), re-interning page names and apply clocks — exactly
+/// the recording work the testbed run performed, isolated from the
+/// simulator.
 double replay_history(const coherence::History& src,
                       coherence::History& dst) {
   const auto& ws = src.writes();
@@ -733,7 +734,7 @@ double replay_history(const coherence::History& src,
     } else {
       coherence::ApplyEvent e = as[ai++];
       e.page = dst.intern(src.page_name(e.page));
-      dst.record_apply(std::move(e));
+      dst.record_apply(e, src.clock(e.deps));
     }
   }
   return seconds_since(start);

@@ -60,7 +60,7 @@ void replay(const History& h, StreamingChecker& sc) {
       sc.record_read(*op.read);
     }
   }
-  for (const ApplyEvent& a : h.applies()) sc.record_apply(a);
+  for (const ApplyEvent& a : h.applies()) sc.record_apply(a, h.clock(a.deps));
 }
 
 }  // namespace

@@ -4,6 +4,23 @@
 
 namespace globe::coherence {
 
+namespace {
+
+// hash_combine over the sorted (client, seq) entries.
+std::size_t hash_of(const VectorClock& clock) {
+  std::size_t h = clock.size();
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  };
+  for (const auto& [client, seq] : clock.entries()) {
+    mix(client);
+    mix(seq);
+  }
+  return h;
+}
+
+}  // namespace
+
 PageId History::intern(std::string_view name) {
   if (name.empty()) return kNoPage;
   auto it = page_ids_.find(name);
@@ -46,9 +63,24 @@ void History::record_read(ReadEvent e) {
   if (retain_events_) reads_.push_back(std::move(e));
 }
 
-void History::record_apply(ApplyEvent e) {
-  if (streaming_ != nullptr) streaming_->record_apply(e);
-  if (retain_events_) applies_.push_back(std::move(e));
+void History::record_apply(ApplyEvent e, const VectorClock& deps) {
+  if (streaming_ != nullptr) streaming_->record_apply(e, deps);
+  if (!retain_events_) return;
+  e.deps = intern_clock(deps);
+  applies_.push_back(e);
+}
+
+ClockId History::intern_clock(const VectorClock& clock) {
+  if (clock.empty()) return kEmptyClock;
+  const std::size_t h = hash_of(clock);
+  const auto [first, last] = clock_ids_.equal_range(h);
+  for (auto it = first; it != last; ++it) {
+    if (clocks_[it->second] == clock) return it->second;
+  }
+  const auto id = static_cast<ClockId>(clocks_.size());
+  clocks_.push_back(clock);
+  clock_ids_.emplace(h, id);
+  return id;
 }
 
 void History::clear() {
@@ -57,6 +89,8 @@ void History::clear() {
   applies_.clear();
   page_ids_.clear();
   page_names_.assign(1, std::string());
+  clocks_.assign(1, VectorClock());
+  clock_ids_.clear();
   // A reused recorder must behave exactly like a fresh one: the intern
   // table restarts at id 1, so the attached checker's mirror (and all
   // its event state) has to restart with it.

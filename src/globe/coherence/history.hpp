@@ -7,15 +7,21 @@
 // test suite demonstrates — rather than assumes — that each replication
 // strategy implements its advertised model.
 //
-// A History only records: three event vectors in record order, plus one
-// shared page-name table. Recording is on the hot path of every
-// simulated operation, so events carry an interned PageId instead of a
-// std::string per event. The checkers replay these vectors through a
-// StreamingChecker (streaming.hpp), which keeps whatever per-client and
-// per-store state a verdict needs.
+// A History only records: three event deques in record order, plus one
+// page-name table and one dependency-clock table. Recording is on the
+// hot path of every simulated operation, so events carry an interned
+// PageId instead of a std::string per event, and an apply event an
+// interned ClockId instead of its own copy of a clock: a write applied
+// at 125 stores is one clock, not 125. Clocks are interned by value, not
+// by write id, because one write reaches stores with different clocks
+// (a pushed record carries its deps, a cutover state record none, a
+// snapshot event the store's whole applied clock). The checkers replay
+// these events through a StreamingChecker (streaming.hpp), which keeps
+// whatever per-client and per-store state a verdict needs.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -23,6 +29,7 @@
 
 #include "globe/coherence/vector_clock.hpp"
 #include "globe/coherence/write_id.hpp"
+#include "globe/util/assert.hpp"
 #include "globe/util/ids.hpp"
 #include "globe/util/time.hpp"
 
@@ -37,16 +44,18 @@ using util::SimTime;
 using PageId = std::uint32_t;
 inline constexpr PageId kNoPage = 0;
 
+/// Interned dependency clock. Id 0 (`kEmptyClock`) is the empty clock.
+using ClockId = std::uint32_t;
+inline constexpr ClockId kEmptyClock = 0;
+
 /// A client completed a write (it was accepted by the store it is bound
 /// to, or by the primary on its behalf).
 struct WriteEvent {
   SimTime at{};
   std::uint64_t client_op_index = 0;  // program order within the client
   ClientId client = 0;
-  StoreId via_store = kInvalidStore;  // store that accepted the write
   WriteId wid;
   PageId page = kNoPage;
-  VectorClock deps;          // causal/session dependencies carried
   std::uint64_t global_seq = 0;  // primary-assigned total order (0 if none)
 };
 
@@ -57,26 +66,30 @@ struct ReadEvent {
   ClientId client = 0;
   StoreId store = kInvalidStore;  // store that served the read
   PageId page = kNoPage;
-  WriteId observed;               // writer of the returned content
   VectorClock store_clock;        // serving store's applied clock
   std::uint64_t store_global_seq = 0;
 };
 
 /// A store applied a write record to its replica — or, when
 /// `from_snapshot` is set, initialized/replaced its state from a
-/// full-state transfer. Snapshot events carry the snapshot's clock in
-/// `deps` and its total-order position in `global_seq`; checkers fold
-/// them into the store's applied state so that replicas joining late
+/// full-state transfer. An apply is recorded with a clock: the record's
+/// dependency clock, or for a snapshot event the snapshot's clock (its
+/// total-order position goes in `global_seq`). Checkers fold snapshots
+/// into the store's applied state so that replicas joining late
 /// (Subscribe -> SubscribeAck) are judged from their true baseline.
+/// A retained event names its clock by `deps`, an id into the History's
+/// clock table (History::clock). The fields are ordered so that the
+/// event packs into 48 bytes.
 struct ApplyEvent {
   SimTime at{};
-  StoreId store = kInvalidStore;
   WriteId wid;
-  PageId page = kNoPage;
-  VectorClock deps;
   std::uint64_t global_seq = 0;
+  StoreId store = kInvalidStore;
+  PageId page = kNoPage;
+  ClockId deps = kEmptyClock;
   bool from_snapshot = false;
 };
+static_assert(sizeof(ApplyEvent) == 48);
 
 class History {
  public:
@@ -95,7 +108,20 @@ class History {
 
   void record_write(WriteEvent e);
   void record_read(ReadEvent e);
-  void record_apply(ApplyEvent e);
+  /// Records an apply with the clock it was made with (see ApplyEvent).
+  /// A retained event gets the clock's id in `deps`; with retention off
+  /// the clock goes to the attached checker only and nothing is interned.
+  void record_apply(ApplyEvent e, const VectorClock& deps);
+
+  /// The clock a retained ApplyEvent's `deps` names. Equal clocks share
+  /// one id, and `kEmptyClock` is the empty clock.
+  [[nodiscard]] const VectorClock& clock(ClockId id) const {
+    GLOBE_DCHECK_MSG(id < clocks_.size(),
+                     "a clock id this History never handed out");
+    return clocks_[id];
+  }
+
+  [[nodiscard]] std::size_t clocks_interned() const { return clocks_.size(); }
 
   /// Attaches a streaming checker that is fed every event as it is
   /// recorded (plus the already-interned page table on attach, so late
@@ -106,10 +132,11 @@ class History {
   [[nodiscard]] StreamingChecker* streaming() const { return streaming_; }
 
   /// With retention off, events are teed to the attached streaming
-  /// checker but NOT stored: recording becomes O(1) memory and the
-  /// event vectors (writes()/reads()/applies()) stay empty. This is the
-  /// bounded-memory soak mode; leave retention on when a post-hoc
-  /// checker or convergence comparison still needs the full log.
+  /// checker but NOT stored: recording becomes O(1) memory, the event
+  /// deques (writes()/reads()/applies()) stay empty and no clock is
+  /// interned. This is the bounded-memory soak mode; leave retention on
+  /// when a post-hoc checker or convergence comparison still needs the
+  /// full log.
   void set_retain_events(bool retain) { retain_events_ = retain; }
 
   /// Forwards a cluster stability horizon to the attached streaming
@@ -117,11 +144,11 @@ class History {
   /// checker retired.
   std::size_t note_horizon(const VectorClock& clock, std::uint64_t gseq);
 
-  [[nodiscard]] const std::vector<WriteEvent>& writes() const {
+  [[nodiscard]] const std::deque<WriteEvent>& writes() const {
     return writes_;
   }
-  [[nodiscard]] const std::vector<ReadEvent>& reads() const { return reads_; }
-  [[nodiscard]] const std::vector<ApplyEvent>& applies() const {
+  [[nodiscard]] const std::deque<ReadEvent>& reads() const { return reads_; }
+  [[nodiscard]] const std::deque<ApplyEvent>& applies() const {
     return applies_;
   }
 
@@ -132,11 +159,15 @@ class History {
   void clear();
 
  private:
+  ClockId intern_clock(const VectorClock& clock);
+
   bool retain_events_ = true;
   StreamingChecker* streaming_ = nullptr;
-  std::vector<WriteEvent> writes_;
-  std::vector<ReadEvent> reads_;
-  std::vector<ApplyEvent> applies_;
+  // Deques: a retained run grows them to millions of events, and a
+  // vector's doubling would leave up to half its capacity unused.
+  std::deque<WriteEvent> writes_;
+  std::deque<ReadEvent> reads_;
+  std::deque<ApplyEvent> applies_;
 
   // Transparent hashing: intern() is on the record hot path and must
   // not allocate a temporary std::string per lookup.
@@ -149,6 +180,11 @@ class History {
   std::unordered_map<std::string, PageId, StringHash, std::equal_to<>>
       page_ids_;
   std::vector<std::string> page_names_{std::string()};  // [kNoPage] = ""
+
+  // The clock table, [kEmptyClock] = {}, and its index from a clock's
+  // hash to the ids of the clocks with that hash.
+  std::vector<VectorClock> clocks_{VectorClock()};
+  std::unordered_multimap<std::size_t, ClockId> clock_ids_;
 };
 
 }  // namespace globe::coherence

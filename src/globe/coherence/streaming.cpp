@@ -189,7 +189,8 @@ void StreamingChecker::record_read(const ReadEvent& e) {
   retain(1);
 }
 
-void StreamingChecker::record_apply(const ApplyEvent& e) {
+void StreamingChecker::record_apply(const ApplyEvent& e,
+                                    const VectorClock& deps) {
   ++total_applies_;
   StoreState& s = stores_[e.store];
   const std::uint64_t idx = s.apply_count++;
@@ -200,7 +201,7 @@ void StreamingChecker::record_apply(const ApplyEvent& e) {
     case ObjectModel::kFifoPram: {
       const bool contiguous = model_ == ObjectModel::kPram;
       if (e.from_snapshot) {
-        for (const auto& [c, v] : e.deps.entries()) {
+        for (const auto& [c, v] : deps.entries()) {
           auto& cur = s.writer_seq[c];
           cur = std::max(cur, v);
         }
@@ -226,13 +227,13 @@ void StreamingChecker::record_apply(const ApplyEvent& e) {
     }
     case ObjectModel::kCausal: {
       if (e.from_snapshot) {
-        s.applied.merge(e.deps);
+        s.applied.merge(deps);
         break;
       }
-      if (!s.applied.dominates(e.deps)) {
+      if (!s.applied.dominates(deps)) {
         s.model_violations.push_back(
             "causal: store " + std::to_string(e.store) + " applied " +
-            e.wid.str() + " with deps " + e.deps.str() +
+            e.wid.str() + " with deps " + deps.str() +
             " before those dependencies were applied (applied=" +
             s.applied.str() + ")");
         ++eager_violations_;
@@ -280,7 +281,7 @@ void StreamingChecker::record_apply(const ApplyEvent& e) {
   // Monotonic writes (session guarantee, store-order side).
   if (!mw_slot_.empty()) {
     if (e.from_snapshot) {
-      for (const auto& [c, v] : e.deps.entries()) {
+      for (const auto& [c, v] : deps.entries()) {
         if (mw_slot_.find(c) == mw_slot_.end()) continue;
         auto& cur = s.mw_prev[c];
         cur = std::max(cur, v);
@@ -309,16 +310,16 @@ void StreamingChecker::record_apply(const ApplyEvent& e) {
   // registered after early applies (seed writes, bootstrap snapshots)
   // have already shaped the store's clock.
   if (e.from_snapshot) {
-    s.wfr_applied.merge(e.deps);
+    s.wfr_applied.merge(deps);
   } else {
     if (!wfr_slot_.empty()) {
       auto sel = wfr_recorded_.find(e.wid);
       if (sel != wfr_recorded_.end()) {
-        if (!s.wfr_applied.dominates(e.deps)) {
+        if (!s.wfr_applied.dominates(deps)) {
           wfr_violations_[sel->second].push_back(
               {e.store, idx, 0,
                "WFR: store " + std::to_string(e.store) + " applied " +
-                   e.wid.str() + " with deps " + e.deps.str() +
+                   e.wid.str() + " with deps " + deps.str() +
                    " before those dependencies were applied (applied=" +
                    s.wfr_applied.str() + ")"});
           ++eager_violations_;
@@ -327,7 +328,7 @@ void StreamingChecker::record_apply(const ApplyEvent& e) {
         PendingWfr p;
         p.store = e.store;
         p.idx = idx;
-        p.deps = e.deps;
+        p.deps = deps;
         p.applied_before = s.wfr_applied;
         wfr_pending_[e.wid].push_back(std::move(p));
         retain(1);

@@ -92,7 +92,9 @@ class StreamingChecker {
 
   void record_write(const WriteEvent& e);
   void record_read(const ReadEvent& e);
-  void record_apply(const ApplyEvent& e);
+  /// `deps` is the clock the apply was made with; the event's own `deps`
+  /// id is not read, so live and replayed events are judged alike.
+  void record_apply(const ApplyEvent& e, const VectorClock& deps);
 
   /// Advances the cluster-wide stability horizon (monotonic: regressions
   /// are ignored entry-wise) and retires every buffered fact it

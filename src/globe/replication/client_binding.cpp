@@ -296,7 +296,6 @@ void ClientBinding::read_impl(Session& s, const std::string& page,
           e.client = options_.client;
           e.store = rep.store;
           e.page = history_->intern(page);
-          e.observed = res.writer;
           e.store_clock = rep.store_clock;
           e.store_global_seq = rep.global_seq;
           history_->record_read(std::move(e));
@@ -357,7 +356,6 @@ void ClientBinding::transmit_write(Session& s, ClientRequest req,
   const util::SimTime issued = util::SimTime(req.issued_at_us);
   const std::uint64_t op_index = req.client_op_index;
   const coherence::WriteId wid = req.wid;
-  const coherence::VectorClock deps = req.deps;
   const std::string page = [&] {
     util::Reader r{util::BytesView(req.inv.args)};
     return r.str();
@@ -383,7 +381,7 @@ void ClientBinding::transmit_write(Session& s, ClientRequest req,
   comm_.request_with(
       s.write_store, msg::MsgType::kInvokeRequest, s.object,
       [&](util::Writer& w) { req.encode(w); },
-      [this, &s, cb = std::move(cb), issued, op_index, wid, deps, page,
+      [this, &s, cb = std::move(cb), issued, op_index, wid, page,
        trace_ctx, trace_start_us](bool ok, const Address&,
                                   const msg::EnvelopeView& env) {
         WriteResult res;
@@ -451,10 +449,8 @@ void ClientBinding::transmit_write(Session& s, ClientRequest req,
           e.at = res.completed_at;
           e.client_op_index = op_index;
           e.client = options_.client;
-          e.via_store = rep.store;
           e.wid = wid;
           e.page = history_->intern(page);
-          e.deps = deps;
           e.global_seq = rep.global_seq;
           history_->record_write(std::move(e));
         }

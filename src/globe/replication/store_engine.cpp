@@ -81,9 +81,8 @@ class StoreEngine::Applier final : public ApplySink {
         ev.store = e_.config_.store_id;
         ev.wid = rec.wid;
         ev.page = e_.history_->intern(rec.page);
-        ev.deps = rec.deps;
         ev.global_seq = rec.global_seq;
-        e_.history_->record_apply(std::move(ev));
+        e_.history_->record_apply(ev, rec.deps);
       }
       ++o_.writes_applied;
       if (e_.metrics_ != nullptr) {
@@ -576,10 +575,9 @@ void StoreEngine::record_snapshot_event(ObjectState& o) {
   coherence::ApplyEvent e;
   e.at = sim_.now();
   e.store = config_.store_id;
-  e.deps = o.replica.applied_clock();
   e.global_seq = o.replica.applied_gseq();
   e.from_snapshot = true;
-  history_->record_apply(std::move(e));
+  history_->record_apply(e, o.replica.applied_clock());
 }
 
 void StoreEngine::note_gaps(ObjectState& o) {

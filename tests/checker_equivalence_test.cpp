@@ -53,26 +53,34 @@ void expect_checker_equivalence(const History& h) {
   }
 }
 
-ApplyEvent apply(StoreId store, WriteId wid, PageId page,
-                 std::uint64_t gseq = 0, VectorClock deps = {}) {
+/// Records an apply of `wid` at `store`, made with the clock `deps`.
+void apply(History& h, StoreId store, WriteId wid, PageId page,
+           std::uint64_t gseq = 0, const VectorClock& deps = {}) {
   ApplyEvent e;
   e.store = store;
   e.wid = wid;
   e.page = page;
-  e.deps = std::move(deps);
   e.global_seq = gseq;
-  return e;
+  h.record_apply(e, deps);
+}
+
+/// Records a snapshot adoption at `store` with the snapshot's clock.
+void snapshot(History& h, StoreId store, const VectorClock& clock,
+              std::uint64_t gseq = 0) {
+  ApplyEvent e;
+  e.store = store;
+  e.global_seq = gseq;
+  e.from_snapshot = true;
+  h.record_apply(e, clock);
 }
 
 WriteEvent client_write(ClientId client, std::uint64_t op_index, WriteId wid,
-                        PageId page, VectorClock deps = {},
-                        std::uint64_t gseq = 0) {
+                        PageId page, std::uint64_t gseq = 0) {
   WriteEvent e;
   e.client_op_index = op_index;
   e.client = client;
   e.wid = wid;
   e.page = page;
-  e.deps = std::move(deps);
   e.global_seq = gseq;
   return e;
 }
@@ -94,10 +102,10 @@ ReadEvent client_read(ClientId client, std::uint64_t op_index, PageId page,
 TEST(CheckerEquivalence, OutOfOrderApply) {
   History h;
   const PageId p = h.intern("p");
-  h.record_apply(apply(0, {1, 1}, p));
-  h.record_apply(apply(0, {1, 2}, p));
-  h.record_apply(apply(1, {1, 2}, p));  // applied before seq 1
-  h.record_apply(apply(1, {1, 1}, p));
+  apply(h, 0, {1, 1}, p);
+  apply(h, 0, {1, 2}, p);
+  apply(h, 1, {1, 2}, p);  // applied before seq 1
+  apply(h, 1, {1, 1}, p);
   h.record_write(client_write(1, 1, {1, 1}, p));
   h.record_write(client_write(1, 2, {1, 2}, p));
   EXPECT_FALSE(check_pram(h).ok);
@@ -109,8 +117,8 @@ TEST(CheckerEquivalence, OutOfOrderApply) {
 TEST(CheckerEquivalence, GapInPerWriterSequence) {
   History h;
   const PageId p = h.intern("p");
-  h.record_apply(apply(0, {1, 1}, p));
-  h.record_apply(apply(0, {1, 3}, p));  // skipped seq 2
+  apply(h, 0, {1, 1}, p);
+  apply(h, 0, {1, 3}, p);  // skipped seq 2
   EXPECT_FALSE(check_pram(h).ok);
   EXPECT_TRUE(check_fifo_pram(h).ok);  // FIFO tolerates the gap
   expect_checker_equivalence(h);
@@ -119,10 +127,10 @@ TEST(CheckerEquivalence, GapInPerWriterSequence) {
 TEST(CheckerEquivalence, BrokenTotalOrder) {
   History h;
   const PageId p = h.intern("p");
-  h.record_apply(apply(0, {1, 1}, p, 1));
-  h.record_apply(apply(0, {2, 1}, p, 2));
-  h.record_apply(apply(1, {2, 1}, p, 1));  // stores disagree on the order
-  h.record_apply(apply(1, {1, 1}, p, 2));
+  apply(h, 0, {1, 1}, p, 1);
+  apply(h, 0, {2, 1}, p, 2);
+  apply(h, 1, {2, 1}, p, 1);  // stores disagree on the order
+  apply(h, 1, {1, 1}, p, 2);
   EXPECT_FALSE(check_sequential(h).ok);
   expect_checker_equivalence(h);
 }
@@ -155,9 +163,9 @@ TEST(CheckerEquivalence, WritesFollowReadsViolation) {
   VectorClock dep;
   dep.set(1, 1);
   h.record_write(client_write(1, 1, {1, 1}, p));
-  h.record_write(client_write(5, 1, {5, 1}, p, dep));
-  h.record_apply(apply(0, {5, 1}, p, 0, dep));  // before its read context
-  h.record_apply(apply(0, {1, 1}, p));
+  h.record_write(client_write(5, 1, {5, 1}, p));
+  apply(h, 0, {5, 1}, p, 0, dep);  // before its read context
+  apply(h, 0, {1, 1}, p);
   EXPECT_FALSE(check_client_models(h, 5, ClientModel::kWritesFollowReads).ok);
   expect_checker_equivalence(h);
 }
@@ -165,8 +173,8 @@ TEST(CheckerEquivalence, WritesFollowReadsViolation) {
 TEST(CheckerEquivalence, EventualDivergence) {
   History h;
   const PageId p = h.intern("page.html");
-  h.record_apply(apply(0, {1, 4}, p));
-  h.record_apply(apply(1, {1, 2}, p));  // settled on an older final write
+  apply(h, 0, {1, 4}, p);
+  apply(h, 1, {1, 2}, p);  // settled on an older final write
   EXPECT_FALSE(check_eventual_delivery(h).ok);
   // The violation message resolves the interned page name.
   EXPECT_NE(check_eventual_delivery(h).violations.at(0).find("page.html"),
@@ -179,14 +187,9 @@ TEST(CheckerEquivalence, SnapshotBaselines) {
   const PageId p = h.intern("p");
   VectorClock snap;
   snap.set(1, 5);
-  ApplyEvent s;
-  s.store = 2;
-  s.deps = snap;
-  s.global_seq = 7;
-  s.from_snapshot = true;
-  h.record_apply(s);
-  h.record_apply(apply(2, {1, 6}, p, 8));
-  h.record_apply(apply(2, {1, 3}, p, 9));  // regression below the snapshot
+  snapshot(h, 2, snap, 7);
+  apply(h, 2, {1, 6}, p, 8);
+  apply(h, 2, {1, 3}, p, 9);  // regression below the snapshot
   expect_checker_equivalence(h);
 }
 
@@ -207,25 +210,18 @@ TEST(CheckerEquivalence, OneWriteFourWaysKeepsEachRecordedClock) {
   VectorClock later = dep;
   later.set(1, 2);
   later.set(5, 1);
-  const auto snapshot = [](StoreId store, VectorClock clock) {
-    ApplyEvent s;
-    s.store = store;
-    s.deps = std::move(clock);
-    s.from_snapshot = true;
-    return s;
-  };
   h.record_write(client_write(1, 1, {1, 1}, p));
   h.record_read(client_read(5, 1, p, dep));
-  h.record_write(client_write(5, 2, {5, 1}, p, dep));
-  h.record_apply(apply(0, {1, 1}, p));
-  h.record_apply(apply(0, {5, 1}, p, 0, dep));
-  h.record_apply(apply(1, {5, 1}, p, 0, dep));  // ahead of w(1,1)
-  h.record_apply(apply(1, {1, 1}, p));
-  h.record_apply(apply(2, {5, 1}, p));  // state record: no deps
-  h.record_apply(snapshot(3, dep));
-  h.record_apply(apply(3, {5, 1}, p, 0, dep));
-  h.record_apply(snapshot(0, later));
-  h.record_apply(apply(0, {1, 3}, p, 0, later));
+  h.record_write(client_write(5, 2, {5, 1}, p));
+  apply(h, 0, {1, 1}, p);
+  apply(h, 0, {5, 1}, p, 0, dep);
+  apply(h, 1, {5, 1}, p, 0, dep);  // ahead of w(1,1)
+  apply(h, 1, {1, 1}, p);
+  apply(h, 2, {5, 1}, p);  // state record: no deps
+  snapshot(h, 3, dep);
+  apply(h, 3, {5, 1}, p, 0, dep);
+  snapshot(h, 0, later);
+  apply(h, 0, {1, 3}, p, 0, later);
 
   const std::string missed =
       " store 1 applied w(5,1) with deps {1:1} before those dependencies "
@@ -236,6 +232,8 @@ TEST(CheckerEquivalence, OneWriteFourWaysKeepsEachRecordedClock) {
   EXPECT_EQ(check_writes_follow_reads(h, 5).violations,
             std::vector<std::string>{"WFR:" + missed});
   EXPECT_TRUE(check_pram(h).ok) << check_pram(h).summary();
+  // Equal clocks share one entry: {}, {1:1} and the second snapshot's.
+  EXPECT_EQ(h.clocks_interned(), 3u);
   expect_checker_equivalence(h);
 }
 
@@ -257,10 +255,7 @@ TEST(CheckerEquivalence, RandomizedHistories) {
       const PageId page = page_ids[rng.below(pages)];
       const auto kind = rng.below(4);
       if (kind == 0) {
-        VectorClock deps;
-        deps.set(static_cast<ClientId>(rng.below(clients)), rng.below(5));
-        h.record_write(client_write(c, ++op[c], {c, ++seq[c]}, page,
-                                    std::move(deps), ++gseq));
+        h.record_write(client_write(c, ++op[c], {c, ++seq[c]}, page, ++gseq));
       } else if (kind == 1) {
         VectorClock clock;
         clock.set(static_cast<ClientId>(rng.below(clients)), rng.below(8));
@@ -272,16 +267,13 @@ TEST(CheckerEquivalence, RandomizedHistories) {
         if (rng.chance(0.3)) {
           deps.set(static_cast<ClientId>(rng.below(clients)), rng.below(5));
         }
-        h.record_apply(apply(static_cast<StoreId>(rng.below(stores)),
-                             {c, rng.below(6) + 1}, page, rng.below(5),
-                             std::move(deps)));
+        apply(h, static_cast<StoreId>(rng.below(stores)),
+              {c, rng.below(6) + 1}, page, rng.below(5), deps);
       } else {
-        ApplyEvent s;
-        s.store = static_cast<StoreId>(rng.below(stores));
-        s.deps.set(static_cast<ClientId>(rng.below(clients)), rng.below(6));
-        s.global_seq = rng.below(4);
-        s.from_snapshot = true;
-        h.record_apply(s);
+        const auto store = static_cast<StoreId>(rng.below(stores));
+        VectorClock clock;
+        clock.set(static_cast<ClientId>(rng.below(clients)), rng.below(6));
+        snapshot(h, store, clock, rng.below(4));
       }
     }
     expect_checker_equivalence(h);

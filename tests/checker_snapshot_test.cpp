@@ -8,34 +8,32 @@
 namespace globe::coherence {
 namespace {
 
-ApplyEvent snapshot_at(StoreId store, VectorClock clock,
-                       std::uint64_t gseq = 0) {
+void snapshot_at(History& h, StoreId store, const VectorClock& clock,
+                 std::uint64_t gseq = 0) {
   ApplyEvent e;
   e.store = store;
-  e.deps = std::move(clock);
   e.global_seq = gseq;
   e.from_snapshot = true;
-  return e;
+  h.record_apply(e, clock);
 }
 
-ApplyEvent apply(StoreId store, WriteId wid, std::uint64_t gseq = 0,
-                 VectorClock deps = {}) {
+void apply(History& h, StoreId store, WriteId wid, std::uint64_t gseq = 0,
+           const VectorClock& deps = {}) {
   ApplyEvent e;
   e.store = store;
   e.wid = wid;
   e.page = 1;  // arbitrary PageId; these checks never resolve the name
-  e.deps = std::move(deps);
   e.global_seq = gseq;
-  return e;
+  h.record_apply(e, deps);
 }
 
 TEST(SnapshotAware, PramAcceptsLateJoinerStartingMidStream) {
   History h;
   VectorClock snap;
   snap.set(1, 5);
-  h.record_apply(snapshot_at(2, snap));
-  h.record_apply(apply(2, {1, 6}));
-  h.record_apply(apply(2, {1, 7}));
+  snapshot_at(h, 2, snap);
+  apply(h, 2, {1, 6});
+  apply(h, 2, {1, 7});
   EXPECT_TRUE(check_pram(h).ok);
 }
 
@@ -43,8 +41,8 @@ TEST(SnapshotAware, PramStillDetectsGapAfterSnapshot) {
   History h;
   VectorClock snap;
   snap.set(1, 5);
-  h.record_apply(snapshot_at(2, snap));
-  h.record_apply(apply(2, {1, 8}));  // skipped 6 and 7
+  snapshot_at(h, 2, snap);
+  apply(h, 2, {1, 8});  // skipped 6 and 7
   EXPECT_FALSE(check_pram(h).ok);
 }
 
@@ -52,8 +50,8 @@ TEST(SnapshotAware, PramStillDetectsRegressionAfterSnapshot) {
   History h;
   VectorClock snap;
   snap.set(1, 5);
-  h.record_apply(snapshot_at(2, snap));
-  h.record_apply(apply(2, {1, 3}));  // already covered by the snapshot
+  snapshot_at(h, 2, snap);
+  apply(h, 2, {1, 3});  // already covered by the snapshot
   EXPECT_FALSE(check_pram(h).ok);
 }
 
@@ -63,9 +61,9 @@ TEST(SnapshotAware, CausalTreatsSnapshotAsDependencyBaseline) {
   snap.set(1, 1);
   VectorClock dep;
   dep.set(1, 1);
-  h.record_write(WriteEvent{{}, 1, 2, 0, WriteId{2, 1}, 1, dep, 0});
-  h.record_apply(snapshot_at(3, snap));
-  h.record_apply(apply(3, {2, 1}, 0, dep));  // dep satisfied via snapshot
+  h.record_write(WriteEvent{{}, 1, 2, WriteId{2, 1}, 1, 0});
+  snapshot_at(h, 3, snap);
+  apply(h, 3, {2, 1}, 0, dep);  // dep satisfied via snapshot
   EXPECT_TRUE(check_causal(h).ok);
 }
 
@@ -75,24 +73,24 @@ TEST(SnapshotAware, CausalStillDetectsMissingDependency) {
   snap.set(1, 1);
   VectorClock dep;
   dep.set(9, 9);  // not covered by the snapshot
-  h.record_write(WriteEvent{{}, 1, 2, 0, WriteId{2, 1}, 1, dep, 0});
-  h.record_apply(snapshot_at(3, snap));
-  h.record_apply(apply(3, {2, 1}, 0, dep));
+  h.record_write(WriteEvent{{}, 1, 2, WriteId{2, 1}, 1, 0});
+  snapshot_at(h, 3, snap);
+  apply(h, 3, {2, 1}, 0, dep);
   EXPECT_FALSE(check_causal(h).ok);
 }
 
 TEST(SnapshotAware, SequentialAcceptsSnapshotBaseline) {
   History h;
-  h.record_apply(snapshot_at(2, {}, /*gseq=*/10));
-  h.record_apply(apply(2, {1, 1}, 11));
-  h.record_apply(apply(2, {1, 2}, 12));
+  snapshot_at(h, 2, {}, /*gseq=*/10);
+  apply(h, 2, {1, 1}, 11);
+  apply(h, 2, {1, 2}, 12);
   EXPECT_TRUE(check_sequential(h).ok);
 }
 
 TEST(SnapshotAware, SequentialDetectsGapAfterSnapshot) {
   History h;
-  h.record_apply(snapshot_at(2, {}, 10));
-  h.record_apply(apply(2, {1, 1}, 13));  // skipped 11, 12
+  snapshot_at(h, 2, {}, 10);
+  apply(h, 2, {1, 1}, 13);  // skipped 11, 12
   EXPECT_FALSE(check_sequential(h).ok);
 }
 
@@ -100,13 +98,13 @@ TEST(SnapshotAware, MonotonicWritesUsesSnapshotFloor) {
   History h;
   VectorClock snap;
   snap.set(5, 4);
-  h.record_apply(snapshot_at(2, snap));
-  h.record_apply(apply(2, {5, 5}));
+  snapshot_at(h, 2, snap);
+  apply(h, 2, {5, 5});
   EXPECT_TRUE(check_monotonic_writes(h, 5).ok);
 
   History bad;
-  bad.record_apply(snapshot_at(2, snap));
-  bad.record_apply(apply(2, {5, 2}));  // regression below the snapshot
+  snapshot_at(bad, 2, snap);
+  apply(bad, 2, {5, 2});  // regression below the snapshot
   EXPECT_FALSE(check_monotonic_writes(bad, 5).ok);
 }
 
@@ -114,10 +112,10 @@ TEST(SnapshotAware, EventualFinalWriteResetByFullTransfer) {
   History h;
   // Store 2 applied an old write, then a full-state transfer replaced
   // everything; the earlier apply must not count as its final content.
-  h.record_apply(apply(2, {1, 1}));
-  h.record_apply(snapshot_at(2, {}));
-  h.record_apply(apply(3, {1, 2}));
-  h.record_apply(apply(2, {1, 2}));
+  apply(h, 2, {1, 1});
+  snapshot_at(h, 2, {});
+  apply(h, 3, {1, 2});
+  apply(h, 2, {1, 2});
   EXPECT_TRUE(check_eventual_delivery(h).ok);
 }
 

@@ -217,11 +217,30 @@ TEST(ModelsTest, ClientModelBitmask) {
 
 // ---- checker fixtures -------------------------------------------------
 
+/// Records an apply of `wid` to page "p" at `store`, made with `deps`.
+void apply(History& h, StoreId store, WriteId wid, std::uint64_t gseq = 0,
+           const VectorClock& deps = {}) {
+  ApplyEvent e;
+  e.store = store;
+  e.wid = wid;
+  e.page = h.intern("p");
+  e.global_seq = gseq;
+  h.record_apply(e, deps);
+}
+
+/// Records a snapshot adoption at `store` with the snapshot's clock.
+void snapshot(History& h, StoreId store, const VectorClock& clock) {
+  ApplyEvent e;
+  e.store = store;
+  e.from_snapshot = true;
+  h.record_apply(e, clock);
+}
+
 History pram_ok_history() {
   History h;
   for (StoreId s : {0u, 1u}) {
     for (std::uint64_t i = 1; i <= 3; ++i) {
-      h.record_apply(ApplyEvent{{}, s, WriteId{1, i}, h.intern("p"), {}, 0});
+      apply(h, s, WriteId{1, i});
     }
   }
   return h;
@@ -236,8 +255,8 @@ TEST(CheckPram, AcceptsInOrderApplies) {
 
 TEST(CheckPram, DetectsOutOfOrder) {
   History h;
-  h.record_apply(ApplyEvent{{}, 0, WriteId{1, 2}, h.intern("p"), {}, 0});
-  h.record_apply(ApplyEvent{{}, 0, WriteId{1, 1}, h.intern("p"), {}, 0});
+  apply(h, 0, WriteId{1, 2});
+  apply(h, 0, WriteId{1, 1});
   const auto res = check_pram(h);
   EXPECT_FALSE(res.ok);
   // Two findings: the gap when (1,2) applied first, then the regression.
@@ -246,16 +265,16 @@ TEST(CheckPram, DetectsOutOfOrder) {
 
 TEST(CheckPram, DetectsGaps) {
   History h;
-  h.record_apply(ApplyEvent{{}, 0, WriteId{1, 1}, h.intern("p"), {}, 0});
-  h.record_apply(ApplyEvent{{}, 0, WriteId{1, 3}, h.intern("p"), {}, 0});
+  apply(h, 0, WriteId{1, 1});
+  apply(h, 0, WriteId{1, 3});
   EXPECT_FALSE(check_pram(h).ok);
   EXPECT_TRUE(check_fifo_pram(h).ok);  // FIFO allows skipping
 }
 
 TEST(CheckFifo, StillDetectsRegression) {
   History h;
-  h.record_apply(ApplyEvent{{}, 0, WriteId{1, 3}, h.intern("p"), {}, 0});
-  h.record_apply(ApplyEvent{{}, 0, WriteId{1, 2}, h.intern("p"), {}, 0});
+  apply(h, 0, WriteId{1, 3});
+  apply(h, 0, WriteId{1, 2});
   EXPECT_FALSE(check_fifo_pram(h).ok);
 }
 
@@ -264,11 +283,11 @@ TEST(CheckCausal, AcceptsDependencyRespectingOrder) {
   // w(2,1) depends on w(1,1).
   VectorClock dep;
   dep.set(1, 1);
-  h.record_write(WriteEvent{{}, 1, 1, 0, WriteId{1, 1}, h.intern("p"), {}, 0});
-  h.record_write(WriteEvent{{}, 1, 2, 0, WriteId{2, 1}, h.intern("p"), dep, 0});
+  h.record_write(WriteEvent{{}, 1, 1, WriteId{1, 1}, h.intern("p"), 0});
+  h.record_write(WriteEvent{{}, 1, 2, WriteId{2, 1}, h.intern("p"), 0});
   for (StoreId s : {0u, 1u}) {
-    h.record_apply(ApplyEvent{{}, s, WriteId{1, 1}, h.intern("p"), {}, 0});
-    h.record_apply(ApplyEvent{{}, s, WriteId{2, 1}, h.intern("p"), dep, 0});
+    apply(h, s, WriteId{1, 1});
+    apply(h, s, WriteId{2, 1}, 0, dep);
   }
   const auto res = check_causal(h);
   EXPECT_TRUE(res.ok) << res.summary();
@@ -278,21 +297,21 @@ TEST(CheckCausal, DetectsDependencyViolation) {
   History h;
   VectorClock dep;
   dep.set(1, 1);
-  h.record_write(WriteEvent{{}, 1, 1, 0, WriteId{1, 1}, h.intern("p"), {}, 0});
-  h.record_write(WriteEvent{{}, 1, 2, 0, WriteId{2, 1}, h.intern("p"), dep, 0});
+  h.record_write(WriteEvent{{}, 1, 1, WriteId{1, 1}, h.intern("p"), 0});
+  h.record_write(WriteEvent{{}, 1, 2, WriteId{2, 1}, h.intern("p"), 0});
   // Store applies the dependent write first.
-  h.record_apply(ApplyEvent{{}, 0, WriteId{2, 1}, h.intern("p"), dep, 0});
-  h.record_apply(ApplyEvent{{}, 0, WriteId{1, 1}, h.intern("p"), {}, 0});
+  apply(h, 0, WriteId{2, 1}, 0, dep);
+  apply(h, 0, WriteId{1, 1});
   EXPECT_FALSE(check_causal(h).ok);
 }
 
 TEST(CheckSequential, AcceptsIdenticalTotalOrder) {
   History h;
-  h.record_write(WriteEvent{{}, 1, 1, 0, WriteId{1, 1}, h.intern("p"), {}, 1});
-  h.record_write(WriteEvent{{}, 1, 2, 0, WriteId{2, 1}, h.intern("p"), {}, 2});
+  h.record_write(WriteEvent{{}, 1, 1, WriteId{1, 1}, h.intern("p"), 1});
+  h.record_write(WriteEvent{{}, 1, 2, WriteId{2, 1}, h.intern("p"), 2});
   for (StoreId s : {0u, 1u}) {
-    h.record_apply(ApplyEvent{{}, s, WriteId{1, 1}, h.intern("p"), {}, 1});
-    h.record_apply(ApplyEvent{{}, s, WriteId{2, 1}, h.intern("p"), {}, 2});
+    apply(h, s, WriteId{1, 1}, 1);
+    apply(h, s, WriteId{2, 1}, 2);
   }
   const auto res = check_sequential(h);
   EXPECT_TRUE(res.ok) << res.summary();
@@ -300,22 +319,22 @@ TEST(CheckSequential, AcceptsIdenticalTotalOrder) {
 
 TEST(CheckSequential, DetectsDivergentOrders) {
   History h;
-  h.record_apply(ApplyEvent{{}, 0, WriteId{1, 1}, h.intern("p"), {}, 1});
-  h.record_apply(ApplyEvent{{}, 0, WriteId{2, 1}, h.intern("p"), {}, 2});
-  h.record_apply(ApplyEvent{{}, 1, WriteId{2, 1}, h.intern("p"), {}, 1});  // swapped
-  h.record_apply(ApplyEvent{{}, 1, WriteId{1, 1}, h.intern("p"), {}, 2});
+  apply(h, 0, WriteId{1, 1}, 1);
+  apply(h, 0, WriteId{2, 1}, 2);
+  apply(h, 1, WriteId{2, 1}, 1);  // swapped
+  apply(h, 1, WriteId{1, 1}, 2);
   EXPECT_FALSE(check_sequential(h).ok);
 }
 
 TEST(CheckSequential, DetectsMissingGlobalSeq) {
   History h;
-  h.record_apply(ApplyEvent{{}, 0, WriteId{1, 1}, h.intern("p"), {}, 0});
+  apply(h, 0, WriteId{1, 1});
   EXPECT_FALSE(check_sequential(h).ok);
 }
 
 TEST(CheckSequential, DetectsNonMonotonicClientReads) {
   History h;
-  h.record_apply(ApplyEvent{{}, 0, WriteId{1, 1}, h.intern("p"), {}, 1});
+  apply(h, 0, WriteId{1, 1}, 1);
   ReadEvent r1;
   r1.client = 7;
   r1.client_op_index = 1;
@@ -332,21 +351,21 @@ TEST(CheckSequential, DetectsNonMonotonicClientReads) {
 TEST(CheckEventual, AcceptsConvergedStores) {
   History h;
   for (StoreId s : {0u, 1u, 2u}) {
-    h.record_apply(ApplyEvent{{}, s, WriteId{1, 4}, h.intern("p"), {}, 0});
+    apply(h, s, WriteId{1, 4});
   }
   EXPECT_TRUE(check_eventual_delivery(h).ok);
 }
 
 TEST(CheckEventual, DetectsStoreLeftBehind) {
   History h;
-  h.record_apply(ApplyEvent{{}, 0, WriteId{1, 4}, h.intern("p"), {}, 0});
-  h.record_apply(ApplyEvent{{}, 1, WriteId{1, 2}, h.intern("p"), {}, 0});
+  apply(h, 0, WriteId{1, 4});
+  apply(h, 1, WriteId{1, 2});
   EXPECT_FALSE(check_eventual_delivery(h).ok);
 }
 
 TEST(CheckRyw, AcceptsAndDetects) {
   History h;
-  h.record_write(WriteEvent{{}, 1, 5, 0, WriteId{5, 1}, h.intern("p"), {}, 0});
+  h.record_write(WriteEvent{{}, 1, 5, WriteId{5, 1}, h.intern("p"), 0});
   ReadEvent ok_read;
   ok_read.client = 5;
   ok_read.client_op_index = 2;
@@ -381,8 +400,8 @@ TEST(CheckMonotonicReads, DetectsRegression) {
 
 TEST(CheckMonotonicWrites, DetectsOutOfOrderAtOneStore) {
   History h;
-  h.record_apply(ApplyEvent{{}, 0, WriteId{5, 2}, h.intern("p"), {}, 0});
-  h.record_apply(ApplyEvent{{}, 0, WriteId{5, 1}, h.intern("p"), {}, 0});
+  apply(h, 0, WriteId{5, 2});
+  apply(h, 0, WriteId{5, 1});
   EXPECT_FALSE(check_monotonic_writes(h, 5).ok);
   EXPECT_TRUE(check_monotonic_writes(h, 6).ok);
 }
@@ -392,11 +411,11 @@ TEST(CheckWfr, DetectsWriteBeforeItsReadContext) {
   // Client 5 read w(1,1), then wrote w(5,1) with that dependency.
   VectorClock dep;
   dep.set(1, 1);
-  h.record_write(WriteEvent{{}, 1, 1, 0, WriteId{1, 1}, h.intern("p"), {}, 0});
-  h.record_write(WriteEvent{{}, 1, 5, 0, WriteId{5, 1}, h.intern("p"), dep, 0});
+  h.record_write(WriteEvent{{}, 1, 1, WriteId{1, 1}, h.intern("p"), 0});
+  h.record_write(WriteEvent{{}, 1, 5, WriteId{5, 1}, h.intern("p"), 0});
   // Store applies the client's write before its read context.
-  h.record_apply(ApplyEvent{{}, 0, WriteId{5, 1}, h.intern("p"), dep, 0});
-  h.record_apply(ApplyEvent{{}, 0, WriteId{1, 1}, h.intern("p"), {}, 0});
+  apply(h, 0, WriteId{5, 1}, 0, dep);
+  apply(h, 0, WriteId{1, 1});
   EXPECT_FALSE(check_writes_follow_reads(h, 5).ok);
   // The violation is attributed only to client 5's writes.
   EXPECT_TRUE(check_writes_follow_reads(h, 1).ok);
@@ -404,7 +423,7 @@ TEST(CheckWfr, DetectsWriteBeforeItsReadContext) {
 
 TEST(CheckClientModels, CombinesResults) {
   History h;
-  h.record_write(WriteEvent{{}, 1, 5, 0, WriteId{5, 1}, h.intern("p"), {}, 0});
+  h.record_write(WriteEvent{{}, 1, 5, WriteId{5, 1}, h.intern("p"), 0});
   ReadEvent bad;
   bad.client = 5;
   bad.client_op_index = 2;
@@ -425,9 +444,9 @@ TEST(CheckResultTest, SummaryTruncates) {
 
 TEST(HistoryTest, ClientOpsSortedByProgramOrder) {
   History h;
-  h.record_read(ReadEvent{{}, 3, 9, 0, h.intern("p"), {}, {}, 0});
-  h.record_write(WriteEvent{{}, 1, 9, 0, WriteId{9, 1}, h.intern("p"), {}, 0});
-  h.record_write(WriteEvent{{}, 2, 9, 0, WriteId{9, 2}, h.intern("p"), {}, 0});
+  h.record_read(ReadEvent{{}, 3, 9, 0, h.intern("p"), {}, 0});
+  h.record_write(WriteEvent{{}, 1, 9, WriteId{9, 1}, h.intern("p"), 0});
+  h.record_write(WriteEvent{{}, 2, 9, WriteId{9, 2}, h.intern("p"), 0});
   const auto ops = naive::client_ops(h, 9);
   ASSERT_EQ(ops.size(), 3u);
   EXPECT_TRUE(ops[0].is_write);
@@ -440,9 +459,9 @@ TEST(HistoryTest, ClientOpsTieOrderIsDeterministic) {
   // deterministically (write first, then record order), identically
   // across repeated queries.
   History h;
-  h.record_read(ReadEvent{{}, 2, 9, 0, h.intern("p"), {}, {}, 0});
-  h.record_write(WriteEvent{{}, 2, 9, 0, WriteId{9, 1}, h.intern("p"), {}, 0});
-  h.record_write(WriteEvent{{}, 1, 9, 0, WriteId{9, 2}, h.intern("p"), {}, 0});
+  h.record_read(ReadEvent{{}, 2, 9, 0, h.intern("p"), {}, 0});
+  h.record_write(WriteEvent{{}, 2, 9, WriteId{9, 1}, h.intern("p"), 0});
+  h.record_write(WriteEvent{{}, 1, 9, WriteId{9, 2}, h.intern("p"), 0});
   const auto ops = naive::client_ops(h, 9);
   ASSERT_EQ(ops.size(), 3u);
   EXPECT_EQ(ops[0].index(), 1u);
@@ -479,29 +498,35 @@ TEST(HistoryTest, ClearedHistoryRecordsAndJudgesLikeAFreshOne) {
   // the dirtying below.
   const auto script = [&](History& h) {
     const PageId p = h.intern("p");
-    h.record_write(WriteEvent{{}, 1, 1, 0, WriteId{1, 1}, p, {}, 0});
-    h.record_write(WriteEvent{{}, 1, 2, 0, WriteId{2, 1}, p, a, 0});
+    h.record_write(WriteEvent{{}, 1, 1, WriteId{1, 1}, p, 0});
+    h.record_write(WriteEvent{{}, 1, 2, WriteId{2, 1}, p, 0});
     for (StoreId s : {0u, 1u}) {
-      h.record_apply(ApplyEvent{{}, s, WriteId{2, 1}, p, a, 0});
-      h.record_apply(ApplyEvent{{}, s, WriteId{1, 1}, p, {}, 0});
+      apply(h, s, WriteId{2, 1}, 0, a);
+      apply(h, s, WriteId{1, 1});
     }
-    h.record_apply(ApplyEvent{{}, 2, {}, kNoPage, b, 0, true});
-    h.record_apply(ApplyEvent{{}, 2, WriteId{2, 1}, p, a, 0});
+    snapshot(h, 2, b);
+    apply(h, 2, WriteId{2, 1}, 0, a);
   };
   History fresh;
   script(fresh);
 
   History reused;
   const PageId junk = reused.intern("junk");
-  reused.record_write(WriteEvent{{}, 1, 3, 0, WriteId{3, 1}, junk, b, 0});
-  reused.record_apply(ApplyEvent{{}, 4, WriteId{3, 1}, junk, b, 0});
-  reused.record_apply(ApplyEvent{{}, 4, {}, kNoPage, a, 0, true});
+  reused.record_write(WriteEvent{{}, 1, 3, WriteId{3, 1}, junk, 0});
+  ApplyEvent dirty;
+  dirty.store = 4;
+  dirty.wid = WriteId{3, 1};
+  dirty.page = junk;
+  reused.record_apply(dirty, b);
+  snapshot(reused, 4, a);
   reused.clear();
   EXPECT_EQ(reused.size(), 0u);
   EXPECT_EQ(reused.pages_interned(), 1u);
+  EXPECT_EQ(reused.clocks_interned(), 1u);  // the empty clock alone
   script(reused);
 
   EXPECT_EQ(reused.size(), fresh.size());
+  EXPECT_EQ(reused.clocks_interned(), fresh.clocks_interned());
   EXPECT_EQ(reused.page_name(1), "p");
   for (ObjectModel m :
        {ObjectModel::kSequential, ObjectModel::kPram, ObjectModel::kFifoPram,
@@ -518,9 +543,9 @@ TEST(HistoryTest, ClearedHistoryRecordsAndJudgesLikeAFreshOne) {
 
 TEST(HistoryTest, StoresAndClientsEnumerated) {
   History h;
-  h.record_apply(ApplyEvent{{}, 3, WriteId{1, 1}, h.intern("p"), {}, 0});
-  h.record_apply(ApplyEvent{{}, 1, WriteId{2, 1}, h.intern("p"), {}, 0});
-  h.record_write(WriteEvent{{}, 1, 7, 0, WriteId{7, 1}, h.intern("p"), {}, 0});
+  apply(h, 3, WriteId{1, 1});
+  apply(h, 1, WriteId{2, 1});
+  h.record_write(WriteEvent{{}, 1, 7, WriteId{7, 1}, h.intern("p"), 0});
   EXPECT_EQ(naive::stores(h), (std::vector<StoreId>{1, 3}));
   EXPECT_EQ(naive::clients(h), (std::vector<ClientId>{7}));
 }

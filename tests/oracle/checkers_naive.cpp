@@ -1,9 +1,10 @@
 // Seed checker implementations: the test-only oracle that the
 // StreamingChecker, both live and as the post-hoc replay (checkers.cpp),
 // is compared against. They answer every query through full scans of
-// the History's event vectors, so a per-client check rescans the whole
+// the History's event deques, so a per-client check rescans the whole
 // event log — O(clients × events) across a session sweep. Kept verbatim
-// from the seed apart from those scans moving out of History.
+// from the seed apart from those scans moving out of History and apply
+// clocks being read from its clock table.
 #include <algorithm>
 #include <map>
 #include <set>
@@ -72,7 +73,7 @@ CheckResult check_per_writer_order(const History& h, bool contiguous) {
     for (const ApplyEvent* a : store_applies(h, store)) {
       ++res.events_checked;
       if (a->from_snapshot) {
-        for (const auto& [c, v] : a->deps.entries()) {
+        for (const auto& [c, v] : h.clock(a->deps).entries()) {
           auto& cur = last_seq[c];
           cur = std::max(cur, v);
         }
@@ -110,15 +111,16 @@ CheckResult check_dependencies_respected(
     VectorClock applied;
     for (const ApplyEvent* a : store_applies(h, store)) {
       ++res.events_checked;
+      const VectorClock& deps = h.clock(a->deps);
       if (a->from_snapshot) {
-        applied.merge(a->deps);
+        applied.merge(deps);
         continue;
       }
       const bool selected =
           only_these_writes.empty() || only_these_writes.count(a->wid) > 0;
-      if (selected && !applied.dominates(a->deps)) {
+      if (selected && !applied.dominates(deps)) {
         res.fail(std::string(label) + ": store " + std::to_string(store) +
-                 " applied " + a->wid.str() + " with deps " + a->deps.str() +
+                 " applied " + a->wid.str() + " with deps " + deps.str() +
                  " before those dependencies were applied (applied=" +
                  applied.str() + ")");
       }
@@ -284,7 +286,7 @@ CheckResult check_monotonic_writes(const History& h, ClientId client) {
     std::uint64_t prev = 0;
     for (const ApplyEvent* a : store_applies(h, store)) {
       if (a->from_snapshot) {
-        prev = std::max(prev, a->deps.get(client));
+        prev = std::max(prev, h.clock(a->deps).get(client));
         continue;
       }
       if (a->wid.client != client) continue;

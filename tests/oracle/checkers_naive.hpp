@@ -3,7 +3,7 @@
 // Every verdict libglobe returns comes from StreamingChecker, live
 // (attached to a History) or as the post-hoc replay behind
 // check_object_model / check_sessions. This oracle computes the same
-// verdicts independently, by full scans of the History's event vectors,
+// verdicts independently, by full scans of the History's event deques,
 // so the equivalence suites can require identical results (ok flag,
 // violation strings in order, events_checked) from both paths. Only the
 // test executables link it.

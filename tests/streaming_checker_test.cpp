@@ -36,26 +36,34 @@ constexpr ObjectModel kAllObjectModels[] = {
     ObjectModel::kSequential, ObjectModel::kPram, ObjectModel::kFifoPram,
     ObjectModel::kCausal, ObjectModel::kEventual};
 
-ApplyEvent apply(StoreId store, WriteId wid, PageId page,
-                 std::uint64_t gseq = 0, VectorClock deps = {}) {
+/// Records an apply of `wid` at `store`, made with the clock `deps`.
+void apply(History& h, StoreId store, WriteId wid, PageId page,
+           std::uint64_t gseq = 0, const VectorClock& deps = {}) {
   ApplyEvent e;
   e.store = store;
   e.wid = wid;
   e.page = page;
-  e.deps = std::move(deps);
   e.global_seq = gseq;
-  return e;
+  h.record_apply(e, deps);
+}
+
+/// Records a snapshot adoption at `store` with the snapshot's clock.
+void snapshot(History& h, StoreId store, const VectorClock& clock,
+              std::uint64_t gseq = 0) {
+  ApplyEvent e;
+  e.store = store;
+  e.global_seq = gseq;
+  e.from_snapshot = true;
+  h.record_apply(e, clock);
 }
 
 WriteEvent client_write(ClientId client, std::uint64_t op_index, WriteId wid,
-                        PageId page, VectorClock deps = {},
-                        std::uint64_t gseq = 0) {
+                        PageId page, std::uint64_t gseq = 0) {
   WriteEvent e;
   e.client_op_index = op_index;
   e.client = client;
   e.wid = wid;
   e.page = page;
-  e.deps = std::move(deps);
   e.global_seq = gseq;
   return e;
 }
@@ -126,10 +134,10 @@ TEST(StreamingChecker, OutOfOrderApply) {
   expect_streaming_equivalence(
       [](History& h) {
         const PageId p = h.intern("p");
-        h.record_apply(apply(0, {1, 1}, p));
-        h.record_apply(apply(0, {1, 2}, p));
-        h.record_apply(apply(1, {1, 2}, p));  // applied before seq 1
-        h.record_apply(apply(1, {1, 1}, p));
+        apply(h, 0, {1, 1}, p);
+        apply(h, 0, {1, 2}, p);
+        apply(h, 1, {1, 2}, p);  // applied before seq 1
+        apply(h, 1, {1, 1}, p);
         h.record_write(client_write(1, 1, {1, 1}, p));
         h.record_write(client_write(1, 2, {1, 2}, p));
       },
@@ -140,8 +148,8 @@ TEST(StreamingChecker, GapInPerWriterSequence) {
   expect_streaming_equivalence(
       [](History& h) {
         const PageId p = h.intern("p");
-        h.record_apply(apply(0, {1, 1}, p));
-        h.record_apply(apply(0, {1, 3}, p));  // skipped seq 2
+        apply(h, 0, {1, 1}, p);
+        apply(h, 0, {1, 3}, p);  // skipped seq 2
       },
       {});
 }
@@ -150,10 +158,10 @@ TEST(StreamingChecker, BrokenTotalOrder) {
   expect_streaming_equivalence(
       [](History& h) {
         const PageId p = h.intern("p");
-        h.record_apply(apply(0, {1, 1}, p, 1));
-        h.record_apply(apply(0, {2, 1}, p, 2));
-        h.record_apply(apply(1, {2, 1}, p, 1));  // stores disagree
-        h.record_apply(apply(1, {1, 1}, p, 2));
+        apply(h, 0, {1, 1}, p, 1);
+        apply(h, 0, {2, 1}, p, 2);
+        apply(h, 1, {2, 1}, p, 1);  // stores disagree
+        apply(h, 1, {1, 1}, p, 2);
       },
       {});
 }
@@ -189,9 +197,9 @@ TEST(StreamingChecker, WritesFollowReadsViolation) {
         VectorClock dep;
         dep.set(1, 1);
         h.record_write(client_write(1, 1, {1, 1}, p));
-        h.record_write(client_write(5, 1, {5, 1}, p, dep));
-        h.record_apply(apply(0, {5, 1}, p, 0, dep));  // before its context
-        h.record_apply(apply(0, {1, 1}, p));
+        h.record_write(client_write(5, 1, {5, 1}, p));
+        apply(h, 0, {5, 1}, p, 0, dep);  // before its context
+        apply(h, 0, {1, 1}, p);
       },
       {1, 5});
 }
@@ -204,10 +212,10 @@ TEST(StreamingChecker, WfrApplySeenBeforeWriteEvent) {
         const PageId p = h.intern("p");
         VectorClock dep;
         dep.set(1, 1);
-        h.record_apply(apply(0, {5, 1}, p, 0, dep));  // write not yet seen
-        h.record_apply(apply(0, {1, 1}, p));
+        apply(h, 0, {5, 1}, p, 0, dep);  // write not yet seen
+        apply(h, 0, {1, 1}, p);
         h.record_write(client_write(1, 1, {1, 1}, p));
-        h.record_write(client_write(5, 1, {5, 1}, p, dep));
+        h.record_write(client_write(5, 1, {5, 1}, p));
       },
       {1, 5});
 }
@@ -216,8 +224,8 @@ TEST(StreamingChecker, EventualDivergence) {
   expect_streaming_equivalence(
       [](History& h) {
         const PageId p = h.intern("page.html");
-        h.record_apply(apply(0, {1, 4}, p));
-        h.record_apply(apply(1, {1, 2}, p));  // older final write
+        apply(h, 0, {1, 4}, p);
+        apply(h, 1, {1, 2}, p);  // older final write
       },
       {});
   // The assembled violation resolves the interned page name.
@@ -225,8 +233,8 @@ TEST(StreamingChecker, EventualDivergence) {
   StreamingChecker sc(ObjectModel::kEventual);
   h.attach_streaming(&sc);
   const PageId p = h.intern("page.html");
-  h.record_apply(apply(0, {1, 4}, p));
-  h.record_apply(apply(1, {1, 2}, p));
+  apply(h, 0, {1, 4}, p);
+  apply(h, 1, {1, 2}, p);
   const CheckResult r = sc.model_result();
   ASSERT_FALSE(r.ok);
   EXPECT_NE(r.violations.at(0).find("page.html"), std::string::npos);
@@ -238,14 +246,9 @@ TEST(StreamingChecker, SnapshotBaselines) {
         const PageId p = h.intern("p");
         VectorClock snap;
         snap.set(1, 5);
-        ApplyEvent s;
-        s.store = 2;
-        s.deps = snap;
-        s.global_seq = 7;
-        s.from_snapshot = true;
-        h.record_apply(s);
-        h.record_apply(apply(2, {1, 6}, p, 8));
-        h.record_apply(apply(2, {1, 3}, p, 9));  // below the snapshot
+        snapshot(h, 2, snap, 7);
+        apply(h, 2, {1, 6}, p, 8);
+        apply(h, 2, {1, 3}, p, 9);  // below the snapshot
       },
       {});
 }
@@ -264,22 +267,16 @@ TEST(StreamingChecker, RetentionOffJudgesLikeTheReplay) {
     dep.set(1, 1);
     VectorClock later = dep;
     later.set(1, 2);
-    ApplyEvent snap;
-    snap.store = 2;
-    snap.deps = dep;
-    snap.from_snapshot = true;
     h.record_write(client_write(1, 1, {1, 1}, p));
     h.record_read(client_read(5, 1, p, dep));
-    h.record_write(client_write(5, 2, {5, 1}, p, dep));
-    h.record_apply(apply(0, {5, 1}, p, 0, dep));  // ahead of w(1,1)
-    h.record_apply(apply(0, {1, 1}, p));
-    h.record_apply(apply(1, {5, 1}, p));  // state record: no deps
-    h.record_apply(snap);
-    h.record_apply(apply(2, {5, 1}, p, 0, dep));
-    snap.store = 1;
-    snap.deps = later;
-    h.record_apply(snap);
-    h.record_apply(apply(1, {1, 3}, p, 0, later));
+    h.record_write(client_write(5, 2, {5, 1}, p));
+    apply(h, 0, {5, 1}, p, 0, dep);  // ahead of w(1,1)
+    apply(h, 0, {1, 1}, p);
+    apply(h, 1, {5, 1}, p);  // state record: no deps
+    snapshot(h, 2, dep);
+    apply(h, 2, {5, 1}, p, 0, dep);
+    snapshot(h, 1, later);
+    apply(h, 1, {1, 3}, p, 0, later);
   };
   for (ObjectModel m : kAllObjectModels) {
     History kept;
@@ -292,6 +289,7 @@ TEST(StreamingChecker, RetentionOffJudgesLikeTheReplay) {
     live.attach_streaming(&sc);
     script(live);
     EXPECT_EQ(live.size(), 0u);
+    EXPECT_EQ(live.clocks_interned(), 1u);  // the empty clock alone
     EXPECT_TRUE(sc.exact()) << to_string(m);
     expect_verdicts_equal(sc, kept);
   }
@@ -316,9 +314,9 @@ TEST(StreamingChecker, CatchesPramAtTheViolatingApply) {
   StreamingChecker sc(ObjectModel::kPram);
   h.attach_streaming(&sc);
   const PageId p = h.intern("p");
-  h.record_apply(apply(0, {1, 1}, p));
+  apply(h, 0, {1, 1}, p);
   EXPECT_EQ(sc.violations_so_far(), 0u);
-  h.record_apply(apply(0, {1, 3}, p));  // gap
+  apply(h, 0, {1, 3}, p);  // gap
   EXPECT_EQ(sc.violations_so_far(), 1u);
 }
 
@@ -362,10 +360,8 @@ TEST(StreamingChecker, RandomizedHistories) {
         const PageId page = page_ids[rng.below(pages)];
         const auto kind = rng.below(4);
         if (kind == 0) {
-          VectorClock deps;
-          deps.set(static_cast<ClientId>(rng.below(clients)), rng.below(5));
-          h.record_write(client_write(c, ++op[c], {c, ++seq[c]}, page,
-                                      std::move(deps), ++gseq));
+          h.record_write(
+              client_write(c, ++op[c], {c, ++seq[c]}, page, ++gseq));
         } else if (kind == 1) {
           VectorClock clock;
           clock.set(static_cast<ClientId>(rng.below(clients)), rng.below(8));
@@ -376,16 +372,13 @@ TEST(StreamingChecker, RandomizedHistories) {
           if (rng.chance(0.3)) {
             deps.set(static_cast<ClientId>(rng.below(clients)), rng.below(5));
           }
-          h.record_apply(apply(static_cast<StoreId>(rng.below(stores)),
-                               {c, rng.below(6) + 1}, page, rng.below(5),
-                               std::move(deps)));
+          apply(h, static_cast<StoreId>(rng.below(stores)),
+                {c, rng.below(6) + 1}, page, rng.below(5), deps);
         } else {
-          ApplyEvent s;
-          s.store = static_cast<StoreId>(rng.below(stores));
-          s.deps.set(static_cast<ClientId>(rng.below(clients)), rng.below(6));
-          s.global_seq = rng.below(4);
-          s.from_snapshot = true;
-          h.record_apply(s);
+          const auto store = static_cast<StoreId>(rng.below(stores));
+          VectorClock clock;
+          clock.set(static_cast<ClientId>(rng.below(clients)), rng.below(6));
+          snapshot(h, store, clock, rng.below(4));
         }
       }
       EXPECT_TRUE(sc.exact()) << to_string(m) << " round " << round;
@@ -420,11 +413,9 @@ TEST(StreamingChecker, HorizonRetiresWithoutChangingVerdicts) {
       const auto c = static_cast<ClientId>(rng.below(kClients) + 1);
       if (rng.chance(0.5)) {
         const WriteId wid{c, ++seq[c]};
-        h.record_write(
-            client_write(c, ++op[c], wid, p, applied, ++gseq));
+        h.record_write(client_write(c, ++op[c], wid, p, ++gseq));
         for (int s = 0; s < kStores; ++s) {
-          h.record_apply(
-              apply(static_cast<StoreId>(s), wid, p, gseq, applied));
+          apply(h, static_cast<StoreId>(s), wid, p, gseq, applied);
         }
         applied.observe(wid);
       } else {
@@ -511,8 +502,8 @@ TEST(StreamingChecker, ClearResetsRecorderAndChecker) {
     const PageId p = h.intern("p");
     const PageId q = h.intern("q");
     h.record_write(client_write(1, 1, {1, 1}, p));
-    h.record_apply(apply(0, {1, 1}, p, 1));
-    h.record_apply(apply(0, {2, 1}, q, 3));  // gseq gap + unknown writer
+    apply(h, 0, {1, 1}, p, 1);
+    apply(h, 0, {2, 1}, q, 3);  // gseq gap + unknown writer
     h.record_read(client_read(1, 2, q));
     h.record_read(client_read(2, 1, p));
   };
@@ -533,7 +524,7 @@ TEST(StreamingChecker, ClearResetsRecorderAndChecker) {
   reused.attach_streaming(&reused_sc);
   const PageId junk = reused.intern("junk");
   reused.record_write(client_write(3, 1, {3, 1}, junk));
-  reused.record_apply(apply(5, {3, 1}, junk, 9));
+  apply(reused, 5, {3, 1}, junk, 9);
   reused.record_read(client_read(3, 2, junk));
   VectorClock hz;
   hz.set(3, 1);
