@@ -726,7 +726,7 @@ double replay_history(const coherence::History& src,
     if (wt <= rt && wt <= st) {
       coherence::WriteEvent e = ws[wi++];
       e.page = dst.intern(src.page_name(e.page));
-      dst.record_write(std::move(e));
+      dst.record_write(e);
     } else if (rt <= st) {
       coherence::ReadEvent e = rs[ri++];
       e.page = dst.intern(src.page_name(e.page));

@@ -55,7 +55,7 @@ std::string History::page_name(PageId id) const {
 
 void History::record_write(WriteEvent e) {
   if (streaming_ != nullptr) streaming_->record_write(e);
-  if (retain_events_) writes_.push_back(std::move(e));
+  if (retain_events_) writes_.push_back(e);
 }
 
 void History::record_read(ReadEvent e) {

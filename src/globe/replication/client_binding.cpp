@@ -452,7 +452,7 @@ void ClientBinding::transmit_write(Session& s, ClientRequest req,
           e.wid = wid;
           e.page = history_->intern(page);
           e.global_seq = rep.global_seq;
-          history_->record_write(std::move(e));
+          history_->record_write(e);
         }
         if (metrics_ != nullptr) {
           metrics_->record_write_latency_us(
