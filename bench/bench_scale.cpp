@@ -285,7 +285,8 @@ Section micro_writelog(bool smoke) {
   const int queries = smoke ? 100 : 3000;
   constexpr int kWriters = 32;
   util::Rng rng(99);
-  replication::WriteLog log;
+  web::PageTable pages;
+  replication::WriteLog log(pages);
   std::vector<std::uint64_t> next_seq(kWriters, 1);
   for (int i = 0; i < records; ++i) {
     const auto client = static_cast<ClientId>(rng.below(kWriters));
@@ -294,7 +295,9 @@ Section micro_writelog(bool smoke) {
     rec.page = "page" + std::to_string(rng.below(64)) + ".html";
     rec.content = "content-" + std::to_string(i);
     rec.lamport = i + 1;
-    log.append(rec);
+    const web::PageId page = pages.acquire(rec.page);
+    log.append(rec, page);
+    pages.release(page);
   }
   // Near-tip requesters: each misses the last 0–2 writes of every
   // writer, the steady state of a replica polling a busy object.
@@ -706,7 +709,7 @@ Section multicast_window(bool smoke) {
 // ---- Wide trees: history, churn, soak, snapshot_delta ---------------
 
 /// Replays `src` into `dst` in chronological order (3-way merge on the
-/// event timestamps), re-interning page names and apply clocks — exactly
+/// event timestamps), re-interning page names and clocks — exactly
 /// the recording work the testbed run performed, isolated from the
 /// simulator.
 double replay_history(const coherence::History& src,
@@ -730,7 +733,7 @@ double replay_history(const coherence::History& src,
     } else if (rt <= st) {
       coherence::ReadEvent e = rs[ri++];
       e.page = dst.intern(src.page_name(e.page));
-      dst.record_read(std::move(e));
+      dst.record_read(e, src.clock(e.store_clock));
     } else {
       coherence::ApplyEvent e = as[ai++];
       e.page = dst.intern(src.page_name(e.page));

@@ -29,9 +29,7 @@ namespace {
 /// are the final ones; writes precede applies, so no writes-follow-reads
 /// apply has to wait for its write event.
 void replay(const History& h, StreamingChecker& sc) {
-  for (PageId id = 1; id < h.pages_interned(); ++id) {
-    sc.note_page(id, h.page_name(id));
-  }
+  sc.use_pages(&h.page_table());
   struct Op {
     ClientId client;
     std::uint64_t index;
@@ -57,7 +55,7 @@ void replay(const History& h, StreamingChecker& sc) {
     if (op.write != nullptr) {
       sc.record_write(*op.write);
     } else {
-      sc.record_read(*op.read);
+      sc.record_read(*op.read, h.clock(op.read->store_clock));
     }
   }
   for (const ApplyEvent& a : h.applies()) sc.record_apply(a, h.clock(a.deps));

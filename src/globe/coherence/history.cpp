@@ -21,25 +21,11 @@ std::size_t hash_of(const VectorClock& clock) {
 
 }  // namespace
 
-PageId History::intern(std::string_view name) {
-  if (name.empty()) return kNoPage;
-  auto it = page_ids_.find(name);
-  if (it != page_ids_.end()) return it->second;
-  const auto id = static_cast<PageId>(page_names_.size());
-  page_names_.emplace_back(name);
-  page_ids_.emplace(page_names_.back(), id);
-  if (streaming_ != nullptr) streaming_->note_page(id, page_names_.back());
-  return id;
-}
+History::History() { pages_.intern(""); }
 
 void History::attach_streaming(StreamingChecker* checker) {
   streaming_ = checker;
-  if (streaming_ == nullptr) return;
-  // Replay the intern table so diagnostics for pages interned before the
-  // attach render by name, not "#id".
-  for (PageId id = 1; id < page_names_.size(); ++id) {
-    streaming_->note_page(id, page_names_[id]);
-  }
+  if (streaming_ != nullptr) streaming_->use_pages(&pages_);
 }
 
 std::size_t History::note_horizon(const VectorClock& clock,
@@ -49,7 +35,7 @@ std::size_t History::note_horizon(const VectorClock& clock,
 }
 
 std::string History::page_name(PageId id) const {
-  if (id < page_names_.size()) return page_names_[id];
+  if (id < pages_.bound()) return pages_.name(id);
   return "#" + std::to_string(id);
 }
 
@@ -58,9 +44,11 @@ void History::record_write(WriteEvent e) {
   if (retain_events_) writes_.push_back(e);
 }
 
-void History::record_read(ReadEvent e) {
-  if (streaming_ != nullptr) streaming_->record_read(e);
-  if (retain_events_) reads_.push_back(std::move(e));
+void History::record_read(ReadEvent e, const VectorClock& store_clock) {
+  if (streaming_ != nullptr) streaming_->record_read(e, store_clock);
+  if (!retain_events_) return;
+  e.store_clock = intern_clock(store_clock);
+  reads_.push_back(e);
 }
 
 void History::record_apply(ApplyEvent e, const VectorClock& deps) {
@@ -87,13 +75,13 @@ void History::clear() {
   writes_.clear();
   reads_.clear();
   applies_.clear();
-  page_ids_.clear();
-  page_names_.assign(1, std::string());
+  pages_.clear();
+  pages_.intern("");
   clocks_.assign(1, VectorClock());
   clock_ids_.clear();
   // A reused recorder must behave exactly like a fresh one: the intern
-  // table restarts at id 1, so the attached checker's mirror (and all
-  // its event state) has to restart with it.
+  // tables restart at id 1, so the attached checker's event state has
+  // to restart with them.
   if (streaming_ != nullptr) streaming_->reset();
 }
 

@@ -8,16 +8,20 @@
 // strategy implements its advertised model.
 //
 // A History only records: three event deques in record order, plus one
-// page-name table and one dependency-clock table. Recording is on the
-// hot path of every simulated operation, so events carry an interned
-// PageId instead of a std::string per event, and an apply event an
-// interned ClockId instead of its own copy of a clock: a write applied
-// at 125 stores is one clock, not 125. Clocks are interned by value, not
-// by write id, because one write reaches stores with different clocks
-// (a pushed record carries its deps, a cutover state record none, a
-// snapshot event the store's whole applied clock). The checkers replay
-// these events through a StreamingChecker (streaming.hpp), which keeps
-// whatever per-client and per-store state a verdict needs.
+// page table (web::PageTable, the type a replica uses) and one clock
+// table. Recording is on the hot path of every simulated operation, so
+// events carry an interned PageId instead of a std::string per event,
+// and apply and read events an interned ClockId instead of their own
+// copy of a clock: a write applied at 125 stores is one clock, not 125,
+// and reads served by a store between two applies share one. Clocks are
+// interned by value, not by write id, because one write reaches stores
+// with different clocks (a pushed record carries its deps, a cutover
+// state record none, a snapshot event the store's whole applied clock).
+// The History's page ids are its own, not any replica's: replicas meet
+// pages in different orders. The checkers replay these events through a
+// StreamingChecker (streaming.hpp), which keeps whatever per-client and
+// per-store state a verdict needs and reads page names from the
+// History's table.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +36,7 @@
 #include "globe/util/assert.hpp"
 #include "globe/util/ids.hpp"
 #include "globe/util/time.hpp"
+#include "globe/web/page_table.hpp"
 
 namespace globe::coherence {
 
@@ -41,10 +46,10 @@ using util::SimTime;
 
 /// Interned page name. Id 0 (`kNoPage`) is the empty name, used by
 /// events that carry no page (e.g. snapshot applies).
-using PageId = std::uint32_t;
+using PageId = web::PageId;
 inline constexpr PageId kNoPage = 0;
 
-/// Interned dependency clock. Id 0 (`kEmptyClock`) is the empty clock.
+/// Interned clock. Id 0 (`kEmptyClock`) is the empty clock.
 using ClockId = std::uint32_t;
 inline constexpr ClockId kEmptyClock = 0;
 
@@ -59,14 +64,16 @@ struct WriteEvent {
   std::uint64_t global_seq = 0;  // primary-assigned total order (0 if none)
 };
 
-/// A client completed a read.
+/// A client completed a read. A read is recorded with the serving
+/// store's applied clock; a retained event names it by `store_clock`,
+/// an id into the History's clock table (History::clock).
 struct ReadEvent {
   SimTime at{};
   std::uint64_t client_op_index = 0;
   ClientId client = 0;
   StoreId store = kInvalidStore;  // store that served the read
   PageId page = kNoPage;
-  VectorClock store_clock;        // serving store's applied clock
+  ClockId store_clock = kEmptyClock;
   std::uint64_t store_global_seq = 0;
 };
 
@@ -93,28 +100,33 @@ static_assert(sizeof(ApplyEvent) == 48);
 
 class History {
  public:
+  History();
+
   /// Interns `name`, returning its stable PageId. The empty name is
   /// always `kNoPage`.
-  PageId intern(std::string_view name);
+  PageId intern(std::string_view name) { return pages_.intern(name); }
 
   /// Resolves an interned id back to its name ("#<id>" for ids this
   /// History never handed out, so diagnostics on hand-built events
   /// still render).
   [[nodiscard]] std::string page_name(PageId id) const;
 
-  [[nodiscard]] std::size_t pages_interned() const {
-    return page_names_.size();
-  }
+  [[nodiscard]] std::size_t pages_interned() const { return pages_.size(); }
+
+  /// The page table, which an attached or replaying checker shares.
+  [[nodiscard]] const web::PageTable& page_table() const { return pages_; }
 
   void record_write(WriteEvent e);
-  void record_read(ReadEvent e);
-  /// Records an apply with the clock it was made with (see ApplyEvent).
-  /// A retained event gets the clock's id in `deps`; with retention off
-  /// the clock goes to the attached checker only and nothing is interned.
+  /// Records a read with the serving store's applied clock, and an
+  /// apply with the clock it was made with (see ApplyEvent). A retained
+  /// event gets the clock's id (`store_clock`, `deps`); with retention
+  /// off the clock goes to the attached checker only and nothing is
+  /// interned.
+  void record_read(ReadEvent e, const VectorClock& store_clock);
   void record_apply(ApplyEvent e, const VectorClock& deps);
 
-  /// The clock a retained ApplyEvent's `deps` names. Equal clocks share
-  /// one id, and `kEmptyClock` is the empty clock.
+  /// The clock a retained event's `deps` or `store_clock` names. Equal
+  /// clocks share one id, and `kEmptyClock` is the empty clock.
   [[nodiscard]] const VectorClock& clock(ClockId id) const {
     GLOBE_DCHECK_MSG(id < clocks_.size(),
                      "a clock id this History never handed out");
@@ -124,10 +136,11 @@ class History {
   [[nodiscard]] std::size_t clocks_interned() const { return clocks_.size(); }
 
   /// Attaches a streaming checker that is fed every event as it is
-  /// recorded (plus the already-interned page table on attach, so late
-  /// attachment renders diagnostics identically). Pass nullptr to
-  /// detach. The checker must outlive the History or be detached first;
-  /// clear() resets it alongside the event log.
+  /// recorded and reads page names from this History's table, so late
+  /// attachment renders diagnostics identically. Pass nullptr to
+  /// detach. The checker must outlive the History or be detached first,
+  /// and the History must outlive the checker's verdicts; clear() resets
+  /// the checker alongside the event log.
   void attach_streaming(StreamingChecker* checker);
   [[nodiscard]] StreamingChecker* streaming() const { return streaming_; }
 
@@ -169,17 +182,8 @@ class History {
   std::deque<ReadEvent> reads_;
   std::deque<ApplyEvent> applies_;
 
-  // Transparent hashing: intern() is on the record hot path and must
-  // not allocate a temporary std::string per lookup.
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  std::unordered_map<std::string, PageId, StringHash, std::equal_to<>>
-      page_ids_;
-  std::vector<std::string> page_names_{std::string()};  // [kNoPage] = ""
+  // Ids are interned without a hold, so none is ever reused.
+  web::PageTable pages_;  // [kNoPage] = ""
 
   // The clock table, [kEmptyClock] = {}, and its index from a clock's
   // hash to the ids of the clocks with that hash.

@@ -25,14 +25,8 @@ void StreamingChecker::add_session(const SessionSpec& spec) {
   }
 }
 
-void StreamingChecker::note_page(PageId id, std::string_view name) {
-  if (id == kNoPage) return;
-  if (page_names_.size() <= id) page_names_.resize(id + 1);
-  page_names_[id] = std::string(name);
-}
-
 std::string StreamingChecker::page_name(PageId id) const {
-  if (id < page_names_.size()) return page_names_[id];
+  if (pages_ != nullptr && id < pages_->bound()) return pages_->name(id);
   return "#" + std::to_string(id);
 }
 
@@ -174,7 +168,8 @@ void StreamingChecker::record_write(const WriteEvent& e) {
   retain(1);
 }
 
-void StreamingChecker::record_read(const ReadEvent& e) {
+void StreamingChecker::record_read(const ReadEvent& e,
+                                   const VectorClock& store_clock) {
   if (!wants_client_ops(e.client)) return;
   ClientState& c = clients_[e.client];
   note_op_order(c, e.client, e.client_op_index);
@@ -183,8 +178,8 @@ void StreamingChecker::record_read(const ReadEvent& e) {
   op.is_write = false;
   op.gseq = e.store_global_seq;
   op.store = e.store;
-  check_client_read(c, e.client, op, e.store_clock);
-  if (options_.buffer_clocks) op.store_clock = e.store_clock;
+  check_client_read(c, e.client, op, store_clock);
+  if (options_.buffer_clocks) op.store_clock = store_clock;
   c.buffer.push_back(std::move(op));
   retain(1);
 }
@@ -424,7 +419,6 @@ void StreamingChecker::reset() {
   for (auto& v : wfr_violations_) v.clear();
   std::fill(mw_checked_.begin(), mw_checked_.end(), 0);
   model_checked_ = 0;
-  page_names_.assign(1, std::string());
   horizon_ = VectorClock{};
   horizon_gseq_ = 0;
   horizon_advances_ = 0;

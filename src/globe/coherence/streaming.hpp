@@ -50,7 +50,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -86,12 +85,16 @@ class StreamingChecker {
   /// client, before that client's first event).
   void add_session(const SessionSpec& spec);
 
-  /// Mirrors the History's intern table so assembled diagnostics render
-  /// page names identically.
-  void note_page(PageId id, std::string_view name);
+  /// The page table assembled diagnostics name pages from: the
+  /// History's, shared on attach and by the replay. Without one, pages
+  /// render as "#<id>".
+  void use_pages(const web::PageTable* pages) { pages_ = pages; }
 
   void record_write(const WriteEvent& e);
-  void record_read(const ReadEvent& e);
+  /// `store_clock` is the serving store's applied clock; the event's own
+  /// `store_clock` id is not read, so live and replayed events are
+  /// judged alike.
+  void record_read(const ReadEvent& e, const VectorClock& store_clock);
   /// `deps` is the clock the apply was made with; the event's own `deps`
   /// id is not read, so live and replayed events are judged alike.
   void record_apply(const ApplyEvent& e, const VectorClock& deps);
@@ -101,9 +104,9 @@ class StreamingChecker {
   /// discharges. Returns the number of retained entries retired.
   std::size_t advance_horizon(const VectorClock& clock, std::uint64_t gseq);
 
-  /// Drops all event-derived state (pages, buffers, horizon, counters)
-  /// but keeps the model and registered sessions — the History::clear()
-  /// companion.
+  /// Drops all event-derived state (buffers, horizon, counters) but
+  /// keeps the model, the registered sessions and the page table — the
+  /// History::clear() companion.
   void reset();
 
   /// Assembles the object-model verdict over everything recorded so far;
@@ -258,7 +261,7 @@ class StreamingChecker {
   std::unordered_map<ClientId, std::size_t> mr_slot_;
   std::unordered_map<ClientId, std::size_t> wfr_slot_;
 
-  std::vector<std::string> page_names_{std::string()};
+  const web::PageTable* pages_ = nullptr;
 
   std::map<StoreId, StoreState> stores_;
   std::unordered_map<ClientId, ClientState> clients_;

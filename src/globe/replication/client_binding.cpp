@@ -296,9 +296,8 @@ void ClientBinding::read_impl(Session& s, const std::string& page,
           e.client = options_.client;
           e.store = rep.store;
           e.page = history_->intern(page);
-          e.store_clock = rep.store_clock;
           e.store_global_seq = rep.global_seq;
-          history_->record_read(std::move(e));
+          history_->record_read(e, rep.store_clock);
         }
         if (metrics_ != nullptr) {
           metrics_->record_read_latency_us(
@@ -314,7 +313,7 @@ void ClientBinding::next_queued_read(Session& s) {
   s.read_inflight = false;
   if (s.queued_reads.empty()) return;
   auto next = std::move(s.queued_reads.front());
-  s.queued_reads.pop_front();
+  s.queued_reads.erase(s.queued_reads.begin());
   next();
 }
 
@@ -471,7 +470,7 @@ void ClientBinding::next_queued_write(Session& s) {
     return;
   }
   auto next = std::move(s.queued_writes.front());
-  s.queued_writes.pop_front();
+  s.queued_writes.erase(s.queued_writes.begin());
   next();
 }
 

@@ -21,7 +21,6 @@
 // invalidation protocol.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -216,10 +215,14 @@ class ClientBinding {
     // the wire at a time, the rest queue here in program order. Reads
     // serialize among themselves the same way (the monotonic-reads
     // floor of a read must include the previous read's observation).
+    // Vectors: most sessions never queue an op, and a vector holds no
+    // heap until its first element (a deque holds a map and a 512-byte
+    // block from birth). Queues stay a few ops deep, so popping the
+    // front is cheap.
     bool write_inflight = false;
-    std::deque<std::function<void()>> queued_writes;
+    std::vector<std::function<void()>> queued_writes;
     bool read_inflight = false;
-    std::deque<std::function<void()>> queued_reads;
+    std::vector<std::function<void()>> queued_reads;
 
     // Delta-mode document cache plus the lineage of its last transfer:
     // which store sent it, at which document version, and from which

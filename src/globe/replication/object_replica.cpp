@@ -9,7 +9,8 @@ namespace globe::replication {
 
 using coherence::ObjectModel;
 
-ObjectReplica::ObjectReplica(const ReplicaConfig& config) : config_(config) {
+ObjectReplica::ObjectReplica(const ReplicaConfig& config)
+    : config_(config), log_(semantics_.document().page_table()) {
   orderer_ = config_.enforces_model ? make_orderer(config_.model)
              : config_.model == ObjectModel::kEventual
                  ? make_orderer(ObjectModel::kEventual)
@@ -75,6 +76,8 @@ ApplyRound ObjectReplica::apply(std::vector<web::WriteRecord> ready,
   ApplyRound round;
   if (ready.empty()) return round;
   const bool eventual = config_.model == ObjectModel::kEventual;
+  web::WebDocument& doc = semantics_.document();
+  web::PageTable& names = doc.page_table();
   for (web::WriteRecord& rec : ready) {
     // The primary stamps the total-order position at apply time for the
     // primary-ordered models (sequential records were stamped earlier).
@@ -83,6 +86,11 @@ ApplyRound ObjectReplica::apply(std::vector<web::WriteRecord> ready,
     }
     next_gseq_ = std::max(next_gseq_, rec.global_seq);
 
+    // The record's one page-name lookup: the document, the invalid
+    // flags and the log all index by this id, held until the record is
+    // through.
+    const web::PageId page = names.acquire(rec.page);
+
     // Multi-master models need convergent conflict resolution:
     // last-writer-wins with a Lamport clock. For the causal model the
     // Lamport order refines the causal order (the clock is advanced on
@@ -90,9 +98,9 @@ ApplyRound ObjectReplica::apply(std::vector<web::WriteRecord> ready,
     // concurrent writes and every replica converges.
     bool changed = true;
     if (multi_master()) {
-      changed = semantics_.apply_lww(rec);
+      changed = doc.apply_lww(rec, page);
     } else {
-      semantics_.apply(rec);
+      doc.apply(rec, page);
     }
     // Deletes must propagate even when the page was already absent.
     changed = changed || rec.op == web::WriteOp::kDelete;
@@ -103,16 +111,17 @@ ApplyRound ObjectReplica::apply(std::vector<web::WriteRecord> ready,
                                        rec.wid.client, rec.wid.seq));
     }
     lamport_ = std::max(lamport_, rec.lamport);
-    invalid_pages_.erase(rec.page);
+    clear_invalid(page);
 
     // Causal records are logged and propagated even when LWW rejected
     // their content: other replicas need their WiDs for dependency
     // coverage. Eventual losers are dropped (the winner suffices).
     if (changed || !eventual) {
-      sink.applied(log_.append(std::move(rec)), /*logged=*/true);
+      sink.applied(log_.append(std::move(rec), page), /*logged=*/true);
     } else {
       sink.applied(rec, /*logged=*/false);
     }
+    names.release(page);
   }
   round.applied = ready.size();
   const std::size_t threshold = config_.compact_threshold;
@@ -212,6 +221,9 @@ bool ObjectReplica::adopt(const StateTransfer::View& st, bool bootstrap,
     // overtook the subscribe ack.
     known_clock_.merge(st.clock);
     known_gseq_ = std::max(known_gseq_, st.gseq);
+    for (web::PageId id = 0; id < invalid_pages_.size(); ++id) {
+      clear_invalid(id);
+    }
     invalid_pages_.clear();
   }
   // The records the transfer covered were never appended to our log:
@@ -249,9 +261,38 @@ void ObjectReplica::hear_of(const coherence::VectorClock& clock,
 }
 
 bool ObjectReplica::invalidate(const std::vector<std::string>& pages) {
+  web::PageTable& names = semantics_.document().page_table();
   bool news = false;
-  for (const std::string& p : pages) news |= invalid_pages_.insert(p).second;
+  for (const std::string& p : pages) {
+    // A new name is held at once by its flag below.
+    const web::PageId id = names.intern(p);
+    if (id >= invalid_pages_.size()) invalid_pages_.resize(id + 1);
+    if (invalid_pages_[id]) continue;
+    invalid_pages_[id] = true;
+    names.hold(id);
+    news = true;
+  }
   return news;
+}
+
+bool ObjectReplica::page_invalid(const std::string& page) const {
+  const auto id = document().page_table().find(page);
+  return id.has_value() && *id < invalid_pages_.size() &&
+         invalid_pages_[*id];
+}
+
+void ObjectReplica::clear_invalid(web::PageId id) {
+  if (id >= invalid_pages_.size() || !invalid_pages_[id]) return;
+  invalid_pages_[id] = false;
+  semantics_.document().page_table().release(id);
+}
+
+web::PageId ObjectReplica::hold_page(const std::string& page) {
+  return semantics_.document().page_table().acquire(page);
+}
+
+void ObjectReplica::release_page(web::PageId id) {
+  semantics_.document().page_table().release(id);
 }
 
 void ObjectReplica::apply_fetched(const web::WriteRecord& rec) {
@@ -406,9 +447,10 @@ std::vector<web::WriteRecord> ObjectReplica::state_as_records() const {
   const web::WebDocument& doc = document();
   std::vector<web::WriteRecord> out;
   const auto pages = doc.page_names();
-  out.reserve(pages.size() + doc.tombstones().size());
+  const auto tombstones = doc.tombstones();
+  out.reserve(pages.size() + tombstones.size());
   for (const auto& page : pages) out.push_back(record_for_page(page));
-  for (const auto& [page, t] : doc.tombstones()) {
+  for (const auto& [page, t] : tombstones) {
     if (!t.writer.valid()) continue;  // deletion of unknown identity
     web::WriteRecord rec;
     rec.op = web::WriteOp::kDelete;

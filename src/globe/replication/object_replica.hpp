@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -217,9 +216,18 @@ class ObjectReplica {
     return applied_clock_;
   }
   [[nodiscard]] std::uint64_t applied_gseq() const { return applied_gseq_; }
-  [[nodiscard]] bool page_invalid(const std::string& page) const {
-    return invalid_pages_.count(page) != 0;
+  [[nodiscard]] bool page_invalid(const std::string& page) const;
+
+  /// The replica's page table: the document's, which its log and page
+  /// flags share.
+  [[nodiscard]] const web::PageTable& page_table() const {
+    return document().page_table();
   }
+  /// Holds `page`'s id for a per-page table the caller keeps beside the
+  /// replica (the engine's TTL stamps), so the id is not reused while
+  /// the caller's slot names it; release_page gives the hold back.
+  web::PageId hold_page(const std::string& page);
+  void release_page(web::PageId id);
 
  private:
   [[nodiscard]] bool multi_master() const;
@@ -235,6 +243,8 @@ class ObjectReplica {
   /// advertises a floor with holes behind it (WriteLog::can_serve
   /// trusts that floor).
   void advance_gseq(std::uint64_t gseq);
+  /// Clears the invalid flag of `id`, if set, and gives back its hold.
+  void clear_invalid(web::PageId id);
   [[nodiscard]] web::WriteRecord record_for_page(const std::string& page) const;
   [[nodiscard]] std::vector<web::WriteRecord> state_as_records() const;
 
@@ -251,7 +261,8 @@ class ObjectReplica {
   std::uint64_t next_gseq_ = 0;  // primary only: total-order counter
   std::uint64_t lamport_ = 0;
 
-  std::set<std::string> invalid_pages_;
+  // Invalid flags by page id; a set flag holds its id.
+  std::vector<bool> invalid_pages_;
   // Lineage of the last adopted state transfer: who sent it (store id
   // and address key), at which document version, and our own document
   // version right after adopting. While ours is unchanged, the next

@@ -179,6 +179,7 @@ StoreEngine::ObjectState& StoreEngine::create_object(const ObjectConfig& cfg) {
   GLOBE_CHECK_HOOK(
       note_owner_context(&o.replica, config_.store_id, view_epoch_));
 
+  note_puller(o);
   if (config_.is_primary || o.cfg.cache_mode != CacheMode::kGlobe) {
     o.ready = true;
   } else {
@@ -322,8 +323,10 @@ bool StoreEngine::update_policy(ObjectState& o,
   if (policy == o.cfg.policy) return true;
 
   // Drain anything queued under the old parameters, then switch.
+  service_flow_events();
   flush_lazy(o);
   o.cfg.policy = policy;
+  note_puller(o);
   configure_timers();
   update_beacon_lanes(o);
 
@@ -367,8 +370,14 @@ void StoreEngine::finalize_propagation() {
 }
 
 void StoreEngine::pull_all() {
-  for (auto& [id, op] : objects_) {
-    if (timer_needs(*op).pull.has_value()) pull_from_upstream(*op);
+  for (const ObjectId id : pullers_) pull_from_upstream(obj(id));
+}
+
+void StoreEngine::note_puller(const ObjectState& o) {
+  if (timer_needs(o).pull.has_value()) {
+    pullers_.insert(o.cfg.object);
+  } else {
+    pullers_.erase(o.cfg.object);
   }
 }
 
@@ -715,9 +724,10 @@ void StoreEngine::serve_read_baseline(ObjectState& o, const Address& from,
   const std::string page = args.str();
   const bool ttl = o.cfg.cache_mode == CacheMode::kTtl;
   if (ttl) {
-    const auto it = o.fetched_at.find(page);
-    if (o.replica.document().has(page) && it != o.fetched_at.end() &&
-        sim_.now() - it->second < o.cfg.ttl) {
+    const auto id = o.replica.page_table().find(page);
+    if (id.has_value() && *id < o.fetched_at.size() &&
+        o.fetched_at[*id].has_value() && o.replica.document().has(page) &&
+        sim_.now() - *o.fetched_at[*id] < o.cfg.ttl) {
       reply_invoke(o, from, request_id, make_read_reply(o, req));
       return;
     }
@@ -743,12 +753,20 @@ void StoreEngine::serve_read_baseline(ObjectState& o, const Address& from,
           const FetchReply::View rep = FetchReply::decode_view(env.body);
           for (const web::WriteRecord& rec : rep.records) {
             o.replica.apply_fetched(rec);
-            o.fetched_at[rec.page] = sim_.now();
+            stamp_fetched(o, rec.page);
           }
-          if (ttl) o.fetched_at[page] = sim_.now();  // a missing page too
+          if (ttl) stamp_fetched(o, page);  // a missing page too
         }
         reply_invoke(o, from, request_id, make_read_reply(o, req));
       });
+}
+
+void StoreEngine::stamp_fetched(ObjectState& o, const std::string& page) {
+  const web::PageId id = o.replica.hold_page(page);
+  if (id >= o.fetched_at.size()) o.fetched_at.resize(id + 1);
+  std::optional<sim::SimTime>& stamp = o.fetched_at[id];
+  if (stamp.has_value()) o.replica.release_page(id);  // already held
+  stamp = sim_.now();
 }
 
 // ---------------------------------------------------------------------
@@ -833,7 +851,7 @@ void StoreEngine::propagate(ObjectState& o,
       auto& queue = o.lazy_queues[tkey];
       queue.insert(queue.end(), std::make_move_iterator(out.begin()),
                    std::make_move_iterator(out.end()));
-      o.lazy_dirty = true;
+      lazy_dirty_.insert(o.cfg.object);
     } else {
       bool grouped = false;
       for (auto& g : groups) {
@@ -896,13 +914,14 @@ void StoreEngine::send_coherence(ObjectState& o,
 }
 
 void StoreEngine::flush_lazy_all() {
-  for (auto& [id, op] : objects_) flush_lazy(*op);
+  service_flow_events();
+  // A flush that backpressure still parks marks its object again.
+  const std::vector<ObjectId> dirty(lazy_dirty_.begin(), lazy_dirty_.end());
+  for (const ObjectId id : dirty) flush_lazy(obj(id));
 }
 
 void StoreEngine::flush_lazy(ObjectState& o) {
-  service_flow_events();
-  if (!o.lazy_dirty) return;
-  o.lazy_dirty = false;
+  if (lazy_dirty_.erase(o.cfg.object) == 0) return;
   auto queues = std::move(o.lazy_queues);
   o.lazy_queues.clear();
   // Notification and full transfers carry no per-record data: a queued
@@ -917,7 +936,7 @@ void StoreEngine::flush_lazy(ObjectState& o) {
       auto& back = o.lazy_queues[key];
       back.insert(back.end(), std::make_move_iterator(batches.begin()),
                   std::make_move_iterator(batches.end()));
-      o.lazy_dirty = true;
+      lazy_dirty_.insert(o.cfg.object);
       continue;
     }
     if (batches.empty() && !data_free) continue;
@@ -1391,10 +1410,10 @@ void StoreEngine::crash() {
   for (auto& [id, op] : objects_) {
     ObjectState& o = *op;
     o.lazy_queues.clear();
-    o.lazy_dirty = false;
     o.fetch_in_flight = false;
     o.unparking = false;
   }
+  lazy_dirty_.clear();
   view_fetch_in_flight_ = false;
   beacon_expect_.clear();  // re-anchor on every sender after recovery
 }
@@ -1489,7 +1508,7 @@ void StoreEngine::apply_state_transfer(ObjectState& o,
       o.cfg.policy.initiative == TransferInitiative::kPush &&
       !o.subscribers.empty()) {
     if (o.cfg.policy.instant == TransferInstant::kLazy) {
-      o.lazy_dirty = true;
+      lazy_dirty_.insert(o.cfg.object);
       for (const Subscriber& s : o.subscribers) {
         o.lazy_queues[addr_key(s.address)];  // mark target; body is snapshot
       }

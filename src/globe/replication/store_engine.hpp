@@ -300,14 +300,16 @@ class StoreEngine {
     std::vector<Subscriber> subscribers;
     // Per-target lazy segments: shared, immutable, pre-encoded batches.
     // N subscribers hold N pointers to one encode, not N record copies.
+    // An object with queued segments is in the engine's lazy_dirty_.
     std::map<std::uint64_t, std::vector<web::RecordBatchPtr>> lazy_queues;
-    bool lazy_dirty = false;  // for notify/full lazy transfers
 
     std::vector<Parked> parked;
     // Writes buffered by the orderer whose client still awaits an ack.
     std::map<coherence::WriteId, std::pair<Address, std::uint64_t>>
         pending_write_acks;
-    std::map<std::string, sim::SimTime> fetched_at;  // TTL bookkeeping
+    // TTL bookkeeping: each page's last fetch, by the replica's page id;
+    // a stamp holds its id.
+    std::vector<std::optional<sim::SimTime>> fetched_at;
     bool outdated = false;  // the replica's verdict at the last note_gaps
     bool fetch_in_flight = false;
     bool ready = false;
@@ -387,6 +389,8 @@ class StoreEngine {
   /// read; TTL serves it until it expires, then fetches the latest.
   void serve_read_baseline(ObjectState& o, const Address& from,
                            std::uint64_t request_id, ClientRequest req);
+  /// Stamps `page` as fetched now (the TTL bookkeeping).
+  void stamp_fetched(ObjectState& o, const std::string& page);
 
   // ---- propagation ----
   /// Pushes `recs` to the push targets, each record to every target but
@@ -406,7 +410,11 @@ class StoreEngine {
   /// all coherence data.
   void send_coherence(ObjectState& o, const std::vector<Address>& to,
                       std::span<const web::RecordBatchPtr> batches);
+  /// Sends `o`'s queued lazy segments, unless backpressure still parks
+  /// them. Drain the flow events first.
   void flush_lazy(ObjectState& o);
+  /// The lazy tick: drains the flow events once, then flushes every
+  /// object with queued segments, in ObjectId order.
   void flush_lazy_all();
   /// Drains config_.flow's pause/resume events (no-op when flow is
   /// null). Called from the propagation paths, i.e. always on the thread
@@ -424,6 +432,8 @@ class StoreEngine {
   void pull_from_upstream(ObjectState& o);
   /// One pull round for every object that polls its upstream.
   void pull_all();
+  /// Files `o` in pullers_ by what its policy asks for now.
+  void note_puller(const ObjectState& o);
 
   // ---- clock beacon lane ----
   // With push + demand reaction, a subscriber that lost the *last*
@@ -563,6 +573,11 @@ class StoreEngine {
   // Peer channels are per endpoint pair, shared by every hosted object.
   std::set<std::uint64_t> paused_peers_;
   std::map<std::uint64_t, std::size_t> paused_rounds_;
+  // The objects the timer ticks visit: those with queued lazy segments
+  // (or a lazy full/notify transfer to send), and those that poll their
+  // upstream. A tick costs what has work, not what is hosted.
+  std::set<ObjectId> lazy_dirty_;
+  std::set<ObjectId> pullers_;
   std::optional<sim::PeriodicTimer> lazy_timer_;
   std::optional<sim::PeriodicTimer> pull_timer_;
   std::optional<sim::PeriodicTimer> heartbeat_timer_;

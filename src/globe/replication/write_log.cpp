@@ -25,44 +25,60 @@ std::uint64_t pos_of(const T& entry) {
   }
 }
 
-/// Counts one more compacted entry in `key`'s postings, where every
-/// position below `horizon` is compacted. Erases the compacted entries
-/// once they outnumber the retained ones. A list with none retained
-/// keeps its storage, since a store that folds after every update
-/// appends to the same clients and pages again, unless `gone` (its last
-/// record deleted the page). Kept lists stay bounded: one per writer,
-/// which the base clock names anyway, and one per page not deleted.
-template <typename Map>
-void retire(Map& index, const typename Map::key_type& key,
-            std::uint64_t horizon, bool gone = false) {
-  auto it = index.find(key);
-  GLOBE_DCHECK_MSG(it != index.end(), "compacted record was never indexed");
-  auto& postings = it->second;
-  if (++postings.stale * 2 <= postings.items.size()) return;
+/// Counts one more compacted entry in `postings`, where every position
+/// below `horizon` is compacted, and erases the compacted entries once
+/// they outnumber the retained ones. Returns true when none is retained
+/// any more: the caller then keeps the emptied list's storage, since a
+/// store that folds after every update appends to the same clients and
+/// pages again, unless its last record deleted the page. Kept lists
+/// stay bounded: one per writer, which the base clock names anyway, and
+/// one per page not deleted.
+template <typename P>
+bool retire(P& postings, std::uint64_t horizon) {
+  if (++postings.stale * 2 <= postings.items.size()) return false;
   if (postings.stale == postings.items.size()) {
-    if (gone) {
-      index.erase(it);
-      return;
-    }
     postings.items.clear();
     postings.stale = 0;
-    return;
+    return true;
   }
   std::erase_if(postings.items, [horizon](const auto& entry) {
     return pos_of(entry) < horizon;
   });
   postings.stale = 0;
+  return false;
 }
 
 }  // namespace
 
-const web::WriteRecord& WriteLog::append(web::WriteRecord rec) {
+WriteLog::ClientPostings& WriteLog::client_postings(ClientId client) {
+  auto it = std::lower_bound(
+      by_client_.begin(), by_client_.end(), client,
+      [](const ClientPostings& p, ClientId c) { return p.client < c; });
+  if (it == by_client_.end() || it->client != client) {
+    it = by_client_.insert(it, ClientPostings{});
+    it->client = client;
+  }
+  return *it;
+}
+
+void WriteLog::retire_page(web::PageId page, bool gone) {
+  PagePostings& postings = by_page_[page];
+  GLOBE_DCHECK_MSG(postings.indexed, "compacted record was never indexed");
+  if (!retire(postings, first_pos_) || !gone) return;
+  // The page is gone: drop the list and give back its id.
+  postings = PagePostings{};
+  --indexed_pages_;
+  pages_->release(page);
+}
+
+const web::WriteRecord& WriteLog::append(web::WriteRecord rec,
+                                         web::PageId page) {
   const std::uint64_t pos = appended_total();
   retained_bytes_ += record_bytes(rec);
 
   // Per-client index, kept sorted by seq. Records of one client almost
   // always arrive in seq order, so the common case is a push_back.
-  auto& client_index = by_client_[rec.wid.client].items;
+  auto& client_index = client_postings(rec.wid.client).items;
   const Keyed keyed{rec.wid.seq, pos};
   if (client_index.empty() || client_index.back().key <= rec.wid.seq) {
     client_index.push_back(keyed);
@@ -79,7 +95,16 @@ const web::WriteRecord& WriteLog::append(web::WriteRecord rec) {
   GLOBE_DCHECK_MSG(keyed_sorted(client_index),
                    "per-client index lost its seq order");
 
-  by_page_[rec.page].items.push_back(pos);
+  GLOBE_DCHECK_MSG(pages_->name(page) == rec.page,
+                   "record appended under another page's id");
+  if (page >= by_page_.size()) by_page_.resize(page + 1);
+  PagePostings& postings = by_page_[page];
+  if (!postings.indexed) {
+    postings.indexed = true;
+    ++indexed_pages_;
+    pages_->hold(page);
+  }
+  postings.items.push_back(pos);
   return entries_.emplace_back(std::move(rec));
 }
 
@@ -99,9 +124,9 @@ std::vector<web::WriteRecord> WriteLog::records_since(
   if (!pages.empty()) {
     // Page-filtered fetch: walk only the requested pages' records.
     for (const std::string& page : pages) {
-      auto it = by_page_.find(page);
-      if (it == by_page_.end()) continue;
-      for (const std::uint64_t pos : it->second.items) {
+      const auto id = pages_->find(page);
+      if (!id.has_value() || *id >= by_page_.size()) continue;
+      for (const std::uint64_t pos : by_page_[*id].items) {
         if (pos < first_pos_) continue;  // compacted away
         const web::WriteRecord& rec = at(pos);
         if (have.covers(rec.wid)) continue;
@@ -120,8 +145,8 @@ std::vector<web::WriteRecord> WriteLog::records_since(
 
   // Delta by vector clock: for each writing client, the records above
   // the requester's entry form a suffix of the seq-sorted index.
-  for (const auto& [client, postings] : by_client_) {
-    const std::uint64_t floor = have.get(client);
+  for (const ClientPostings& postings : by_client_) {
+    const std::uint64_t floor = have.get(postings.client);
     auto it = std::upper_bound(postings.items.begin(), postings.items.end(),
                                floor, [](std::uint64_t s, const Keyed& k) {
                                  return s < k.key;
@@ -197,9 +222,10 @@ void WriteLog::compact(std::size_t keep) {
       base_gseq_ = rec.global_seq;
     }
     ++first_pos_;
-    retire(by_client_, rec.wid.client, first_pos_);
-    retire(by_page_, rec.page, first_pos_,
-           rec.op == web::WriteOp::kDelete);
+    retire(client_postings(rec.wid.client), first_pos_);
+    const auto page = pages_->find(rec.page);
+    GLOBE_DCHECK_MSG(page.has_value(), "a logged page lost its id");
+    retire_page(*page, rec.op == web::WriteOp::kDelete);
     rec = {};  // free the payload now; the slot goes with the prefix
     ++head_;
   }

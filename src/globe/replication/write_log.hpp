@@ -20,7 +20,9 @@
 //     suffixes above have.get(client), found by binary search;
 //   * a per-page index in append order for page-filtered fetches
 //     (partial access transfer), replacing the O(pages) std::find per
-//     record.
+//     record. It is a slot table indexed by the replica's page ids
+//     (web::PageTable, shared with the document); a posting list holds
+//     its page's id.
 //
 // Output is always in append order — byte-identical to the naive scan,
 // which is kept as records_since_naive() for the equivalence test.
@@ -37,10 +39,10 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "globe/coherence/vector_clock.hpp"
+#include "globe/web/page_table.hpp"
 #include "globe/web/write_record.hpp"
 
 namespace globe::replication {
@@ -49,9 +51,14 @@ using coherence::VectorClock;
 
 class WriteLog {
  public:
-  /// Takes ownership of one applied record and indexes it. Returns the
-  /// logged record, valid until the next append or compaction.
-  const web::WriteRecord& append(web::WriteRecord rec);
+  /// A log whose page index uses `pages`' ids; the table must outlive
+  /// the log.
+  explicit WriteLog(web::PageTable& pages) : pages_(&pages) {}
+
+  /// Takes ownership of one applied record and indexes it under `page`,
+  /// rec.page's id in the log's page table. Returns the logged record,
+  /// valid until the next append or compaction.
+  const web::WriteRecord& append(web::WriteRecord rec, web::PageId page);
 
   /// Retained (non-compacted) records.
   [[nodiscard]] std::size_t size() const { return entries_.size() - head_; }
@@ -108,7 +115,7 @@ class WriteLog {
                             std::uint64_t gseq_horizon);
 
   /// Pages holding an index list, emptied ones included (tests).
-  [[nodiscard]] std::size_t indexed_pages() const { return by_page_.size(); }
+  [[nodiscard]] std::size_t indexed_pages() const { return indexed_pages_; }
 
   /// Approximate payload bytes of the retained records (page, content
   /// and mime strings plus a fixed per-record overhead), for gauges.
@@ -156,13 +163,26 @@ class WriteLog {
     std::vector<T> items;
     std::size_t stale = 0;
   };
+  struct ClientPostings : Postings<Keyed> {
+    ClientId client = 0;
+  };
+  struct PagePostings : Postings<std::uint64_t> {
+    bool indexed = false;  // the list exists (and holds its page id)
+  };
 
   [[nodiscard]] const web::WriteRecord& at(std::uint64_t pos) const {
     return entries_[head_ + (pos - first_pos_)];
   }
 
+  ClientPostings& client_postings(ClientId client);
+  /// Counts one more compacted entry of `page`'s list; `gone` when the
+  /// entry deleted the page.
+  void retire_page(web::PageId page, bool gone);
+
   void emit_sorted(std::vector<std::uint64_t>& positions,
                    std::vector<web::WriteRecord>& out) const;
+
+  web::PageTable* pages_;
 
   // Append order; entries_[head_] is the oldest retained record. The
   // compacted prefix is cleared at once and erased once it outnumbers
@@ -171,10 +191,12 @@ class WriteLog {
   std::size_t head_ = 0;
   std::uint64_t first_pos_ = 0;  // append position of entries_[head_]
 
-  // Per-client positions sorted by that client's write seq.
-  std::unordered_map<ClientId, Postings<Keyed>> by_client_;
-  // Per-page positions in append order.
-  std::unordered_map<std::string, Postings<std::uint64_t>> by_page_;
+  // Per-client positions sorted by that client's write seq; the lists
+  // sorted by client.
+  std::vector<ClientPostings> by_client_;
+  // Per-page positions in append order, by page id.
+  std::vector<PagePostings> by_page_;
+  std::size_t indexed_pages_ = 0;
 
   std::size_t retained_bytes_ = 0;
 

@@ -13,19 +13,77 @@ namespace {
   return std::tuple(lamport, wid.client, wid.seq);
 }
 
+[[nodiscard]] std::string_view as_string(util::BytesView b) {
+  return {reinterpret_cast<const char*>(b.data()), b.size()};
+}
+
+/// Reads one page as encode_page wrote it, into `page` if given, and
+/// returns its name: a view into the encoded bytes.
+std::string_view read_page(util::Reader& r, Page* page) {
+  const std::string_view name = as_string(r.bytes());
+  const std::string_view content = as_string(r.bytes());
+  const std::string_view mime = as_string(r.bytes());
+  const WriteId writer = coherence::WriteId::decode(r);
+  const std::uint64_t global_seq = r.varint();
+  const std::uint64_t lamport = r.varint();
+  const std::int64_t updated_at_us = r.i64();
+  if (page != nullptr) {
+    page->content = content;
+    page->mime = mime;
+    page->last_writer = writer;
+    page->global_seq = global_seq;
+    page->lamport = lamport;
+    page->updated_at_us = updated_at_us;
+  }
+  return name;
+}
+
 }  // namespace
 
-void WebDocument::touch(const std::string& page) {
+WebDocument::Slot& WebDocument::make_live(PageId id) {
+  if (id >= pages_.size()) pages_.resize(id + 1);
+  Slot& s = pages_[id];
+  if (!s.live) {
+    names_.hold(id);
+    s.live = true;
+    ++live_pages_;
+  }
+  return s;
+}
+
+bool WebDocument::drop_page(PageId id) {
+  if (!live(id)) return false;
+  pages_[id] = Slot{};
+  --live_pages_;
+  names_.release(id);
+  return true;
+}
+
+Tombstone& WebDocument::tombstone_slot(PageId id) {
+  if (id >= tombstones_.size()) tombstones_.resize(id + 1);
+  std::optional<Tombstone>& t = tombstones_[id];
+  if (!t.has_value()) {
+    names_.hold(id);
+    t.emplace();
+  }
+  return *t;
+}
+
+void WebDocument::erase_tombstone(PageId id) {
+  if (tombstone(id) == nullptr) return;
+  tombstones_[id].reset();
+  names_.release(id);
+}
+
+void WebDocument::touch(Slot& slot) {
   ++version_;
-  PageMeta& m = meta_[page];
-  m.version = version_;
-  m.fragment.reset();
+  slot.version = version_;
+  slot.fragment.reset();
   snapshot_cache_.reset();
 }
 
-void WebDocument::record_tombstone(const std::string& page,
-                                   const WriteRecord& rec) {
-  Tombstone& t = tombstones_[page];
+void WebDocument::record_tombstone(PageId id, const WriteRecord& rec) {
+  Tombstone& t = tombstone_slot(id);
   if (lww_key(rec.lamport, rec.wid) >= lww_key(t.lamport, t.writer)) {
     t.writer = rec.wid;
     t.lamport = rec.lamport;
@@ -36,22 +94,27 @@ void WebDocument::record_tombstone(const std::string& page,
 }
 
 bool WebDocument::apply(const WriteRecord& rec) {
+  const PageId id = names_.acquire(rec.page);
+  const bool changed = apply(rec, id);
+  names_.release(id);
+  return changed;
+}
+
+bool WebDocument::apply(const WriteRecord& rec, PageId id) {
   if (rec.op == WriteOp::kDelete) {
-    const bool erased = pages_.erase(rec.page) > 0;
     // The deletion is remembered either way (a delete that raced ahead
     // of the put it kills must still win later), but only an actual
     // erase invalidates the snapshot cache — the page bytes are
     // untouched otherwise.
-    record_tombstone(rec.page, rec);
-    if (erased) {
-      meta_.erase(rec.page);
-      snapshot_cache_.reset();
-    }
+    const bool erased = drop_page(id);
+    record_tombstone(id, rec);
+    if (erased) snapshot_cache_.reset();
     return erased;
   }
-  tombstones_.erase(rec.page);  // ordered apply: the page exists again
-  touch(rec.page);
-  Page& p = pages_[rec.page];
+  Slot& s = make_live(id);
+  erase_tombstone(id);  // ordered apply: the page exists again
+  touch(s);
+  Page& p = s.page;
   p.content = rec.content;
   p.mime = rec.mime;
   p.last_writer = rec.wid;
@@ -62,67 +125,95 @@ bool WebDocument::apply(const WriteRecord& rec) {
 }
 
 bool WebDocument::apply_lww(const WriteRecord& rec) {
+  const PageId id = names_.acquire(rec.page);
+  const bool changed = apply_lww(rec, id);
+  names_.release(id);
+  return changed;
+}
+
+bool WebDocument::apply_lww(const WriteRecord& rec, PageId id) {
   // Higher Lamport timestamp wins; ties broken by writer id then seq so
   // that all replicas decide identically. A tombstone stands in for the
   // page it deleted: a put must also beat the delete that removed the
   // page, or a stale write arriving after the delete record was
   // compacted away would resurrect it.
   const auto new_key = lww_key(rec.lamport, rec.wid);
-  auto it = pages_.find(rec.page);
-  if (it != pages_.end()) {
-    const Page& cur = it->second;
+  if (live(id)) {
+    const Page& cur = pages_[id].page;
     if (new_key <= lww_key(cur.lamport, cur.last_writer)) return false;
   } else {
-    auto tomb = tombstones_.find(rec.page);
-    if (tomb != tombstones_.end() &&
-        new_key <= lww_key(tomb->second.lamport, tomb->second.writer)) {
+    const Tombstone* tomb = tombstone(id);
+    if (tomb != nullptr && new_key <= lww_key(tomb->lamport, tomb->writer)) {
       return false;
     }
     if (rec.op == WriteOp::kDelete) {
       // Deleting an absent page: no state change, but the deletion
       // memory advances so the stronger delete keeps winning.
-      record_tombstone(rec.page, rec);
+      record_tombstone(id, rec);
       return false;
     }
   }
-  return apply(rec);
+  return apply(rec, id);
 }
 
 std::size_t WebDocument::collect_tombstones(
     const coherence::VectorClock& horizon) {
   std::size_t collected = 0;
-  for (auto it = tombstones_.begin(); it != tombstones_.end();) {
-    if (horizon.covers(it->second.writer)) {
-      // Raising the floor past the collected stamp keeps floor deltas
-      // honest: a receiver whose floor predates this deletion must take
-      // a full transfer, since the drop entry can no longer be encoded.
-      tombstone_floor_ = std::max(tombstone_floor_, it->second.version);
-      it = tombstones_.erase(it);
-      ++collected;
-    } else {
-      ++it;
-    }
+  for (PageId id = 0; id < tombstones_.size(); ++id) {
+    const Tombstone* t = tombstone(id);
+    if (t == nullptr || !horizon.covers(t->writer)) continue;
+    // Raising the floor past the collected stamp keeps floor deltas
+    // honest: a receiver whose floor predates this deletion must take
+    // a full transfer, since the drop entry can no longer be encoded.
+    tombstone_floor_ = std::max(tombstone_floor_, t->version);
+    erase_tombstone(id);
+    ++collected;
   }
   return collected;
 }
 
+std::map<std::string, Tombstone> WebDocument::tombstones() const {
+  std::map<std::string, Tombstone> out;
+  for (PageId id = 0; id < tombstones_.size(); ++id) {
+    if (const Tombstone* t = tombstone(id)) out.emplace(names_.name(id), *t);
+  }
+  return out;
+}
+
 std::optional<Page> WebDocument::get(const std::string& page) const {
-  auto it = pages_.find(page);
-  if (it == pages_.end()) return std::nullopt;
-  return it->second;
+  const auto id = names_.find(page);
+  if (!id.has_value() || !live(*id)) return std::nullopt;
+  return pages_[*id].page;
 }
 
 std::vector<std::string> WebDocument::page_names() const {
   std::vector<std::string> names;
-  names.reserve(pages_.size());
-  for (const auto& [name, _] : pages_) names.push_back(name);
+  names.reserve(live_pages_);
+  for (const PageId id : names_.by_name()) {
+    if (live(id)) names.push_back(names_.name(id));
+  }
   return names;
 }
 
 std::size_t WebDocument::content_bytes() const {
   std::size_t total = 0;
-  for (const auto& [_, p] : pages_) total += p.content.size();
+  for (const Slot& s : pages_) {
+    if (s.live) total += s.page.content.size();
+  }
   return total;
+}
+
+bool WebDocument::same_pages(const WebDocument& other) const {
+  if (live_pages_ != other.live_pages_) return false;
+  for (PageId id = 0; id < pages_.size(); ++id) {
+    if (!pages_[id].live) continue;
+    const auto oid = other.names_.find(names_.name(id));
+    if (!oid.has_value() || !other.live(*oid) ||
+        !(other.pages_[*oid].page == pages_[id].page)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 util::SharedBuffer WebDocument::snapshot() const {
@@ -145,8 +236,11 @@ void WebDocument::encode_page(util::Writer& w, const std::string& name,
 
 util::Buffer WebDocument::encode_snapshot(bool mask_wall_clock) const {
   // Size the buffer once: the exact bytes encode_page emits per page.
-  std::size_t bytes = util::varint_size(pages_.size());
-  for (const auto& [name, p] : pages_) {
+  std::size_t bytes = util::varint_size(live_pages_);
+  for (const PageId id : names_.by_name()) {
+    if (!live(id)) continue;
+    const std::string& name = names_.name(id);
+    const Page& p = pages_[id].page;
     bytes += util::varint_size(name.size()) + name.size() +
              util::varint_size(p.content.size()) + p.content.size() +
              util::varint_size(p.mime.size()) + p.mime.size() +
@@ -156,9 +250,11 @@ util::Buffer WebDocument::encode_snapshot(bool mask_wall_clock) const {
   }
   util::Writer w;
   w.reserve(bytes);
-  w.varint(pages_.size());
-  for (const auto& [name, p] : pages_) {
-    encode_page(w, name, p, mask_wall_clock);
+  w.varint(live_pages_);
+  for (const PageId id : names_.by_name()) {
+    if (live(id)) {
+      encode_page(w, names_.name(id), pages_[id].page, mask_wall_clock);
+    }
   }
   GLOBE_DCHECK_MSG(w.size() == bytes,
                    "snapshot size drifted from encode_page's layout");
@@ -166,29 +262,38 @@ util::Buffer WebDocument::encode_snapshot(bool mask_wall_clock) const {
 }
 
 void WebDocument::restore(util::BytesView snapshot) {
-  util::Reader r(snapshot);
-  std::map<std::string, Page> pages;
-  const std::uint64_t n = r.varint();
+  // Three passes over the bytes: check the whole encoding first, so a
+  // malformed snapshot changes nothing; hold every incoming name, so a
+  // page that stays keeps its id; then replace the state.
+  util::Reader check(snapshot);
+  const std::uint64_t n = check.varint();
+  for (std::uint64_t i = 0; i < n; ++i) read_page(check, nullptr);
+  check.expect_end();
+  util::Reader names(snapshot);
+  names.varint();
   for (std::uint64_t i = 0; i < n; ++i) {
-    std::string name = r.str();
-    Page p;
-    p.content = r.str();
-    p.mime = r.str();
-    p.last_writer = coherence::WriteId::decode(r);
-    p.global_seq = r.varint();
-    p.lamport = r.varint();
-    p.updated_at_us = r.i64();
-    pages.emplace(std::move(name), std::move(p));
+    names_.hold(names_.intern(read_page(names, nullptr)));
   }
-  r.expect_end();
-  pages_ = std::move(pages);
   // A full restore replaces the state wholesale: every page carries a
   // fresh stamp, and deletion memory from the old lineage is gone — the
   // tombstone horizon moves here, exactly like WriteLog::note_snapshot.
-  ++version_;
-  meta_.clear();
-  for (const auto& [name, _] : pages_) meta_[name].version = version_;
+  for (PageId id = 0; id < pages_.size(); ++id) drop_page(id);
+  for (PageId id = 0; id < tombstones_.size(); ++id) erase_tombstone(id);
   tombstones_.clear();
+  ++version_;
+  util::Reader r(snapshot);
+  r.varint();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    Page p;
+    const PageId id = *names_.find(read_page(r, &p));
+    // A name listed twice keeps its first page.
+    if (!live(id)) {
+      Slot& s = make_live(id);
+      s.page = std::move(p);
+      s.version = version_;
+    }
+    names_.release(id);
+  }
   tombstone_floor_ = version_;
   snapshot_cache_.reset();
 }
@@ -199,56 +304,70 @@ void WebDocument::restore(util::BytesView snapshot) {
 
 std::vector<PageStamp> WebDocument::summarize() const {
   std::vector<PageStamp> out;
-  out.reserve(pages_.size());
-  for (const auto& [name, p] : pages_) {
-    out.push_back(PageStamp{name, p.last_writer, p.lamport, p.global_seq});
+  out.reserve(live_pages_);
+  for (const PageId id : names_.by_name()) {
+    if (!live(id)) continue;
+    const Page& p = pages_[id].page;
+    out.push_back(
+        PageStamp{names_.name(id), p.last_writer, p.lamport, p.global_seq});
   }
   return out;
 }
 
 util::SharedBuffer WebDocument::page_fragment(const std::string& page) const {
-  auto pit = pages_.find(page);
-  if (pit == pages_.end()) return nullptr;
-  PageMeta& m = meta_[page];
-  if (m.fragment == nullptr) {
-    util::Writer w;
-    encode_page(w, page, pit->second);
-    m.fragment = std::make_shared<const util::Buffer>(w.take());
-  }
-  return m.fragment;
+  const auto id = names_.find(page);
+  if (!id.has_value() || !live(*id)) return nullptr;
+  return fragment(*id);
 }
 
-void WebDocument::append_fragment(util::Writer& w, const std::string& name,
-                                  const Page& p, const PageMeta& meta) const {
-  if (meta.fragment == nullptr) {
+const util::SharedBuffer& WebDocument::fragment(PageId id) const {
+  const Slot& s = pages_[id];
+  if (s.fragment == nullptr) {
     // Fill the cache in place so the next requester reuses the bytes.
-    util::Writer frag;
-    encode_page(frag, name, p);
-    const_cast<PageMeta&>(meta).fragment =
-        std::make_shared<const util::Buffer>(frag.take());
+    util::Writer w;
+    encode_page(w, names_.name(id), s.page);
+    s.fragment = std::make_shared<const util::Buffer>(w.take());
   }
-  w.raw(util::BytesView(*meta.fragment));
+  return s.fragment;
 }
+
+namespace {
+
+void encode_drop(util::Writer& w, const std::string& page,
+                 const Tombstone& t) {
+  w.str(page);
+  t.writer.encode(w);
+  w.varint(t.lamport);
+  w.varint(t.global_seq);
+  w.i64(t.deleted_at_us);
+}
+
+}  // namespace
 
 util::Buffer WebDocument::encode_delta(std::span<const PageStamp> have,
                                        DeltaStats* stats) const {
-  std::unordered_map<std::string_view, const PageStamp*> held;
-  held.reserve(have.size());
-  for (const PageStamp& s : have) held.emplace(s.page, &s);
+  // The receiver's stamp of each page held here (its first, should a
+  // name repeat).
+  std::vector<const PageStamp*> held(pages_.size(), nullptr);
+  for (const PageStamp& s : have) {
+    const auto id = names_.find(s.page);
+    if (id.has_value() && live(*id) && held[*id] == nullptr) held[*id] = &s;
+  }
 
   util::Writer w;
   // Pages the receiver lacks or holds at a different version.
   std::size_t shipped = 0;
   {
     util::Writer body;
-    for (const auto& [name, p] : pages_) {
-      auto it = held.find(name);
-      if (it != held.end() && it->second->writer == p.last_writer &&
-          it->second->lamport == p.lamport &&
-          it->second->global_seq == p.global_seq) {
+    for (const PageId id : names_.by_name()) {
+      if (!live(id)) continue;
+      const Page& p = pages_[id].page;
+      const PageStamp* h = held[id];
+      if (h != nullptr && h->writer == p.last_writer &&
+          h->lamport == p.lamport && h->global_seq == p.global_seq) {
         continue;  // identical copy at the receiver
       }
-      append_fragment(body, name, p, meta_[name]);
+      body.raw(util::BytesView(*fragment(id)));
       ++shipped;
     }
     w.varint(shipped);
@@ -260,15 +379,10 @@ util::Buffer WebDocument::encode_delta(std::span<const PageStamp> have,
   {
     util::Writer body;
     for (const PageStamp& s : have) {
-      if (pages_.find(s.page) != pages_.end()) continue;
-      body.str(s.page);
-      auto tomb = tombstones_.find(s.page);
-      const Tombstone t =
-          tomb != tombstones_.end() ? tomb->second : Tombstone{};
-      t.writer.encode(body);
-      body.varint(t.lamport);
-      body.varint(t.global_seq);
-      body.i64(t.deleted_at_us);
+      const auto id = names_.find(s.page);
+      if (id.has_value() && live(*id)) continue;
+      const Tombstone* tomb = id.has_value() ? tombstone(*id) : nullptr;
+      encode_drop(body, s.page, tomb != nullptr ? *tomb : Tombstone{});
       ++drops;
     }
     w.varint(drops);
@@ -289,10 +403,9 @@ util::Buffer WebDocument::encode_delta_since(std::uint64_t floor,
   std::size_t shipped = 0;
   {
     util::Writer body;
-    for (const auto& [name, p] : pages_) {
-      const PageMeta& m = meta_[name];
-      if (m.version <= floor) continue;
-      append_fragment(body, name, p, m);
+    for (const PageId id : names_.by_name()) {
+      if (!live(id) || pages_[id].version <= floor) continue;
+      body.raw(util::BytesView(*fragment(id)));
       ++shipped;
     }
     w.varint(shipped);
@@ -301,13 +414,10 @@ util::Buffer WebDocument::encode_delta_since(std::uint64_t floor,
   std::size_t drops = 0;
   {
     util::Writer body;
-    for (const auto& [name, t] : tombstones_) {
-      if (t.version <= floor) continue;
-      body.str(name);
-      t.writer.encode(body);
-      body.varint(t.lamport);
-      body.varint(t.global_seq);
-      body.i64(t.deleted_at_us);
+    for (const PageId id : names_.by_name()) {
+      const Tombstone* t = tombstone(id);
+      if (t == nullptr || t->version <= floor) continue;
+      encode_drop(body, names_.name(id), *t);
       ++drops;
     }
     w.varint(drops);
@@ -326,33 +436,29 @@ void WebDocument::apply_delta(util::BytesView delta) {
   const std::uint64_t n = r.varint();
   bool mutated = n > 0;
   for (std::uint64_t i = 0; i < n; ++i) {
-    std::string name = r.str();
     Page p;
-    p.content = r.str();
-    p.mime = r.str();
-    p.last_writer = coherence::WriteId::decode(r);
-    p.global_seq = r.varint();
-    p.lamport = r.varint();
-    p.updated_at_us = r.i64();
-    tombstones_.erase(name);
-    PageMeta& m = meta_[name];
-    m.version = stamp;
-    m.fragment.reset();
-    pages_[std::move(name)] = std::move(p);
+    const PageId id = names_.acquire(read_page(r, &p));
+    Slot& s = make_live(id);
+    erase_tombstone(id);
+    s.page = std::move(p);
+    s.version = stamp;
+    s.fragment.reset();
+    names_.release(id);
   }
   const std::uint64_t d = r.varint();
   mutated = mutated || d > 0;
   for (std::uint64_t i = 0; i < d; ++i) {
-    std::string name = r.str();
+    const std::string_view name = as_string(r.bytes());
     Tombstone t;
     t.writer = coherence::WriteId::decode(r);
     t.lamport = r.varint();
     t.global_seq = r.varint();
     t.deleted_at_us = r.i64();
     t.version = stamp;
-    pages_.erase(name);
-    meta_.erase(name);
-    tombstones_[std::move(name)] = t;
+    const PageId id = names_.acquire(name);
+    drop_page(id);
+    tombstone_slot(id) = t;
+    names_.release(id);
   }
   r.expect_end();
   if (mutated) snapshot_cache_.reset();

@@ -18,6 +18,13 @@
 // (cheapest; falls back to full when the floor predates the tombstone
 // horizon). Per-page encodings are cached, so a hot page is serialized
 // once and the fragment shared across concurrent delta requesters.
+//
+// Per-page state lives in slots indexed by the document's own PageTable
+// ids (page_table.hpp): a page name is looked up once per record, not
+// once per table. A replica's write log and page flags index by the same
+// ids. Everything encoded, summarized or compared walks pages in name
+// order, so two documents that met their pages in different orders
+// encode byte-identically.
 #pragma once
 
 #include <cstdint>
@@ -25,12 +32,12 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "globe/coherence/vector_clock.hpp"
 #include "globe/coherence/write_id.hpp"
 #include "globe/util/buffer.hpp"
+#include "globe/web/page_table.hpp"
 #include "globe/web/write_record.hpp"
 
 namespace globe::web {
@@ -99,6 +106,9 @@ class WebDocument {
   /// Applies a write record unconditionally (ordering was decided by the
   /// replication object). Returns false if the record was a no-op delete.
   bool apply(const WriteRecord& rec);
+  /// apply() for a caller that already looked the page up: `page` is
+  /// rec.page's id in page_table(), held by the caller.
+  bool apply(const WriteRecord& rec, PageId page);
 
   /// Applies a record only if it wins last-writer-wins against the
   /// current page version (used by eventual coherence). Returns true if
@@ -107,13 +117,21 @@ class WebDocument {
   /// resurrected by a stale concurrent write arriving after the delete
   /// record was compacted out of the logs.
   bool apply_lww(const WriteRecord& rec);
+  bool apply_lww(const WriteRecord& rec, PageId page);
 
   [[nodiscard]] std::optional<Page> get(const std::string& page) const;
   [[nodiscard]] bool has(const std::string& page) const {
-    return pages_.find(page) != pages_.end();
+    const auto id = names_.find(page);
+    return id.has_value() && live(*id);
   }
+  /// Live page names, in name order.
   [[nodiscard]] std::vector<std::string> page_names() const;
-  [[nodiscard]] std::size_t page_count() const { return pages_.size(); }
+  [[nodiscard]] std::size_t page_count() const { return live_pages_; }
+
+  /// The ids of this document's page names. A replica's write log and
+  /// page flags index by them and hold the ids they use.
+  [[nodiscard]] PageTable& page_table() { return names_; }
+  [[nodiscard]] const PageTable& page_table() const { return names_; }
 
   /// Total content bytes; approximates document transfer size.
   [[nodiscard]] std::size_t content_bytes() const;
@@ -180,10 +198,9 @@ class WebDocument {
   /// (StateTransfer::version) — one authoritative location.
   void apply_delta(util::BytesView delta);
 
-  /// Deletion memory (tests / state_as_records).
-  [[nodiscard]] const std::map<std::string, Tombstone>& tombstones() const {
-    return tombstones_;
-  }
+  /// Deletion memory by page name, built on each call (tests /
+  /// state_as_records).
+  [[nodiscard]] std::map<std::string, Tombstone> tombstones() const;
 
   /// Stability-horizon tombstone GC: discards tombstones whose winning
   /// delete is covered by `horizon` — every live replica has applied the
@@ -204,29 +221,53 @@ class WebDocument {
   /// deliberately ignores the snapshot cache, version stamps, and
   /// tombstones.
   friend bool operator==(const WebDocument& a, const WebDocument& b) {
-    return a.pages_ == b.pages_;
+    return a.same_pages(b);
   }
 
  private:
-  struct PageMeta {
-    std::uint64_t version = 0;    // mutation stamp of the live page
-    util::SharedBuffer fragment;  // cached encode; null after mutation
+  /// One page id's state: the page while it is live, its mutation stamp
+  /// and its cached wire fragment.
+  struct Slot {
+    Page page;
+    std::uint64_t version = 0;  // mutation stamp of the live page
+    // Cached encode; null after mutation. Mutable: fragments fill
+    // lazily under const delta encodes.
+    mutable util::SharedBuffer fragment;
+    bool live = false;
   };
+
+  [[nodiscard]] bool live(PageId id) const {
+    return id < pages_.size() && pages_[id].live;
+  }
+  [[nodiscard]] const Tombstone* tombstone(PageId id) const {
+    return id < tombstones_.size() && tombstones_[id].has_value()
+               ? &*tombstones_[id]
+               : nullptr;
+  }
+  /// Makes `id` a live page (its slot holds the id) and returns it.
+  Slot& make_live(PageId id);
+  /// Erases the live page at `id`, if any; returns whether one was.
+  bool drop_page(PageId id);
+  /// The tombstone slot of `id`, created (and holding the id) if absent.
+  Tombstone& tombstone_slot(PageId id);
+  void erase_tombstone(PageId id);
+  [[nodiscard]] bool same_pages(const WebDocument& other) const;
 
   /// Bookkeeping for a page mutation: bump the document version, stamp
   /// the page, drop its cached fragment and the snapshot cache.
-  void touch(const std::string& page);
+  void touch(Slot& slot);
   void encode_page(util::Writer& w, const std::string& name,
                    const Page& p, bool mask_wall_clock = false) const;
-  void append_fragment(util::Writer& w, const std::string& name,
-                       const Page& p, const PageMeta& meta) const;
-  void record_tombstone(const std::string& page, const WriteRecord& rec);
+  /// The cached wire fragment of the live page `id`, encoded if absent.
+  const util::SharedBuffer& fragment(PageId id) const;
+  void record_tombstone(PageId id, const WriteRecord& rec);
 
-  std::map<std::string, Page> pages_;
-  // Parallel per-page bookkeeping (version stamp + cached fragment).
-  // Mutable: fragments fill lazily under const delta encodes.
-  mutable std::unordered_map<std::string, PageMeta> meta_;
-  std::map<std::string, Tombstone> tombstones_;
+  PageTable names_;
+  // By page id; a live page and a tombstone each hold their id.
+  std::vector<Slot> pages_;
+  std::size_t live_pages_ = 0;
+  // By page id, sized on the first tombstone.
+  std::vector<std::optional<Tombstone>> tombstones_;
   std::uint64_t version_ = 0;
   // Versions below this lost their deletion memory (restore() replaces
   // the state wholesale and clears the tombstones); floor deltas from

@@ -1,4 +1,4 @@
-// Allocation budget of the store receive path.
+// Allocation budgets of the store receive path and of per-object state.
 //
 // A causal multi-master tree — a primary, one mirror and six leaf
 // caches — takes client writes at the primary and at the mirror. Every
@@ -10,6 +10,13 @@
 // cost decode, log and document state, not an encode for nobody. It
 // counts twice: with no History, for the replication path alone, and
 // with the History recording every event.
+//
+// A sharded store hosts many objects and a client talks to many, so
+// what one hosted object and one client session cost bounds how many a
+// process can serve. One shard (a primary and a secondary) places
+// one-page objects, seeds and settles them, and a placed client then
+// reads each object once; the allocations of each phase are divided by
+// the objects.
 //
 // The counting operator new below is this binary's own: replacing the
 // global allocation functions affects the whole program it links into.
@@ -66,6 +73,7 @@ namespace {
 
 constexpr ObjectId kObj = 1;
 constexpr int kLeaves = 6;
+constexpr int kPlacedObjects = 500;
 
 /// Allocations per record applied at the leaf caches may not exceed
 /// this. A tree whose leaves encode a batch for the upstream their
@@ -75,15 +83,16 @@ constexpr int kLeaves = 6;
 /// it: 16.1 when an emptied log index keeps its storage (checked and
 /// unchecked builds alike), 20.1 when the fold frees it and the next
 /// record re-creates it. 15.6 once a client no longer copies each
-/// write's dependency clock for a History field nothing read.
-constexpr double kAllocsPerLeafRecord = 18.0;
+/// write's dependency clock for a History field nothing read, and
+/// still 15.6 with the per-page tables indexed by page id.
+constexpr double kAllocsPerLeafRecord = 16.4;
 
 /// The same budget with the History recording every event, as a Testbed
 /// does by default and bench/e2e's fanout and churn workloads do. Each
 /// leaf apply then also records one apply event: 17.6 when every event
 /// held its own copy of the record's dependency clock, 16.1 when the
 /// History interns the clock and keeps the events in deques.
-constexpr double kAllocsPerLeafRecordWhileRecording = 17.0;
+constexpr double kAllocsPerLeafRecordWhileRecording = 16.9;
 
 struct Tree {
   Testbed bed;
@@ -167,6 +176,78 @@ TEST(AllocBudget, LeafCachesApplyRecordsWithinBudgetWhileRecording) {
       "allocations per leaf-applied record, recording: %.2f (budget %.1f)\n",
       per_record, kAllocsPerLeafRecordWhileRecording);
   EXPECT_LE(per_record, kAllocsPerLeafRecordWhileRecording);
+}
+
+/// Placing, seeding and settling one one-page object on a primary and a
+/// secondary, and a placed client's first read of it, which opens the
+/// object's session, may allocate no more than these. A checked build's
+/// invariant monitors keep state per object and per session. Placing
+/// costs 52.1 (checked) and 41.1 (unchecked) when a replica keeps its
+/// document pages, page stamps, log postings and per-client log index
+/// in maps keyed by name or client, and 50.1 and 39.1 with slots indexed
+/// by a page id and a sorted vector. A session costs 40.0 and 38.0 when
+/// its two op queues are deques, which allocate a map and a block each
+/// from birth, and 36.0 and 34.0 with vectors, which allocate nothing
+/// until an op queues.
+#if GLOBE_CHECKED
+constexpr double kAllocsPerPlacedObject = 51.0;
+constexpr double kAllocsPerSession = 38.0;
+#else
+constexpr double kAllocsPerPlacedObject = 40.0;
+constexpr double kAllocsPerSession = 36.0;
+#endif
+
+struct PerObject {
+  double per_object = 0;
+  double per_session = 0;
+};
+
+PerObject allocs_per_placed_object() {
+  TestbedOptions opts;
+  opts.shards = 1;
+  // Placed clients keep per-object write sequences; a shared History
+  // would conflate them.
+  opts.record_history = false;
+  Testbed bed(opts);
+  core::ReplicationPolicy p;  // PRAM, push, immediate, partial
+  p.object_outdate_reaction = core::OutdateReaction::kDemand;
+  bed.add_shard_store(0, naming::StoreClass::kPermanent, p, /*primary=*/true);
+  bed.add_shard_store(0, naming::StoreClass::kObjectInitiated, p);
+  ClientBinding& client = bed.add_placed_client(
+      coherence::ClientModel::kReadYourWrites, coherence::ObjectModel::kPram);
+  bed.settle();
+  std::vector<ObjectId> objects;
+  for (ObjectId id = 1; id <= kPlacedObjects; ++id) objects.push_back(id);
+  const std::string body(128, 'x');
+
+  PerObject out;
+  std::uint64_t before = g_allocs.load();
+  bed.place_objects(objects);
+  for (const ObjectId id : objects) bed.primary(id).seed(id, "page0.html", body);
+  bed.settle();
+  out.per_object = static_cast<double>(g_allocs.load() - before) /
+                   kPlacedObjects;
+
+  int served = 0;
+  before = g_allocs.load();
+  for (const ObjectId id : objects) {
+    client.read(id, "page0.html", [&served](ReadResult r) { served += r.ok; });
+  }
+  bed.settle();
+  out.per_session = static_cast<double>(g_allocs.load() - before) /
+                    kPlacedObjects;
+  EXPECT_EQ(served, kPlacedObjects);
+  return out;
+}
+
+TEST(AllocBudget, PlacedObjectsAndSessionsWithinBudget) {
+  const PerObject got = allocs_per_placed_object();
+  std::printf("allocations per placed object: %.2f (budget %.1f)\n",
+              got.per_object, kAllocsPerPlacedObject);
+  std::printf("allocations per client session: %.2f (budget %.1f)\n",
+              got.per_session, kAllocsPerSession);
+  EXPECT_LE(got.per_object, kAllocsPerPlacedObject);
+  EXPECT_LE(got.per_session, kAllocsPerSession);
 }
 
 }  // namespace

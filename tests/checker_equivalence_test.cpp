@@ -85,16 +85,17 @@ WriteEvent client_write(ClientId client, std::uint64_t op_index, WriteId wid,
   return e;
 }
 
-ReadEvent client_read(ClientId client, std::uint64_t op_index, PageId page,
-                      VectorClock store_clock = {}, std::uint64_t gseq = 0) {
+/// Records a read of `page` served at a store whose applied clock was
+/// `store_clock`.
+void read(History& h, ClientId client, std::uint64_t op_index, PageId page,
+          const VectorClock& store_clock = {}, std::uint64_t gseq = 0) {
   ReadEvent e;
   e.client_op_index = op_index;
   e.client = client;
   e.store = 0;
   e.page = page;
-  e.store_clock = std::move(store_clock);
   e.store_global_seq = gseq;
-  return e;
+  h.record_read(e, store_clock);
 }
 
 // -- Corrupted histories ------------------------------------------------
@@ -139,7 +140,7 @@ TEST(CheckerEquivalence, ReadYourWritesMiss) {
   History h;
   const PageId p = h.intern("p");
   h.record_write(client_write(5, 1, {5, 1}, p));
-  h.record_read(client_read(5, 2, p));  // empty clock: own write missing
+  read(h, 5, 2, p);  // empty clock: own write missing
   EXPECT_FALSE(check_client_models(h, 5, ClientModel::kReadYourWrites).ok);
   expect_checker_equivalence(h);
 }
@@ -151,8 +152,8 @@ TEST(CheckerEquivalence, MonotonicReadRegression) {
   newer.set(1, 4);
   VectorClock older;
   older.set(1, 2);
-  h.record_read(client_read(5, 1, p, newer));
-  h.record_read(client_read(5, 2, p, older));
+  read(h, 5, 1, p, newer);
+  read(h, 5, 2, p, older);
   EXPECT_FALSE(check_client_models(h, 5, ClientModel::kMonotonicReads).ok);
   expect_checker_equivalence(h);
 }
@@ -211,7 +212,7 @@ TEST(CheckerEquivalence, OneWriteFourWaysKeepsEachRecordedClock) {
   later.set(1, 2);
   later.set(5, 1);
   h.record_write(client_write(1, 1, {1, 1}, p));
-  h.record_read(client_read(5, 1, p, dep));
+  read(h, 5, 1, p, dep);
   h.record_write(client_write(5, 2, {5, 1}, p));
   apply(h, 0, {1, 1}, p);
   apply(h, 0, {5, 1}, p, 0, dep);
@@ -259,8 +260,7 @@ TEST(CheckerEquivalence, RandomizedHistories) {
       } else if (kind == 1) {
         VectorClock clock;
         clock.set(static_cast<ClientId>(rng.below(clients)), rng.below(8));
-        h.record_read(client_read(c, ++op[c], page, std::move(clock),
-                                  rng.below(6)));
+        read(h, c, ++op[c], page, clock, rng.below(6));
       } else if (kind == 2) {
         // Deliberately unordered applies: random writer/seq/gseq.
         VectorClock deps;

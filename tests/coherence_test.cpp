@@ -343,8 +343,8 @@ TEST(CheckSequential, DetectsNonMonotonicClientReads) {
   ReadEvent r2 = r1;
   r2.client_op_index = 2;
   r2.store_global_seq = 3;  // went backwards
-  h.record_read(r1);
-  h.record_read(r2);
+  h.record_read(r1, {});
+  h.record_read(r2, {});
   EXPECT_FALSE(check_sequential(h).ok);
 }
 
@@ -370,15 +370,16 @@ TEST(CheckRyw, AcceptsAndDetects) {
   ok_read.client = 5;
   ok_read.client_op_index = 2;
   ok_read.store = 1;
-  ok_read.store_clock.set(5, 1);
-  h.record_read(ok_read);
+  VectorClock has_write;
+  has_write.set(5, 1);
+  h.record_read(ok_read, has_write);
   EXPECT_TRUE(check_read_your_writes(h, 5).ok);
 
   ReadEvent bad_read;
   bad_read.client = 5;
   bad_read.client_op_index = 3;
-  bad_read.store = 2;  // clock missing the client's write
-  h.record_read(bad_read);
+  bad_read.store = 2;
+  h.record_read(bad_read, {});  // clock missing the client's write
   EXPECT_FALSE(check_read_your_writes(h, 5).ok);
 }
 
@@ -387,13 +388,15 @@ TEST(CheckMonotonicReads, DetectsRegression) {
   ReadEvent r1;
   r1.client = 5;
   r1.client_op_index = 1;
-  r1.store_clock.set(1, 4);
-  h.record_read(r1);
+  VectorClock newer;
+  newer.set(1, 4);
+  h.record_read(r1, newer);
   ReadEvent r2;
   r2.client = 5;
   r2.client_op_index = 2;
-  r2.store_clock.set(1, 2);  // older state
-  h.record_read(r2);
+  VectorClock older;
+  older.set(1, 2);
+  h.record_read(r2, older);
   EXPECT_FALSE(check_monotonic_reads(h, 5).ok);
   EXPECT_TRUE(check_monotonic_reads(h, 6).ok);  // other client unaffected
 }
@@ -427,7 +430,7 @@ TEST(CheckClientModels, CombinesResults) {
   ReadEvent bad;
   bad.client = 5;
   bad.client_op_index = 2;
-  h.record_read(bad);
+  h.record_read(bad, {});
   const auto res = check_client_models(
       h, 5, ClientModel::kReadYourWrites | ClientModel::kMonotonicReads);
   EXPECT_FALSE(res.ok);  // RYW violated, MR fine
@@ -444,7 +447,7 @@ TEST(CheckResultTest, SummaryTruncates) {
 
 TEST(HistoryTest, ClientOpsSortedByProgramOrder) {
   History h;
-  h.record_read(ReadEvent{{}, 3, 9, 0, h.intern("p"), {}, 0});
+  h.record_read(ReadEvent{{}, 3, 9, 0, h.intern("p"), kEmptyClock, 0}, {});
   h.record_write(WriteEvent{{}, 1, 9, WriteId{9, 1}, h.intern("p"), 0});
   h.record_write(WriteEvent{{}, 2, 9, WriteId{9, 2}, h.intern("p"), 0});
   const auto ops = naive::client_ops(h, 9);
@@ -459,7 +462,7 @@ TEST(HistoryTest, ClientOpsTieOrderIsDeterministic) {
   // deterministically (write first, then record order), identically
   // across repeated queries.
   History h;
-  h.record_read(ReadEvent{{}, 2, 9, 0, h.intern("p"), {}, 0});
+  h.record_read(ReadEvent{{}, 2, 9, 0, h.intern("p"), kEmptyClock, 0}, {});
   h.record_write(WriteEvent{{}, 2, 9, WriteId{9, 1}, h.intern("p"), 0});
   h.record_write(WriteEvent{{}, 1, 9, WriteId{9, 2}, h.intern("p"), 0});
   const auto ops = naive::client_ops(h, 9);
@@ -494,8 +497,10 @@ TEST(HistoryTest, ClearedHistoryRecordsAndJudgesLikeAFreshOne) {
   VectorClock b = a;
   b.set(2, 1);
   // Records w(2,1) with deps `a` at two stores, and at a third after a
-  // snapshot with clock `b`: clocks first seen in the opposite order to
-  // the dirtying below.
+  // snapshot with clock `b`; client 1 reads at clocks `b`, then `a`
+  // (a monotonic-reads regression), then the empty clock (its own write
+  // missing). Clocks are first seen in the opposite order to the
+  // dirtying below.
   const auto script = [&](History& h) {
     const PageId p = h.intern("p");
     h.record_write(WriteEvent{{}, 1, 1, WriteId{1, 1}, p, 0});
@@ -506,6 +511,9 @@ TEST(HistoryTest, ClearedHistoryRecordsAndJudgesLikeAFreshOne) {
     }
     snapshot(h, 2, b);
     apply(h, 2, WriteId{2, 1}, 0, a);
+    h.record_read(ReadEvent{{}, 2, 1, 2, p, kEmptyClock, 0}, b);
+    h.record_read(ReadEvent{{}, 3, 1, 0, p, kEmptyClock, 0}, a);
+    h.record_read(ReadEvent{{}, 4, 1, 1, p, kEmptyClock, 0}, {});
   };
   History fresh;
   script(fresh);
@@ -513,6 +521,7 @@ TEST(HistoryTest, ClearedHistoryRecordsAndJudgesLikeAFreshOne) {
   History reused;
   const PageId junk = reused.intern("junk");
   reused.record_write(WriteEvent{{}, 1, 3, WriteId{3, 1}, junk, 0});
+  reused.record_read(ReadEvent{{}, 2, 3, 4, junk, kEmptyClock, 0}, a);
   ApplyEvent dirty;
   dirty.store = 4;
   dirty.wid = WriteId{3, 1};
@@ -527,6 +536,7 @@ TEST(HistoryTest, ClearedHistoryRecordsAndJudgesLikeAFreshOne) {
 
   EXPECT_EQ(reused.size(), fresh.size());
   EXPECT_EQ(reused.clocks_interned(), fresh.clocks_interned());
+  EXPECT_EQ(fresh.clocks_interned(), 3u);  // {}, a and b, reads included
   EXPECT_EQ(reused.page_name(1), "p");
   for (ObjectModel m :
        {ObjectModel::kSequential, ObjectModel::kPram, ObjectModel::kFifoPram,
@@ -535,10 +545,21 @@ TEST(HistoryTest, ClearedHistoryRecordsAndJudgesLikeAFreshOne) {
         << to_string(m);
   }
   const std::vector<SessionSpec> specs = {
-      {1, ClientModel::kWritesFollowReads | ClientModel::kMonotonicWrites},
+      {1, ClientModel::kWritesFollowReads | ClientModel::kMonotonicWrites |
+              ClientModel::kReadYourWrites | ClientModel::kMonotonicReads},
       {2, ClientModel::kWritesFollowReads | ClientModel::kMonotonicWrites}};
   EXPECT_EQ(check_sessions(reused, specs), check_sessions(fresh, specs));
   EXPECT_FALSE(check_causal(reused).ok);  // w(2,1) ahead of w(1,1)
+  EXPECT_EQ(check_read_your_writes(reused, 1).violations,
+            (std::vector<std::string>{
+                "RYW: client 1 read at store 1 saw clock {} missing its own "
+                "write seq 1"}));
+  EXPECT_EQ(check_monotonic_reads(reused, 1).violations,
+            (std::vector<std::string>{
+                "MR: client 1 read at store 0 saw clock " + a.str() +
+                    " which does not dominate earlier read clock " + b.str(),
+                "MR: client 1 read at store 1 saw clock {} which does not "
+                "dominate earlier read clock " + b.str()}));
 }
 
 TEST(HistoryTest, StoresAndClientsEnumerated) {

@@ -309,10 +309,13 @@ CheckResult check_read_your_writes(const History& h, ClientId client) {
     ++res.events_checked;
     if (op.is_write) {
       own_writes = std::max(own_writes, op.write->wid.seq);
-    } else if (op.read->store_clock.get(client) < own_writes) {
+      continue;
+    }
+    const VectorClock& store_clock = h.clock(op.read->store_clock);
+    if (store_clock.get(client) < own_writes) {
       res.fail("RYW: client " + std::to_string(client) + " read at store " +
                std::to_string(op.read->store) + " saw clock " +
-               op.read->store_clock.str() + " missing its own write seq " +
+               store_clock.str() + " missing its own write seq " +
                std::to_string(own_writes));
     }
   }
@@ -325,13 +328,14 @@ CheckResult check_monotonic_reads(const History& h, ClientId client) {
   for (const ClientOp& op : client_ops(h, client)) {
     if (op.is_write) continue;
     ++res.events_checked;
-    if (!op.read->store_clock.dominates(seen)) {
+    const VectorClock& store_clock = h.clock(op.read->store_clock);
+    if (!store_clock.dominates(seen)) {
       res.fail("MR: client " + std::to_string(client) + " read at store " +
                std::to_string(op.read->store) + " saw clock " +
-               op.read->store_clock.str() +
+               store_clock.str() +
                " which does not dominate earlier read clock " + seen.str());
     }
-    seen.merge(op.read->store_clock);
+    seen.merge(store_clock);
   }
   return res;
 }

@@ -95,8 +95,9 @@ TEST(DeltaSnapshot, SummaryDeltaSkipsIdenticalPagesAndDropsStaleOnes) {
   EXPECT_EQ(receiver.encode_snapshot(), sender.encode_snapshot());
   EXPECT_FALSE(receiver.has("gone"));
   // The drop carried the deletion identity: it survives as a tombstone.
-  auto tomb = receiver.tombstones().find("gone");
-  ASSERT_NE(tomb, receiver.tombstones().end());
+  const auto tombstones = receiver.tombstones();
+  auto tomb = tombstones.find("gone");
+  ASSERT_NE(tomb, tombstones.end());
   EXPECT_EQ(tomb->second.writer, (coherence::WriteId{1, 4}));
 }
 

@@ -24,6 +24,14 @@ constexpr coherence::ClientModel kAllSessions =
     coherence::ClientModel::kMonotonicReads |
     coherence::ClientModel::kWritesFollowReads;
 
+/// Appends as a replica does: under the record's page id in `names`,
+/// held only while the log takes its own hold.
+void append(WriteLog& log, web::PageTable& names, web::WriteRecord rec) {
+  const web::PageId id = names.acquire(rec.page);
+  log.append(std::move(rec), id);
+  names.release(id);
+}
+
 web::WriteRecord rec(ClientId c, std::uint64_t seq, std::string page,
                      std::uint64_t gseq = 0) {
   web::WriteRecord r;
@@ -45,11 +53,12 @@ web::WriteRecord del(ClientId c, std::uint64_t seq, std::string page) {
 // ---- WriteLog::compact_below -----------------------------------------
 
 TEST(WriteLogHorizon, CompactsOnlyTheCoveredPrefix) {
-  WriteLog log;
-  log.append(rec(1, 1, "a"));
-  log.append(rec(2, 1, "b"));
-  log.append(rec(1, 2, "c"));
-  log.append(rec(2, 2, "d"));
+  web::PageTable names;
+  WriteLog log(names);
+  append(log, names, rec(1, 1, "a"));
+  append(log, names, rec(2, 1, "b"));
+  append(log, names, rec(1, 2, "c"));
+  append(log, names, rec(2, 2, "d"));
 
   VectorClock h;
   h.advance(1, 2);
@@ -66,10 +75,11 @@ TEST(WriteLogHorizon, CompactsOnlyTheCoveredPrefix) {
 }
 
 TEST(WriteLogHorizon, UncoveredRecordShieldsTheSuffix) {
-  WriteLog log;
-  log.append(rec(1, 1, "a"));
-  log.append(rec(2, 1, "b"));
-  log.append(rec(1, 2, "c"));
+  web::PageTable names;
+  WriteLog log(names);
+  append(log, names, rec(1, 1, "a"));
+  append(log, names, rec(2, 1, "b"));
+  append(log, names, rec(1, 2, "c"));
 
   // Covers w(1,*) but not w(2,1): the fold must stop at position 1 even
   // though the record behind it is covered (compaction is a prefix
@@ -82,9 +92,10 @@ TEST(WriteLogHorizon, UncoveredRecordShieldsTheSuffix) {
 }
 
 TEST(WriteLogHorizon, GlobalSeqFloorGatesSequencedRecords) {
-  WriteLog log;
-  log.append(rec(1, 1, "a", 1));
-  log.append(rec(1, 2, "b", 2));
+  web::PageTable names;
+  WriteLog log(names);
+  append(log, names, rec(1, 1, "a", 1));
+  append(log, names, rec(1, 2, "b", 2));
 
   VectorClock h;
   h.advance(1, 2);  // clock covers both, gseq floor only the first
@@ -96,9 +107,10 @@ TEST(WriteLogHorizon, GlobalSeqFloorGatesSequencedRecords) {
 }
 
 TEST(WriteLogHorizon, RequesterBehindTheHorizonGetsSnapshotCutover) {
-  WriteLog log;
+  web::PageTable names;
+  WriteLog log(names);
   for (std::uint64_t s = 1; s <= 8; ++s) {
-    log.append(rec(1, s, "p" + std::to_string(s)));
+    append(log, names, rec(1, s, "p" + std::to_string(s)));
   }
   VectorClock h;
   h.advance(1, 5);

@@ -68,16 +68,17 @@ WriteEvent client_write(ClientId client, std::uint64_t op_index, WriteId wid,
   return e;
 }
 
-ReadEvent client_read(ClientId client, std::uint64_t op_index, PageId page,
-                      VectorClock store_clock = {}, std::uint64_t gseq = 0) {
+/// Records a read of `page` served at a store whose applied clock was
+/// `store_clock`.
+void read(History& h, ClientId client, std::uint64_t op_index, PageId page,
+          const VectorClock& store_clock = {}, std::uint64_t gseq = 0) {
   ReadEvent e;
   e.client_op_index = op_index;
   e.client = client;
   e.store = 0;
   e.page = page;
-  e.store_clock = std::move(store_clock);
   e.store_global_seq = gseq;
-  return e;
+  h.record_read(e, store_clock);
 }
 
 /// Compares the streaming verdicts against the post-hoc replay, and
@@ -171,7 +172,7 @@ TEST(StreamingChecker, ReadYourWritesMiss) {
       [](History& h) {
         const PageId p = h.intern("p");
         h.record_write(client_write(5, 1, {5, 1}, p));
-        h.record_read(client_read(5, 2, p));  // own write missing
+        read(h, 5, 2, p);  // own write missing
       },
       {5});
 }
@@ -184,8 +185,8 @@ TEST(StreamingChecker, MonotonicReadRegression) {
         newer.set(1, 4);
         VectorClock older;
         older.set(1, 2);
-        h.record_read(client_read(5, 1, p, newer));
-        h.record_read(client_read(5, 2, p, older));
+        read(h, 5, 1, p, newer);
+        read(h, 5, 2, p, older);
       },
       {5});
 }
@@ -259,7 +260,8 @@ TEST(StreamingChecker, SnapshotBaselines) {
 // nothing. Its live verdicts must equal the replay of a History that
 // retained the same events: one write reaching stores by push with its
 // deps, as a deps-less state record, and after snapshots whose clocks
-// differ.
+// differ; reads at those clocks, one missing its reader's own write and
+// one going back in time.
 TEST(StreamingChecker, RetentionOffJudgesLikeTheReplay) {
   const auto script = [](History& h) {
     const PageId p = h.intern("p");
@@ -268,7 +270,7 @@ TEST(StreamingChecker, RetentionOffJudgesLikeTheReplay) {
     VectorClock later = dep;
     later.set(1, 2);
     h.record_write(client_write(1, 1, {1, 1}, p));
-    h.record_read(client_read(5, 1, p, dep));
+    read(h, 5, 1, p, dep);
     h.record_write(client_write(5, 2, {5, 1}, p));
     apply(h, 0, {5, 1}, p, 0, dep);  // ahead of w(1,1)
     apply(h, 0, {1, 1}, p);
@@ -277,10 +279,14 @@ TEST(StreamingChecker, RetentionOffJudgesLikeTheReplay) {
     apply(h, 2, {5, 1}, p, 0, dep);
     snapshot(h, 1, later);
     apply(h, 1, {1, 3}, p, 0, later);
+    read(h, 5, 3, p, later);  // misses w(5,1)
+    read(h, 5, 4, p, dep);    // behind the previous read
+    read(h, 1, 2, p, later);
   };
   for (ObjectModel m : kAllObjectModels) {
     History kept;
     script(kept);
+    EXPECT_EQ(kept.clocks_interned(), 3u);  // {}, dep and later
     History live;
     live.set_retain_events(false);
     StreamingChecker sc(m);
@@ -305,7 +311,7 @@ TEST(StreamingChecker, CatchesRywAtTheViolatingRead) {
   const PageId p = h.intern("p");
   h.record_write(client_write(5, 1, {5, 1}, p));
   EXPECT_EQ(sc.violations_so_far(), 0u);
-  h.record_read(client_read(5, 2, p));  // own write missing
+  read(h, 5, 2, p);  // own write missing
   EXPECT_EQ(sc.violations_so_far(), 1u);
 }
 
@@ -330,9 +336,9 @@ TEST(StreamingChecker, CatchesMonotonicReadAtTheRegression) {
   newer.set(1, 4);
   VectorClock older;
   older.set(1, 2);
-  h.record_read(client_read(7, 1, p, newer));
+  read(h, 7, 1, p, newer);
   EXPECT_EQ(sc.violations_so_far(), 0u);
-  h.record_read(client_read(7, 2, p, older));
+  read(h, 7, 2, p, older);
   EXPECT_EQ(sc.violations_so_far(), 1u);
 }
 
@@ -365,8 +371,7 @@ TEST(StreamingChecker, RandomizedHistories) {
         } else if (kind == 1) {
           VectorClock clock;
           clock.set(static_cast<ClientId>(rng.below(clients)), rng.below(8));
-          h.record_read(client_read(c, ++op[c], page, std::move(clock),
-                                    rng.below(6)));
+          read(h, c, ++op[c], page, clock, rng.below(6));
         } else if (kind == 2) {
           VectorClock deps;
           if (rng.chance(0.3)) {
@@ -419,7 +424,7 @@ TEST(StreamingChecker, HorizonRetiresWithoutChangingVerdicts) {
         }
         applied.observe(wid);
       } else {
-        h.record_read(client_read(c, ++op[c], p, applied, gseq));
+        read(h, c, ++op[c], p, applied, gseq);
       }
       max_retained = std::max(max_retained, sc.retained_events());
       if (i % 40 == 39) sc.advance_horizon(applied, gseq);
@@ -473,11 +478,11 @@ TEST(StreamingChecker, OutOfOrderClientWithBufferedClocks) {
         c2.set(1, 2);
         // Recorded out of program order; program order sorts by index
         // with the write-before-read tie rule.
-        h.record_read(client_read(9, 3, p, c1));
+        read(h, 9, 3, p, c1);
         h.record_write(client_write(9, 1, {9, 1}, p));
-        h.record_read(client_read(9, 2, p, c2));
+        read(h, 9, 2, p, c2);
         h.record_write(client_write(9, 2, {9, 2}, p));
-        h.record_read(client_read(9, 2, p, c1));  // ties with op 2
+        read(h, 9, 2, p, c1);  // ties with op 2
       },
       {9}, opts);
 }
@@ -490,7 +495,7 @@ TEST(StreamingChecker, OutOfOrderWithoutBufferedClocksIsInexact) {
   const PageId p = h.intern("p");
   VectorClock c1;
   c1.set(1, 1);
-  h.record_read(client_read(9, 3, p, c1));
+  read(h, 9, 3, p, c1);
   h.record_write(client_write(9, 1, {9, 1}, p));  // falls out of order
   EXPECT_FALSE(sc.exact());
 }
@@ -504,8 +509,8 @@ TEST(StreamingChecker, ClearResetsRecorderAndChecker) {
     h.record_write(client_write(1, 1, {1, 1}, p));
     apply(h, 0, {1, 1}, p, 1);
     apply(h, 0, {2, 1}, q, 3);  // gseq gap + unknown writer
-    h.record_read(client_read(1, 2, q));
-    h.record_read(client_read(2, 1, p));
+    read(h, 1, 2, q);
+    read(h, 2, 1, p);
   };
 
   // Reference: a fresh recorder + checker pair.
@@ -525,7 +530,7 @@ TEST(StreamingChecker, ClearResetsRecorderAndChecker) {
   const PageId junk = reused.intern("junk");
   reused.record_write(client_write(3, 1, {3, 1}, junk));
   apply(reused, 5, {3, 1}, junk, 9);
-  reused.record_read(client_read(3, 2, junk));
+  read(reused, 3, 2, junk);
   VectorClock hz;
   hz.set(3, 1);
   reused_sc.advance_horizon(hz, 9);

@@ -23,6 +23,14 @@ using coherence::VectorClock;
 using coherence::WriteId;
 using web::WriteRecord;
 
+/// Appends as a replica does: under the record's page id in `names`,
+/// held only while the log takes its own hold.
+void append(WriteLog& log, web::PageTable& names, web::WriteRecord rec) {
+  const web::PageId id = names.acquire(rec.page);
+  log.append(std::move(rec), id);
+  names.release(id);
+}
+
 util::Buffer encode_all(const std::vector<WriteRecord>& records) {
   util::Writer w;
   web::encode_records(w, records);
@@ -98,10 +106,12 @@ TEST(WriteLog, IndexedDeltaMatchesNaiveScanAcrossRandomHistories) {
     const int length = static_cast<int>(rng.between(1, 400));
     const double sequenced = rng.chance(0.5) ? rng.uniform01() : 0.0;
 
-    WriteLog log;
+    web::PageTable names;
+
+    WriteLog log(names);
     const auto history = random_history(rng, writers, pages, length,
                                         sequenced);
-    for (const auto& rec : history) log.append(rec);
+    for (const auto& rec : history) append(log, names, rec);
 
     for (int query = 0; query < 20; ++query) {
       const VectorClock have = random_clock(rng, history);
@@ -129,14 +139,15 @@ TEST(WriteLog, IndexedDeltaMatchesNaiveScanAcrossRandomHistories) {
 }
 
 TEST(WriteLog, EmptyCloseAndFullCoverage) {
-  WriteLog log;
+  web::PageTable names;
+  WriteLog log(names);
   expect_identical(log, VectorClock{}, 0, {});  // empty log
 
   WriteRecord rec;
   rec.wid = WriteId{7, 1};
   rec.page = "p.html";
   rec.content = "v";
-  log.append(rec);
+  append(log, names, rec);
 
   VectorClock all;
   all.set(7, 1);
@@ -146,14 +157,15 @@ TEST(WriteLog, EmptyCloseAndFullCoverage) {
 }
 
 TEST(WriteLog, GseqFloorSkipsTotallyOrderedRecords) {
-  WriteLog log;
+  web::PageTable names;
+  WriteLog log(names);
   for (std::uint64_t i = 1; i <= 10; ++i) {
     WriteRecord rec;
     rec.wid = WriteId{1, i};
     rec.page = "p.html";
     rec.content = "v" + std::to_string(i);
     rec.global_seq = i;
-    log.append(rec);
+    append(log, names, rec);
   }
   // Requester with an empty clock but a total-order floor of 7 only
   // needs the last three records.
@@ -165,13 +177,14 @@ TEST(WriteLog, GseqFloorSkipsTotallyOrderedRecords) {
 }
 
 TEST(WriteLog, CompactionFoldsOldRecordsIntoBaseClock) {
-  WriteLog log;
+  web::PageTable names;
+  WriteLog log(names);
   for (std::uint64_t i = 1; i <= 100; ++i) {
     WriteRecord rec;
     rec.wid = WriteId{static_cast<ClientId>(i % 3), (i / 3) + 1};
     rec.page = "page" + std::to_string(i % 5) + ".html";
     rec.content = "v";
-    log.append(rec);
+    append(log, names, rec);
   }
   ASSERT_EQ(log.size(), 100u);
   log.compact(40);
@@ -195,7 +208,8 @@ TEST(WriteLog, CompactionFoldsOldRecordsIntoBaseClock) {
 // page's postings, then appends to the same client and page again. The
 // indexes must keep answering exactly as the naive scan does.
 TEST(WriteLog, PostingsFoldedToEmptyTakeAppendsAgain) {
-  WriteLog log;
+  web::PageTable names;
+  WriteLog log(names);
   const auto rec = [](ClientId client, std::uint64_t seq,
                       const std::string& page) {
     WriteRecord r;
@@ -215,10 +229,10 @@ TEST(WriteLog, PostingsFoldedToEmptyTakeAppendsAgain) {
 
   VectorClock upstream;
   for (std::uint64_t seq = 1; seq <= 3; ++seq) {
-    log.append(rec(1, seq, "a.html"));
+    append(log, names, rec(1, seq, "a.html"));
     check(upstream);
   }
-  log.append(rec(2, 1, "b.html"));
+  append(log, names, rec(2, 1, "b.html"));
   check(upstream);
 
   // Fold client 1 and page a.html to empty; client 2 keeps its record.
@@ -228,9 +242,9 @@ TEST(WriteLog, PostingsFoldedToEmptyTakeAppendsAgain) {
   check(upstream);
 
   // Both emptied lists take appends again.
-  log.append(rec(1, 4, "a.html"));
+  append(log, names, rec(1, 4, "a.html"));
   check(upstream);
-  log.append(rec(1, 5, "b.html"));
+  append(log, names, rec(1, 5, "b.html"));
   check(upstream);
   EXPECT_EQ(log.records_since(upstream, 0).size(), 3u);
   EXPECT_EQ(log.records_since(upstream, 0, {"a.html"}).size(), 1u);
@@ -241,7 +255,7 @@ TEST(WriteLog, PostingsFoldedToEmptyTakeAppendsAgain) {
   EXPECT_EQ(log.compact_below(upstream, 0), 3u);
   EXPECT_TRUE(log.empty());
   check(upstream);
-  log.append(rec(1, 6, "a.html"));
+  append(log, names, rec(1, 6, "a.html"));
   check(upstream);
   ASSERT_EQ(log.records_since(upstream, 0, {"a.html"}).size(), 1u);
   EXPECT_EQ(log.records_since(upstream, 0).front().wid, (WriteId{1, 6}));
@@ -253,15 +267,16 @@ TEST(WriteLog, PostingsFoldedToEmptyTakeAppendsAgain) {
 // page's: the index then holds a list per page still in the document, not
 // one per page name ever written.
 TEST(WriteLog, FoldingAPagesDeleteFreesItsPostings) {
-  WriteLog log;
+  web::PageTable names;
+  WriteLog log(names);
   std::uint64_t seq = 0;
-  const auto append = [&](const std::string& page, web::WriteOp op) {
+  const auto add = [&](const std::string& page, web::WriteOp op) {
     WriteRecord r;
     r.wid = WriteId{1, ++seq};
     r.page = page;
     r.op = op;
     if (op == web::WriteOp::kPut) r.content = "v" + std::to_string(seq);
-    log.append(std::move(r));
+    append(log, names, std::move(r));
   };
   const auto fold_all = [&] {
     VectorClock all;
@@ -270,26 +285,26 @@ TEST(WriteLog, FoldingAPagesDeleteFreesItsPostings) {
   };
 
   for (int i = 0; i < 50; ++i) {
-    append("p" + std::to_string(i) + ".html", web::WriteOp::kPut);
+    add("p" + std::to_string(i) + ".html", web::WriteOp::kPut);
   }
   for (int i = 0; i < 50; ++i) {
-    append("p" + std::to_string(i) + ".html", web::WriteOp::kDelete);
+    add("p" + std::to_string(i) + ".html", web::WriteOp::kDelete);
   }
-  append("kept.html", web::WriteOp::kPut);
+  add("kept.html", web::WriteOp::kPut);
   EXPECT_EQ(log.indexed_pages(), 51u);
   fold_all();
   EXPECT_TRUE(log.empty());
   EXPECT_EQ(log.indexed_pages(), 1u);
 
   // Deleted and re-created before the fold: the page is still there.
-  append("kept.html", web::WriteOp::kDelete);
-  append("kept.html", web::WriteOp::kPut);
+  add("kept.html", web::WriteOp::kDelete);
+  add("kept.html", web::WriteOp::kPut);
   fold_all();
   EXPECT_EQ(log.indexed_pages(), 1u);
 
   // A freed page's name takes appends again.
-  append("p0.html", web::WriteOp::kPut);
-  append("kept.html", web::WriteOp::kDelete);
+  add("p0.html", web::WriteOp::kPut);
+  add("kept.html", web::WriteOp::kDelete);
   EXPECT_EQ(log.indexed_pages(), 2u);
   for (const std::vector<std::string>& pages :
        {std::vector<std::string>{}, std::vector<std::string>{"p0.html"},
@@ -301,14 +316,15 @@ TEST(WriteLog, FoldingAPagesDeleteFreesItsPostings) {
 }
 
 TEST(WriteLog, CompactionKeepsSequentialCatchupServable) {
-  WriteLog log;
+  web::PageTable names;
+  WriteLog log(names);
   for (std::uint64_t i = 1; i <= 50; ++i) {
     WriteRecord rec;
     rec.wid = WriteId{1, i};
     rec.page = "p.html";
     rec.content = "v";
     rec.global_seq = i;  // every record totally ordered
-    log.append(rec);
+    append(log, names, rec);
   }
   log.compact(10);
   EXPECT_EQ(log.base_gseq(), 40u);
@@ -326,9 +342,10 @@ TEST(WriteLog, CompactionKeepsSequentialCatchupServable) {
 
 TEST(WriteLog, IndexedDeltaMatchesNaiveAfterCompaction) {
   util::Rng rng(7);
-  WriteLog log;
+  web::PageTable names;
+  WriteLog log(names);
   const auto history = random_history(rng, 5, 8, 600, 0.4);
-  for (const auto& rec : history) log.append(rec);
+  for (const auto& rec : history) append(log, names, rec);
   log.compact(200);
   for (int query = 0; query < 30; ++query) {
     const VectorClock have = random_clock(rng, history);
@@ -342,7 +359,8 @@ TEST(WriteLog, IndexedDeltaMatchesNaiveAcrossInterleavedCompaction) {
     const int pages = static_cast<int>(rng.between(1, 10));
     const auto history = random_history(rng, static_cast<int>(rng.between(1, 6)),
                                         pages, 500, rng.uniform01());
-    WriteLog log;
+    web::PageTable names;
+    WriteLog log(names);
     // The retained records as a plain prefix-dropping list: every
     // compaction must drop exactly the prefix this model predicts.
     std::vector<WriteRecord> model;
@@ -350,7 +368,7 @@ TEST(WriteLog, IndexedDeltaMatchesNaiveAcrossInterleavedCompaction) {
     while (next < history.size()) {
       const std::uint64_t burst = rng.between(1, 40);
       for (std::uint64_t i = 0; i < burst && next < history.size(); ++i) {
-        log.append(history[next]);
+        append(log, names, history[next]);
         model.push_back(history[next++]);
       }
       std::size_t drop = 0;
