@@ -84,7 +84,7 @@ void BM_InvocationEncode(benchmark::State& state) {
   const std::string content(state.range(0), 'x');
   for (auto _ : state) {
     auto inv = msg::Invocation::put_page("page.html", content);
-    benchmark::DoNotOptimize(inv.encode());
+    benchmark::DoNotOptimize(util::encoded(inv));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
@@ -92,7 +92,8 @@ BENCHMARK(BM_InvocationEncode)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_InvocationDecode(benchmark::State& state) {
   const std::string content(state.range(0), 'x');
-  const auto wire = msg::Invocation::put_page("page.html", content).encode();
+  const auto wire =
+      util::encoded(msg::Invocation::put_page("page.html", content));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         msg::Invocation::decode(util::BytesView(wire)));

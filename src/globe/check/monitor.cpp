@@ -238,6 +238,10 @@ void release(const void* owner) {
   Registry& r = registry();
   std::lock_guard lock(r.mu);
   r.owners.erase(owner);
+  // The last owner takes the bucket array with it, so the next
+  // deployment grows the table from scratch again and allocates exactly
+  // what this one did.
+  if (r.owners.empty()) decltype(r.owners)().swap(r.owners);
 }
 
 // ---------------------------------------------------------------------

@@ -184,30 +184,45 @@ class VectorClock {
     return out + "}";
   }
 
+  /// Fewest bytes one entry takes on the wire: a one-byte id delta and
+  /// a one-byte seq.
+  static constexpr std::size_t kMinEntryBytes = 2;
+
   /// Upper bound on encode()'s output.
   [[nodiscard]] std::size_t encoded_size_bound() const {
     return util::kMaxVarintBytes +
-           entries_.size() * (sizeof(ClientId) + util::kMaxVarintBytes);
+           entries_.size() * (util::kMaxVarint32Bytes + util::kMaxVarintBytes);
   }
 
+  /// Wire layout: the entry count, then per entry the client id as the
+  /// difference from the previous entry's id (the first from 0) and the
+  /// seq, all varints. Ids are sorted, so deltas are small and never
+  /// negative.
   void encode(util::Writer& w) const {
     w.varint(entries_.size());
+    ClientId prev = 0;
     for (const auto& [c, v] : entries_) {
-      w.u32(c);
+      w.varint(c - prev);
       w.varint(v);
+      prev = c;
     }
   }
 
   static VectorClock decode(util::Reader& r) {
     VectorClock vc;
-    // An entry takes at least a client id and a one-byte varint.
-    const std::uint64_t n = r.count(sizeof(ClientId) + 1);
+    const std::uint64_t n = r.count(kMinEntryBytes);
     vc.entries_.reserve(n);
+    ClientId c = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
-      const ClientId c = r.u32();
+      const std::uint64_t delta = r.varint();
+      if (delta > 0xFFFFFFFFu - c) {
+        throw util::CodecError("clock client id exceeds 32 bits");
+      }
+      c += static_cast<ClientId>(delta);
       const std::uint64_t v = r.varint();
-      // Encoders emit sorted, nonzero entries: append them. `set` keeps
-      // unsorted, duplicate and zero wire entries canonical.
+      // Encoders emit strictly increasing, nonzero entries: append them.
+      // `set` keeps repeated ids (a zero delta: the later entry wins) and
+      // zero seqs (dropped) canonical.
       if (v != 0 && (vc.entries_.empty() || vc.entries_.back().first < c)) {
         vc.entries_.emplace_back(c, v);
       } else {

@@ -29,46 +29,30 @@ struct WriteId {
     return "w(" + std::to_string(client) + "," + std::to_string(seq) + ")";
   }
 
+  /// Fewest and most bytes encode() emits: a varint client id and seq.
+  static constexpr std::size_t kMinEncodedBytes = 2;
+  static constexpr std::size_t kMaxEncodedBytes =
+      util::kMaxVarint32Bytes + util::kMaxVarintBytes;
+
   /// Bytes encode() emits.
-  static constexpr std::size_t kEncodedBytes =
-      sizeof(std::uint32_t) + sizeof(std::uint64_t);
+  [[nodiscard]] std::size_t encoded_size() const {
+    return util::varint_size(client) + util::varint_size(seq);
+  }
 
   void encode(util::Writer& w) const {
-    w.u32(client);
-    w.u64(seq);
+    w.varint(client);
+    w.varint(seq);
   }
 
   static WriteId decode(util::Reader& r) {
     WriteId wid;
-    wid.client = r.u32();
-    wid.seq = r.u64();
+    wid.client = r.varint32();
+    wid.seq = r.varint();
     return wid;
   }
 };
 
 inline constexpr WriteId kNoWrite{};
-
-/// A client-side dependency: "my read/write depends on this write, which
-/// I performed or observed at this store" (Section 4.2: dependency
-/// <WiD, store id> is transmitted with a read request).
-struct Dependency {
-  WriteId wid;
-  StoreId store = kInvalidStore;
-
-  friend bool operator==(const Dependency&, const Dependency&) = default;
-
-  void encode(util::Writer& w) const {
-    wid.encode(w);
-    w.u32(store);
-  }
-
-  static Dependency decode(util::Reader& r) {
-    Dependency d;
-    d.wid = WriteId::decode(r);
-    d.store = r.u32();
-    return d;
-  }
-};
 
 }  // namespace globe::coherence
 

@@ -5,14 +5,30 @@
 
 namespace globe::core {
 
-CommunicationObject::CommunicationObject(const TransportFactory& factory,
-                                         sim::Simulator* sim,
+CommunicationObject::CommunicationObject(sim::Simulator* sim,
                                          TrafficObserver* observer)
-    : sim_(sim), observer_(observer) {
-  transport_ = factory([this](const Address& from, util::BytesView payload) {
-    on_message(from, payload);
-  });
-  GLOBE_ASSERT(transport_ != nullptr);
+    : sim_(sim), observer_(observer) {}
+
+void CommunicationObject::open(const TransportFactory& factory,
+                               DeliveryHandler handler) {
+  GLOBE_ASSERT_MSG(transport_ == nullptr, "communication object opened twice");
+  deliver_ = std::move(handler);
+  binding_.store(true);
+  std::unique_ptr<net::Transport> transport =
+      factory([this](const Address& from, util::BytesView payload) {
+        on_message(from, payload);
+      });
+  GLOBE_ASSERT(transport != nullptr);
+  transport_ = std::move(transport);
+  std::vector<std::pair<Address, Buffer>> early;
+  {
+    const std::lock_guard<std::mutex> lock(early_mu_);
+    binding_.store(false);
+    early.swap(early_);
+  }
+  for (const auto& [from, wire] : early) {
+    on_message(from, util::BytesView(wire));
+  }
 }
 
 void CommunicationObject::send(const Address& to, MsgType type,
@@ -80,6 +96,13 @@ obs::TraceContext CommunicationObject::note_wire_send(MsgType type,
 
 void CommunicationObject::on_message(const Address& from,
                                      util::BytesView payload) {
+  if (binding_.load(std::memory_order_acquire)) {
+    const std::lock_guard<std::mutex> lock(early_mu_);
+    if (binding_.load(std::memory_order_relaxed)) {
+      early_.emplace_back(from, util::to_buffer(payload));
+      return;
+    }
+  }
   const EnvelopeView env = EnvelopeView::decode(payload);
   // Install the carried context around the handler: a wire.deliver span
   // per datagram (duplicate multicast frames are already deduped below

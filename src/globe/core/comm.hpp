@@ -21,9 +21,12 @@
 // nothing is copied until a decoder materializes owned fields.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "globe/msg/envelope.hpp"
@@ -65,16 +68,22 @@ class CommunicationObject {
                          const EnvelopeView& env)>;
 
   /// `sim` may be null (loopback runtime); request timeouts then require
-  /// the caller not to pass a timeout.
-  CommunicationObject(const TransportFactory& factory, sim::Simulator* sim,
-                      TrafficObserver* observer = nullptr);
+  /// the caller not to pass a timeout. The object has no endpoint until
+  /// open().
+  explicit CommunicationObject(sim::Simulator* sim,
+                               TrafficObserver* observer = nullptr);
 
   CommunicationObject(const CommunicationObject&) = delete;
   CommunicationObject& operator=(const CommunicationObject&) = delete;
 
-  void set_delivery_handler(DeliveryHandler handler) {
-    deliver_ = std::move(handler);
-  }
+  /// Binds a fresh endpoint from `factory` whose non-reply messages go
+  /// to `handler` (empty for an endpoint that only makes requests).
+  /// The handler is in place before the endpoint exists, so nothing the
+  /// transport delivers is dropped; a datagram delivered while the
+  /// factory runs is handed over once the endpoint can send. An owner
+  /// calls this first in its constructor body, once every member the
+  /// handler touches exists. Call it once.
+  void open(const TransportFactory& factory, DeliveryHandler handler);
 
   [[nodiscard]] Address local_address() const {
     return transport_->local_address();
@@ -224,6 +233,12 @@ class CommunicationObject {
   TrafficObserver* observer_;
   DeliveryHandler deliver_;
   std::unique_ptr<net::Transport> transport_;
+  // Set while open() runs the factory. A datagram the transport delivers
+  // then (from inside the bind, or on a socket host's receive thread)
+  // waits in early_ until transport_ is set, so its handler can reply.
+  std::atomic<bool> binding_{false};
+  std::mutex early_mu_;
+  std::vector<std::pair<Address, Buffer>> early_;
   std::uint64_t next_request_id_ = 1;
   std::unordered_map<std::uint64_t, PendingRequest> pending_;
 };

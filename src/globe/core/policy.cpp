@@ -127,7 +127,7 @@ void ReplicationPolicy::encode(util::Writer& w) const {
   w.u8(static_cast<std::uint8_t>(coherence_transfer));
   w.u8(static_cast<std::uint8_t>(object_outdate_reaction));
   w.u8(static_cast<std::uint8_t>(client_outdate_reaction));
-  w.i64(lazy_period.count_micros());
+  w.varint_i64(lazy_period.count_micros());
 }
 
 ReplicationPolicy ReplicationPolicy::decode(util::Reader& r) {
@@ -142,7 +142,7 @@ ReplicationPolicy ReplicationPolicy::decode(util::Reader& r) {
   p.coherence_transfer = static_cast<CoherenceTransfer>(r.u8());
   p.object_outdate_reaction = static_cast<OutdateReaction>(r.u8());
   p.client_outdate_reaction = static_cast<OutdateReaction>(r.u8());
-  p.lazy_period = util::SimDuration(r.i64());
+  p.lazy_period = util::SimDuration(r.varint_i64());
   return p;
 }
 

@@ -9,7 +9,7 @@ void PageReadValue::encode(util::Writer& w) const {
   w.str(mime);
   writer.encode(w);
   w.varint(global_seq);
-  w.i64(updated_at_us);
+  w.varint_i64(updated_at_us);
 }
 
 PageReadValue PageReadValue::decode(util::Reader& r) {
@@ -18,7 +18,7 @@ PageReadValue PageReadValue::decode(util::Reader& r) {
   v.mime = r.str();
   v.writer = coherence::WriteId::decode(r);
   v.global_seq = r.varint();
-  v.updated_at_us = r.i64();
+  v.updated_at_us = r.varint_i64();
   return v;
 }
 

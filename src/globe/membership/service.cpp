@@ -12,12 +12,12 @@ MembershipService::MembershipService(const TransportFactory& factory,
                                      MembershipOptions options)
     : sim_(sim),
       options_(options),
-      comm_(factory, &sim),
+      comm_(&sim),
       sweep_timer_(sim, options_.heartbeat_period, [this] { sweep(); }) {
-  comm_.set_delivery_handler(
-      [this](const Address& from, const msg::EnvelopeView& env) {
-        on_message(from, env);
-      });
+  comm_.open(factory,
+             [this](const Address& from, const msg::EnvelopeView& env) {
+               on_message(from, env);
+             });
   sweep_timer_.start();
 }
 

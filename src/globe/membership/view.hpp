@@ -59,8 +59,8 @@ struct View {
   }
 
   void encode(util::Writer& w) const {
-    w.u64(object);
-    w.u32(shard);
+    w.varint(object);
+    w.varint(shard);
     w.varint(epoch);
     w.varint(members.size());
     for (const auto& m : members) m.encode(w);
@@ -68,10 +68,10 @@ struct View {
 
   static View decode(util::Reader& r) {
     View v;
-    v.object = r.u64();
-    v.shard = r.u32();
+    v.object = r.varint();
+    v.shard = r.varint32();
     v.epoch = r.varint();
-    const std::uint64_t n = r.count(naming::ContactPoint::kEncodedBytes);
+    const std::uint64_t n = r.count(naming::ContactPoint::kMinEncodedBytes);
     v.members.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       v.members.push_back(naming::ContactPoint::decode(r));
@@ -151,36 +151,30 @@ struct ViewDelta {
   }
 
   void encode(util::Writer& w) const {
-    w.u64(object);
-    w.u32(shard);
+    w.varint(object);
+    w.varint(shard);
     w.varint(epoch);
     w.varint(joined.size());
     for (const auto& c : joined) c.encode(w);
     w.varint(left.size());
-    for (const auto& a : left) {
-      w.u32(a.node);
-      w.u16(a.port);
-    }
+    for (const auto& a : left) net::encode_address(w, a);
   }
 
   static ViewDelta decode(util::BytesView wire) {
     util::Reader r(wire);
     ViewDelta d;
-    d.object = r.u64();
-    d.shard = r.u32();
+    d.object = r.varint();
+    d.shard = r.varint32();
     d.epoch = r.varint();
-    const std::uint64_t nj = r.count(naming::ContactPoint::kEncodedBytes);
+    const std::uint64_t nj = r.count(naming::ContactPoint::kMinEncodedBytes);
     d.joined.reserve(nj);
     for (std::uint64_t i = 0; i < nj; ++i) {
       d.joined.push_back(naming::ContactPoint::decode(r));
     }
-    const std::uint64_t nl = r.count(sizeof(NodeId) + sizeof(PortId));
+    const std::uint64_t nl = r.count(net::kMinAddressBytes);
     d.left.reserve(nl);
     for (std::uint64_t i = 0; i < nl; ++i) {
-      net::Address a;
-      a.node = r.u32();
-      a.port = r.u16();
-      d.left.push_back(a);
+      d.left.push_back(net::decode_address(r));
     }
     r.expect_end();
     return d;
@@ -213,7 +207,7 @@ struct MemberAnnounce {
 
   void encode(util::Writer& w) const {
     contact.encode(w);
-    w.u32(shard);
+    w.varint(shard);
     w.boolean(has_applied);
     applied.encode(w);
     w.varint(applied_gseq);
@@ -223,7 +217,7 @@ struct MemberAnnounce {
     util::Reader r(wire);
     MemberAnnounce m;
     m.contact = naming::ContactPoint::decode(r);
-    m.shard = r.u32();
+    m.shard = r.varint32();
     m.has_applied = r.boolean();
     m.applied = coherence::VectorClock::decode(r);
     m.applied_gseq = r.varint();
@@ -262,16 +256,12 @@ struct HorizonMsg {
 struct LeaveMsg {
   net::Address address;
 
-  void encode(util::Writer& w) const {
-    w.u32(address.node);
-    w.u16(address.port);
-  }
+  void encode(util::Writer& w) const { net::encode_address(w, address); }
 
   static LeaveMsg decode(util::BytesView wire) {
     util::Reader r(wire);
     LeaveMsg m;
-    m.address.node = r.u32();
-    m.address.port = r.u16();
+    m.address = net::decode_address(r);
     r.expect_end();
     return m;
   }
@@ -285,18 +275,16 @@ struct WatchMsg {
   bool subscribe = true;
 
   void encode(util::Writer& w) const {
-    w.u32(watcher.node);
-    w.u16(watcher.port);
-    w.u32(shard);
+    net::encode_address(w, watcher);
+    w.varint(shard);
     w.boolean(subscribe);
   }
 
   static WatchMsg decode(util::BytesView wire) {
     util::Reader r(wire);
     WatchMsg m;
-    m.watcher.node = r.u32();
-    m.watcher.port = r.u16();
-    m.shard = r.u32();
+    m.watcher = net::decode_address(r);
+    m.shard = r.varint32();
     m.subscribe = r.boolean();
     r.expect_end();
     return m;
@@ -308,13 +296,13 @@ struct WatchMsg {
 struct ViewFetchMsg {
   ShardId shard = 0;
 
-  void encode(util::Writer& w) const { w.u32(shard); }
+  void encode(util::Writer& w) const { w.varint(shard); }
 
   static ViewFetchMsg decode(util::BytesView wire) {
     ViewFetchMsg m;
     if (wire.empty()) return m;
     util::Reader r(wire);
-    m.shard = r.u32();
+    m.shard = r.varint32();
     r.expect_end();
     return m;
   }

@@ -7,17 +7,19 @@
 // never look inside bodies they do not own — the paper's requirement that
 // they operate only on encoded invocation messages.
 //
-// Wire layout: type (u8), object (u64), request_id (u64), then the body
-// as the remainder of the datagram. The body carries no length prefix —
-// the envelope is always the whole payload — which is what lets the
-// receive path decode an EnvelopeView without copying a single body byte.
+// Wire layout: type (u8), object (varint), request_id (varint), then the
+// body as the remainder of the datagram. The body carries no length
+// prefix — the envelope is always the whole payload — which is what lets
+// the receive path decode an EnvelopeView without copying a single body
+// byte.
 //
 // Trace context (observability): bit 0x80 of the type byte — unused by
 // every MsgType, all of which are <= 0x40 — flags an optional trace
-// context appended after request_id as two u64s (trace id, parent span
-// id). When tracing is off the bit is never set and the wire stream is
-// byte-identical to a build without tracing; bench_scale gates this with
-// a wire digest. The context rides inside the datagram, so multicast
+// context appended after request_id as two fixed-width u64s (trace id,
+// parent span id): both are uniformly random, so a varint would only
+// lengthen them. When tracing is off the bit is never set and the wire
+// stream is byte-identical to a build without tracing; bench_scale gates
+// this with a wire digest. The context rides inside the datagram, so multicast
 // frame batching, retransmission, and the TCP bulk lane carry it
 // untouched.
 #pragma once
@@ -130,8 +132,8 @@ struct EnvelopeView {
     EnvelopeView e;
     const std::uint8_t raw = r.u8();
     e.type = static_cast<MsgType>(raw & ~kTraceFlag);
-    e.object = r.u64();
-    e.request_id = r.u64();
+    e.object = r.varint();
+    e.request_id = r.varint();
     if ((raw & kTraceFlag) != 0) {
       e.trace.trace_id = r.u64();
       e.trace.span_id = r.u64();
@@ -151,16 +153,17 @@ struct Envelope {
   Buffer body;
 
   /// Largest header: type byte, object, request id and a trace context.
-  static constexpr std::size_t kMaxHeaderBytes = 1 + 8 + 8 + 16;
+  static constexpr std::size_t kMaxHeaderBytes =
+      1 + 2 * util::kMaxVarintBytes + 16;
 
-  /// Writes the fixed header; the body follows as raw bytes, so a sender
+  /// Writes the header; the body follows as raw bytes, so a sender
   /// can serialize header and body into one buffer with no intermediate
   /// copy (CommunicationObject::send_with).
   static void encode_header(Writer& w, MsgType type, ObjectId object,
                             std::uint64_t request_id) {
     w.u8(static_cast<std::uint8_t>(type));
-    w.u64(object);
-    w.u64(request_id);
+    w.varint(object);
+    w.varint(request_id);
   }
 
   /// Header with a trace context: sets the flag bit and appends the two
@@ -174,15 +177,16 @@ struct Envelope {
       return;
     }
     w.u8(static_cast<std::uint8_t>(type) | EnvelopeView::kTraceFlag);
-    w.u64(object);
-    w.u64(request_id);
+    w.varint(object);
+    w.varint(request_id);
     w.u64(trace.trace_id);
     w.u64(trace.span_id);
   }
 
   [[nodiscard]] Buffer encode() const {
     Writer w;
-    w.reserve(1 + 8 + 8 + (trace.valid() ? 16 : 0) + body.size());
+    w.reserve(1 + util::varint_size(object) + util::varint_size(request_id) +
+              (trace.valid() ? 16 : 0) + body.size());
     encode_header(w, type, object, request_id, trace);
     w.raw(BytesView(body));
     return w.take();

@@ -42,18 +42,23 @@ struct Invocation {
 
   [[nodiscard]] bool writes() const { return is_write(method); }
 
-  [[nodiscard]] Buffer encode() const {
-    Writer w;
-    w.u32(static_cast<std::uint32_t>(method));
+  /// The method and the length-prefixed arguments: self-delimiting, so
+  /// a request carries an invocation inline.
+  void encode(Writer& w) const {
+    w.varint(static_cast<std::uint32_t>(method));
     w.bytes(BytesView(args));
-    return w.take();
+  }
+
+  static Invocation decode(Reader& r) {
+    Invocation inv;
+    inv.method = static_cast<Method>(r.varint32());
+    inv.args = r.bytes_copy();
+    return inv;
   }
 
   static Invocation decode(BytesView wire) {
     Reader r(wire);
-    Invocation inv;
-    inv.method = static_cast<Method>(r.u32());
-    inv.args = r.bytes_copy();
+    Invocation inv = decode(r);
     r.expect_end();
     return inv;
   }

@@ -41,22 +41,22 @@ struct ContactPoint {
   friend bool operator==(const ContactPoint&, const ContactPoint&) = default;
 
   void encode(util::Writer& w) const {
-    w.u32(address.node);
-    w.u16(address.port);
+    net::encode_address(w, address);
     w.u8(static_cast<std::uint8_t>(store_class));
-    w.u32(store_id);
+    w.varint(store_id);
     w.boolean(is_primary);
   }
 
-  /// Node, port, class, store id and primary flag.
-  static constexpr std::size_t kEncodedBytes = 4 + 2 + 1 + 4 + 1;
+  /// Fewest bytes encode() emits: the address, class, a one-byte store
+  /// id and the primary flag.
+  static constexpr std::size_t kMinEncodedBytes =
+      net::kMinAddressBytes + 1 + 1 + 1;
 
   static ContactPoint decode(util::Reader& r) {
     ContactPoint c;
-    c.address.node = r.u32();
-    c.address.port = r.u16();
+    c.address = net::decode_address(r);
     c.store_class = static_cast<StoreClass>(r.u8());
-    c.store_id = r.u32();
+    c.store_id = r.varint32();
     c.is_primary = r.boolean();
     return c;
   }

@@ -20,10 +20,11 @@ enum class LocateOp : std::uint8_t {
 
 NamingServer::NamingServer(const TransportFactory& factory,
                            sim::Simulator* sim)
-    : comm_(factory, sim) {
-  comm_.set_delivery_handler([this](const Address& from, const msg::EnvelopeView& env) {
-    on_message(from, env);
-  });
+    : comm_(sim) {
+  comm_.open(factory,
+             [this](const Address& from, const msg::EnvelopeView& env) {
+               on_message(from, env);
+             });
 }
 
 void NamingServer::register_name(const std::string& name, ObjectId object) {
@@ -68,12 +69,12 @@ void NamingServer::on_message(const Address& from, const msg::EnvelopeView& env)
       const auto op = static_cast<NameOp>(r.u8());
       if (op == NameOp::kRegister) {
         const std::string name = r.str();
-        const ObjectId object = r.u64();
+        const ObjectId object = r.varint();
         register_name(name, object);
         comm_.reply_with(from, msg::MsgType::kNameReply, env.object,
                          env.request_id, [&](util::Writer& w) {
                            w.boolean(true);
-                           w.u64(object);
+                           w.varint(object);
                          });
       } else {
         const std::string name = r.str();
@@ -81,7 +82,7 @@ void NamingServer::on_message(const Address& from, const msg::EnvelopeView& env)
         comm_.reply_with(from, msg::MsgType::kNameReply, env.object,
                          env.request_id, [&](util::Writer& w) {
                            w.boolean(object != 0);
-                           w.u64(object);
+                           w.varint(object);
                          });
       }
       return;
@@ -94,10 +95,7 @@ void NamingServer::on_message(const Address& from, const msg::EnvelopeView& env)
                          env.request_id,
                          [](util::Writer& w) { w.boolean(true); });
       } else if (op == LocateOp::kUnregisterContact) {
-        Address addr;
-        addr.node = r.u32();
-        addr.port = r.u16();
-        unregister_contact(env.object, addr);
+        unregister_contact(env.object, net::decode_address(r));
         comm_.reply_with(from, msg::MsgType::kLocateReply, env.object,
                          env.request_id,
                          [](util::Writer& w) { w.boolean(true); });
@@ -123,7 +121,7 @@ void NamingClient::register_name(const std::string& name, ObjectId object,
   util::Writer w;
   w.u8(static_cast<std::uint8_t>(NameOp::kRegister));
   w.str(name);
-  w.u64(object);
+  w.varint(object);
   comm_.request(server_, msg::MsgType::kNameRequest, object, w.take(),
                 [cb = std::move(cb)](bool ok, const Address&,
                                      const msg::EnvelopeView& env) {
@@ -149,7 +147,7 @@ void NamingClient::lookup(const std::string& name, LookupHandler cb) {
                   }
                   util::Reader r{env.body};
                   const bool found = r.boolean();
-                  cb(found, r.u64());
+                  cb(found, r.varint());
                 });
 }
 
@@ -184,7 +182,7 @@ void NamingClient::locate(ObjectId object, LocateHandler cb) {
                   util::Reader r{env.body};
                   const bool found = r.boolean();
                   const std::uint64_t n =
-                      r.count(ContactPoint::kEncodedBytes);
+                      r.count(ContactPoint::kMinEncodedBytes);
                   std::vector<ContactPoint> contacts;
                   contacts.reserve(n);
                   for (std::uint64_t i = 0; i < n; ++i) {

@@ -50,7 +50,9 @@ class NamingClient {
  public:
   NamingClient(const TransportFactory& factory, sim::Simulator* sim,
                Address server)
-      : comm_(factory, sim), server_(server) {}
+      : comm_(sim), server_(server) {
+    comm_.open(factory, {});  // receives replies only
+  }
 
   using LookupHandler = std::function<void(bool ok, ObjectId object)>;
   using LocateHandler =

@@ -9,6 +9,7 @@
 #include <functional>
 #include <string>
 
+#include "globe/util/buffer.hpp"
 #include "globe/util/ids.hpp"
 
 namespace globe::net {
@@ -27,6 +28,22 @@ struct Address {
 };
 
 inline constexpr Address kInvalidAddress{};
+
+/// Wire form of an address: node and port as varints.
+inline void encode_address(util::Writer& w, const Address& a) {
+  w.varint(a.node);
+  w.varint(a.port);
+}
+
+inline Address decode_address(util::Reader& r) {
+  Address a;
+  a.node = r.varint32();
+  a.port = r.varint16();
+  return a;
+}
+
+/// Fewest bytes encode_address emits: one per varint.
+inline constexpr std::size_t kMinAddressBytes = 2;
 
 }  // namespace globe::net
 

@@ -57,26 +57,28 @@ struct Layout {
     return best;
   }
 
+  /// Varints throughout, except the salt: a uniformly random 64-bit
+  /// value a varint would only lengthen.
   void encode(util::Writer& w) const {
-    w.u64(epoch);
-    w.u32(shard_count);
+    w.varint(epoch);
+    w.varint(shard_count);
     w.u64(salt);
     w.varint(overrides.size());
     for (const auto& [object, shard] : overrides) {
-      w.u64(object);
-      w.u32(shard);
+      w.varint(object);
+      w.varint(shard);
     }
   }
 
   static Layout decode(util::Reader& r) {
     Layout l;
-    l.epoch = r.u64();
-    l.shard_count = r.u32();
+    l.epoch = r.varint();
+    l.shard_count = r.varint32();
     l.salt = r.u64();
-    const std::uint64_t n = r.varint();
+    const std::uint64_t n = r.count(2);  // a one-byte object and shard
     for (std::uint64_t i = 0; i < n; ++i) {
-      const ObjectId object = r.u64();
-      l.overrides[object] = r.u32();
+      const ObjectId object = r.varint();
+      l.overrides[object] = r.varint32();
     }
     return l;
   }

@@ -14,11 +14,11 @@ namespace globe::placement {
 
 PlacementServer::PlacementServer(const TransportFactory& factory,
                                  sim::Simulator* sim)
-    : comm_(factory, sim) {
-  comm_.set_delivery_handler(
-      [this](const Address& from, const msg::EnvelopeView& env) {
-        on_message(from, env);
-      });
+    : comm_(sim) {
+  comm_.open(factory,
+             [this](const Address& from, const msg::EnvelopeView& env) {
+               on_message(from, env);
+             });
 }
 
 void PlacementServer::set_layout(Layout layout) {
@@ -72,11 +72,11 @@ Resolution PlacementServer::resolve(ObjectId object) const {
 }
 
 void PlacementServer::encode_state(util::Writer& w) const {
-  w.u64(version_);
+  w.varint(version_);
   layout_.encode(w);
   w.varint(contacts_.size());
   for (const auto& [shard, list] : contacts_) {
-    w.u32(shard);
+    w.varint(shard);
     w.varint(list.size());
     for (const auto& c : list) c.encode(w);
   }
@@ -90,7 +90,7 @@ void PlacementServer::notify_watchers() {
   stats_.invalidations_sent += watchers_.size();
   comm_.multicast_with(
       watchers_, msg::MsgType::kPlacementInvalidate, 0,
-      [this](util::Writer& w) { w.u64(version_); });
+      [this](util::Writer& w) { w.varint(version_); });
 }
 
 void PlacementServer::on_message(const Address& from,
@@ -108,9 +108,9 @@ void PlacementServer::on_message(const Address& from,
       const Resolution res = resolve(env.object);
       comm_.reply_with(from, msg::MsgType::kPlacementResolveReply, env.object,
                        env.request_id, [&](util::Writer& w) {
-                         w.u64(res.version);
-                         w.u64(res.layout_epoch);
-                         w.u32(res.shard);
+                         w.varint(res.version);
+                         w.varint(res.layout_epoch);
+                         w.varint(res.shard);
                          w.varint(res.contacts.size());
                          for (const auto& c : res.contacts) c.encode(w);
                        });
@@ -138,11 +138,11 @@ void PlacementServer::on_message(const Address& from,
 
 PlacementCache::PlacementCache(const TransportFactory& factory,
                                sim::Simulator* sim, Address server)
-    : comm_(factory, sim), server_(server) {
-  comm_.set_delivery_handler(
-      [this](const Address& from, const msg::EnvelopeView& env) {
-        on_message(from, env);
-      });
+    : comm_(sim), server_(server) {
+  comm_.open(factory,
+             [this](const Address& from, const msg::EnvelopeView& env) {
+               on_message(from, env);
+             });
 }
 
 PlacementCache::~PlacementCache() { check::release(this); }
@@ -193,14 +193,14 @@ void PlacementCache::fetch() {
           // comm delivery path or a half-updated cache.
           try {
             util::Reader r{env.body};
-            const std::uint64_t version = r.u64();
+            const std::uint64_t version = r.varint();
             Layout layout = Layout::decode(r);
             std::map<ShardId, std::vector<ContactPoint>> contacts;
             const std::uint64_t shards = r.varint();
             for (std::uint64_t i = 0; i < shards; ++i) {
-              const ShardId shard = r.u32();
+              const ShardId shard = r.varint32();
               const std::uint64_t n =
-                  r.count(ContactPoint::kEncodedBytes);
+                  r.count(ContactPoint::kMinEncodedBytes);
               auto& list = contacts[shard];
               list.reserve(n);
               for (std::uint64_t j = 0; j < n; ++j) {
@@ -233,7 +233,7 @@ void PlacementCache::on_message(const Address& from,
     return;
   }
   util::Reader r{env.body};
-  const std::uint64_t version = r.u64();
+  const std::uint64_t version = r.varint();
   if (version != version_) invalidate();
 }
 

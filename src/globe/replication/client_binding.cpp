@@ -15,9 +15,22 @@ ClientBinding::ClientBinding(const TransportFactory& factory,
     : sim_(sim),
       options_(std::move(options)),
       traffic_(metrics),
-      comm_(factory, &sim, &traffic_),
+      comm_(&sim, &traffic_),
       history_(history),
       metrics_(metrics) {
+  // A binding that watches the object's replica view receives the
+  // membership service's pushes: every epoch as a ViewDelta diff,
+  // applied onto the cached previous view; the binding re-resolves its
+  // stores when one of them leaves the view.
+  core::CommunicationObject::DeliveryHandler on_view;
+  if (options_.membership.valid()) {
+    on_view = [this](const Address&, const msg::EnvelopeView& env) {
+      if (env.type == msg::MsgType::kViewDelta) {
+        on_view_delta(membership::ViewDelta::decode(env.body));
+      }
+    };
+  }
+  comm_.open(factory, std::move(on_view));
   GLOBE_ASSERT_MSG(options_.read_store.valid() || options_.placement.valid(),
                    "bind requires a read store or a placement server");
   // The default session holds the static addresses from here on
@@ -32,19 +45,7 @@ ClientBinding::ClientBinding(const TransportFactory& factory,
         factory, &sim, options_.placement);
     placement_->start();
   }
-  if (options_.membership.valid()) {
-    // Watch the object's replica view: the membership service pushes
-    // every epoch as a ViewDelta diff, applied onto the cached previous
-    // view, and the binding re-resolves its stores when one of them
-    // leaves the view.
-    comm_.set_delivery_handler(
-        [this](const Address&, const msg::EnvelopeView& env) {
-          if (env.type == msg::MsgType::kViewDelta) {
-            on_view_delta(membership::ViewDelta::decode(env.body));
-          }
-        });
-    announce_watch(/*subscribe=*/true);
-  }
+  if (options_.membership.valid()) announce_watch(/*subscribe=*/true);
 }
 
 ClientBinding::Session& ClientBinding::session(ObjectId object) {

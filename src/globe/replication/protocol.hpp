@@ -44,18 +44,6 @@ using util::Writer;
 /// concerns the sending store's object table, not one hosted object.
 inline constexpr ObjectId kStoreScope = 0;
 
-inline void encode_address(Writer& w, const net::Address& a) {
-  w.u32(a.node);
-  w.u16(a.port);
-}
-
-inline net::Address decode_address(Reader& r) {
-  net::Address a;
-  a.node = r.u32();
-  a.port = r.u16();
-  return a;
-}
-
 /// kInvokeRequest body: a client operation plus its session context.
 struct ClientRequest {
   msg::Invocation inv;
@@ -68,30 +56,37 @@ struct ClientRequest {
   bool ordered = false;            // require per-writer ordered application
   std::int64_t issued_at_us = 0;
 
+  /// Self-delimiting: the invocation is written inline, and a forward
+  /// embeds the whole request the same way.
   void encode(Writer& w) const {
-    w.bytes(BytesView(inv.encode()));
-    w.u32(client);
+    inv.encode(w);
+    w.varint(client);
     w.varint(client_op_index);
     wid.encode(w);
     deps.encode(w);
     min_clock.encode(w);
     w.varint(min_global_seq);
     w.boolean(ordered);
-    w.i64(issued_at_us);
+    w.varint_i64(issued_at_us);
   }
 
-  static ClientRequest decode(BytesView wire) {
-    Reader r(wire);
+  static ClientRequest decode(Reader& r) {
     ClientRequest req;
-    req.inv = msg::Invocation::decode(r.bytes());
-    req.client = r.u32();
+    req.inv = msg::Invocation::decode(r);
+    req.client = r.varint32();
     req.client_op_index = r.varint();
     req.wid = WriteId::decode(r);
     req.deps = VectorClock::decode(r);
     req.min_clock = VectorClock::decode(r);
     req.min_global_seq = r.varint();
     req.ordered = r.boolean();
-    req.issued_at_us = r.i64();
+    req.issued_at_us = r.varint_i64();
+    return req;
+  }
+
+  static ClientRequest decode(BytesView wire) {
+    Reader r(wire);
+    ClientRequest req = decode(r);
     r.expect_end();
     return req;
   }
@@ -118,16 +113,16 @@ struct InvokeReply {
     wid.encode(w);
     w.varint(global_seq);
     store_clock.encode(w);
-    w.u32(store);
+    w.varint(store);
   }
 
   /// Upper bound on encode()'s output: a reply carrying the whole
   /// document is written into a wire buffer sized once.
   [[nodiscard]] std::size_t encoded_size_bound() const {
     return 1 + error.size() + value.size() + util::view_of(document).size() +
-           3 * util::kMaxVarintBytes + WriteId::kEncodedBytes +
-           util::kMaxVarintBytes +
-           store_clock.encoded_size_bound() + 4;
+           3 * util::kMaxVarintBytes + WriteId::kMaxEncodedBytes +
+           util::kMaxVarintBytes + store_clock.encoded_size_bound() +
+           util::kMaxVarint32Bytes;
   }
 
   /// Borrowed decode: `value` and `document` view the receive buffer.
@@ -152,7 +147,7 @@ struct InvokeReply {
     rep.wid = WriteId::decode(r);
     rep.global_seq = r.varint();
     rep.store_clock = VectorClock::decode(r);
-    rep.store = r.u32();
+    rep.store = r.varint32();
     r.expect_end();
     return rep;
   }
@@ -180,16 +175,16 @@ struct WriteForward {
   std::uint64_t origin_request_id = 0;
 
   void encode(Writer& w) const {
-    w.bytes(BytesView(util::encoded(request)));
-    encode_address(w, origin);
+    request.encode(w);
+    net::encode_address(w, origin);
     w.varint(origin_request_id);
   }
 
   static WriteForward decode(BytesView wire) {
     Reader r(wire);
     WriteForward f;
-    f.request = ClientRequest::decode(r.bytes());
-    f.origin = decode_address(r);
+    f.request = ClientRequest::decode(r);
+    f.origin = net::decode_address(r);
     f.origin_request_id = r.varint();
     r.expect_end();
     return f;
@@ -264,7 +259,7 @@ struct SnapshotDeltaRequest {
 
   void encode(Writer& w) const {
     w.u8(static_cast<std::uint8_t>(mode));
-    w.u32(floor_source);
+    w.varint(floor_source);
     w.varint(floor_version);
     w.varint(have.size());
     for (const auto& s : have) s.encode(w);
@@ -273,7 +268,7 @@ struct SnapshotDeltaRequest {
   static SnapshotDeltaRequest decode(Reader& r) {
     SnapshotDeltaRequest m;
     m.mode = static_cast<Mode>(r.u8());
-    m.floor_source = r.u32();
+    m.floor_source = r.varint32();
     m.floor_version = r.varint();
     const std::uint64_t n = r.count(web::PageStamp::kMinEncodedBytes);
     m.have.reserve(n);
@@ -313,7 +308,7 @@ struct StateTransfer {
     w.bytes(BytesView(delta));
     clock.encode(w);
     w.varint(gseq);
-    w.u32(source);
+    w.varint(source);
     w.varint(version);
   }
 
@@ -346,7 +341,7 @@ struct StateTransfer {
     m.delta = r.bytes();
     m.clock = VectorClock::decode(r);
     m.gseq = r.varint();
-    m.source = r.u32();
+    m.source = r.varint32();
     m.version = r.varint();
     return m;
   }
@@ -558,8 +553,8 @@ struct SubscribeMsg {
   SnapshotDeltaRequest delta_req;  // meaningful when want_delta
 
   void encode(Writer& w) const {
-    encode_address(w, subscriber);
-    w.u32(store_id);
+    net::encode_address(w, subscriber);
+    w.varint(store_id);
     w.u8(store_class);
     w.boolean(want_delta);
     if (want_delta) delta_req.encode(w);
@@ -568,8 +563,8 @@ struct SubscribeMsg {
   static SubscribeMsg decode(BytesView wire) {
     Reader r(wire);
     SubscribeMsg m;
-    m.subscriber = decode_address(r);
-    m.store_id = r.u32();
+    m.subscriber = net::decode_address(r);
+    m.store_id = r.varint32();
     m.store_class = r.u8();
     m.want_delta = r.boolean();
     if (m.want_delta) m.delta_req = SnapshotDeltaRequest::decode(r);

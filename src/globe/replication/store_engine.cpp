@@ -130,14 +130,14 @@ StoreEngine::StoreEngine(const TransportFactory& factory, sim::Simulator& sim,
       traffic_(metrics),
       history_(history),
       metrics_(metrics),
-      comm_(factory, &sim, &traffic_) {
+      comm_(&sim, &traffic_) {
+  comm_.open(factory,
+             [this](const Address& from, const msg::EnvelopeView& env) {
+               on_message(from, env);
+             });
   GLOBE_ASSERT_MSG(
       !config_.membership.valid() || config_.membership_scope != 0,
       "a store with membership needs a membership scope");
-  comm_.set_delivery_handler(
-      [this](const Address& from, const msg::EnvelopeView& env) {
-        on_message(from, env);
-      });
   // The objects hosted from birth subscribe before the store joins
   // membership: the simulated network draws each send's jitter from one
   // shared RNG, so this order is part of every deterministic run.

@@ -3,8 +3,12 @@
 // All wire traffic in the library — invocation messages, replication
 // protocol messages, naming requests — is encoded with Writer and decoded
 // with Reader. The format is deliberately simple and deterministic:
-//   * fixed-width little-endian integers,
-//   * LEB128-style varints for lengths and optional compactness,
+//   * unsigned LEB128 varints for every protocol integer (ids, sequence
+//     numbers, versions, timestamps, lengths and counts); varint32 and
+//     varint16 read back a narrower id and reject a wider value,
+//   * single bytes for enums, flags and booleans,
+//   * fixed-width little-endian integers only for values a varint cannot
+//     shrink (uniformly random 64-bit ids) and for transport framing,
 //   * length-prefixed strings / byte blobs.
 // Reader throws CodecError on any out-of-bounds or malformed read, so a
 // corrupted or truncated message can never silently yield garbage.
@@ -13,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -69,6 +74,9 @@ inline constexpr std::size_t kMaxVarintBytes = 10;
   return n;
 }
 
+/// Longest encoding of a varint that fits 32 bits (an id).
+inline constexpr std::size_t kMaxVarint32Bytes = varint_size(0xFFFFFFFFu);
+
 /// Appends binary data to a Buffer.
 class Writer {
  public:
@@ -92,7 +100,7 @@ class Writer {
   }
   void boolean(bool v) { u8(v ? 1 : 0); }
 
-  /// Unsigned LEB128 varint; used for lengths.
+  /// Unsigned LEB128 varint: the encoding of every protocol integer.
   void varint(std::uint64_t v) {
     while (v >= 0x80) {
       u8(static_cast<std::uint8_t>((v & 0x7F) | 0x80));
@@ -100,6 +108,11 @@ class Writer {
     }
     u8(static_cast<std::uint8_t>(v));
   }
+
+  /// A signed value (a timestamp or duration in microseconds) as the
+  /// varint of its two's-complement bits: a nonnegative value costs what
+  /// varint() costs, a negative one the full ten bytes.
+  void varint_i64(std::int64_t v) { varint(static_cast<std::uint64_t>(v)); }
 
   void bytes(BytesView b) {
     varint(b.size());
@@ -130,7 +143,6 @@ class Writer {
   Buffer out_;
 };
 
-/// Reads binary data from a byte view with bounds checking.
 /// `m` encoded into a fresh buffer, for any message with an
 /// `encode(Writer&) const` member. Senders encode straight into the wire
 /// instead (CommunicationObject::send_with).
@@ -141,6 +153,7 @@ template <typename Message>
   return w.take();
 }
 
+/// Reads binary data from a byte view with bounds checking.
 class Reader {
  public:
   explicit Reader(BytesView in) : in_(in) {}
@@ -173,12 +186,22 @@ class Reader {
     for (;;) {
       if (shift >= 64) throw CodecError("varint too long");
       const std::uint8_t byte = u8();
+      // The tenth byte holds bit 63 only: anything more overflows.
+      if (shift == 63 && byte > 1) throw CodecError("varint overflows 64 bits");
       result |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
       if ((byte & 0x80) == 0) break;
       shift += 7;
     }
     return result;
   }
+
+  /// A varint that must fit 32 bits: client, store, node and shard ids.
+  std::uint32_t varint32() { return narrow<std::uint32_t>("32-bit"); }
+  /// A varint that must fit 16 bits: ports.
+  std::uint16_t varint16() { return narrow<std::uint16_t>("16-bit"); }
+
+  /// Reads what Writer::varint_i64 wrote.
+  std::int64_t varint_i64() { return static_cast<std::int64_t>(varint()); }
 
   /// Reads the element count of a container that follows, each element
   /// at least `min_element_bytes` on the wire, and checks it against the
@@ -224,6 +247,15 @@ class Reader {
  private:
   void need(std::uint64_t n) const {
     if (n > in_.size() - pos_) throw CodecError("read past end of buffer");
+  }
+
+  template <typename T>
+  T narrow(const char* what) {
+    const std::uint64_t v = varint();
+    if (v > std::numeric_limits<T>::max()) {
+      throw CodecError(std::string("varint exceeds a ") + what + " field");
+    }
+    return static_cast<T>(v);
   }
 
   template <typename T>

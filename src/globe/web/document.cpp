@@ -26,7 +26,7 @@ std::string_view read_page(util::Reader& r, Page* page) {
   const WriteId writer = coherence::WriteId::decode(r);
   const std::uint64_t global_seq = r.varint();
   const std::uint64_t lamport = r.varint();
-  const std::int64_t updated_at_us = r.i64();
+  const std::int64_t updated_at_us = r.varint_i64();
   if (page != nullptr) {
     page->content = content;
     page->mime = mime;
@@ -231,7 +231,7 @@ void WebDocument::encode_page(util::Writer& w, const std::string& name,
   p.last_writer.encode(w);
   w.varint(p.global_seq);
   w.varint(p.lamport);
-  w.i64(mask_wall_clock ? 0 : p.updated_at_us);
+  w.varint_i64(mask_wall_clock ? 0 : p.updated_at_us);
 }
 
 util::Buffer WebDocument::encode_snapshot(bool mask_wall_clock) const {
@@ -244,9 +244,10 @@ util::Buffer WebDocument::encode_snapshot(bool mask_wall_clock) const {
     bytes += util::varint_size(name.size()) + name.size() +
              util::varint_size(p.content.size()) + p.content.size() +
              util::varint_size(p.mime.size()) + p.mime.size() +
-             coherence::WriteId::kEncodedBytes +
-             util::varint_size(p.global_seq) + util::varint_size(p.lamport) +
-             sizeof(p.updated_at_us);
+             p.last_writer.encoded_size() + util::varint_size(p.global_seq) +
+             util::varint_size(p.lamport) +
+             util::varint_size(static_cast<std::uint64_t>(
+                 mask_wall_clock ? 0 : p.updated_at_us));
   }
   util::Writer w;
   w.reserve(bytes);
@@ -339,7 +340,7 @@ void encode_drop(util::Writer& w, const std::string& page,
   t.writer.encode(w);
   w.varint(t.lamport);
   w.varint(t.global_seq);
-  w.i64(t.deleted_at_us);
+  w.varint_i64(t.deleted_at_us);
 }
 
 }  // namespace
@@ -453,7 +454,7 @@ void WebDocument::apply_delta(util::BytesView delta) {
     t.writer = coherence::WriteId::decode(r);
     t.lamport = r.varint();
     t.global_seq = r.varint();
-    t.deleted_at_us = r.i64();
+    t.deleted_at_us = r.varint_i64();
     t.version = stamp;
     const PageId id = names_.acquire(name);
     drop_page(id);

@@ -69,9 +69,10 @@ struct PageStamp {
     w.varint(global_seq);
   }
 
-  /// A one-byte name length, the writer, and two one-byte varints.
+  /// A one-byte name length, the smallest writer, and two one-byte
+  /// varints.
   static constexpr std::size_t kMinEncodedBytes =
-      1 + coherence::WriteId::kEncodedBytes + 2;
+      1 + coherence::WriteId::kMinEncodedBytes + 2;
 
   static PageStamp decode(util::Reader& r) {
     PageStamp s;

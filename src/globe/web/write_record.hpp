@@ -53,7 +53,7 @@ struct WriteRecord {
     deps.encode(w);
     w.varint(global_seq);
     w.varint(lamport);
-    w.i64(issued_at_us);
+    w.varint_i64(issued_at_us);
     w.boolean(ordered);
   }
 
@@ -67,21 +67,21 @@ struct WriteRecord {
     rec.deps = VectorClock::decode(r);
     rec.global_seq = r.varint();
     rec.lamport = r.varint();
-    rec.issued_at_us = r.i64();
+    rec.issued_at_us = r.varint_i64();
     rec.ordered = r.boolean();
     return rec;
   }
 
-  /// Lower bound on encode()'s output: the fixed-width fields plus a
-  /// one-byte varint for each length, count and number.
+  /// Lower bound on encode()'s output: the smallest WiD, the op and
+  /// flag bytes, and a one-byte varint for each length, count and number.
   static constexpr std::size_t kMinEncodedBytes =
-      WriteId::kEncodedBytes + 1 + 3 + 1 + 2 + 8 + 1;
+      WriteId::kMinEncodedBytes + 1 + 3 + 1 + 3 + 1;
 
   /// Upper bound on encode()'s output, to size a buffer once.
   [[nodiscard]] std::size_t encoded_size_bound() const {
-    return WriteId::kEncodedBytes + 1 + 3 * util::kMaxVarintBytes +
+    return WriteId::kMaxEncodedBytes + 1 + 3 * util::kMaxVarintBytes +
            page.size() + content.size() + mime.size() +
-           deps.encoded_size_bound() + 2 * util::kMaxVarintBytes + 8 + 1;
+           deps.encoded_size_bound() + 3 * util::kMaxVarintBytes + 1;
   }
 
 };

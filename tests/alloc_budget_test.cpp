@@ -84,15 +84,18 @@ constexpr int kPlacedObjects = 500;
 /// unchecked builds alike), 20.1 when the fold frees it and the next
 /// record re-creates it. 15.6 once a client no longer copies each
 /// write's dependency clock for a History field nothing read, and
-/// still 15.6 with the per-page tables indexed by page id.
-constexpr double kAllocsPerLeafRecord = 16.4;
+/// still 15.6 with the per-page tables indexed by page id. 14.8 once a
+/// client request carries its invocation inline instead of encoding it
+/// into a buffer of its own first.
+constexpr double kAllocsPerLeafRecord = 15.5;
 
 /// The same budget with the History recording every event, as a Testbed
 /// does by default and bench/e2e's fanout and churn workloads do. Each
 /// leaf apply then also records one apply event: 17.6 when every event
 /// held its own copy of the record's dependency clock, 16.1 when the
-/// History interns the clock and keeps the events in deques.
-constexpr double kAllocsPerLeafRecordWhileRecording = 16.9;
+/// History interns the clock and keeps the events in deques, 15.3 with
+/// invocations written inline.
+constexpr double kAllocsPerLeafRecordWhileRecording = 16.0;
 
 struct Tree {
   Testbed bed;
@@ -188,13 +191,14 @@ TEST(AllocBudget, LeafCachesApplyRecordsWithinBudgetWhileRecording) {
 /// by a page id and a sorted vector. A session costs 40.0 and 38.0 when
 /// its two op queues are deques, which allocate a map and a block each
 /// from birth, and 36.0 and 34.0 with vectors, which allocate nothing
-/// until an op queues.
+/// until an op queues; 29.0 and 27.0 once requests write their
+/// invocation inline.
 #if GLOBE_CHECKED
 constexpr double kAllocsPerPlacedObject = 51.0;
-constexpr double kAllocsPerSession = 38.0;
+constexpr double kAllocsPerSession = 30.5;
 #else
 constexpr double kAllocsPerPlacedObject = 40.0;
-constexpr double kAllocsPerSession = 36.0;
+constexpr double kAllocsPerSession = 28.5;
 #endif
 
 struct PerObject {

@@ -96,13 +96,13 @@ struct Pair {
 class BeaconProbe {
  public:
   explicit BeaconProbe(Testbed& bed)
-      : comm_(bed.factory(bed.add_node("probe")), &bed.sim()) {
-    comm_.set_delivery_handler(
-        [this](const Address&, const msg::EnvelopeView& env) {
-          if (env.type == msg::MsgType::kNotify) {
-            notifies.push_back(NotifyMsg::decode(env.body));
-          }
-        });
+      : comm_(&bed.sim()) {
+    comm_.open(bed.factory(bed.add_node("probe")),
+               [this](const Address&, const msg::EnvelopeView& env) {
+                 if (env.type == msg::MsgType::kNotify) {
+                   notifies.push_back(NotifyMsg::decode(env.body));
+                 }
+               });
   }
 
   void subscribe(const StoreEngine& store, ObjectId object) {

@@ -117,14 +117,18 @@ TEST(VectorClockTest, CodecRoundTrip) {
   EXPECT_EQ(VectorClock::decode(r), vc);
 }
 
-/// Encodes (client, seq) pairs exactly as given, as a peer or a hostile
-/// sender may put them on the wire.
+/// Encodes (client, seq) pairs exactly as given, delta-coding the ids
+/// as encode() does, as a peer or a hostile sender may put them on the
+/// wire. The layout cannot name a smaller id after a larger one.
 util::Buffer wire_clock(const std::vector<VectorClock::Entry>& entries) {
   util::Writer w;
   w.varint(entries.size());
+  ClientId prev = 0;
   for (const auto& [c, v] : entries) {
-    w.u32(c);
+    EXPECT_GE(c, prev) << "not expressible as id deltas";
+    w.varint(c - prev);
     w.varint(v);
+    prev = c;
   }
   return w.take();
 }
@@ -139,13 +143,14 @@ VectorClock set_clock(const std::vector<VectorClock::Entry>& entries) {
 TEST(VectorClockTest, DecodeBuildsTheClockSetBuilds) {
   const std::vector<std::vector<VectorClock::Entry>> shapes = {
       {},
-      {{1, 3}, {4, 1}, {9, 7}},  // sorted: appended as they arrive
-      {{9, 7}, {1, 3}, {4, 1}},  // unsorted
-      {{1, 3}, {4, 1}, {1, 5}},  // duplicate: the later entry wins
-      {{4, 1}, {4, 2}},          // adjacent duplicate
-      {{1, 0}, {2, 5}},          // zero first
-      {{1, 3}, {2, 0}, {5, 1}},  // zero in sorted position
-      {{1, 3}, {1, 0}},          // zero removes an earlier entry
+      {{1, 3}, {4, 1}, {9, 7}},     // sorted: appended as they arrive
+      {{1, 3}, {4, 1}, {4, 5}},     // duplicate: the later entry wins
+      {{1, 3}, {1, 5}, {2, 1}},     // duplicate, then a larger id
+      {{4, 1}, {4, 2}},             // duplicate only
+      {{1, 0}, {2, 5}},             // zero first
+      {{1, 3}, {2, 0}, {5, 1}},     // zero in sorted position
+      {{1, 3}, {1, 0}},             // zero removes an earlier entry
+      {{0, 4}, {0xFFFFFFFFu, 2}},   // the smallest and largest ids
   };
   for (const auto& entries : shapes) {
     const util::Buffer wire = wire_clock(entries);
@@ -162,6 +167,28 @@ TEST(VectorClockTest, DecodeRejectsAForgedCount) {
   const util::Buffer wire = w.take();
   util::Reader r{util::BytesView(wire)};
   EXPECT_THROW((void)VectorClock::decode(r), util::CodecError);
+}
+
+TEST(VectorClockTest, DecodeRejectsAClientIdPastThirtyTwoBits) {
+  // The running id passes UINT32_MAX on the second entry...
+  util::Writer w;
+  w.varint(2);
+  w.varint(0xFFFFFFFFu);
+  w.varint(1);
+  w.varint(1);
+  w.varint(1);
+  util::Reader r{util::BytesView(w.view())};
+  EXPECT_THROW((void)VectorClock::decode(r), util::CodecError);
+  // ...and a delta near 2^64 must not wrap the running id back into
+  // range.
+  util::Writer wrap;
+  wrap.varint(2);
+  wrap.varint(5);
+  wrap.varint(1);
+  wrap.varint(~std::uint64_t{0} - 2);
+  wrap.varint(1);
+  util::Reader rw{util::BytesView(wrap.view())};
+  EXPECT_THROW((void)VectorClock::decode(rw), util::CodecError);
 }
 
 TEST(VectorClockTest, MergeIsTheEntryWiseMaximum) {

@@ -38,13 +38,14 @@ class CommTest : public ::testing::Test {
 };
 
 TEST_F(CommTest, OneWaySendDelivers) {
-  CommunicationObject a(factory(node_a), &sim);
+  CommunicationObject a(&sim);
+  a.open(factory(node_a), {});
   std::optional<msg::Envelope> got;
-  CommunicationObject b(factory(node_b), &sim);
-  b.set_delivery_handler(
-      [&](const net::Address&, const msg::EnvelopeView& env) {
-        got = env.to_owned();
-      });
+  CommunicationObject b(&sim);
+  b.open(factory(node_b),
+         [&](const net::Address&, const msg::EnvelopeView& env) {
+           got = env.to_owned();
+         });
 
   a.send(b.local_address(), msg::MsgType::kUpdate, 42,
          util::to_buffer("payload"));
@@ -55,13 +56,55 @@ TEST_F(CommTest, OneWaySendDelivers) {
   EXPECT_EQ(got->request_id, 0u);
 }
 
+TEST_F(CommTest, DatagramDeliveredDuringTheBindReachesTheHandler) {
+  // A transport may deliver as soon as it binds, before the factory
+  // returns (a socket host's receive thread does). The handler is in
+  // place first; the datagram reaches it once the endpoint exists, so
+  // the handler can already answer.
+  CommunicationObject a(&sim);
+  std::optional<msg::Envelope> answer;
+  a.open(factory(node_a),
+         [&](const net::Address&, const msg::EnvelopeView& env) {
+           answer = env.to_owned();
+         });
+  msg::Envelope early;
+  early.type = msg::MsgType::kUpdate;
+  early.object = 7;
+  early.body = util::to_buffer("early");
+  const util::Buffer wire = early.encode();
+
+  std::optional<msg::Envelope> got;
+  CommunicationObject b(&sim);
+  b.open(
+      [&](net::MessageHandler deliver) {
+        auto transport = factory(node_b)(deliver);
+        deliver(a.local_address(), util::BytesView(wire));
+        return transport;
+      },
+      [&](const net::Address& from, const msg::EnvelopeView& env) {
+        got = env.to_owned();
+        b.send(from, msg::MsgType::kNotify, env.object,
+               util::to_buffer("seen"));
+      });
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->object, 7u);
+  EXPECT_EQ(util::to_string(util::BytesView(got->body)), "early");
+  sim.run();
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_EQ(answer->type, msg::MsgType::kNotify);
+}
+
 TEST_F(CommTest, RequestReplyCorrelation) {
-  CommunicationObject a(factory(node_a), &sim);
-  CommunicationObject b(factory(node_b), &sim);
-  b.set_delivery_handler([&](const net::Address& from, const msg::EnvelopeView& env) {
-    b.reply_with(from, msg::MsgType::kFetchReply, env.object, env.request_id,
-                 [](util::Writer& w) { w.raw(util::to_buffer("answer")); });
-  });
+  CommunicationObject a(&sim);
+  a.open(factory(node_a), {});
+  CommunicationObject b(&sim);
+  b.open(factory(node_b),
+         [&](const net::Address& from, const msg::EnvelopeView& env) {
+           b.reply_with(from, msg::MsgType::kFetchReply, env.object,
+                        env.request_id, [](util::Writer& w) {
+                          w.raw(util::to_buffer("answer"));
+                        });
+         });
 
   std::optional<std::string> answer;
   a.request(b.local_address(), msg::MsgType::kFetchRequest, 1,
@@ -76,12 +119,15 @@ TEST_F(CommTest, RequestReplyCorrelation) {
 }
 
 TEST_F(CommTest, ConcurrentRequestsKeepTheirHandlers) {
-  CommunicationObject a(factory(node_a), &sim);
-  CommunicationObject b(factory(node_b), &sim);
-  b.set_delivery_handler([&](const net::Address& from, const msg::EnvelopeView& env) {
-    b.reply_with(from, msg::MsgType::kFetchReply, env.object, env.request_id,
-                 [&](util::Writer& w) { w.raw(env.body); });  // echo
-  });
+  CommunicationObject a(&sim);
+  a.open(factory(node_a), {});
+  CommunicationObject b(&sim);
+  b.open(factory(node_b),
+         [&](const net::Address& from, const msg::EnvelopeView& env) {
+           b.reply_with(from, msg::MsgType::kFetchReply, env.object,
+                        env.request_id,
+                        [&](util::Writer& w) { w.raw(env.body); });  // echo
+         });
 
   std::vector<std::string> answers(3);
   for (int i = 0; i < 3; ++i) {
@@ -98,10 +144,12 @@ TEST_F(CommTest, ConcurrentRequestsKeepTheirHandlers) {
 }
 
 TEST_F(CommTest, TimeoutFiresWhenNoReply) {
-  CommunicationObject a(factory(node_a), &sim);
-  CommunicationObject b(factory(node_b), &sim);
+  CommunicationObject a(&sim);
+  a.open(factory(node_a), {});
+  CommunicationObject b(&sim);
   // b never replies.
-  b.set_delivery_handler([](const net::Address&, const msg::EnvelopeView&) {});
+  b.open(factory(node_b),
+         [](const net::Address&, const msg::EnvelopeView&) {});
 
   bool failed = false;
   a.request(b.local_address(), msg::MsgType::kFetchRequest, 1, {},
@@ -115,12 +163,14 @@ TEST_F(CommTest, TimeoutFiresWhenNoReply) {
 }
 
 TEST_F(CommTest, RetriesSucceedAfterTransientPartition) {
-  CommunicationObject a(factory(node_a), &sim);
-  CommunicationObject b(factory(node_b), &sim);
-  b.set_delivery_handler([&](const net::Address& from, const msg::EnvelopeView& env) {
-    b.reply_with(from, msg::MsgType::kFetchReply, env.object, env.request_id,
-                 [](util::Writer&) {});
-  });
+  CommunicationObject a(&sim);
+  a.open(factory(node_a), {});
+  CommunicationObject b(&sim);
+  b.open(factory(node_b),
+         [&](const net::Address& from, const msg::EnvelopeView& env) {
+           b.reply_with(from, msg::MsgType::kFetchReply, env.object,
+                        env.request_id, [](util::Writer&) {});
+         });
 
   net.partition(node_a, node_b);
   std::optional<bool> outcome;
@@ -138,18 +188,20 @@ TEST_F(CommTest, RetriesSucceedAfterTransientPartition) {
 }
 
 TEST_F(CommTest, LateReplyAfterTimeoutIsIgnored) {
-  CommunicationObject a(factory(node_a), &sim);
-  CommunicationObject b(factory(node_b), &sim);
-  b.set_delivery_handler([&](const net::Address& from, const msg::EnvelopeView& env) {
-    // Reply very late. (Copy the header fields out: the view's body
-    // borrows the receive buffer and must not outlive the handler.)
-    sim.schedule_after(
-        sim::SimDuration::millis(500),
-        [&b, from, object = env.object, request_id = env.request_id] {
-          b.reply_with(from, msg::MsgType::kFetchReply, object, request_id,
-                       [](util::Writer&) {});
-        });
-  });
+  CommunicationObject a(&sim);
+  a.open(factory(node_a), {});
+  CommunicationObject b(&sim);
+  b.open(factory(node_b),
+         [&](const net::Address& from, const msg::EnvelopeView& env) {
+           // Reply very late. (Copy the header fields out: the view's body
+           // borrows the receive buffer and must not outlive the handler.)
+           sim.schedule_after(
+               sim::SimDuration::millis(500),
+               [&b, from, object = env.object, request_id = env.request_id] {
+                 b.reply_with(from, msg::MsgType::kFetchReply, object,
+                              request_id, [](util::Writer&) {});
+               });
+         });
 
   int calls = 0;
   a.request(b.local_address(), msg::MsgType::kFetchRequest, 1, {},
@@ -160,14 +212,17 @@ TEST_F(CommTest, LateReplyAfterTimeoutIsIgnored) {
 }
 
 TEST_F(CommTest, MulticastReachesAllTargets) {
-  CommunicationObject sender(factory(node_a), &sim);
+  CommunicationObject sender(&sim);
+  sender.open(factory(node_a), {});
   int received = 0;
   std::vector<std::unique_ptr<CommunicationObject>> receivers;
   std::vector<net::Address> targets;
   for (int i = 0; i < 4; ++i) {
-    auto r = std::make_unique<CommunicationObject>(factory(node_b), &sim);
-    r->set_delivery_handler(
-        [&received](const net::Address&, const msg::EnvelopeView&) { ++received; });
+    auto r = std::make_unique<CommunicationObject>(&sim);
+    r->open(factory(node_b),
+            [&received](const net::Address&, const msg::EnvelopeView&) {
+              ++received;
+            });
     targets.push_back(r->local_address());
     receivers.push_back(std::move(r));
   }
@@ -186,7 +241,8 @@ TEST_F(CommTest, TrafficObserverSeesOutboundBytes) {
       ++messages;
     }
   } obs;
-  CommunicationObject a(factory(node_a), &sim, &obs);
+  CommunicationObject a(&sim, &obs);
+  a.open(factory(node_a), {});
   a.send({node_b, 1}, msg::MsgType::kUpdate, 1, util::to_buffer("12345"));
   EXPECT_EQ(obs.messages, 1);
   EXPECT_GT(obs.bytes, 5u);  // envelope overhead + payload

@@ -39,7 +39,8 @@ TEST(Envelope, TypeNames) {
 TEST(Invocation, GetPageRoundTrip) {
   const auto inv = msg::Invocation::get_page("index.html");
   EXPECT_FALSE(inv.writes());
-  const auto back = msg::Invocation::decode(util::BytesView(inv.encode()));
+  const auto back =
+      msg::Invocation::decode(util::BytesView(util::encoded(inv)));
   EXPECT_EQ(back.method, msg::Method::kGetPage);
   util::Reader r{util::BytesView(back.args)};
   EXPECT_EQ(r.str(), "index.html");
@@ -48,7 +49,8 @@ TEST(Invocation, GetPageRoundTrip) {
 TEST(Invocation, PutPageRoundTrip) {
   const auto inv = msg::Invocation::put_page("p", "content", "image/png");
   EXPECT_TRUE(inv.writes());
-  const auto back = msg::Invocation::decode(util::BytesView(inv.encode()));
+  const auto back =
+      msg::Invocation::decode(util::BytesView(util::encoded(inv)));
   util::Reader r{util::BytesView(back.args)};
   EXPECT_EQ(r.str(), "p");
   EXPECT_EQ(r.str(), "content");
@@ -381,9 +383,9 @@ TEST(Protocol, UpdateRejectsAForgedRecordCount) {
 
 TEST(Protocol, SnapshotDeltaRequestRejectsAForgedStampCount) {
   util::Writer w;
-  w.u8(0);   // summary mode
-  w.u32(0);  // floor source
-  w.varint(0);
+  w.u8(0);      // summary mode
+  w.varint(0);  // floor source
+  w.varint(0);  // floor version
   w.varint(kForgedCount);
   EXPECT_THROW((void)replication::SnapshotDeltaRequest::decode(
                    util::BytesView(w.view())),

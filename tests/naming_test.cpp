@@ -51,6 +51,39 @@ TEST_F(NamingTest, RegisterAndLookupOverNetwork) {
   EXPECT_EQ(*found, 42u);
 }
 
+TEST_F(NamingTest, RequestDeliveredWhileTheServerBindsIsServed) {
+  // Record a real register request on its way into a server...
+  util::Buffer request;
+  NamingServer tapped(
+      [&](net::MessageHandler deliver) {
+        return factory(server_node)(
+            [&request, deliver](const net::Address& from,
+                                util::BytesView payload) {
+              request = util::to_buffer(payload);
+              deliver(from, payload);
+            });
+      },
+      &sim);
+  NamingClient writer(factory(client_node), &sim, tapped.address());
+  writer.register_name("early", 42, [](bool) {});
+  sim.run();
+  ASSERT_EQ(tapped.lookup("early"), 42u);
+
+  // ...then hand it to a fresh server from inside its bind, before the
+  // factory returns, as a socket host's receive thread may. The server
+  // registers the name, and its reply leaves once the endpoint exists.
+  const std::uint64_t sent = net.stats().messages_sent;
+  NamingServer early(
+      [&](net::MessageHandler deliver) {
+        auto transport = factory(server_node)(deliver);
+        deliver(net::Address{client_node, 77}, util::BytesView(request));
+        return transport;
+      },
+      &sim);
+  EXPECT_EQ(early.lookup("early"), 42u);
+  EXPECT_EQ(net.stats().messages_sent, sent + 1);  // the reply
+}
+
 TEST_F(NamingTest, LookupUnknownNameFails) {
   std::optional<bool> ok;
   client->lookup("missing", [&](bool found, ObjectId) { ok = found; });

@@ -112,10 +112,11 @@ class ObsSimCommTest : public ::testing::Test {
 
 TEST_F(ObsSimCommTest, TracedSendCarriesContextOverSimNetwork) {
   ScopedTracer tracer;
-  CommunicationObject a(factory(node_a), &sim);
-  CommunicationObject b(factory(node_b), &sim);
   EnvSink sink;
-  b.set_delivery_handler(sink.handler());
+  CommunicationObject a(&sim);
+  a.open(factory(node_a), {});
+  CommunicationObject b(&sim);
+  b.open(factory(node_b), sink.handler());
 
   {
     const obs::ContextScope scope(obs::TraceContext{42, 7});
@@ -147,10 +148,11 @@ TEST_F(ObsSimCommTest, TracedSendCarriesContextOverSimNetwork) {
 
 TEST_F(ObsSimCommTest, UntracedSendHasInvalidContextAndNoSpans) {
   ScopedTracer tracer;
-  CommunicationObject a(factory(node_a), &sim);
-  CommunicationObject b(factory(node_b), &sim);
   EnvSink sink;
-  b.set_delivery_handler(sink.handler());
+  CommunicationObject a(&sim);
+  a.open(factory(node_a), {});
+  CommunicationObject b(&sim);
+  b.open(factory(node_b), sink.handler());
 
   a.send(b.local_address(), msg::MsgType::kUpdate, 5, to_buffer("x"));
   sim.run();
@@ -163,10 +165,11 @@ TEST_F(ObsSimCommTest, UntracedSendHasInvalidContextAndNoSpans) {
 
 TEST_F(ObsSimCommTest, DisabledTracerNeverStampsTheWire) {
   ASSERT_FALSE(obs::tracing_enabled());
-  CommunicationObject a(factory(node_a), &sim);
-  CommunicationObject b(factory(node_b), &sim);
   EnvSink sink;
-  b.set_delivery_handler(sink.handler());
+  CommunicationObject a(&sim);
+  a.open(factory(node_a), {});
+  CommunicationObject b(&sim);
+  b.open(factory(node_b), sink.handler());
 
   {
     // A stale context may linger on the thread; a disabled tracer must
@@ -210,14 +213,15 @@ TEST_F(ObsSimCommTest, RequestRetryDoesNotDuplicateWireSendSpan) {
     return std::make_unique<DropFirstTransport>(factory(node_a)(
         std::move(handler)));
   };
-  CommunicationObject a(lossy, &sim);
-  CommunicationObject b(factory(node_b), &sim);
-  b.set_delivery_handler(
-      [&b](const net::Address& from, const msg::EnvelopeView& env) {
-        b.reply_with(from, msg::MsgType::kInvokeReply, env.object,
-                     env.request_id,
-                     [](util::Writer& w) { w.raw(to_buffer("ok")); });
-      });
+  CommunicationObject a(&sim);
+  a.open(lossy, {});
+  CommunicationObject b(&sim);
+  b.open(factory(node_b),
+         [&b](const net::Address& from, const msg::EnvelopeView& env) {
+           b.reply_with(from, msg::MsgType::kInvokeReply, env.object,
+                        env.request_id,
+                        [](util::Writer& w) { w.raw(to_buffer("ok")); });
+         });
 
   std::optional<bool> reply_ok;
   obs::TraceContext reply_ctx;
@@ -260,10 +264,11 @@ TEST(ObsLoopbackComm, TracedSendCarriesContextOverLoopback) {
                                                       std::move(handler));
     };
   };
-  CommunicationObject a(factory({0, 1}), nullptr);
-  CommunicationObject b(factory({1, 1}), nullptr);
   EnvSink sink;
-  b.set_delivery_handler(sink.handler());
+  CommunicationObject a(nullptr);
+  a.open(factory({0, 1}), {});
+  CommunicationObject b(nullptr);
+  b.open(factory({1, 1}), sink.handler());
 
   {
     const obs::ContextScope scope(obs::TraceContext{42, 7});
@@ -306,10 +311,11 @@ TEST(ObsSocketComm, ContextSurvivesUdpAndTcpBulkLane) {
   TransportFactory fb = [&host_b](net::MessageHandler h) {
     return host_b.create_transport({2, 5}, std::move(h));
   };
-  CommunicationObject a(fa, nullptr);
-  CommunicationObject b(fb, nullptr);
   EnvSink sink;
-  b.set_delivery_handler(sink.handler());
+  CommunicationObject a(nullptr);
+  a.open(fa, {});
+  CommunicationObject b(nullptr);
+  b.open(fb, sink.handler());
 
   // Small body -> UDP; a body past max_datagram (56 KiB) -> TCP bulk.
   const std::string bulk(80 * 1024, 'x');
@@ -387,12 +393,11 @@ TEST(ObsWindowedComm, DuplicateDataFrameYieldsOneDeliverSpan) {
     return std::make_unique<net::LoopbackTransport>(router, net::Address{1, 1},
                                                     std::move(h));
   };
-  CommunicationObject a(net::windowed_factory(host, std::move(inner_a)),
-                        nullptr);
-  CommunicationObject b(net::windowed_factory(host, std::move(inner_b)),
-                        nullptr);
   EnvSink sink;
-  b.set_delivery_handler(sink.handler());
+  CommunicationObject a(nullptr);
+  a.open(net::windowed_factory(host, std::move(inner_a)), {});
+  CommunicationObject b(nullptr);
+  b.open(net::windowed_factory(host, std::move(inner_b)), sink.handler());
 
   {
     // The shared-datagram fan-out lane is the windowed one; plain sends

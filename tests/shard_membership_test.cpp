@@ -22,18 +22,17 @@ class FakeMember {
  public:
   FakeMember(const core::TransportFactory& factory, sim::Simulator& sim,
              Address service, ShardId shard, StoreId id, bool primary)
-      : comm_(factory, &sim), service_(service), shard_(shard) {
+      : comm_(&sim), service_(service), shard_(shard) {
+    comm_.open(factory, [this](const Address&, const msg::EnvelopeView& env) {
+      if (env.type == msg::MsgType::kViewDelta) {
+        deltas_.push_back(ViewDelta::decode(env.body));
+      }
+    });
     contact_.address = comm_.local_address();
     contact_.store_class = primary ? naming::StoreClass::kPermanent
                                    : naming::StoreClass::kObjectInitiated;
     contact_.store_id = id;
     contact_.is_primary = primary;
-    comm_.set_delivery_handler(
-        [this](const Address&, const msg::EnvelopeView& env) {
-          if (env.type == msg::MsgType::kViewDelta) {
-            deltas_.push_back(ViewDelta::decode(env.body));
-          }
-        });
   }
 
   void join() {
@@ -196,14 +195,14 @@ TEST_F(ShardMembershipTest, WatchersAreShardScoped) {
   // Watch shard 1 from a separate endpoint.
   const NodeId wnode = net.add_node("watcher");
   next_port[wnode] = 1;
-  core::CommunicationObject watcher(factory(wnode), &sim);
   std::vector<ShardId> pushed_shards;
-  watcher.set_delivery_handler(
-      [&](const Address&, const msg::EnvelopeView& env) {
-        if (env.type == msg::MsgType::kViewDelta) {
-          pushed_shards.push_back(ViewDelta::decode(env.body).shard);
-        }
-      });
+  core::CommunicationObject watcher(&sim);
+  watcher.open(factory(wnode),
+               [&](const Address&, const msg::EnvelopeView& env) {
+                 if (env.type == msg::MsgType::kViewDelta) {
+                   pushed_shards.push_back(ViewDelta::decode(env.body).shard);
+                 }
+               });
   WatchMsg msg;
   msg.watcher = watcher.local_address();
   msg.shard = 1;

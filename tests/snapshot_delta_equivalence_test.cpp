@@ -2,7 +2,9 @@
 // cutover, crash-recovery rejoin, client document fetch) goes through the
 // page-granular delta path and must restore exactly the state the seed's
 // full-snapshot transfers produced — pinned as golden document digests
-// generated while both transfer modes still existed and agreed — and the
+// generated while both transfer modes still existed and agreed (and
+// re-frozen when the wire's integers became varints, after a value-level
+// dump of every store matched the old encoding's) — and the
 // horizon/lineage fallbacks must be served full snapshots, while a fetch
 // behind the horizon is always deferred to the delta round trip. Also
 // the tombstone regression:
@@ -92,9 +94,9 @@ TEST(DeltaSnapshotEquivalence, RejoinRestoresByteIdenticalState) {
   const struct {
     std::uint64_t seed;
     std::uint64_t doc;
-  } goldens[] = {{3, 0x23b0437eec319c1cull},
-                 {17, 0x84ef685939a2075aull},
-                 {91, 0xc88039849f585973ull}};
+  } goldens[] = {{3, 0x17ec16f208420148ull},
+                 {17, 0x9e0de87c39c9db6dull},
+                 {91, 0x3370fb0c8e3a528dull}};
   for (const auto& g : goldens) {
     EXPECT_EQ(run_rejoin_scenario(g.seed),
               std::vector<std::uint64_t>(4, g.doc))
@@ -231,8 +233,8 @@ TEST(DeltaSnapshotEquivalence, FloorFallsBackToFullAcrossLineages) {
   bed.settle();
 
   // A probe endpoint speaking the raw protocol.
-  core::CommunicationObject probe(bed.factory(bed.add_node("probe")),
-                                  &bed.sim());
+  core::CommunicationObject probe(&bed.sim());
+  probe.open(bed.factory(bed.add_node("probe")), {});
   struct Result {
     bool got = false;
     bool full = false;
@@ -296,8 +298,8 @@ TEST(DeltaSnapshotEquivalence, FetchDefersCutoverAndWantFullCarriesState) {
   bed.settle();
   ASSERT_FALSE(primary.write_log().can_serve(coherence::VectorClock{}, 0));
 
-  core::CommunicationObject probe(bed.factory(bed.add_node("probe")),
-                                  &bed.sim());
+  core::CommunicationObject probe(&bed.sim());
+  probe.open(bed.factory(bed.add_node("probe")), {});
   struct Answer {
     bool need_snapshot = false;
     bool full_state = false;

@@ -119,6 +119,56 @@ TEST(Buffer, OverlongVarintThrows) {
   EXPECT_THROW(r.varint(), CodecError);
 }
 
+TEST(Buffer, ElevenByteVarintThrows) {
+  // Ten continuation bytes already carry 70 bits; a terminator after
+  // them is still too long.
+  Buffer b(10, std::byte{0x80});
+  b.push_back(std::byte{0x00});
+  Reader r{BytesView(b)};
+  EXPECT_THROW(r.varint(), CodecError);
+}
+
+TEST(Buffer, TenthVarintByteHoldsOneBit) {
+  Buffer max(9, std::byte{0xFF});
+  max.push_back(std::byte{0x01});
+  Reader ok{BytesView(max)};
+  EXPECT_EQ(ok.varint(), std::numeric_limits<std::uint64_t>::max());
+  Buffer over(9, std::byte{0xFF});
+  over.push_back(std::byte{0x02});  // bit 64
+  Reader r{BytesView(over)};
+  EXPECT_THROW(r.varint(), CodecError);
+}
+
+TEST(Buffer, TruncatedVarintThrows) {
+  const Buffer b{std::byte{0x80}, std::byte{0x80}};  // no terminator
+  Reader r{BytesView(b)};
+  EXPECT_THROW(r.varint(), CodecError);
+}
+
+TEST(Buffer, NarrowVarintsRejectWiderValues) {
+  Writer w;
+  w.varint(std::numeric_limits<std::uint32_t>::max());
+  w.varint(std::uint64_t{1} << 32);
+  w.varint(std::numeric_limits<std::uint16_t>::max());
+  w.varint(std::uint64_t{1} << 16);
+  Reader r{BytesView(w.view())};
+  EXPECT_EQ(r.varint32(), std::numeric_limits<std::uint32_t>::max());
+  EXPECT_THROW(r.varint32(), CodecError);
+  EXPECT_EQ(r.varint16(), std::numeric_limits<std::uint16_t>::max());
+  EXPECT_THROW(r.varint16(), CodecError);
+}
+
+TEST(Buffer, SignedVarintRoundTrip) {
+  const std::int64_t values[] = {0, 1, 1'700'000'000'000'000LL, -1,
+                                 std::numeric_limits<std::int64_t>::min()};
+  Writer w;
+  for (auto v : values) w.varint_i64(v);
+  EXPECT_EQ(w.size(), 1u + 1u + 8u + 10u + 10u);
+  Reader r{BytesView(w.view())};
+  for (auto v : values) EXPECT_EQ(r.varint_i64(), v);
+  EXPECT_TRUE(r.at_end());
+}
+
 TEST(Rng, DeterministicFromSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(a.next(), b.next());

@@ -56,8 +56,8 @@ TEST(ViewDelta, AppliesJoinsAndLeavesOntoABase) {
 constexpr std::uint64_t kForgedCount = std::uint64_t{1} << 60;
 
 void write_view_head(util::Writer& w) {
-  w.u64(1);     // scope
-  w.u32(0);     // shard
+  w.varint(1);  // scope
+  w.varint(0);  // shard
   w.varint(3);  // epoch
 }
 
@@ -98,7 +98,7 @@ TEST(ViewDelta, AnnounceWithoutHorizonFieldsIsRejected) {
 
   util::Writer truncated;
   m.contact.encode(truncated);
-  truncated.u32(m.shard);
+  truncated.varint(m.shard);
   EXPECT_THROW((void)MemberAnnounce::decode(util::BytesView(truncated.view())),
                util::CodecError);
 }
