@@ -27,6 +27,11 @@
 // of every store in every scenario (pages with contents and writers,
 // applied clocks and gseqs, retained log WiDs) and the message counts
 // read the same under both encodings.
+//
+// The two membership scenarios pin view changes, evictions, re-parenting,
+// a rejoin and a leave, plain and on a windowed transport whose
+// flow-control deadline drops a subscriber. They read the counters that
+// show the script reached each of those paths.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -69,11 +74,16 @@ util::Buffer replicated_state(const StoreEngine& s) {
 
 using Scenario = void (*)(Testbed& bed);
 
-void expect_golden(Scenario scenario, Golden golden) {
+TestbedOptions golden_options() {
   TestbedOptions opts;
   opts.seed = 7;
   opts.record_history = false;
   opts.wan.base_latency = sim::SimDuration::millis(5);
+  return opts;
+}
+
+void expect_golden(Scenario scenario, Golden golden,
+                   const TestbedOptions& opts = golden_options()) {
   Testbed bed(opts);
   bed.net().enable_wire_digest(true);
   scenario(bed);
@@ -212,6 +222,88 @@ TEST(FanoutGolden, MultiMasterReflectionExclusion) {
     bed.settle();
   }, {0x5bb4c87fa4cdda6eull, 0x3c0eae4a5f306472ull,
      0xd04733b586ba3afcull});
+}
+
+// Membership traffic: views, evictions, re-parenting, a rejoin with an
+// epoch jump, and a leave. A causal multi-master tree (the primary, two
+// mirrors, two caches under each) loses mirror 1 for good, so its caches
+// re-parent. A cache under mirror 2 is then cut off from every other
+// store while 300 writes go by: the view evicts it, and on a windowed
+// transport its mirror first drops it as a subscriber that stays paused
+// past the flow-control deadline. After the heal it rejoins and
+// re-subscribes; then another cache leaves. The primary is in every view
+// the stores adopt, so any re-parent rule that keeps the primary first
+// yields these constants.
+TestbedOptions membership_options(bool windowed) {
+  TestbedOptions opts = golden_options();
+  opts.enable_membership = true;
+  opts.failure_timeout = sim::SimDuration::millis(800);
+  opts.windowed_multicast = windowed;
+  opts.window.window_size = 4;
+  opts.window.max_queue = 16;
+  return opts;
+}
+
+void membership_churn(Testbed& bed) {
+  ReplicationPolicy p;
+  p.model = coherence::ObjectModel::kCausal;
+  p.write_set = core::WriteSet::kMultiple;
+  p.object_outdate_reaction = core::OutdateReaction::kDemand;
+  auto& primary = bed.add_primary(kObj, p);
+  bed.settle();
+  std::vector<net::Address> mirrors;
+  for (int m = 0; m < 2; ++m) {
+    mirrors.push_back(
+        bed.add_store(kObj, naming::StoreClass::kObjectInitiated, p)
+            .address());
+  }
+  bed.settle();
+  for (const net::Address& mirror : mirrors) {
+    for (int c = 0; c < 2; ++c) {
+      bed.add_store(kObj, naming::StoreClass::kClientInitiated, p, mirror);
+    }
+  }
+  bed.settle();
+  // Stores: 0 the primary, 1 and 2 the mirrors, 3 and 4 under mirror 1,
+  // 5 and 6 under mirror 2.
+  bed.crash_store(1);
+  bed.run_for(sim::SimDuration::seconds(2));
+
+  auto& writer = bed.add_client(kObj, ClientModel::kNone, primary.address(),
+                                primary.address());
+  bed.partition_stores({5}, {0, 1, 2, 3, 4, 6});
+  for (int i = 0; i < 300; ++i) {
+    writer.write("page" + std::to_string(i % 7) + ".html",
+                 "w" + std::to_string(i), [](WriteResult) {});
+    bed.run_for(sim::SimDuration::millis(3));
+  }
+  bed.run_for(sim::SimDuration::seconds(1));
+  bed.heal_partitions();
+  bed.run_for(sim::SimDuration::seconds(2));
+  bed.leave_store(6);
+  bed.run_for(sim::SimDuration::seconds(1));
+  bed.settle();
+
+  std::uint64_t resubscribes = 0;
+  for (const auto& s : bed.stores()) resubscribes += s->resubscribes();
+  EXPECT_EQ(resubscribes, 3u);
+  EXPECT_EQ(bed.membership().stats().evictions, 2u);
+  EXPECT_EQ(bed.metrics().flow_evictions(),
+            bed.window() != nullptr ? 1u : 0u);
+}
+
+TEST(MembershipGolden, ReparentEvictRejoinLeave) {
+  expect_golden(membership_churn,
+                {0xac2b2c0353ab4baaull, 0x1ae53a517d2ea342ull,
+                 0x88e3f6b1e6fc8636ull},
+                membership_options(/*windowed=*/false));
+}
+
+TEST(MembershipGolden, ReparentEvictRejoinLeaveWindowed) {
+  expect_golden(membership_churn,
+                {0x674859302816cdaaull, 0xab1e80a27653c16eull,
+                 0x5eae10affe7a0edaull},
+                membership_options(/*windowed=*/true));
 }
 
 TEST(RecordBatch, EncodesSameBytesAsEncodeRecords) {
