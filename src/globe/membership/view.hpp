@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "globe/coherence/vector_clock.hpp"
@@ -83,19 +84,25 @@ struct View {
 };
 
 /// Picks the propagation parent for `self` out of a view: the primary if
-/// one is alive, otherwise the most-permanent other member (lowest store
-/// class, then lowest store id) — the store most likely to hold the
-/// longest history.
+/// it is in the view; otherwise the most permanent member strictly above
+/// `self` (a lower store class, or the same class and a lower store id),
+/// the store most likely to hold the longest history. Null when `self`
+/// is not in the view or no member is above it: the store then keeps its
+/// upstream. A store only ever re-parents upward, so the parent relation
+/// follows the store layers and cannot form a cycle.
 [[nodiscard]] inline const naming::ContactPoint* choose_upstream(
     const View& view, const net::Address& self) {
+  for (const auto& m : view.members) {
+    if (m.is_primary && m.address != self) return &m;
+  }
+  const naming::ContactPoint* me = view.find(self);
+  if (me == nullptr) return nullptr;
+  const auto rank = [](const naming::ContactPoint& c) {
+    return std::pair{static_cast<std::uint8_t>(c.store_class), c.store_id};
+  };
   const naming::ContactPoint* best = nullptr;
   for (const auto& m : view.members) {
-    if (m.address == self) continue;
-    if (m.is_primary) return &m;
-    if (best == nullptr ||
-        static_cast<std::uint8_t>(m.store_class) <
-            static_cast<std::uint8_t>(best->store_class) ||
-        (m.store_class == best->store_class && m.store_id < best->store_id)) {
+    if (rank(m) < rank(*me) && (best == nullptr || rank(m) < rank(*best))) {
       best = &m;
     }
   }

@@ -217,5 +217,58 @@ TEST(MembershipTest, FlashCrowdJoinersBootstrapFromSnapshots) {
   for (const auto& s : bed.stores()) EXPECT_TRUE(s->ready());
 }
 
+// Racing joins: the primary, three mirrors and six caches join at once,
+// so a store can adopt a view that lacks the primary and re-parent under
+// it. A store that re-parents only upward keeps every record on a path
+// to the primary, and every seed converges.
+TEST(MembershipTest, RacingJoinsConvergeOnEverySeed) {
+  core::ReplicationPolicy policy;
+  policy.model = coherence::ObjectModel::kCausal;
+  policy.write_set = core::WriteSet::kMultiple;
+  policy.object_outdate_reaction = core::OutdateReaction::kDemand;
+  int converged = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    TestbedOptions opts;
+    opts.seed = seed;
+    opts.record_history = false;
+    opts.enable_membership = true;
+    opts.failure_timeout = sim::SimDuration::millis(400);
+    opts.wan.base_latency = sim::SimDuration::millis(5);
+    opts.wan.jitter = sim::SimDuration::millis(2);
+    Testbed bed(opts);
+    bed.add_primary(kObj, policy);
+    std::vector<ClientBinding*> writers;
+    for (int m = 0; m < 3; ++m) {
+      const net::Address mirror =
+          bed.add_store(kObj, naming::StoreClass::kObjectInitiated, policy)
+              .address();
+      for (int c = 0; c < 2; ++c) {
+        const net::Address cache =
+            bed.add_store(kObj, naming::StoreClass::kClientInitiated, policy,
+                          mirror)
+                .address();
+        writers.push_back(&bed.add_client(kObj, coherence::ClientModel::kNone,
+                                          cache, cache));
+      }
+    }
+    for (int round = 0; round < 20; ++round) {
+      for (std::size_t w = 0; w < writers.size(); ++w) {
+        writers[w]->write("page" + std::to_string(w) + ".html",
+                          "r" + std::to_string(round), [](WriteResult) {});
+      }
+      bed.run_for(sim::SimDuration::millis(20));
+    }
+    bed.settle();
+    bed.run_for(sim::SimDuration::seconds(2));
+    bed.settle();
+    if (bed.converged(kObj)) {
+      ++converged;
+    } else {
+      ADD_FAILURE() << "seed " << seed << " did not converge";
+    }
+  }
+  EXPECT_EQ(converged, 20);
+}
+
 }  // namespace
 }  // namespace globe::replication

@@ -51,6 +51,57 @@ TEST(ViewDelta, AppliesJoinsAndLeavesOntoABase) {
   EXPECT_EQ(back.left.front(), (net::Address{2, 1}));
 }
 
+naming::ContactPoint store(NodeId node, StoreId id, naming::StoreClass cls,
+                           bool primary = false) {
+  naming::ContactPoint c = contact(node, id, primary);
+  c.store_class = cls;
+  return c;
+}
+
+// The re-parent rule over views alone. With the primary absent, a store
+// picks the most permanent member strictly above it (a lower store
+// class, or the same class and a lower id), and keeps its upstream when
+// there is none, so the parent relation can never form a cycle.
+TEST(ChooseUpstream, ReparentsOnlyUpward) {
+  using naming::StoreClass;
+  const naming::ContactPoint primary =
+      store(1, 1, StoreClass::kPermanent, /*primary=*/true);
+  const naming::ContactPoint m2 = store(2, 2, StoreClass::kObjectInitiated);
+  const naming::ContactPoint m4 = store(4, 4, StoreClass::kObjectInitiated);
+  const naming::ContactPoint c3 = store(3, 3, StoreClass::kClientInitiated);
+  const naming::ContactPoint c6 = store(6, 6, StoreClass::kClientInitiated);
+
+  View with_primary;
+  with_primary.members = {c6, m4, primary, m2};
+  for (const auto& m : {m2, m4, c6}) {
+    const naming::ContactPoint* up = choose_upstream(with_primary, m.address);
+    ASSERT_NE(up, nullptr);
+    EXPECT_EQ(up->address, primary.address);
+  }
+
+  View no_primary;
+  no_primary.members = {c6, m4, c3, m2};
+  const auto parent = [&](const naming::ContactPoint& self) {
+    return choose_upstream(no_primary, self.address);
+  };
+  ASSERT_NE(parent(c6), nullptr);
+  EXPECT_EQ(parent(c6)->address, m2.address);
+  ASSERT_NE(parent(m4), nullptr);
+  EXPECT_EQ(parent(m4)->address, m2.address);
+  EXPECT_EQ(parent(m2), nullptr);  // nothing above it: keeps its upstream
+
+  // A mirror never picks a cache, and two mirrors never pick each other.
+  View mirror_and_cache;
+  mirror_and_cache.members = {c6, m4};
+  EXPECT_EQ(choose_upstream(mirror_and_cache, m4.address), nullptr);
+  ASSERT_NE(choose_upstream(mirror_and_cache, c6.address), nullptr);
+  EXPECT_EQ(choose_upstream(mirror_and_cache, c6.address)->address,
+            m4.address);
+
+  // A store the view does not list keeps its upstream.
+  EXPECT_EQ(choose_upstream(no_primary, net::Address{9, 1}), nullptr);
+}
+
 // Forged member counts: checked against the bytes left, so the decode
 // throws CodecError instead of reserving 2^60 entries.
 constexpr std::uint64_t kForgedCount = std::uint64_t{1} << 60;
