@@ -123,19 +123,15 @@ struct ViewDelta {
   std::vector<naming::ContactPoint> joined;
   std::vector<net::Address> left;
 
-  /// The shared receiver rule: this diff is applicable iff the base is
-  /// current (`base.epoch == current_epoch`) and this diff is the next
-  /// epoch. A receiver with no view yet holds the empty epoch-0 base,
-  /// which is exactly what a group's first broadcast (epoch 1) diffs
-  /// against. On success `out` is the new view; on failure the receiver
-  /// must re-anchor with a full-view fetch (kViewFetchRequest). Both
-  /// stores and watching clients route through this, so the contiguity
-  /// policy lives once.
-  [[nodiscard]] bool try_apply(const View& base, std::uint64_t current_epoch,
-                               View* out) const {
-    if (epoch != current_epoch + 1 || base.epoch != current_epoch) {
-      return false;
-    }
+  /// The shared receiver rule: this diff is applicable iff it is the
+  /// epoch after `base`, the receiver's last applied view. A receiver
+  /// with no view yet holds the empty epoch-0 base, which is exactly
+  /// what a group's first broadcast (epoch 1) diffs against. On success
+  /// `out` is the new view; on failure the receiver must re-anchor with
+  /// a full-view fetch (kViewFetchRequest). Both stores and watching
+  /// clients route through this, so the contiguity policy lives once.
+  [[nodiscard]] bool try_apply(const View& base, View* out) const {
+    if (epoch != base.epoch + 1) return false;
     *out = base;
     apply_to(*out);
     return true;

@@ -99,9 +99,9 @@ void ClientBinding::apply_resolution(Session& s) {
 }
 
 void ClientBinding::on_view_delta(const membership::ViewDelta& delta) {
-  if (delta.object != options_.object || delta.epoch <= view_epoch_) return;
+  if (delta.object != options_.object || delta.epoch <= view_.epoch) return;
   membership::View next;
-  if (delta.try_apply(view_, view_epoch_, &next)) {
+  if (delta.try_apply(view_, &next)) {
     on_view_change(next);
     return;
   }
@@ -153,8 +153,7 @@ void ClientBinding::on_operation_failed(Session& s) {
 }
 
 void ClientBinding::on_view_change(const membership::View& view) {
-  if (view.object != options_.object || view.epoch <= view_epoch_) return;
-  view_epoch_ = view.epoch;
+  if (view.object != options_.object || view.epoch <= view_.epoch) return;
   GLOBE_CHECK_HOOK(
       on_view_adopt(this, "client", options_.client, view.epoch));
   view_ = view;  // the base the next ViewDelta diff applies onto

@@ -187,7 +187,7 @@ class ClientBinding {
   /// Replica-view epoch last applied (0 = none; membership disabled or
   /// no change seen yet) and how often a view or placement change forced
   /// a session onto different stores.
-  [[nodiscard]] std::uint64_t view_epoch() const { return view_epoch_; }
+  [[nodiscard]] std::uint64_t view_epoch() const { return view_.epoch; }
   [[nodiscard]] std::uint64_t rebinds() const { return rebinds_; }
 
  private:
@@ -285,10 +285,9 @@ class ClientBinding {
   std::map<ObjectId, std::unique_ptr<Session>> sessions_;
   std::unique_ptr<placement::PlacementCache> placement_;
 
-  std::uint64_t view_epoch_ = 0;
   std::uint64_t rebinds_ = 0;
-  // Cached view, the base ViewDelta diffs apply onto (valid when its
-  // epoch equals view_epoch_).
+  // The last applied view (epoch 0 before the first), the base ViewDelta
+  // diffs apply onto.
   membership::View view_;
   bool view_fetch_in_flight_ = false;  // collapse gap-burst re-anchors
 

@@ -20,17 +20,6 @@ using coherence::ObjectModel;
 
 namespace {
 
-[[nodiscard]] std::uint64_t addr_key(const Address& a) {
-  return (static_cast<std::uint64_t>(a.node) << 16) | a.port;
-}
-
-[[nodiscard]] Address key_addr(std::uint64_t key) {
-  Address a;
-  a.node = static_cast<NodeId>(key >> 16);
-  a.port = static_cast<PortId>(key & 0xFFFF);
-  return a;
-}
-
 // Lifecycle span for one write at this store. The trace id is derived
 // from the WriteId, so spans join the write's trace even on paths that
 // carried no context (lazy flush, anti-entropy); the parent links only
@@ -88,7 +77,10 @@ class StoreEngine::Applier final : public ApplySink {
       if (e_.metrics_ != nullptr) {
         e_.metrics_->record_shard_write(e_.config_.shard);
       }
-      if (e_.pushes_beyond(o_, rec.transient_origin)) forward_.push_back(rec);
+      if (e_.topo_.pushes_beyond(o_.links, o_.cfg.policy,
+                                 rec.transient_origin)) {
+        forward_.push_back(rec);
+      }
       logged_ = true;
     }
     const auto ack = o_.pending_write_acks.find(rec.wid);
@@ -128,6 +120,8 @@ StoreEngine::StoreEngine(const TransportFactory& factory, sim::Simulator& sim,
     : sim_(sim),
       config_(std::move(config)),
       traffic_(metrics),
+      topo_(config_.is_primary, config_.membership.valid(),
+            config_.membership_scope, config_.shard),
       history_(history),
       metrics_(metrics),
       comm_(&sim, &traffic_) {
@@ -175,9 +169,10 @@ StoreEngine::ObjectState& StoreEngine::create_object(const ObjectConfig& cfg) {
   // Trip reports for monitors keyed on this object state or its replica
   // carry the store id + view epoch stamp (refreshed on every view
   // adoption).
-  GLOBE_CHECK_HOOK(note_owner_context(&o, config_.store_id, view_epoch_));
   GLOBE_CHECK_HOOK(
-      note_owner_context(&o.replica, config_.store_id, view_epoch_));
+      note_owner_context(&o, config_.store_id, topo_.view().epoch));
+  GLOBE_CHECK_HOOK(
+      note_owner_context(&o.replica, config_.store_id, topo_.view().epoch));
 
   note_puller(o);
   if (config_.is_primary || o.cfg.cache_mode != CacheMode::kGlobe) {
@@ -229,7 +224,7 @@ std::uint64_t StoreEngine::applied_gseq(ObjectId id) const {
 }
 
 std::size_t StoreEngine::subscriber_count(ObjectId id) const {
-  return obj(id).subscribers.size();
+  return obj(id).links.subscribers().size();
 }
 
 bool StoreEngine::ready(ObjectId id) const { return obj(id).ready; }
@@ -247,10 +242,6 @@ std::uint64_t StoreEngine::sum_objects(F count) const {
 
 std::size_t StoreEngine::parked_requests() const {
   return sum_objects([](const ObjectState& o) { return o.parked.size(); });
-}
-
-std::uint64_t StoreEngine::reads_served() const {
-  return sum_objects([](const ObjectState& o) { return o.reads_served; });
 }
 
 std::uint64_t StoreEngine::writes_applied() const {
@@ -328,11 +319,11 @@ bool StoreEngine::update_policy(ObjectState& o,
   o.cfg.policy = policy;
   note_puller(o);
   configure_timers();
-  update_beacon_lanes(o);
+  topo_.set_lanes(o.links, o.cfg.object, advertises_clock(o));
 
   // Propagate the strategy change through the object (downstream).
-  for (const Subscriber& s : o.subscribers) {
-    comm_.send_with(s.address, msg::MsgType::kPolicyUpdate, o.cfg.object,
+  for (const Address& to : topo_.downstream(o.links)) {
+    comm_.send_with(to, msg::MsgType::kPolicyUpdate, o.cfg.object,
                     [&](util::Writer& w) { policy.encode(w); });
   }
   return true;
@@ -513,7 +504,7 @@ void StoreEngine::handle_client_request(ObjectState& o, const Address& from,
       fwd.origin = from;
       fwd.origin_request_id = request_id;
       fwd.request = std::move(req);
-      comm_.send_with(o.cfg.upstream, msg::MsgType::kWriteForward,
+      comm_.send_with(o.links.upstream(), msg::MsgType::kWriteForward,
                       o.cfg.object, [&](util::Writer& w) { fwd.encode(w); });
     }
     return;
@@ -529,8 +520,8 @@ void StoreEngine::handle_write_forward(ObjectState& o, const Address& /*from*/,
                  std::move(fwd.request));
   } else {
     // Relay the encoded body as-is; no need to decode it here.
-    comm_.send_with(o.cfg.upstream, msg::MsgType::kWriteForward, o.cfg.object,
-                    [&](util::Writer& w) { w.raw(env.body); });
+    comm_.send_with(o.links.upstream(), msg::MsgType::kWriteForward,
+                    o.cfg.object, [&](util::Writer& w) { w.raw(env.body); });
   }
 }
 
@@ -631,7 +622,6 @@ InvokeReply StoreEngine::make_read_reply(ObjectState& o,
   rep.global_seq = o.replica.applied_gseq();
   rep.store_clock = o.replica.applied_clock();
   rep.store = config_.store_id;
-  ++o.reads_served;
   if (metrics_ != nullptr) {
     metrics_->record_shard_read(config_.shard);
     if (o.outdated) metrics_->record_stale_serve();
@@ -742,7 +732,7 @@ void StoreEngine::serve_read_baseline(ObjectState& o, const Address& from,
     fetch.have_lamport = current ? current->lamport : 0;
   }
   comm_.request_with(
-      o.cfg.upstream, msg::MsgType::kFetchRequest, o.cfg.object,
+      o.links.upstream(), msg::MsgType::kFetchRequest, o.cfg.object,
       [&](util::Writer& w) { fetch.encode(w); },
       [this, &o, from, request_id, page, ttl, req = std::move(req)](
           bool ok, const Address&, const msg::EnvelopeView& env) mutable {
@@ -773,19 +763,6 @@ void StoreEngine::stamp_fetched(ObjectState& o, const std::string& page) {
 // Propagation
 // ---------------------------------------------------------------------
 
-bool StoreEngine::pushes_upstream(const ObjectState& o) const {
-  return multi_master(o) && !config_.is_primary;
-}
-
-bool StoreEngine::pushes_beyond(const ObjectState& o,
-                                std::uint64_t origin) const {
-  if (o.cfg.policy.initiative == TransferInitiative::kPull) return false;
-  for (const Subscriber& s : o.subscribers) {
-    if (addr_key(s.address) != origin) return true;
-  }
-  return pushes_upstream(o) && addr_key(o.cfg.upstream) != origin;
-}
-
 void StoreEngine::propagate(ObjectState& o,
                             const std::vector<web::WriteRecord>& recs) {
   if (o.cfg.policy.initiative == TransferInitiative::kPull) {
@@ -815,7 +792,8 @@ void StoreEngine::propagate(ObjectState& o,
            recs[j].transient_origin == recs[i].transient_origin) {
       ++j;
     }
-    if (pushes_beyond(o, recs[i].transient_origin)) {
+    if (topo_.pushes_beyond(o.links, o.cfg.policy,
+                            recs[i].transient_origin)) {
       batches.push_back(std::make_shared<const web::RecordBatch>(
           std::span(recs).subspan(i, j - i), recs[i].transient_origin,
           needs));
@@ -823,10 +801,6 @@ void StoreEngine::propagate(ObjectState& o,
     i = j;
   }
   if (batches.empty()) return;
-  std::vector<Address> targets;
-  targets.reserve(o.subscribers.size() + 1);
-  for (const Subscriber& s : o.subscribers) targets.push_back(s.address);
-  if (pushes_upstream(o)) targets.push_back(o.cfg.upstream);
 
   // Immediate pushes group destinations whose batch set is identical
   // (the common case: everyone but the record's origin receives
@@ -834,7 +808,7 @@ void StoreEngine::propagate(ObjectState& o,
   const bool lazy = o.cfg.policy.instant == TransferInstant::kLazy;
   std::vector<std::pair<std::vector<web::RecordBatchPtr>, std::vector<Address>>>
       groups;
-  for (const Address& t : targets) {
+  for (const Address& t : topo_.push_targets(o.links, o.cfg.policy)) {
     const std::uint64_t tkey = addr_key(t);
     std::vector<web::RecordBatchPtr> out;
     out.reserve(batches.size());
@@ -930,7 +904,7 @@ void StoreEngine::flush_lazy(ObjectState& o) {
       o.cfg.policy.propagation == Propagation::kUpdate &&
       o.cfg.policy.coherence_transfer != CoherenceTransfer::kPartial;
   for (auto& [key, batches] : queues) {
-    if (paused_peers_.count(key) != 0) {
+    if (topo_.paused(key)) {
       // Still under transport backpressure: keep the segment parked
       // (resume or the deadline in flow_disposition settles it later).
       auto& back = o.lazy_queues[key];
@@ -949,29 +923,23 @@ void StoreEngine::service_flow_events() {
   for (const net::FlowControl::Event& ev :
        config_.flow->poll_events(address())) {
     const std::uint64_t key = addr_key(ev.peer);
-    switch (ev.what) {
-      case net::FlowControl::PeerEvent::kPaused:
-        paused_peers_.insert(key);
-        if (metrics_ != nullptr) metrics_->record_flow_pause();
-        break;
-      case net::FlowControl::PeerEvent::kResumed: {
-        paused_peers_.erase(key);
-        paused_rounds_.erase(key);
-        if (metrics_ != nullptr) metrics_->record_flow_resume();
-        // The channel drained below its low watermark: everything parked
-        // for this peer can go out now, in its original order. The
-        // channel is per endpoint pair, so every hosted object's queue
-        // for it drains.
-        for (auto& [id, op] : objects_) {
-          ObjectState& o = *op;
-          auto it = o.lazy_queues.find(key);
-          if (it != o.lazy_queues.end() && !it->second.empty()) {
-            auto batches = std::move(it->second);
-            o.lazy_queues.erase(it);
-            send_coherence(o, {ev.peer}, batches);
-          }
-        }
-        break;
+    if (ev.what == net::FlowControl::PeerEvent::kPaused) {
+      topo_.pause(key);
+      if (metrics_ != nullptr) metrics_->record_flow_pause();
+      continue;
+    }
+    topo_.resume(key);
+    if (metrics_ != nullptr) metrics_->record_flow_resume();
+    // The channel drained below its low watermark: everything parked for
+    // this peer can go out now, in its original order. The channel is
+    // per endpoint pair, so every hosted object's queue for it drains.
+    for (auto& [id, op] : objects_) {
+      ObjectState& o = *op;
+      auto it = o.lazy_queues.find(key);
+      if (it != o.lazy_queues.end() && !it->second.empty()) {
+        auto batches = std::move(it->second);
+        o.lazy_queues.erase(it);
+        send_coherence(o, {ev.peer}, batches);
       }
     }
   }
@@ -979,34 +947,26 @@ void StoreEngine::service_flow_events() {
 
 StoreEngine::FlowDisposition StoreEngine::flow_disposition(
     ObjectState& o, std::uint64_t key) {
-  if (paused_peers_.count(key) == 0) return FlowDisposition::kSend;
-  const std::size_t rounds = ++paused_rounds_[key];
+  if (!topo_.paused(key)) return FlowDisposition::kSend;
   const auto queued = o.lazy_queues.find(key);
   const std::size_t depth =
       queued == o.lazy_queues.end() ? 0 : queued->second.size();
   GLOBE_CHECK_HOOK(on_parked_batches(&o, config_.store_id, key, depth,
                                      kFlowPausedBatchesLimit));
-  const bool hopeless =
-      rounds > kFlowPausedRoundsLimit || depth >= kFlowPausedBatchesLimit;
-  if (hopeless) {
-    drop_flow_peer(key);
-    if (metrics_ != nullptr) metrics_->record_flow_eviction();
-    return FlowDisposition::kSkip;
-  }
-  return FlowDisposition::kPark;
+  if (topo_.park(key, depth)) return FlowDisposition::kPark;
+  const Address peer = key_addr(key);
+  forget_peer(peer);
+  config_.flow->reset_peer(address(), peer);
+  if (metrics_ != nullptr) metrics_->record_flow_eviction();
+  return FlowDisposition::kSkip;
 }
 
-void StoreEngine::drop_flow_peer(std::uint64_t key) {
-  const Address peer = key_addr(key);
+void StoreEngine::forget_peer(const Address& peer) {
   for (auto& [id, op] : objects_) {
-    std::erase_if(op->subscribers,
-                  [&](const Subscriber& s) { return s.address == peer; });
-    op->lazy_queues.erase(key);
+    topo_.unsubscribe(op->links, peer);
+    op->lazy_queues.erase(addr_key(peer));
   }
-  beacon_lanes_.erase(key);
-  paused_peers_.erase(key);
-  paused_rounds_.erase(key);
-  if (config_.flow != nullptr) config_.flow->reset_peer(address(), peer);
+  topo_.forget_peer(peer);
 }
 
 void StoreEngine::pull_from_upstream(ObjectState& o) {
@@ -1017,7 +977,7 @@ void StoreEngine::pull_from_upstream(ObjectState& o) {
     reqmsg.have_clock = o.replica.applied_clock();
     reqmsg.have_gseq = o.replica.applied_gseq();
     comm_.request_with(
-        o.cfg.upstream, msg::MsgType::kAntiEntropyRequest, o.cfg.object,
+        o.links.upstream(), msg::MsgType::kAntiEntropyRequest, o.cfg.object,
         [&](util::Writer& w) { reqmsg.encode(w); },
         [this, &o](bool ok, const Address& from,
                    const msg::EnvelopeView& env) {
@@ -1039,15 +999,17 @@ void StoreEngine::pull_from_upstream(ObjectState& o) {
           Applier a(*this, o);
           a.finish(
               o.replica.receive(std::move(rep.records), addr_key(from), a));
-          fold_below_upstream(o, from, rep.responder_clock,
-                              rep.responder_gseq);
+          if (topo_.may_fold(o.links, from)) {
+            o.replica.fold_below_upstream(rep.responder_clock,
+                                          rep.responder_gseq);
+          }
         });
     return;
   }
   FetchRequest fetch = o.replica.fetch_request();
   fetch.want_full =
       o.cfg.policy.coherence_transfer == CoherenceTransfer::kFull;
-  comm_.request_with(o.cfg.upstream, msg::MsgType::kFetchRequest,
+  comm_.request_with(o.links.upstream(), msg::MsgType::kFetchRequest,
                      o.cfg.object,
                      [&](util::Writer& w) { fetch.encode(w); },
                      [this, &o](bool ok, const Address& from,
@@ -1072,7 +1034,7 @@ void StoreEngine::demand_fetch(ObjectState& o,
   // Demand-updates must survive lossy links (Section 4.2: they are the
   // retransmission mechanism), so the request itself carries a timeout
   // and retries.
-  comm_.request_with(o.cfg.upstream, msg::MsgType::kFetchRequest,
+  comm_.request_with(o.links.upstream(), msg::MsgType::kFetchRequest,
                      o.cfg.object,
                      [&](util::Writer& w) { fetch.encode(w); },
                      [this, &o](bool ok, const Address& from,
@@ -1120,8 +1082,10 @@ void StoreEngine::apply_fetch_reply(ObjectState& o, const Address& from,
   o.replica.hear_of(reply.clock, reply.gseq);
   Applier a(*this, o);
   a.finish(o.replica.receive(std::move(reply.records),
-                             addr_key(o.cfg.upstream), a));
-  fold_below_upstream(o, from, reply.clock, reply.gseq);
+                             addr_key(o.links.upstream()), a));
+  if (topo_.may_fold(o.links, from)) {
+    o.replica.fold_below_upstream(reply.clock, reply.gseq);
+  }
   note_gaps(o);
   if (o.outdated &&
       o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand &&
@@ -1136,7 +1100,7 @@ void StoreEngine::apply_fetch_reply(ObjectState& o, const Address& from,
 }
 
 void StoreEngine::subscribe_to_upstream(ObjectState& o) {
-  if (!o.cfg.upstream.valid()) return;
+  if (!o.links.upstream().valid()) return;
   SubscribeMsg sub;
   sub.subscriber = comm_.local_address();
   sub.store_id = config_.store_id;
@@ -1154,10 +1118,10 @@ void StoreEngine::subscribe_to_upstream(ObjectState& o) {
   // difference, instead of the whole document.
   if (resubscribe) {
     sub.want_delta = true;
-    sub.delta_req = o.replica.delta_request(addr_key(o.cfg.upstream));
+    sub.delta_req = o.replica.delta_request(addr_key(o.links.upstream()));
   }
   comm_.request_with(
-      o.cfg.upstream, msg::MsgType::kSubscribe, o.cfg.object,
+      o.links.upstream(), msg::MsgType::kSubscribe, o.cfg.object,
       [&](util::Writer& w) { sub.encode(w); },
       [this, &o, resubscribe](bool ok, const Address&,
                               const msg::EnvelopeView& env) {
@@ -1278,76 +1242,21 @@ void StoreEngine::send_membership_heartbeat() {
 }
 
 void StoreEngine::apply_view(const membership::View& view) {
-  if (view.object != config_.membership_scope ||
-      view.shard != config_.shard || view.epoch <= view_epoch_) {
-    return;
-  }
-  // A member that stayed in the view sees every epoch in sequence
-  // (reliable FIFO delivery); a jump means WE missed view changes —
-  // evicted during a partition and just re-admitted, most likely — so
-  // our upstream may have dropped us as a subscriber.
-  const bool jumped = view_epoch_ != 0 && view.epoch > view_epoch_ + 1;
-  view_epoch_ = view.epoch;
+  const std::optional<Topology::ViewChange> change = topo_.apply_view(view);
+  if (!change.has_value()) return;
   GLOBE_CHECK_HOOK(on_view_adopt(this, "store", config_.store_id, view.epoch));
   GLOBE_CHECK_HOOK(note_owner_context(this, config_.store_id, view.epoch));
-  // The bindings are unused when the hook compiles out (unchecked builds).
-  for ([[maybe_unused]] auto& [id, op] : objects_) {
-    GLOBE_CHECK_HOOK(note_owner_context(op.get(), config_.store_id,
-                                        view.epoch));
-    GLOBE_CHECK_HOOK(note_owner_context(&op->replica, config_.store_id,
-                                        view.epoch));
-  }
-  view_ = view;  // the base the next ViewDelta diff applies onto
-
-  // Members of the PREVIOUS view that the new view lacks have left the
-  // replica set (eviction, crash, graceful leave): they stop receiving
-  // fan-out immediately — for every object this store hosts, since the
-  // view covers the whole shard endpoint, not one object. Subscribers
-  // absent from both views are kept — a just-joined store can subscribe
-  // before the view catches up, and stores running without membership
-  // still subscribe the static way.
-  const auto left = [&](const Address& a) {
-    if (view.contains(a)) return false;
-    for (const Address& m : last_view_members_) {
-      if (m == a) return true;
-    }
-    return false;
-  };
-  const auto left_peer = [&](const auto& kv) {
-    return left(key_addr(kv.first));
-  };
-  for (auto& [id, op] : objects_) {
-    std::erase_if(op->subscribers,
-                  [&](const Subscriber& s) { return left(s.address); });
-    std::erase_if(op->lazy_queues, left_peer);
-  }
-  std::erase_if(beacon_lanes_, left_peer);
-  std::erase_if(paused_rounds_, left_peer);
-  std::erase_if(paused_peers_,
-                [&](std::uint64_t key) { return left(key_addr(key)); });
-  last_view_members_.clear();
-  for (const auto& m : view.members) last_view_members_.push_back(m.address);
-
+  // A departed peer stops receiving fan-out at once, for every object
+  // this store hosts: the view covers the whole shard endpoint.
+  for (const Address& peer : change->departed) forget_peer(peer);
   for (auto& [id, op] : objects_) {
     ObjectState& o = *op;
-    if (config_.is_primary || o.cfg.cache_mode != CacheMode::kGlobe) {
-      continue;
-    }
-    bool need_resubscribe = jumped;
-    if (!view.contains(o.cfg.upstream)) {
-      // Our propagation parent left the view (crash, leave, eviction):
-      // re-parent onto the best surviving member.
-      const naming::ContactPoint* next =
-          membership::choose_upstream(view, address());
-      if (next != nullptr) {
-        o.cfg.upstream = next->address;
-        need_resubscribe = true;
-      }
-    }
-    if (need_resubscribe && o.ready) {
+    GLOBE_CHECK_HOOK(note_owner_context(&o, config_.store_id, view.epoch));
+    GLOBE_CHECK_HOOK(
+        note_owner_context(&o.replica, config_.store_id, view.epoch));
+    if (o.cfg.cache_mode == CacheMode::kGlobe &&
+        topo_.reparent(o.links, address(), change->jumped) && o.ready) {
       subscribe_to_upstream(o);
-    } else if (jumped) {
-      resync(o);
     }
   }
 }
@@ -1355,17 +1264,17 @@ void StoreEngine::apply_view(const membership::View& view) {
 void StoreEngine::handle_view_delta(const msg::EnvelopeView& env) {
   const membership::ViewDelta d = membership::ViewDelta::decode(env.body);
   if (d.object != config_.membership_scope || d.shard != config_.shard ||
-      d.epoch <= view_epoch_) {
+      d.epoch <= topo_.view().epoch) {
     return;
   }
   membership::View next;
-  if (d.try_apply(view_, view_epoch_, &next)) {
+  if (d.try_apply(topo_.view(), &next)) {
     apply_view(next);
     return;
   }
   // Epoch gap (we missed deltas — evicted during a partition, or the
   // datagram was lost): re-anchor on the full view. apply_view then sees
-  // the jump and resyncs.
+  // the jump and re-subscribes.
   fetch_full_view();
 }
 
@@ -1391,7 +1300,7 @@ void StoreEngine::fetch_full_view() {
 
 void StoreEngine::resync(ObjectState& o) {
   if (config_.is_primary || !o.ready || !alive_ || departed_) return;
-  o.demand_retry_budget = 100;  // re-arm: a view event is fresh progress
+  o.demand_retry_budget = 100;  // re-arm: a re-subscribe is fresh progress
   if (multi_master(o)) {
     // One anti-entropy exchange heals both directions with the upstream;
     // records received re-propagate to our own subscribers as usual.
@@ -1473,30 +1382,17 @@ void StoreEngine::handle_update(ObjectState& o, const Address& from,
   o.replica.hear_of(m.sender_clock, m.sender_gseq);
   Applier a(*this, o);
   a.finish(o.replica.receive(std::move(m.records), addr_key(from), a));
-  fold_below_upstream(o, from, m.sender_clock, m.sender_gseq);
+  if (topo_.may_fold(o.links, from)) {
+    o.replica.fold_below_upstream(m.sender_clock, m.sender_gseq);
+  }
   note_gaps(o);
   demand_if_outdated(o);
-}
-
-void StoreEngine::fold_below_upstream(ObjectState& o, const Address& from,
-                                      const coherence::VectorClock& clock,
-                                      std::uint64_t gseq) {
-  // The log's readers are the subscribers (fetch, anti-entropy) and the
-  // upstream (the push-back). With no subscriber at this moment, a record
-  // the upstream holds has no reader left here. Under membership the
-  // upstream can change (apply_view re-parents), and a new upstream may
-  // lack what the old one held without passing on: such a store folds
-  // on the stability horizon only.
-  if (!config_.membership.valid() && o.subscribers.empty() &&
-      from == o.cfg.upstream) {
-    o.replica.fold_below_upstream(clock, gseq);
-  }
 }
 
 void StoreEngine::apply_state_transfer(ObjectState& o,
                                        const StateTransfer::View& st,
                                        bool bootstrap) {
-  const std::uint64_t upstream = addr_key(o.cfg.upstream);
+  const std::uint64_t upstream = addr_key(o.links.upstream());
   if (!o.replica.adopt(st, bootstrap, upstream)) return;
   mark_frontier_moved(o);
   record_snapshot_event(o);
@@ -1506,16 +1402,13 @@ void StoreEngine::apply_state_transfer(ObjectState& o,
   // Forward the (new) state downstream in full-transfer mode.
   if (o.cfg.policy.coherence_transfer == CoherenceTransfer::kFull &&
       o.cfg.policy.initiative == TransferInitiative::kPush &&
-      !o.subscribers.empty()) {
+      !o.links.subscribers().empty()) {
+    const std::vector<Address> targets = topo_.downstream(o.links);
     if (o.cfg.policy.instant == TransferInstant::kLazy) {
       lazy_dirty_.insert(o.cfg.object);
-      for (const Subscriber& s : o.subscribers) {
-        o.lazy_queues[addr_key(s.address)];  // mark target; body is snapshot
-      }
+      // Mark each target; the body is the snapshot at flush time.
+      for (const Address& t : targets) o.lazy_queues[addr_key(t)];
     } else {
-      std::vector<Address> targets;
-      targets.reserve(o.subscribers.size());
-      for (const Subscriber& s : o.subscribers) targets.push_back(s.address);
       send_coherence(o, targets, {});
     }
   }
@@ -1536,11 +1429,8 @@ void StoreEngine::handle_invalidate(ObjectState& o, const Address& from,
   if (news) {
     // Forward invalidations downstream (re-serialized from the borrowed
     // body; one shared datagram for the whole fan-out).
-    std::vector<Address> forward;
-    for (const Subscriber& s : o.subscribers) {
-      if (s.address != from) forward.push_back(s.address);
-    }
-    comm_.multicast_with(forward, msg::MsgType::kInvalidate, o.cfg.object,
+    comm_.multicast_with(topo_.downstream(o.links, from),
+                         msg::MsgType::kInvalidate, o.cfg.object,
                          [&](util::Writer& w) { w.raw(env.body); });
   }
   if (o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand) {
@@ -1587,32 +1477,25 @@ void StoreEngine::handle_notify(const Address& from,
   }
 
   // Forward only news (entries that advance our known frontier), and
-  // never back to the sender. View-driven re-parenting can transiently
-  // wire two mirrors as each other's subscriber; an unconditional
-  // re-broadcast then circulates the same frontier around that cycle
-  // forever, each hop re-amplifying it into its whole fan-out. An entry
-  // that taught us nothing was already propagated when we first learned
-  // its frontier, so dropping the duplicate loses no information.
+  // never back to the sender. An entry that taught us nothing was
+  // already propagated when we first learned its frontier, so dropping
+  // the duplicate loses no information. Views re-parent only upward, so
+  // they cannot wire two stores as each other's upstream (before that
+  // rule such a cycle circulated one frontier forever), but a store can
+  // still hear one frontier twice: from a parent that has not yet
+  // dropped it, and from its new one.
   std::vector<ObjectState*> hosted;
-  std::map<std::uint64_t, std::vector<std::size_t>> news_for;  // entry indexes
+  std::vector<const Topology::Links*> news(m.entries.size(), nullptr);
   for (std::size_t i = 0; i < m.entries.size(); ++i) {
     const NotifyMsg::Entry& e = m.entries[i];
     ObjectState* o = find_object(e.object);
     if (o == nullptr) continue;  // not hosted (anymore)
     hosted.push_back(o);
-    const bool news = o->replica.note_frontier(e.clock, e.gseq);
+    if (o->replica.note_frontier(e.clock, e.gseq)) news[i] = &o->links;
     note_gaps(*o);
-    if (!news) continue;
-    for (const Subscriber& s : o->subscribers) {
-      if (s.address != from) news_for[addr_key(s.address)].push_back(i);
-    }
   }
   // Peers owed the same news share one unsequenced Notify, sent at once.
-  std::map<std::vector<std::size_t>, std::vector<Address>> groups;
-  for (auto& [peer, entries] : news_for) {
-    groups[std::move(entries)].push_back(key_addr(peer));
-  }
-  for (const auto& [entries, to] : groups) {
+  for (const auto& [entries, to] : topo_.news_groups(news, from)) {
     comm_.multicast_with(to, msg::MsgType::kNotify, kStoreScope,
                          [&](util::Writer& w) {
                            NotifyMsg::encode_head(w, 0, 0, entries.size());
@@ -1633,7 +1516,7 @@ void StoreEngine::handle_notify(const Address& from,
   std::vector<ObjectState*> behind;
   for (const ObjectId id : outdated_) {
     ObjectState& o = obj(id);
-    if (o.cfg.upstream == from &&
+    if (o.links.upstream() == from &&
         o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand) {
       behind.push_back(&o);
     }
@@ -1648,27 +1531,7 @@ bool StoreEngine::advertises_clock(const ObjectState& o) {
 }
 
 void StoreEngine::mark_frontier_moved(ObjectState& o) {
-  if (!o.subscribers.empty() && advertises_clock(o)) {
-    beacon_dirty_.insert(o.cfg.object);
-  }
-}
-
-void StoreEngine::update_beacon_lanes(ObjectState& o) {
-  const bool on = advertises_clock(o);
-  // A subscriber already anchored on this lane learns the object's
-  // current frontier from the next beacon, not when it next moves.
-  if (on) mark_frontier_moved(o);
-  for (const Subscriber& s : o.subscribers) {
-    const std::uint64_t key = addr_key(s.address);
-    if (on) {
-      beacon_lanes_[key].insert(o.cfg.object);
-      continue;
-    }
-    auto lane = beacon_lanes_.find(key);
-    if (lane == beacon_lanes_.end()) continue;
-    lane->second.erase(o.cfg.object);
-    if (lane->second.empty()) beacon_lanes_.erase(lane);
-  }
+  if (advertises_clock(o)) topo_.frontier_moved(o.links, o.cfg.object);
 }
 
 void StoreEngine::encode_clock_list(util::Writer& w, std::uint64_t tick,
@@ -1683,18 +1546,9 @@ void StoreEngine::encode_clock_list(util::Writer& w, std::uint64_t tick,
 
 void StoreEngine::send_clock_beacons() {
   ++beacon_tick_;
-  // Each lane lists the moved objects it subscribes to; lanes with the
-  // same list share one encode (a mirror's caches usually do).
-  std::map<std::vector<ObjectId>, std::vector<Address>> groups;
-  for (const auto& [peer, objects] : beacon_lanes_) {
-    std::vector<ObjectId> moved;
-    for (const ObjectId id : beacon_dirty_) {
-      if (objects.count(id) != 0) moved.push_back(id);
-    }
-    groups[std::move(moved)].push_back(key_addr(peer));
-  }
-  beacon_dirty_.clear();
-  for (const auto& [moved, to] : groups) {
+  // Lanes with the same list share one encode (a mirror's caches
+  // usually do).
+  for (const auto& [moved, to] : topo_.take_beacons()) {
     comm_.multicast_with(to, msg::MsgType::kNotify, kStoreScope,
                          [&](util::Writer& w) {
                            encode_clock_list(w, beacon_tick_, 0, moved);
@@ -1704,15 +1558,11 @@ void StoreEngine::send_clock_beacons() {
 }
 
 void StoreEngine::send_full_clock_list(const Address& to) {
-  std::vector<ObjectId> objects;
-  const auto lane = beacon_lanes_.find(addr_key(to));
-  if (lane != beacon_lanes_.end()) {
-    objects.assign(lane->second.begin(), lane->second.end());
-  }
   comm_.send_with_background(to, msg::MsgType::kNotify, kStoreScope,
                              [&](util::Writer& w) {
                                encode_clock_list(w, beacon_tick_,
-                                                 NotifyMsg::kFull, objects);
+                                                 NotifyMsg::kFull,
+                                                 topo_.lane(to));
                              });
 }
 
@@ -1733,24 +1583,12 @@ void StoreEngine::handle_fetch_request(ObjectState& o, const Address& from,
 void StoreEngine::handle_subscribe(ObjectState& o, const Address& from,
                                    const msg::EnvelopeView& env) {
   SubscribeMsg m = SubscribeMsg::decode(env.body);
-  auto it = std::find_if(o.subscribers.begin(), o.subscribers.end(),
-                         [&](const Subscriber& s) {
-                           return s.address == m.subscriber;
-                         });
-  if (advertises_clock(o)) {
-    beacon_lanes_[addr_key(m.subscriber)].insert(o.cfg.object);
-  }
-  if (it == o.subscribers.end()) {
-    o.subscribers.push_back(Subscriber{m.subscriber, m.store_id});
-    if (config_.flow != nullptr) {
-      // Fresh subscription: clear any stale backpressure verdict (the
-      // subscriber may be re-joining after an eviction) so its windowed
-      // channel restarts clean alongside the state transfer below.
-      config_.flow->reset_peer(address(), m.subscriber);
-      const std::uint64_t key = addr_key(m.subscriber);
-      paused_peers_.erase(key);
-      paused_rounds_.erase(key);
-    }
+  if (topo_.subscribe(o.links, o.cfg.object, m.subscriber,
+                      advertises_clock(o)) &&
+      config_.flow != nullptr) {
+    // A fresh subscriber's windowed channel restarts clean alongside the
+    // state transfer below.
+    config_.flow->reset_peer(address(), m.subscriber);
   }
   const StateTransfer st =
       serve_state(o, m.want_delta ? &m.delta_req : nullptr);
@@ -1776,10 +1614,9 @@ void StoreEngine::serve_snapshot_delta(ObjectState& o, const Address& from,
         });
     return;
   }
-  // A document fetch is a read: keep the serving counters in step with
-  // the invoke path (make_read_reply) so delta-mode clients don't
-  // vanish from the read/staleness accounting.
-  ++o.reads_served;
+  // A document fetch is a read: count a stale serve as the invoke path
+  // (make_read_reply) does, so delta-mode clients don't vanish from the
+  // staleness accounting.
   if (metrics_ != nullptr && o.outdated) metrics_->record_stale_serve();
   const StateTransfer st = serve_state(o, &req);
   comm_.reply_with(from, msg::MsgType::kSnapshotDeltaReply, o.cfg.object,
@@ -1807,9 +1644,9 @@ void StoreEngine::request_snapshot_delta(ObjectState& o) {
   if (o.fetch_in_flight || config_.is_primary) return;
   o.fetch_in_flight = true;
   const SnapshotDeltaRequest req =
-      o.replica.delta_request(addr_key(o.cfg.upstream));
+      o.replica.delta_request(addr_key(o.links.upstream()));
   comm_.request_with(
-      o.cfg.upstream, msg::MsgType::kSnapshotDeltaRequest, o.cfg.object,
+      o.links.upstream(), msg::MsgType::kSnapshotDeltaRequest, o.cfg.object,
       [&](util::Writer& w) { req.encode(w); },
       [this, &o](bool ok, const Address&, const msg::EnvelopeView& env) {
         o.fetch_in_flight = false;

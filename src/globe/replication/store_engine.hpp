@@ -11,20 +11,21 @@
 //     communication object.
 //
 // Every coherence model and every Table 1 parameter value runs through
-// this one engine. The model-specific part, the receive path, is the
+// this one engine. Two parts of it do no I/O: the receive path is the
 // per-object ObjectReplica (object_replica.hpp: document, write log,
-// orderers, clocks), which does no I/O; the engine turns its outputs
-// into sends, History events, spans and metrics, plus a handful of
-// policy branches. This mirrors the paper's observation that "the
-// replication objects all have the same interface ... however, the
-// internals differ".
+// orderers, clocks), and the propagation graph is the store's Topology
+// (topology.hpp: upstreams, subscribers, beacon lanes, flow pauses, the
+// last view). The engine turns their answers into sends, History
+// events, spans and metrics, plus a handful of policy branches. This
+// mirrors the paper's observation that "the replication objects all
+// have the same interface ... however, the internals differ".
 //
 // A store hosts MANY distributed objects: the engine keeps a table of
-// per-object states (replica, subscriber set, upstream, lazy queues,
-// parked reads) keyed by ObjectId, and every per-object wire
-// message carries the object key in its envelope, so one communication
-// endpoint, one timer set, one clock-beacon lane per subscriber peer and
-// one membership heartbeat stream serve the whole table. The table holds
+// per-object states (replica, topology links, lazy queues, parked
+// reads) keyed by ObjectId, and every per-object wire message carries
+// the object key in its envelope, so one communication endpoint, one
+// timer set, one clock-beacon lane per subscriber peer and one
+// membership heartbeat stream serve the whole table. The table holds
 // exactly the objects the store is given: the constructor creates the
 // ones it hosts from birth (one, in a single-object deployment), and
 // add_object() places the rest. A sharded store starts empty, gets every
@@ -34,7 +35,6 @@
 // per-object ones.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -53,6 +53,7 @@
 #include "globe/net/flow.hpp"
 #include "globe/replication/object_replica.hpp"
 #include "globe/replication/protocol.hpp"
+#include "globe/replication/topology.hpp"
 #include "globe/sim/simulator.hpp"
 #include "globe/web/record_batch.hpp"
 
@@ -88,7 +89,9 @@ enum class CacheMode : std::uint8_t {
 /// has no upstream; on any other store it has one.
 struct ObjectConfig {
   ObjectId object = 1;
-  Address upstream;  // propagation parent; invalid on the primary store
+  /// The propagation parent the object starts with; invalid on the
+  /// primary store. Views may re-parent it (StoreEngine::upstream()).
+  Address upstream;
   ReplicationPolicy policy;
   CacheMode cache_mode = CacheMode::kGlobe;
   sim::SimDuration ttl = sim::SimDuration::seconds(60);
@@ -134,15 +137,13 @@ struct StoreConfig {
   /// paused subscribers park in the lazy queues instead of flooding the
   /// transport, resume flushes them, and a subscriber that stays paused
   /// past either deadline (kFlowPausedRoundsLimit,
-  /// kFlowPausedBatchesLimit) is dropped (a live peer re-subscribes and
-  /// resyncs via the normal state-transfer path).
+  /// kFlowPausedBatchesLimit) is dropped: its subscription, beacon lane
+  /// and parked batches go, and its channel is reset. Nothing tells the
+  /// peer. It re-subscribes only when a view change it missed (an
+  /// eviction and re-admission) or its own recovery makes it; a dropped
+  /// peer that stays in the view stays orphaned (ROADMAP item 2, F4).
   net::FlowControl* flow = nullptr;
 };
-
-/// Propagation rounds a subscriber may stay paused before it is dropped.
-inline constexpr std::size_t kFlowPausedRoundsLimit = 64;
-/// Batches parked for one paused subscriber before it is dropped.
-inline constexpr std::size_t kFlowPausedBatchesLimit = 4096;
 
 class StoreEngine {
  public:
@@ -176,13 +177,16 @@ class StoreEngine {
 
   /// Local state inspection (tests / examples). The parameterless forms
   /// read the store's only object and assert that it hosts exactly one.
-  /// object_config() is the live configuration: policy switches and
-  /// view-driven re-parenting update it.
+  /// object_config() is the live configuration but for the upstream:
+  /// policy switches update it, and upstream() is the live parent.
   [[nodiscard]] const ObjectConfig& object_config() const {
     return only().cfg;
   }
   [[nodiscard]] const ObjectConfig& object_config(ObjectId id) const {
     return obj(id).cfg;
+  }
+  [[nodiscard]] const Address& upstream() const {
+    return only().links.upstream();
   }
   [[nodiscard]] const web::WebDocument& document() const {
     return only().replica.document();
@@ -199,7 +203,7 @@ class StoreEngine {
   [[nodiscard]] bool outdated() const { return only().outdated; }
   [[nodiscard]] std::size_t parked_requests() const;
   [[nodiscard]] std::size_t subscriber_count() const {
-    return only().subscribers.size();
+    return only().links.subscribers().size();
   }
   [[nodiscard]] std::size_t subscriber_count(ObjectId id) const;
   [[nodiscard]] bool ready() const { return only().ready; }
@@ -208,7 +212,7 @@ class StoreEngine {
   [[nodiscard]] bool alive() const { return alive_; }
   [[nodiscard]] bool departed() const { return departed_; }
   /// Epoch of the last replica view this store applied (0 = none yet).
-  [[nodiscard]] std::uint64_t view_epoch() const { return view_epoch_; }
+  [[nodiscard]] std::uint64_t view_epoch() const { return topo_.view().epoch; }
   /// Times this store re-subscribed to an upstream after the initial
   /// bootstrap (view-driven re-parenting, post-eviction re-admission,
   /// crash recovery), summed over every hosted object.
@@ -265,9 +269,8 @@ class StoreEngine {
   /// untouched if the new policy is invalid or alters the model.
   bool update_policy(const core::ReplicationPolicy& policy);
 
-  /// Operation counters driving adaptive policy decisions (summed over
-  /// every hosted object).
-  [[nodiscard]] std::uint64_t reads_served() const;
+  /// Writes applied, summed over every hosted object (the adaptive
+  /// policy's load signal).
   [[nodiscard]] std::uint64_t writes_applied() const;
 
   /// The applied-record log with its delta indexes (tests / benches).
@@ -282,22 +285,18 @@ class StoreEngine {
     std::uint64_t request_id = 0;
     ClientRequest request;
   };
-  struct Subscriber {
-    Address address;
-    StoreId store_id;
-  };
 
   /// ONE hosted object: its configuration, its replica (the I/O-free
-  /// receive path), and the I/O state around it. Engine-wide state
-  /// (endpoint, timers, flow backpressure, membership view, lifecycle
-  /// flags) lives on the StoreEngine. Heap-allocated and never removed,
-  /// so callbacks may capture stable pointers.
+  /// receive path), its edges in the store's Topology, and the I/O state
+  /// around them. Engine-wide state (endpoint, timers, the Topology,
+  /// lifecycle flags) lives on the StoreEngine. Heap-allocated and never
+  /// removed, so callbacks may capture stable pointers.
   struct ObjectState {
     ObjectState(const ObjectConfig& c, const ReplicaConfig& r)
-        : cfg(c), replica(r) {}
+        : cfg(c), replica(r), links(c.upstream) {}
     ObjectConfig cfg;
     ObjectReplica replica;
-    std::vector<Subscriber> subscribers;
+    Topology::Links links;
     // Per-target lazy segments: shared, immutable, pre-encoded batches.
     // N subscribers hold N pointers to one encode, not N record copies.
     // An object with queued segments is in the engine's lazy_dirty_.
@@ -321,7 +320,6 @@ class StoreEngine {
     // arrives (the request then effectively degrades to wait).
     int demand_retry_budget = 100;
 
-    std::uint64_t reads_served = 0;
     std::uint64_t writes_applied = 0;
   };
 
@@ -396,12 +394,6 @@ class StoreEngine {
   /// Pushes `recs` to the push targets, each record to every target but
   /// the neighbour it arrived from.
   void propagate(ObjectState& o, const std::vector<web::WriteRecord>& recs);
-  /// True when a non-primary multi-master store pushes to its upstream.
-  [[nodiscard]] bool pushes_upstream(const ObjectState& o) const;
-  /// True when a record that arrived from `origin` (0 = local) has a push
-  /// target to travel on to.
-  [[nodiscard]] bool pushes_beyond(const ObjectState& o,
-                                   std::uint64_t origin) const;
   /// Sends ONE coherence message (invalidation, notification, update
   /// records or full state, as the policy's propagation and coherence
   /// transfer decide) to every destination in `to`. The body is encoded
@@ -421,14 +413,13 @@ class StoreEngine {
   /// that owns this engine.
   void service_flow_events();
   /// What to do with an immediate update for `key` under transport
-  /// backpressure. Enforces the paused-rounds/batches deadlines: a
-  /// hopeless peer is dropped on the spot (kSkip).
+  /// backpressure: a peer past a deadline is dropped on the spot (kSkip).
   enum class FlowDisposition { kSend, kPark, kSkip };
   FlowDisposition flow_disposition(ObjectState& o, std::uint64_t key);
-  /// Removes a subscriber plus all flow/lazy state (from EVERY hosted
-  /// object; the windowed channel is per peer endpoint, not per object);
-  /// resets its channel so a future re-subscribe starts clean.
-  void drop_flow_peer(std::uint64_t key);
+  /// The one peer removal (a view departure, a flow drop): the peer
+  /// leaves every hosted object's subscribers and lazy queues, and its
+  /// beacon lane and pause verdict go.
+  void forget_peer(const Address& peer);
   void pull_from_upstream(ObjectState& o);
   /// One pull round for every object that polls its upstream.
   void pull_all();
@@ -441,9 +432,8 @@ class StoreEngine {
   // needs a later message). A periodic beacon carrying the sender's
   // frontier closes that window: this is what makes reliability a side
   // effect of the coherence model over lossy transports (Section 4.2).
-  // The beacon is engine-level: one Notify per subscriber peer per
-  // tick, listing only the objects whose frontier moved since the last
-  // one, so its cost follows writes, not hosted objects.
+  // One Notify per subscriber peer per tick lists only the objects on
+  // its lane whose frontier moved, so its cost follows writes.
   [[nodiscard]] static bool advertises_clock(const ObjectState& o);
   /// The applied frontier of `o` moved: the next beacon lists it.
   void mark_frontier_moved(ObjectState& o);
@@ -456,9 +446,6 @@ class StoreEngine {
   void encode_clock_list(util::Writer& w, std::uint64_t tick,
                          std::uint8_t flags,
                          const std::vector<ObjectId>& objects) const;
-  /// Adds `o` to the beacon lane of every current subscriber (and lists
-  /// it in the next beacon), or removes it.
-  void update_beacon_lanes(ObjectState& o);
 
   /// The timers one object needs, at its own periods (unset = none).
   struct TimerNeeds {
@@ -484,13 +471,6 @@ class StoreEngine {
   void retry_demand_later(ObjectState& o);
   void apply_fetch_reply(ObjectState& o, const Address& from,
                          FetchReply::View reply);
-  /// A frontier `from` sent: when it is the object's upstream, no
-  /// subscriber reads the object's log and the store runs without
-  /// membership (its upstream never changes), the replica folds what it
-  /// covers.
-  void fold_below_upstream(ObjectState& o, const Address& from,
-                           const coherence::VectorClock& clock,
-                           std::uint64_t gseq);
   void subscribe_to_upstream(ObjectState& o);
   bool update_policy(ObjectState& o, const core::ReplicationPolicy& policy);
 
@@ -529,13 +509,11 @@ class StoreEngine {
   /// three horizon-keyed collectors — write-log compaction, tombstone
   /// collection, and streaming-checker event retirement.
   void handle_stability_horizon(const msg::EnvelopeView& env);
-  /// Applies a newer replica view of this store's (scope, shard)
-  /// subgroup to EVERY hosted object: prunes evicted subscribers,
-  /// re-resolves upstreams that left the view, and re-subscribes /
-  /// resyncs objects when this store itself missed view changes (it was
-  /// evicted and re-admitted, or its parent changed).
+  /// Applies a newer view of this store's subgroup: forgets the departed
+  /// peers, and re-subscribes each object the Topology re-parents (every
+  /// object, when the store missed epochs).
   void apply_view(const membership::View& view);
-  /// One catch-up round after a view event: anti-entropy for
+  /// One catch-up round after a re-subscribe: anti-entropy for
   /// multi-master objects, a demand fetch otherwise.
   void resync(ObjectState& o);
 
@@ -567,12 +545,8 @@ class StoreEngine {
 
   // The object table. Entries are never removed.
   std::map<ObjectId, std::unique_ptr<ObjectState>> objects_;
-
-  // Transport backpressure (config_.flow): subscribers whose windowed
-  // channel is paused, and how many propagation rounds each has parked.
-  // Peer channels are per endpoint pair, shared by every hosted object.
-  std::set<std::uint64_t> paused_peers_;
-  std::map<std::uint64_t, std::size_t> paused_rounds_;
+  // Subscribers' beacon lanes and flow pauses, and the last view.
+  Topology topo_;
   // The objects the timer ticks visit: those with queued lazy segments
   // (or a lazy full/notify transfer to send), and those that poll their
   // upstream. A tick costs what has work, not what is hosted.
@@ -583,13 +557,8 @@ class StoreEngine {
   std::optional<sim::PeriodicTimer> heartbeat_timer_;
   std::optional<sim::PeriodicTimer> membership_timer_;
 
-  // Clock beacon lane, sender side: per subscriber peer (address key),
-  // the hosted objects it subscribes to that advertise their clock; the
-  // objects whose frontier moved since the last tick; the tick number.
-  // The dirty set and the tick survive a crash (a change made before it
-  // is still advertised after recovery).
-  std::map<std::uint64_t, std::set<ObjectId>> beacon_lanes_;
-  std::set<ObjectId> beacon_dirty_;
+  // Clock beacon lane, sender side: the tick number (the Topology holds
+  // the lanes and what moved). It survives a crash, as the lanes do.
   std::uint64_t beacon_tick_ = 0;
   // Receiver side: per upstream (address key), the next tick expected.
   // No entry = no anchor: the next beacon asks for the full list, and so
@@ -602,18 +571,11 @@ class StoreEngine {
 
   bool alive_ = true;      // false while crash-stopped
   bool departed_ = false;  // true after a graceful leave
-  std::uint64_t view_epoch_ = 0;
   // Last adopted stability horizon (the cluster-wide GC floor); only
   // ever advances, so a reordered broadcast cannot re-run collectors.
   coherence::VectorClock horizon_clock_;
   std::uint64_t horizon_gseq_ = 0;
   std::uint64_t resubscribes_ = 0;
-  // Member addresses of the last applied view; subscriber pruning drops
-  // only actual departures (in the old view, gone from the new one).
-  std::vector<Address> last_view_members_;
-  // The last applied view in full, the base that ViewDelta diffs apply
-  // onto (valid when its epoch equals view_epoch_).
-  membership::View view_;
   bool view_fetch_in_flight_ = false;  // collapse gap-burst re-anchors
 
   coherence::History* history_;

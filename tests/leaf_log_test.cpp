@@ -191,7 +191,7 @@ TEST(LeafLog, AReparentedLeafDeliversWritesItsOldUpstreamNeverPassedOn) {
 
   bed.crash_store(1);  // the mirror, for good
   bed.run_for(sim::SimDuration::millis(800));
-  ASSERT_EQ(leaf.object_config().upstream, primary.address());
+  ASSERT_EQ(leaf.upstream(), primary.address());
   bed.settle();
 
   EXPECT_EQ(primary.document(), leaf.document());
