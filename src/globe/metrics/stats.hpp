@@ -55,14 +55,6 @@ class MetricsSink {
     staleness_time_us_.add(time_behind_us);
   }
 
-  /// Derived per-write propagation latency (obs tracer): microseconds
-  /// from the accepting store's accept to the first / latest remote
-  /// subscriber apply. Fed by Tracer::drain_propagation.
-  void record_propagation_us(double to_first_us, double to_last_us) {
-    propagation_first_us_.add(to_first_us);
-    propagation_last_us_.add(to_last_us);
-  }
-
   void record_session_demand() { ++session_demands_; }
   void record_session_wait() { ++session_waits_; }
   void record_stale_serve() { ++stale_serves_; }
@@ -136,6 +128,10 @@ class MetricsSink {
   [[nodiscard]] const Histogram& staleness_time_us() const {
     return staleness_time_us_;
   }
+  /// Derived per-write propagation latency (obs tracer): microseconds
+  /// from the accepting store's accept to the first / latest remote
+  /// subscriber apply. Tracer::drain_propagation feeds both histograms
+  /// (Testbed::harvest_propagation).
   [[nodiscard]] const Histogram& propagation_first_us() const {
     return propagation_first_us_;
   }

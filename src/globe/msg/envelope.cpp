@@ -34,8 +34,6 @@ const char* to_string(MsgType t) {
     case MsgType::kViewFetchReply: return "ViewFetchReply";
     case MsgType::kPlacementFetch: return "PlacementFetch";
     case MsgType::kPlacementFetchReply: return "PlacementFetchReply";
-    case MsgType::kPlacementResolve: return "PlacementResolve";
-    case MsgType::kPlacementResolveReply: return "PlacementResolveReply";
     case MsgType::kPlacementWatch: return "PlacementWatch";
     case MsgType::kPlacementInvalidate: return "PlacementInvalidate";
     case MsgType::kStabilityHorizon: return "StabilityHorizon";

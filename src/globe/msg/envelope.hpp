@@ -77,8 +77,7 @@ enum class MsgType : std::uint8_t {
   // Placement service (object -> shard -> contact resolution).
   kPlacementFetch = 35,        // full layout + shard contact tables
   kPlacementFetchReply = 36,
-  kPlacementResolve = 37,      // resolve one object (env.object)
-  kPlacementResolveReply = 38,
+  // 37 and 38 were a per-object resolve request that nothing sent.
   kPlacementWatch = 39,        // subscribe to placement invalidations
   kPlacementInvalidate = 40,   // push: placement version changed
   // Cluster-wide GC floor (min applied clock over the live view),
@@ -104,7 +103,6 @@ enum class MsgType : std::uint8_t {
     case MsgType::kSnapshotDeltaReply:
     case MsgType::kViewFetchReply:
     case MsgType::kPlacementFetchReply:
-    case MsgType::kPlacementResolveReply:
       return true;
     default:
       return false;

@@ -10,11 +10,7 @@ namespace {
 
 // Operation codes inside kNameRequest / kLocateRequest bodies.
 enum class NameOp : std::uint8_t { kRegister = 0, kLookup = 1 };
-enum class LocateOp : std::uint8_t {
-  kRegisterContact = 0,
-  kLocate = 1,
-  kUnregisterContact = 2,
-};
+enum class LocateOp : std::uint8_t { kRegisterContact = 0, kLocate = 1 };
 
 }  // namespace
 
@@ -94,12 +90,7 @@ void NamingServer::on_message(const Address& from, const msg::EnvelopeView& env)
         comm_.reply_with(from, msg::MsgType::kLocateReply, env.object,
                          env.request_id,
                          [](util::Writer& w) { w.boolean(true); });
-      } else if (op == LocateOp::kUnregisterContact) {
-        unregister_contact(env.object, net::decode_address(r));
-        comm_.reply_with(from, msg::MsgType::kLocateReply, env.object,
-                         env.request_id,
-                         [](util::Writer& w) { w.boolean(true); });
-      } else {
+      } else if (op == LocateOp::kLocate) {
         const auto found = locate(env.object);
         comm_.reply_with(from, msg::MsgType::kLocateReply, env.object,
                          env.request_id, [&](util::Writer& w) {
@@ -107,6 +98,11 @@ void NamingServer::on_message(const Address& from, const msg::EnvelopeView& env)
                            w.varint(found.size());
                            for (const auto& c : found) c.encode(w);
                          });
+      } else {
+        // An op this server does not know is refused, not served as a
+        // locate: the requester gets no reply.
+        GLOBE_LOG_ERROR("naming", "unknown locate op %d",
+                        static_cast<int>(op));
       }
       return;
     }

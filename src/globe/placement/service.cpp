@@ -103,19 +103,6 @@ void PlacementServer::on_message(const Address& from,
                        [this](util::Writer& w) { encode_state(w); });
       return;
     }
-    case msg::MsgType::kPlacementResolve: {
-      ++stats_.resolves_served;
-      const Resolution res = resolve(env.object);
-      comm_.reply_with(from, msg::MsgType::kPlacementResolveReply, env.object,
-                       env.request_id, [&](util::Writer& w) {
-                         w.varint(res.version);
-                         w.varint(res.layout_epoch);
-                         w.varint(res.shard);
-                         w.varint(res.contacts.size());
-                         for (const auto& c : res.contacts) c.encode(w);
-                       });
-      return;
-    }
     case msg::MsgType::kPlacementWatch: {
       util::Reader r{env.body};
       const bool subscribe = r.boolean();

@@ -39,7 +39,6 @@ struct Resolution {
 };
 
 struct PlacementStats {
-  std::uint64_t resolves_served = 0;
   std::uint64_t fetches_served = 0;
   std::uint64_t invalidations_sent = 0;
 };

@@ -138,6 +138,30 @@ TEST_F(NamingTest, UnregisterContactRemoves) {
   EXPECT_TRUE(server->locate(42).empty());
 }
 
+// The locate ops are register and locate. Any other is refused: no
+// reply, and the contacts stay as they were.
+TEST_F(NamingTest, UnknownLocateOpIsRefused) {
+  ContactPoint c;
+  c.address = {5, 1};
+  server->register_contact(42, c);
+  core::CommunicationObject raw(&sim);
+  raw.open(factory(client_node),
+           [](const net::Address&, const msg::EnvelopeView&) {});
+  util::Writer w;
+  w.u8(2);  // not a locate op
+  net::encode_address(w, c.address);
+  std::optional<bool> answered;
+  raw.request(server->address(), msg::MsgType::kLocateRequest, 42, w.take(),
+              [&](bool ok, const net::Address&, const msg::EnvelopeView&) {
+                answered = ok;
+              },
+              sim::SimDuration::millis(100));
+  sim.run();
+  ASSERT_TRUE(answered.has_value());
+  EXPECT_FALSE(*answered);
+  EXPECT_EQ(server->locate(42).size(), 1u);
+}
+
 TEST_F(NamingTest, LocateUnknownObjectReturnsEmpty) {
   std::optional<bool> ok;
   client->locate(999, [&](bool found, std::vector<ContactPoint>) {
