@@ -38,10 +38,7 @@ struct View {
   std::vector<naming::ContactPoint> members;
 
   [[nodiscard]] bool contains(const net::Address& addr) const {
-    for (const auto& m : members) {
-      if (m.address == addr) return true;
-    }
-    return false;
+    return find(addr) != nullptr;
   }
 
   [[nodiscard]] const naming::ContactPoint* find(

@@ -94,7 +94,7 @@ class StoreEngine::Applier final : public ApplySink {
   void finish(const ApplyRound& round) {
     if (round.applied == 0) return;
     o_.demand_retry_budget = 100;  // progress: re-arm the retry budget
-    e_.mark_frontier_moved(o_);
+    e_.topo_.frontier_moved(o_.links, o_.cfg.object, advertises_clock(o_));
     if (round.compacted && e_.metrics_ != nullptr) {
       e_.metrics_->record_log_compaction();
     }
@@ -224,7 +224,7 @@ std::uint64_t StoreEngine::applied_gseq(ObjectId id) const {
 }
 
 std::size_t StoreEngine::subscriber_count(ObjectId id) const {
-  return obj(id).links.subscribers().size();
+  return obj(id).links.subscribers.size();
 }
 
 bool StoreEngine::ready(ObjectId id) const { return obj(id).ready; }
@@ -322,7 +322,7 @@ bool StoreEngine::update_policy(ObjectState& o,
   topo_.set_lanes(o.links, o.cfg.object, advertises_clock(o));
 
   // Propagate the strategy change through the object (downstream).
-  for (const Address& to : topo_.downstream(o.links)) {
+  for (const Address& to : o.links.subscribers) {
     comm_.send_with(to, msg::MsgType::kPolicyUpdate, o.cfg.object,
                     [&](util::Writer& w) { policy.encode(w); });
   }
@@ -504,7 +504,7 @@ void StoreEngine::handle_client_request(ObjectState& o, const Address& from,
       fwd.origin = from;
       fwd.origin_request_id = request_id;
       fwd.request = std::move(req);
-      comm_.send_with(o.links.upstream(), msg::MsgType::kWriteForward,
+      comm_.send_with(o.links.upstream, msg::MsgType::kWriteForward,
                       o.cfg.object, [&](util::Writer& w) { fwd.encode(w); });
     }
     return;
@@ -520,7 +520,7 @@ void StoreEngine::handle_write_forward(ObjectState& o, const Address& /*from*/,
                  std::move(fwd.request));
   } else {
     // Relay the encoded body as-is; no need to decode it here.
-    comm_.send_with(o.links.upstream(), msg::MsgType::kWriteForward,
+    comm_.send_with(o.links.upstream, msg::MsgType::kWriteForward,
                     o.cfg.object, [&](util::Writer& w) { w.raw(env.body); });
   }
 }
@@ -732,7 +732,7 @@ void StoreEngine::serve_read_baseline(ObjectState& o, const Address& from,
     fetch.have_lamport = current ? current->lamport : 0;
   }
   comm_.request_with(
-      o.links.upstream(), msg::MsgType::kFetchRequest, o.cfg.object,
+      o.links.upstream, msg::MsgType::kFetchRequest, o.cfg.object,
       [&](util::Writer& w) { fetch.encode(w); },
       [this, &o, from, request_id, page, ttl, req = std::move(req)](
           bool ok, const Address&, const msg::EnvelopeView& env) mutable {
@@ -977,7 +977,7 @@ void StoreEngine::pull_from_upstream(ObjectState& o) {
     reqmsg.have_clock = o.replica.applied_clock();
     reqmsg.have_gseq = o.replica.applied_gseq();
     comm_.request_with(
-        o.links.upstream(), msg::MsgType::kAntiEntropyRequest, o.cfg.object,
+        o.links.upstream, msg::MsgType::kAntiEntropyRequest, o.cfg.object,
         [&](util::Writer& w) { reqmsg.encode(w); },
         [this, &o](bool ok, const Address& from,
                    const msg::EnvelopeView& env) {
@@ -1009,7 +1009,7 @@ void StoreEngine::pull_from_upstream(ObjectState& o) {
   FetchRequest fetch = o.replica.fetch_request();
   fetch.want_full =
       o.cfg.policy.coherence_transfer == CoherenceTransfer::kFull;
-  comm_.request_with(o.links.upstream(), msg::MsgType::kFetchRequest,
+  comm_.request_with(o.links.upstream, msg::MsgType::kFetchRequest,
                      o.cfg.object,
                      [&](util::Writer& w) { fetch.encode(w); },
                      [this, &o](bool ok, const Address& from,
@@ -1034,7 +1034,7 @@ void StoreEngine::demand_fetch(ObjectState& o,
   // Demand-updates must survive lossy links (Section 4.2: they are the
   // retransmission mechanism), so the request itself carries a timeout
   // and retries.
-  comm_.request_with(o.links.upstream(), msg::MsgType::kFetchRequest,
+  comm_.request_with(o.links.upstream, msg::MsgType::kFetchRequest,
                      o.cfg.object,
                      [&](util::Writer& w) { fetch.encode(w); },
                      [this, &o](bool ok, const Address& from,
@@ -1082,7 +1082,7 @@ void StoreEngine::apply_fetch_reply(ObjectState& o, const Address& from,
   o.replica.hear_of(reply.clock, reply.gseq);
   Applier a(*this, o);
   a.finish(o.replica.receive(std::move(reply.records),
-                             addr_key(o.links.upstream()), a));
+                             addr_key(o.links.upstream), a));
   if (topo_.may_fold(o.links, from)) {
     o.replica.fold_below_upstream(reply.clock, reply.gseq);
   }
@@ -1100,7 +1100,7 @@ void StoreEngine::apply_fetch_reply(ObjectState& o, const Address& from,
 }
 
 void StoreEngine::subscribe_to_upstream(ObjectState& o) {
-  if (!o.links.upstream().valid()) return;
+  if (!o.links.upstream.valid()) return;
   SubscribeMsg sub;
   sub.subscriber = comm_.local_address();
   sub.store_id = config_.store_id;
@@ -1118,10 +1118,10 @@ void StoreEngine::subscribe_to_upstream(ObjectState& o) {
   // difference, instead of the whole document.
   if (resubscribe) {
     sub.want_delta = true;
-    sub.delta_req = o.replica.delta_request(addr_key(o.links.upstream()));
+    sub.delta_req = o.replica.delta_request(addr_key(o.links.upstream));
   }
   comm_.request_with(
-      o.links.upstream(), msg::MsgType::kSubscribe, o.cfg.object,
+      o.links.upstream, msg::MsgType::kSubscribe, o.cfg.object,
       [&](util::Writer& w) { sub.encode(w); },
       [this, &o, resubscribe](bool ok, const Address&,
                               const msg::EnvelopeView& env) {
@@ -1242,20 +1242,20 @@ void StoreEngine::send_membership_heartbeat() {
 }
 
 void StoreEngine::apply_view(const membership::View& view) {
-  const std::optional<Topology::ViewChange> change = topo_.apply_view(view);
-  if (!change.has_value()) return;
+  const std::optional<std::vector<Address>> departed = topo_.apply_view(view);
+  if (!departed.has_value()) return;
   GLOBE_CHECK_HOOK(on_view_adopt(this, "store", config_.store_id, view.epoch));
   GLOBE_CHECK_HOOK(note_owner_context(this, config_.store_id, view.epoch));
   // A departed peer stops receiving fan-out at once, for every object
   // this store hosts: the view covers the whole shard endpoint.
-  for (const Address& peer : change->departed) forget_peer(peer);
+  for (const Address& peer : *departed) forget_peer(peer);
   for (auto& [id, op] : objects_) {
     ObjectState& o = *op;
     GLOBE_CHECK_HOOK(note_owner_context(&o, config_.store_id, view.epoch));
     GLOBE_CHECK_HOOK(
         note_owner_context(&o.replica, config_.store_id, view.epoch));
     if (o.cfg.cache_mode == CacheMode::kGlobe &&
-        topo_.reparent(o.links, address(), change->jumped) && o.ready) {
+        topo_.reparent(o.links, address()) && o.ready) {
       subscribe_to_upstream(o);
     }
   }
@@ -1392,9 +1392,9 @@ void StoreEngine::handle_update(ObjectState& o, const Address& from,
 void StoreEngine::apply_state_transfer(ObjectState& o,
                                        const StateTransfer::View& st,
                                        bool bootstrap) {
-  const std::uint64_t upstream = addr_key(o.links.upstream());
+  const std::uint64_t upstream = addr_key(o.links.upstream);
   if (!o.replica.adopt(st, bootstrap, upstream)) return;
-  mark_frontier_moved(o);
+  topo_.frontier_moved(o.links, o.cfg.object, advertises_clock(o));
   record_snapshot_event(o);
   if (bootstrap) o.ready = true;
   Applier a(*this, o);
@@ -1402,14 +1402,13 @@ void StoreEngine::apply_state_transfer(ObjectState& o,
   // Forward the (new) state downstream in full-transfer mode.
   if (o.cfg.policy.coherence_transfer == CoherenceTransfer::kFull &&
       o.cfg.policy.initiative == TransferInitiative::kPush &&
-      !o.links.subscribers().empty()) {
-    const std::vector<Address> targets = topo_.downstream(o.links);
+      !o.links.subscribers.empty()) {
     if (o.cfg.policy.instant == TransferInstant::kLazy) {
       lazy_dirty_.insert(o.cfg.object);
       // Mark each target; the body is the snapshot at flush time.
-      for (const Address& t : targets) o.lazy_queues[addr_key(t)];
+      for (const Address& t : o.links.subscribers) o.lazy_queues[addr_key(t)];
     } else {
-      send_coherence(o, targets, {});
+      send_coherence(o, o.links.subscribers, {});
     }
   }
   note_gaps(o);
@@ -1507,16 +1506,14 @@ void StoreEngine::handle_notify(const Address& from,
                          });
   }
 
-  for (ObjectState* o : hosted) {
-    demand_if_outdated(*o);
-  }
+  for (ObjectState* o : hosted) demand_if_outdated(*o);
   if (!beacon) return;
   // The per-tick retry: every object fed by this sender that is still
   // behind demands again (a no-op while its fetch is in flight).
   std::vector<ObjectState*> behind;
   for (const ObjectId id : outdated_) {
     ObjectState& o = obj(id);
-    if (o.links.upstream() == from &&
+    if (o.links.upstream == from &&
         o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand) {
       behind.push_back(&o);
     }
@@ -1528,10 +1525,6 @@ bool StoreEngine::advertises_clock(const ObjectState& o) {
   return o.cfg.policy.initiative == TransferInitiative::kPush &&
          o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand &&
          o.cfg.cache_mode == CacheMode::kGlobe;
-}
-
-void StoreEngine::mark_frontier_moved(ObjectState& o) {
-  if (advertises_clock(o)) topo_.frontier_moved(o.links, o.cfg.object);
 }
 
 void StoreEngine::encode_clock_list(util::Writer& w, std::uint64_t tick,
@@ -1644,9 +1637,9 @@ void StoreEngine::request_snapshot_delta(ObjectState& o) {
   if (o.fetch_in_flight || config_.is_primary) return;
   o.fetch_in_flight = true;
   const SnapshotDeltaRequest req =
-      o.replica.delta_request(addr_key(o.links.upstream()));
+      o.replica.delta_request(addr_key(o.links.upstream));
   comm_.request_with(
-      o.links.upstream(), msg::MsgType::kSnapshotDeltaRequest, o.cfg.object,
+      o.links.upstream, msg::MsgType::kSnapshotDeltaRequest, o.cfg.object,
       [&](util::Writer& w) { req.encode(w); },
       [this, &o](bool ok, const Address&, const msg::EnvelopeView& env) {
         o.fetch_in_flight = false;

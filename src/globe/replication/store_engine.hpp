@@ -186,7 +186,7 @@ class StoreEngine {
     return obj(id).cfg;
   }
   [[nodiscard]] const Address& upstream() const {
-    return only().links.upstream();
+    return only().links.upstream;
   }
   [[nodiscard]] const web::WebDocument& document() const {
     return only().replica.document();
@@ -203,7 +203,7 @@ class StoreEngine {
   [[nodiscard]] bool outdated() const { return only().outdated; }
   [[nodiscard]] std::size_t parked_requests() const;
   [[nodiscard]] std::size_t subscriber_count() const {
-    return only().links.subscribers().size();
+    return only().links.subscribers.size();
   }
   [[nodiscard]] std::size_t subscriber_count(ObjectId id) const;
   [[nodiscard]] bool ready() const { return only().ready; }
@@ -293,7 +293,7 @@ class StoreEngine {
   /// removed, so callbacks may capture stable pointers.
   struct ObjectState {
     ObjectState(const ObjectConfig& c, const ReplicaConfig& r)
-        : cfg(c), replica(r), links(c.upstream) {}
+        : cfg(c), replica(r), links{c.upstream, {}} {}
     ObjectConfig cfg;
     ObjectReplica replica;
     Topology::Links links;
@@ -435,8 +435,6 @@ class StoreEngine {
   // One Notify per subscriber peer per tick lists only the objects on
   // its lane whose frontier moved, so its cost follows writes.
   [[nodiscard]] static bool advertises_clock(const ObjectState& o);
-  /// The applied frontier of `o` moved: the next beacon lists it.
-  void mark_frontier_moved(ObjectState& o);
   /// The heartbeat tick: one sequenced beacon per lane.
   void send_clock_beacons();
   /// Answers a want_full request: every object `to` subscribes to here,

@@ -4,34 +4,33 @@
 
 namespace globe::replication {
 
-std::optional<Topology::ViewChange> Topology::apply_view(
+std::optional<std::vector<net::Address>> Topology::apply_view(
     const membership::View& view) {
   if (view.object != view_.object || view.shard != view_.shard ||
       view.epoch <= view_.epoch) {
     return std::nullopt;
   }
-  ViewChange change;
   // A member that stayed in the view sees every epoch in sequence
   // (reliable FIFO delivery); a jump means this store missed some.
-  change.jumped = view_.epoch != 0 && view.epoch > view_.epoch + 1;
+  jumped_ = view_.epoch != 0 && view.epoch > view_.epoch + 1;
   // Members of the previous view that this one lacks have left the
   // replica set (eviction, crash, graceful leave). A peer absent from
   // both views stays: a just-joined store can subscribe before the view
   // catches up, and stores without membership subscribe the static way.
+  std::vector<net::Address> departed;
   for (const naming::ContactPoint& m : view_.members) {
-    if (!view.contains(m.address)) change.departed.push_back(m.address);
+    if (!view.contains(m.address)) departed.push_back(m.address);
   }
   view_ = view;
-  return change;
+  return departed;
 }
 
-bool Topology::reparent(Links& l, const net::Address& self,
-                        bool jumped) const {
+bool Topology::reparent(Links& l, const net::Address& self) const {
   if (primary_) return false;
-  if (view_.contains(l.upstream_)) return jumped;
+  if (view_.contains(l.upstream)) return jumped_;
   const naming::ContactPoint* next = membership::choose_upstream(view_, self);
-  if (next == nullptr) return jumped;
-  l.upstream_ = next->address;
+  if (next == nullptr) return jumped_;
+  l.upstream = next->address;
   return true;
 }
 
@@ -39,17 +38,12 @@ bool Topology::subscribe(Links& l, ObjectId id, const net::Address& peer,
                          bool beacons) {
   const std::uint64_t key = addr_key(peer);
   if (beacons) lanes_[key].insert(id);
-  if (std::find(l.subscribers_.begin(), l.subscribers_.end(), peer) !=
-      l.subscribers_.end()) {
+  if (std::ranges::find(l.subscribers, peer) != l.subscribers.end()) {
     return false;
   }
-  l.subscribers_.push_back(peer);
+  l.subscribers.push_back(peer);
   resume(key);
   return true;
-}
-
-void Topology::unsubscribe(Links& l, const net::Address& peer) {
-  std::erase(l.subscribers_, peer);
 }
 
 void Topology::forget_peer(const net::Address& peer) {
@@ -60,17 +54,14 @@ void Topology::forget_peer(const net::Address& peer) {
 void Topology::set_lanes(const Links& l, ObjectId id, bool on) {
   // A subscriber already anchored on a lane learns the object's current
   // frontier from the next beacon, not when it next moves.
-  if (on) frontier_moved(l, id);
-  for (const net::Address& s : l.subscribers_) {
-    const std::uint64_t key = addr_key(s);
+  frontier_moved(l, id, on);
+  for (const net::Address& s : l.subscribers) {
     if (on) {
-      lanes_[key].insert(id);
-      continue;
+      lanes_[addr_key(s)].insert(id);
+    } else if (auto lane = lanes_.find(addr_key(s)); lane != lanes_.end()) {
+      lane->second.erase(id);
+      if (lane->second.empty()) lanes_.erase(lane);
     }
-    auto lane = lanes_.find(key);
-    if (lane == lanes_.end()) continue;
-    lane->second.erase(id);
-    if (lane->second.empty()) lanes_.erase(lane);
   }
 }
 
@@ -87,25 +78,25 @@ bool Topology::pushes_upstream(const core::ReplicationPolicy& p) const {
 bool Topology::pushes_beyond(const Links& l, const core::ReplicationPolicy& p,
                              std::uint64_t origin) const {
   if (p.initiative == core::TransferInitiative::kPull) return false;
-  for (const net::Address& s : l.subscribers_) {
+  for (const net::Address& s : l.subscribers) {
     if (addr_key(s) != origin) return true;
   }
-  return pushes_upstream(p) && addr_key(l.upstream_) != origin;
+  return pushes_upstream(p) && addr_key(l.upstream) != origin;
 }
 
 std::vector<net::Address> Topology::push_targets(
     const Links& l, const core::ReplicationPolicy& p) const {
   std::vector<net::Address> targets;
-  targets.reserve(l.subscribers_.size() + 1);
-  targets.assign(l.subscribers_.begin(), l.subscribers_.end());
-  if (pushes_upstream(p)) targets.push_back(l.upstream_);
+  targets.reserve(l.subscribers.size() + 1);
+  targets.assign(l.subscribers.begin(), l.subscribers.end());
+  if (pushes_upstream(p)) targets.push_back(l.upstream);
   return targets;
 }
 
 std::vector<net::Address> Topology::downstream(
     const Links& l, const net::Address& except) const {
   std::vector<net::Address> out;
-  for (const net::Address& s : l.subscribers_) {
+  for (const net::Address& s : l.subscribers) {
     if (s != except) out.push_back(s);
   }
   return out;
@@ -117,7 +108,7 @@ Topology::news_groups(std::span<const Links* const> news,
   std::map<std::uint64_t, std::vector<std::size_t>> owed;  // entry indexes
   for (std::size_t i = 0; i < news.size(); ++i) {
     if (news[i] == nullptr) continue;
-    for (const net::Address& s : news[i]->subscribers_) {
+    for (const net::Address& s : news[i]->subscribers) {
       if (s != from) owed[addr_key(s)].push_back(i);
     }
   }
@@ -135,7 +126,7 @@ bool Topology::may_fold(const Links& l, const net::Address& from) const {
   // a view can re-parent the object onto an upstream that lacks what the
   // old one held without passing it on: such a store folds on the
   // stability horizon only.
-  return !membership_ && l.subscribers_.empty() && from == l.upstream_;
+  return !membership_ && l.subscribers.empty() && from == l.upstream;
 }
 
 std::vector<ObjectId> Topology::lane(const net::Address& peer) const {

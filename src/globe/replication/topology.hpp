@@ -54,52 +54,33 @@ inline constexpr std::size_t kFlowPausedBatchesLimit = 4096;
 class Topology {
  public:
   /// One hosted object's edges. Only the Topology changes them.
-  class Links {
-   public:
-    explicit Links(const net::Address& upstream) : upstream_(upstream) {}
-    /// The propagation parent; invalid on the primary store.
-    [[nodiscard]] const net::Address& upstream() const { return upstream_; }
-    /// The subscribed stores, in subscribe order.
-    [[nodiscard]] const std::vector<net::Address>& subscribers() const {
-      return subscribers_;
-    }
-
-   private:
-    friend class Topology;
-    net::Address upstream_;
-    std::vector<net::Address> subscribers_;
-  };
-
-  /// What adopting a view changed.
-  struct ViewChange {
-    /// The store missed epochs (evicted during a partition and
-    /// re-admitted, most likely), so an upstream may have dropped it.
-    bool jumped = false;
-    /// Members of the previous view that the new one lacks.
-    std::vector<net::Address> departed;
+  struct Links {
+    net::Address upstream;  // the propagation parent; invalid on the primary
+    std::vector<net::Address> subscribers;  // in subscribe order
   };
 
   /// `primary`: the store is the primary, whose objects have no
   /// upstream. `membership`: views may re-parent the store's objects.
   /// `scope`, `shard`: the subgroup whose views the store applies.
   Topology(bool primary, bool membership, ObjectId scope, ShardId shard)
-      : primary_(primary), membership_(membership) {
-    view_.object = scope;
-    view_.shard = shard;
-  }
+      : primary_(primary), membership_(membership), view_{scope, shard, 0, {}} {}
 
   // ---- inputs ----
 
   /// Adopts `view` when it is of the store's subgroup and newer than the
-  /// last one applied; nullopt otherwise. The caller then forgets every
-  /// departed peer (unsubscribe from each object, forget_peer) and asks
+  /// last one applied, and returns the members of the previous view that
+  /// it lacks; nullopt otherwise. The caller then forgets each departed
+  /// peer (unsubscribe from every object, forget_peer) and asks
   /// reparent() of each object.
-  std::optional<ViewChange> apply_view(const membership::View& view);
-  /// The per-object half of a view: when `l`'s upstream left the view,
-  /// re-parents it by membership::choose_upstream as `self` (a store
+  std::optional<std::vector<net::Address>> apply_view(
+      const membership::View& view);
+  /// The per-object half of the last view: when `l`'s upstream left it,
+  /// re-parents `l` by membership::choose_upstream as `self` (a store
   /// only ever re-parents upward). True when the object must
-  /// re-subscribe: its upstream changed, or the store `jumped`.
-  bool reparent(Links& l, const net::Address& self, bool jumped) const;
+  /// re-subscribe: its upstream changed, or the store missed epochs
+  /// (evicted and re-admitted, most likely), so an upstream may have
+  /// dropped it.
+  bool reparent(Links& l, const net::Address& self) const;
   /// `peer` subscribes to `l`'s object `id`; `beacons`: the object
   /// advertises its clock on the peer's lane. True for a new subscriber,
   /// whose pause verdict is cleared: it may be re-joining after an
@@ -108,15 +89,18 @@ class Topology {
                  bool beacons);
   /// The two halves of removing a peer: from one object's subscribers,
   /// and its beacon lane and pause verdict.
-  void unsubscribe(Links& l, const net::Address& peer);
+  void unsubscribe(Links& l, const net::Address& peer) {
+    std::erase(l.subscribers, peer);
+  }
   void forget_peer(const net::Address& peer);
   /// Lists `l`'s object `id` on the beacon lane of each of its
   /// subscribers, and in the next beacon, or (`on` false) takes it off.
   void set_lanes(const Links& l, ObjectId id, bool on);
-  /// The frontier of `l`'s object `id`, which advertises its clock,
-  /// moved: the next beacon lists it, if it has a subscriber.
-  void frontier_moved(const Links& l, ObjectId id) {
-    if (!l.subscribers_.empty()) moved_.insert(id);
+  /// The applied frontier of `l`'s object `id` moved. When the object
+  /// advertises its clock (`beacons`) to a subscriber, the next beacon
+  /// lists it.
+  void frontier_moved(const Links& l, ObjectId id, bool beacons) {
+    if (beacons && !l.subscribers.empty()) moved_.insert(id);
   }
   /// One beacon per lane, listing the objects on it whose frontier moved
   /// since the last call; lanes with the same list share one group.
@@ -150,7 +134,7 @@ class Topology {
       const Links& l, const core::ReplicationPolicy& p) const;
   /// The subscribers but `except`.
   [[nodiscard]] std::vector<net::Address> downstream(
-      const Links& l, const net::Address& except = {}) const;
+      const Links& l, const net::Address& except) const;
   /// The subscribers owed news, grouped: entry i of a Notify from `from`
   /// is news for the object whose links `news[i]` names (null: no news),
   /// and goes on to each of its subscribers but `from`. Peers owed the
@@ -169,6 +153,7 @@ class Topology {
  private:
   bool primary_;
   bool membership_;
+  bool jumped_ = false;  // the last view skipped epochs
   // Per subscriber peer: the hosted objects it subscribes to that
   // advertise their clock. The objects whose frontier moved since the
   // last beacon.

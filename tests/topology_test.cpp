@@ -45,53 +45,59 @@ membership::View view(std::uint64_t epoch,
 
 TEST(Topology, ViewReportsDepartedPeersAndEpochJumps) {
   Topology t(/*primary=*/false, /*membership=*/true, kScope, 0);
+  Topology::Links cache{kMirror2.address, {}};
   const auto first = t.apply_view(view(1, {kPrimary, kMirror2, kCache6}));
   ASSERT_TRUE(first.has_value());
-  EXPECT_FALSE(first->jumped);
-  EXPECT_TRUE(first->departed.empty());
+  EXPECT_TRUE(first->empty());
+  EXPECT_FALSE(t.reparent(cache, kCache6.address));  // nothing to do
 
   EXPECT_FALSE(t.apply_view(view(1, {kPrimary})).has_value());  // not newer
   membership::View other_shard = view(5, {kPrimary});
   other_shard.shard = 1;
   EXPECT_FALSE(t.apply_view(other_shard).has_value());
 
-  const auto next = t.apply_view(view(3, {kPrimary, kCache6}));
+  const auto next = t.apply_view(view(3, {kPrimary, kMirror2, kCache6}));
   ASSERT_TRUE(next.has_value());
-  EXPECT_TRUE(next->jumped);  // epoch 2 never arrived
-  EXPECT_EQ(next->departed, std::vector<net::Address>{kMirror2.address});
-  EXPECT_EQ(t.view().epoch, 3u);
+  EXPECT_TRUE(next->empty());
+  // Epoch 2 never arrived: the upstream may have dropped this store.
+  EXPECT_TRUE(t.reparent(cache, kCache6.address));
+  EXPECT_EQ(cache.upstream, kMirror2.address);
+
+  const auto last = t.apply_view(view(4, {kPrimary, kCache6}));
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(*last, std::vector<net::Address>{kMirror2.address});
+  EXPECT_EQ(t.view().epoch, 4u);
 }
 
 TEST(Topology, ReparentsOnlyUpward) {
   Topology t(/*primary=*/false, /*membership=*/true, kScope, 0);
-  Topology::Links cache(kMirror4.address);
-  Topology::Links mirror(kPrimary.address);
+  Topology::Links cache{kMirror4.address, {}};
+  Topology::Links mirror{kPrimary.address, {}};
   ASSERT_TRUE(t.apply_view(view(1, {kMirror2, kMirror4, kCache6})));
-  // The cache's upstream is in the view; the mirror's (the primary) left,
-  // and no member is above mirror 2, so it keeps its upstream.
-  EXPECT_FALSE(t.reparent(cache, kCache6.address, /*jumped=*/false));
-  EXPECT_FALSE(t.reparent(mirror, kMirror2.address, /*jumped=*/false));
-  EXPECT_EQ(mirror.upstream(), kPrimary.address);
-  // A store that missed epochs re-subscribes even to the same upstream.
-  EXPECT_TRUE(t.reparent(mirror, kMirror2.address, /*jumped=*/true));
+  // The cache's upstream is in the view; the mirror's (the primary) is
+  // not, and no member is above mirror 2, so it keeps its upstream.
+  EXPECT_FALSE(t.reparent(cache, kCache6.address));
+  EXPECT_FALSE(t.reparent(mirror, kMirror2.address));
+  EXPECT_EQ(mirror.upstream, kPrimary.address);
 
   ASSERT_TRUE(t.apply_view(view(2, {kMirror2, kCache6})));
-  EXPECT_TRUE(t.reparent(cache, kCache6.address, /*jumped=*/false));
-  EXPECT_EQ(cache.upstream(), kMirror2.address);
+  EXPECT_TRUE(t.reparent(cache, kCache6.address));
+  EXPECT_EQ(cache.upstream, kMirror2.address);
 
-  // The primary never re-parents.
+  // The primary never re-parents, even after missed epochs.
   Topology primary(/*primary=*/true, /*membership=*/true, kScope, 0);
-  Topology::Links none{net::Address{}};
+  Topology::Links none;
   ASSERT_TRUE(primary.apply_view(view(1, {kMirror2})));
-  EXPECT_FALSE(primary.reparent(none, kPrimary.address, /*jumped=*/true));
+  ASSERT_TRUE(primary.apply_view(view(3, {kMirror2})));
+  EXPECT_FALSE(primary.reparent(none, kPrimary.address));
 }
 
 TEST(Topology, PeerBookkeepingAndFlowDeadlines) {
   Topology t(/*primary=*/false, /*membership=*/false, kScope, 0);
   const net::Address peer = kCache6.address;
   const std::uint64_t key = addr_key(peer);
-  Topology::Links a(kPrimary.address);
-  Topology::Links b(kPrimary.address);
+  Topology::Links a{kPrimary.address, {}};
+  Topology::Links b{kPrimary.address, {}};
   EXPECT_TRUE(t.subscribe(a, 1, peer, /*beacons=*/true));
   EXPECT_FALSE(t.subscribe(a, 1, peer, /*beacons=*/true));  // already in
   EXPECT_TRUE(t.subscribe(b, 2, peer, /*beacons=*/false));
@@ -104,7 +110,7 @@ TEST(Topology, PeerBookkeepingAndFlowDeadlines) {
   EXPECT_FALSE(t.park(key, 0));  // past the rounds deadline
 
   // A fresh subscription clears the verdict; a deep queue is hopeless.
-  Topology::Links c(kPrimary.address);
+  Topology::Links c{kPrimary.address, {}};
   EXPECT_TRUE(t.subscribe(c, 3, peer, /*beacons=*/false));
   EXPECT_FALSE(t.paused(key));
   t.pause(key);
@@ -113,7 +119,7 @@ TEST(Topology, PeerBookkeepingAndFlowDeadlines) {
   // Removal: out of each object's subscribers, then lane and verdict.
   for (Topology::Links* l : {&a, &b, &c}) t.unsubscribe(*l, peer);
   t.forget_peer(peer);
-  EXPECT_TRUE(a.subscribers().empty());
+  EXPECT_TRUE(a.subscribers.empty());
   EXPECT_TRUE(t.lane(peer).empty());
   EXPECT_FALSE(t.paused(key));
 }
@@ -128,7 +134,7 @@ TEST(Topology, PushTargetsAndTheFoldGate) {
 
   Topology t(/*primary=*/false, /*membership=*/false, kScope, 0);
   const net::Address up = kMirror2.address;
-  Topology::Links l(up);
+  Topology::Links l{up, {}};
   t.subscribe(l, 1, kMirror4.address, false);
   t.subscribe(l, 1, kCache6.address, false);
   EXPECT_EQ(t.push_targets(l, causal),
@@ -143,7 +149,7 @@ TEST(Topology, PushTargetsAndTheFoldGate) {
 
   // A leaf's one push target is its multi-master upstream: a record from
   // there travels no further.
-  Topology::Links leaf(up);
+  Topology::Links leaf{up, {}};
   EXPECT_FALSE(t.pushes_beyond(leaf, causal, addr_key(up)));
   EXPECT_TRUE(t.pushes_beyond(leaf, causal, 0));
 
