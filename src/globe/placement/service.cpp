@@ -87,7 +87,6 @@ PlacementServer::~PlacementServer() { check::release(this); }
 void PlacementServer::notify_watchers() {
   GLOBE_CHECK_HOOK(on_placement_state(this, version_, layout_.epoch));
   if (watchers_.empty()) return;
-  stats_.invalidations_sent += watchers_.size();
   comm_.multicast_with(
       watchers_, msg::MsgType::kPlacementInvalidate, 0,
       [this](util::Writer& w) { w.varint(version_); });
@@ -97,7 +96,6 @@ void PlacementServer::on_message(const Address& from,
                                  const msg::EnvelopeView& env) {
   switch (env.type) {
     case msg::MsgType::kPlacementFetch: {
-      ++stats_.fetches_served;
       comm_.reply_with(from, msg::MsgType::kPlacementFetchReply, env.object,
                        env.request_id,
                        [this](util::Writer& w) { encode_state(w); });

@@ -38,11 +38,6 @@ struct Resolution {
   std::vector<ContactPoint> contacts;
 };
 
-struct PlacementStats {
-  std::uint64_t fetches_served = 0;
-  std::uint64_t invalidations_sent = 0;
-};
-
 /// Server side: owns the layout and the per-shard contact tables.
 class PlacementServer {
  public:
@@ -64,8 +59,6 @@ class PlacementServer {
 
   [[nodiscard]] Resolution resolve(ObjectId object) const;
 
-  [[nodiscard]] const PlacementStats& stats() const { return stats_; }
-
  private:
   void on_message(const Address& from, const msg::EnvelopeView& env);
   void encode_state(util::Writer& w) const;
@@ -76,7 +69,6 @@ class PlacementServer {
   std::map<ShardId, std::vector<ContactPoint>> contacts_;
   std::uint64_t version_ = 1;
   std::vector<Address> watchers_;
-  PlacementStats stats_;
 };
 
 /// Client side: caches the full placement state (layout + contact
