@@ -1428,7 +1428,8 @@ void StoreEngine::handle_invalidate(ObjectState& o, const Address& from,
   if (news) {
     // Forward invalidations downstream (re-serialized from the borrowed
     // body; one shared datagram for the whole fan-out).
-    comm_.multicast_with(topo_.downstream(o.links, from),
+    auto forward = Topology::downstream(o.links, from);
+    comm_.multicast_with({forward.begin(), forward.end()},
                          msg::MsgType::kInvalidate, o.cfg.object,
                          [&](util::Writer& w) { w.raw(env.body); });
   }
@@ -1484,17 +1485,25 @@ void StoreEngine::handle_notify(const Address& from,
   // still hear one frontier twice: from a parent that has not yet
   // dropped it, and from its new one.
   std::vector<ObjectState*> hosted;
-  std::vector<const Topology::Links*> news(m.entries.size(), nullptr);
+  std::map<std::uint64_t, std::vector<std::size_t>> news_for;  // entry indexes
   for (std::size_t i = 0; i < m.entries.size(); ++i) {
     const NotifyMsg::Entry& e = m.entries[i];
     ObjectState* o = find_object(e.object);
     if (o == nullptr) continue;  // not hosted (anymore)
     hosted.push_back(o);
-    if (o->replica.note_frontier(e.clock, e.gseq)) news[i] = &o->links;
+    const bool news = o->replica.note_frontier(e.clock, e.gseq);
     note_gaps(*o);
+    if (!news) continue;
+    for (const Address& to : Topology::downstream(o->links, from)) {
+      news_for[addr_key(to)].push_back(i);
+    }
   }
   // Peers owed the same news share one unsequenced Notify, sent at once.
-  for (const auto& [entries, to] : topo_.news_groups(news, from)) {
+  std::map<std::vector<std::size_t>, std::vector<Address>> groups;
+  for (auto& [peer, entries] : news_for) {
+    groups[std::move(entries)].push_back(key_addr(peer));
+  }
+  for (const auto& [entries, to] : groups) {
     comm_.multicast_with(to, msg::MsgType::kNotify, kStoreScope,
                          [&](util::Writer& w) {
                            NotifyMsg::encode_head(w, 0, 0, entries.size());

@@ -93,32 +93,6 @@ std::vector<net::Address> Topology::push_targets(
   return targets;
 }
 
-std::vector<net::Address> Topology::downstream(
-    const Links& l, const net::Address& except) const {
-  std::vector<net::Address> out;
-  for (const net::Address& s : l.subscribers) {
-    if (s != except) out.push_back(s);
-  }
-  return out;
-}
-
-std::map<std::vector<std::size_t>, std::vector<net::Address>>
-Topology::news_groups(std::span<const Links* const> news,
-                      const net::Address& from) const {
-  std::map<std::uint64_t, std::vector<std::size_t>> owed;  // entry indexes
-  for (std::size_t i = 0; i < news.size(); ++i) {
-    if (news[i] == nullptr) continue;
-    for (const net::Address& s : news[i]->subscribers) {
-      if (s != from) owed[addr_key(s)].push_back(i);
-    }
-  }
-  std::map<std::vector<std::size_t>, std::vector<net::Address>> groups;
-  for (auto& [peer, entries] : owed) {
-    groups[std::move(entries)].push_back(key_addr(peer));
-  }
-  return groups;
-}
-
 bool Topology::may_fold(const Links& l, const net::Address& from) const {
   // The log's readers are the subscribers (fetch, anti-entropy) and the
   // upstream (the push-back). With no subscriber at this moment, a

@@ -23,8 +23,8 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <ranges>
 #include <set>
-#include <span>
 #include <vector>
 
 #include "globe/core/policy.hpp"
@@ -55,7 +55,7 @@ class Topology {
  public:
   /// One hosted object's edges. Only the Topology changes them.
   struct Links {
-    net::Address upstream;  // the propagation parent; invalid on the primary
+    net::Address upstream;  // propagation parent; invalid on the primary
     std::vector<net::Address> subscribers;  // in subscribe order
   };
 
@@ -63,7 +63,9 @@ class Topology {
   /// upstream. `membership`: views may re-parent the store's objects.
   /// `scope`, `shard`: the subgroup whose views the store applies.
   Topology(bool primary, bool membership, ObjectId scope, ShardId shard)
-      : primary_(primary), membership_(membership), view_{scope, shard, 0, {}} {}
+      : primary_(primary),
+        membership_(membership),
+        view_{scope, shard, 0, {}} {}
 
   // ---- inputs ----
 
@@ -132,16 +134,14 @@ class Topology {
   /// object pushes upstream.
   [[nodiscard]] std::vector<net::Address> push_targets(
       const Links& l, const core::ReplicationPolicy& p) const;
-  /// The subscribers but `except`.
-  [[nodiscard]] std::vector<net::Address> downstream(
-      const Links& l, const net::Address& except) const;
-  /// The subscribers owed news, grouped: entry i of a Notify from `from`
-  /// is news for the object whose links `news[i]` names (null: no news),
-  /// and goes on to each of its subscribers but `from`. Peers owed the
-  /// same entries share one group, keyed by the entry indexes.
-  [[nodiscard]] std::map<std::vector<std::size_t>, std::vector<net::Address>>
-  news_groups(std::span<const Links* const> news,
-              const net::Address& from) const;
+  /// Where news that `from` sent goes on to: the subscribers but
+  /// `from`, in subscribe order. A view; allocates nothing.
+  [[nodiscard]] static auto downstream(const Links& l,
+                                       const net::Address& from) {
+    return l.subscribers | std::views::filter([from](const net::Address& s) {
+             return s != from;
+           });
+  }
   /// True when a frontier `from` sent lets `l`'s object fold its log.
   [[nodiscard]] bool may_fold(const Links& l, const net::Address& from) const;
   /// The objects on `peer`'s beacon lane.

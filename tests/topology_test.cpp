@@ -142,7 +142,8 @@ TEST(Topology, PushTargetsAndTheFoldGate) {
                                        up}));
   EXPECT_EQ(t.push_targets(l, pram),
             (std::vector<net::Address>{kMirror4.address, kCache6.address}));
-  EXPECT_EQ(t.downstream(l, kMirror4.address),
+  auto news = Topology::downstream(l, kMirror4.address);
+  EXPECT_EQ(std::vector<net::Address>(news.begin(), news.end()),
             std::vector<net::Address>{kCache6.address});
   EXPECT_TRUE(t.pushes_beyond(l, pram, addr_key(kMirror4.address)));
   EXPECT_FALSE(t.pushes_beyond(l, pull, 0));
