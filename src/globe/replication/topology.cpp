@@ -17,9 +17,17 @@ std::optional<std::vector<net::Address>> Topology::apply_view(
   // replica set (eviction, crash, graceful leave). A peer absent from
   // both views stays: a just-joined store can subscribe before the view
   // catches up, and stores without membership subscribe the static way.
+  // Every member applies every view, so the diff must cost O(members):
+  // a diff keeps the members that stay in order (ViewDelta::apply_to),
+  // so a walk meets them in step, and only one out of step is looked up.
   std::vector<net::Address> departed;
+  std::size_t next = 0;
   for (const naming::ContactPoint& m : view_.members) {
-    if (!view.contains(m.address)) departed.push_back(m.address);
+    if (next < view.members.size() && view.members[next].address == m.address) {
+      ++next;
+    } else if (!view.contains(m.address)) {
+      departed.push_back(m.address);
+    }
   }
   view_ = view;
   return departed;

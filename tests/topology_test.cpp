@@ -67,6 +67,11 @@ TEST(Topology, ViewReportsDepartedPeersAndEpochJumps) {
   ASSERT_TRUE(last.has_value());
   EXPECT_EQ(*last, std::vector<net::Address>{kMirror2.address});
   EXPECT_EQ(t.view().epoch, 4u);
+
+  // A full view may list the members in another order.
+  const auto reordered = t.apply_view(view(5, {kCache6, kMirror4}));
+  ASSERT_TRUE(reordered.has_value());
+  EXPECT_EQ(*reordered, std::vector<net::Address>{kPrimary.address});
 }
 
 TEST(Topology, ReparentsOnlyUpward) {
