@@ -78,20 +78,6 @@ bool Topology::park(std::uint64_t key, std::size_t depth) {
   return rounds <= kFlowPausedRoundsLimit && depth < kFlowPausedBatchesLimit;
 }
 
-bool Topology::pushes_upstream(const core::ReplicationPolicy& p) const {
-  return !primary_ && (p.model == coherence::ObjectModel::kCausal ||
-                       p.model == coherence::ObjectModel::kEventual);
-}
-
-bool Topology::pushes_beyond(const Links& l, const core::ReplicationPolicy& p,
-                             std::uint64_t origin) const {
-  if (p.initiative == core::TransferInitiative::kPull) return false;
-  for (const net::Address& s : l.subscribers) {
-    if (addr_key(s) != origin) return true;
-  }
-  return pushes_upstream(p) && addr_key(l.upstream) != origin;
-}
-
 std::vector<net::Address> Topology::push_targets(
     const Links& l, const core::ReplicationPolicy& p) const {
   std::vector<net::Address> targets;
@@ -99,16 +85,6 @@ std::vector<net::Address> Topology::push_targets(
   targets.assign(l.subscribers.begin(), l.subscribers.end());
   if (pushes_upstream(p)) targets.push_back(l.upstream);
   return targets;
-}
-
-bool Topology::may_fold(const Links& l, const net::Address& from) const {
-  // The log's readers are the subscribers (fetch, anti-entropy) and the
-  // upstream (the push-back). With no subscriber at this moment, a
-  // record the upstream holds has no reader left here. Under membership
-  // a view can re-parent the object onto an upstream that lacks what the
-  // old one held without passing it on: such a store folds on the
-  // stability horizon only.
-  return !membership_ && l.subscribers.empty() && from == l.upstream;
 }
 
 std::vector<ObjectId> Topology::lane(const net::Address& peer) const {

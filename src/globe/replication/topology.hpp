@@ -123,13 +123,24 @@ class Topology {
   [[nodiscard]] bool paused(std::uint64_t key) const {
     return paused_.count(key) != 0;
   }
+  // The per-record and per-frontier queries are defined here, so the
+  // engine's apply loop can inline them.
   /// True when a non-primary multi-master object pushes to its upstream.
-  [[nodiscard]] bool pushes_upstream(const core::ReplicationPolicy& p) const;
+  [[nodiscard]] bool pushes_upstream(const core::ReplicationPolicy& p) const {
+    return !primary_ && (p.model == coherence::ObjectModel::kCausal ||
+                         p.model == coherence::ObjectModel::kEventual);
+  }
   /// True when a record that arrived from `origin` (0 = local) has a
   /// push target to travel on to. Allocates nothing.
   [[nodiscard]] bool pushes_beyond(const Links& l,
                                    const core::ReplicationPolicy& p,
-                                   std::uint64_t origin) const;
+                                   std::uint64_t origin) const {
+    if (p.initiative == core::TransferInitiative::kPull) return false;
+    for (const net::Address& s : l.subscribers) {
+      if (addr_key(s) != origin) return true;
+    }
+    return pushes_upstream(p) && addr_key(l.upstream) != origin;
+  }
   /// The push targets: the subscribers, then the upstream when the
   /// object pushes upstream.
   [[nodiscard]] std::vector<net::Address> push_targets(
@@ -143,7 +154,15 @@ class Topology {
            });
   }
   /// True when a frontier `from` sent lets `l`'s object fold its log.
-  [[nodiscard]] bool may_fold(const Links& l, const net::Address& from) const;
+  /// The log's readers are the subscribers (fetch, anti-entropy) and the
+  /// upstream (the push-back). With no subscriber at this moment, a
+  /// record the upstream holds has no reader left here. Under membership
+  /// a view can re-parent the object onto an upstream that lacks what
+  /// the old one held without passing it on: such a store folds on the
+  /// stability horizon only.
+  [[nodiscard]] bool may_fold(const Links& l, const net::Address& from) const {
+    return !membership_ && l.subscribers.empty() && from == l.upstream;
+  }
   /// The objects on `peer`'s beacon lane.
   [[nodiscard]] std::vector<ObjectId> lane(const net::Address& peer) const;
   /// The last applied view (epoch 0 of the store's subgroup before the
