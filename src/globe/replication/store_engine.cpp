@@ -1480,9 +1480,8 @@ void StoreEngine::handle_notify(const Address& from,
   // never back to the sender. An entry that taught us nothing was
   // already propagated when we first learned its frontier, so dropping
   // the duplicate loses no information. Views re-parent only upward, so
-  // they cannot wire two stores as each other's upstream (before that
-  // rule such a cycle circulated one frontier forever), but a store can
-  // still hear one frontier twice: from a parent that has not yet
+  // they cannot wire two stores as each other's upstream, but a store
+  // can still hear one frontier twice: from a parent that has not yet
   // dropped it, and from its new one.
   std::vector<ObjectState*> hosted;
   std::map<std::uint64_t, std::vector<std::size_t>> news_for;  // entry indexes
