@@ -115,7 +115,7 @@ void ClientBinding::fetch_full_view() {
   view_fetch_in_flight_ = true;
   comm_.request_with(
       options_.membership, msg::MsgType::kViewFetchRequest, options_.object,
-      [](util::Writer&) {},
+      [](util::Writer& w) { membership::ViewFetchMsg{}.encode(w); },
       [this](bool ok, const Address&, const msg::EnvelopeView& env) {
         view_fetch_in_flight_ = false;
         if (!ok) return;

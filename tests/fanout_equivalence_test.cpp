@@ -294,14 +294,14 @@ void membership_churn(Testbed& bed) {
 
 TEST(MembershipGolden, ReparentEvictRejoinLeave) {
   expect_golden(membership_churn,
-                {0xac2b2c0353ab4baaull, 0x1ae53a517d2ea342ull,
+                {0x8b7432afe397d13eull, 0x1ae53a517d2ea342ull,
                  0x88e3f6b1e6fc8636ull},
                 membership_options(/*windowed=*/false));
 }
 
 TEST(MembershipGolden, ReparentEvictRejoinLeaveWindowed) {
   expect_golden(membership_churn,
-                {0x674859302816cdaaull, 0xab1e80a27653c16eull,
+                {0x8109b71958600c4cull, 0xab1e80a27653c16eull,
                  0x5eae10affe7a0edaull},
                 membership_options(/*windowed=*/true));
 }
