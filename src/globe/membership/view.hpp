@@ -112,27 +112,13 @@ struct View {
 /// O(members) amplification of broadcasting every view change to every
 /// member and watcher. A receiver applies the delta onto its cached view
 /// when the epoch is contiguous; on a gap (it missed deltas) it fetches
-/// the full view with kViewFetchRequest.
+/// the full view with kViewFetchRequest (ViewFollower, follower.hpp).
 struct ViewDelta {
   ObjectId object = 0;  // membership scope
   ShardId shard = 0;    // subgroup the diff applies to
   std::uint64_t epoch = 0;  // the epoch AFTER this change
   std::vector<naming::ContactPoint> joined;
   std::vector<net::Address> left;
-
-  /// The shared receiver rule: this diff is applicable iff it is the
-  /// epoch after `base`, the receiver's last applied view. A receiver
-  /// with no view yet holds the empty epoch-0 base, which is exactly
-  /// what a group's first broadcast (epoch 1) diffs against. On success
-  /// `out` is the new view; on failure the receiver must re-anchor with
-  /// a full-view fetch (kViewFetchRequest). Both stores and watching
-  /// clients route through this, so the contiguity policy lives once.
-  [[nodiscard]] bool try_apply(const View& base, View* out) const {
-    if (epoch != base.epoch + 1) return false;
-    *out = base;
-    apply_to(*out);
-    return true;
-  }
 
   /// Applies this diff onto `base` (the receiver's cached previous
   /// view), producing the members of `epoch`.
@@ -291,8 +277,7 @@ struct WatchMsg {
   }
 };
 
-/// kViewFetchRequest body: which subgroup's full view to fetch. Legacy
-/// senders omitted the body entirely; an empty body means shard 0.
+/// kViewFetchRequest body: which subgroup's full view to fetch.
 struct ViewFetchMsg {
   ShardId shard = 0;
 
@@ -300,7 +285,6 @@ struct ViewFetchMsg {
 
   static ViewFetchMsg decode(util::BytesView wire) {
     ViewFetchMsg m;
-    if (wire.empty()) return m;
     util::Reader r(wire);
     m.shard = r.varint32();
     r.expect_end();

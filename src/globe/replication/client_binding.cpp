@@ -15,18 +15,22 @@ ClientBinding::ClientBinding(const TransportFactory& factory,
     : sim_(sim),
       options_(std::move(options)),
       traffic_(metrics),
-      comm_(&sim, &traffic_),
       history_(history),
-      metrics_(metrics) {
+      metrics_(metrics),
+      follower_(options_.membership, options_.object, 0,
+                [this](const auto&, const auto& view) {
+                  on_view_change(view);
+                }),
+      comm_(&sim, &traffic_) {
   // A binding that watches the object's replica view receives the
-  // membership service's pushes: every epoch as a ViewDelta diff,
-  // applied onto the cached previous view; the binding re-resolves its
-  // stores when one of them leaves the view.
+  // membership service's pushes, every epoch as a ViewDelta diff, and
+  // follows them; it re-resolves its stores when one of them leaves the
+  // view.
   core::CommunicationObject::DeliveryHandler on_view;
   if (options_.membership.valid()) {
     on_view = [this](const Address&, const msg::EnvelopeView& env) {
       if (env.type == msg::MsgType::kViewDelta) {
-        on_view_delta(membership::ViewDelta::decode(env.body));
+        follower_.on_delta(membership::ViewDelta::decode(env.body), comm_);
       }
     };
   }
@@ -98,32 +102,6 @@ void ClientBinding::apply_resolution(Session& s) {
   }
 }
 
-void ClientBinding::on_view_delta(const membership::ViewDelta& delta) {
-  if (delta.object != options_.object || delta.epoch <= view_.epoch) return;
-  membership::View next;
-  if (delta.try_apply(view_, &next)) {
-    on_view_change(next);
-    return;
-  }
-  // Epoch gap, or no base yet (the watcher registered after the group's
-  // first broadcast): re-anchor on the full view.
-  fetch_full_view();
-}
-
-void ClientBinding::fetch_full_view() {
-  if (view_fetch_in_flight_) return;  // collapse gap-burst re-anchors
-  view_fetch_in_flight_ = true;
-  comm_.request_with(
-      options_.membership, msg::MsgType::kViewFetchRequest, options_.object,
-      [](util::Writer& w) { membership::ViewFetchMsg{}.encode(w); },
-      [this](bool ok, const Address&, const msg::EnvelopeView& env) {
-        view_fetch_in_flight_ = false;
-        if (!ok) return;
-        on_view_change(membership::ViewMsg::decode(env.body).view);
-      },
-      sim::SimDuration::millis(250), /*retries=*/2);
-}
-
 ClientBinding::~ClientBinding() {
   // Best-effort: take this endpoint off the service's watcher list so
   // long-lived deployments do not broadcast views to dead clients.
@@ -153,10 +131,8 @@ void ClientBinding::on_operation_failed(Session& s) {
 }
 
 void ClientBinding::on_view_change(const membership::View& view) {
-  if (view.object != options_.object || view.epoch <= view_.epoch) return;
   GLOBE_CHECK_HOOK(
       on_view_adopt(this, "client", options_.client, view.epoch));
-  view_ = view;  // the base the next ViewDelta diff applies onto
   if (view.members.empty()) return;
   Session& s = default_session();
   if (!view.contains(s.read_store)) {

@@ -31,7 +31,7 @@
 #include "globe/core/comm.hpp"
 #include "globe/core/policy.hpp"
 #include "globe/core/semantics.hpp"
-#include "globe/membership/view.hpp"
+#include "globe/membership/follower.hpp"
 #include "globe/metrics/stats.hpp"
 #include "globe/placement/service.hpp"
 #include "globe/replication/protocol.hpp"
@@ -187,7 +187,9 @@ class ClientBinding {
   /// Replica-view epoch last applied (0 = none; membership disabled or
   /// no change seen yet) and how often a view or placement change forced
   /// a session onto different stores.
-  [[nodiscard]] std::uint64_t view_epoch() const { return view_.epoch; }
+  [[nodiscard]] std::uint64_t view_epoch() const {
+    return follower_.view().epoch;
+  }
   [[nodiscard]] std::uint64_t rebinds() const { return rebinds_; }
 
  private:
@@ -246,14 +248,14 @@ class ClientBinding {
   void apply_resolution(Session& s);
   void read_impl(Session& s, const std::string& page, ReadHandler cb);
   void get_document_delta(Session& s, DocumentHandler cb);
-  void on_view_delta(const membership::ViewDelta& delta);
-  void fetch_full_view();
   ClientRequest base_request(Session& s, msg::Invocation inv);
   void send_write(Session& s, msg::Invocation inv, WriteHandler cb);
   void transmit_write(Session& s, ClientRequest req, WriteHandler cb);
   void next_queued_write(Session& s);
   void next_queued_read(Session& s);
   void flush_deferred_reads(Session& s);
+  /// The follower adopted `view`: rebinds the default session off the
+  /// stores that left it.
   void on_view_change(const membership::View& view);
   void announce_watch(bool subscribe);
   void on_operation_failed(Session& s);
@@ -279,20 +281,22 @@ class ClientBinding {
   sim::Simulator& sim_;
   BindOptions options_;
   TrafficAdapter traffic_;
-  core::CommunicationObject comm_;
 
   std::uint64_t op_index_ = 0;  // program order, across all sessions
   std::map<ObjectId, std::unique_ptr<Session>> sessions_;
   std::unique_ptr<placement::PlacementCache> placement_;
 
   std::uint64_t rebinds_ = 0;
-  // The last applied view (epoch 0 before the first), the base ViewDelta
-  // diffs apply onto.
-  membership::View view_;
-  bool view_fetch_in_flight_ = false;  // collapse gap-burst re-anchors
 
   coherence::History* history_;
   metrics::MetricsSink* metrics_;
+  // The watched object's view (epoch 0 while membership is off). It
+  // fetches over comm_, so it must outlive the endpoint.
+  membership::ViewFollower follower_;
+
+  // Declared last, so it is destroyed first: a reply delivered while the
+  // endpoint closes still finds the sessions and the follower.
+  core::CommunicationObject comm_;
 };
 
 }  // namespace globe::replication

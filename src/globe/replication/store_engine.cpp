@@ -120,10 +120,13 @@ StoreEngine::StoreEngine(const TransportFactory& factory, sim::Simulator& sim,
     : sim_(sim),
       config_(std::move(config)),
       traffic_(metrics),
-      topo_(config_.is_primary, config_.membership.valid(),
-            config_.membership_scope, config_.shard),
+      topo_(config_.is_primary, config_.membership.valid()),
       history_(history),
       metrics_(metrics),
+      follower_(config_.membership, config_.membership_scope, config_.shard,
+                [this](const auto& previous, const auto& view) {
+                  apply_view(previous, view);
+                }),
       comm_(&sim, &traffic_) {
   comm_.open(factory,
              [this](const Address& from, const msg::EnvelopeView& env) {
@@ -169,10 +172,9 @@ StoreEngine::ObjectState& StoreEngine::create_object(const ObjectConfig& cfg) {
   // Trip reports for monitors keyed on this object state or its replica
   // carry the store id + view epoch stamp (refreshed on every view
   // adoption).
+  GLOBE_CHECK_HOOK(note_owner_context(&o, config_.store_id, view_epoch()));
   GLOBE_CHECK_HOOK(
-      note_owner_context(&o, config_.store_id, topo_.view().epoch));
-  GLOBE_CHECK_HOOK(
-      note_owner_context(&o.replica, config_.store_id, topo_.view().epoch));
+      note_owner_context(&o.replica, config_.store_id, view_epoch()));
 
   note_puller(o);
   if (config_.is_primary || o.cfg.cache_mode != CacheMode::kGlobe) {
@@ -409,7 +411,7 @@ void StoreEngine::on_message(const Address& from,
   // entries name their objects.
   switch (env.type) {
     case msg::MsgType::kViewDelta:
-      handle_view_delta(env);
+      follower_.on_delta(membership::ViewDelta::decode(env.body), comm_);
       return;
     case msg::MsgType::kStabilityHorizon:
       handle_stability_horizon(env);
@@ -1225,7 +1227,7 @@ void StoreEngine::join_membership() {
       [&](util::Writer& w) { ann.encode(w); },
       [this](bool ok, const Address&, const msg::EnvelopeView& env) {
         if (!ok) return;  // heartbeats re-admit us once reachable
-        apply_view(membership::ViewMsg::decode(env.body).view);
+        follower_.on_view(membership::ViewMsg::decode(env.body).view);
       },
       sim::SimDuration::millis(250), /*retries=*/3);
 }
@@ -1241,61 +1243,24 @@ void StoreEngine::send_membership_heartbeat() {
                              [&](util::Writer& w) { ann.encode(w); });
 }
 
-void StoreEngine::apply_view(const membership::View& view) {
-  const std::optional<std::vector<Address>> departed = topo_.apply_view(view);
-  if (!departed.has_value()) return;
+void StoreEngine::apply_view(const membership::View& previous,
+                             const membership::View& view) {
+  const std::vector<Address> departed = topo_.apply_view(previous, view);
   GLOBE_CHECK_HOOK(on_view_adopt(this, "store", config_.store_id, view.epoch));
   GLOBE_CHECK_HOOK(note_owner_context(this, config_.store_id, view.epoch));
   // A departed peer stops receiving fan-out at once, for every object
   // this store hosts: the view covers the whole shard endpoint.
-  for (const Address& peer : *departed) forget_peer(peer);
+  for (const Address& peer : departed) forget_peer(peer);
   for (auto& [id, op] : objects_) {
     ObjectState& o = *op;
     GLOBE_CHECK_HOOK(note_owner_context(&o, config_.store_id, view.epoch));
     GLOBE_CHECK_HOOK(
         note_owner_context(&o.replica, config_.store_id, view.epoch));
     if (o.cfg.cache_mode == CacheMode::kGlobe &&
-        topo_.reparent(o.links, address()) && o.ready) {
+        topo_.reparent(o.links, view, address()) && o.ready) {
       subscribe_to_upstream(o);
     }
   }
-}
-
-void StoreEngine::handle_view_delta(const msg::EnvelopeView& env) {
-  const membership::ViewDelta d = membership::ViewDelta::decode(env.body);
-  if (d.object != config_.membership_scope || d.shard != config_.shard ||
-      d.epoch <= topo_.view().epoch) {
-    return;
-  }
-  membership::View next;
-  if (d.try_apply(topo_.view(), &next)) {
-    apply_view(next);
-    return;
-  }
-  // Epoch gap (we missed deltas — evicted during a partition, or the
-  // datagram was lost): re-anchor on the full view. apply_view then sees
-  // the jump and re-subscribes.
-  fetch_full_view();
-}
-
-void StoreEngine::fetch_full_view() {
-  if (!config_.membership.valid() || view_fetch_in_flight_) return;
-  // One fetch at a time: a churn burst delivers several gapped deltas
-  // inside one round trip, and each would otherwise trigger its own
-  // full-view request — the amplification deltas exist to avoid.
-  view_fetch_in_flight_ = true;
-  membership::ViewFetchMsg req;
-  req.shard = config_.shard;
-  comm_.request_with(
-      config_.membership, msg::MsgType::kViewFetchRequest,
-      config_.membership_scope,
-      [&](util::Writer& w) { req.encode(w); },
-      [this](bool ok, const Address&, const msg::EnvelopeView& env) {
-        view_fetch_in_flight_ = false;
-        if (!ok) return;  // the next broadcast (or heartbeat) retries
-        apply_view(membership::ViewMsg::decode(env.body).view);
-      },
-      sim::SimDuration::millis(250), /*retries=*/2);
 }
 
 void StoreEngine::resync(ObjectState& o) {
@@ -1323,7 +1288,7 @@ void StoreEngine::crash() {
     o.unparking = false;
   }
   lazy_dirty_.clear();
-  view_fetch_in_flight_ = false;
+  follower_.forget_fetch();
   beacon_expect_.clear();  // re-anchor on every sender after recovery
 }
 

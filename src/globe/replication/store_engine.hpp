@@ -14,11 +14,12 @@
 // this one engine. Two parts of it do no I/O: the receive path is the
 // per-object ObjectReplica (object_replica.hpp: document, write log,
 // orderers, clocks), and the propagation graph is the store's Topology
-// (topology.hpp: upstreams, subscribers, beacon lanes, flow pauses, the
-// last view). The engine turns their answers into sends, History
-// events, spans and metrics, plus a handful of policy branches. This
-// mirrors the paper's observation that "the replication objects all
-// have the same interface ... however, the internals differ".
+// (topology.hpp: upstreams, subscribers, beacon lanes, flow pauses). A
+// ViewFollower (membership/follower.hpp) holds the last view. The engine
+// turns their answers into sends, History events, spans and metrics,
+// plus a handful of policy branches. This mirrors the paper's
+// observation that "the replication objects all have the same
+// interface ... however, the internals differ".
 //
 // A store hosts MANY distributed objects: the engine keeps a table of
 // per-object states (replica, topology links, lazy queues, parked
@@ -47,7 +48,7 @@
 #include "globe/coherence/history.hpp"
 #include "globe/core/comm.hpp"
 #include "globe/core/policy.hpp"
-#include "globe/membership/view.hpp"
+#include "globe/membership/follower.hpp"
 #include "globe/metrics/stats.hpp"
 #include "globe/naming/contact.hpp"
 #include "globe/net/flow.hpp"
@@ -212,7 +213,9 @@ class StoreEngine {
   [[nodiscard]] bool alive() const { return alive_; }
   [[nodiscard]] bool departed() const { return departed_; }
   /// Epoch of the last replica view this store applied (0 = none yet).
-  [[nodiscard]] std::uint64_t view_epoch() const { return topo_.view().epoch; }
+  [[nodiscard]] std::uint64_t view_epoch() const {
+    return follower_.view().epoch;
+  }
   /// Times this store re-subscribed to an upstream after the initial
   /// bootstrap (view-driven re-parenting, post-eviction re-admission,
   /// crash recovery), summed over every hosted object.
@@ -362,7 +365,6 @@ class StoreEngine {
   void serve_snapshot_delta(ObjectState& o, const Address& from,
                             std::uint64_t request_id, SnapshotDeltaRequest req,
                             int defer_budget);
-  void handle_view_delta(const msg::EnvelopeView& env);
 
   // ---- write path ----
   [[nodiscard]] bool accepts_writes(const ObjectState& o) const;
@@ -487,9 +489,6 @@ class StoreEngine {
   /// always adopts and makes the object ready.
   void apply_state_transfer(ObjectState& o, const StateTransfer::View& st,
                             bool bootstrap = false);
-  /// Re-anchors on the full membership view (epoch gap in the delta
-  /// broadcast stream).
-  void fetch_full_view();
 
   // ---- membership ----
   /// Stops every timer and drops parked reads and pending acks (crash,
@@ -507,10 +506,11 @@ class StoreEngine {
   /// three horizon-keyed collectors — write-log compaction, tombstone
   /// collection, and streaming-checker event retirement.
   void handle_stability_horizon(const msg::EnvelopeView& env);
-  /// Applies a newer view of this store's subgroup: forgets the departed
+  /// The follower adopted `view` after `previous`: forgets the departed
   /// peers, and re-subscribes each object the Topology re-parents (every
   /// object, when the store missed epochs).
-  void apply_view(const membership::View& view);
+  void apply_view(const membership::View& previous,
+                  const membership::View& view);
   /// One catch-up round after a re-subscribe: anti-entropy for
   /// multi-master objects, a demand fetch otherwise.
   void resync(ObjectState& o);
@@ -543,7 +543,7 @@ class StoreEngine {
 
   // The object table. Entries are never removed.
   std::map<ObjectId, std::unique_ptr<ObjectState>> objects_;
-  // Subscribers' beacon lanes and flow pauses, and the last view.
+  // Subscribers' beacon lanes and flow pauses.
   Topology topo_;
   // The objects the timer ticks visit: those with queued lazy segments
   // (or a lazy full/notify transfer to send), and those that poll their
@@ -574,10 +574,12 @@ class StoreEngine {
   coherence::VectorClock horizon_clock_;
   std::uint64_t horizon_gseq_ = 0;
   std::uint64_t resubscribes_ = 0;
-  bool view_fetch_in_flight_ = false;  // collapse gap-burst re-anchors
 
   coherence::History* history_;
   metrics::MetricsSink* metrics_;
+  // The store's subgroup view (epoch 0 while membership is off). It
+  // fetches over comm_, so it must outlive the endpoint.
+  membership::ViewFollower follower_;
 
   // Declared last, so it is destroyed first: releasing the endpoint waits
   // out deliveries in flight on a threaded transport (a socket receive

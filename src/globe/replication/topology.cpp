@@ -4,15 +4,11 @@
 
 namespace globe::replication {
 
-std::optional<std::vector<net::Address>> Topology::apply_view(
-    const membership::View& view) {
-  if (view.object != view_.object || view.shard != view_.shard ||
-      view.epoch <= view_.epoch) {
-    return std::nullopt;
-  }
+std::vector<net::Address> Topology::apply_view(
+    const membership::View& previous, const membership::View& view) {
   // A member that stayed in the view sees every epoch in sequence
   // (reliable FIFO delivery); a jump means this store missed some.
-  jumped_ = view_.epoch != 0 && view.epoch > view_.epoch + 1;
+  jumped_ = previous.epoch != 0 && view.epoch > previous.epoch + 1;
   // Members of the previous view that this one lacks have left the
   // replica set (eviction, crash, graceful leave). A peer absent from
   // both views stays: a just-joined store can subscribe before the view
@@ -22,21 +18,21 @@ std::optional<std::vector<net::Address>> Topology::apply_view(
   // so a walk meets them in step, and only one out of step is looked up.
   std::vector<net::Address> departed;
   std::size_t next = 0;
-  for (const naming::ContactPoint& m : view_.members) {
+  for (const naming::ContactPoint& m : previous.members) {
     if (next < view.members.size() && view.members[next].address == m.address) {
       ++next;
     } else if (!view.contains(m.address)) {
       departed.push_back(m.address);
     }
   }
-  view_ = view;
   return departed;
 }
 
-bool Topology::reparent(Links& l, const net::Address& self) const {
+bool Topology::reparent(Links& l, const membership::View& view,
+                        const net::Address& self) const {
   if (primary_) return false;
-  if (view_.contains(l.upstream)) return jumped_;
-  const naming::ContactPoint* next = membership::choose_upstream(view_, self);
+  if (view.contains(l.upstream)) return jumped_;
+  const naming::ContactPoint* next = membership::choose_upstream(view, self);
   if (next == nullptr) return jumped_;
   l.upstream = next->address;
   return true;

@@ -3,10 +3,9 @@
 // The paper gives every Web object its own propagation graph over the
 // store layers of Figure 2: permanent stores, then object-initiated,
 // then client-initiated ones. This is that graph as one store sees it:
-// each hosted object's upstream and subscribers, the clock beacon lane
-// and flow-control pause of each subscriber peer (a peer's channel is
-// shared by every object it subscribes to), and the last replica view
-// the store applied.
+// each hosted object's upstream and subscribers, and the clock beacon
+// lane and flow-control pause of each subscriber peer (a peer's channel
+// is shared by every object it subscribes to).
 //
 // It takes views, subscribes and flow-control drops. It answers where a
 // record is pushed, which objects re-subscribe after a view, and
@@ -22,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <ranges>
 #include <set>
 #include <vector>
@@ -61,28 +59,25 @@ class Topology {
 
   /// `primary`: the store is the primary, whose objects have no
   /// upstream. `membership`: views may re-parent the store's objects.
-  /// `scope`, `shard`: the subgroup whose views the store applies.
-  Topology(bool primary, bool membership, ObjectId scope, ShardId shard)
-      : primary_(primary),
-        membership_(membership),
-        view_{scope, shard, 0, {}} {}
+  Topology(bool primary, bool membership)
+      : primary_(primary), membership_(membership) {}
 
   // ---- inputs ----
 
-  /// Adopts `view` when it is of the store's subgroup and newer than the
-  /// last one applied, and returns the members of the previous view that
-  /// it lacks; nullopt otherwise. The caller then forgets each departed
-  /// peer (unsubscribe from every object, forget_peer) and asks
-  /// reparent() of each object.
-  std::optional<std::vector<net::Address>> apply_view(
-      const membership::View& view);
-  /// The per-object half of the last view: when `l`'s upstream left it,
-  /// re-parents `l` by membership::choose_upstream as `self` (a store
+  /// The store adopted `view` after `previous` (its ViewFollower's
+  /// handover). Returns the members of `previous` that `view` lacks. The
+  /// caller then forgets each departed peer (unsubscribe from every
+  /// object, forget_peer) and asks reparent() of each object.
+  std::vector<net::Address> apply_view(const membership::View& previous,
+                                       const membership::View& view);
+  /// The per-object half of the adopted `view`: when `l`'s upstream left
+  /// it, re-parents `l` by membership::choose_upstream as `self` (a store
   /// only ever re-parents upward). True when the object must
   /// re-subscribe: its upstream changed, or the store missed epochs
   /// (evicted and re-admitted, most likely), so an upstream may have
   /// dropped it.
-  bool reparent(Links& l, const net::Address& self) const;
+  bool reparent(Links& l, const membership::View& view,
+                const net::Address& self) const;
   /// `peer` subscribes to `l`'s object `id`; `beacons`: the object
   /// advertises its clock on the peer's lane. True for a new subscriber,
   /// whose pause verdict is cleared: it may be re-joining after an
@@ -165,14 +160,11 @@ class Topology {
   }
   /// The objects on `peer`'s beacon lane.
   [[nodiscard]] std::vector<ObjectId> lane(const net::Address& peer) const;
-  /// The last applied view (epoch 0 of the store's subgroup before the
-  /// first), the base that ViewDelta diffs apply onto.
-  [[nodiscard]] const membership::View& view() const { return view_; }
 
  private:
   bool primary_;
   bool membership_;
-  bool jumped_ = false;  // the last view skipped epochs
+  bool jumped_ = false;  // the adopted view skipped epochs
   // Per subscriber peer: the hosted objects it subscribes to that
   // advertise their clock. The objects whose frontier moved since the
   // last beacon.
@@ -180,7 +172,6 @@ class Topology {
   std::set<ObjectId> moved_;
   // Per paused peer: the propagation rounds parked for it.
   std::map<std::uint64_t, std::size_t> paused_;
-  membership::View view_;
 };
 
 }  // namespace globe::replication

@@ -1,9 +1,11 @@
 // A store's propagation graph over views alone: no Testbed, no
-// Simulator. A view reports the peers that left and whether the store
-// missed epochs; an object re-parents only upward when its upstream
-// leaves; a fresh subscribe clears a stale pause verdict; a paused peer
-// is dropped past either flow-control deadline; and push targets and the
-// upstream-fold gate follow the object's links.
+// Simulator. A view change (the previous and the adopted view) reports
+// the peers that left and whether the store missed epochs; an object
+// re-parents only upward when its upstream leaves; a fresh subscribe
+// clears a stale pause verdict; a paused peer is dropped past either
+// flow-control deadline; and push targets and the upstream-fold gate
+// follow the object's links. Which views are adopted at all is
+// view_follower_test's.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -44,61 +46,54 @@ membership::View view(std::uint64_t epoch,
 }
 
 TEST(Topology, ViewReportsDepartedPeersAndEpochJumps) {
-  Topology t(/*primary=*/false, /*membership=*/true, kScope, 0);
+  Topology t(/*primary=*/false, /*membership=*/true);
   Topology::Links cache{kMirror2.address, {}};
-  const auto first = t.apply_view(view(1, {kPrimary, kMirror2, kCache6}));
-  ASSERT_TRUE(first.has_value());
-  EXPECT_TRUE(first->empty());
-  EXPECT_FALSE(t.reparent(cache, kCache6.address));  // nothing to do
+  const membership::View v1 = view(1, {kPrimary, kMirror2, kCache6});
+  EXPECT_TRUE(t.apply_view(view(0, {}), v1).empty());
+  EXPECT_FALSE(t.reparent(cache, v1, kCache6.address));  // nothing to do
 
-  EXPECT_FALSE(t.apply_view(view(1, {kPrimary})).has_value());  // not newer
-  membership::View other_shard = view(5, {kPrimary});
-  other_shard.shard = 1;
-  EXPECT_FALSE(t.apply_view(other_shard).has_value());
-
-  const auto next = t.apply_view(view(3, {kPrimary, kMirror2, kCache6}));
-  ASSERT_TRUE(next.has_value());
-  EXPECT_TRUE(next->empty());
+  const membership::View v3 = view(3, {kPrimary, kMirror2, kCache6});
+  EXPECT_TRUE(t.apply_view(v1, v3).empty());
   // Epoch 2 never arrived: the upstream may have dropped this store.
-  EXPECT_TRUE(t.reparent(cache, kCache6.address));
+  EXPECT_TRUE(t.reparent(cache, v3, kCache6.address));
   EXPECT_EQ(cache.upstream, kMirror2.address);
 
-  const auto last = t.apply_view(view(4, {kPrimary, kCache6}));
-  ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(*last, std::vector<net::Address>{kMirror2.address});
-  EXPECT_EQ(t.view().epoch, 4u);
+  const membership::View v4 = view(4, {kPrimary, kCache6});
+  EXPECT_EQ(t.apply_view(v3, v4),
+            std::vector<net::Address>{kMirror2.address});
 
   // A full view may list the members in another order.
-  const auto reordered = t.apply_view(view(5, {kCache6, kMirror4}));
-  ASSERT_TRUE(reordered.has_value());
-  EXPECT_EQ(*reordered, std::vector<net::Address>{kPrimary.address});
+  EXPECT_EQ(t.apply_view(v4, view(5, {kCache6, kMirror4})),
+            std::vector<net::Address>{kPrimary.address});
 }
 
 TEST(Topology, ReparentsOnlyUpward) {
-  Topology t(/*primary=*/false, /*membership=*/true, kScope, 0);
+  Topology t(/*primary=*/false, /*membership=*/true);
   Topology::Links cache{kMirror4.address, {}};
   Topology::Links mirror{kPrimary.address, {}};
-  ASSERT_TRUE(t.apply_view(view(1, {kMirror2, kMirror4, kCache6})));
+  const membership::View v1 = view(1, {kMirror2, kMirror4, kCache6});
+  t.apply_view(view(0, {}), v1);
   // The cache's upstream is in the view; the mirror's (the primary) is
   // not, and no member is above mirror 2, so it keeps its upstream.
-  EXPECT_FALSE(t.reparent(cache, kCache6.address));
-  EXPECT_FALSE(t.reparent(mirror, kMirror2.address));
+  EXPECT_FALSE(t.reparent(cache, v1, kCache6.address));
+  EXPECT_FALSE(t.reparent(mirror, v1, kMirror2.address));
   EXPECT_EQ(mirror.upstream, kPrimary.address);
 
-  ASSERT_TRUE(t.apply_view(view(2, {kMirror2, kCache6})));
-  EXPECT_TRUE(t.reparent(cache, kCache6.address));
+  const membership::View v2 = view(2, {kMirror2, kCache6});
+  t.apply_view(v1, v2);
+  EXPECT_TRUE(t.reparent(cache, v2, kCache6.address));
   EXPECT_EQ(cache.upstream, kMirror2.address);
 
   // The primary never re-parents, even after missed epochs.
-  Topology primary(/*primary=*/true, /*membership=*/true, kScope, 0);
+  Topology primary(/*primary=*/true, /*membership=*/true);
   Topology::Links none;
-  ASSERT_TRUE(primary.apply_view(view(1, {kMirror2})));
-  ASSERT_TRUE(primary.apply_view(view(3, {kMirror2})));
-  EXPECT_FALSE(primary.reparent(none, kPrimary.address));
+  const membership::View v3 = view(3, {kMirror2});
+  primary.apply_view(view(1, {kMirror2}), v3);
+  EXPECT_FALSE(primary.reparent(none, v3, kPrimary.address));
 }
 
 TEST(Topology, PeerBookkeepingAndFlowDeadlines) {
-  Topology t(/*primary=*/false, /*membership=*/false, kScope, 0);
+  Topology t(/*primary=*/false, /*membership=*/false);
   const net::Address peer = kCache6.address;
   const std::uint64_t key = addr_key(peer);
   Topology::Links a{kPrimary.address, {}};
@@ -137,7 +132,7 @@ TEST(Topology, PushTargetsAndTheFoldGate) {
   core::ReplicationPolicy pull = pram;
   pull.initiative = core::TransferInitiative::kPull;
 
-  Topology t(/*primary=*/false, /*membership=*/false, kScope, 0);
+  Topology t(/*primary=*/false, /*membership=*/false);
   const net::Address up = kMirror2.address;
   Topology::Links l{up, {}};
   t.subscribe(l, 1, kMirror4.address, false);
@@ -164,7 +159,7 @@ TEST(Topology, PushTargetsAndTheFoldGate) {
   EXPECT_FALSE(t.may_fold(l, up));
   EXPECT_TRUE(t.may_fold(leaf, up));
   EXPECT_FALSE(t.may_fold(leaf, kMirror4.address));
-  Topology viewed(/*primary=*/false, /*membership=*/true, kScope, 0);
+  Topology viewed(/*primary=*/false, /*membership=*/true);
   EXPECT_FALSE(viewed.may_fold(leaf, up));
 }
 
