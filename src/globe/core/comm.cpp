@@ -6,8 +6,8 @@
 namespace globe::core {
 
 CommunicationObject::CommunicationObject(sim::Simulator* sim,
-                                         TrafficObserver* observer)
-    : sim_(sim), observer_(observer) {}
+                                         metrics::MetricsSink* metrics)
+    : sim_(sim), metrics_(metrics) {}
 
 void CommunicationObject::open(const TransportFactory& factory,
                                DeliveryHandler handler) {
@@ -73,7 +73,7 @@ std::uint64_t CommunicationObject::start_request(
 
 void CommunicationObject::transmit(const Address& to, MsgType type,
                                    Buffer wire) {
-  if (observer_ != nullptr) observer_->on_send(type, wire.size());
+  count(type, wire.size());
   transport_->send(to, std::move(wire));
 }
 

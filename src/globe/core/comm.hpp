@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "globe/metrics/stats.hpp"
 #include "globe/msg/envelope.hpp"
 #include "globe/net/transport.hpp"
 #include "globe/obs/trace.hpp"
@@ -43,13 +44,6 @@ using msg::EnvelopeView;
 using msg::MsgType;
 using net::Address;
 using util::Buffer;
-
-/// Observer for outbound traffic; implemented by the metrics layer.
-class TrafficObserver {
- public:
-  virtual ~TrafficObserver() = default;
-  virtual void on_send(MsgType type, std::size_t bytes) = 0;
-};
 
 /// Creates a transport bound to a fresh endpoint whose incoming messages
 /// go to `handler`. Provided by the runtime (simulated or loopback).
@@ -68,10 +62,10 @@ class CommunicationObject {
                          const EnvelopeView& env)>;
 
   /// `sim` may be null (loopback runtime); request timeouts then require
-  /// the caller not to pass a timeout. The object has no endpoint until
-  /// open().
+  /// the caller not to pass a timeout. `metrics`, when set, counts every
+  /// datagram sent, by type. The object has no endpoint until open().
   explicit CommunicationObject(sim::Simulator* sim,
-                               TrafficObserver* observer = nullptr);
+                               metrics::MetricsSink* metrics = nullptr);
 
   CommunicationObject(const CommunicationObject&) = delete;
   CommunicationObject& operator=(const CommunicationObject&) = delete;
@@ -108,7 +102,7 @@ class CommunicationObject {
   void send_with_background(const Address& to, MsgType type, ObjectId object,
                             F&& encode_body) {
     Buffer wire = make_wire(type, object, 0, std::forward<F>(encode_body));
-    if (observer_ != nullptr) observer_->on_send(type, wire.size());
+    count(type, wire.size());
     transport_->send_background(to, std::move(wire));
   }
 
@@ -158,11 +152,7 @@ class CommunicationObject {
     if (to.empty()) return;
     const auto wire = std::make_shared<const Buffer>(
         make_wire(type, object, 0, std::forward<F>(encode_body)));
-    if (observer_ != nullptr) {
-      for (std::size_t i = 0; i < to.size(); ++i) {
-        observer_->on_send(type, wire->size());
-      }
-    }
+    count(type, wire->size(), to.size());
     if (background) {
       // Beacon lane stays per-destination: it bypasses flow control.
       for (const Address& addr : to) {
@@ -215,6 +205,14 @@ class CommunicationObject {
     return w.take();
   }
 
+  /// Counts `n` sends of one `bytes`-long datagram, when metrics are on.
+  void count(MsgType type, std::size_t bytes, std::size_t n = 1) {
+    if (metrics_ == nullptr) return;
+    for (std::size_t i = 0; i < n; ++i) {
+      metrics_->on_message(static_cast<std::uint8_t>(type), bytes);
+    }
+  }
+
   /// Emits the wire.send span for an outgoing traced datagram and
   /// returns the context to carry (invalid if the thread has none).
   [[nodiscard]] obs::TraceContext note_wire_send(MsgType type,
@@ -230,7 +228,7 @@ class CommunicationObject {
   void on_timeout(std::uint64_t request_id);
 
   sim::Simulator* sim_;
-  TrafficObserver* observer_;
+  metrics::MetricsSink* metrics_;
   DeliveryHandler deliver_;
   std::unique_ptr<net::Transport> transport_;
   // Set while open() runs the factory. A datagram the transport delivers

@@ -14,14 +14,13 @@ ClientBinding::ClientBinding(const TransportFactory& factory,
                              metrics::MetricsSink* metrics)
     : sim_(sim),
       options_(std::move(options)),
-      traffic_(metrics),
       history_(history),
       metrics_(metrics),
       follower_(options_.membership, options_.object, 0,
                 [this](const auto&, const auto& view) {
                   on_view_change(view);
                 }),
-      comm_(&sim, &traffic_) {
+      comm_(&sim, metrics) {
   // A binding that watches the object's replica view receives the
   // membership service's pushes, every epoch as a ViewDelta diff, and
   // follows them; it re-resolves its stores when one of them leaves the

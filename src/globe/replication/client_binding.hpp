@@ -265,22 +265,8 @@ class ClientBinding {
            options_.object_model == coherence::ObjectModel::kEventual;
   }
 
-  class TrafficAdapter final : public core::TrafficObserver {
-   public:
-    explicit TrafficAdapter(metrics::MetricsSink* sink) : sink_(sink) {}
-    void on_send(msg::MsgType type, std::size_t bytes) override {
-      if (sink_ != nullptr) {
-        sink_->on_message(static_cast<std::uint8_t>(type), bytes);
-      }
-    }
-
-   private:
-    metrics::MetricsSink* sink_;
-  };
-
   sim::Simulator& sim_;
   BindOptions options_;
-  TrafficAdapter traffic_;
 
   std::uint64_t op_index_ = 0;  // program order, across all sessions
   std::map<ObjectId, std::unique_ptr<Session>> sessions_;

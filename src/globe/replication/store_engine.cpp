@@ -119,7 +119,6 @@ StoreEngine::StoreEngine(const TransportFactory& factory, sim::Simulator& sim,
                          metrics::MetricsSink* metrics)
     : sim_(sim),
       config_(std::move(config)),
-      traffic_(metrics),
       topo_(config_.is_primary, config_.membership.valid()),
       history_(history),
       metrics_(metrics),
@@ -127,7 +126,7 @@ StoreEngine::StoreEngine(const TransportFactory& factory, sim::Simulator& sim,
                 [this](const auto& previous, const auto& view) {
                   apply_view(previous, view);
                 }),
-      comm_(&sim, &traffic_) {
+      comm_(&sim, metrics) {
   comm_.open(factory,
              [this](const Address& from, const msg::EnvelopeView& env) {
                on_message(from, env);

@@ -524,22 +524,8 @@ class StoreEngine {
   void reply_invoke(ObjectState& o, const Address& to,
                     std::uint64_t request_id, const InvokeReply& rep);
 
-  class TrafficAdapter final : public core::TrafficObserver {
-   public:
-    explicit TrafficAdapter(metrics::MetricsSink* sink) : sink_(sink) {}
-    void on_send(msg::MsgType type, std::size_t bytes) override {
-      if (sink_ != nullptr) {
-        sink_->on_message(static_cast<std::uint8_t>(type), bytes);
-      }
-    }
-
-   private:
-    metrics::MetricsSink* sink_;
-  };
-
   sim::Simulator& sim_;
   StoreConfig config_;
-  TrafficAdapter traffic_;
 
   // The object table. Entries are never removed.
   std::map<ObjectId, std::unique_ptr<ObjectState>> objects_;

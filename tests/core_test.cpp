@@ -232,20 +232,13 @@ TEST_F(CommTest, MulticastReachesAllTargets) {
   EXPECT_EQ(received, 4);
 }
 
-TEST_F(CommTest, TrafficObserverSeesOutboundBytes) {
-  struct Observer : TrafficObserver {
-    std::uint64_t bytes = 0;
-    int messages = 0;
-    void on_send(msg::MsgType, std::size_t b) override {
-      bytes += b;
-      ++messages;
-    }
-  } obs;
-  CommunicationObject a(&sim, &obs);
+TEST_F(CommTest, MetricsSinkSeesOutboundBytes) {
+  metrics::MetricsSink sink;
+  CommunicationObject a(&sim, &sink);
   a.open(factory(node_a), {});
   a.send({node_b, 1}, msg::MsgType::kUpdate, 1, util::to_buffer("12345"));
-  EXPECT_EQ(obs.messages, 1);
-  EXPECT_GT(obs.bytes, 5u);  // envelope overhead + payload
+  EXPECT_EQ(sink.total_traffic().messages, 1u);
+  EXPECT_GT(sink.total_traffic().bytes, 5u);  // envelope overhead + payload
 }
 
 // ---- Web semantics object -------------------------------------------
