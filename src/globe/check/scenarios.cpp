@@ -122,8 +122,7 @@ ScenarioVerdict run_partition_churn(std::uint64_t seed,
     core::ReplicationPolicy policy;
     policy.model = profile.model;
     policy.object_outdate_reaction = core::OutdateReaction::kDemand;
-    if (profile.model == ObjectModel::kCausal ||
-        profile.model == ObjectModel::kEventual) {
+    if (coherence::multi_master(profile.model)) {
       policy.write_set = core::WriteSet::kMultiple;
     }
     if (profile.pull) {

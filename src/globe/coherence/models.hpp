@@ -28,6 +28,12 @@ enum class ObjectModel : std::uint8_t {
 
 [[nodiscard]] const char* to_string(ObjectModel m);
 
+/// True for the models that accept writes at any store (causal and
+/// eventual); the others order writes at the primary.
+[[nodiscard]] constexpr bool multi_master(ObjectModel m) {
+  return m == ObjectModel::kCausal || m == ObjectModel::kEventual;
+}
+
 /// Client-based coherence models (Section 3.2.2); these are the Bayou
 /// session guarantees, but *guaranteed* by the stores rather than merely
 /// checked. They may be combined, so they form a bitmask.

@@ -39,16 +39,6 @@ const char* to_string(OutdateReaction v) {
 
 std::string ReplicationPolicy::validate() const {
   using coherence::ObjectModel;
-  if (write_set == WriteSet::kSingle &&
-      (model == ObjectModel::kCausal || model == ObjectModel::kEventual)) {
-    // Allowed, but pointless combinations are accepted; nothing to flag.
-  }
-  if (write_set == WriteSet::kMultiple &&
-      (model == ObjectModel::kPram || model == ObjectModel::kFifoPram ||
-       model == ObjectModel::kSequential)) {
-    // Multiple writers with a primary-ordered model is fine (the primary
-    // serializes), so nothing to flag either.
-  }
   if (model == ObjectModel::kSequential &&
       coherence_transfer == CoherenceTransfer::kNotification &&
       object_outdate_reaction == OutdateReaction::kWait &&
@@ -67,8 +57,7 @@ std::string ReplicationPolicy::validate() const {
       lazy_period.count_micros() <= 0) {
     return "lazy transfer instant requires a positive period";
   }
-  const bool multi_master =
-      model == ObjectModel::kCausal || model == ObjectModel::kEventual;
+  const bool multi_master = coherence::multi_master(model);
   if (multi_master && propagation == Propagation::kInvalidate) {
     return "invalidate propagation requires a single data root; "
            "multi-master models (causal/eventual) accept writes at any "

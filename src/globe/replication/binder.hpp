@@ -69,25 +69,9 @@ class Binder {
     });
   }
 
-  /// Contact selection, exposed for tests: nearest layer at or below the
-  /// preferred one; falls back upward (cache -> mirror -> permanent).
-  /// The logic lives in naming/contact.hpp so that view-change rebinding
-  /// (ClientBinding) resolves contacts exactly like the initial bind.
-  static const naming::ContactPoint* choose_read_contact(
-      const std::vector<naming::ContactPoint>& contacts,
-      naming::StoreClass preferred) {
-    return naming::choose_read_contact(contacts, preferred);
-  }
-
-  static const naming::ContactPoint* choose_write_contact(
-      const std::vector<naming::ContactPoint>& contacts,
-      coherence::ObjectModel model, const naming::ContactPoint* read_choice) {
-    const bool multi_master = model == coherence::ObjectModel::kCausal ||
-                              model == coherence::ObjectModel::kEventual;
-    return naming::choose_write_contact(contacts, multi_master, read_choice);
-  }
-
  private:
+  // Contact selection lives in naming/contact.hpp, so that view-change
+  // rebinding (ClientBinding) resolves contacts exactly like the bind.
   std::unique_ptr<ClientBinding> make_binding(
       ObjectId object, const BindRequest& request,
       const std::vector<naming::ContactPoint>& contacts) {
@@ -95,8 +79,8 @@ class Binder {
         naming::choose_read_contact(contacts, kPreferredReadLayer,
                                     naming::contact_spread(object,
                                                            request.client));
-    const auto* write =
-        choose_write_contact(contacts, request.object_model, read);
+    const auto* write = naming::choose_write_contact(
+        contacts, coherence::multi_master(request.object_model), read);
     if (read == nullptr) return nullptr;
     BindOptions opts;
     opts.object = object;

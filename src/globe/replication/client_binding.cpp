@@ -84,8 +84,8 @@ void ClientBinding::apply_resolution(Session& s) {
   const naming::ContactPoint* read = naming::choose_read_contact(
       res->contacts, kPreferredReadLayer,
       naming::contact_spread(s.object, options_.client));
-  const naming::ContactPoint* write =
-      naming::choose_write_contact(res->contacts, multi_master(), read);
+  const naming::ContactPoint* write = naming::choose_write_contact(
+      res->contacts, coherence::multi_master(options_.object_model), read);
   const Address old_read = s.read_store;
   const Address old_write = s.write_store;
   if (read != nullptr) s.read_store = read->address;
@@ -148,12 +148,13 @@ void ClientBinding::on_view_change(const membership::View& view) {
     }
   }
   if (!view.contains(s.write_store)) {
+    const bool multi_master = coherence::multi_master(options_.object_model);
     const naming::ContactPoint* write = naming::choose_write_contact(
-        view.members, multi_master(), view.find(s.read_store));
+        view.members, multi_master, view.find(s.read_store));
     if (write != nullptr) {
       s.write_store = write->address;
       ++rebinds_;
-    } else if (multi_master()) {
+    } else if (multi_master) {
       s.write_store = s.read_store;
       ++rebinds_;
     }

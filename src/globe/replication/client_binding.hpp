@@ -260,10 +260,6 @@ class ClientBinding {
   void announce_watch(bool subscribe);
   void on_operation_failed(Session& s);
   [[nodiscard]] bool wants(ClientModel m) const;
-  [[nodiscard]] bool multi_master() const {
-    return options_.object_model == coherence::ObjectModel::kCausal ||
-           options_.object_model == coherence::ObjectModel::kEventual;
-  }
 
   sim::Simulator& sim_;
   BindOptions options_;

@@ -19,11 +19,6 @@ ObjectReplica::ObjectReplica(const ReplicaConfig& config)
 
 ObjectReplica::~ObjectReplica() { check::release(this); }
 
-bool ObjectReplica::multi_master() const {
-  return config_.model == ObjectModel::kCausal ||
-         config_.model == ObjectModel::kEventual;
-}
-
 bool ObjectReplica::sequential() const {
   return config_.model == ObjectModel::kSequential;
 }
@@ -81,7 +76,8 @@ ApplyRound ObjectReplica::apply(std::vector<web::WriteRecord> ready,
   for (web::WriteRecord& rec : ready) {
     // The primary stamps the total-order position at apply time for the
     // primary-ordered models (sequential records were stamped earlier).
-    if (config_.primary && rec.global_seq == 0 && !multi_master()) {
+    if (config_.primary && rec.global_seq == 0 &&
+        !coherence::multi_master(config_.model)) {
       rec.global_seq = next_gseq_ + 1;
     }
     next_gseq_ = std::max(next_gseq_, rec.global_seq);
@@ -97,7 +93,7 @@ ApplyRound ObjectReplica::apply(std::vector<web::WriteRecord> ready,
     // every receive), so LWW picks a causally-consistent winner among
     // concurrent writes and every replica converges.
     bool changed = true;
-    if (multi_master()) {
+    if (coherence::multi_master(config_.model)) {
       changed = doc.apply_lww(rec, page);
     } else {
       doc.apply(rec, page);

@@ -230,7 +230,6 @@ class ObjectReplica {
   void release_page(web::PageId id);
 
  private:
-  [[nodiscard]] bool multi_master() const;
   [[nodiscard]] bool sequential() const;
   /// The one admission: an ordered write under the eventual model passes
   /// the monotonic-writes filter first, every record then the orderer.

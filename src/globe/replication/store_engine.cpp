@@ -342,14 +342,8 @@ bool StoreEngine::enforces_model(const ObjectConfig& cfg) const {
   return true;
 }
 
-bool StoreEngine::multi_master(const ObjectState& o) {
-  return o.cfg.policy.model == ObjectModel::kCausal ||
-         o.cfg.policy.model == ObjectModel::kEventual;
-}
-
 bool StoreEngine::accepts_writes(const ObjectState& o) const {
-  if (multi_master(o)) return true;
-  return config_.is_primary;
+  return coherence::multi_master(o.cfg.policy.model) || config_.is_primary;
 }
 
 void StoreEngine::finalize_propagation() {
@@ -971,7 +965,7 @@ void StoreEngine::forget_peer(const Address& peer) {
 }
 
 void StoreEngine::pull_from_upstream(ObjectState& o) {
-  if (multi_master(o)) {
+  if (coherence::multi_master(o.cfg.policy.model)) {
     // Anti-entropy exchange: offer my clock; receive missing records and
     // learn what the upstream is missing so I can push it back.
     AntiEntropyRequest reqmsg;
@@ -1265,7 +1259,7 @@ void StoreEngine::apply_view(const membership::View& previous,
 void StoreEngine::resync(ObjectState& o) {
   if (config_.is_primary || !o.ready || !alive_ || departed_) return;
   o.demand_retry_budget = 100;  // re-arm: a re-subscribe is fresh progress
-  if (multi_master(o)) {
+  if (coherence::multi_master(o.cfg.policy.model)) {
     // One anti-entropy exchange heals both directions with the upstream;
     // records received re-propagate to our own subscribers as usual.
     pull_from_upstream(o);

@@ -517,7 +517,6 @@ class StoreEngine {
 
   // ---- helpers ----
   [[nodiscard]] bool enforces_model(const ObjectConfig& cfg) const;
-  [[nodiscard]] static bool multi_master(const ObjectState& o);
   void record_snapshot_event(ObjectState& o);
   [[nodiscard]] InvokeReply make_read_reply(ObjectState& o,
                                             const ClientRequest& req);

@@ -303,9 +303,7 @@ ClientBinding& Testbed::add_client_at(NodeId node, ObjectId object,
   auto pit = primaries_.find(object);
   if (pit != primaries_.end()) {
     opts.object_model = pit->second->object_config(object).policy.model;
-    const bool single_master =
-        opts.object_model != coherence::ObjectModel::kCausal &&
-        opts.object_model != coherence::ObjectModel::kEventual;
+    const bool single_master = !coherence::multi_master(opts.object_model);
     opts.write_store = write_store.valid()
                            ? write_store
                            : (single_master ? pit->second->address()

@@ -122,8 +122,7 @@ class Topology {
   // engine's apply loop can inline them.
   /// True when a non-primary multi-master object pushes to its upstream.
   [[nodiscard]] bool pushes_upstream(const core::ReplicationPolicy& p) const {
-    return !primary_ && (p.model == coherence::ObjectModel::kCausal ||
-                         p.model == coherence::ObjectModel::kEventual);
+    return !primary_ && coherence::multi_master(p.model);
   }
   /// True when a record that arrived from `origin` (0 = local) has a
   /// push target to travel on to. Allocates nothing.

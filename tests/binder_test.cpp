@@ -38,12 +38,12 @@ TEST(ContactSelection, PrefersRequestedLayerThenFallsBack) {
       contact(naming::StoreClass::kObjectInitiated, 2),
       contact(naming::StoreClass::kClientInitiated, 3),
   };
-  const auto* cache = Binder::choose_read_contact(
+  const auto* cache = naming::choose_read_contact(
       contacts, naming::StoreClass::kClientInitiated);
   ASSERT_NE(cache, nullptr);
   EXPECT_EQ(cache->address.node, 3u);
 
-  const auto* mirror = Binder::choose_read_contact(
+  const auto* mirror = naming::choose_read_contact(
       contacts, naming::StoreClass::kObjectInitiated);
   EXPECT_EQ(mirror->address.node, 2u);
 
@@ -52,7 +52,7 @@ TEST(ContactSelection, PrefersRequestedLayerThenFallsBack) {
       contact(naming::StoreClass::kPermanent, 1, true),
       contact(naming::StoreClass::kObjectInitiated, 2),
   };
-  const auto* fallback = Binder::choose_read_contact(
+  const auto* fallback = naming::choose_read_contact(
       no_cache, naming::StoreClass::kClientInitiated);
   EXPECT_EQ(fallback->address.node, 2u);
 }
@@ -62,15 +62,16 @@ TEST(ContactSelection, WritesGoToPrimaryForSingleMasterModels) {
       contact(naming::StoreClass::kClientInitiated, 3),
       contact(naming::StoreClass::kPermanent, 1, true),
   };
-  const auto* read = Binder::choose_read_contact(
+  const auto* read = naming::choose_read_contact(
       contacts, naming::StoreClass::kClientInitiated);
-  const auto* write = Binder::choose_write_contact(
-      contacts, coherence::ObjectModel::kPram, read);
+  const auto* write = naming::choose_write_contact(
+      contacts, coherence::multi_master(coherence::ObjectModel::kPram), read);
   ASSERT_NE(write, nullptr);
   EXPECT_TRUE(write->is_primary);
 
-  const auto* local = Binder::choose_write_contact(
-      contacts, coherence::ObjectModel::kEventual, read);
+  const auto* local = naming::choose_write_contact(
+      contacts, coherence::multi_master(coherence::ObjectModel::kEventual),
+      read);
   EXPECT_EQ(local, read);  // multi-master: write where you read
 }
 
