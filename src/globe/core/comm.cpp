@@ -31,22 +31,6 @@ void CommunicationObject::open(const TransportFactory& factory,
   }
 }
 
-void CommunicationObject::send(const Address& to, MsgType type,
-                               ObjectId object, Buffer body) {
-  send_with(to, type, object,
-            [&](util::Writer& w) { w.raw(util::BytesView(body)); });
-}
-
-std::uint64_t CommunicationObject::request(const Address& to, MsgType type,
-                                           ObjectId object, Buffer body,
-                                           ReplyHandler handler,
-                                           sim::SimDuration timeout,
-                                           int retries) {
-  return request_with(to, type, object,
-                      [&](util::Writer& w) { w.raw(util::BytesView(body)); },
-                      std::move(handler), timeout, retries);
-}
-
 std::uint64_t CommunicationObject::start_request(
     const Address& to, MsgType type, std::uint64_t request_id, Buffer wire,
     ReplyHandler handler, sim::SimDuration timeout, int retries) {

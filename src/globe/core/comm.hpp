@@ -8,14 +8,14 @@
 //  (Section 2)
 //
 // The communication object offers:
-//   * send / send_with       — one-way point-to-point,
-//   * request / request_with — point-to-point with reply correlation,
-//   * reply_with             — answer a correlated request,
-//   * multicast_with         — one-way to a set of addresses.
+//   * send_with      — one-way point-to-point,
+//   * request_with   — point-to-point with reply correlation,
+//   * reply_with     — answer a correlated request,
+//   * multicast_with — one-way to a set of addresses.
 // It never inspects message bodies; it sees only envelopes.
 //
-// Copy discipline: the *_with variants take an encoder functor and
-// serialize header plus body into a single wire buffer — no intermediate
+// Copy discipline: every sender takes an encoder functor and
+// serializes header plus body into a single wire buffer — no intermediate
 // body buffer, no header/body stitch copy. On receive, the handler gets
 // an EnvelopeView whose body borrows the transport's receive buffer;
 // nothing is copied until a decoder materializes owned fields.
@@ -83,11 +83,9 @@ class CommunicationObject {
     return transport_->local_address();
   }
 
-  /// One-way message (request_id = 0).
-  void send(const Address& to, MsgType type, ObjectId object, Buffer body);
-
-  /// One-way message whose body is serialized straight into the wire
-  /// buffer: `encode_body(Writer&)` runs after the envelope header.
+  /// One-way message (request_id = 0) whose body is serialized straight
+  /// into the wire buffer: `encode_body(Writer&)` runs after the envelope
+  /// header.
   template <typename F>
   void send_with(const Address& to, MsgType type, ObjectId object,
                  F&& encode_body) {
@@ -106,15 +104,10 @@ class CommunicationObject {
     transport_->send_background(to, std::move(wire));
   }
 
-  /// Correlated request. Returns the request id. If `timeout` is positive
-  /// and no reply arrives in time, the handler is invoked with ok=false
-  /// (and the request retried `retries` times first).
-  std::uint64_t request(const Address& to, MsgType type, ObjectId object,
-                        Buffer body, ReplyHandler handler,
-                        sim::SimDuration timeout = sim::SimDuration(0),
-                        int retries = 0);
-
-  /// Correlated request with direct-to-wire body encoding.
+  /// Correlated request with direct-to-wire body encoding. Returns the
+  /// request id. If `timeout` is positive and no reply arrives in time,
+  /// the handler is invoked with ok=false (and the request retried
+  /// `retries` times first).
   template <typename F>
   std::uint64_t request_with(const Address& to, MsgType type, ObjectId object,
                              F&& encode_body, ReplyHandler handler,

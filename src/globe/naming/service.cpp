@@ -114,78 +114,85 @@ void NamingServer::on_message(const Address& from, const msg::EnvelopeView& env)
 
 void NamingClient::register_name(const std::string& name, ObjectId object,
                                  AckHandler cb) {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(NameOp::kRegister));
-  w.str(name);
-  w.varint(object);
-  comm_.request(server_, msg::MsgType::kNameRequest, object, w.take(),
-                [cb = std::move(cb)](bool ok, const Address&,
-                                     const msg::EnvelopeView& env) {
-                  if (!ok) {
-                    cb(false);
-                    return;
-                  }
-                  util::Reader r{env.body};
-                  cb(r.boolean());
-                });
+  comm_.request_with(
+      server_, msg::MsgType::kNameRequest, object,
+      [&](util::Writer& w) {
+        w.u8(static_cast<std::uint8_t>(NameOp::kRegister));
+        w.str(name);
+        w.varint(object);
+      },
+      [cb = std::move(cb)](bool ok, const Address&,
+                           const msg::EnvelopeView& env) {
+        if (!ok) {
+          cb(false);
+          return;
+        }
+        util::Reader r{env.body};
+        cb(r.boolean());
+      });
 }
 
 void NamingClient::lookup(const std::string& name, LookupHandler cb) {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(NameOp::kLookup));
-  w.str(name);
-  comm_.request(server_, msg::MsgType::kNameRequest, 0, w.take(),
-                [cb = std::move(cb)](bool ok, const Address&,
-                                     const msg::EnvelopeView& env) {
-                  if (!ok) {
-                    cb(false, 0);
-                    return;
-                  }
-                  util::Reader r{env.body};
-                  const bool found = r.boolean();
-                  cb(found, r.varint());
-                });
+  comm_.request_with(
+      server_, msg::MsgType::kNameRequest, 0,
+      [&](util::Writer& w) {
+        w.u8(static_cast<std::uint8_t>(NameOp::kLookup));
+        w.str(name);
+      },
+      [cb = std::move(cb)](bool ok, const Address&,
+                           const msg::EnvelopeView& env) {
+        if (!ok) {
+          cb(false, 0);
+          return;
+        }
+        util::Reader r{env.body};
+        const bool found = r.boolean();
+        cb(found, r.varint());
+      });
 }
 
 void NamingClient::register_contact(ObjectId object,
                                     const ContactPoint& contact,
                                     AckHandler cb) {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(LocateOp::kRegisterContact));
-  contact.encode(w);
-  comm_.request(server_, msg::MsgType::kLocateRequest, object, w.take(),
-                [cb = std::move(cb)](bool ok, const Address&,
-                                     const msg::EnvelopeView& env) {
-                  if (!ok) {
-                    cb(false);
-                    return;
-                  }
-                  util::Reader r{env.body};
-                  cb(r.boolean());
-                });
+  comm_.request_with(
+      server_, msg::MsgType::kLocateRequest, object,
+      [&](util::Writer& w) {
+        w.u8(static_cast<std::uint8_t>(LocateOp::kRegisterContact));
+        contact.encode(w);
+      },
+      [cb = std::move(cb)](bool ok, const Address&,
+                           const msg::EnvelopeView& env) {
+        if (!ok) {
+          cb(false);
+          return;
+        }
+        util::Reader r{env.body};
+        cb(r.boolean());
+      });
 }
 
 void NamingClient::locate(ObjectId object, LocateHandler cb) {
-  util::Writer w;
-  w.u8(static_cast<std::uint8_t>(LocateOp::kLocate));
-  comm_.request(server_, msg::MsgType::kLocateRequest, object, w.take(),
-                [cb = std::move(cb)](bool ok, const Address&,
-                                     const msg::EnvelopeView& env) {
-                  if (!ok) {
-                    cb(false, {});
-                    return;
-                  }
-                  util::Reader r{env.body};
-                  const bool found = r.boolean();
-                  const std::uint64_t n =
-                      r.count(ContactPoint::kMinEncodedBytes);
-                  std::vector<ContactPoint> contacts;
-                  contacts.reserve(n);
-                  for (std::uint64_t i = 0; i < n; ++i) {
-                    contacts.push_back(ContactPoint::decode(r));
-                  }
-                  cb(found, std::move(contacts));
-                });
+  comm_.request_with(
+      server_, msg::MsgType::kLocateRequest, object,
+      [](util::Writer& w) {
+        w.u8(static_cast<std::uint8_t>(LocateOp::kLocate));
+      },
+      [cb = std::move(cb)](bool ok, const Address&,
+                           const msg::EnvelopeView& env) {
+        if (!ok) {
+          cb(false, {});
+          return;
+        }
+        util::Reader r{env.body};
+        const bool found = r.boolean();
+        const std::uint64_t n = r.count(ContactPoint::kMinEncodedBytes);
+        std::vector<ContactPoint> contacts;
+        contacts.reserve(n);
+        for (std::uint64_t i = 0; i < n; ++i) {
+          contacts.push_back(ContactPoint::decode(r));
+        }
+        cb(found, std::move(contacts));
+      });
 }
 
 }  // namespace globe::naming

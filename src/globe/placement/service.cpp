@@ -22,16 +22,16 @@ PlacementServer::PlacementServer(const TransportFactory& factory,
 }
 
 void PlacementServer::set_layout(Layout layout) {
-  GLOBE_ASSERT_MSG(layout.epoch > layout_.epoch,
+  GLOBE_ASSERT_MSG(layout.epoch > state_.layout.epoch,
                    "layout epoch must advance");
-  layout_ = std::move(layout);
-  ++version_;
+  state_.layout = std::move(layout);
+  ++state_.version;
   notify_watchers();
 }
 
 void PlacementServer::register_contact(ShardId shard,
                                        const ContactPoint& contact) {
-  auto& list = contacts_[shard];
+  auto& list = state_.contacts[shard];
   auto it = std::find_if(list.begin(), list.end(), [&](const ContactPoint& c) {
     return c.address == contact.address;
   });
@@ -41,55 +41,37 @@ void PlacementServer::register_contact(ShardId shard,
   } else {
     list.push_back(contact);
   }
-  ++version_;
+  ++state_.version;
   notify_watchers();
 }
 
 void PlacementServer::unregister_contact(ShardId shard, const Address& addr) {
-  auto it = contacts_.find(shard);
-  if (it == contacts_.end()) return;
+  auto it = state_.contacts.find(shard);
+  if (it == state_.contacts.end()) return;
   const auto erased = std::erase_if(it->second, [&](const ContactPoint& c) {
     return c.address == addr;
   });
   if (erased == 0) return;
-  ++version_;
+  ++state_.version;
   notify_watchers();
 }
 
 std::vector<ContactPoint> PlacementServer::shard_contacts(
     ShardId shard) const {
-  auto it = contacts_.find(shard);
-  return it == contacts_.end() ? std::vector<ContactPoint>{} : it->second;
-}
-
-Resolution PlacementServer::resolve(ObjectId object) const {
-  Resolution res;
-  res.version = version_;
-  res.layout_epoch = layout_.epoch;
-  res.shard = layout_.shard_of(object);
-  res.contacts = shard_contacts(res.shard);
-  return res;
-}
-
-void PlacementServer::encode_state(util::Writer& w) const {
-  w.varint(version_);
-  layout_.encode(w);
-  w.varint(contacts_.size());
-  for (const auto& [shard, list] : contacts_) {
-    w.varint(shard);
-    w.varint(list.size());
-    for (const auto& c : list) c.encode(w);
-  }
+  auto it = state_.contacts.find(shard);
+  return it == state_.contacts.end() ? std::vector<ContactPoint>{}
+                                     : it->second;
 }
 
 PlacementServer::~PlacementServer() { check::release(this); }
 
 void PlacementServer::notify_watchers() {
-  GLOBE_CHECK_HOOK(on_placement_state(this, version_, layout_.epoch));
+  GLOBE_CHECK_HOOK(
+      on_placement_state(this, state_.version, state_.layout.epoch));
   if (watchers_.empty()) return;
   comm_.multicast_with(
       watchers_, msg::MsgType::kPlacementInvalidate, 0,
-      [this](util::Writer& w) { w.varint(version_); });
+      [this](util::Writer& w) { w.varint(state_.version); });
 }
 
 void PlacementServer::on_message(const Address& from,
@@ -98,7 +80,7 @@ void PlacementServer::on_message(const Address& from,
     case msg::MsgType::kPlacementFetch: {
       comm_.reply_with(from, msg::MsgType::kPlacementFetchReply, env.object,
                        env.request_id,
-                       [this](util::Writer& w) { encode_state(w); });
+                       [this](util::Writer& w) { state_.encode(w); });
       return;
     }
     case msg::MsgType::kPlacementWatch: {
@@ -138,18 +120,6 @@ void PlacementCache::start() {
   fetch();
 }
 
-std::optional<Resolution> PlacementCache::resolve(ObjectId object) const {
-  if (version_ == 0) return std::nullopt;
-  Resolution res;
-  res.version = version_;
-  res.layout_epoch = layout_.epoch;
-  res.shard = layout_.shard_of(object);
-  if (auto it = contacts_.find(res.shard); it != contacts_.end()) {
-    res.contacts = it->second;
-  }
-  return res;
-}
-
 void PlacementCache::ensure(EnsureHandler cb) {
   if (fresh()) {
     cb(true);
@@ -160,7 +130,7 @@ void PlacementCache::ensure(EnsureHandler cb) {
 }
 
 void PlacementCache::invalidate() {
-  if (version_ == 0 || stale_) return;
+  if (version() == 0 || stale_) return;
   stale_ = true;
   ++invalidations_;
 }
@@ -173,32 +143,16 @@ void PlacementCache::fetch() {
       [this](bool ok, const Address&, const msg::EnvelopeView& env) {
         fetch_in_flight_ = false;
         if (ok) {
-          // Decode into locals and commit only on success: a truncated or
-          // corrupt reply is a failed fetch, not an exception through the
-          // comm delivery path or a half-updated cache.
+          // Decode into a local and commit only on success: a truncated
+          // or corrupt reply is a failed fetch, not an exception through
+          // the comm delivery path or a half-updated cache.
           try {
-            util::Reader r{env.body};
-            const std::uint64_t version = r.varint();
-            Layout layout = Layout::decode(r);
-            std::map<ShardId, std::vector<ContactPoint>> contacts;
-            const std::uint64_t shards = r.varint();
-            for (std::uint64_t i = 0; i < shards; ++i) {
-              const ShardId shard = r.varint32();
-              const std::uint64_t n =
-                  r.count(ContactPoint::kMinEncodedBytes);
-              auto& list = contacts[shard];
-              list.reserve(n);
-              for (std::uint64_t j = 0; j < n; ++j) {
-                list.push_back(ContactPoint::decode(r));
-              }
-            }
-            version_ = version;
-            layout_ = std::move(layout);
-            contacts_ = std::move(contacts);
+            PlacementState state = PlacementState::decode(env.body);
+            state_ = std::move(state);
             stale_ = false;
             ++refreshes_;
             GLOBE_CHECK_HOOK(
-                on_placement_state(this, version_, layout_.epoch));
+                on_placement_state(this, state_.version, state_.layout.epoch));
           } catch (const util::CodecError&) {
             ok = false;
           }
@@ -218,8 +172,7 @@ void PlacementCache::on_message(const Address& from,
     return;
   }
   util::Reader r{env.body};
-  const std::uint64_t version = r.varint();
-  if (version != version_) invalidate();
+  if (r.varint() != version()) invalidate();
 }
 
 }  // namespace globe::placement

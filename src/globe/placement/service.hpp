@@ -38,6 +38,56 @@ struct Resolution {
   std::vector<ContactPoint> contacts;
 };
 
+/// The placement state: its version (bumped on every layout or contact
+/// change), the layout, and each shard's ordered contacts. The server
+/// owns one and a kPlacementFetchReply carries it; a cache holds a copy.
+struct PlacementState {
+  std::uint64_t version = 0;
+  Layout layout;
+  std::map<ShardId, std::vector<ContactPoint>> contacts;
+
+  /// `object`'s shard under this state and that shard's contacts.
+  [[nodiscard]] Resolution resolve(ObjectId object) const {
+    Resolution res;
+    res.version = version;
+    res.layout_epoch = layout.epoch;
+    res.shard = layout.shard_of(object);
+    if (auto it = contacts.find(res.shard); it != contacts.end()) {
+      res.contacts = it->second;
+    }
+    return res;
+  }
+
+  void encode(util::Writer& w) const {
+    w.varint(version);
+    layout.encode(w);
+    w.varint(contacts.size());
+    for (const auto& [shard, list] : contacts) {
+      w.varint(shard);
+      w.varint(list.size());
+      for (const auto& c : list) c.encode(w);
+    }
+  }
+
+  static PlacementState decode(util::BytesView wire) {
+    util::Reader r(wire);
+    PlacementState s;
+    s.version = r.varint();
+    s.layout = Layout::decode(r);
+    const std::uint64_t shards = r.count(2);  // a shard id and a count
+    for (std::uint64_t i = 0; i < shards; ++i) {
+      auto& list = s.contacts[r.varint32()];
+      const std::uint64_t n = r.count(ContactPoint::kMinEncodedBytes);
+      list.reserve(n);
+      for (std::uint64_t j = 0; j < n; ++j) {
+        list.push_back(ContactPoint::decode(r));
+      }
+    }
+    r.expect_end();
+    return s;
+  }
+};
+
 /// Server side: owns the layout and the per-shard contact tables.
 class PlacementServer {
  public:
@@ -48,26 +98,25 @@ class PlacementServer {
 
   /// Installs a new layout (epoch must advance) and notifies watchers.
   void set_layout(Layout layout);
-  [[nodiscard]] const Layout& layout() const { return layout_; }
+  [[nodiscard]] const Layout& layout() const { return state_.layout; }
 
   /// Placement-state version: bumped on every layout or contact change.
-  [[nodiscard]] std::uint64_t version() const { return version_; }
+  [[nodiscard]] std::uint64_t version() const { return state_.version; }
 
   void register_contact(ShardId shard, const ContactPoint& contact);
   void unregister_contact(ShardId shard, const Address& addr);
   [[nodiscard]] std::vector<ContactPoint> shard_contacts(ShardId shard) const;
 
-  [[nodiscard]] Resolution resolve(ObjectId object) const;
+  [[nodiscard]] Resolution resolve(ObjectId object) const {
+    return state_.resolve(object);
+  }
 
  private:
   void on_message(const Address& from, const msg::EnvelopeView& env);
-  void encode_state(util::Writer& w) const;
   void notify_watchers();
 
   CommunicationObject comm_;
-  Layout layout_;
-  std::map<ShardId, std::vector<ContactPoint>> contacts_;
-  std::uint64_t version_ = 1;
+  PlacementState state_{1, {}, {}};  // version 1: no layout, no contacts
   std::vector<Address> watchers_;
 };
 
@@ -88,13 +137,16 @@ class PlacementCache {
   void start();
 
   /// Version of the cached state; 0 until the first fetch completes.
-  [[nodiscard]] std::uint64_t version() const { return version_; }
-  [[nodiscard]] bool fresh() const { return version_ != 0 && !stale_; }
-  [[nodiscard]] const Layout& layout() const { return layout_; }
+  [[nodiscard]] std::uint64_t version() const { return state_.version; }
+  [[nodiscard]] bool fresh() const { return version() != 0 && !stale_; }
+  [[nodiscard]] const Layout& layout() const { return state_.layout; }
 
   /// Local resolution from the cached state; nullopt before the first
   /// fetch. Stale state still resolves (callers rebind on failure).
-  [[nodiscard]] std::optional<Resolution> resolve(ObjectId object) const;
+  [[nodiscard]] std::optional<Resolution> resolve(ObjectId object) const {
+    if (version() == 0) return std::nullopt;
+    return state_.resolve(object);
+  }
 
   /// Invokes `cb(true)` once the cache is fresh, fetching if necessary.
   void ensure(EnsureHandler cb);
@@ -111,9 +163,7 @@ class PlacementCache {
 
   CommunicationObject comm_;
   Address server_;
-  Layout layout_;
-  std::map<ShardId, std::vector<ContactPoint>> contacts_;
-  std::uint64_t version_ = 0;
+  PlacementState state_;
   bool stale_ = true;
   bool fetch_in_flight_ = false;
   std::uint64_t refreshes_ = 0;

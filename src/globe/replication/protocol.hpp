@@ -151,20 +151,6 @@ struct InvokeReply {
     r.expect_end();
     return rep;
   }
-
-  static InvokeReply decode(BytesView wire) {
-    View v = decode_view(wire);
-    InvokeReply rep;
-    rep.ok = v.ok;
-    rep.error = std::move(v.error);
-    rep.value = util::to_buffer(v.value);
-    rep.document = std::make_shared<const Buffer>(util::to_buffer(v.document));
-    rep.wid = v.wid;
-    rep.global_seq = v.global_seq;
-    rep.store_clock = std::move(v.store_clock);
-    rep.store = v.store;
-    return rep;
-  }
 };
 
 /// kWriteForward body: a write relayed towards the accepting store. The

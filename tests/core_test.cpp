@@ -15,6 +15,11 @@
 namespace globe::core {
 namespace {
 
+/// A body encoder that writes `s` as it is.
+auto body(std::string s) {
+  return [s = std::move(s)](util::Writer& w) { w.raw(util::to_buffer(s)); };
+}
+
 class CommTest : public ::testing::Test {
  protected:
   CommTest() : net(sim, 1) {
@@ -47,8 +52,7 @@ TEST_F(CommTest, OneWaySendDelivers) {
            got = env.to_owned();
          });
 
-  a.send(b.local_address(), msg::MsgType::kUpdate, 42,
-         util::to_buffer("payload"));
+  a.send_with(b.local_address(), msg::MsgType::kUpdate, 42, body("payload"));
   sim.run();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->type, msg::MsgType::kUpdate);
@@ -83,8 +87,7 @@ TEST_F(CommTest, DatagramDeliveredDuringTheBindReachesTheHandler) {
       },
       [&](const net::Address& from, const msg::EnvelopeView& env) {
         got = env.to_owned();
-        b.send(from, msg::MsgType::kNotify, env.object,
-               util::to_buffer("seen"));
+        b.send_with(from, msg::MsgType::kNotify, env.object, body("seen"));
       });
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->object, 7u);
@@ -107,11 +110,11 @@ TEST_F(CommTest, RequestReplyCorrelation) {
          });
 
   std::optional<std::string> answer;
-  a.request(b.local_address(), msg::MsgType::kFetchRequest, 1,
-            util::to_buffer("question"),
-            [&](bool ok, const net::Address&, const msg::EnvelopeView& env) {
-              if (ok) answer = util::to_string(env.body);
-            });
+  a.request_with(
+      b.local_address(), msg::MsgType::kFetchRequest, 1, body("question"),
+      [&](bool ok, const net::Address&, const msg::EnvelopeView& env) {
+        if (ok) answer = util::to_string(env.body);
+      });
   sim.run();
   ASSERT_TRUE(answer.has_value());
   EXPECT_EQ(*answer, "answer");
@@ -131,13 +134,13 @@ TEST_F(CommTest, ConcurrentRequestsKeepTheirHandlers) {
 
   std::vector<std::string> answers(3);
   for (int i = 0; i < 3; ++i) {
-    a.request(b.local_address(), msg::MsgType::kFetchRequest, 1,
-              util::to_buffer("q" + std::to_string(i)),
-              [&answers, i](bool ok, const net::Address&, const msg::EnvelopeView& env) {
-                if (ok) {
-                  answers[i] = util::to_string(env.body);
-                }
-              });
+    a.request_with(b.local_address(), msg::MsgType::kFetchRequest, 1,
+                   body("q" + std::to_string(i)),
+                   [&answers, i](bool ok, const net::Address&, const msg::EnvelopeView& env) {
+                     if (ok) {
+                       answers[i] = util::to_string(env.body);
+                     }
+                   });
   }
   sim.run();
   EXPECT_EQ(answers, (std::vector<std::string>{"q0", "q1", "q2"}));
@@ -152,11 +155,11 @@ TEST_F(CommTest, TimeoutFiresWhenNoReply) {
          [](const net::Address&, const msg::EnvelopeView&) {});
 
   bool failed = false;
-  a.request(b.local_address(), msg::MsgType::kFetchRequest, 1, {},
-            [&](bool ok, const net::Address&, const msg::EnvelopeView&) {
-              failed = !ok;
-            },
-            sim::SimDuration::millis(100));
+  a.request_with(b.local_address(), msg::MsgType::kFetchRequest, 1, body(""),
+                 [&](bool ok, const net::Address&, const msg::EnvelopeView&) {
+                   failed = !ok;
+                 },
+                 sim::SimDuration::millis(100));
   sim.run();
   EXPECT_TRUE(failed);
   EXPECT_EQ(a.pending_requests(), 0u);
@@ -174,11 +177,11 @@ TEST_F(CommTest, RetriesSucceedAfterTransientPartition) {
 
   net.partition(node_a, node_b);
   std::optional<bool> outcome;
-  a.request(b.local_address(), msg::MsgType::kFetchRequest, 1, {},
-            [&](bool ok, const net::Address&, const msg::EnvelopeView&) {
-              outcome = ok;
-            },
-            sim::SimDuration::millis(100), /*retries=*/3);
+  a.request_with(b.local_address(), msg::MsgType::kFetchRequest, 1, body(""),
+                 [&](bool ok, const net::Address&, const msg::EnvelopeView&) {
+                   outcome = ok;
+                 },
+                 sim::SimDuration::millis(100), /*retries=*/3);
   // Heal while retries are still pending.
   sim.schedule_after(sim::SimDuration::millis(150),
                      [&] { net.heal_all(); });
@@ -204,9 +207,9 @@ TEST_F(CommTest, LateReplyAfterTimeoutIsIgnored) {
          });
 
   int calls = 0;
-  a.request(b.local_address(), msg::MsgType::kFetchRequest, 1, {},
-            [&](bool, const net::Address&, const msg::EnvelopeView&) { ++calls; },
-            sim::SimDuration::millis(100));
+  a.request_with(b.local_address(), msg::MsgType::kFetchRequest, 1, body(""),
+                 [&](bool, const net::Address&, const msg::EnvelopeView&) { ++calls; },
+                 sim::SimDuration::millis(100));
   sim.run();
   EXPECT_EQ(calls, 1);  // the timeout only; late reply dropped
 }
@@ -236,7 +239,7 @@ TEST_F(CommTest, MetricsSinkSeesOutboundBytes) {
   metrics::MetricsSink sink;
   CommunicationObject a(&sim, &sink);
   a.open(factory(node_a), {});
-  a.send({node_b, 1}, msg::MsgType::kUpdate, 1, util::to_buffer("12345"));
+  a.send_with({node_b, 1}, msg::MsgType::kUpdate, 1, body("12345"));
   EXPECT_EQ(sink.total_traffic().messages, 1u);
   EXPECT_GT(sink.total_traffic().bytes, 5u);  // envelope overhead + payload
 }

@@ -99,11 +99,12 @@ TEST(Protocol, InvokeReplyRoundTrip) {
   rep.global_seq = 12;
   rep.store_clock.set(3, 4);
   rep.store = 2;
+  const util::Buffer wire = util::encoded(rep);  // the view borrows it
   const auto back =
-      replication::InvokeReply::decode(util::BytesView(util::encoded(rep)));
+      replication::InvokeReply::decode_view(util::BytesView(wire));
   EXPECT_TRUE(back.ok);
-  EXPECT_EQ(util::to_string(util::BytesView(back.value)), "result");
-  EXPECT_EQ(util::to_string(util::view_of(back.document)), "doc");
+  EXPECT_EQ(util::to_string(back.value), "result");
+  EXPECT_EQ(util::to_string(back.document), "doc");
   EXPECT_EQ(back.global_seq, 12u);
   EXPECT_EQ(back.store, 2u);
 }

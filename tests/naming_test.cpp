@@ -147,15 +147,17 @@ TEST_F(NamingTest, UnknownLocateOpIsRefused) {
   core::CommunicationObject raw(&sim);
   raw.open(factory(client_node),
            [](const net::Address&, const msg::EnvelopeView&) {});
-  util::Writer w;
-  w.u8(2);  // not a locate op
-  net::encode_address(w, c.address);
   std::optional<bool> answered;
-  raw.request(server->address(), msg::MsgType::kLocateRequest, 42, w.take(),
-              [&](bool ok, const net::Address&, const msg::EnvelopeView&) {
-                answered = ok;
-              },
-              sim::SimDuration::millis(100));
+  raw.request_with(
+      server->address(), msg::MsgType::kLocateRequest, 42,
+      [&](util::Writer& w) {
+        w.u8(2);  // not a locate op
+        net::encode_address(w, c.address);
+      },
+      [&](bool ok, const net::Address&, const msg::EnvelopeView&) {
+        answered = ok;
+      },
+      sim::SimDuration::millis(100));
   sim.run();
   ASSERT_TRUE(answered.has_value());
   EXPECT_FALSE(*answered);

@@ -32,6 +32,11 @@ namespace {
 using util::to_buffer;
 using util::to_string;
 
+/// A body encoder that writes `s` as it is.
+auto body(std::string s) {
+  return [s = std::move(s)](util::Writer& w) { w.raw(to_buffer(s)); };
+}
+
 /// Enables the process tracer for one test body and always restores the
 /// disabled state (the tracer is a process singleton).
 struct ScopedTracer {
@@ -120,7 +125,7 @@ TEST_F(ObsSimCommTest, TracedSendCarriesContextOverSimNetwork) {
 
   {
     const obs::ContextScope scope(obs::TraceContext{42, 7});
-    a.send(b.local_address(), msg::MsgType::kUpdate, 5, to_buffer("body"));
+    a.send_with(b.local_address(), msg::MsgType::kUpdate, 5, body("body"));
   }
   sim.run();
 
@@ -154,7 +159,7 @@ TEST_F(ObsSimCommTest, UntracedSendHasInvalidContextAndNoSpans) {
   CommunicationObject b(&sim);
   b.open(factory(node_b), sink.handler());
 
-  a.send(b.local_address(), msg::MsgType::kUpdate, 5, to_buffer("x"));
+  a.send_with(b.local_address(), msg::MsgType::kUpdate, 5, body("x"));
   sim.run();
 
   ASSERT_EQ(sink.count(), 1u);
@@ -175,7 +180,7 @@ TEST_F(ObsSimCommTest, DisabledTracerNeverStampsTheWire) {
     // A stale context may linger on the thread; a disabled tracer must
     // still produce the 3-field header.
     const obs::ContextScope scope(obs::TraceContext{42, 7});
-    a.send(b.local_address(), msg::MsgType::kUpdate, 5, to_buffer("x"));
+    a.send_with(b.local_address(), msg::MsgType::kUpdate, 5, body("x"));
   }
   sim.run();
 
@@ -227,8 +232,8 @@ TEST_F(ObsSimCommTest, RequestRetryDoesNotDuplicateWireSendSpan) {
   obs::TraceContext reply_ctx;
   {
     const obs::ContextScope scope(obs::TraceContext{42, 7});
-    a.request(
-        b.local_address(), msg::MsgType::kInvokeRequest, 5, to_buffer("req"),
+    a.request_with(
+        b.local_address(), msg::MsgType::kInvokeRequest, 5, body("req"),
         [&](bool ok, const net::Address&, const msg::EnvelopeView&) {
           reply_ok = ok;
           reply_ctx = obs::current_context();
@@ -272,7 +277,7 @@ TEST(ObsLoopbackComm, TracedSendCarriesContextOverLoopback) {
 
   {
     const obs::ContextScope scope(obs::TraceContext{42, 7});
-    a.send(b.local_address(), msg::MsgType::kUpdate, 5, to_buffer("ping"));
+    a.send_with(b.local_address(), msg::MsgType::kUpdate, 5, body("ping"));
   }
   router.drain();
 
@@ -321,8 +326,8 @@ TEST(ObsSocketComm, ContextSurvivesUdpAndTcpBulkLane) {
   const std::string bulk(80 * 1024, 'x');
   {
     const obs::ContextScope scope(obs::TraceContext{42, 7});
-    a.send(b.local_address(), msg::MsgType::kUpdate, 5, to_buffer("small"));
-    a.send(b.local_address(), msg::MsgType::kSnapshot, 5, to_buffer(bulk));
+    a.send_with(b.local_address(), msg::MsgType::kUpdate, 5, body("small"));
+    a.send_with(b.local_address(), msg::MsgType::kSnapshot, 5, body(bulk));
   }
   ASSERT_TRUE(wait_for([&] { return sink.count() == 2; }));
   EXPECT_GE(host_a.stats().tcp_sent, 1u);

@@ -1,6 +1,6 @@
 // Placement layer tests: layout determinism, minimal movement on
-// rebalance, pinned-object overrides, and the networked server/cache
-// invalidation protocol.
+// rebalance, pinned-object overrides, the placement state's wire form,
+// and the networked server/cache invalidation protocol.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -112,6 +112,36 @@ TEST(PlacementLayout, OverridesPinObjects) {
   const util::Buffer wire = w.take();
   util::Reader r{util::BytesView(wire)};
   EXPECT_EQ(Layout::decode(r).shard_of(pinned), 1u);
+}
+
+TEST(PlacementState, RoundTripsAndRejectsMalformedBodies) {
+  PlacementState state;
+  state.version = 7;
+  state.layout.epoch = 2;
+  state.layout.shard_count = 3;
+  ContactPoint c;
+  c.address = {4, 1};
+  state.contacts[1] = {c};
+  state.contacts[2] = {};  // a shard with no contacts: two bytes
+  util::Writer w;
+  state.encode(w);
+  const util::Buffer wire = w.take();
+  const PlacementState back = PlacementState::decode(util::BytesView(wire));
+  EXPECT_EQ(back.version, 7u);
+  EXPECT_EQ(back.contacts, state.contacts);
+  for (const ObjectId id : {1ULL, 2ULL, 99ULL}) {
+    EXPECT_EQ(back.resolve(id).shard, state.resolve(id).shard);
+    EXPECT_EQ(back.resolve(id).contacts, state.resolve(id).contacts);
+  }
+
+  util::Buffer trailing = wire;
+  trailing.push_back(std::byte{0});
+  EXPECT_THROW((void)PlacementState::decode(util::BytesView(trailing)),
+               util::CodecError);
+  util::Buffer truncated = wire;
+  truncated.pop_back();
+  EXPECT_THROW((void)PlacementState::decode(util::BytesView(truncated)),
+               util::CodecError);
 }
 
 class PlacementServiceTest : public ::testing::Test {
