@@ -16,7 +16,6 @@ using core::Propagation;
 using core::StoreScope;
 using core::TransferInitiative;
 using core::TransferInstant;
-using coherence::ObjectModel;
 
 namespace {
 
