@@ -7,8 +7,12 @@ void ViewFollower::on_delta(const ViewDelta& delta,
   if (!newer(delta)) return;
   if (delta.epoch == view_.epoch + 1) {
     // Before the first view the base is the empty epoch-0 view, which is
-    // exactly what a group's first broadcast diffs against.
-    View next = view_;
+    // exactly what a group's first broadcast diffs against. The copy is
+    // sized for the joiners up front: the adopted view lives until the
+    // next one, so it must not keep a grown vector's slack.
+    View next{view_.object, view_.shard, view_.epoch, {}};
+    next.members.reserve(view_.members.size() + delta.joined.size());
+    next.members = view_.members;
     delta.apply_to(next);
     on_view(std::move(next));
     return;
