@@ -56,13 +56,6 @@ void PlacementServer::unregister_contact(ShardId shard, const Address& addr) {
   notify_watchers();
 }
 
-std::vector<ContactPoint> PlacementServer::shard_contacts(
-    ShardId shard) const {
-  auto it = state_.contacts.find(shard);
-  return it == state_.contacts.end() ? std::vector<ContactPoint>{}
-                                     : it->second;
-}
-
 PlacementServer::~PlacementServer() { check::release(this); }
 
 void PlacementServer::notify_watchers() {

@@ -105,7 +105,6 @@ class PlacementServer {
 
   void register_contact(ShardId shard, const ContactPoint& contact);
   void unregister_contact(ShardId shard, const Address& addr);
-  [[nodiscard]] std::vector<ContactPoint> shard_contacts(ShardId shard) const;
 
   [[nodiscard]] Resolution resolve(ObjectId object) const {
     return state_.resolve(object);
