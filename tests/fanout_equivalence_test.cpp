@@ -32,9 +32,16 @@
 // a rejoin and a leave, plain and on a windowed transport whose
 // flow-control deadline drops a subscriber. They read the counters that
 // show the script reached each of those paths.
+//
+// FullAccessReads pins client reads under the default policy, whose
+// access transfer is full, with a fourth digest over every ReadResult
+// the clients receive. A change to how a read reply carries its page
+// moves the wire constant only; the state, replicated and read digests
+// hold.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -48,6 +55,7 @@ using coherence::ClientModel;
 using core::ReplicationPolicy;
 
 constexpr ObjectId kObj = 1;
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
 
 std::uint64_t fnv1a(std::uint64_t h, util::BytesView bytes) {
   for (const auto byte : bytes) {
@@ -72,7 +80,7 @@ util::Buffer replicated_state(const StoreEngine& s) {
   return w.take();
 }
 
-using Scenario = void (*)(Testbed& bed);
+using Scenario = std::function<void(Testbed& bed)>;
 
 TestbedOptions golden_options() {
   TestbedOptions opts;
@@ -82,13 +90,13 @@ TestbedOptions golden_options() {
   return opts;
 }
 
-void expect_golden(Scenario scenario, Golden golden,
+void expect_golden(const Scenario& scenario, Golden golden,
                    const TestbedOptions& opts = golden_options()) {
   Testbed bed(opts);
   bed.net().enable_wire_digest(true);
   scenario(bed);
   EXPECT_TRUE(bed.converged(kObj));
-  std::uint64_t state = 1469598103934665603ull;
+  std::uint64_t state = kFnvBasis;
   std::uint64_t replicated = state;
   for (const auto& s : bed.stores()) {
     state = fnv1a(state, util::BytesView(store_state_digest(*s)));
@@ -222,6 +230,74 @@ TEST(FanoutGolden, MultiMasterReflectionExclusion) {
     bed.settle();
   }, {0x5bb4c87fa4cdda6eull, 0x3c0eae4a5f306472ull,
      0xd04733b586ba3afcull});
+}
+
+// Access transfer full, the policy default: a page read's reply carries
+// the whole document. Clients on two caches read while a writer on the
+// primary puts pages and deletes one (which is written again), then read
+// every page, one deleted for good and one never written.
+TEST(FanoutGolden, FullAccessReads) {
+  std::uint64_t reads = kFnvBasis;
+  int answered = 0;
+  int not_found = 0;
+  const auto record = [&](const ReadResult& r) {
+    ++answered;
+    if (r.error.starts_with("page not found: ")) ++not_found;
+    util::Writer w;
+    w.boolean(r.ok);
+    w.str(r.error);
+    w.str(r.content);
+    w.str(r.mime);
+    r.writer.encode(w);
+    w.varint(r.store);
+    w.varint(r.store_global_seq);
+    r.store_clock.encode(w);
+    reads = fnv1a(reads, w.view());
+  };
+  expect_golden([&record](Testbed& bed) {
+    ReplicationPolicy p;
+    auto& primary = bed.add_primary(kObj, p);
+    std::vector<net::Address> caches;
+    for (int c = 0; c < 2; ++c) {
+      caches.push_back(
+          bed.add_store(kObj, naming::StoreClass::kClientInitiated, p)
+              .address());
+    }
+    bed.settle();
+
+    auto& writer =
+        bed.add_client(kObj, ClientModel::kWritesFollowReads,
+                       primary.address(), primary.address());
+    std::vector<ClientBinding*> readers;
+    readers.push_back(&bed.add_client(kObj, ClientModel::kMonotonicReads,
+                                      caches[0], primary.address()));
+    readers.push_back(&bed.add_client(
+        kObj, ClientModel::kReadYourWrites | ClientModel::kMonotonicReads,
+        caches[1], primary.address()));
+    const auto page = [](int i) {
+      return "page" + std::to_string(i) + ".html";
+    };
+    for (int i = 0; i < 18; ++i) {
+      writer.write(page(i % 6), std::string(20 + i, 'a' + i % 26),
+                   [](WriteResult) {},
+                   i % 3 == 0 ? "text/plain" : "text/html");
+      if (i == 12) writer.remove(page(4), [](WriteResult) {});
+      for (ClientBinding* r : readers) r->read(page(i % 6), record);
+      bed.run_for(sim::SimDuration::millis(3));
+    }
+    writer.remove(page(5), [](WriteResult) {});
+    readers[1]->write(page(6), "from a reader", [](WriteResult) {});
+    bed.settle();
+    for (ClientBinding* r : readers) {
+      for (int i = 0; i <= 6; ++i) r->read(page(i), record);
+      r->read("never-written.html", record);
+    }
+    bed.settle();
+  }, {0x3210637bfc1cca59ull, 0xd5c50ebf0e086589ull,
+     0x34a87de164c8958aull});
+  EXPECT_EQ(reads, 0xe70d01c2b2a082full);
+  EXPECT_EQ(answered, 2 * (18 + 8));
+  EXPECT_EQ(not_found, 18);
 }
 
 // Membership traffic: views, evictions, re-parenting, a rejoin with an
