@@ -30,7 +30,7 @@ InvokeResult WebSemanticsObject::execute_read(const Invocation& inv) const {
       const std::string page = args.str();
       const auto p = doc_.get(page);
       if (!p) {
-        res.error = "page not found: " + page;
+        res.error = page_not_found(page);
         return res;
       }
       util::Writer w;

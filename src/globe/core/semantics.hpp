@@ -81,6 +81,11 @@ class WebSemanticsObject final : public SemanticsObject {
   web::WebDocument doc_;
 };
 
+/// The error of a kGetPage read of a page the document does not hold.
+[[nodiscard]] inline std::string page_not_found(const std::string& page) {
+  return "page not found: " + page;
+}
+
 /// Decodes the reply produced by WebSemanticsObject for kGetPage.
 struct PageReadValue {
   std::string content;

@@ -251,7 +251,18 @@ void ClientBinding::read_impl(Session& s, const std::string& page,
           placement_->invalidate();
           s.resolved_version = 0;
         }
-        if (rep.ok) {
+        if (rep.ok && !rep.document.empty()) {
+          // Access transfer full: the page travels only inside the
+          // document, which must hold it.
+          std::optional<web::Page> p =
+              web::WebDocument::find_in_snapshot(rep.document, page);
+          if (!p.has_value()) {
+            throw util::CodecError("read reply's document lacks the page");
+          }
+          res.content = std::move(p->content);
+          res.mime = std::move(p->mime);
+          res.writer = p->last_writer;
+        } else if (rep.ok) {
           util::Reader r{rep.value};
           core::PageReadValue v = core::PageReadValue::decode(r);
           res.content = std::move(v.content);

@@ -602,16 +602,22 @@ bool StoreEngine::needs_page_fetch(const ObjectState& o,
 
 InvokeReply StoreEngine::make_read_reply(ObjectState& o,
                                          const ClientRequest& req) {
-  core::InvokeResult res = o.replica.semantics().execute_read(req.inv);
   InvokeReply rep;
-  rep.ok = res.ok;
-  rep.error = std::move(res.error);
-  rep.value = std::move(res.value);
   if (o.cfg.policy.access_transfer == AccessTransfer::kFull &&
       req.inv.method == msg::Method::kGetPage) {
     // Access transfer type "full": the whole document travels with the
     // access (Table 1), regardless of how little the client asked for.
-    rep.document = o.replica.semantics().snapshot();
+    // The page travels only inside it.
+    util::Reader args{util::BytesView(req.inv.args)};
+    const std::string page = args.str();
+    rep.ok = o.replica.document().has(page);
+    if (!rep.ok) rep.error = core::page_not_found(page);
+    rep.document = o.replica.document().snapshot();
+  } else {
+    core::InvokeResult res = o.replica.semantics().execute_read(req.inv);
+    rep.ok = res.ok;
+    rep.error = std::move(res.error);
+    rep.value = std::move(res.value);
   }
   rep.global_seq = o.replica.applied_gseq();
   rep.store_clock = o.replica.applied_clock();

@@ -32,6 +32,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "globe/coherence/vector_clock.hpp"
@@ -152,6 +153,13 @@ class WebDocument {
       bool mask_wall_clock = false) const;
 
   void restore(util::BytesView snapshot);
+
+  /// The page named `page` in an encoded snapshot, as restore() would
+  /// hold it (a name listed twice keeps its first page), or nothing when
+  /// the snapshot holds no such page. Reads the whole encoding, so a
+  /// malformed snapshot throws util::CodecError wherever the page is.
+  [[nodiscard]] static std::optional<Page> find_in_snapshot(
+      util::BytesView snapshot, std::string_view page);
 
   // ---- delta snapshots ------------------------------------------------
 

@@ -293,7 +293,7 @@ TEST(FanoutGolden, FullAccessReads) {
       r->read("never-written.html", record);
     }
     bed.settle();
-  }, {0x3210637bfc1cca59ull, 0xd5c50ebf0e086589ull,
+  }, {0x73193a1d0cb8b1bfull, 0xd5c50ebf0e086589ull,
      0x34a87de164c8958aull});
   EXPECT_EQ(reads, 0xe70d01c2b2a082full);
   EXPECT_EQ(answered, 2 * (18 + 8));
