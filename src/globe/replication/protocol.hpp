@@ -45,29 +45,37 @@ using util::Writer;
 inline constexpr ObjectId kStoreScope = 0;
 
 /// kInvokeRequest body: a client operation plus its session context.
+/// Each kind carries only its own fields: a write the identity and
+/// ordering its record takes, a read the floors its store must reach.
 struct ClientRequest {
   msg::Invocation inv;
   ClientId client = 0;
   std::uint64_t client_op_index = 0;
-  WriteId wid;                     // writes only; assigned by the client
+  // Writes only.
+  WriteId wid;                     // assigned by the client
   VectorClock deps;                // write dependencies (causal / WFR)
-  VectorClock min_clock;           // read requirement (RYW / MR)
-  std::uint64_t min_global_seq = 0;  // sequential-model read floor
   bool ordered = false;            // require per-writer ordered application
   std::int64_t issued_at_us = 0;
+  // Reads only.
+  VectorClock min_clock;             // RYW / MR requirement
+  std::uint64_t min_global_seq = 0;  // sequential-model read floor
 
   /// Self-delimiting: the invocation is written inline, and a forward
-  /// embeds the whole request the same way.
+  /// embeds the whole request the same way. The invocation's method
+  /// says which kind's fields follow.
   void encode(Writer& w) const {
     inv.encode(w);
     w.varint(client);
     w.varint(client_op_index);
-    wid.encode(w);
-    deps.encode(w);
-    min_clock.encode(w);
-    w.varint(min_global_seq);
-    w.boolean(ordered);
-    w.varint_i64(issued_at_us);
+    if (inv.writes()) {
+      wid.encode(w);
+      deps.encode(w);
+      w.boolean(ordered);
+      w.varint_i64(issued_at_us);
+    } else {
+      min_clock.encode(w);
+      w.varint(min_global_seq);
+    }
   }
 
   static ClientRequest decode(Reader& r) {
@@ -75,12 +83,15 @@ struct ClientRequest {
     req.inv = msg::Invocation::decode(r);
     req.client = r.varint32();
     req.client_op_index = r.varint();
-    req.wid = WriteId::decode(r);
-    req.deps = VectorClock::decode(r);
-    req.min_clock = VectorClock::decode(r);
-    req.min_global_seq = r.varint();
-    req.ordered = r.boolean();
-    req.issued_at_us = r.varint_i64();
+    if (req.inv.writes()) {
+      req.wid = WriteId::decode(r);
+      req.deps = VectorClock::decode(r);
+      req.ordered = r.boolean();
+      req.issued_at_us = r.varint_i64();
+    } else {
+      req.min_clock = VectorClock::decode(r);
+      req.min_global_seq = r.varint();
+    }
     return req;
   }
 

@@ -228,7 +228,7 @@ TEST(FanoutGolden, MultiMasterReflectionExclusion) {
       bed.run_for(sim::SimDuration::millis(15));
     }
     bed.settle();
-  }, {0x5bb4c87fa4cdda6eull, 0x3c0eae4a5f306472ull,
+  }, {0x2d9f7448a39c6fe6ull, 0x3c0eae4a5f306472ull,
      0xd04733b586ba3afcull});
 }
 
@@ -293,7 +293,7 @@ TEST(FanoutGolden, FullAccessReads) {
       r->read("never-written.html", record);
     }
     bed.settle();
-  }, {0x73193a1d0cb8b1bfull, 0xd5c50ebf0e086589ull,
+  }, {0x2bb579b49dfb7c33ull, 0xd5c50ebf0e086589ull,
      0x34a87de164c8958aull});
   EXPECT_EQ(reads, 0xe70d01c2b2a082full);
   EXPECT_EQ(answered, 2 * (18 + 8));
@@ -370,14 +370,14 @@ void membership_churn(Testbed& bed) {
 
 TEST(MembershipGolden, ReparentEvictRejoinLeave) {
   expect_golden(membership_churn,
-                {0x8b7432afe397d13eull, 0x1ae53a517d2ea342ull,
+                {0xf41b15d70d2b80a6ull, 0x1ae53a517d2ea342ull,
                  0x88e3f6b1e6fc8636ull},
                 membership_options(/*windowed=*/false));
 }
 
 TEST(MembershipGolden, ReparentEvictRejoinLeaveWindowed) {
   expect_golden(membership_churn,
-                {0x8109b71958600c4cull, 0xab1e80a27653c16eull,
+                {0x6e7345ed8be702e4ull, 0xab1e80a27653c16eull,
                  0x5eae10affe7a0edaull},
                 membership_options(/*windowed=*/true));
 }

@@ -65,28 +65,59 @@ TEST(Invocation, WriteClassification) {
   EXPECT_FALSE(msg::is_write(msg::Method::kGetDocument));
 }
 
-TEST(Protocol, ClientRequestRoundTrip) {
-  replication::ClientRequest req;
-  req.inv = msg::Invocation::put_page("p", "v");
-  req.client = 9;
-  req.client_op_index = 4;
-  req.wid = {9, 2};
-  req.deps.set(1, 5);
-  req.min_clock.set(9, 1);
-  req.min_global_seq = 11;
-  req.ordered = true;
-  req.issued_at_us = 777;
+// A request carries only its kind's fields: a write its WiD, deps,
+// ordered flag and issue time, a read its two floors. Each kind
+// round-trips its own fields, drops the other kind's, and a request of
+// either kind cut anywhere throws.
+TEST(Protocol, ClientRequestRoundTripsEachKind) {
+  replication::ClientRequest write;
+  write.inv = msg::Invocation::put_page("p", "v");
+  write.wid = {9, 2};
+  write.deps.set(1, 5);
+  write.ordered = true;
+  write.issued_at_us = 777;
+  write.min_clock.set(9, 1);  // a read's field: not carried
+  write.min_global_seq = 11;
+  const util::Buffer write_wire = util::encoded(write);
+  const auto wback =
+      replication::ClientRequest::decode(util::BytesView(write_wire));
+  EXPECT_EQ(wback.inv.method, msg::Method::kPutPage);
+  EXPECT_EQ(wback.inv.args, write.inv.args);
+  EXPECT_EQ(wback.wid, (coherence::WriteId{9, 2}));
+  EXPECT_EQ(wback.deps, write.deps);
+  EXPECT_TRUE(wback.ordered);
+  EXPECT_EQ(wback.issued_at_us, 777);
+  EXPECT_TRUE(wback.min_clock.empty());
+  EXPECT_EQ(wback.min_global_seq, 0u);
 
-  const auto back =
-      replication::ClientRequest::decode(util::BytesView(util::encoded(req)));
-  EXPECT_EQ(back.client, 9u);
-  EXPECT_EQ(back.client_op_index, 4u);
-  EXPECT_EQ(back.wid, (coherence::WriteId{9, 2}));
-  EXPECT_EQ(back.deps.get(1), 5u);
-  EXPECT_EQ(back.min_clock.get(9), 1u);
-  EXPECT_EQ(back.min_global_seq, 11u);
-  EXPECT_TRUE(back.ordered);
-  EXPECT_EQ(back.inv.method, msg::Method::kPutPage);
+  replication::ClientRequest read;
+  read.inv = msg::Invocation::get_page("p");
+  read.min_clock.set(9, 1);
+  read.min_clock.set(4, 30);
+  read.min_global_seq = 11;
+  read.wid = {9, 3};  // a write's fields: not carried
+  read.deps.set(1, 5);
+  read.ordered = true;
+  read.issued_at_us = 777;
+  const util::Buffer read_wire = util::encoded(read);
+  const auto rback =
+      replication::ClientRequest::decode(util::BytesView(read_wire));
+  EXPECT_EQ(rback.inv.method, msg::Method::kGetPage);
+  EXPECT_EQ(rback.min_clock, read.min_clock);
+  EXPECT_EQ(rback.min_global_seq, 11u);
+  EXPECT_EQ(rback.wid, coherence::WriteId{});
+  EXPECT_TRUE(rback.deps.empty());
+  EXPECT_FALSE(rback.ordered);
+  EXPECT_EQ(rback.issued_at_us, 0);
+
+  for (const util::Buffer* wire : {&write_wire, &read_wire}) {
+    for (std::size_t cut = 0; cut < wire->size(); ++cut) {
+      EXPECT_THROW(replication::ClientRequest::decode(
+                       util::BytesView(wire->data(), cut)),
+                   util::CodecError)
+          << cut;
+    }
+  }
 }
 
 TEST(Protocol, InvokeReplyRoundTrip) {

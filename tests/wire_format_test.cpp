@@ -99,12 +99,15 @@ class Gen {
     q.inv = invocation();
     q.client = id();
     q.client_op_index = u64();
-    q.wid = wid();
-    q.deps = clock();
-    q.min_clock = clock();
-    q.min_global_seq = u64();
-    q.ordered = flip();
-    q.issued_at_us = i64();
+    if (q.inv.writes()) {
+      q.wid = wid();
+      q.deps = clock();
+      q.ordered = flip();
+      q.issued_at_us = i64();
+    } else {
+      q.min_clock = clock();
+      q.min_global_seq = u64();
+    }
     return q;
   }
   SnapshotDeltaRequest delta_request() {
