@@ -166,16 +166,6 @@ bool ClientBinding::wants(ClientModel m) const {
   return !coherence::subsumes(options_.object_model, m);
 }
 
-ClientRequest ClientBinding::base_request(Session& s, msg::Invocation inv) {
-  (void)s;
-  ClientRequest req;
-  req.inv = std::move(inv);
-  req.client = options_.client;
-  req.client_op_index = ++op_index_;
-  req.issued_at_us = sim_.now().count_micros();
-  return req;
-}
-
 void ClientBinding::read(ObjectId object, const std::string& page,
                          ReadHandler cb) {
   Session& s = session(object);
@@ -207,7 +197,9 @@ void ClientBinding::read_impl(Session& s, const std::string& page,
     return;
   }
   s.read_inflight = true;
-  ClientRequest req = base_request(s, msg::Invocation::get_page(page));
+  const std::uint64_t op_index = ++op_index_;
+  ClientRequest req;
+  req.inv = msg::Invocation::get_page(page);
 
   // Session requirements the serving store must satisfy before replying.
   if (wants(ClientModel::kReadYourWrites) && s.write_seq > 0) {
@@ -221,7 +213,6 @@ void ClientBinding::read_impl(Session& s, const std::string& page,
   }
 
   const util::SimTime issued = sim_.now();
-  const std::uint64_t op_index = req.client_op_index;
   comm_.request_with(
       s.read_store, msg::MsgType::kInvokeRequest, s.object,
       [&](util::Writer& w) { req.encode(w); },
@@ -306,8 +297,11 @@ void ClientBinding::next_queued_read(Session& s) {
 
 void ClientBinding::send_write(Session& s, msg::Invocation inv,
                                WriteHandler cb) {
-  ClientRequest req = base_request(s, std::move(inv));
+  const std::uint64_t op_index = ++op_index_;
+  ClientRequest req;
+  req.inv = std::move(inv);
   req.wid = coherence::WriteId{options_.client, ++s.write_seq};
+  req.issued_at_us = sim_.now().count_micros();
   ++s.pending_writes;
 
   // Dependencies the stores must order this write after.
@@ -327,20 +321,19 @@ void ClientBinding::send_write(Session& s, msg::Invocation inv,
   // accepting store); serializing the sends preserves per-writer order
   // through any combination of loss, retry, and partition.
   if (s.write_inflight) {
-    s.queued_writes.push_back(
-        [this, &s, req = std::move(req), cb = std::move(cb)]() mutable {
-          transmit_write(s, std::move(req), std::move(cb));
-        });
+    s.queued_writes.push_back([this, &s, req = std::move(req), op_index,
+                               cb = std::move(cb)]() mutable {
+      transmit_write(s, std::move(req), op_index, std::move(cb));
+    });
     return;
   }
   s.write_inflight = true;
-  transmit_write(s, std::move(req), std::move(cb));
+  transmit_write(s, std::move(req), op_index, std::move(cb));
 }
 
 void ClientBinding::transmit_write(Session& s, ClientRequest req,
-                                   WriteHandler cb) {
+                                   std::uint64_t op_index, WriteHandler cb) {
   const util::SimTime issued = util::SimTime(req.issued_at_us);
-  const std::uint64_t op_index = req.client_op_index;
   const coherence::WriteId wid = req.wid;
   const std::string page = [&] {
     util::Reader r{util::BytesView(req.inv.args)};

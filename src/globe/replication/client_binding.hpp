@@ -248,9 +248,11 @@ class ClientBinding {
   void apply_resolution(Session& s);
   void read_impl(Session& s, const std::string& page, ReadHandler cb);
   void get_document_delta(Session& s, DocumentHandler cb);
-  ClientRequest base_request(Session& s, msg::Invocation inv);
   void send_write(Session& s, msg::Invocation inv, WriteHandler cb);
-  void transmit_write(Session& s, ClientRequest req, WriteHandler cb);
+  /// Sends one write; `op_index` is its place in the client's program
+  /// order, taken when it was issued.
+  void transmit_write(Session& s, ClientRequest req, std::uint64_t op_index,
+                      WriteHandler cb);
   void next_queued_write(Session& s);
   void next_queued_read(Session& s);
   void flush_deferred_reads(Session& s);

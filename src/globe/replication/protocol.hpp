@@ -49,8 +49,6 @@ inline constexpr ObjectId kStoreScope = 0;
 /// ordering its record takes, a read the floors its store must reach.
 struct ClientRequest {
   msg::Invocation inv;
-  ClientId client = 0;
-  std::uint64_t client_op_index = 0;
   // Writes only.
   WriteId wid;                     // assigned by the client
   VectorClock deps;                // write dependencies (causal / WFR)
@@ -65,8 +63,6 @@ struct ClientRequest {
   /// says which kind's fields follow.
   void encode(Writer& w) const {
     inv.encode(w);
-    w.varint(client);
-    w.varint(client_op_index);
     if (inv.writes()) {
       wid.encode(w);
       deps.encode(w);
@@ -81,8 +77,6 @@ struct ClientRequest {
   static ClientRequest decode(Reader& r) {
     ClientRequest req;
     req.inv = msg::Invocation::decode(r);
-    req.client = r.varint32();
-    req.client_op_index = r.varint();
     if (req.inv.writes()) {
       req.wid = WriteId::decode(r);
       req.deps = VectorClock::decode(r);
@@ -109,9 +103,9 @@ struct InvokeReply {
   std::string error;
   Buffer value;             // read result (method-specific encoding)
   // Full document when access transfer = full: the store's cached
-  // snapshot, shared (not copied) into every reply.
+  // snapshot, shared (not copied) into every reply. A page read then
+  // carries its page only here, with no value.
   SharedBuffer document;
-  WriteId wid;              // echoed for writes
   std::uint64_t global_seq = 0;  // write: assigned seq; read: store's seq
   VectorClock store_clock;  // serving/accepting store's applied clock
   StoreId store = kInvalidStore;
@@ -121,7 +115,6 @@ struct InvokeReply {
     w.str(error);
     w.bytes(BytesView(value));
     w.bytes(util::view_of(document));
-    wid.encode(w);
     w.varint(global_seq);
     store_clock.encode(w);
     w.varint(store);
@@ -130,9 +123,10 @@ struct InvokeReply {
   /// Upper bound on encode()'s output: a reply carrying the whole
   /// document is written into a wire buffer sized once.
   [[nodiscard]] std::size_t encoded_size_bound() const {
+    // The ok flag, three length prefixes, the gseq, the clock and the
+    // store id.
     return 1 + error.size() + value.size() + util::view_of(document).size() +
-           3 * util::kMaxVarintBytes + WriteId::kMaxEncodedBytes +
-           util::kMaxVarintBytes + store_clock.encoded_size_bound() +
+           4 * util::kMaxVarintBytes + store_clock.encoded_size_bound() +
            util::kMaxVarint32Bytes;
   }
 
@@ -142,7 +136,6 @@ struct InvokeReply {
     std::string error;
     BytesView value;
     BytesView document;
-    WriteId wid;
     std::uint64_t global_seq = 0;
     VectorClock store_clock;
     StoreId store = kInvalidStore;
@@ -155,7 +148,6 @@ struct InvokeReply {
     rep.error = r.str();
     rep.value = r.bytes();
     rep.document = r.bytes();
-    rep.wid = WriteId::decode(r);
     rep.global_seq = r.varint();
     rep.store_clock = VectorClock::decode(r);
     rep.store = r.varint32();
@@ -544,15 +536,11 @@ struct FetchReply {
 /// ships only the pages it is missing.
 struct SubscribeMsg {
   net::Address subscriber;
-  StoreId store_id = kInvalidStore;
-  std::uint8_t store_class = 0;
   bool want_delta = false;
   SnapshotDeltaRequest delta_req;  // meaningful when want_delta
 
   void encode(Writer& w) const {
     net::encode_address(w, subscriber);
-    w.varint(store_id);
-    w.u8(store_class);
     w.boolean(want_delta);
     if (want_delta) delta_req.encode(w);
   }
@@ -561,8 +549,6 @@ struct SubscribeMsg {
     Reader r(wire);
     SubscribeMsg m;
     m.subscriber = net::decode_address(r);
-    m.store_id = r.varint32();
-    m.store_class = r.u8();
     m.want_delta = r.boolean();
     if (m.want_delta) m.delta_req = SnapshotDeltaRequest::decode(r);
     r.expect_end();

@@ -84,7 +84,7 @@ class StoreEngine::Applier final : public ApplySink {
     }
     const auto ack = o_.pending_write_acks.find(rec.wid);
     if (ack != o_.pending_write_acks.end()) {
-      e_.ack_write(o_, ack->second.first, ack->second.second, rec.wid,
+      e_.ack_write(o_, ack->second.first, ack->second.second,
                    rec.global_seq);
       o_.pending_write_acks.erase(ack);
     }
@@ -547,17 +547,15 @@ void StoreEngine::accept_write(ObjectState& o, const Address& reply_to,
   }
   // Idempotent/ignored writes still succeed from the client's view
   // (FIFO model: "the request is simply ignored").
-  ack_write(o, reply_to, request_id, req.wid,
+  ack_write(o, reply_to, request_id,
             acc.admission == Admission::kApplied ? acc.global_seq : 0);
 }
 
 void StoreEngine::ack_write(ObjectState& o, const Address& to,
                             std::uint64_t request_id,
-                            const coherence::WriteId& wid,
                             std::uint64_t global_seq) {
   InvokeReply rep;
   rep.ok = true;
-  rep.wid = wid;
   rep.global_seq = global_seq != 0 ? global_seq : o.replica.applied_gseq();
   rep.store_clock = o.replica.applied_clock();
   rep.store = config_.store_id;
@@ -1103,8 +1101,6 @@ void StoreEngine::subscribe_to_upstream(ObjectState& o) {
   if (!o.links.upstream.valid()) return;
   SubscribeMsg sub;
   sub.subscriber = comm_.local_address();
-  sub.store_id = config_.store_id;
-  sub.store_class = static_cast<std::uint8_t>(config_.store_class);
   // Under dynamic membership the upstream may be crashed or partitioned
   // away; the request then times out and is re-attempted (bounded), so a
   // joining or recovering store eventually bootstraps once the network

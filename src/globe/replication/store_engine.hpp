@@ -373,7 +373,7 @@ class StoreEngine {
   /// Acknowledges a write to its client: at `global_seq`, or at the
   /// applied gseq when that is 0.
   void ack_write(ObjectState& o, const Address& to, std::uint64_t request_id,
-                 const coherence::WriteId& wid, std::uint64_t global_seq);
+                 std::uint64_t global_seq);
   /// Records the replica's outdated verdict (o.outdated, outdated_).
   void note_gaps(ObjectState& o);
 

@@ -108,7 +108,6 @@ class BeaconProbe {
   void subscribe(const StoreEngine& store, ObjectId object) {
     SubscribeMsg sub;
     sub.subscriber = comm_.local_address();
-    sub.store_id = 999;
     comm_.request_with(
         store.address(), msg::MsgType::kSubscribe, object,
         [&](util::Writer& w) { sub.encode(w); },

@@ -35,9 +35,14 @@
 //
 // FullAccessReads pins client reads under the default policy, whose
 // access transfer is full, with a fourth digest over every ReadResult
-// the clients receive. A change to how a read reply carries its page
-// moves the wire constant only; the state, replicated and read digests
-// hold.
+// the clients receive.
+//
+// Client traffic came to carry each byte once: a full-access read's page
+// travels only inside the document, a request carries only its kind's
+// fields, and requests, replies and subscribes lost the fields no
+// receiver read. Every wire constant was re-frozen across those steps,
+// FullAccessReads' first (it was frozen just before them); every state,
+// replicated and read constant held.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -125,7 +130,7 @@ TEST(FanoutGolden, ImmediatePushFanout) {
     }
     bed.settle();
     seed_writes(primary, bed, 40);
-  }, {0xd975fef261a7335bull, 0x6a3100b345283314ull,
+  }, {0xf309bab9dd433febull, 0x6a3100b345283314ull,
      0x0651112f1d63effbull});
 }
 
@@ -140,7 +145,7 @@ TEST(FanoutGolden, LazyPushSharesQueuedSegments) {
     }
     bed.settle();
     seed_writes(primary, bed, 40);
-  }, {0x480e4636d4b26cb3ull, 0x6a3100b345283314ull,
+  }, {0x0d0cfc1e74ba5a83ull, 0x6a3100b345283314ull,
      0x0651112f1d63effbull});
 }
 
@@ -155,7 +160,7 @@ TEST(FanoutGolden, InvalidatePropagation) {
     }
     bed.settle();
     seed_writes(primary, bed, 20);
-  }, {0x971d9a2686c2c0b7ull, 0x982e3b8065d1c088ull,
+  }, {0x67d14039ab4f827bull, 0x982e3b8065d1c088ull,
      0x96679a7641b5f549ull});
 }
 
@@ -177,7 +182,7 @@ TEST(FanoutGolden, FullPushImmediate) {
                   mirror.address());
     bed.settle();
     seed_writes(primary, bed, 20);
-  }, {0xa3b689bdac30cb40ull, 0x317e7fcb13d89949ull,
+  }, {0x9a3407ee438e63a1ull, 0x317e7fcb13d89949ull,
      0x9c2ca2d82d61abf4ull});
 }
 
@@ -195,7 +200,7 @@ TEST(FanoutGolden, FullPullPoll) {
     }
     bed.settle();
     seed_writes(primary, bed, 20);
-  }, {0x087d5413ce833b5full, 0x14bce5c86353cb5aull,
+  }, {0x90bbffc7c67def33ull, 0x14bce5c86353cb5aull,
      0x8568823909a28361ull});
 }
 
@@ -228,7 +233,7 @@ TEST(FanoutGolden, MultiMasterReflectionExclusion) {
       bed.run_for(sim::SimDuration::millis(15));
     }
     bed.settle();
-  }, {0x2d9f7448a39c6fe6ull, 0x3c0eae4a5f306472ull,
+  }, {0x860347ac6841df28ull, 0x3c0eae4a5f306472ull,
      0xd04733b586ba3afcull});
 }
 
@@ -293,7 +298,7 @@ TEST(FanoutGolden, FullAccessReads) {
       r->read("never-written.html", record);
     }
     bed.settle();
-  }, {0x2bb579b49dfb7c33ull, 0xd5c50ebf0e086589ull,
+  }, {0x1187d194b9c92300ull, 0xd5c50ebf0e086589ull,
      0x34a87de164c8958aull});
   EXPECT_EQ(reads, 0xe70d01c2b2a082full);
   EXPECT_EQ(answered, 2 * (18 + 8));
@@ -370,14 +375,14 @@ void membership_churn(Testbed& bed) {
 
 TEST(MembershipGolden, ReparentEvictRejoinLeave) {
   expect_golden(membership_churn,
-                {0xf41b15d70d2b80a6ull, 0x1ae53a517d2ea342ull,
+                {0x16b77949afe38c2eull, 0x1ae53a517d2ea342ull,
                  0x88e3f6b1e6fc8636ull},
                 membership_options(/*windowed=*/false));
 }
 
 TEST(MembershipGolden, ReparentEvictRejoinLeaveWindowed) {
   expect_golden(membership_churn,
-                {0x6e7345ed8be702e4ull, 0xab1e80a27653c16eull,
+                {0xf0a82f4b0884ca8cull, 0xab1e80a27653c16eull,
                  0x5eae10affe7a0edaull},
                 membership_options(/*windowed=*/true));
 }

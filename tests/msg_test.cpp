@@ -126,7 +126,6 @@ TEST(Protocol, InvokeReplyRoundTrip) {
   rep.value = util::to_buffer("result");
   rep.document =
       std::make_shared<const util::Buffer>(util::to_buffer("doc"));
-  rep.wid = {3, 4};
   rep.global_seq = 12;
   rep.store_clock.set(3, 4);
   rep.store = 2;
@@ -203,26 +202,27 @@ TEST(Protocol, FetchRoundTrip) {
 TEST(Protocol, WriteForwardRoundTrip) {
   replication::WriteForward f;
   f.request.inv = msg::Invocation::put_page("p", "v");
-  f.request.client = 5;
+  f.request.wid = {5, 1};
   f.origin = {3, 14};
   f.origin_request_id = 99;
   const auto back =
       replication::WriteForward::decode(util::BytesView(util::encoded(f)));
   EXPECT_EQ(back.origin, (net::Address{3, 14}));
   EXPECT_EQ(back.origin_request_id, 99u);
-  EXPECT_EQ(back.request.client, 5u);
+  EXPECT_EQ(back.request.wid, (coherence::WriteId{5, 1}));
 }
 
 TEST(Protocol, SubscribeRoundTrip) {
   replication::SubscribeMsg s;
   s.subscriber = {7, 2};
-  s.store_id = 4;
-  s.store_class = 2;
-  const auto sback =
-      replication::SubscribeMsg::decode(util::BytesView(util::encoded(s)));
+  const util::Buffer wire = util::encoded(s);
+  const auto sback = replication::SubscribeMsg::decode(util::BytesView(wire));
   EXPECT_EQ(sback.subscriber, (net::Address{7, 2}));
-  EXPECT_EQ(sback.store_id, 4u);
-  EXPECT_EQ(sback.store_class, 2u);
+  EXPECT_FALSE(sback.want_delta);
+  // The subscriber's address and the want_delta flag, nothing else.
+  util::Writer address;
+  net::encode_address(address, s.subscriber);
+  EXPECT_EQ(wire.size(), address.size() + 1);
 }
 
 TEST(Protocol, SnapshotDeltaRequestRoundTrip) {
@@ -253,7 +253,6 @@ TEST(Protocol, SnapshotDeltaRequestRoundTrip) {
   // A re-subscribe embeds the delta request in the subscribe body.
   replication::SubscribeMsg sub;
   sub.subscriber = {9, 3};
-  sub.store_id = 8;
   sub.want_delta = true;
   sub.delta_req = floor;
   const auto sback =

@@ -97,8 +97,6 @@ class Gen {
   replication::ClientRequest request() {
     replication::ClientRequest q;
     q.inv = invocation();
-    q.client = id();
-    q.client_op_index = u64();
     if (q.inv.writes()) {
       q.wid = wid();
       q.deps = clock();
@@ -146,9 +144,8 @@ auto fields(const PageStamp& s) {
 auto fields(const msg::Invocation& i) { return std::tie(i.method, i.args); }
 auto fields(const replication::ClientRequest& q) {
   return std::tuple_cat(fields(q.inv),
-                        std::tie(q.client, q.client_op_index, q.wid, q.deps,
-                                 q.min_clock, q.min_global_seq, q.ordered,
-                                 q.issued_at_us));
+                        std::tie(q.wid, q.deps, q.ordered, q.issued_at_us,
+                                 q.min_clock, q.min_global_seq));
 }
 auto fields(const SnapshotDeltaRequest& m) {
   return std::tie(m.mode, m.floor_source, m.floor_version);
@@ -264,7 +261,6 @@ TEST(WireFormat, ClientTrafficRoundTrips) {
     rep.error = g.str();
     rep.value = g.bytes();
     rep.document = std::make_shared<const util::Buffer>(g.bytes());
-    rep.wid = g.wid();
     rep.global_seq = g.u64();
     rep.store_clock = g.clock();
     rep.store = g.id();
@@ -275,7 +271,6 @@ TEST(WireFormat, ClientTrafficRoundTrips) {
     EXPECT_EQ(v.error, rep.error);
     EXPECT_EQ(text(v.value), text(BytesView(rep.value)));
     EXPECT_EQ(text(v.document), text(util::view_of(rep.document)));
-    EXPECT_EQ(v.wid, rep.wid);
     EXPECT_EQ(v.global_seq, rep.global_seq);
     EXPECT_EQ(v.store_clock, rep.store_clock);
     EXPECT_EQ(v.store, rep.store);
@@ -353,15 +348,11 @@ TEST(WireFormat, ReplicationTrafficRoundTrips) {
 
     replication::SubscribeMsg sub;
     sub.subscriber = g.address();
-    sub.store_id = g.id();
-    sub.store_class = static_cast<std::uint8_t>(g.below(3));
     sub.want_delta = g.flip();
     if (sub.want_delta) sub.delta_req = g.delta_request();
     const auto sb = replication::SubscribeMsg::decode(BytesView(wire(sub)));
-    EXPECT_EQ(std::tie(sb.subscriber, sb.store_id, sb.store_class,
-                       sb.want_delta),
-              std::tie(sub.subscriber, sub.store_id, sub.store_class,
-                       sub.want_delta));
+    EXPECT_EQ(std::tie(sb.subscriber, sb.want_delta),
+              std::tie(sub.subscriber, sub.want_delta));
     EXPECT_TRUE(same(sb.delta_req, sub.delta_req));
 
     replication::AntiEntropyRequest aq{g.clock(), g.u64()};
@@ -468,8 +459,6 @@ TEST(WireFormat, RejectsIdsAndPortsWiderThanTheirFields) {
   Writer sub;
   sub.varint(3);                     // node
   sub.varint(std::uint64_t{1} << 16);  // port
-  sub.varint(1);                     // store id
-  sub.u8(0);                         // store class
   sub.boolean(false);                // no delta request
   EXPECT_THROW(
       (void)replication::SubscribeMsg::decode(BytesView(sub.view())),
