@@ -133,7 +133,7 @@ int run_subscriber(int base, int node, int subscribers, int writes,
   while (!fenced && std::chrono::steady_clock::now() < deadline) {
     {
       std::lock_guard lock(w.engine_mu);
-      fenced = w.engine->document().get("fence.html").has_value();
+      fenced = w.engine->document().has("fence.html");
     }
     if (!fenced) std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }

@@ -187,10 +187,9 @@ std::map<std::string, Tombstone> WebDocument::tombstones() const {
   return out;
 }
 
-std::optional<Page> WebDocument::get(const std::string& page) const {
+const Page* WebDocument::get(const std::string& page) const {
   const auto id = names_.find(page);
-  if (!id.has_value() || !live(*id)) return std::nullopt;
-  return pages_[*id].page;
+  return id.has_value() && live(*id) ? &pages_[*id].page : nullptr;
 }
 
 std::vector<std::string> WebDocument::page_names() const {

@@ -121,7 +121,8 @@ class WebDocument {
   bool apply_lww(const WriteRecord& rec);
   bool apply_lww(const WriteRecord& rec, PageId page);
 
-  [[nodiscard]] std::optional<Page> get(const std::string& page) const;
+  /// The live page `page`, or null; valid until the document changes.
+  [[nodiscard]] const Page* get(const std::string& page) const;
   [[nodiscard]] bool has(const std::string& page) const {
     const auto id = names_.find(page);
     return id.has_value() && live(*id);

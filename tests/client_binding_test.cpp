@@ -208,5 +208,47 @@ TEST(ClientBinding, GetDocumentMergesClockIntoReadSet) {
   EXPECT_TRUE(reader.read_set().covers({writer.id(), 1}));
 }
 
+// Under access transfer full, a page read's reply carries the page only
+// inside the document. A stand-in store answers every read with `ok` over
+// a document; one that lacks the page read is a malformed reply.
+TEST(ClientBinding, FullAccessReadTakesThePageFromTheDocument) {
+  for (const bool holds_page : {true, false}) {
+    Testbed bed;
+    web::WebDocument doc;
+    web::WriteRecord rec;
+    rec.wid = {7, 3};
+    rec.page = holds_page ? "p" : "other";
+    rec.content = "from the document";
+    rec.mime = "text/plain";
+    doc.apply(rec);
+    core::CommunicationObject store(&bed.sim());
+    store.open(bed.factory(bed.add_node("store")),
+               [&](const Address& from, const msg::EnvelopeView& env) {
+                 InvokeReply rep;
+                 rep.ok = true;
+                 rep.document = doc.snapshot();
+                 rep.store = 9;
+                 store.reply_with(from, msg::MsgType::kInvokeReply,
+                                  env.object, env.request_id,
+                                  [&](util::Writer& w) { rep.encode(w); });
+               });
+    auto& c = bed.add_client(kObj, ClientModel::kNone, store.local_address(),
+                             store.local_address());
+    std::optional<ReadResult> got;
+    c.read("p", [&](ReadResult r) { got = std::move(r); });
+    if (!holds_page) {
+      EXPECT_THROW(bed.settle(), util::CodecError);
+      continue;
+    }
+    bed.settle();
+    ASSERT_TRUE(got.has_value());
+    EXPECT_TRUE(got->ok);
+    EXPECT_EQ(got->content, "from the document");
+    EXPECT_EQ(got->mime, "text/plain");
+    EXPECT_EQ(got->writer, (coherence::WriteId{7, 3}));
+    EXPECT_EQ(got->store, 9u);
+  }
+}
+
 }  // namespace
 }  // namespace globe::replication

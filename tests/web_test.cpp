@@ -50,7 +50,7 @@ TEST(WebDocument, DeleteRemovesPage) {
 
 TEST(WebDocument, GetMissingReturnsNullopt) {
   WebDocument doc;
-  EXPECT_FALSE(doc.get("nope").has_value());
+  EXPECT_EQ(doc.get("nope"), nullptr);
 }
 
 TEST(WebDocument, PageNamesSorted) {
@@ -126,6 +126,76 @@ TEST(WebDocument, EmptySnapshotRoundTrip) {
   copy.apply(put("p", "v", {1, 1}));
   copy.restore(util::view_of(doc.snapshot()));
   EXPECT_EQ(copy.page_count(), 0u);
+}
+
+// A full-access read reply carries its page only inside the document: the
+// client finds it in the snapshot bytes, as restore() would hold it.
+TEST(WebDocument, FindInSnapshotAgreesWithGet) {
+  WebDocument doc;
+  for (int i = 0; i < 24; ++i) {
+    WriteRecord rec = put("p" + std::to_string(100 + i) + ".html",
+                          std::string(static_cast<std::size_t>(i * 7), 'x'),
+                          {static_cast<ClientId>(i % 3), 1u + i}, 5u + i);
+    rec.mime = i % 2 == 0 ? "text/html" : "image/png";
+    rec.global_seq = 40u + i;
+    rec.issued_at_us = 1000 * i;
+    doc.apply(rec);
+  }
+  const util::SharedBuffer snap = doc.snapshot();
+  const std::vector<std::string> names = doc.page_names();
+  ASSERT_EQ(names.size(), 24u);
+  for (const std::string& name : names) {
+    const auto found = WebDocument::find_in_snapshot(util::view_of(snap), name);
+    ASSERT_TRUE(found.has_value()) << name;
+    EXPECT_EQ(*found, *doc.get(name)) << name;
+  }
+  EXPECT_EQ(WebDocument::find_in_snapshot(util::view_of(snap), "p100.html")
+                ->content,
+            "");
+  EXPECT_EQ(WebDocument::find_in_snapshot(util::view_of(snap), "p123.html")
+                ->last_writer,
+            (coherence::WriteId{2, 24}));
+  for (const char* absent : {"", "p1.html", "p099.html", "p124.html", "q"}) {
+    EXPECT_FALSE(
+        WebDocument::find_in_snapshot(util::view_of(snap), absent).has_value())
+        << absent;
+  }
+  WebDocument empty;
+  EXPECT_FALSE(WebDocument::find_in_snapshot(util::view_of(empty.snapshot()),
+                                             "p100.html")
+                   .has_value());
+}
+
+TEST(WebDocument, FindInSnapshotRejectsMalformedBytes) {
+  WebDocument doc;
+  for (int i = 0; i < 3; ++i) {
+    doc.apply(put("p" + std::to_string(i), "content", {1, 1u + i}));
+  }
+  const util::Buffer snap = doc.encode_snapshot();
+  // Cut anywhere, even after the page sought: the whole encoding is read.
+  for (std::size_t cut = 0; cut < snap.size(); ++cut) {
+    EXPECT_THROW((void)WebDocument::find_in_snapshot(
+                     util::BytesView(snap.data(), cut), "p0"),
+                 util::CodecError)
+        << cut;
+  }
+  // A count that promises more pages than the bytes hold.
+  for (const std::uint64_t forged : {std::uint64_t{4}, std::uint64_t{1} << 60}) {
+    util::Writer w;
+    w.varint(forged);
+    w.raw(util::BytesView(snap).subspan(1));
+    EXPECT_THROW(
+        (void)WebDocument::find_in_snapshot(util::BytesView(w.view()), "p0"),
+        util::CodecError)
+        << forged;
+  }
+  // Bytes after the last page.
+  util::Writer trailing;
+  trailing.raw(util::BytesView(snap));
+  trailing.u8(0);
+  EXPECT_THROW((void)WebDocument::find_in_snapshot(
+                   util::BytesView(trailing.view()), "p0"),
+               util::CodecError);
 }
 
 TEST(WriteRecordTest, CodecRoundTrip) {
