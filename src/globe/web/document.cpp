@@ -17,32 +17,25 @@ namespace {
   return {reinterpret_cast<const char*>(b.data()), b.size()};
 }
 
-/// One page as encode_page wrote it; the strings view the encoded bytes.
-struct EncodedPage {
-  std::string_view name;
-  std::string_view content;
-  std::string_view mime;
-  WriteId writer;
-  std::uint64_t global_seq = 0;
-  std::uint64_t lamport = 0;
-  std::int64_t updated_at_us = 0;
-
-  [[nodiscard]] Page page() const {
-    return Page{std::string(content), std::string(mime), writer,
-                global_seq,           lamport,           updated_at_us};
+/// Reads one page as encode_page wrote it, into `page` if given, and
+/// returns its name: a view into the encoded bytes.
+std::string_view read_page(util::Reader& r, Page* page) {
+  const std::string_view name = as_string(r.bytes());
+  const std::string_view content = as_string(r.bytes());
+  const std::string_view mime = as_string(r.bytes());
+  const WriteId writer = coherence::WriteId::decode(r);
+  const std::uint64_t global_seq = r.varint();
+  const std::uint64_t lamport = r.varint();
+  const std::int64_t updated_at_us = r.varint_i64();
+  if (page != nullptr) {
+    page->content = content;
+    page->mime = mime;
+    page->last_writer = writer;
+    page->global_seq = global_seq;
+    page->lamport = lamport;
+    page->updated_at_us = updated_at_us;
   }
-};
-
-EncodedPage read_page(util::Reader& r) {
-  EncodedPage e;
-  e.name = as_string(r.bytes());
-  e.content = as_string(r.bytes());
-  e.mime = as_string(r.bytes());
-  e.writer = coherence::WriteId::decode(r);
-  e.global_seq = r.varint();
-  e.lamport = r.varint();
-  e.updated_at_us = r.varint_i64();
-  return e;
+  return name;
 }
 
 }  // namespace
@@ -274,12 +267,12 @@ void WebDocument::restore(util::BytesView snapshot) {
   // page that stays keeps its id; then replace the state.
   util::Reader check(snapshot);
   const std::uint64_t n = check.varint();
-  for (std::uint64_t i = 0; i < n; ++i) read_page(check);
+  for (std::uint64_t i = 0; i < n; ++i) read_page(check, nullptr);
   check.expect_end();
   util::Reader names(snapshot);
   names.varint();
   for (std::uint64_t i = 0; i < n; ++i) {
-    names_.hold(names_.intern(read_page(names).name));
+    names_.hold(names_.intern(read_page(names, nullptr)));
   }
   // A full restore replaces the state wholesale: every page carries a
   // fresh stamp, and deletion memory from the old lineage is gone — the
@@ -291,12 +284,12 @@ void WebDocument::restore(util::BytesView snapshot) {
   util::Reader r(snapshot);
   r.varint();
   for (std::uint64_t i = 0; i < n; ++i) {
-    const EncodedPage e = read_page(r);
-    const PageId id = *names_.find(e.name);
+    Page p;
+    const PageId id = *names_.find(read_page(r, &p));
     // A name listed twice keeps its first page.
     if (!live(id)) {
       Slot& s = make_live(id);
-      s.page = e.page();
+      s.page = std::move(p);
       s.version = version_;
     }
     names_.release(id);
@@ -311,8 +304,10 @@ std::optional<Page> WebDocument::find_in_snapshot(util::BytesView snapshot,
   util::Reader r(snapshot);
   const std::uint64_t n = r.varint();
   for (std::uint64_t i = 0; i < n; ++i) {
-    const EncodedPage e = read_page(r);
-    if (!found.has_value() && e.name == page) found = e.page();
+    util::Reader at = r;
+    if (read_page(r, nullptr) == page && !found.has_value()) {
+      read_page(at, &found.emplace());
+    }
   }
   r.expect_end();
   return found;
@@ -456,11 +451,11 @@ void WebDocument::apply_delta(util::BytesView delta) {
   const std::uint64_t n = r.varint();
   bool mutated = n > 0;
   for (std::uint64_t i = 0; i < n; ++i) {
-    const EncodedPage e = read_page(r);
-    const PageId id = names_.acquire(e.name);
+    Page p;
+    const PageId id = names_.acquire(read_page(r, &p));
     Slot& s = make_live(id);
     erase_tombstone(id);
-    s.page = e.page();
+    s.page = std::move(p);
     s.version = stamp;
     s.fragment.reset();
     names_.release(id);
