@@ -31,7 +31,9 @@
 // The two membership scenarios pin view changes, evictions, re-parenting,
 // a rejoin and a leave, plain and on a windowed transport whose
 // flow-control deadline drops a subscriber. They read the counters that
-// show the script reached each of those paths.
+// show the script reached each of those paths. A third pins a mirror that
+// rejoins after a partition still listing the caches that re-parented
+// away from it.
 //
 // FullAccessReads pins client reads under the default policy, whose
 // access transfer is full, with a fourth digest over every ReadResult
@@ -385,6 +387,76 @@ TEST(MembershipGolden, ReparentEvictRejoinLeaveWindowed) {
                 {0xf0a82f4b0884ca8cull, 0xab1e80a27653c16eull,
                  0x5eae10affe7a0edaull},
                 membership_options(/*windowed=*/true));
+}
+
+// A partitioned mirror rejoins. The same tree, no crash: mirror 2 is cut
+// off alone for longer than the failure timeout, so the view evicts it
+// and its two caches re-parent to the primary. Nothing tells the mirror:
+// after the heal it rejoins (an epoch jump), re-subscribes to the
+// primary and still lists both caches. Writes continue at the primary
+// and at a re-parented cache.
+void partitioned_mirror_rejoins(Testbed& bed) {
+  ReplicationPolicy p;
+  p.model = coherence::ObjectModel::kCausal;
+  p.write_set = core::WriteSet::kMultiple;
+  p.object_outdate_reaction = core::OutdateReaction::kDemand;
+  auto& primary = bed.add_primary(kObj, p);
+  bed.settle();
+  std::vector<net::Address> mirrors;
+  for (int m = 0; m < 2; ++m) {
+    mirrors.push_back(
+        bed.add_store(kObj, naming::StoreClass::kObjectInitiated, p)
+            .address());
+  }
+  bed.settle();
+  for (const net::Address& mirror : mirrors) {
+    for (int c = 0; c < 2; ++c) {
+      bed.add_store(kObj, naming::StoreClass::kClientInitiated, p, mirror);
+    }
+  }
+  bed.settle();
+  // Stores: 0 the primary, 1 and 2 the mirrors, 3 and 4 under mirror 1,
+  // 5 and 6 under mirror 2.
+  const net::Address cache = bed.stores()[5]->address();
+  auto& at_primary = bed.add_client(kObj, ClientModel::kNone,
+                                    primary.address(), primary.address());
+  auto& at_cache = bed.add_client(kObj, ClientModel::kNone, cache, cache);
+  const auto write = [&](int first, int last) {
+    for (int i = first; i < last; ++i) {
+      at_primary.write("page" + std::to_string(i % 5) + ".html",
+                       "p" + std::to_string(i), [](WriteResult) {});
+      if (i % 4 == 0) {
+        at_cache.write("cache.html", "c" + std::to_string(i),
+                       [](WriteResult) {});
+      }
+      bed.run_for(sim::SimDuration::millis(3));
+    }
+  };
+  write(0, 40);
+  bed.partition_stores({2}, {0, 1, 3, 4, 5, 6});
+  write(40, 140);
+  bed.run_for(sim::SimDuration::seconds(1));
+  bed.heal_partitions();
+  bed.run_for(sim::SimDuration::seconds(2));
+  write(140, 240);
+  bed.run_for(sim::SimDuration::seconds(1));
+  bed.settle();
+
+  std::uint64_t resubscribes = 0;
+  for (const auto& s : bed.stores()) resubscribes += s->resubscribes();
+  EXPECT_EQ(resubscribes, 3u);
+  EXPECT_EQ(bed.membership().stats().evictions, 1u);
+  EXPECT_EQ(bed.stores()[5]->upstream(), primary.address());
+  EXPECT_EQ(bed.stores()[6]->upstream(), primary.address());
+  // The rejoined mirror still lists the caches that left it.
+  EXPECT_EQ(bed.stores()[2]->subscriber_count(), 2u);
+}
+
+TEST(MembershipGolden, PartitionedMirrorRejoins) {
+  expect_golden(partitioned_mirror_rejoins,
+                {0x4b453b77fd93be42ull, 0x49233fa2c4e6bf1bull,
+                 0x98432c5ed8373bf1ull},
+                membership_options(/*windowed=*/false));
 }
 
 TEST(RecordBatch, EncodesSameBytesAsEncodeRecords) {

@@ -220,7 +220,11 @@ TEST(MembershipTest, FlashCrowdJoinersBootstrapFromSnapshots) {
 // Racing joins: the primary, three mirrors and six caches join at once,
 // so a store can adopt a view that lacks the primary and re-parent under
 // it. A store that re-parents only upward keeps every record on a path
-// to the primary, and every seed converges.
+// to the primary, and every seed converges. Then the mirrors crash:
+// every cache must now be fed by an upstream that lists it as a
+// subscriber. A cache that re-parented while its bootstrap subscribe was
+// in flight used to bootstrap from the old upstream and never subscribe
+// to the new one; it converged only while the old one still pushed.
 TEST(MembershipTest, RacingJoinsConvergeOnEverySeed) {
   core::ReplicationPolicy policy;
   policy.model = coherence::ObjectModel::kCausal;
@@ -238,7 +242,9 @@ TEST(MembershipTest, RacingJoinsConvergeOnEverySeed) {
     Testbed bed(opts);
     bed.add_primary(kObj, policy);
     std::vector<ClientBinding*> writers;
+    std::vector<std::size_t> mirrors;
     for (int m = 0; m < 3; ++m) {
+      mirrors.push_back(bed.stores().size());
       const net::Address mirror =
           bed.add_store(kObj, naming::StoreClass::kObjectInitiated, policy)
               .address();
@@ -251,20 +257,32 @@ TEST(MembershipTest, RacingJoinsConvergeOnEverySeed) {
                                           cache, cache));
       }
     }
-    for (int round = 0; round < 20; ++round) {
-      for (std::size_t w = 0; w < writers.size(); ++w) {
-        writers[w]->write("page" + std::to_string(w) + ".html",
-                          "r" + std::to_string(round), [](WriteResult) {});
+    const auto write_rounds = [&](int first, int last) {
+      for (int round = first; round < last; ++round) {
+        for (std::size_t w = 0; w < writers.size(); ++w) {
+          writers[w]->write("page" + std::to_string(w) + ".html",
+                            "r" + std::to_string(round), [](WriteResult) {});
+        }
+        bed.run_for(sim::SimDuration::millis(20));
       }
-      bed.run_for(sim::SimDuration::millis(20));
-    }
+    };
+    write_rounds(0, 20);
     bed.settle();
     bed.run_for(sim::SimDuration::seconds(2));
+    bed.settle();
+    if (!bed.converged(kObj)) {
+      ADD_FAILURE() << "seed " << seed << " did not converge";
+      continue;
+    }
+    for (const std::size_t m : mirrors) bed.crash_store(m);
+    bed.run_for(sim::SimDuration::seconds(2));
+    write_rounds(20, 25);
     bed.settle();
     if (bed.converged(kObj)) {
       ++converged;
     } else {
-      ADD_FAILURE() << "seed " << seed << " did not converge";
+      ADD_FAILURE() << "seed " << seed
+                    << " did not converge after the mirrors crashed";
     }
   }
   EXPECT_EQ(converged, 20);
