@@ -1116,11 +1116,12 @@ void StoreEngine::subscribe_to_upstream(ObjectState& o) {
     sub.want_delta = true;
     sub.delta_req = o.replica.delta_request(addr_key(o.links.upstream));
   }
+  const Address to = o.links.upstream;
   comm_.request_with(
-      o.links.upstream, msg::MsgType::kSubscribe, o.cfg.object,
+      to, msg::MsgType::kSubscribe, o.cfg.object,
       [&](util::Writer& w) { sub.encode(w); },
-      [this, &o, resubscribe](bool ok, const Address&,
-                              const msg::EnvelopeView& env) {
+      [this, &o, resubscribe, to](bool ok, const Address&,
+                                  const msg::EnvelopeView& env) {
         if (!ok) {
           if (o.subscribe_retry_budget > 0 && alive_ && !departed_) {
             --o.subscribe_retry_budget;
@@ -1138,7 +1139,14 @@ void StoreEngine::subscribe_to_upstream(ObjectState& o) {
         // neither clock dominates).
         apply_state_transfer(o, StateTransfer::decode_view(env.body),
                              /*bootstrap=*/!resubscribe);
-        if (resubscribe) resync(o);
+        if (resubscribe) {
+          resync(o);
+        } else if (o.links.upstream != to) {
+          // A view re-parented the object while it bootstrapped, and
+          // apply_view re-subscribes only a ready object: subscribe where
+          // the upstream points now.
+          subscribe_to_upstream(o);
+        }
       },
       timed ? sim::SimDuration::millis(250) : sim::SimDuration(0),
       timed ? 4 : 0);
