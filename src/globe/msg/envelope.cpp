@@ -37,6 +37,7 @@ const char* to_string(MsgType t) {
     case MsgType::kPlacementWatch: return "PlacementWatch";
     case MsgType::kPlacementInvalidate: return "PlacementInvalidate";
     case MsgType::kStabilityHorizon: return "StabilityHorizon";
+    case MsgType::kUnsubscribe: return "Unsubscribe";
   }
   return "Unknown";
 }

@@ -85,6 +85,10 @@ enum class MsgType : std::uint8_t {
   // broadcast to members to key write-log compaction, tombstone GC, and
   // streaming-checker event retirement.
   kStabilityHorizon = 41,
+  // A store that took a per-object push from a peer that is neither the
+  // object's upstream nor one of its subscribers asks that peer to drop
+  // it. Empty body; the envelope names the object.
+  kUnsubscribe = 42,
 };
 
 [[nodiscard]] const char* to_string(MsgType t);

@@ -556,6 +556,12 @@ struct SubscribeMsg {
   }
 };
 
+/// kUnsubscribe body: empty. The envelope names the object whose
+/// subscribers the receiver drops the sender from (Topology::drop).
+struct UnsubscribeMsg {
+  static void decode(BytesView wire) { Reader(wire).expect_end(); }
+};
+
 /// kAntiEntropyRequest body: "here is my clock; send what I am missing".
 /// Carries the requester's total-order floor too, so the responder can
 /// skip totally-ordered records the requester already holds.

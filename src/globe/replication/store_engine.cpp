@@ -223,10 +223,6 @@ std::uint64_t StoreEngine::applied_gseq(ObjectId id) const {
   return obj(id).replica.applied_gseq();
 }
 
-std::size_t StoreEngine::subscriber_count(ObjectId id) const {
-  return obj(id).links.subscribers.size();
-}
-
 bool StoreEngine::ready(ObjectId id) const { return obj(id).ready; }
 
 const WriteLog& StoreEngine::write_log(ObjectId id) const {
@@ -445,6 +441,7 @@ void StoreEngine::on_message(const Address& from,
       return;
     case msg::MsgType::kSnapshot:
       apply_state_transfer(*o, StateTransfer::decode_view(env.body));
+      prune_stale_edge(*o, from);
       return;
     case msg::MsgType::kInvalidate:
       handle_invalidate(*o, from, env);
@@ -454,6 +451,12 @@ void StoreEngine::on_message(const Address& from,
       return;
     case msg::MsgType::kSubscribe:
       handle_subscribe(*o, from, env);
+      return;
+    case msg::MsgType::kUnsubscribe:
+      UnsubscribeMsg::decode(env.body);
+      if (topo_.drop(o->links, o->cfg.object, from)) {
+        o->lazy_queues.erase(addr_key(from));
+      }
       return;
     case msg::MsgType::kAntiEntropyRequest:
       handle_anti_entropy(*o, from, env);
@@ -1354,6 +1357,13 @@ void StoreEngine::handle_update(ObjectState& o, const Address& from,
   }
   note_gaps(o);
   demand_if_outdated(o);
+  prune_stale_edge(o, from);
+}
+
+void StoreEngine::prune_stale_edge(const ObjectState& o, const Address& from) {
+  if (Topology::linked(o.links, from)) return;
+  comm_.send_with(from, msg::MsgType::kUnsubscribe, o.cfg.object,
+                  [](util::Writer&) {});
 }
 
 void StoreEngine::apply_state_transfer(ObjectState& o,
@@ -1405,6 +1415,7 @@ void StoreEngine::handle_invalidate(ObjectState& o, const Address& from,
     if (o.cfg.policy.access_transfer == AccessTransfer::kFull) pages.clear();
     demand_fetch(o, std::move(pages));
   }
+  prune_stale_edge(o, from);
 }
 
 void StoreEngine::handle_notify(const Address& from,
@@ -1448,8 +1459,9 @@ void StoreEngine::handle_notify(const Address& from,
   // already propagated when we first learned its frontier, so dropping
   // the duplicate loses no information. Views re-parent only upward, so
   // they cannot wire two stores as each other's upstream, but a store
-  // can still hear one frontier twice: from a parent that has not yet
-  // dropped it, and from its new one.
+  // can still hear one frontier twice: from its new parent, and from an
+  // old one that missed the re-parent, until this store's kUnsubscribe
+  // reaches it (prune_stale_edge).
   std::vector<ObjectState*> hosted;
   std::map<std::uint64_t, std::vector<std::size_t>> news_for;  // entry indexes
   for (std::size_t i = 0; i < m.entries.size(); ++i) {
@@ -1481,7 +1493,10 @@ void StoreEngine::handle_notify(const Address& from,
                          });
   }
 
-  for (ObjectState* o : hosted) demand_if_outdated(*o);
+  for (ObjectState* o : hosted) {
+    demand_if_outdated(*o);
+    prune_stale_edge(*o, from);
+  }
   if (!beacon) return;
   // The per-tick retry: every object fed by this sender that is still
   // behind demands again (a no-op while its fetch is in flight).

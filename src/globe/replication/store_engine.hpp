@@ -203,10 +203,13 @@ class StoreEngine {
   [[nodiscard]] std::uint64_t applied_gseq(ObjectId id) const;
   [[nodiscard]] bool outdated() const { return only().outdated; }
   [[nodiscard]] std::size_t parked_requests() const;
-  [[nodiscard]] std::size_t subscriber_count() const {
-    return only().links.subscribers.size();
+  /// The object's subscribers, in subscribe order.
+  [[nodiscard]] const std::vector<Address>& subscribers() const {
+    return only().links.subscribers;
   }
-  [[nodiscard]] std::size_t subscriber_count(ObjectId id) const;
+  [[nodiscard]] std::size_t subscriber_count() const {
+    return subscribers().size();
+  }
   [[nodiscard]] bool ready() const { return only().ready; }
   [[nodiscard]] bool ready(ObjectId id) const;
   /// Lifecycle state (fault injection / membership).
@@ -349,6 +352,12 @@ class StoreEngine {
                      const msg::EnvelopeView& env);
   void handle_invalidate(ObjectState& o, const Address& from,
                          const msg::EnvelopeView& env);
+  /// After a push to `o` (an update, an invalidation, a pushed state or
+  /// a kNotify entry) from `from`: when `from` is neither `o`'s upstream
+  /// nor a subscriber, it holds an edge this store dropped (it missed a
+  /// re-parent), and kUnsubscribe asks it to drop the edge too. What it
+  /// pushed is applied all the same.
+  void prune_stale_edge(const ObjectState& o, const Address& from);
   /// kNotify (store scope): sequences a clock beacon on the sender's
   /// lane, answers a full-list request, and merges every entry into its
   /// object's heard-of frontier; news goes on downstream, outdated

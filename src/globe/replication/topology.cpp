@@ -55,6 +55,16 @@ void Topology::forget_peer(const net::Address& peer) {
   resume(addr_key(peer));
 }
 
+bool Topology::drop(Links& l, ObjectId id, const net::Address& peer) {
+  if (std::erase(l.subscribers, peer) == 0) return false;
+  const auto lane = lanes_.find(addr_key(peer));
+  if (lane != lanes_.end() && lane->second.erase(id) != 0 &&
+      lane->second.empty()) {
+    forget_peer(peer);
+  }
+  return true;
+}
+
 void Topology::set_lanes(const Links& l, ObjectId id, bool on) {
   // A subscriber already anchored on a lane learns the object's current
   // frontier from the next beacon, not when it next moves.

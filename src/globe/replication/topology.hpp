@@ -7,9 +7,10 @@
 // lane and flow-control pause of each subscriber peer (a peer's channel
 // is shared by every object it subscribes to).
 //
-// It takes views, subscribes and flow-control drops. It answers where a
-// record is pushed, which objects re-subscribe after a view, and
-// whether an object may fold on its upstream's frontier. Like
+// It takes views, subscribes, unsubscribes and flow-control drops. It
+// answers where a record is pushed, which objects re-subscribe after a
+// view, whether a push came over an edge the store holds, and whether
+// an object may fold on its upstream's frontier. Like
 // ObjectReplica it sends nothing and depends on no comm, sim, metrics or
 // obs: the StoreEngine turns its answers into sends, so the re-parent
 // rule and the peer bookkeeping can be tested over views alone.
@@ -18,6 +19,7 @@
 // so hosting an object adds no node to a store-wide table.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -90,6 +92,13 @@ class Topology {
     std::erase(l.subscribers, peer);
   }
   void forget_peer(const net::Address& peer);
+  /// `peer` asked to leave `l`'s object `id` (kUnsubscribe): it leaves
+  /// the subscribers and the object leaves its beacon lane; a peer left
+  /// with no object on its lane loses the lane and its pause verdict, as
+  /// in forget_peer. False, changing nothing, when `peer` is no
+  /// subscriber (say, the object's own upstream, whose push-back
+  /// overtook this store's subscribe).
+  bool drop(Links& l, ObjectId id, const net::Address& peer);
   /// Lists `l`'s object `id` on the beacon lane of each of its
   /// subscribers, and in the next beacon, or (`on` false) takes it off.
   void set_lanes(const Links& l, ObjectId id, bool on);
@@ -117,6 +126,14 @@ class Topology {
 
   [[nodiscard]] bool paused(std::uint64_t key) const {
     return paused_.count(key) != 0;
+  }
+  /// True when `peer` is an end of one of `l`'s edges: the upstream or a
+  /// subscriber. A push from any other peer came over an edge only the
+  /// pusher still holds (it missed this store re-parenting away), and
+  /// the store answers it with kUnsubscribe.
+  [[nodiscard]] static bool linked(const Links& l, const net::Address& peer) {
+    return peer == l.upstream ||
+           std::ranges::find(l.subscribers, peer) != l.subscribers.end();
   }
   // The per-record and per-frontier queries are defined here, so the
   // engine's apply loop can inline them.

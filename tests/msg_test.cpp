@@ -34,6 +34,8 @@ TEST(Envelope, ReplyClassification) {
 TEST(Envelope, TypeNames) {
   EXPECT_STREQ(msg::to_string(msg::MsgType::kUpdate), "Update");
   EXPECT_STREQ(msg::to_string(msg::MsgType::kInvalidate), "Invalidate");
+  EXPECT_STREQ(msg::to_string(msg::MsgType::kUnsubscribe), "Unsubscribe");
+  EXPECT_FALSE(msg::is_reply(msg::MsgType::kUnsubscribe));
 }
 
 TEST(Invocation, GetPageRoundTrip) {
@@ -223,6 +225,21 @@ TEST(Protocol, SubscribeRoundTrip) {
   util::Writer address;
   net::encode_address(address, s.subscriber);
   EXPECT_EQ(wire.size(), address.size() + 1);
+}
+
+TEST(Protocol, UnsubscribeBodyIsEmpty) {
+  // The envelope names the object; the body carries nothing.
+  msg::Envelope env;
+  env.type = msg::MsgType::kUnsubscribe;
+  env.object = 9;
+  const msg::EnvelopeView view =
+      msg::EnvelopeView::decode(util::BytesView(env.encode()));
+  EXPECT_EQ(view.type, msg::MsgType::kUnsubscribe);
+  EXPECT_EQ(view.object, 9u);
+  EXPECT_NO_THROW(replication::UnsubscribeMsg::decode(view.body));
+  const util::Buffer one_byte{std::byte{0}};
+  EXPECT_THROW(replication::UnsubscribeMsg::decode(util::BytesView(one_byte)),
+               util::CodecError);
 }
 
 TEST(Protocol, SnapshotDeltaRequestRoundTrip) {

@@ -3,9 +3,10 @@
 // the peers that left and whether the store missed epochs; an object
 // re-parents only upward when its upstream leaves; a fresh subscribe
 // clears a stale pause verdict; a paused peer is dropped past either
-// flow-control deadline; and push targets and the upstream-fold gate
-// follow the object's links. Which views are adopted at all is
-// view_follower_test's.
+// flow-control deadline; a push is linked only from the upstream or a
+// subscriber, and a per-object drop keeps the peer's other objects; and
+// push targets and the upstream-fold gate follow the object's links.
+// Which views are adopted at all is view_follower_test's.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -122,6 +123,48 @@ TEST(Topology, PeerBookkeepingAndFlowDeadlines) {
   EXPECT_TRUE(a.subscribers.empty());
   EXPECT_TRUE(t.lane(peer).empty());
   EXPECT_FALSE(t.paused(key));
+}
+
+TEST(Topology, LinkedPeersAndPerObjectDrops) {
+  Topology t(/*primary=*/false, /*membership=*/true);
+  const net::Address peer = kCache6.address;
+  const std::uint64_t key = addr_key(peer);
+  Topology::Links a{kPrimary.address, {}};
+  Topology::Links b{kPrimary.address, {}};
+  t.subscribe(a, 1, peer, /*beacons=*/true);
+  t.subscribe(b, 2, peer, /*beacons=*/true);
+  t.subscribe(b, 2, kMirror4.address, /*beacons=*/true);
+
+  // The upstream and a subscriber hold an edge; a stale pusher does not.
+  EXPECT_TRUE(Topology::linked(a, kPrimary.address));
+  EXPECT_TRUE(Topology::linked(a, peer));
+  EXPECT_FALSE(Topology::linked(a, kMirror2.address));
+  EXPECT_FALSE(Topology::linked(a, kMirror4.address));
+
+  // A drop from a peer that is no subscriber changes nothing: not even
+  // one from the object's own upstream.
+  t.pause(key);
+  EXPECT_FALSE(t.drop(a, 1, kPrimary.address));
+  EXPECT_FALSE(t.drop(a, 1, kMirror4.address));
+  EXPECT_EQ(a.subscribers, std::vector<net::Address>{peer});
+
+  // A per-object drop leaves the peer's other objects on its lane, and
+  // its pause verdict with them.
+  EXPECT_TRUE(t.drop(a, 1, peer));
+  EXPECT_TRUE(a.subscribers.empty());
+  EXPECT_FALSE(Topology::linked(a, peer));
+  EXPECT_EQ(t.lane(peer), std::vector<ObjectId>{2});
+  EXPECT_TRUE(t.paused(key));
+  EXPECT_FALSE(t.drop(a, 1, peer));  // already gone
+
+  // Left with no object, the peer loses its lane and its pause verdict;
+  // the object's other subscribers keep theirs.
+  EXPECT_TRUE(t.drop(b, 2, peer));
+  EXPECT_EQ(b.subscribers, std::vector<net::Address>{kMirror4.address});
+  EXPECT_TRUE(t.lane(peer).empty());
+  EXPECT_FALSE(t.paused(key));
+  EXPECT_EQ(t.lane(kMirror4.address), std::vector<ObjectId>{2});
+  EXPECT_EQ(t.take_beacons().size(), 1u);  // one lane left
 }
 
 TEST(Topology, PushTargetsAndTheFoldGate) {

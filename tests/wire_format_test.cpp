@@ -219,10 +219,11 @@ TEST(WireFormat, EnvelopeHeaderRoundTrips) {
   Gen g(2);
   const msg::MsgType types[] = {msg::MsgType::kInvokeRequest,
                                 msg::MsgType::kUpdate,
-                                msg::MsgType::kStabilityHorizon};
+                                msg::MsgType::kStabilityHorizon,
+                                msg::MsgType::kUnsubscribe};
   for (int i = 0; i < kRounds; ++i) {
     msg::Envelope env;
-    env.type = types[g.below(3)];
+    env.type = types[g.below(4)];
     env.object = g.u64();
     env.request_id = g.u64();
     if (g.flip()) env.trace = {g.u64() | 1, g.u64()};
@@ -236,6 +237,11 @@ TEST(WireFormat, EnvelopeHeaderRoundTrips) {
     EXPECT_EQ(back.trace.trace_id, env.trace.trace_id);
     EXPECT_EQ(back.trace.span_id, env.trace.span_id);
     EXPECT_EQ(back.body, env.body);
+    // An unsubscribe carries nothing but its header.
+    if (env.type == msg::MsgType::kUnsubscribe && !env.body.empty()) {
+      EXPECT_THROW(replication::UnsubscribeMsg::decode(BytesView(back.body)),
+                   CodecError);
+    }
   }
 }
 
