@@ -8,8 +8,6 @@ void PageReadValue::encode(util::Writer& w) const {
   w.str(content);
   w.str(mime);
   writer.encode(w);
-  w.varint(global_seq);
-  w.varint_i64(updated_at_us);
 }
 
 PageReadValue PageReadValue::decode(util::Reader& r) {
@@ -17,8 +15,6 @@ PageReadValue PageReadValue::decode(util::Reader& r) {
   v.content = r.str();
   v.mime = r.str();
   v.writer = coherence::WriteId::decode(r);
-  v.global_seq = r.varint();
-  v.updated_at_us = r.varint_i64();
   return v;
 }
 
@@ -34,9 +30,7 @@ InvokeResult WebSemanticsObject::execute_read(const Invocation& inv) const {
         return res;
       }
       util::Writer w;
-      PageReadValue{p->content, p->mime, p->last_writer, p->global_seq,
-                    p->updated_at_us}
-          .encode(w);
+      PageReadValue{p->content, p->mime, p->last_writer}.encode(w);
       res.ok = true;
       res.value = w.take();
       return res;

@@ -91,8 +91,6 @@ struct PageReadValue {
   std::string content;
   std::string mime;
   coherence::WriteId writer;
-  std::uint64_t global_seq = 0;
-  std::int64_t updated_at_us = 0;
 
   void encode(util::Writer& w) const;
   static PageReadValue decode(util::Reader& r);
