@@ -1,5 +1,6 @@
 #include "globe/check/scenarios.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -310,6 +311,168 @@ ScenarioVerdict run_compaction_cutover(std::uint64_t seed,
   return conclude(std::move(failures), trips, issued);
 }
 
+namespace {
+
+// The edges of a quiet run that only one end holds, named by store id.
+std::vector<std::string> one_sided_edges(const replication::Testbed& bed) {
+  const auto find = [&](const net::Address& a) {
+    const replication::StoreEngine* found = nullptr;
+    for (const auto& s : bed.stores()) {
+      if (s->address() == a && s->alive() && !s->departed()) found = s.get();
+    }
+    return found;
+  };
+  std::vector<std::string> out;
+  for (const auto& s : bed.stores()) {
+    if (!s->alive() || s->departed()) continue;
+    const std::string id = std::to_string(s->id());
+    for (const net::Address& a : s->subscribers()) {
+      const replication::StoreEngine* sub = find(a);
+      if (sub != nullptr && sub->upstream() != s->address()) {
+        out.push_back("one-sided edge: store " + id + " lists store " +
+                      std::to_string(sub->id()) +
+                      ", whose upstream is another store");
+      }
+    }
+    if (s->config().is_primary) continue;
+    const replication::StoreEngine* up = find(s->upstream());
+    if (up != nullptr && std::ranges::find(up->subscribers(), s->address()) ==
+                             up->subscribers().end()) {
+      out.push_back("one-sided edge: store " + id + "'s upstream, store " +
+                    std::to_string(up->id()) + ", does not list it");
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+ScenarioVerdict run_reparent_churn(std::uint64_t seed, std::uint64_t max_ops) {
+  namespace repl = globe::replication;
+  // Everything the seed decides, drawn before the run in a fixed order.
+  util::Rng rng(seed);
+  const std::uint64_t jitter_ms = rng.below(9);
+  const bool invalidate = rng.chance(0.5);
+  const bool full = rng.chance(0.5);
+  const bool crash = rng.chance(0.5);
+  // Store indices follow construction order: 0 the primary, then each
+  // mirror followed by its two caches.
+  const std::size_t mirror = 1 + 3 * rng.below(3);
+  const std::uint64_t fault_at_ms = 100 + rng.below(300);
+  // Past the 400 ms failure timeout: the view evicts the mirror and its
+  // caches re-parent.
+  const std::uint64_t heal_at_ms = fault_at_ms + 600 + rng.below(600);
+
+  std::vector<std::string> failures;
+  std::uint64_t issued = 0;
+  ScopedTripCapture trips;
+  {
+    repl::TestbedOptions opts;
+    opts.seed = seed;
+    opts.enable_membership = true;
+    opts.failure_timeout = sim::SimDuration::millis(400);
+    opts.wan.base_latency = sim::SimDuration::millis(5);
+    opts.wan.jitter = sim::SimDuration::millis(jitter_ms);
+    opts.client_timeout = sim::SimDuration::millis(250);
+    opts.client_retries = 1;
+    repl::Testbed bed(opts);
+
+    core::ReplicationPolicy policy;
+    policy.object_outdate_reaction = core::OutdateReaction::kDemand;
+    if (invalidate) policy.propagation = core::Propagation::kInvalidate;
+    if (full) policy.coherence_transfer = core::CoherenceTransfer::kFull;
+    if (!invalidate && !full) {
+      policy.model = ObjectModel::kCausal;
+      policy.write_set = core::WriteSet::kMultiple;
+    }
+
+    auto& primary = bed.add_primary(kObj, policy);
+    std::vector<repl::ClientBinding*> writers;
+    for (int m = 0; m < 3; ++m) {
+      const net::Address at =
+          bed.add_store(kObj, naming::StoreClass::kObjectInitiated, policy)
+              .address();
+      for (int c = 0; c < 2; ++c) {
+        const net::Address cache =
+            bed.add_store(kObj, naming::StoreClass::kClientInitiated, policy,
+                          at)
+                .address();
+        writers.push_back(
+            &bed.add_client(kObj, ClientModel::kNone, cache, cache));
+      }
+    }
+
+    const std::string m = std::to_string(mirror);
+    std::string text = "at " + std::to_string(fault_at_ms) + "ms ";
+    if (crash) {
+      text += "crash " + m + "\nat " + std::to_string(heal_at_ms) +
+              "ms recover " + m + "\n";
+    } else {
+      std::string rest;
+      for (std::size_t i = 0; i < bed.stores().size(); ++i) {
+        if (i == mirror) continue;
+        rest += (rest.empty() ? "" : ",") + std::to_string(i);
+      }
+      text += "partition " + rest + "|" + m + "\nat " +
+              std::to_string(heal_at_ms) + "ms heal\n";
+    }
+    fault::ScenarioScript script;
+    std::string error;
+    if (!fault::ScenarioScript::parse(text, &script, &error)) {
+      failures.push_back("scenario script rejected: " + error);
+      return conclude(std::move(failures), trips, 0);
+    }
+    repl::TestbedFaultHost host(bed);
+    fault::ScenarioEngine engine(script, host, seed);
+    engine.arm(bed.sim());
+
+    // Rounds of one write per cache, 25 ms apart: half the budget from
+    // the joins on, the rest once the mirror is back.
+    std::uint64_t round = 0;
+    const auto write_until = [&](std::uint64_t budget) {
+      while (issued < budget) {
+        for (std::size_t w = 0; w < writers.size() && issued < budget; ++w) {
+          writers[w]->write("w" + std::to_string(w) + ".html",
+                            "r" + std::to_string(round), [](repl::WriteResult) {});
+          ++issued;
+        }
+        ++round;
+        bed.run_for(sim::SimDuration::millis(25));
+      }
+    };
+    const auto run_until_ms = [&](std::uint64_t ms) {
+      const sim::SimTime at = sim::SimTime{} + sim::SimDuration::millis(ms);
+      if (bed.sim().now() < at) bed.sim().run_until(at);
+    };
+    write_until(max_ops / 2);
+    run_until_ms(heal_at_ms + 500);
+    write_until(max_ops);
+    run_until_ms(heal_at_ms + 1000);
+    for (int i = 0; i < 4; ++i) {
+      primary.seed("filler.html", "f" + std::to_string(i));
+      bed.run_for(sim::SimDuration::millis(50));
+    }
+    bed.run_for(sim::SimDuration::seconds(2));
+    bed.settle();
+
+    const std::string shape =
+        std::string(coherence::to_string(policy.model)) + ", " +
+        core::to_string(policy.propagation) + ", " +
+        core::to_string(policy.coherence_transfer) + ", " +
+        (crash ? "crash" : "partition") + " store " + m;
+    note(failures, bed.converged(kObj),
+         "diverged: replicas disagree with the primary (" + shape + ")");
+    const auto object_verdict =
+        coherence::check_object_model(bed.history(), policy.model);
+    note(failures, object_verdict.ok,
+         "object-model checker: " + object_verdict.summary());
+    for (std::string& edge : one_sided_edges(bed)) {
+      failures.push_back(std::move(edge) + " (" + shape + ")");
+    }
+  }
+  return conclude(std::move(failures), trips, issued);
+}
+
 ScenarioLookup find_scenario(std::string_view name) {
   ScenarioLookup out;
   if (name == "partition_churn") {
@@ -321,12 +484,16 @@ ScenarioLookup find_scenario(std::string_view name) {
     out.explorer = ScheduleExplorer("compaction_cutover",
                                     run_compaction_cutover,
                                     kCompactionCutoverDefaultOps);
+  } else if (name == "reparent_churn") {
+    out.found = true;
+    out.explorer = ScheduleExplorer("reparent_churn", run_reparent_churn,
+                                    kReparentChurnDefaultOps);
   }
   return out;
 }
 
 std::vector<std::string> scenario_names() {
-  return {"partition_churn", "compaction_cutover"};
+  return {"partition_churn", "compaction_cutover", "reparent_churn"};
 }
 
 }  // namespace globe::check

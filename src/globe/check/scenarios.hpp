@@ -46,6 +46,26 @@ inline constexpr std::uint64_t kPartitionChurnDefaultOps = 120;
 /// Default op budget of run_compaction_cutover.
 inline constexpr std::uint64_t kCompactionCutoverDefaultOps = 40;
 
+/// Re-parenting churn, the racing-joins fault shape: a primary, three
+/// mirrors and two caches under each join at once, with a writer at every
+/// cache, so a store can adopt a view that lacks its upstream and
+/// re-parent, even while it bootstraps. The seed picks the jitter, update
+/// or invalidate propagation and partial or full coherence transfer (the
+/// causal multi-master model where the policy allows one, PRAM
+/// otherwise), a mirror, and whether that mirror crashes or is cut off
+/// alone past the failure timeout before it recovers or the partition
+/// heals. More writes follow, and after them a few writes at the primary
+/// that do not count against the budget, so every mirror pushes after it
+/// is back at any budget. Fails on any monitor trip, object-model
+/// violation or failure to converge, and on an edge only one end holds
+/// once the run is quiet: a subscriber whose upstream is another store,
+/// or a store its upstream does not list.
+[[nodiscard]] ScenarioVerdict run_reparent_churn(std::uint64_t seed,
+                                                 std::uint64_t max_ops);
+
+/// Default op budget of run_reparent_churn.
+inline constexpr std::uint64_t kReparentChurnDefaultOps = 120;
+
 /// Explorer for a registered scenario name, or nullptr-equivalent
 /// (found=false) if unknown.
 struct ScenarioLookup {

@@ -105,15 +105,17 @@ TEST(ScenarioCatalogue, LooksUpKnownScenariosOnly) {
   }
 }
 
-TEST(ScenarioCatalogue, PartitionChurnSmokeIsClean) {
-  const ScenarioLookup lookup = find_scenario("partition_churn");
-  ASSERT_TRUE(lookup.found);
-  ExploreOptions opts;
-  opts.seeds = 5;
-  opts.first_seed = 1;
-  const ExploreResult res = lookup.explorer.explore(opts);
-  EXPECT_FALSE(res.found_failure)
-      << res.failure << "\n  repro: " << res.repro;
+TEST(ScenarioCatalogue, ChurnSmokesAreClean) {
+  for (const char* name : {"partition_churn", "reparent_churn"}) {
+    const ScenarioLookup lookup = find_scenario(name);
+    ASSERT_TRUE(lookup.found) << name;
+    ExploreOptions opts;
+    opts.seeds = 5;
+    opts.first_seed = 1;
+    const ExploreResult res = lookup.explorer.explore(opts);
+    EXPECT_FALSE(res.found_failure)
+        << name << ": " << res.failure << "\n  repro: " << res.repro;
+  }
 }
 
 }  // namespace
